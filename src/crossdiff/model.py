@@ -151,14 +151,6 @@ class Model:
         out[..., idx, idx] += diag
         return out
 
-    def dA(self) -> NDArray[np.float64]:
-        """Derivative tensor ``T[i, j, k] = d a_ij / d u_k`` (constant in u)."""
-        T = np.zeros((self.m, self.m, self.m))
-        idx = np.arange(self.m)
-        T[idx, idx, :] += self.alpha
-        T[idx, :, idx] += self.alpha
-        return T
-
     def d_A(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
         """Diagonal of the flux matrix as a vector, shape ``(..., m)``."""
         u = np.asarray(u, dtype=float)

@@ -7,6 +7,13 @@ damped Newton, homotopy continuation in the coefficient-scaling
 parameter ``sigma`` (the system ``-Div(A(sigma u) Du) = f(sigma u)``),
 and a frozen-coefficient fixed-point iteration as an independent
 cross-check.
+
+The flux convention: on a cell-centered grid the face flux between
+neighbours ``p`` and ``q`` is ``A(sigma * (u_p + u_q)/2) (u_q - u_p)/h``
+and the residual is ``-(flux divergence) - f(sigma * u)``.  Neumann
+walls carry zero flux; Dirichlet walls reflect the ghost state
+(``u_ghost = -u_wall``) so the face value is pinned at 0 and the wall
+coefficient is ``A(0) = diag(d)``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import splu
 
-from . import _kernels
 from .index_theory import ModeDecision
 from .model import ConfigError, Domain, Model, ModelError
 from .spectral import eigenfunction
@@ -148,6 +154,23 @@ def _node_ids(shape: tuple[int, ...]) -> NDArray[np.intp]:
     return np.arange(int(np.prod(shape))).reshape(shape)
 
 
+def axis_slices(ndim: int, axis: int) -> tuple[tuple, tuple, tuple[tuple, tuple]]:
+    """Index tuples along ``axis`` of an array shaped like the grid.
+
+    Returns ``(p, q, (low, high))``: ``p`` and ``q`` select the two cells
+    on either side of every interior face normal to ``axis``, and
+    ``low``/``high`` the cell layers at its two walls.  Trailing
+    component axes pass through untouched.
+    """
+
+    def at(index: slice | int) -> tuple:
+        sl: list[slice | int] = [slice(None)] * ndim
+        sl[axis] = index
+        return tuple(sl)
+
+    return at(slice(None, -1)), at(slice(1, None)), (at(0), at(-1))
+
+
 class DiscreteSystem:
     """Residual and Jacobian of the discretized system at fixed ``sigma``.
 
@@ -163,14 +186,12 @@ class DiscreteSystem:
         grid: Grid,
         sigma: float = 1.0,
         forcing: NDArray[np.float64] | None = None,
-        relaxation: bool = False,
     ) -> None:
         if grid.domain.dimension != model.domain.dimension:
             raise ModelError("grid and model domains have different dimensions")
         self.model = model
         self.grid = grid
         self.sigma = float(sigma)
-        self.relaxation = bool(relaxation)
         self.dirichlet = model.bc.kind == "dirichlet"
         if forcing is not None:
             forcing = np.asarray(forcing, dtype=float)
@@ -185,33 +206,29 @@ class DiscreteSystem:
     # -- residual ---------------------------------------------------------
 
     def residual(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
-        m = self.model
-        R = _kernels.residual_field(
-            values, self.grid.h, m.d, m.alpha, m.r, m.c, self.sigma, self.dirichlet
-        )
-        if self.relaxation:
-            R -= (self.sigma - 1.0) * values
+        model = self.model
+        sigma = self.sigma
+        ndim = self.grid.ndim
+        R = -model.f(sigma * values)
+        for axis, h in enumerate(self.grid.h):
+            p, q, _ = axis_slices(ndim, axis)
+            u_p = values[p]
+            u_q = values[q]
+            v = 0.5 * sigma * (u_p + u_q)
+            du = (u_q - u_p) / h
+            flux = (model.d + v @ model.alpha.T) * du + v * (du @ model.alpha.T)
+            R[p] -= flux / h
+            R[q] += flux / h
+        # Walls after all faces: the order fixes the corner cells' bits.
+        if self.dirichlet:
+            for axis, h in enumerate(self.grid.h):
+                for wall in axis_slices(ndim, axis)[2]:
+                    R[wall] += 2.0 * model.d * values[wall] / h**2
         if self.forcing is not None:
             R = R - self.forcing
         return R
 
     # -- Jacobian ---------------------------------------------------------
-
-    def _face_pairs(self, axis: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-        ids = self._ids
-        if axis == 0:
-            if ids.ndim == 1:
-                return ids[:-1], ids[1:]
-            return ids[:-1, :].ravel(), ids[1:, :].ravel()
-        return ids[:, :-1].ravel(), ids[:, 1:].ravel()
-
-    def _wall_ids(self, axis: int) -> NDArray[np.intp]:
-        ids = self._ids
-        if axis == 0:
-            if ids.ndim == 1:
-                return np.array([ids[0], ids[-1]])
-            return np.concatenate([ids[0, :], ids[-1, :]])
-        return np.concatenate([ids[:, 0], ids[:, -1]])
 
     @staticmethod
     def _block_coo(
@@ -231,14 +248,16 @@ class DiscreteSystem:
         model = self.model
         m = model.m
         sigma = self.sigma
+        ids = self._ids
         flat = values.reshape(-1, m)
         rows_all: list[NDArray[np.intp]] = []
         cols_all: list[NDArray[np.intp]] = []
         data_all: list[NDArray[np.float64]] = []
 
-        for axis in range(self.grid.ndim):
-            h = self.grid.h[axis]
-            p, q = self._face_pairs(axis)
+        for axis, h in enumerate(self.grid.h):
+            sl_p, sl_q, walls = axis_slices(self.grid.ndim, axis)
+            p = ids[sl_p].ravel()
+            q = ids[sl_q].ravel()
             u_p = flat[p]
             u_q = flat[q]
             v = 0.5 * sigma * (u_p + u_q)
@@ -267,7 +286,7 @@ class DiscreteSystem:
                 cols_all.append(cc)
                 data_all.append(dd)
             if self.dirichlet:
-                w = self._wall_ids(axis)
+                w = np.concatenate([np.ravel(ids[wall]) for wall in walls])
                 diag_rows = (w[:, None] * m + np.arange(m)[None, :]).ravel()
                 rows_all.append(diag_rows)
                 cols_all.append(diag_rows)
@@ -277,9 +296,6 @@ class DiscreteSystem:
 
         if not frozen:
             Jr = -sigma * model.jacobian_f(sigma * flat)
-            if self.relaxation:
-                idx = np.arange(m)
-                Jr[:, idx, idx] -= self.sigma - 1.0
             nodes = np.arange(flat.shape[0])
             rr, cc, dd = self._block_coo(nodes, nodes, Jr, m)
             rows_all.append(rr)
@@ -302,10 +318,9 @@ def discretize(
     grid: Grid,
     sigma: float = 1.0,
     forcing: NDArray[np.float64] | None = None,
-    relaxation: bool = False,
 ) -> DiscreteSystem:
     """Residual operator and Jacobian assembler on the given grid."""
-    return DiscreteSystem(model, grid, sigma=sigma, forcing=forcing, relaxation=relaxation)
+    return DiscreteSystem(model, grid, sigma=sigma, forcing=forcing)
 
 
 @dataclass(frozen=True)
@@ -454,7 +469,6 @@ def newton_solve(
     max_iter: int = 100,
     sigma: float = 1.0,
     forcing: NDArray[np.float64] | None = None,
-    relaxation: bool = False,
     strict: bool = True,
 ) -> SolveResult:
     """Damped-Newton solve from a seed field.
@@ -464,7 +478,7 @@ def newton_solve(
     :class:`SolveResult` is returned with the failure reason attached.
     """
     values = _seed_values(seed, grid, model.m)
-    system = discretize(model, grid, sigma=sigma, forcing=forcing, relaxation=relaxation)
+    system = discretize(model, grid, sigma=sigma, forcing=forcing)
     try:
         values, rn, abs_tol, its, history = _newton_core(system, values, tol, max_iter)
     except ConvergenceError as exc:
@@ -487,7 +501,6 @@ def continuation_solve(
     steps: int = 8,
     tol: float = TOL_NEWTON,
     max_iter: int = 100,
-    relaxation: bool = False,
     strict: bool = True,
 ) -> SolveResult:
     """Homotopy continuation in the coefficient scaling ``sigma``.
@@ -521,7 +534,7 @@ def continuation_solve(
     queue = list(schedule)
     while queue:
         sigma = queue[0]
-        system = discretize(model, grid, sigma=sigma, relaxation=relaxation)
+        system = discretize(model, grid, sigma=sigma)
         try:
             values_new, rn, abs_tol, its, history = _newton_core(
                 system, values.copy(), tol, max_iter
