@@ -19,7 +19,6 @@ from .model import (
     ModelError,
     StructureReport,
     build_model,
-    evaluate,
     validate_structure,
 )
 from .steady_states import (
@@ -112,7 +111,6 @@ __all__ = [
     "discrete_laplacian_spectrum",
     "discretize",
     "eigenfunction",
-    "evaluate",
     "existence_verdict",
     "find_constant_states",
     "fixed_point_solve",

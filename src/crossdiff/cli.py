@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .diagnostics import diagnostics_report
+from .diagnostics import ball_radii, diagnostics_report
 from .index_theory import (
     ExistenceVerdict,
     ModeDecision,
@@ -303,9 +303,12 @@ def _solve_summary(result: SolveResult, diag) -> list[str]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    t_start = time.perf_counter()
     config = _load_config(args.config)
     model = build_model(config)
     grid = make_grid(model.domain, args.grid)
+    if args.radius is not None:
+        ball_radii(grid, args.radius)  # reject a bad radius before solving
     seed = _build_seed(args, model, grid)
 
     # Mode seeds are warm starts for the target problem; dragging them
@@ -328,7 +331,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             return EXIT_SOLVER
     elapsed = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     diag = diagnostics_report(model, result.field, radius=args.radius)
+    diag_elapsed = time.perf_counter() - t0
     stem = _output_stem(args.output)
     field_path = f"{stem}_field.csv"
     _field_csv(field_path, result.field)
@@ -356,6 +361,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"report written to {args.output}")
     print(f"field written to {field_path}")
     print(f"timing solve: {elapsed:.3f} s")
+    print(f"timing diagnostics: {diag_elapsed:.3f} s")
+    print(f"timing total: {time.perf_counter() - t_start:.3f} s")
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 

@@ -261,16 +261,6 @@ def build_model(config: Mapping[str, Any]) -> Model:
     )
 
 
-def evaluate(
-    model: Model, u: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Evaluate ``(A(u), f(u), Jf(u))`` at a state or a field of states."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != model.m:
-        raise ModelError(f"state last axis must be {model.m}, got shape {u.shape}")
-    return model.A(u), model.f(u), model.jacobian_f(u)
-
-
 @dataclass(frozen=True)
 class StructureReport:
     """Sampled ellipticity and growth certificate for the flux matrix.

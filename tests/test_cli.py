@@ -162,6 +162,44 @@ def test_solve_writes_report_and_field_csv(tmp_path, capsys):
     assert float(rows[1][1]) == pytest.approx(10.0 / 17.0, abs=1e-9)
 
 
+def test_solve_timing_covers_the_whole_command(tmp_path, capsys):
+    cfg = write_config(tmp_path, WEAK_LV)
+    out = str(tmp_path / "s.json")
+    code = cli.main(
+        ["solve", "--config", cfg, "--output", out, "--grid", "32",
+         "--no-homotopy", "--seed-constant", "0.6,0.8"]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    timings = {}
+    for line in captured.out.splitlines():
+        if line.startswith("timing "):
+            name, value = line[len("timing "):].split(": ")
+            timings[name] = float(value.removesuffix(" s"))
+    assert set(timings) == {"solve", "diagnostics", "total"}
+    assert timings["total"] >= max(timings["solve"], timings["diagnostics"])
+    assert "timing" not in (tmp_path / "s.json").read_text()
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan", "0.01"])
+def test_solve_rejects_bad_radius_before_solving(tmp_path, capsys, monkeypatch, radius):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran before the radius was checked")
+
+    monkeypatch.setattr(cli, "newton_solve", no_solve)
+    monkeypatch.setattr(cli, "continuation_solve", no_solve)
+    cfg = write_config(tmp_path, WEAK_LV)
+    out = tmp_path / "s.json"
+    code = cli.main(
+        ["solve", "--config", cfg, "--output", str(out), "--grid", "32",
+         "--radius", radius]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_solve_mode_seed_finds_pattern(tmp_path):
     cfg = write_config(tmp_path, TURING)
     out = str(tmp_path / "pattern.json")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from crossdiff import (
     DiscreteField,
+    Domain,
     ModelError,
     bmo_seminorm,
     build_model,
@@ -20,6 +23,7 @@ from crossdiff import (
     nonexistence_threshold,
     norms,
 )
+from crossdiff.diagnostics import ball_radii
 
 PI = np.pi
 
@@ -131,6 +135,86 @@ def test_bmo_unresolvable_radius():
     field = constant_field(grid, [1.0])
     with pytest.raises(ModelError, match="unresolvable"):
         bmo_seminorm(field, 0.1)
+
+
+def test_bmo_non_finite_radius():
+    grid = make_grid(scalar_logistic().domain, 16)
+    field = constant_field(grid, [1.0])
+    for radius in (float("inf"), float("nan")):
+        with pytest.raises(ModelError, match="finite"):
+            bmo_seminorm(field, radius)
+
+
+@pytest.mark.parametrize("j", [100, 101, 200, 257, 300, 411])
+def test_bmo_ball_is_closed(j):
+    # Every interior ball of radius 2h holds the 5 nodes at offsets
+    # -2..2, the outer two at distance exactly 2h.  A unit spike gives
+    # mean 1/5 and oscillation (1 - 1/5 + 4/5) / 5 = 0.32.
+    grid = make_grid(scalar_logistic().domain, 512)
+    vals = np.zeros((512, 1))
+    vals[j] = 1.0
+    field = DiscreteField(grid=grid, values=vals)
+    assert bmo_seminorm(field, 2.0 * grid.h[0]) == pytest.approx(0.32, rel=1e-14)
+
+
+def brute_force_bmo(field, radius):
+    """Per-center scan of closed balls ``|o h| <= r`` at radii 2h, 4h, ...
+    and ``radius`` itself when it is off that ladder."""
+    grid = field.grid
+    h = max(grid.h)
+    radii = [2.0 * h * j for j in range(1, int(radius / (2.0 * h)) + 1)]
+    if not radii or radius - radii[-1] > 1e-12 * max(1.0, radius):
+        radii.append(radius)
+    index = np.indices(grid.shape).reshape(grid.ndim, -1).T
+    vals = field.values.reshape(-1, field.m)
+    sup = 0.0
+    for center in index:
+        dist2 = (((index - center) * np.array(grid.h)) ** 2).sum(axis=1)
+        for r in radii:
+            ball = vals[dist2 <= r * r * (1.0 + 1e-12)]
+            osc = np.linalg.norm(ball - ball.mean(axis=0), axis=1).mean()
+            sup = max(sup, float(osc))
+    return sup
+
+
+ORACLE_GRIDS = {
+    "interval": (("interval", [PI]), 64, (0.3, 2.0)),
+    "square": (("rectangle", [3.0, 3.0]), 16, (0.5, 2.0)),
+    "rectangle": (("rectangle", [3.0, 2.0]), (40, 28), (0.4, 1.7)),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("which", ["2h", "off-ladder", "wide"])
+@pytest.mark.parametrize("domain", sorted(ORACLE_GRIDS))
+def test_bmo_matches_brute_force_scan(domain, which, m):
+    (kind, lengths), cells, (off_ladder, wide) = ORACLE_GRIDS[domain]
+    grid = make_grid(Domain(kind=kind, lengths=tuple(lengths)), cells)
+    radius = {"2h": 2.0 * max(grid.h), "off-ladder": off_ladder, "wide": wide}[which]
+    # A random slope plus noise: the largest ball oscillates most, and
+    # every ball near a wall is clipped.
+    rng = np.random.default_rng(7 * m + len(which))
+    slope = rng.normal(size=(grid.ndim, m))
+    noise = rng.uniform(-0.1, 0.1, grid.shape + (m,))
+    vals = 5.0 + grid.points() @ slope + noise
+    field = DiscreteField(grid=grid, values=vals)
+    assert bmo_seminorm(field, radius) == pytest.approx(
+        brute_force_bmo(field, radius), rel=1e-12
+    )
+
+
+def test_bmo_huge_radius_is_whole_domain_oscillation():
+    grid = make_grid(Domain(kind="rectangle", lengths=(3.0, 3.0)), 16)
+    vals = grid.points()  # u = (x, y): the whole square oscillates most
+    field = DiscreteField(grid=grid, values=vals)
+    flat = vals.reshape(-1, 2)
+    whole = np.linalg.norm(flat - flat.mean(axis=0), axis=1).mean()
+    t0 = time.perf_counter()
+    value = bmo_seminorm(field, 1e6)
+    assert time.perf_counter() - t0 < 5.0
+    assert value == pytest.approx(whole, rel=1e-12)
+    # The ladder stops at the first ball holding the whole grid.
+    assert len(ball_radii(grid, 1e6)) == 11
 
 
 @given(st.floats(0.1, 4.0), st.floats(-3.0, 3.0), st.integers(0, 2**31 - 1))

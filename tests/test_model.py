@@ -13,7 +13,6 @@ from crossdiff import (
     Domain,
     ModelError,
     build_model,
-    evaluate,
     validate_structure,
 )
 
@@ -75,17 +74,17 @@ def test_unknown_config_keys_rejected():
         build_model(cfg)
 
 
-def test_evaluate_at_origin():
+def test_coefficients_at_origin():
     model = build_model(lv_config())
-    A, f, J = evaluate(model, np.zeros(2))
-    np.testing.assert_array_equal(f, np.zeros(2))
-    np.testing.assert_array_equal(J, np.diag([1.0, 1.0]))
+    u = np.zeros(2)
+    np.testing.assert_array_equal(model.A(u), np.diag([0.05, 1.0]))
+    np.testing.assert_array_equal(model.f(u), np.zeros(2))
+    np.testing.assert_array_equal(model.jacobian_f(u), np.diag([1.0, 1.0]))
 
 
-def test_evaluate_on_semitrivial_root():
+def test_reaction_vanishes_on_semitrivial_root():
     model = build_model(lv_config())
-    _, f, _ = evaluate(model, np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(f, np.zeros(2))
+    np.testing.assert_array_equal(model.f(np.array([1.0, 0.0])), np.zeros(2))
 
 
 def test_flux_entry_against_symbolic_differentiation():
@@ -144,13 +143,11 @@ def test_reaction_vanishes_at_origin_and_jacobian_is_growth_rates(r):
     np.testing.assert_array_equal(model.jacobian_f(np.zeros(2)), np.diag(r))
 
 
-def test_evaluate_is_deterministic():
+def test_coefficients_are_deterministic():
     model = build_model(lv_config(alpha=[[0.1, 0.9], [0.2, 0.3]]))
     u = np.array([0.37, 1.91])
-    first = evaluate(model, u)
-    second = evaluate(model, u)
-    for a, b in zip(first, second):
-        np.testing.assert_array_equal(a, b)
+    for coefficient in (model.A, model.f, model.jacobian_f):
+        np.testing.assert_array_equal(coefficient(u), coefficient(u))
 
 
 def test_restrict_keeps_selected_species():
