@@ -25,13 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ball_radii, diagnostics_report
-from .index_theory import (
-    ExistenceVerdict,
-    ModeDecision,
-    existence_verdict,
-    mode_matrix,
-    negative_count,
-)
+from .index_theory import ExistenceVerdict, existence_verdict, mode_decision
 from .model import ConfigError, Model, ModelError, build_model, validate_structure
 from .pde_solver import (
     ConvergenceError,
@@ -201,30 +195,6 @@ def _positive_state(model: Model, states: StateEnumeration) -> np.ndarray:
     raise ConfigError("no positive nontrivial constant state to perturb")
 
 
-def _mode_decision(model: Model, u_star: np.ndarray, k: int) -> ModeDecision:
-    """The ``k``-th distinct nonzero zero-flux mode (1-based) as a decision."""
-    if k < 1:
-        raise ConfigError(f"--seed-mode must be >= 1, got {k}")
-    spectrum = neumann_eigenvalues(model.domain, k + 1)
-    nonzero = spectrum.nonzero()
-    if len(nonzero) < k:
-        raise ConfigError(f"spectrum enumeration returned fewer than {k} modes")
-    entry = nonzero[k - 1]
-    A_i = mode_matrix(model, u_star, entry.lambda_hat)
-    count = negative_count(model.d_A(u_star), A_i)
-    return ModeDecision(
-        lambda_hat=entry.lambda_hat,
-        M=entry.M,
-        A_i=A_i,
-        eigs=count.eigs,
-        N_i=count.N,
-        margin=count.margin,
-        degenerate=count.degenerate,
-        mode_indices=entry.mode_indices,
-        warnings=count.warnings,
-    )
-
-
 def _build_seed(args: argparse.Namespace, model: Model, grid) -> DiscreteField:
     chosen = [
         name
@@ -252,7 +222,12 @@ def _build_seed(args: argparse.Namespace, model: Model, grid) -> DiscreteField:
     if args.seed_mode is not None:
         states = find_constant_states(model)
         u_star = _positive_state(model, states)
-        decision = _mode_decision(model, u_star, args.seed_mode)
+        k = args.seed_mode
+        if k < 1:
+            raise ConfigError(f"--seed-mode must be >= 1, got {k}")
+        # The k-th distinct nonzero zero-flux mode.
+        entry = neumann_eigenvalues(model.domain, k + 1).nonzero()[k - 1]
+        decision = mode_decision(model, u_star, entry)
         return seed_from_mode(model, u_star, decision, args.amp, grid)
 
     if args.seed_random is not None:
@@ -575,9 +550,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,7 +14,7 @@ degree against 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -137,7 +137,28 @@ class ModeDecision:
     warnings: tuple[str, ...] = ()
 
 
-def mode_cutoff(model: Model, u_star: NDArray[np.float64]) -> tuple[int, dict]:
+def mode_decision(
+    model: Model, u_star: NDArray[np.float64], entry: SpectrumEntry
+) -> ModeDecision:
+    """Count ``N_i`` at one nonzero Neumann eigenvalue of the spectrum."""
+    A_i = mode_matrix(model, u_star, entry.lambda_hat)
+    nc = negative_count(model.d_A(u_star), A_i)
+    return ModeDecision(
+        lambda_hat=entry.lambda_hat,
+        M=entry.M,
+        A_i=A_i,
+        eigs=nc.eigs,
+        N_i=nc.N,
+        margin=nc.margin,
+        degenerate=nc.degenerate,
+        mode_indices=entry.mode_indices,
+        warnings=nc.warnings,
+    )
+
+
+def mode_cutoff(
+    model: Model, u_star: NDArray[np.float64]
+) -> tuple[int, dict, ModeSpectrum, tuple[ModeDecision, ...]]:
     """Certified mode cutoff ``L0`` beyond which every ``N_i`` vanishes.
 
     Uses the eigenvector-conditioned perturbation bound: eigenvalues of
@@ -147,6 +168,10 @@ def mode_cutoff(model: Model, u_star: NDArray[np.float64]) -> tuple[int, dict]:
     ``kappa_V ||d_A^{-1} J|| / rho`` no eigenvalue can reach the closed
     left half-plane.  Three additional modes past the cutoff are scanned
     and asserted stable.
+
+    The spectrum through the scanned modes is enumerated once, and every
+    nonzero mode of it is decided once.  Returns ``L0``, the certificate,
+    that spectrum and the decisions.
     """
     u_star = np.asarray(u_star, dtype=float)
     A = model.A(u_star)
@@ -165,33 +190,28 @@ def mode_cutoff(model: Model, u_star: NDArray[np.float64]) -> tuple[int, dict]:
     bound = kappa_V * J_norm / rho
 
     spectrum = spectrum_through(model.domain, bound, extra=SCAN_EXTRA)
-    nonzero = spectrum.nonzero()
-    L0 = sum(1 for e in nonzero if e.lambda_hat <= bound)
-
-    scanned: list[float] = []
-    for entry in nonzero[L0 : L0 + SCAN_EXTRA]:
-        Ai = mode_matrix(model, u_star, entry.lambda_hat)
-        nc = negative_count(dvec, Ai)
-        scanned.append(entry.lambda_hat)
-        if nc.N != 0:
+    decisions = tuple(mode_decision(model, u_star, e) for e in spectrum.nonzero())
+    L0 = sum(1 for d in decisions if d.lambda_hat <= bound)
+    for d in decisions[L0:]:
+        if d.N_i != 0:
             raise CutoffError(
-                f"certified bound violated: mode lambda_hat={entry.lambda_hat:.6g} "
-                f"past the cutoff has N={nc.N}"
+                f"certified bound violated: mode lambda_hat={d.lambda_hat:.6g} "
+                f"past the cutoff has N={d.N_i}"
             )
     certificate = {
         "rho": rho,
         "kappa_V": kappa_V,
         "dA_inv_J_norm": J_norm,
         "bound": bound,
-        "scanned_modes": scanned,
+        "scanned_modes": [d.lambda_hat for d in decisions[L0:]],
     }
-    return L0, certificate
+    return L0, certificate, spectrum, decisions
 
 
 def check_nondegeneracy(
     model: Model,
     u_star: NDArray[np.float64],
-    spectrum: ModeSpectrum | Sequence[SpectrumEntry],
+    spectrum: Iterable[SpectrumEntry],
     tol_degenerate: float = TOL_DEGENERATE,
 ) -> tuple[bool, list[dict]]:
     """Test ``det(lambda_hat A(u*) - J(u*)) != 0`` for every retained mode.
@@ -207,10 +227,9 @@ def check_nondegeneracy(
     u_star = np.asarray(u_star, dtype=float)
     A = model.A(u_star)
     J = model.jacobian_f(u_star)
-    entries = spectrum.entries if isinstance(spectrum, ModeSpectrum) else tuple(spectrum)
     details: list[dict] = []
     ok_all = True
-    for entry in entries:
+    for entry in spectrum:
         B = entry.lambda_hat * A - J
         gross = abs(entry.lambda_hat) * np.abs(A) + np.abs(J)
         scale = float(np.prod(np.linalg.norm(gross, axis=1)))
@@ -260,43 +279,21 @@ def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexRepo
             f"u_star is not a constant steady state: max |g(u_star)| = {g_res:.3e}"
         )
 
-    L0, certificate = mode_cutoff(model, u_star)
-    spectrum = spectrum_through(model.domain, certificate["bound"], extra=SCAN_EXTRA)
-
+    L0, certificate, spectrum, decisions = mode_cutoff(model, u_star)
     nondeg_ok, nondeg_details = check_nondegeneracy(model, u_star, spectrum)
-    certificate = dict(certificate)
     certificate["nondegeneracy"] = nondeg_details
 
-    dvec = np.diag(model.A(u_star))
     warnings: list[str] = []
-    decisions: list[ModeDecision] = []
-    degenerate_any = False
-    gamma = 0
-    for entry in spectrum.nonzero():
-        Ai = mode_matrix(model, u_star, entry.lambda_hat)
-        nc = negative_count(dvec, Ai)
-        decisions.append(
-            ModeDecision(
-                lambda_hat=entry.lambda_hat,
-                M=entry.M,
-                A_i=Ai,
-                eigs=nc.eigs,
-                N_i=nc.N,
-                margin=nc.margin,
-                degenerate=nc.degenerate,
-                mode_indices=entry.mode_indices,
-                warnings=nc.warnings,
-            )
-        )
-        degenerate_any |= nc.degenerate
-        gamma += nc.N * entry.M
-        for w in nc.warnings:
-            warnings.append(f"mode lambda_hat={entry.lambda_hat:.6g}: {w}")
-        if nc.degenerate:
+    for d in decisions:
+        for w in d.warnings:
+            warnings.append(f"mode lambda_hat={d.lambda_hat:.6g}: {w}")
+        if d.degenerate:
             warnings.append(
-                f"mode lambda_hat={entry.lambda_hat:.6g} is degenerate "
-                f"(margin {nc.margin:.3e}); no index claimed"
+                f"mode lambda_hat={d.lambda_hat:.6g} is degenerate "
+                f"(margin {d.margin:.3e}); no index claimed"
             )
+    degenerate_any = any(d.degenerate for d in decisions)
+    gamma = sum(d.N_i * d.M for d in decisions)
 
     J = model.jacobian_f(u_star)
     n_unstable = int(
@@ -320,7 +317,7 @@ def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexRepo
     index = int((-1) ** gamma) if nondegenerate else None
     return IndexReport(
         u_star=u_star,
-        mode_decisions=tuple(decisions),
+        mode_decisions=decisions,
         L0=L0,
         certificate=certificate,
         gamma=gamma,

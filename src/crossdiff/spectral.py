@@ -18,7 +18,9 @@ from scipy.linalg import eigh_tridiagonal
 from .model import ConfigError, Domain
 
 TOL_COLLIDE = 1e-9
-_MAX_LATTICE = 4096
+# Most lattice points a spectrum may need, so an interval returns at most
+# this many modes.
+_MAX_LATTICE = 32767
 
 
 @dataclass(frozen=True)
@@ -58,18 +60,6 @@ class ModeSpectrum:
         """Entries with positive eigenvalue (drops the constant mode)."""
         return tuple(e for e in self.entries if e.lambda_hat > 0.0)
 
-    @property
-    def min_gap(self) -> float:
-        """Minimal gap between consecutive distinct eigenvalues.
-
-        Near-degenerate pairs from irrational side ratios can defeat the
-        collision tolerance; a tiny gap is the caller's warning sign.
-        """
-        vals = self.values
-        if vals.size < 2:
-            return math.inf
-        return float(np.diff(vals).min())
-
 
 def _group_by_collision(
     values: NDArray[np.float64], indices: list[tuple[int, ...]]
@@ -94,57 +84,80 @@ def _group_by_collision(
     return entries
 
 
+def _axis_value(k: int, L: float) -> float:
+    return (k * math.pi / L) ** 2
+
+
+def _widen(x: float) -> float:
+    """``x`` plus twice the collision tolerance: every value that can
+    join a collision group starting at or below ``x`` is within it."""
+    return x + 2.0 * TOL_COLLIDE * max(1.0, x)
+
+
+def _axis_top(L: float, x: float) -> int:
+    """Largest ``k >= 0`` whose axis value ``(k pi / L)^2`` is at most ``x``."""
+    k = int(math.sqrt(max(x, 0.0)) * L / math.pi)
+    while _axis_value(k + 1, L) <= x:
+        k += 1
+    while k > 0 and _axis_value(k, L) > x:
+        k -= 1
+    return k
+
+
+def _lattice(domain: Domain, bound: float, extra: int) -> tuple[SpectrumEntry, ...]:
+    """Distinct eigenvalues ``<= bound`` and the next ``extra``, in one pass.
+
+    The axis modes ``(k, 0, ...)`` of the longest side have distinct
+    values, so a reach raised to the ``extra``-th of them above ``bound``
+    holds at least ``extra`` entries past it.  Every lattice point ``k``
+    with ``sum_a (k_a pi / L_a)^2`` up to the reach is listed and
+    collisions are grouped, so each eigenvalue carries its full
+    multiplicity.  The points the result needs are counted before any
+    array is built; on an interval that count is the number of entries
+    returned.
+    """
+    L_max = max(domain.lengths)
+
+    def reach(x: float) -> float:
+        return max(bound, _axis_value(_axis_top(L_max, x) + extra, L_max))
+
+    if not math.isfinite(bound) or math.prod(
+        _axis_top(L, reach(bound)) + 1 for L in domain.lengths
+    ) > _MAX_LATTICE:
+        raise ConfigError(f"spectral bound {bound:.3e} requires too many modes")
+    # Widened twice, so that a collision group straddling ``bound`` or
+    # the reach is counted once and listed whole.
+    edge = _widen(reach(_widen(bound)))
+    axes = [
+        np.array([_axis_value(k, L) for k in range(_axis_top(L, edge) + 1)])
+        for L in domain.lengths
+    ]
+    values = sum(np.ix_(*axes))
+    inside = values <= edge
+    indices = [tuple(k) for k in np.argwhere(inside).tolist()]
+    entries = _group_by_collision(values[inside], indices)
+    below = sum(1 for e in entries if e.lambda_hat <= bound)
+    return tuple(entries[: below + extra])
+
+
 def neumann_eigenvalues(domain: Domain, count: int) -> ModeSpectrum:
     """First ``count`` distinct Neumann eigenvalues of ``-Laplace``.
 
     Interval ``(0, L)``: ``lambda_k = (k pi / L)^2`` with eigenfunction
     ``cos(k pi x / L)``, all simple.  Rectangle: sums over both axes,
-    with multiplicities from exact value collisions.
+    with multiplicities from exact value collisions.  The axis modes of
+    the longest side put ``count`` distinct values at or below
+    ``((count - 1) pi / L_max)^2``.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    if domain.kind == "interval":
-        L = domain.lengths[0]
-        entries = tuple(
-            SpectrumEntry((k * math.pi / L) ** 2, 1, ((k,),)) for k in range(count)
-        )
-        return ModeSpectrum(entries=entries, domain=domain)
-
-    L1, L2 = domain.lengths
-    Lmax = max(L1, L2)
-    K = max(4, count)
-    while True:
-        ks = np.arange(K + 1)
-        v1 = (ks * math.pi / L1) ** 2
-        v2 = (ks * math.pi / L2) ** 2
-        values = (v1[:, None] + v2[None, :]).ravel()
-        indices = [(int(a), int(b)) for a in ks for b in ks]
-        entries = _group_by_collision(values, indices)
-        # Any lattice point outside the K x K block exceeds this floor, so
-        # distinct values strictly below it are complete with multiplicity.
-        floor_next = ((K + 1) * math.pi / Lmax) ** 2
-        safe = [e for e in entries if e.lambda_hat < floor_next * (1.0 - 1e-12)]
-        if len(safe) >= count:
-            return ModeSpectrum(entries=tuple(safe[:count]), domain=domain)
-        if K > _MAX_LATTICE:
-            raise ConfigError(
-                f"rectangle spectrum enumeration exceeded {_MAX_LATTICE}^2 lattice"
-            )
-        K *= 2
+    bound = _axis_value(count - 1, max(domain.lengths))
+    return ModeSpectrum(entries=_lattice(domain, bound, 0)[:count], domain=domain)
 
 
 def spectrum_through(domain: Domain, bound: float, extra: int = 0) -> ModeSpectrum:
     """All distinct eigenvalues with ``lambda_hat <= bound``, plus ``extra`` more."""
-    count = 8
-    while True:
-        spec = neumann_eigenvalues(domain, count)
-        above = [i for i, e in enumerate(spec.entries) if e.lambda_hat > bound]
-        if len(above) > extra:
-            keep = above[extra - 1] + 1 if extra > 0 else above[0]
-            return ModeSpectrum(entries=spec.entries[:keep], domain=domain)
-        if count > 16384:
-            raise ConfigError(f"spectral bound {bound:.3e} requires too many modes")
-        count *= 2
+    return ModeSpectrum(entries=_lattice(domain, bound, extra), domain=domain)
 
 
 def eigenfunction(

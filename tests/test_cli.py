@@ -31,6 +31,17 @@ TURING = {
 }
 
 
+SKT = {
+    "m": 2,
+    "d": [0.05, 1.0],
+    "alpha": [[0.1, 3.0], [0.5, 0.2]],
+    "r": [1.0, 1.0],
+    "c": [[1.0, 0.5], [0.3, 1.0]],
+    "domain": {"kind": "rectangle", "lengths": [3.0, 3.0]},
+    "bc": "neumann",
+}
+
+
 def write_config(tmp_path, payload, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -197,6 +208,31 @@ def test_solve_rejects_bad_radius_before_solving(tmp_path, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, mode", [(SKT, "100000"), (SKT, "181"), (TURING, "32767")],
+    ids=["skt-100000", "skt-181", "interval-32767"],
+)
+def test_solve_rejects_huge_seed_mode_before_solving(
+    tmp_path, capsys, monkeypatch, payload, mode
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran before the seed mode was checked")
+
+    monkeypatch.setattr(cli, "newton_solve", no_solve)
+    monkeypatch.setattr(cli, "continuation_solve", no_solve)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "s.json"
+    code = cli.main(
+        ["solve", "--config", cfg, "--output", str(out), "--grid", "16",
+         "--seed-mode", mode]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "requires too many modes" in captured.err
     assert not out.exists()
 
 

@@ -120,7 +120,7 @@ def test_negative_determinant_forces_single_crossing(l1, l2, d1, d2, seed):
 
 def test_mode_cutoff_worked_case():
     model = worked_diag_model()
-    L0, cert = mode_cutoff(model, np.ones(2))
+    L0, cert, _, _ = mode_cutoff(model, np.ones(2))
     assert L0 == 1
     assert cert["rho"] == pytest.approx(1.0)
     assert cert["kappa_V"] == pytest.approx(1.0)
@@ -129,7 +129,7 @@ def test_mode_cutoff_worked_case():
 
 def test_mode_cutoff_no_reaction_means_no_modes():
     model = interval_model(2, (1.0, 2.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
-    L0, _ = mode_cutoff(model, np.ones(2))
+    L0, _, _, _ = mode_cutoff(model, np.ones(2))
     assert L0 == 0
 
 
@@ -143,7 +143,7 @@ def test_mode_cutoff_nonnormal_inflates_condition_number():
         ((-2.0, 0.0), (0.0, 1.0)),
         alpha=[[0.0, 3.0], [0.1, 0.0]],
     )
-    L0, cert = mode_cutoff(model, np.ones(2))
+    L0, cert, _, _ = mode_cutoff(model, np.ones(2))
     assert cert["kappa_V"] > 2.0
     assert L0 >= 1
     assert cert["bound"] > 2.0
@@ -153,7 +153,7 @@ def test_mode_cutoff_scans_past_the_bound():
     # The certificate records a few modes past the cutoff, each verified
     # stable, and they all sit strictly above the certified bound.
     model = worked_diag_model()
-    L0, cert = mode_cutoff(model, np.ones(2))
+    L0, cert, _, _ = mode_cutoff(model, np.ones(2))
     assert len(cert["scanned_modes"]) == 3
     assert all(lam > cert["bound"] for lam in cert["scanned_modes"])
 
@@ -362,3 +362,53 @@ def test_rectangle_multiplicities_enter_parity():
     two_entry = [d for d in square_report.mode_decisions if d.lambda_hat == 1.0]
     assert two_entry[0].M == 2
     assert square_report.gamma >= 2
+
+
+def sweep_point(alpha_01):
+    # The verdict sweep's model: the README Turing kinetics with d_1 = 0.3
+    # and the one-way cross-diffusion alpha_21 = 0.1.
+    return interval_model(
+        2,
+        (0.3, 7.0),
+        (1.0, 1.0),
+        ((-1.0, 2.0), (-3.0, 4.0)),
+        alpha=[[0.0, alpha_01], [0.1, 0.0]],
+    )
+
+
+def test_one_sided_point_is_inconclusive_before_any_spectrum(monkeypatch):
+    # alpha_12 = 0 makes d_A^{-1} A(u*) unit-triangular and defective, so
+    # the certified bound (~1e15) needs more modes than the enumeration
+    # allows; the limit is checked before any spectrum entry is built.
+    from crossdiff import spectral
+
+    def no_entry(*args, **kwargs):
+        raise AssertionError("a spectrum entry was built")
+
+    monkeypatch.setattr(spectral, "SpectrumEntry", no_entry)
+    verdict = existence_verdict(sweep_point(0.0))
+    assert verdict.inconclusive
+    assert "requires too many modes" in verdict.cause
+
+
+def test_ledger_enumerates_once_and_decides_each_mode_once(monkeypatch):
+    from crossdiff import index_theory
+
+    calls = {"negative_count": 0, "spectrum_through": 0}
+
+    def counted(name):
+        original = getattr(index_theory, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(index_theory, name, counted(name))
+    verdict = existence_verdict(sweep_point(0.5))
+    assert not verdict.inconclusive
+    (report,) = verdict.index_reports
+    assert len(report.mode_decisions) == report.L0 + 3 == 7
+    assert calls == {"negative_count": 7, "spectrum_through": 1}

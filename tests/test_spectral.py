@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -71,10 +74,87 @@ def test_spectrum_through_bound_is_inclusive_cover():
     assert [e.lambda_hat for e in with_extra.entries[-2:]] == [16.0, 25.0]
 
 
-def test_min_gap_reports_closest_distinct_pair():
-    spectrum = neumann_eigenvalues(Domain(kind="interval", lengths=(PI,)), 5)
-    # distinct values 0,1,4,9,16: closest pair is (0,1).
-    assert spectrum.min_gap == pytest.approx(1.0)
+ORACLE_DOMAINS = [
+    (PI,),
+    (1.0,),
+    (3.7,),
+    (PI, PI),
+    (3.0, 3.0),
+    (PI, PI / 2),
+    (2.0, 3.0),
+    (3.0, 2.0),
+    (1.0, math.sqrt(2.0)),
+    (PI, PI / 100),
+]
+
+
+def brute_force_spectrum(lengths, limit):
+    """Distinct ``(lambda_hat, M, mode_indices)`` from a plain loop over ``k``.
+
+    Every ``k`` with ``k_a pi / L_a <= sqrt(limit)`` is listed, values are
+    ``sum_a (k_a pi / L_a)^2`` and a value joins the group of the smallest
+    value below it when within ``1e-9 max(1, value)``; only groups that
+    start at or below ``limit / 2`` are sure to be whole and are returned.
+    """
+    tops = [int(math.sqrt(limit) * L / math.pi) + 2 for L in lengths]
+    points = []
+    for ks in itertools.product(*(range(top) for top in tops)):
+        points.append((sum((k * math.pi / L) ** 2 for k, L in zip(ks, lengths)), ks))
+    points.sort()
+    groups = []
+    for value, ks in points:
+        if groups and value - groups[-1][0] <= 1e-9 * max(1.0, value):
+            groups[-1][1].append(ks)
+        else:
+            groups.append((value, [ks]))
+    return [(v, len(ks), tuple(sorted(ks))) for v, ks in groups if v <= limit / 2]
+
+
+def as_triples(spectrum):
+    return [(e.lambda_hat, e.M, e.mode_indices) for e in spectrum.entries]
+
+
+@pytest.mark.parametrize("lengths", ORACLE_DOMAINS, ids=str)
+def test_enumeration_matches_brute_force_lattice(lengths):
+    kind = "interval" if len(lengths) == 1 else "rectangle"
+    domain = Domain(kind=kind, lengths=lengths)
+    step = math.pi / max(lengths)
+    oracle = brute_force_spectrum(lengths, 2.0 * ((40 + 4) * step) ** 2)
+    assert len(oracle) > 44
+    for count in range(1, 41):
+        assert as_triples(neumann_eigenvalues(domain, count)) == oracle[:count]
+    values = [v for v, _, _ in oracle[:41]]
+    on = values + [math.nextafter(v, 0.0) for v in values[1:]]
+    between = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    for bound in on + between:
+        below = sum(1 for v in values if v <= bound)
+        for extra in (0, 1, 3):
+            got = as_triples(spectrum_through(domain, bound, extra))
+            assert got == oracle[: below + extra], (bound, extra)
+
+
+def test_interval_size_limit_edge():
+    # At most 32,767 modes are returned; one more raises.  The bounds on
+    # eigenvalues are placed where the square root rounds either way:
+    # (32764 pi / pi)^2 lies above 32764^2, and sqrt((32758 pi / pi)^2)
+    # rounds below 32758.
+    domain = Domain(kind="interval", lengths=(PI,))
+    on = (32758 * PI / PI) ** 2
+    for bound, extra in [(32766.5**2, 0), (32763.5**2, 3), (32764.0**2, 3), (on, 8)]:
+        assert len(spectrum_through(domain, bound, extra)) == 32767
+    assert len(neumann_eigenvalues(domain, 32767)) == 32767
+    for bound, extra in [(32767.5**2, 0), (32764.5**2, 3), (32765.0**2, 3), (on, 9)]:
+        with pytest.raises(ConfigError, match="requires too many modes"):
+            spectrum_through(domain, bound, extra)
+    with pytest.raises(ConfigError, match=r"spectral bound 1\.074e\+09 requires too many"):
+        neumann_eigenvalues(domain, 32768)
+
+
+@pytest.mark.parametrize("bound", [math.inf, math.nan])
+def test_non_finite_bound_raises(bound):
+    domain = Domain(kind="interval", lengths=(PI,))
+    with pytest.raises(ConfigError, match="requires too many modes"):
+        spectrum_through(domain, bound, extra=3)
 
 
 def test_eigenfunction_interval_and_square():
