@@ -60,7 +60,6 @@ from .pde_solver import (
     constant_field,
     continuation_solve,
     discretize,
-    fixed_point_solve,
     make_grid,
     newton_solve,
     random_field,
@@ -113,7 +112,6 @@ __all__ = [
     "eigenfunction",
     "existence_verdict",
     "find_constant_states",
-    "fixed_point_solve",
     "identity_residuals",
     "make_grid",
     "mode_cutoff",

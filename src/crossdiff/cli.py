@@ -267,7 +267,7 @@ def _solve_summary(result: SolveResult, diag) -> list[str]:
         ("classification", result.classification),
         ("residual norm", f"{result.residual_norm:.6e}"),
         ("iterations", str(result.iterations)),
-        ("sigma steps", str(len(result.sigma_path))),
+        ("homotopy steps", str(len(result.t_path))),
         ("grad_l2", f"{diag.grad_l2:.6e}"),
         ("bmo sup", f"{diag.bmo_sup:.6e}"),
     ]
@@ -286,9 +286,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ball_radii(grid, args.radius)  # reject a bad radius before solving
     seed = _build_seed(args, model, grid)
 
-    # Mode seeds are warm starts for the target problem; dragging them
-    # through the coefficient homotopy relaxes the perturbation back to
-    # a constant before the unstable mode can grow.
+    # Mode seeds are warm starts for the target problem and solve
+    # directly: a pattern induced by cross-diffusion need not exist near
+    # t = 0, and with alpha = 0 every stage after the first starts at a
+    # converged field, whose tolerance tol * (1 + rn) sits near the
+    # flux-cancellation floor, where the line search can stagnate.
     direct = args.no_homotopy or args.seed_mode is not None
 
     t0 = time.perf_counter()
@@ -296,9 +298,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if direct:
             result = newton_solve(model, grid, seed, tol=args.tol, strict=False)
         else:
-            result = continuation_solve(
-                model, grid, seed, steps=args.sigma_steps, tol=args.tol, strict=False
-            )
+            result = continuation_solve(model, grid, seed, tol=args.tol, strict=False)
     except ConvergenceError as exc:
         result = exc.result
         if result is None:
@@ -322,7 +322,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "converged": result.converged,
             "residual_norm": result.residual_norm,
             "iterations": result.iterations,
-            "sigma_path": list(result.sigma_path),
+            "t_path": list(result.t_path),
             "classification": result.classification,
             "grad_l2": result.grad_l2,
             "tolerance": result.tolerance,
@@ -501,9 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--output", default="crossdiff_solve.json")
     solve.add_argument("--grid", type=int, default=128, help="cells per axis")
     solve.add_argument("--tol", type=float, default=1e-10, help="Newton tolerance")
-    solve.add_argument("--sigma-steps", type=int, default=8, help="continuation steps")
     solve.add_argument(
-        "--no-homotopy", action="store_true", help="direct Newton at sigma = 1"
+        "--no-homotopy", action="store_true", help="direct Newton on the target problem"
     )
     solve.add_argument(
         "--seed-mode", type=int, default=None, metavar="K",

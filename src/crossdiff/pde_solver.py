@@ -3,21 +3,22 @@
 Cell-centered grids on intervals/rectangles; face fluxes use the
 arithmetic mean of adjacent states inside ``A``; the Jacobian is
 assembled analytically (flux blocks plus reaction blocks).  Solvers:
-damped Newton, homotopy continuation in the coefficient-scaling
-parameter ``sigma`` (the system ``-Div(A(sigma u) Du) = f(sigma u)``),
-and a frozen-coefficient fixed-point iteration as an independent
-cross-check.
+damped Newton, and homotopy continuation in the cross-diffusion
+strength (``alpha -> t * alpha`` for ``t`` from 0 to 1), the
+deformation to the weakly coupled system that the degree argument
+uses: every constant state is a root of every member of the family.
 
 The flux convention: on a cell-centered grid the face flux between
-neighbours ``p`` and ``q`` is ``A(sigma * (u_p + u_q)/2) (u_q - u_p)/h``
-and the residual is ``-(flux divergence) - f(sigma * u)``.  Neumann
-walls carry zero flux; Dirichlet walls reflect the ghost state
-(``u_ghost = -u_wall``) so the face value is pinned at 0 and the wall
-coefficient is ``A(0) = diag(d)``.
+neighbours ``p`` and ``q`` is ``A((u_p + u_q)/2) (u_q - u_p)/h`` and
+the residual is ``-(flux divergence) - f(u)``.  Neumann walls carry
+zero flux; Dirichlet walls reflect the ghost state (``u_ghost =
+-u_wall``) so the face value is pinned at 0 and the wall coefficient is
+``A(0) = diag(d)``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,7 +35,7 @@ from .spectral import eigenfunction
 TOL_NEWTON = 1e-10
 TOL_ZERO = 1e-8
 TOL_CONST = 1e-6
-SIGMA_MIN_STEP = 1e-4
+MIN_STEP = 1e-4
 MIN_CELLS = 8
 
 
@@ -172,26 +173,22 @@ def axis_slices(ndim: int, axis: int) -> tuple[tuple, tuple, tuple[tuple, tuple]
 
 
 class DiscreteSystem:
-    """Residual and Jacobian of the discretized system at fixed ``sigma``.
+    """Residual and Jacobian of the discretized system.
 
-    ``residual(values)`` returns ``-(flux divergence) - f(sigma u)`` minus
-    any forcing; ``jacobian(values)`` the sparse analytic derivative; and
-    ``frozen_operator(values)`` the linear flux operator with coefficients
-    frozen at the given state (the building block of the fixed-point map).
+    ``residual(values)`` returns ``-(flux divergence) - f(u)`` minus any
+    forcing; ``jacobian(values)`` the sparse analytic derivative.
     """
 
     def __init__(
         self,
         model: Model,
         grid: Grid,
-        sigma: float = 1.0,
         forcing: NDArray[np.float64] | None = None,
     ) -> None:
         if grid.domain.dimension != model.domain.dimension:
             raise ModelError("grid and model domains have different dimensions")
         self.model = model
         self.grid = grid
-        self.sigma = float(sigma)
         self.dirichlet = model.bc.kind == "dirichlet"
         if forcing is not None:
             forcing = np.asarray(forcing, dtype=float)
@@ -207,14 +204,13 @@ class DiscreteSystem:
 
     def residual(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
         model = self.model
-        sigma = self.sigma
         ndim = self.grid.ndim
-        R = -model.f(sigma * values)
+        R = -model.f(values)
         for axis, h in enumerate(self.grid.h):
             p, q, _ = axis_slices(ndim, axis)
             u_p = values[p]
             u_q = values[q]
-            v = 0.5 * sigma * (u_p + u_q)
+            v = 0.5 * (u_p + u_q)
             du = (u_q - u_p) / h
             flux = (model.d + v @ model.alpha.T) * du + v * (du @ model.alpha.T)
             R[p] -= flux / h
@@ -242,12 +238,9 @@ class DiscreteSystem:
         cols = (cols_nodes[:, None, None] * m + i[None, None, :]).repeat(m, axis=1)
         return rows.ravel(), cols.ravel(), blocks.reshape(-1)
 
-    def jacobian(
-        self, values: NDArray[np.float64], frozen: bool = False
-    ) -> sp.csr_matrix:
+    def jacobian(self, values: NDArray[np.float64]) -> sp.csr_matrix:
         model = self.model
         m = model.m
-        sigma = self.sigma
         ids = self._ids
         flat = values.reshape(-1, m)
         rows_all: list[NDArray[np.intp]] = []
@@ -260,26 +253,17 @@ class DiscreteSystem:
             q = ids[sl_q].ravel()
             u_p = flat[p]
             u_q = flat[q]
-            v = 0.5 * sigma * (u_p + u_q)
-            A = model.A(v)
-            K = A / h**2
-            if frozen:
-                Bpp, Bpq, Bqp, Bqq = K, -K, -K, K
-            else:
-                du = (u_q - u_p) / h
-                G = model.alpha[None, :, :] * du[:, :, None]
-                idx = np.arange(m)
-                G[:, idx, idx] += du @ model.alpha.T
-                S = (sigma / (2.0 * h)) * G
-                Bpp = K - S
-                Bpq = -K - S
-                Bqp = -K + S
-                Bqq = K + S
+            K = model.A(0.5 * (u_p + u_q)) / h**2
+            du = (u_q - u_p) / h
+            G = model.alpha[None, :, :] * du[:, :, None]
+            idx = np.arange(m)
+            G[:, idx, idx] += du @ model.alpha.T
+            S = (1.0 / (2.0 * h)) * G
             for rn, cn, blk in (
-                (p, p, Bpp),
-                (p, q, Bpq),
-                (q, p, Bqp),
-                (q, q, Bqq),
+                (p, p, K - S),
+                (p, q, -K - S),
+                (q, p, -K + S),
+                (q, q, K + S),
             ):
                 rr, cc, dd = self._block_coo(rn, cn, blk, m)
                 rows_all.append(rr)
@@ -294,13 +278,11 @@ class DiscreteSystem:
                     np.tile(2.0 * model.d / h**2, w.size)
                 )
 
-        if not frozen:
-            Jr = -sigma * model.jacobian_f(sigma * flat)
-            nodes = np.arange(flat.shape[0])
-            rr, cc, dd = self._block_coo(nodes, nodes, Jr, m)
-            rows_all.append(rr)
-            cols_all.append(cc)
-            data_all.append(dd)
+        nodes = np.arange(flat.shape[0])
+        rr, cc, dd = self._block_coo(nodes, nodes, -model.jacobian_f(flat), m)
+        rows_all.append(rr)
+        cols_all.append(cc)
+        data_all.append(dd)
 
         mat = sp.coo_matrix(
             (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
@@ -308,30 +290,25 @@ class DiscreteSystem:
         )
         return mat.tocsr()
 
-    def frozen_operator(self, values: NDArray[np.float64]) -> sp.csr_matrix:
-        """Linear operator ``u -> -Div_h(A(sigma w) D u)`` frozen at ``w``."""
-        return self.jacobian(values, frozen=True)
-
 
 def discretize(
     model: Model,
     grid: Grid,
-    sigma: float = 1.0,
     forcing: NDArray[np.float64] | None = None,
 ) -> DiscreteSystem:
     """Residual operator and Jacobian assembler on the given grid."""
-    return DiscreteSystem(model, grid, sigma=sigma, forcing=forcing)
+    return DiscreteSystem(model, grid, forcing=forcing)
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one nonlinear solve (possibly through a sigma path)."""
+    """Outcome of one nonlinear solve (possibly through a homotopy path)."""
 
     field: DiscreteField
     converged: bool
     residual_norm: float
     iterations: int
-    sigma_path: tuple[float, ...]
+    t_path: tuple[float, ...]
     classification: str
     grad_l2: float
     tolerance: float
@@ -370,11 +347,12 @@ def _grad_l2(grid: Grid, values: NDArray[np.float64]) -> float:
 def _finalize(
     model: Model,
     grid: Grid,
+    seed: NDArray[np.float64],
     values: NDArray[np.float64],
     converged: bool,
     residual_norm: float,
     iterations: int,
-    sigma_path: tuple[float, ...],
+    t_path: tuple[float, ...],
     tolerance: float,
     history: Sequence[float],
     extra_warnings: Sequence[str] = (),
@@ -386,12 +364,16 @@ def _finalize(
             f"positivity violated: minimum component value {vmin:.3e} "
             "(reported, not clipped)"
         )
+    seed_max = np.abs(seed.reshape(-1, model.m)).max(axis=0)
+    comp_max = np.abs(values.reshape(-1, model.m)).max(axis=0)
+    for i in np.flatnonzero((seed_max >= TOL_ZERO) & (comp_max < TOL_ZERO)):
+        warns.append(f"species {i + 1} present in the seed vanished from the solution")
     return SolveResult(
         field=DiscreteField(grid=grid, values=values),
         converged=converged,
         residual_norm=residual_norm,
         iterations=iterations,
-        sigma_path=sigma_path,
+        t_path=t_path,
         classification=classify_field(model, values),
         grad_l2=_grad_l2(grid, values),
         tolerance=tolerance,
@@ -467,7 +449,6 @@ def newton_solve(
     seed: DiscreteField | NDArray[np.float64],
     tol: float = TOL_NEWTON,
     max_iter: int = 100,
-    sigma: float = 1.0,
     forcing: NDArray[np.float64] | None = None,
     strict: bool = True,
 ) -> SolveResult:
@@ -477,19 +458,19 @@ def newton_solve(
     :class:`ConvergenceError`; otherwise a non-converged
     :class:`SolveResult` is returned with the failure reason attached.
     """
-    values = _seed_values(seed, grid, model.m)
-    system = discretize(model, grid, sigma=sigma, forcing=forcing)
+    start = _seed_values(seed, grid, model.m)
+    system = discretize(model, grid, forcing=forcing)
     try:
-        values, rn, abs_tol, its, history = _newton_core(system, values, tol, max_iter)
+        values, rn, abs_tol, its, history = _newton_core(system, start, tol, max_iter)
     except ConvergenceError as exc:
         if strict:
             raise
         return _finalize(
-            model, grid, values, False, float("nan"), 0, (sigma,), tol, (),
+            model, grid, start, start, False, float("nan"), 0, (1.0,), tol, (),
             extra_warnings=(str(exc),),
         )
     return _finalize(
-        model, grid, values, True, rn, its, (sigma,), abs_tol, history
+        model, grid, start, values, True, rn, its, (1.0,), abs_tol, history
     )
 
 
@@ -497,58 +478,49 @@ def continuation_solve(
     model: Model,
     grid: Grid,
     seed: DiscreteField | NDArray[np.float64],
-    sigma_schedule: Sequence[float] | None = None,
     steps: int = 8,
     tol: float = TOL_NEWTON,
     max_iter: int = 100,
     strict: bool = True,
 ) -> SolveResult:
-    """Homotopy continuation in the coefficient scaling ``sigma``.
+    """Homotopy continuation in the cross-diffusion strength.
 
-    Solves the family ``-Div(A(sigma u) Du) = f(sigma u)`` along an
-    increasing schedule ending at 1, warm-starting each stage from the
-    previous solution, bisecting the sigma step on failure down to
-    ``SIGMA_MIN_STEP``.  The ``sigma = 0`` member is never solved
-    directly (its Neumann linearization is singular); schedules start at
-    a small positive value instead.
+    Solves the family with cross-diffusion ``t * alpha`` for ``t`` over
+    ``linspace(0, 1, steps + 1)``, warm-starting each stage from the
+    previous solution and bisecting a failed step down to ``MIN_STEP``.
+    Every constant state is a root of every member, so the path keeps
+    the branch of a seed near one.  The ``t = 0`` member is the
+    semilinear system ``-Div(d Du) = f(u)``, whose Newton matrix at a
+    generic seed is nonsingular; the ``t = 1`` member is the target.
     """
-    if sigma_schedule is None:
-        if steps < 1:
-            raise ModelError("steps must be >= 1")
-        sigma_schedule = np.linspace(1.0 / steps, 1.0, steps)
-    schedule = [float(s) for s in sigma_schedule]
-    if not schedule or abs(schedule[-1] - 1.0) > 1e-12:
-        raise ModelError("sigma schedule must end at 1")
-    if schedule[0] <= 0.0:
-        raise ModelError("sigma schedule must start above 0")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ModelError("sigma schedule must be strictly increasing")
-
-    values = _seed_values(seed, grid, model.m)
+    if steps < 1:
+        raise ModelError("steps must be >= 1")
+    start = _seed_values(seed, grid, model.m)
+    values = start
     path: list[float] = []
     total_iters = 0
     history: list[float] = []
     rn = float("nan")
     abs_tol = tol
-    sigma_prev = 0.0
-    queue = list(schedule)
+    t_prev = 0.0
+    queue = [float(t) for t in np.linspace(0.0, 1.0, steps + 1)]
     while queue:
-        sigma = queue[0]
-        system = discretize(model, grid, sigma=sigma)
+        t = queue[0]
+        system = discretize(dataclasses.replace(model, alpha=t * model.alpha), grid)
         try:
             values_new, rn, abs_tol, its, history = _newton_core(
-                system, values.copy(), tol, max_iter
+                system, values, tol, max_iter
             )
         except ConvergenceError as exc:
-            mid = 0.5 * (sigma_prev + sigma)
-            if sigma - mid < SIGMA_MIN_STEP:
+            mid = 0.5 * (t_prev + t)
+            if t - mid < MIN_STEP:
                 message = (
-                    f"sigma step underflow below {SIGMA_MIN_STEP} near "
-                    f"sigma = {sigma:.6g}: {exc}"
+                    f"homotopy step underflow below {MIN_STEP} near "
+                    f"t = {t:.6g}: {exc}"
                 )
                 partial = _finalize(
-                    model, grid, values, False, rn, total_iters, tuple(path),
-                    tol, history, extra_warnings=(message,),
+                    model, grid, start, values, False, rn, total_iters,
+                    tuple(path), tol, history, extra_warnings=(message,),
                 )
                 if strict:
                     raise ConvergenceError(message, result=partial) from exc
@@ -557,73 +529,14 @@ def continuation_solve(
             continue
         values = values_new
         total_iters += its
-        path.append(sigma)
-        sigma_prev = sigma
+        path.append(t)
+        t_prev = t
         queue.pop(0)
 
     return _finalize(
-        model, grid, values, True, rn, total_iters, tuple(path), abs_tol, history
+        model, grid, start, values, True, rn, total_iters, tuple(path), abs_tol,
+        history,
     )
-
-
-def fixed_point_solve(
-    model: Model,
-    grid: Grid,
-    seed: DiscreteField | NDArray[np.float64],
-    k: float | None = None,
-    tol: float = TOL_NEWTON,
-    max_iter: int = 400,
-    damping: float = 1.0,
-    strict: bool = True,
-) -> SolveResult:
-    """Frozen-coefficient fixed-point iteration (independent of Newton).
-
-    Iterates ``u <- (L_w + k I)^{-1} (f(w) + k w)`` with ``L_w`` the flux
-    operator frozen at ``w``; fixed points are exactly the discrete
-    solutions.  The shift ``k`` defaults to ``1 + ||J_f||`` at the seed
-    mean, which keeps the map positivity-friendly and well posed.
-    """
-    values = _seed_values(seed, grid, model.m)
-    system = discretize(model, grid)
-    if k is None:
-        mean = values.reshape(-1, model.m).mean(axis=0)
-        k = 1.0 + float(np.linalg.norm(model.jacobian_f(mean), 2))
-    if k <= 0:
-        raise ModelError(f"shift k must be positive, got {k}")
-    R = system.residual(values)
-    rn = float(np.linalg.norm(R))
-    abs_tol = tol * (1.0 + rn)
-    history = [rn]
-    shift = sp.identity(system.n_dof, format="csr") * k
-    for it in range(1, max_iter + 1):
-        if rn <= abs_tol:
-            return _finalize(
-                model, grid, values, True, rn, it - 1, (1.0,), abs_tol, history
-            )
-        L = system.frozen_operator(values) + shift
-        rhs = (model.f(values) + k * values).reshape(-1)
-        try:
-            new = splu(L.tocsc()).solve(rhs).reshape(values.shape)
-        except RuntimeError as exc:
-            raise ConvergenceError(f"linear solve failed: {exc}") from exc
-        if not np.all(np.isfinite(new)):
-            raise ConvergenceError("non-finite fixed-point iterate")
-        values = (1.0 - damping) * values + damping * new
-        R = system.residual(values)
-        rn = float(np.linalg.norm(R))
-        history.append(rn)
-    if rn <= abs_tol:
-        return _finalize(
-            model, grid, values, True, rn, max_iter, (1.0,), abs_tol, history
-        )
-    message = f"fixed-point iteration did not converge in {max_iter} steps"
-    partial = _finalize(
-        model, grid, values, False, rn, max_iter, (1.0,), abs_tol, history,
-        extra_warnings=(message,),
-    )
-    if strict:
-        raise ConvergenceError(message, result=partial)
-    return partial
 
 
 def seed_from_mode(

@@ -13,7 +13,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal
 
 from .model import ConfigError, Domain
 
@@ -178,18 +177,19 @@ def eigenfunction(
 
 
 def _fd_eigs_1d(n: int, L: float, bc: str) -> NDArray[np.float64]:
-    """Eigenvalues of the cell-centered FD ``-d2/dx2`` on ``(0, L)``."""
+    """Eigenvalues of the cell-centered FD ``-d2/dx2`` on ``(0, L)``.
+
+    Closed form, ascending: ``4/h^2 sin^2(k pi / 2n)`` under Neumann
+    (``k = 0`` is the exact zero mode) and ``4/h^2 sin^2((k+1) pi / 2n)``
+    under Dirichlet, for ``k = 0..n-1``.
+    """
     h = L / n
-    diag = np.full(n, 2.0)
-    if bc == "neumann":
-        diag[0] = diag[-1] = 1.0
-    elif bc == "dirichlet":
-        diag[0] = diag[-1] = 3.0
-    else:
+    k = np.arange(n, dtype=float)
+    if bc == "dirichlet":
+        k += 1.0
+    elif bc != "neumann":
         raise ConfigError(f"unknown boundary condition {bc!r}")
-    off = np.full(n - 1, -1.0)
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True)
-    return np.asarray(vals) / h**2
+    return 4.0 / h**2 * np.sin(k * np.pi / (2 * n)) ** 2
 
 
 def discrete_laplacian_spectrum(
@@ -216,7 +216,4 @@ def discrete_laplacian_spectrum(
         vals = spectra[0]
     else:
         vals = (spectra[0][:, None] + spectra[1][None, :]).ravel()
-    vals = np.sort(vals)
-    if bc == "neumann":
-        vals[0] = 0.0  # exact zero mode (constant vector), not roundoff
-    return vals
+    return np.sort(vals)

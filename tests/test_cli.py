@@ -253,15 +253,43 @@ def test_solve_mode_seed_finds_pattern(tmp_path):
 def test_solve_continuation_path_recorded(tmp_path):
     cfg = write_config(tmp_path, WEAK_LV)
     out = str(tmp_path / "c.json")
-    code = cli.main(
-        ["solve", "--config", cfg, "--output", out, "--grid", "32",
-         "--sigma-steps", "4"]
-    )
+    code = cli.main(["solve", "--config", cfg, "--output", out, "--grid", "32"])
     assert code == 0
     report = json.loads((tmp_path / "c.json").read_text())
-    path = report["result"]["sigma_path"]
+    path = report["result"]["t_path"]
+    assert path[0] == 0.0
     assert path[-1] == 1.0
-    assert len(path) >= 4
+    assert len(path) >= 2
+    assert "sigma_path" not in report["result"]
+
+
+def test_solve_default_keeps_skt_coexistence(tmp_path, capsys):
+    cfg = write_config(tmp_path, SKT)
+    out = str(tmp_path / "skt.json")
+    code = cli.main(
+        ["solve", "--config", cfg, "--output", out, "--grid", "16",
+         "--seed-random", "0"]
+    )
+    assert code == 0
+    assert "homotopy steps" in capsys.readouterr().out
+    report = json.loads((tmp_path / "skt.json").read_text())
+    assert report["result"]["classification"] == "nontrivial-constant"
+    assert report["result"]["warnings"] == []
+    table = np.loadtxt(tmp_path / "skt_field.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(
+        table[:, 2:].mean(axis=0), [10.0 / 17.0, 14.0 / 17.0], atol=1e-9
+    )
+
+
+def test_solve_default_from_random_seed_is_not_trivial_on_turing(tmp_path):
+    cfg = write_config(tmp_path, TURING)
+    out = str(tmp_path / "t.json")
+    code = cli.main(
+        ["solve", "--config", cfg, "--output", out, "--seed-random", "0"]
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "t.json").read_text())
+    assert report["result"]["classification"] != "trivial"
 
 
 def test_solve_byte_stability(tmp_path):

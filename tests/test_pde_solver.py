@@ -1,4 +1,4 @@
-"""Finite-difference discretization, Newton/continuation/fixed-point solvers."""
+"""Finite-difference discretization, Newton and continuation solvers."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from crossdiff import (
     constant_state_index,
     continuation_solve,
     discretize,
-    fixed_point_solve,
     make_grid,
     newton_solve,
     random_field,
@@ -161,11 +160,11 @@ def test_forcing_shape_checked():
         discretize(model, grid, forcing=np.zeros((8, 1)))
 
 
-def reference_residual(model, grid, values, sigma):
+def reference_residual(model, grid, values):
     # Face by face in plain Python, from Model.A alone: the face flux is
-    # A(sigma * mean) (u_q - u_p)/h, and a Dirichlet wall face sees the
-    # ghost -u_w, so its jump is 2 u_w/h at the pinned value A(0).
-    R = -model.f(sigma * values)
+    # A(mean) (u_q - u_p)/h, and a Dirichlet wall face sees the ghost
+    # -u_w, so its jump is 2 u_w/h at the pinned value A(0).
+    R = -model.f(values)
     A0 = model.A(np.zeros(model.m))
     for node in np.ndindex(grid.shape):
         for axis, h in enumerate(grid.h):
@@ -174,7 +173,7 @@ def reference_residual(model, grid, values, sigma):
             nbr = tuple(nbr)
             if nbr[axis] < grid.shape[axis]:
                 u_p, u_q = values[node], values[nbr]
-                flux = model.A(0.5 * sigma * (u_p + u_q)) @ (u_q - u_p) / h
+                flux = model.A(0.5 * (u_p + u_q)) @ (u_q - u_p) / h
                 R[node] -= flux / h
                 R[nbr] += flux / h
             if model.bc.kind == "dirichlet" and node[axis] in (0, grid.shape[axis] - 1):
@@ -182,26 +181,30 @@ def reference_residual(model, grid, values, sigma):
     return R
 
 
-@pytest.mark.parametrize("sigma", [1.0, 0.35])
-@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-@pytest.mark.parametrize("kind", ["interval", "rectangle"])
-def test_residual_matches_face_loop_reference(kind, bc, sigma):
-    lengths = [PI] if kind == "interval" else [PI, 2.0]
-    model = build_model(
+def coupled_model(kind, bc, t):
+    # A cross-diffusing model scaled to stage t of the continuation path.
+    return build_model(
         {
             "m": 2,
             "d": [0.6, 1.1],
-            "alpha": [[0.2, 1.3], [0.8, 0.1]],
+            "alpha": [[0.2 * t, 1.3 * t], [0.8 * t, 0.1 * t]],
             "r": [1.0, 0.5],
             "c": [[1.0, 0.4], [-0.3, 0.9]],
-            "domain": {"kind": kind, "lengths": lengths},
+            "domain": {"kind": kind, "lengths": [PI] if kind == "interval" else [PI, 2.0]},
             "bc": bc,
         }
     )
+
+
+@pytest.mark.parametrize("t", [1.0, 0.35])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_residual_matches_face_loop_reference(kind, bc, t):
+    model = coupled_model(kind, bc, t)
     grid = make_grid(model.domain, 40 if kind == "interval" else (12, 10))
     field = random_field(grid, [0.2, 0.2], [1.8, 1.8], seed=5)
-    R = discretize(model, grid, sigma=sigma).residual(field.values)
-    expected = reference_residual(model, grid, field.values, sigma)
+    R = discretize(model, grid).residual(field.values)
+    expected = reference_residual(model, grid, field.values)
     np.testing.assert_allclose(R, expected, rtol=1e-12)
 
 
@@ -219,7 +222,7 @@ def fd_jacobian(system, values, eps=1e-6):
 
 
 @pytest.mark.parametrize(
-    "kind,bc,sigma",
+    "kind,bc,t",
     [
         ("interval", "neumann", 0.7),
         ("interval", "dirichlet", 1.0),
@@ -227,35 +230,15 @@ def fd_jacobian(system, values, eps=1e-6):
         ("rectangle", "dirichlet", 0.55),
     ],
 )
-def test_jacobian_matches_finite_differences(kind, bc, sigma):
-    lengths = [PI] if kind == "interval" else [PI, 2.0]
-    model = build_model(
-        {
-            "m": 2,
-            "d": [0.6, 1.1],
-            "alpha": [[0.2, 1.3], [0.8, 0.1]],
-            "r": [1.0, 0.5],
-            "c": [[1.0, 0.4], [-0.3, 0.9]],
-            "domain": {"kind": kind, "lengths": lengths},
-            "bc": bc,
-        }
-    )
+def test_jacobian_matches_finite_differences(kind, bc, t):
+    model = coupled_model(kind, bc, t)
     grid = make_grid(model.domain, 8 if kind == "interval" else (8, 8))
     field = random_field(grid, [0.4, 0.4], [1.6, 1.6], seed=3)
-    system = discretize(model, grid, sigma=sigma)
+    system = discretize(model, grid)
     J = system.jacobian(field.values).toarray()
     J_fd = fd_jacobian(system, field.values)
     scale = np.abs(J).max()
     np.testing.assert_allclose(J, J_fd, atol=1e-6 * scale)
-
-
-def test_frozen_operator_annihilates_constants_under_neumann():
-    model = weak_lv()
-    grid = make_grid(model.domain, 16)
-    field = random_field(grid, [0.5, 0.5], [1.5, 1.5], seed=1)
-    L = discretize(model, grid).frozen_operator(field.values)
-    const = constant_field(grid, [2.0, 3.0]).values.reshape(-1)
-    np.testing.assert_allclose(L @ const, 0.0, atol=1e-10)
 
 
 # -- Newton -----------------------------------------------------------------
@@ -272,6 +255,7 @@ def test_newton_finds_coexistence_from_nearby_constant():
         result.field.values.reshape(-1, 2).mean(axis=0), COEX, atol=1e-9
     )
     assert result.residual_history[-1] <= result.residual_history[0]
+    assert result.warnings == ()
 
 
 def test_newton_from_random_seed_lands_on_a_constant_branch():
@@ -302,61 +286,71 @@ def test_newton_singular_jacobian_raises_convergence_error():
     assert soft.warnings
 
 
+def test_newton_warns_when_a_species_vanishes():
+    # From a small positive constant the kinetics contract onto u = 0:
+    # a converged answer, but one that lost both species of the seed.
+    model = weak_lv()
+    grid = make_grid(model.domain, 16)
+    result = newton_solve(model, grid, constant_field(grid, [1e-3, 1e-3]))
+    assert result.converged
+    assert result.classification == "trivial"
+    for i in (1, 2):
+        assert f"species {i} present in the seed vanished from the solution" in result.warnings
+
+
 # -- continuation -----------------------------------------------------------
 
 
-def test_continuation_relaxes_midrange_seed_to_trivial_branch():
-    # Scaled-coefficient stages have their positive root at u*/sigma, far
-    # above a mid-range seed, so the early stages contract onto the
-    # trivial branch and the path stays there — while a direct solve from
-    # the same seed lands on the positive state.
+def test_continuation_agrees_with_direct_newton():
+    # Every constant state is a root of every stage, so the path keeps
+    # the branch the seed is near: both routes land on u = 1.
     model = interval_model(1, (35.0,), (1.0,), ((1.0,),))
     grid = make_grid(model.domain, 64)
     seed = constant_field(grid, [0.7])
     direct = newton_solve(model, grid, seed)
     cont = continuation_solve(model, grid, seed)
-    assert direct.classification == "nontrivial-constant"
-    np.testing.assert_allclose(direct.field.values, 1.0, atol=1e-8)
-    assert cont.converged
-    assert cont.classification == "trivial"
-    assert cont.sigma_path[-1] == 1.0
-    assert all(b > a for a, b in zip(cont.sigma_path, cont.sigma_path[1:]))
+    for result in (direct, cont):
+        assert result.converged
+        assert result.classification == "nontrivial-constant"
+        np.testing.assert_allclose(result.field.values, 1.0, atol=1e-8)
+    assert direct.t_path == (1.0,)
+    assert cont.t_path == tuple(np.linspace(0.0, 1.0, 9))
 
 
 def test_continuation_bisects_on_stage_failure():
-    # A two-stage schedule with a starved iteration budget forces the
-    # solver to insert midpoints that were not in the requested schedule.
-    model = weak_lv()
-    grid = make_grid(model.domain, 64)
-    result = continuation_solve(
-        model,
-        grid,
-        constant_field(grid, [0.6, 0.8]),
-        sigma_schedule=[0.2, 1.0],
-        max_iter=4,
+    # Follow a Turing pattern as cross-diffusion is switched on.  Three
+    # Newton iterations cannot cross half the path in one step, so the
+    # solver must insert midpoints that are not on the requested grid.
+    base = turing()
+    grid = make_grid(base.domain, 64)
+    seed = seed_from_mode(base, np.ones(2), unstable_decision(base), 1.5, grid)
+    pattern = newton_solve(base, grid, seed)
+    assert pattern.classification == "nonconstant"
+    model = interval_model(
+        2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
+        alpha=((0.0, 0.0), (0.0, 0.2)),
     )
+    result = continuation_solve(model, grid, pattern.field, steps=2, max_iter=3)
     assert result.converged
-    assert result.sigma_path[-1] == 1.0
-    assert any(s not in (0.2, 1.0) for s in result.sigma_path)
+    assert result.classification == "nonconstant"
+    assert result.t_path[0] == 0.0 and result.t_path[-1] == 1.0
+    assert all(b > a for a, b in zip(result.t_path, result.t_path[1:]))
+    assert any(t not in (0.0, 0.5, 1.0) for t in result.t_path)
+    residual = discretize(model, grid).residual(result.field.values)
+    assert np.linalg.norm(residual) <= result.tolerance
 
 
 def test_continuation_schedule_validation():
     model = weak_lv()
     grid = make_grid(model.domain, 16)
     seed = constant_field(grid, [0.6, 0.8])
-    with pytest.raises(ModelError, match="end at 1"):
-        continuation_solve(model, grid, seed, sigma_schedule=[0.5, 0.9])
-    with pytest.raises(ModelError, match="increasing"):
-        continuation_solve(model, grid, seed, sigma_schedule=[0.8, 0.4, 1.0])
-    with pytest.raises(ModelError, match="above 0"):
-        continuation_solve(model, grid, seed, sigma_schedule=[0.0, 1.0])
     with pytest.raises(ModelError, match="steps"):
         continuation_solve(model, grid, seed, steps=0)
 
 
 def test_continuation_underflow_reports_partial_result():
     # One Newton iteration can never reach tolerance from this seed, so
-    # every bisection fails and the sigma step underflows.
+    # the t = 0 stage fails and the homotopy step underflows.
     model = weak_lv()
     grid = make_grid(model.domain, 16)
     seed = constant_field(grid, [0.37, 0.41])
@@ -367,26 +361,6 @@ def test_continuation_underflow_reports_partial_result():
     soft = continuation_solve(model, grid, seed, max_iter=1, strict=False)
     assert not soft.converged
     assert any("underflow" in w for w in soft.warnings)
-
-
-# -- fixed point ------------------------------------------------------------
-
-
-def test_fixed_point_agrees_with_newton():
-    model = weak_lv()
-    grid = make_grid(model.domain, 64)
-    seed = constant_field(grid, [0.6, 0.8])
-    newton = newton_solve(model, grid, seed)
-    fixed = fixed_point_solve(model, grid, seed)
-    assert fixed.converged
-    assert np.abs(newton.field.values - fixed.field.values).max() < 1e-8
-
-
-def test_fixed_point_rejects_nonpositive_shift():
-    model = weak_lv()
-    grid = make_grid(model.domain, 16)
-    with pytest.raises(ModelError, match="positive"):
-        fixed_point_solve(model, grid, constant_field(grid, [0.6, 0.8]), k=-1.0)
 
 
 # -- mode seeding -----------------------------------------------------------

@@ -194,7 +194,7 @@ def test_discrete_minimum_grid():
 
 
 def test_discrete_matches_dense_assembly():
-    # Dual route: eigenvalues from the tridiagonal solver against a
+    # Dual route: closed-form eigenvalues against a
     # dense matrix assembled here from scratch.
     n, L = 24, PI
     h = L / n
