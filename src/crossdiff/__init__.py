@@ -48,6 +48,7 @@ from .index_theory import (
     mode_cutoff,
     mode_matrix,
     negative_count,
+    negative_counts,
     semitrivial_stability,
 )
 from .pde_solver import (
@@ -117,6 +118,7 @@ __all__ = [
     "mode_cutoff",
     "mode_matrix",
     "negative_count",
+    "negative_counts",
     "neumann_eigenvalues",
     "newton_solve",
     "nonexistence_threshold",

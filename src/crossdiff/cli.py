@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ball_radii, diagnostics_report
-from .index_theory import ExistenceVerdict, existence_verdict, mode_decision
+from .index_theory import ExistenceVerdict, existence_verdict, mode_decisions
 from .model import ConfigError, Model, ModelError, build_model, validate_structure
 from .pde_solver import (
     ConvergenceError,
@@ -227,7 +227,7 @@ def _build_seed(args: argparse.Namespace, model: Model, grid) -> DiscreteField:
             raise ConfigError(f"--seed-mode must be >= 1, got {k}")
         # The k-th distinct nonzero zero-flux mode.
         entry = neumann_eigenvalues(model.domain, k + 1).nonzero()[k - 1]
-        decision = mode_decision(model, u_star, entry)
+        (decision,) = mode_decisions(model, u_star, [entry])
         return seed_from_mode(model, u_star, decision, args.amp, grid)
 
     if args.seed_random is not None:
@@ -436,8 +436,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if workers == 1:
         rows = [_sweep_worker(task) for task in tasks]
     else:
+        # A few chunks per worker: one IPC round trip per chunk, not per
+        # point, and still enough chunks to balance uneven points.
+        chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+            rows = list(pool.map(_sweep_worker, tasks, chunksize=chunksize))
     elapsed = time.perf_counter() - t0
 
     columns = paths + [

@@ -14,7 +14,7 @@ degree against 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -54,16 +54,93 @@ class NegativeCount(NamedTuple):
 
 
 def mode_matrix(
-    model: Model, u_star: NDArray[np.float64], lambda_hat: float
+    model: Model, u_star: NDArray[np.float64], lambda_hat: float | NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Mode matrix ``A(u*) - lambda_hat^{-1} J(u*)`` for one eigenvalue."""
-    if lambda_hat <= 0.0:
+    """Mode matrix ``A(u*) - lambda_hat^{-1} J(u*)``.
+
+    A scalar ``lambda_hat`` gives one ``(m, m)`` matrix; a 1-D array of
+    ``k`` eigenvalues gives the ``(k, m, m)`` stack, with ``A(u*)`` and
+    ``J(u*)`` evaluated once.
+    """
+    lam = np.asarray(lambda_hat, dtype=float)
+    if np.any(lam <= 0.0):
         raise ModelError(
-            f"mode matrix needs lambda_hat > 0, got {lambda_hat}; the constant "
+            f"mode matrix needs lambda_hat > 0, got {float(lam.min())}; the constant "
             "mode is covered by the determinant test in check_nondegeneracy"
         )
     u_star = np.asarray(u_star, dtype=float)
-    return model.A(u_star) - model.jacobian_f(u_star) / lambda_hat
+    return model.A(u_star) - model.jacobian_f(u_star) / lam[..., None, None]
+
+
+def negative_counts(
+    d_A: NDArray[np.float64],
+    Ai_stack: NDArray[np.float64],
+    tol_degenerate: float = TOL_DEGENERATE,
+) -> tuple[NegativeCount, ...]:
+    """Count real negative eigenvalues of ``diag(d_A)^{-1} Ai`` for a stack.
+
+    ``Ai_stack`` has shape ``(k, m, m)``; one 2-norm and one eigenvalue
+    call cover all ``k`` matrices.  Each result is
+    ``(N, eigs, margin, degenerate, warnings)``: the count with algebraic
+    multiplicity, all eigenvalues, the decision margin ``min |Re|``, the
+    undecidable flag, and defectiveness warnings when a counted
+    eigenvalue has geometric < algebraic multiplicity.  ``eigs`` is real
+    when every imaginary part of that matrix's eigenvalues is zero, as
+    for a one-matrix ``np.linalg.eig``.
+    """
+    d_A = np.asarray(d_A, dtype=float)
+    if d_A.ndim == 2:
+        d_A = np.diag(d_A)
+    if np.any(d_A <= 0.0):
+        raise ModelError(f"d_A entries must be positive, got {d_A}")
+    M = np.asarray(Ai_stack, dtype=float) / d_A[:, None]
+    m = M.shape[-1]
+    scales = np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300)
+    eigs, _ = np.linalg.eig(M)
+    eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real), axis=-1), -1)
+
+    real_mask = np.abs(eigs.imag) <= 1e-10 * scales[:, None]
+    neg_mask = real_mask & (eigs.real < -tol_degenerate * scales[:, None])
+    counts = neg_mask.sum(axis=-1)
+    margins = np.abs(eigs.real).min(axis=-1)
+    degenerate = margins <= tol_degenerate * scales
+
+    results = []
+    for k in range(len(M)):
+        N = int(counts[k])
+        scale = float(scales[k])
+        warnings: list[str] = []
+        if N > 0:
+            # Cluster the counted eigenvalues and compare geometric multiplicity.
+            counted = np.sort(eigs[k].real[neg_mask[k]])
+            clusters: list[list[float]] = [[counted[0]]]
+            for v in counted[1:]:
+                if v - clusters[-1][-1] <= 1e-6 * scale:
+                    clusters[-1].append(v)
+                else:
+                    clusters.append([v])
+            for cluster in clusters:
+                alg = len(cluster)
+                if alg == 1:
+                    continue
+                lam = float(np.mean(cluster))
+                geo = m - np.linalg.matrix_rank(
+                    M[k] - lam * np.eye(m), tol=1e-8 * scale
+                )
+                if geo < alg:
+                    warnings.append(
+                        f"defective eigenvalue {lam:.6g}: algebraic multiplicity "
+                        f"{alg}, geometric {geo}; algebraic multiplicity counted"
+                    )
+        eigs_k = eigs[k]
+        if np.iscomplexobj(eigs_k) and not eigs_k.imag.any():
+            eigs_k = eigs_k.real
+        results.append(
+            NegativeCount(
+                N, eigs_k, float(margins[k]), bool(degenerate[k]), tuple(warnings)
+            )
+        )
+    return tuple(results)
 
 
 def negative_count(
@@ -71,55 +148,8 @@ def negative_count(
     Ai: NDArray[np.float64],
     tol_degenerate: float = TOL_DEGENERATE,
 ) -> NegativeCount:
-    """Count real negative eigenvalues of ``diag(d_A)^{-1} Ai``.
-
-    Returns ``(N, eigs, margin, degenerate, warnings)``: the count with
-    algebraic multiplicity, all eigenvalues, the decision margin
-    ``min |Re|``, the undecidable flag, and defectiveness warnings when
-    a counted eigenvalue has geometric < algebraic multiplicity.
-    """
-    d_A = np.asarray(d_A, dtype=float)
-    if d_A.ndim == 2:
-        d_A = np.diag(d_A)
-    if np.any(d_A <= 0.0):
-        raise ModelError(f"d_A entries must be positive, got {d_A}")
-    Ai = np.asarray(Ai, dtype=float)
-    M = Ai / d_A[:, None]
-    m = M.shape[0]
-    scale = max(float(np.linalg.norm(M, 2)), 1e-300)
-    eigs, vecs = np.linalg.eig(M)
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    vecs = vecs[:, order]
-
-    real_mask = np.abs(eigs.imag) <= 1e-10 * scale
-    neg_mask = real_mask & (eigs.real < -tol_degenerate * scale)
-    N = int(neg_mask.sum())
-    margin = float(np.abs(eigs.real).min())
-    degenerate = margin <= tol_degenerate * scale
-
-    warnings: list[str] = []
-    if N > 0:
-        # Cluster the counted eigenvalues and compare geometric multiplicity.
-        counted = np.sort(eigs.real[neg_mask])
-        clusters: list[list[float]] = [[counted[0]]]
-        for v in counted[1:]:
-            if v - clusters[-1][-1] <= 1e-6 * scale:
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
-        for cluster in clusters:
-            alg = len(cluster)
-            if alg == 1:
-                continue
-            lam = float(np.mean(cluster))
-            geo = m - np.linalg.matrix_rank(M - lam * np.eye(m), tol=1e-8 * scale)
-            if geo < alg:
-                warnings.append(
-                    f"defective eigenvalue {lam:.6g}: algebraic multiplicity "
-                    f"{alg}, geometric {geo}; algebraic multiplicity counted"
-                )
-    return NegativeCount(N, eigs, margin, degenerate, tuple(warnings))
+    """:func:`negative_counts` for one matrix ``Ai``."""
+    return negative_counts(d_A, np.asarray(Ai, dtype=float)[None], tol_degenerate)[0]
 
 
 @dataclass(frozen=True)
@@ -137,22 +167,25 @@ class ModeDecision:
     warnings: tuple[str, ...] = ()
 
 
-def mode_decision(
-    model: Model, u_star: NDArray[np.float64], entry: SpectrumEntry
-) -> ModeDecision:
-    """Count ``N_i`` at one nonzero Neumann eigenvalue of the spectrum."""
-    A_i = mode_matrix(model, u_star, entry.lambda_hat)
-    nc = negative_count(model.d_A(u_star), A_i)
-    return ModeDecision(
-        lambda_hat=entry.lambda_hat,
-        M=entry.M,
-        A_i=A_i,
-        eigs=nc.eigs,
-        N_i=nc.N,
-        margin=nc.margin,
-        degenerate=nc.degenerate,
-        mode_indices=entry.mode_indices,
-        warnings=nc.warnings,
+def mode_decisions(
+    model: Model, u_star: NDArray[np.float64], entries: Sequence[SpectrumEntry]
+) -> tuple[ModeDecision, ...]:
+    """Count ``N_i`` at nonzero Neumann eigenvalues of the spectrum, all at once."""
+    A_i = mode_matrix(model, u_star, np.array([e.lambda_hat for e in entries]))
+    counts = negative_counts(model.d_A(np.asarray(u_star, dtype=float)), A_i)
+    return tuple(
+        ModeDecision(
+            lambda_hat=entry.lambda_hat,
+            M=entry.M,
+            A_i=A_i[k],
+            eigs=nc.eigs,
+            N_i=nc.N,
+            margin=nc.margin,
+            degenerate=nc.degenerate,
+            mode_indices=entry.mode_indices,
+            warnings=nc.warnings,
+        )
+        for k, (entry, nc) in enumerate(zip(entries, counts))
     )
 
 
@@ -190,7 +223,7 @@ def mode_cutoff(
     bound = kappa_V * J_norm / rho
 
     spectrum = spectrum_through(model.domain, bound, extra=SCAN_EXTRA)
-    decisions = tuple(mode_decision(model, u_star, e) for e in spectrum.nonzero())
+    decisions = mode_decisions(model, u_star, spectrum.nonzero())
     L0 = sum(1 for d in decisions if d.lambda_hat <= bound)
     for d in decisions[L0:]:
         if d.N_i != 0:
@@ -227,17 +260,17 @@ def check_nondegeneracy(
     u_star = np.asarray(u_star, dtype=float)
     A = model.A(u_star)
     J = model.jacobian_f(u_star)
+    lam = np.array([entry.lambda_hat for entry in spectrum])
+    dets = np.linalg.det(lam[:, None, None] * A - J)
+    gross = np.abs(lam)[:, None, None] * np.abs(A) + np.abs(J)
+    scales = np.prod(np.linalg.norm(gross, axis=-1), axis=-1)
     details: list[dict] = []
     ok_all = True
-    for entry in spectrum:
-        B = entry.lambda_hat * A - J
-        gross = abs(entry.lambda_hat) * np.abs(A) + np.abs(J)
-        scale = float(np.prod(np.linalg.norm(gross, axis=1)))
-        det = float(np.linalg.det(B))
+    for lambda_hat, det, scale in zip(lam.tolist(), dets.tolist(), scales.tolist()):
         ok = abs(det) > tol_degenerate * scale
         ok_all &= ok
         details.append(
-            {"lambda_hat": entry.lambda_hat, "det": det, "scale": scale, "ok": ok}
+            {"lambda_hat": lambda_hat, "det": det, "scale": scale, "ok": ok}
         )
     return ok_all, details
 

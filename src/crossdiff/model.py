@@ -49,6 +49,9 @@ class Domain:
             )
         if any(not math.isfinite(L) or L <= 0 for L in lengths):
             raise ConfigError(f"domain lengths must be positive, got {lengths}")
+        # The first Neumann eigenvalue of each axis, (pi / L)^2, must be a float.
+        if any(not math.isfinite((math.pi / L) * (math.pi / L)) for L in lengths):
+            raise ConfigError(f"domain lengths {lengths} are too small for the spectrum")
 
     @property
     def dimension(self) -> int:

@@ -120,17 +120,32 @@ def _lattice(domain: Domain, bound: float, extra: int) -> tuple[SpectrumEntry, .
     def reach(x: float) -> float:
         return max(bound, _axis_value(_axis_top(L_max, x) + extra, L_max))
 
-    if not math.isfinite(bound) or math.prod(
-        _axis_top(L, reach(bound)) + 1 for L in domain.lengths
-    ) > _MAX_LATTICE:
-        raise ConfigError(f"spectral bound {bound:.3e} requires too many modes")
-    # Widened twice, so that a collision group straddling ``bound`` or
-    # the reach is counted once and listed whole.
-    edge = _widen(reach(_widen(bound)))
-    axes = [
-        np.array([_axis_value(k, L) for k in range(_axis_top(L, edge) + 1)])
-        for L in domain.lengths
-    ]
+    # The longest axis alone needs floor(sqrt(bound) L_max / pi) + 1 + extra
+    # points.  Deciding that in closed form first keeps ``_axis_top`` from
+    # walking toward a top that no float step of one can reach; one point
+    # of slack covers a floor that rounds up, and the exact count decides
+    # the rest.
+    too_many = ConfigError(f"spectral bound {bound:.3e} requires too many modes")
+    if (
+        not math.isfinite(bound)
+        or math.sqrt(max(bound, 0.0)) * L_max / math.pi + extra >= _MAX_LATTICE + 1
+    ):
+        raise too_many
+    try:
+        points = math.prod(_axis_top(L, reach(bound)) + 1 for L in domain.lengths)
+        if points > _MAX_LATTICE:
+            raise too_many
+        # Widened twice, so that a collision group straddling ``bound`` or
+        # the reach is counted once and listed whole.
+        edge = _widen(reach(_widen(bound)))
+        axes = [
+            np.array([_axis_value(k, L) for k in range(_axis_top(L, edge) + 1)])
+            for L in domain.lengths
+        ]
+    except OverflowError:
+        raise ConfigError(
+            f"Neumann eigenvalues on lengths {domain.lengths} overflow a float"
+        ) from None
     values = sum(np.ix_(*axes))
     inside = values <= edge
     indices = [tuple(k) for k in np.argwhere(inside).tolist()]

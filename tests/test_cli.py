@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -345,6 +346,52 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     assert (tmp_path / "serial.csv").read_bytes() == (
         tmp_path / "parallel.csv"
     ).read_bytes()
+
+
+def test_sweep_chunked_parallel_matches_serial(tmp_path, monkeypatch):
+    # 64 points on 2 workers go out in chunks of 8; negative d.0 values
+    # make error rows, so the chunks mix both kinds of row.
+    cfg = write_config(tmp_path, WEAK_LV)
+    args = ["sweep", "--config", cfg, "--param", "d.0=-0.3:1.0:64"]
+    monkeypatch.setenv("CROSSDIFF_THREADS", "1")
+    assert cli.main(args + ["--output", str(tmp_path / "serial.csv")]) == 0
+    monkeypatch.setenv("CROSSDIFF_THREADS", "2")
+    assert cli.main(args + ["--output", str(tmp_path / "parallel.csv")]) == 0
+    serial = (tmp_path / "serial.csv").read_bytes()
+    assert serial == (tmp_path / "parallel.csv").read_bytes()
+    with open(tmp_path / "serial.csv", newline="") as fh:
+        errors = [row["error"] != "" for row in csv.DictReader(fh)]
+    assert len(errors) == 64 and 0 < sum(errors) < 64
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the sweep point did not return")
+
+
+@pytest.mark.parametrize(
+    "param, column, message",
+    [
+        # The certified cutoff bound is ~2.8e114, far past the lattice limit.
+        ("d.0=1e-100:1e-100:1", "cause", "requires too many modes"),
+        ("domain.lengths.0=1e300:1e300:1", "cause", "requires too many modes"),
+        ("domain.lengths.0=1e-300:1e-300:1", "error", "too small for the spectrum"),
+    ],
+)
+def test_sweep_extreme_point_returns_a_row(tmp_path, monkeypatch, param, column, message):
+    monkeypatch.setenv("CROSSDIFF_THREADS", "1")
+    cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
+    out = str(tmp_path / "sweep.csv")
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(30)
+    try:
+        code = cli.main(["sweep", "--config", cfg, "--output", out, "--param", param])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    with open(out, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert message in row[column]
 
 
 def test_sweep_bad_param_spec(tmp_path):

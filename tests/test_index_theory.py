@@ -17,6 +17,7 @@ from crossdiff import (
     mode_cutoff,
     mode_matrix,
     negative_count,
+    negative_counts,
     neumann_eigenvalues,
     semitrivial_stability,
 )
@@ -392,15 +393,17 @@ def test_one_sided_point_is_inconclusive_before_any_spectrum(monkeypatch):
 
 
 def test_ledger_enumerates_once_and_decides_each_mode_once(monkeypatch):
+    # One spectrum and one stacked count per state: the seven modes
+    # (L0 = 4 plus the three scanned past the cutoff) are decided together.
     from crossdiff import index_theory
 
-    calls = {"negative_count": 0, "spectrum_through": 0}
+    calls = {"negative_counts": [], "spectrum_through": []}
 
     def counted(name):
         original = getattr(index_theory, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(args)
             return original(*args, **kwargs)
 
         return wrapper
@@ -411,4 +414,76 @@ def test_ledger_enumerates_once_and_decides_each_mode_once(monkeypatch):
     assert not verdict.inconclusive
     (report,) = verdict.index_reports
     assert len(report.mode_decisions) == report.L0 + 3 == 7
-    assert calls == {"negative_count": 7, "spectrum_through": 1}
+    assert len(calls["spectrum_through"]) == 1
+    ((_, stack),) = calls["negative_counts"]
+    assert stack.shape == (7, 2, 2)
+
+
+def reference_count(d_A, Ai, tol=1e-8):
+    """The count of one matrix with numpy's one-matrix ``eig``."""
+    M = Ai / d_A[:, None]
+    m = M.shape[0]
+    scale = max(float(np.linalg.norm(M, 2)), 1e-300)
+    eigs = np.linalg.eig(M)[0]
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    neg = (np.abs(eigs.imag) <= 1e-10 * scale) & (eigs.real < -tol * scale)
+    margin = float(np.abs(eigs.real).min())
+    warnings = []
+    clusters = []
+    for v in np.sort(eigs.real[neg]):
+        if clusters and v - clusters[-1][-1] <= 1e-6 * scale:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    for cluster in clusters:
+        lam = float(np.mean(cluster))
+        geo = m - np.linalg.matrix_rank(M - lam * np.eye(m), tol=1e-8 * scale)
+        if len(cluster) > 1 and geo < len(cluster):
+            warnings.append(
+                f"defective eigenvalue {lam:.6g}: algebraic multiplicity "
+                f"{len(cluster)}, geometric {geo}; algebraic multiplicity counted"
+            )
+    return int(neg.sum()), eigs, margin, margin <= tol * scale, tuple(warnings)
+
+
+def mixed_stack(rng, d_A, k):
+    """``k`` mode matrices whose ``diag(d_A)^{-1} Ai`` cycle through a real
+    spectrum, a complex pair and a defective negative cluster (a Jordan
+    block at -1)."""
+    m = len(d_A)
+    stack = []
+    for i in range(k):
+        V = rng.uniform(-1.0, 1.0, (m, m)) + 2.0 * np.eye(m)
+        T = np.diag(rng.uniform(-2.0, 2.0, m))
+        kind = i % 3
+        if kind == 1:
+            a, b = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5)
+            T[:2, :2] = [[a, -b], [b, a]]
+        if kind == 2:
+            T = np.triu(T)
+            T[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
+            V = np.eye(m)
+        stack.append(d_A[:, None] * (V @ T @ np.linalg.inv(V)))
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_count_matches_one_matrix_reference(m, seed):
+    rng = np.random.default_rng(seed)
+    d_A = rng.uniform(0.2, 3.0, m)
+    stack = mixed_stack(rng, d_A, 9)
+    counts = negative_counts(d_A, stack)
+    assert len(counts) == len(stack)
+    kinds = set()
+    for got, Ai in zip(counts, stack):
+        N, eigs, margin, degenerate, warnings = reference_count(d_A, Ai)
+        kinds.add((eigs.dtype.kind, bool(warnings)))
+        assert got.eigs.dtype == eigs.dtype
+        assert got.eigs.tobytes() == eigs.tobytes()
+        assert (got.N, got.margin, got.degenerate, got.warnings) == (
+            N, margin, degenerate, warnings
+        )
+    # Each stack mixes real and complex spectra and holds a defective cluster.
+    assert {"f", "c"} <= {kind for kind, _ in kinds}
+    assert any(defective for _, defective in kinds)

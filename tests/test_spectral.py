@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -155,6 +156,39 @@ def test_non_finite_bound_raises(bound):
     domain = Domain(kind="interval", lengths=(PI,))
     with pytest.raises(ConfigError, match="requires too many modes"):
         spectrum_through(domain, bound, extra=3)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the lattice walk did not end")
+
+
+@pytest.mark.parametrize(
+    "length, bound, message",
+    [
+        # sqrt(bound) L / pi is past 2^53, where k + 1 rounds back to k.
+        (PI, 1e114, "requires too many modes"),
+        (1e300, 1.0, "requires too many modes"),
+        # (pi / L)^2 is a float, but the next axis values overflow.
+        (2.5e-154, 1.0, "overflow a float"),
+    ],
+)
+def test_lattice_limit_decided_before_the_walk(length, bound, message):
+    domain = Domain(kind="interval", lengths=(length,))
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ConfigError, match=message):
+            spectrum_through(domain, bound, extra=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("lengths", [(1e-300,), (PI, 1e-160)])
+def test_domain_rejects_lengths_whose_first_eigenvalue_overflows(lengths):
+    kind = "interval" if len(lengths) == 1 else "rectangle"
+    with pytest.raises(ConfigError, match="too small for the spectrum"):
+        Domain(kind=kind, lengths=lengths)
 
 
 def test_eigenfunction_interval_and_square():
