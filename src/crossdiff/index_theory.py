@@ -13,6 +13,7 @@ degree against 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -295,7 +296,12 @@ class IndexReport:
 
 
 def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexReport:
-    """Assemble the mode-sum parity index at a positive constant state."""
+    """Assemble the mode-sum parity index at a positive constant state.
+
+    Raises :class:`ModelError` when a nondegeneracy determinant or its
+    scale is not finite: the test cannot be decided, which is not the
+    same as a degenerate mode.
+    """
     if model.bc.kind != "neumann":
         raise ModelError("the index mode sum is built on Neumann eigenmodes")
     u_star = np.asarray(u_star, dtype=float)
@@ -314,6 +320,15 @@ def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexRepo
 
     L0, certificate, spectrum, decisions = mode_cutoff(model, u_star)
     nondeg_ok, nondeg_details = check_nondegeneracy(model, u_star, spectrum)
+    overflow = [
+        d for d in nondeg_details
+        if not (math.isfinite(d["det"]) and math.isfinite(d["scale"]))
+    ]
+    if overflow:
+        raise ModelError(
+            f"nondegeneracy determinant or its scale overflows in {len(overflow)} "
+            f"mode(s) from lambda_hat = {overflow[0]['lambda_hat']:.6g}; no index"
+        )
     certificate["nondegeneracy"] = nondeg_details
 
     warnings: list[str] = []
@@ -465,6 +480,11 @@ def _case_label(
     return "none"
 
 
+def _state_label(state: ConstantState) -> str:
+    """A constant state as verdict causes name it, in plain floats."""
+    return f"state {tuple(float(v) for v in state.u_star)}"
+
+
 def existence_verdict(
     model: Model, states: StateEnumeration | None = None
 ) -> ExistenceVerdict:
@@ -495,8 +515,8 @@ def existence_verdict(
                 BoundaryIndex(state, sv, None, "degenerate growth sign")
             )
             causes.append(
-                f"state {tuple(float(v) for v in state.u_star)}: growth sign "
-                "vanishes within tolerance (degenerate boundary state)"
+                f"{_state_label(state)}: growth sign vanishes within "
+                "tolerance (degenerate boundary state)"
             )
         elif sv.v_class == "v-unstable":
             boundary.append(BoundaryIndex(state, sv, 0, "invadable: index 0"))
@@ -513,15 +533,13 @@ def existence_verdict(
                 rep = constant_state_index(sub, u_sub)
             except (ModelError, CutoffError) as exc:
                 boundary.append(BoundaryIndex(state, sv, None, str(exc)))
-                causes.append(f"state {tuple(state.u_star)}: {exc}")
+                causes.append(f"{_state_label(state)}: {exc}")
                 continue
             if rep.index is None:
                 boundary.append(
                     BoundaryIndex(state, sv, None, "restricted index degenerate", rep)
                 )
-                causes.append(
-                    f"state {tuple(state.u_star)}: restricted index degenerate"
-                )
+                causes.append(f"{_state_label(state)}: restricted index degenerate")
             else:
                 boundary.append(
                     BoundaryIndex(
@@ -536,14 +554,12 @@ def existence_verdict(
             rep = constant_state_index(model, state.u_star)
         except (ModelError, CutoffError) as exc:
             nontrivial_indices.append((tuple(state.u_star), None))
-            causes.append(f"state {tuple(state.u_star)}: {exc}")
+            causes.append(f"{_state_label(state)}: {exc}")
             continue
         reports.append(rep)
         nontrivial_indices.append((tuple(state.u_star), rep.index))
         if rep.index is None:
-            causes.append(
-                f"state {tuple(state.u_star)}: degenerate mode, no index"
-            )
+            causes.append(f"{_state_label(state)}: degenerate mode, no index")
 
     inconclusive = bool(causes)
     if inconclusive:

@@ -2,7 +2,15 @@
 
 Cell-centered grids on intervals/rectangles; face fluxes use the
 arithmetic mean of adjacent states inside ``A``; the Jacobian is
-assembled analytically (flux blocks plus reaction blocks).  Solvers:
+assembled analytically (flux blocks plus reaction blocks) into a CSC
+sparsity pattern that is built once per ``(grid shape, m, boundary
+kind)`` and shared by every system on that grid: each call computes
+only the block values and sums them into their slots with
+``np.bincount``, in assembly order (faces axis by axis, Dirichlet
+walls after each axis's faces, reaction blocks last).  Newton factors
+it with SuperLU under the minimum-degree ordering on the pattern of
+``J + J^T`` (``permc_spec="MMD_AT_PLUS_A"``), which suits this
+structurally symmetric stencil matrix.  Solvers:
 damped Newton, and homotopy continuation in the cross-diffusion
 strength (``alpha -> t * alpha`` for ``t`` from 0 to 1), the
 deformation to the weakly coupled system that the degree argument
@@ -19,6 +27,7 @@ zero flux; Dirichlet walls reflect the ghost state (``u_ghost =
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -197,7 +206,6 @@ class DiscreteSystem:
                     f"forcing shape {forcing.shape} does not match field shape"
                 )
         self.forcing = forcing
-        self._ids = _node_ids(grid.shape)
         self.n_dof = grid.n_nodes * model.m
 
     # -- residual ---------------------------------------------------------
@@ -226,69 +234,119 @@ class DiscreteSystem:
 
     # -- Jacobian ---------------------------------------------------------
 
-    @staticmethod
-    def _block_coo(
-        rows_nodes: NDArray[np.intp],
-        cols_nodes: NDArray[np.intp],
-        blocks: NDArray[np.float64],
-        m: int,
-    ) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
-        i = np.arange(m)
-        rows = (rows_nodes[:, None, None] * m + i[None, :, None]).repeat(m, axis=2)
-        cols = (cols_nodes[:, None, None] * m + i[None, None, :]).repeat(m, axis=1)
-        return rows.ravel(), cols.ravel(), blocks.reshape(-1)
+    def jacobian(self, values: NDArray[np.float64]) -> sp.csc_matrix:
+        """Sparse analytic Jacobian in CSC form on the grid's shared pattern.
 
-    def jacobian(self, values: NDArray[np.float64]) -> sp.csr_matrix:
+        The m x m blocks are listed axis by axis (``(p,p)``, ``(p,q)``,
+        ``(q,p)``, ``(q,q)`` per face, then the Dirichlet wall diagonal),
+        then the reaction blocks; ``np.bincount`` sums them into their
+        CSC slots in that order.
+        """
         model = self.model
         m = model.m
-        ids = self._ids
-        flat = values.reshape(-1, m)
-        rows_all: list[NDArray[np.intp]] = []
-        cols_all: list[NDArray[np.intp]] = []
-        data_all: list[NDArray[np.float64]] = []
-
+        ndim = self.grid.ndim
+        pattern = _jacobian_pattern(self.grid.shape, m, self.dirichlet)
+        blocks: list[NDArray[np.float64]] = []
+        idx = np.arange(m)
         for axis, h in enumerate(self.grid.h):
-            sl_p, sl_q, walls = axis_slices(self.grid.ndim, axis)
-            p = ids[sl_p].ravel()
-            q = ids[sl_q].ravel()
-            u_p = flat[p]
-            u_q = flat[q]
+            sl_p, sl_q, _ = axis_slices(ndim, axis)
+            u_p = values[sl_p].reshape(-1, m)
+            u_q = values[sl_q].reshape(-1, m)
             K = model.A(0.5 * (u_p + u_q)) / h**2
             du = (u_q - u_p) / h
             G = model.alpha[None, :, :] * du[:, :, None]
-            idx = np.arange(m)
             G[:, idx, idx] += du @ model.alpha.T
             S = (1.0 / (2.0 * h)) * G
-            for rn, cn, blk in (
-                (p, p, K - S),
-                (p, q, -K - S),
-                (q, p, -K + S),
-                (q, q, K + S),
-            ):
-                rr, cc, dd = self._block_coo(rn, cn, blk, m)
-                rows_all.append(rr)
-                cols_all.append(cc)
-                data_all.append(dd)
+            blocks += [K - S, -K - S, -K + S, K + S]
             if self.dirichlet:
-                w = np.concatenate([np.ravel(ids[wall]) for wall in walls])
-                diag_rows = (w[:, None] * m + np.arange(m)[None, :]).ravel()
-                rows_all.append(diag_rows)
-                cols_all.append(diag_rows)
-                data_all.append(
-                    np.tile(2.0 * model.d / h**2, w.size)
-                )
-
-        nodes = np.arange(flat.shape[0])
-        rr, cc, dd = self._block_coo(nodes, nodes, -model.jacobian_f(flat), m)
-        rows_all.append(rr)
-        cols_all.append(cc)
-        data_all.append(dd)
-
-        mat = sp.coo_matrix(
-            (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-            shape=(self.n_dof, self.n_dof),
+                n_wall = 2 * (self.grid.n_nodes // self.grid.shape[axis])
+                blocks.append(np.tile(2.0 * model.d / h**2, n_wall))
+        blocks.append(-model.jacobian_f(values.reshape(-1, m)))
+        data = np.bincount(
+            pattern.slots,
+            weights=np.concatenate([b.reshape(-1) for b in blocks]),
+            minlength=pattern.indices.size,
         )
-        return mat.tocsr()
+        return sp.csc_matrix(
+            (data, pattern.indices, pattern.indptr), shape=(self.n_dof, self.n_dof)
+        )
+
+
+@dataclass(frozen=True)
+class _JacobianPattern:
+    """CSC structure of the Jacobian on one grid.
+
+    ``slots[k]`` is the position in ``data`` of the k-th entry that
+    :meth:`DiscreteSystem.jacobian` assembles, in its order.
+    """
+
+    indptr: NDArray[np.int32]
+    indices: NDArray[np.int32]
+    slots: NDArray[np.intp]
+
+
+@functools.lru_cache(maxsize=4)
+def _jacobian_pattern(
+    shape: tuple[int, ...], m: int, dirichlet: bool
+) -> _JacobianPattern:
+    """Sparsity pattern of the Jacobian, built once per grid and shared.
+
+    Column ``node*m + b`` holds the rows of the node's stencil in
+    ascending order: its lower neighbours along axes 0, 1, ..., itself,
+    then its upper neighbours along axes ..., 1, 0 (axis 0 has the
+    largest stride), each as ``m`` consecutive component rows.  Every
+    slot follows from that layout in closed form, without a sort.
+    """
+    ndim = len(shape)
+    ids = _node_ids(shape)
+    width = 2 * ndim + 1  # stencil positions; position ndim is the node
+    present = np.ones(shape + (width,), dtype=np.intp)
+    for axis in range(ndim):
+        _, _, (low, high) = axis_slices(ndim, axis)
+        present[low + (axis,)] = 0
+        present[high + (width - 1 - axis,)] = 0
+    present = present.reshape(ids.size, width)
+    col_len = m * present.sum(axis=1)
+    indptr = np.zeros(ids.size * m + 1, dtype=np.intp)
+    np.cumsum(np.repeat(col_len, m), out=indptr[1:])
+    # Slot of row component 0 at each stencil position of column ``node*m``.
+    first = indptr[:-1:m, None] + m * (np.cumsum(present, axis=1) - present)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+
+    def entries(rows, cols, pos) -> NDArray[np.intp]:
+        # Slots of the m x m blocks at node pairs (rows, cols), listed
+        # [pair, a, b]; records their row indices.
+        base = first[cols, pos]
+        out = np.empty((cols.size, m, m), dtype=np.intp)
+        for a in range(m):
+            for b in range(m):
+                np.add(base, b * col_len[cols] + a, out=out[:, a, b])
+                indices[out[:, a, b]] = rows * m + a
+        return out.reshape(-1)
+
+    slots = []
+    for axis in range(ndim):
+        sl_p, sl_q, (low, high) = axis_slices(ndim, axis)
+        p = ids[sl_p].ravel()
+        q = ids[sl_q].ravel()
+        pos = np.repeat([ndim, axis, width - 1 - axis, ndim], p.size)
+        rows, cols = np.concatenate([p, p, q, q]), np.concatenate([p, q, p, q])
+        slots.append(entries(rows, cols, pos))
+        if dirichlet:
+            # The wall diagonal lies in the node's own block.
+            w = np.concatenate([ids[low].ravel(), ids[high].ravel()])
+            diag = first[w, ndim][:, None] + np.arange(m) * (col_len[w][:, None] + 1)
+            slots.append(diag.reshape(-1))
+    nodes = ids.ravel()
+    slots.append(entries(nodes, nodes, ndim))
+    slots = np.concatenate(slots)
+    # An unfilled slot would hand uninitialised row indices to SuperLU.
+    if np.bincount(slots, minlength=indices.size).min() == 0:
+        raise RuntimeError(f"Jacobian pattern on {shape} leaves a slot empty")
+    pattern = _JacobianPattern(indptr.astype(np.int32), indices, slots)
+    for arr in (pattern.indptr, pattern.indices, pattern.slots):
+        arr.flags.writeable = False
+    return pattern
 
 
 def discretize(
@@ -399,7 +457,12 @@ def _newton_core(
     tol: float,
     max_iter: int,
 ) -> tuple[NDArray[np.float64], float, float, int, list[float]]:
-    """Damped Newton; returns (values, residual_norm, abs_tol, iters, history)."""
+    """Damped Newton; returns (values, residual_norm, abs_tol, iters, history).
+
+    Each iteration assembles the Jacobian on the grid's shared CSC
+    pattern (duplicates summed in assembly order) and factors it with
+    ``splu`` under the ``MMD_AT_PLUS_A`` column ordering.
+    """
     R = system.residual(values)
     rn = float(np.linalg.norm(R))
     if not np.isfinite(rn):
@@ -413,7 +476,7 @@ def _newton_core(
             return values, rn, abs_tol, it - 1, history
         J = system.jacobian(values)
         try:
-            lu = splu(J.tocsc())
+            lu = splu(J, permc_spec="MMD_AT_PLUS_A")
             delta = lu.solve(-R.reshape(-1))
         except RuntimeError as exc:
             raise ConvergenceError(f"linear solve failed: {exc}") from exc

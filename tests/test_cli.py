@@ -9,7 +9,7 @@ import signal
 import numpy as np
 import pytest
 
-from crossdiff import cli
+from crossdiff import cli, pde_solver
 
 WEAK_LV = {
     "m": 2,
@@ -313,6 +313,27 @@ def test_solve_byte_stability(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "payload, args",
+    [
+        (SKT, ["--grid", "48", "--seed-random", "0"]),
+        (TURING, ["--grid", "512", "--seed-mode", "1", "--amp", "1.5"]),
+    ],
+    ids=["skt-48", "turing-512"],
+)
+def test_solve_bytes_independent_of_the_cached_jacobian_pattern(tmp_path, payload, args):
+    # The first run builds the grid's Jacobian pattern, the second reuses it.
+    cfg = write_config(tmp_path, payload)
+    pde_solver._jacobian_pattern.cache_clear()
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        out = str(tmp_path / name / "run.json")
+        assert cli.main(["solve", "--config", cfg, "--output", out] + args) == 0
+    for file in ("run.json", "run_field.csv"):
+        first, second = (tmp_path / name / file for name in ("a", "b"))
+        assert first.read_bytes() == second.read_bytes()
+
+
 def test_sweep_produces_grid_rows(tmp_path, monkeypatch):
     monkeypatch.setenv("CROSSDIFF_THREADS", "1")
     cfg = write_config(tmp_path, WEAK_LV)
@@ -375,6 +396,8 @@ def _timeout(signum, frame):
         ("d.0=1e-100:1e-100:1", "cause", "requires too many modes"),
         ("domain.lengths.0=1e300:1e300:1", "cause", "requires too many modes"),
         ("domain.lengths.0=1e-300:1e-300:1", "error", "too small for the spectrum"),
+        # lambda_hat ~ 1e301: the nondegeneracy determinant overflows.
+        ("domain.lengths.0=1e-150:1e-150:1", "cause", "determinant or its scale overflow"),
     ],
 )
 def test_sweep_extreme_point_returns_a_row(tmp_path, monkeypatch, param, column, message):
@@ -392,6 +415,10 @@ def test_sweep_extreme_point_returns_a_row(tmp_path, monkeypatch, param, column,
     with open(out, newline="") as fh:
         (row,) = list(csv.DictReader(fh))
     assert message in row[column]
+    if column == "cause":
+        assert row["cause"].startswith("state (1.0, 1.0): ")
+        assert "np.float64" not in row["cause"]
+        assert "degenerate" not in row["cause"]
 
 
 def test_sweep_bad_param_spec(tmp_path):

@@ -305,6 +305,25 @@ def test_degenerate_subset_verdict_inconclusive():
     assert "degenerate-subset" in (verdict.cause or "")
 
 
+def test_overflowing_nondegeneracy_test_is_inconclusive_not_degenerate():
+    # On an interval of length 1e-150 the first mode has lambda_hat ~ 1e301:
+    # det(lambda_hat A - J) and its row-norm scale overflow to inf, and a
+    # comparison of infinities must not pass for a degenerate mode.
+    model = interval_model(
+        2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
+        alpha=((0.0, 0.0), (0.1, 0.0)), length=1e-150,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ModelError, match="overflows"):
+            constant_state_index(model, np.ones(2))
+        verdict = existence_verdict(model)
+    assert verdict.inconclusive
+    assert verdict.total is None
+    assert verdict.cause.startswith("state (1.0, 1.0): nondegeneracy determinant")
+    assert "overflows" in verdict.cause
+    assert "degenerate mode" not in verdict.cause
+
+
 @given(st.floats(0.1, 10.0))
 @settings(max_examples=20, deadline=None)
 def test_index_invariant_under_joint_scaling(s):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crossdiff import (
     ConfigError,
@@ -18,6 +19,7 @@ from crossdiff import (
     discretize,
     make_grid,
     newton_solve,
+    pde_solver,
     random_field,
     seed_from_mode,
 )
@@ -241,6 +243,86 @@ def test_jacobian_matches_finite_differences(kind, bc, t):
     np.testing.assert_allclose(J, J_fd, atol=1e-6 * scale)
 
 
+def three_species_model(kind, bc, t):
+    return build_model(
+        {
+            "m": 3,
+            "d": [0.6, 1.1, 0.8],
+            "alpha": [
+                [0.2 * t, 1.3 * t, 0.4 * t],
+                [0.8 * t, 0.1 * t, 0.5 * t],
+                [0.3 * t, 0.7 * t, 0.2 * t],
+            ],
+            "r": [1.0, 0.5, 0.7],
+            "c": [[1.0, 0.4, 0.2], [-0.3, 0.9, 0.1], [0.2, 0.3, 1.2]],
+            "domain": {"kind": kind, "lengths": [PI] if kind == "interval" else [PI, 2.0]},
+            "bc": bc,
+        }
+    )
+
+
+def reference_jacobian(model, grid, values):
+    # Node by node in plain Python: a COO list of m x m blocks that
+    # scipy sums into CSC.  A face flux F = A(v) (u_q - u_p)/h with
+    # v = (u_p + u_q)/2 has dF_i/dv_j = alpha_ij du_i + delta_ij
+    # (alpha du)_i, so dF/du_{p,q} = dF/dv / 2 -/+ A(v)/h.
+    m = model.m
+    rows, cols, data = [], [], []
+
+    def add(r_node, c_node, block):
+        r0 = np.ravel_multi_index(r_node, grid.shape) * m
+        c0 = np.ravel_multi_index(c_node, grid.shape) * m
+        for i in range(m):
+            for j in range(m):
+                rows.append(r0 + i)
+                cols.append(c0 + j)
+                data.append(block[i, j])
+
+    for node in np.ndindex(grid.shape):
+        add(node, node, -model.jacobian_f(values[node]))
+        for axis, h in enumerate(grid.h):
+            if model.bc.kind == "dirichlet" and node[axis] in (0, grid.shape[axis] - 1):
+                add(node, node, np.diag(2.0 * model.d / h**2))
+            nbr = list(node)
+            nbr[axis] += 1
+            nbr = tuple(nbr)
+            if nbr[axis] == grid.shape[axis]:
+                continue
+            u_p, u_q = values[node], values[nbr]
+            du = (u_q - u_p) / h
+            dF_dv = model.alpha * du[:, None] + np.diag(model.alpha @ du)
+            A = model.A(0.5 * (u_p + u_q))
+            dF_dp = 0.5 * dF_dv - A / h
+            dF_dq = 0.5 * dF_dv + A / h
+            add(node, node, -dF_dp / h)
+            add(node, nbr, -dF_dq / h)
+            add(nbr, node, dF_dp / h)
+            add(nbr, nbr, dF_dq / h)
+    n = grid.n_nodes * m
+    ref = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+    ref.sum_duplicates()
+    ref.sort_indices()
+    return ref
+
+
+@pytest.mark.parametrize("t", [1.0, 0.35])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_jacobian_pattern_refill_matches_coo_assembly(kind, bc, m, t):
+    model = (coupled_model if m == 2 else three_species_model)(kind, bc, t)
+    grid = make_grid(model.domain, 12 if kind == "interval" else (9, 8))
+    field = random_field(grid, [0.3] * m, [1.7] * m, seed=7)
+    J = discretize(model, grid).jacobian(field.values)
+    ref = reference_jacobian(model, grid, field.values)
+    assert J.format == "csc"
+    np.testing.assert_array_equal(J.indptr, ref.indptr)
+    np.testing.assert_array_equal(J.indices, ref.indices)
+    row_scale = np.asarray(abs(ref).sum(axis=1)).ravel()
+    err = np.abs(J.data - ref.data) / row_scale[ref.indices]
+    assert err.max() <= 1e-14
+
+
 # -- Newton -----------------------------------------------------------------
 
 
@@ -338,6 +420,59 @@ def test_continuation_bisects_on_stage_failure():
     assert any(t not in (0.0, 0.5, 1.0) for t in result.t_path)
     residual = discretize(model, grid).residual(result.field.values)
     assert np.linalg.norm(residual) <= result.tolerance
+
+
+def skt_2d():
+    return build_model(
+        {
+            "m": 2,
+            "d": [0.05, 1.0],
+            "alpha": [[0.1, 3.0], [0.5, 0.2]],
+            "r": [1.0, 1.0],
+            "c": [[1.0, 0.5], [0.3, 1.0]],
+            "domain": {"kind": "rectangle", "lengths": [3.0, 3.0]},
+            "bc": "neumann",
+        }
+    )
+
+
+def test_first_factorization_fill_uses_a_fill_reducing_ordering(monkeypatch):
+    # On the 48 x 48 SKT Jacobian, COLAMD fills L + U with about 423k
+    # entries and the minimum-degree ordering on A + A^T with about 240k.
+    model = skt_2d()
+    grid = make_grid(model.domain, 48)
+    fills = []
+    factor = pde_solver.splu
+
+    def recording(*args, **kwargs):
+        lu = factor(*args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(pde_solver, "splu", recording)
+    seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
+    result = continuation_solve(model, grid, seed)
+    assert result.converged
+    assert fills and fills[0] < 300_000
+
+
+def test_continuation_builds_the_jacobian_pattern_once(monkeypatch):
+    model = skt_2d()
+    grid = make_grid(model.domain, 16)
+    systems = set()
+    assemble = pde_solver.DiscreteSystem.jacobian
+
+    def recording(self, values):
+        systems.add(id(self))
+        return assemble(self, values)
+
+    monkeypatch.setattr(pde_solver.DiscreteSystem, "jacobian", recording)
+    pde_solver._jacobian_pattern.cache_clear()
+    seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
+    result = continuation_solve(model, grid, seed)
+    assert result.converged
+    assert len(systems) > 1
+    assert pde_solver._jacobian_pattern.cache_info().misses == 1
 
 
 def test_continuation_schedule_validation():
