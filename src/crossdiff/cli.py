@@ -256,8 +256,7 @@ def _field_csv(path: str, field: DiscreteField) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in data:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows([repr(v) for v in row] for row in data.tolist())
 
 
 def _solve_summary(result: SolveResult, diag) -> list[str]:

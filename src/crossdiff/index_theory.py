@@ -262,9 +262,13 @@ def check_nondegeneracy(
     A = model.A(u_star)
     J = model.jacobian_f(u_star)
     lam = np.array([entry.lambda_hat for entry in spectrum])
-    dets = np.linalg.det(lam[:, None, None] * A - J)
-    gross = np.abs(lam)[:, None, None] * np.abs(A) + np.abs(J)
-    scales = np.prod(np.linalg.norm(gross, axis=-1), axis=-1)
+    # Near the lattice limit these overflow to inf in the details, which
+    # constant_state_index turns into its verdict; numpy's warning would
+    # only repeat that.
+    with np.errstate(over="ignore"):
+        dets = np.linalg.det(lam[:, None, None] * A - J)
+        gross = np.abs(lam)[:, None, None] * np.abs(A) + np.abs(J)
+        scales = np.prod(np.linalg.norm(gross, axis=-1), axis=-1)
     details: list[dict] = []
     ok_all = True
     for lambda_hat, det, scale in zip(lam.tolist(), dets.tolist(), scales.tolist()):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -407,11 +408,15 @@ def test_sweep_extreme_point_returns_a_row(tmp_path, monkeypatch, param, column,
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(30)
     try:
-        code = cli.main(["sweep", "--config", cfg, "--output", out, "--param", param])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["sweep", "--config", cfg, "--output", out, "--param", param])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 0
+    # The row names any overflow; numpy must not warn about it as well.
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     with open(out, newline="") as fh:
         (row,) = list(csv.DictReader(fh))
     assert message in row[column]

@@ -17,13 +17,15 @@ from crossdiff import (
     build_model,
     constant_field,
     diagnostics_report,
+    existence_verdict,
     identity_residuals,
     make_grid,
     newton_solve,
     nonexistence_threshold,
     norms,
+    seed_from_mode,
 )
-from crossdiff.diagnostics import ball_radii
+from crossdiff.diagnostics import _ball_bound, _shifted, ball_radii
 
 PI = np.pi
 
@@ -182,12 +184,45 @@ ORACLE_GRIDS = {
     "square": (("rectangle", [3.0, 3.0]), 16, (0.5, 2.0)),
     "rectangle": (("rectangle", [3.0, 2.0]), (40, 28), (0.4, 1.7)),
 }
+ORACLE_CASES = [
+    (domain, which, m)
+    for domain in sorted(ORACLE_GRIDS)
+    for which in ("2h", "off-ladder", "wide")
+    for m in (1, 2, 3)
+] + [("multi-peak", "default", 2)]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("which", ["2h", "off-ladder", "wide"])
-@pytest.mark.parametrize("domain", sorted(ORACLE_GRIDS))
-def test_bmo_matches_brute_force_scan(domain, which, m):
+def square_48():
+    return make_grid(Domain(kind="rectangle", lengths=(3.0, 3.0)), 48)
+
+
+def single_peak_field():
+    grid = square_48()
+    x, y = np.moveaxis(grid.points(), -1, 0)
+    r2 = (x - 1.2) ** 2 + (y - 1.7) ** 2
+    vals = np.stack([1.0 + np.exp(-r2 / 0.1), 2.0 - 0.5 * np.exp(-r2 / 0.3)], axis=-1)
+    return DiscreteField(grid=grid, values=vals)
+
+
+def multi_peak_field():
+    # Equal peaks all over the square: the balls that could hold the
+    # supremum are scattered, not in one window.
+    grid = square_48()
+    x, y = np.moveaxis(grid.points(), -1, 0)
+    vals = np.stack(
+        [
+            1.0 + 0.5 * np.cos(PI * x) * np.cos(2.0 * PI * y / 3.0),
+            2.0 + 0.3 * np.cos(4.0 * PI * x / 3.0) * np.cos(PI * y),
+        ],
+        axis=-1,
+    )
+    return DiscreteField(grid=grid, values=vals)
+
+
+def oracle_case(domain, which, m):
+    """``(field, radius)`` of one brute-force case."""
+    if domain == "multi-peak":
+        return multi_peak_field(), 0.75
     (kind, lengths), cells, (off_ladder, wide) = ORACLE_GRIDS[domain]
     grid = make_grid(Domain(kind=kind, lengths=tuple(lengths)), cells)
     radius = {"2h": 2.0 * max(grid.h), "off-ladder": off_ladder, "wide": wide}[which]
@@ -197,7 +232,12 @@ def test_bmo_matches_brute_force_scan(domain, which, m):
     slope = rng.normal(size=(grid.ndim, m))
     noise = rng.uniform(-0.1, 0.1, grid.shape + (m,))
     vals = 5.0 + grid.points() @ slope + noise
-    field = DiscreteField(grid=grid, values=vals)
+    return DiscreteField(grid=grid, values=vals), radius
+
+
+@pytest.mark.parametrize("domain, which, m", ORACLE_CASES)
+def test_bmo_matches_brute_force_scan(domain, which, m):
+    field, radius = oracle_case(domain, which, m)
     assert bmo_seminorm(field, radius) == pytest.approx(
         brute_force_bmo(field, radius), rel=1e-12
     )
@@ -234,6 +274,135 @@ def test_bmo_axioms(scale, shift, seed):
     assert shifted == pytest.approx(b0, abs=1e-12 * (1.0 + abs(shift)))
     scaled = bmo_seminorm(DiscreteField(grid=grid, values=scale * vals), radius)
     assert scaled == pytest.approx(scale * b0, rel=1e-12, abs=1e-12)
+
+
+# -- the pruned scan against the full stencil scan -------------------------------
+
+
+def stencil_scan_bmo(field, radius):
+    """The scan over every ball that ``bmo_seminorm`` prunes: loop over
+    the offsets of the largest ball, each vectorised over all centers,
+    first for the ball sums and counts, then for the distances from the
+    ball means."""
+    grid = field.grid
+    radii = ball_radii(grid, radius)
+    shape = grid.shape
+    m = field.m
+    reach = [min(n - 1, int(radii[-1] / hh) + 1) for n, hh in zip(shape, grid.h)]
+    offsets = np.stack(
+        np.meshgrid(*[np.arange(-k, k + 1) for k in reach], indexing="ij"), axis=-1
+    ).reshape(-1, grid.ndim)
+    dist2 = sum((offsets[:, a] * hh) ** 2 for a, hh in enumerate(grid.h))
+    first = np.searchsorted([_ball_bound(r) for r in radii], dist2)
+    inside = first < len(radii)
+    stencil = [
+        (tuple(int(o) for o in off), int(k))
+        for off, k in zip(offsets[inside], first[inside])
+    ]
+    centred = field.values - field.values.reshape(-1, m).mean(axis=0)
+    vals = np.moveaxis(centred, -1, 0)
+    each = (slice(None),)
+    sums = np.zeros((m + 1, len(radii)) + shape)
+    augmented = np.concatenate([vals, np.ones((1,) + shape)])
+    for off, k in stencil:
+        centers, nodes = _shifted(shape, off)
+        sums[each + (k,) + centers] += augmented[each + nodes]
+    np.cumsum(sums, axis=1, out=sums)
+    counts = sums[m]
+    means = sums[:m]
+    means /= counts
+    dev = np.zeros((len(radii),) + shape)
+    for off, k in stencil:
+        centers, nodes = _shifted(shape, off)
+        at = (slice(k, None),) + centers
+        diff = vals[each + (None,) + nodes] - means[each + at]
+        dist = np.square(diff, out=diff).sum(axis=0)
+        dev[at] += np.sqrt(dist, out=dist)
+    dev /= counts
+    return float(dev.max())
+
+
+def turing_pattern_512():
+    # The README's solve at 512 cells: the supremum sits in a window of
+    # large balls, a few percent of all balls.
+    model = turing_model()
+    grid = make_grid(model.domain, 512)
+    report = existence_verdict(model).index_reports[0]
+    mode = next(d for d in report.mode_decisions if d.N_i >= 1)
+    seed = seed_from_mode(model, np.ones(2), mode, amplitude=1.5, grid=grid)
+    return newton_solve(model, grid, seed).field
+
+
+def noise_field(grid):
+    # Round-off noise around the weak-competition state (10/17, 14/17).
+    rng = np.random.default_rng(17)
+    state = np.array([10.0, 14.0]) / 17.0
+    return DiscreteField(grid=grid, values=state + 1e-16 * rng.normal(size=grid.shape + (2,)))
+
+
+def turning_unit_vector_field():
+    # u_i = (cos 2 pi i / 5, sin 2 pi i / 5): every interior ball of
+    # radius 2h holds one full turn, so its mean is zero up to rounding
+    # and its oscillation equals the Cauchy-Schwarz bound.
+    grid = make_grid(Domain(kind="interval", lengths=(PI,)), 512)
+    angle = 2.0 * PI * np.arange(512) / 5.0
+    return DiscreteField(grid=grid, values=np.stack([np.cos(angle), np.sin(angle)], axis=-1))
+
+
+def random_m3_field():
+    grid = make_grid(Domain(kind="rectangle", lengths=(3.0, 2.0)), (40, 28))
+    rng = np.random.default_rng(3)
+    return DiscreteField(grid=grid, values=rng.uniform(0.0, 1.0, grid.shape + (3,)))
+
+
+EXACT_CASES = {
+    "turing-512": (turing_pattern_512, PI / 4.0),
+    "single-peak-48": (single_peak_field, 0.75),
+    "multi-peak-48": (multi_peak_field, 0.75),
+    "noise-512": (lambda: noise_field(make_grid(Domain(kind="interval", lengths=(PI,)), 512)), PI / 4.0),
+    "noise-48": (lambda: noise_field(square_48()), 0.75),
+    "turning-2h": (turning_unit_vector_field, 2.0 * PI / 511.0),
+    "turning-wide": (turning_unit_vector_field, 0.3),
+    "random-m3": (random_m3_field, 0.6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_bmo_equals_the_full_stencil_scan(case):
+    make_field, radius = EXACT_CASES[case]
+    field = make_field()
+    assert bmo_seminorm(field, radius) == stencil_scan_bmo(field, radius)
+
+
+@pytest.mark.parametrize("value", [0.1, 10.0 / 17.0, 1.0 / 3.0, PI, 1e-300])
+@pytest.mark.parametrize("cells", [512, 37, (48, 48), (13, 13)], ids=str)
+def test_bmo_of_a_constant_field_is_exactly_zero(cells, value):
+    kind, lengths = ("interval", (PI,)) if isinstance(cells, int) else ("rectangle", (3.0, 3.0))
+    grid = make_grid(Domain(kind=kind, lengths=lengths), cells)
+    field = constant_field(grid, [value, 3.0 * value])
+    radius = max(2.0 * max(grid.h), min(grid.domain.lengths) / 4.0)
+    assert bmo_seminorm(field, radius) == 0.0
+    assert stencil_scan_bmo(field, radius) == 0.0
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.sampled_from([1, 2, 3]))
+@settings(max_examples=30, deadline=None)
+def test_bmo_equals_the_full_stencil_scan_on_random_fields(seed, planar, m):
+    rng = np.random.default_rng(seed)
+    if planar:
+        domain = Domain(kind="rectangle", lengths=tuple(rng.uniform(1.0, 4.0, 2)))
+        grid = make_grid(domain, tuple(int(n) for n in rng.integers(8, 24, 2)))
+    else:
+        domain = Domain(kind="interval", lengths=(float(rng.uniform(1.0, 4.0)),))
+        grid = make_grid(domain, int(rng.integers(8, 96)))
+    # Smooth waves, steps with exact ties, and a large offset under a
+    # small wiggle (the bound's subtraction cancels there).
+    x = grid.points() @ rng.normal(size=(grid.ndim, m))
+    vals = [np.cos(3.0 * x), np.floor(2.0 * x), 1e6 + 1e-3 * np.sin(7.0 * x)][seed % 3]
+    field = DiscreteField(grid=grid, values=vals * 10.0 ** rng.uniform(-120, 120))
+    h = max(grid.h)
+    radius = float(rng.uniform(2.0 * h, 1.2 * max(domain.lengths)))
+    assert bmo_seminorm(field, radius) == stencil_scan_bmo(field, radius)
 
 
 # -- weak identities ------------------------------------------------------------
