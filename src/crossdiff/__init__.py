@@ -45,6 +45,7 @@ from .index_theory import (
     check_nondegeneracy,
     constant_state_index,
     existence_verdict,
+    existence_verdicts,
     mode_cutoff,
     mode_matrix,
     negative_count,
@@ -112,6 +113,7 @@ __all__ = [
     "discretize",
     "eigenfunction",
     "existence_verdict",
+    "existence_verdicts",
     "find_constant_states",
     "identity_residuals",
     "make_grid",

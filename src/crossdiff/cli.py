@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import os
@@ -25,7 +26,12 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ball_radii, diagnostics_report
-from .index_theory import ExistenceVerdict, existence_verdict, mode_decisions
+from .index_theory import (
+    ExistenceVerdict,
+    existence_verdict,
+    existence_verdicts,
+    mode_decisions,
+)
 from .model import ConfigError, Model, ModelError, build_model, validate_structure
 from .pde_solver import (
     ConvergenceError,
@@ -340,16 +346,43 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
-def _apply_override(config: dict, path: str, value: float) -> None:
-    keys = path.split(".")
+def _resolve_path(config: dict, path: str) -> tuple[str | int, ...]:
+    """The keys of a dotted ``--param`` path, checked against ``config``.
+
+    Each step is a key of a mapping or an index of a list (negative
+    indices count from the end and are normalised), and the path must
+    end at a number.
+    """
     node: Any = config
-    for key in keys[:-1]:
-        node = node[int(key)] if isinstance(node, list) else node[key]
-    last = keys[-1]
-    if isinstance(node, list):
-        node[int(last)] = value
+    keys: list[str | int] = []
+    for key in path.split("."):
+        if isinstance(node, list):
+            try:
+                index = int(key)
+            except ValueError:
+                index = len(node)
+            if not -len(node) <= index < len(node):
+                break
+            keys.append(index % len(node))
+        elif isinstance(node, dict) and key in node:
+            keys.append(key)
+        else:
+            break
+        node = node[keys[-1]]
     else:
-        node[last] = value
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            return tuple(keys)
+    raise ConfigError(f"--param path {path!r} does not name a numeric config entry")
+
+
+def _with_value(node: Any, keys: tuple[str | int, ...], value: float) -> Any:
+    """``node`` with the entry at ``keys`` replaced by ``value``; only the
+    containers along the way are copied."""
+    if not keys:
+        return value
+    copy = list(node) if isinstance(node, list) else dict(node)
+    copy[keys[0]] = _with_value(node[keys[0]], keys[1:], value)
+    return copy
 
 
 def _parse_param(spec: str) -> tuple[str, list[float]]:
@@ -366,20 +399,65 @@ def _parse_param(spec: str) -> tuple[str, list[float]]:
     return path, [float(v) for v in values]
 
 
-def _sweep_worker(task: tuple[dict, list[tuple[str, float]]]) -> dict:
-    """One sweep point: apply overrides, run the analysis, report the verdict."""
-    config, overrides = task
-    config = json.loads(json.dumps(config))
-    row: dict[str, Any] = {path: value for path, value in overrides}
+_POINT_ERRORS = (ModelError, KeyError, IndexError, TypeError)
+
+_ROW_COLUMNS = (
+    "n_states",
+    "case_label",
+    "total",
+    "predicts_nonconstant",
+    "inconclusive",
+    "cause",
+    "error",
+)
+
+
+def _chunk_verdicts(models: list[Model]) -> list[ExistenceVerdict | Exception]:
+    """Verdicts of a chunk in one pass; if the pass raises, each point
+    is decided alone, so the exception lands on its own point."""
     try:
-        for path, value in overrides:
-            _apply_override(config, path, value)
-        model = build_model(config)
-        states = find_constant_states(model)
-        verdict = existence_verdict(model, states)
+        return list(existence_verdicts(models))
+    except _POINT_ERRORS as exc:
+        if len(models) == 1:
+            return [exc]
+        return [outcome for model in models for outcome in _chunk_verdicts([model])]
+
+
+def _sweep_worker(
+    task: tuple[dict, list[tuple[str, tuple[str | int, ...]]], list[tuple[float, ...]]]
+) -> list[dict]:
+    """One chunk of sweep points: one CSV row per point, in order.
+
+    ``task`` is the base config, the ``--param`` paths with their
+    resolved keys, and the chunk's value tuples.  Each point's model is
+    built from a copy of only the containers its values change, and the
+    chunk is decided by one :func:`existence_verdicts` call, so the
+    kinetic work runs once per distinct ``(m, r, c)`` of the chunk.  A
+    point whose model cannot be built or decided gets an error row.
+    """
+    config, params, combos = task
+    rows: list[dict] = []
+    built: list[tuple[dict, Model]] = []
+    for combo in combos:
+        row: dict[str, Any] = {}
+        point = config
+        for (path, keys), value in zip(params, combo):
+            row[path] = value
+            point = _with_value(point, keys, value)
+        rows.append(row)
+        try:
+            built.append((row, build_model(point)))
+        except _POINT_ERRORS as exc:
+            row.update(dict.fromkeys(_ROW_COLUMNS, ""), error=str(exc))
+    outcomes = _chunk_verdicts([model for _, model in built])
+    for (row, _), verdict in zip(built, outcomes):
+        if isinstance(verdict, Exception):
+            row.update(dict.fromkeys(_ROW_COLUMNS, ""), error=str(verdict))
+            continue
+        n_states = len(verdict.boundary) + len(verdict.nontrivial_constant_indices)
         row.update(
             {
-                "n_states": len(states),
+                "n_states": n_states,
                 "case_label": verdict.case_label,
                 "total": "" if verdict.total is None else verdict.total,
                 "predicts_nonconstant": ""
@@ -390,19 +468,7 @@ def _sweep_worker(task: tuple[dict, list[tuple[str, float]]]) -> dict:
                 "error": "",
             }
         )
-    except (ModelError, KeyError, IndexError, TypeError) as exc:
-        row.update(
-            {
-                "n_states": "",
-                "case_label": "",
-                "total": "",
-                "predicts_nonconstant": "",
-                "inconclusive": "",
-                "cause": "",
-                "error": str(exc),
-            }
-        )
-    return row
+    return rows
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -420,43 +486,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if not args.param:
         raise ConfigError("sweep needs at least one --param path=start:stop:num")
-    paths: list[str] = []
+    params: list[tuple[str, tuple[str | int, ...]]] = []
     grids: list[list[float]] = []
     for spec in args.param:
         path, values = _parse_param(spec)
-        paths.append(path)
+        keys = _resolve_path(config, path)
+        for earlier, earlier_keys in params:
+            if keys == earlier_keys:
+                raise ConfigError(
+                    f"--param path {path!r} names the same entry as {earlier!r}"
+                )
+        params.append((path, keys))
         grids.append(values)
-    tasks = [
-        (config, list(zip(paths, combo))) for combo in itertools.product(*grids)
-    ]
+    combos = list(itertools.product(*grids))
 
     t0 = time.perf_counter()
-    workers = _worker_count(len(tasks))
+    workers = _worker_count(len(combos))
     if workers == 1:
-        rows = [_sweep_worker(task) for task in tasks]
+        rows = _sweep_worker((config, params, combos))
     else:
-        # A few chunks per worker: one IPC round trip per chunk, not per
-        # point, and still enough chunks to balance uneven points.
-        chunksize = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, tasks, chunksize=chunksize))
+        # A few chunks per worker: one round trip and one ledger pass per
+        # chunk, and still enough chunks to balance uneven points.
+        size = -(-len(combos) // (4 * workers))
+        chunks = [
+            (config, params, combos[i : i + size]) for i in range(0, len(combos), size)
+        ]
+        # The workers fork with every object this process holds; frozen,
+        # those objects are skipped by the workers' garbage collections.
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = [row for chunk in pool.map(_sweep_worker, chunks) for row in chunk]
+        finally:
+            gc.unfreeze()
     elapsed = time.perf_counter() - t0
 
-    columns = paths + [
-        "n_states",
-        "case_label",
-        "total",
-        "predicts_nonconstant",
-        "inconclusive",
-        "cause",
-        "error",
-    ]
+    columns = [path for path, _ in params] + list(_ROW_COLUMNS)
     with open(args.output, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    print(f"swept {len(rows)} points across {len(paths)} parameters")
+    print(f"swept {len(rows)} points across {len(params)} parameters")
     print(f"sweep written to {args.output}")
     print(f"timing sweep: {elapsed:.3f} s ({workers} workers)")
     return EXIT_OK

@@ -9,10 +9,23 @@ beyond a finite cutoff contribute nothing.  Boundary (trivial and
 semitrivial) states are handled by sign criteria on the per-capita
 growth of the vanishing components, and the verdict compares the total
 degree against 1.
+
+:func:`existence_verdicts` decides a batch of models in one pass.  The
+work that depends only on the kinetics ``(m, r, c)`` -- constant states,
+boundary growth signs, the case label and ``J(u*)`` -- is done once per
+distinct kinetics.  The work that depends on ``d``, ``alpha`` or the
+domain is stacked over every (model, positive state) item, one numpy
+call per species count: ``A(u*)``, the cutoff certificate, the mode
+counts and the nondegeneracy determinants.  Only the spectrum is
+enumerated item by item.  A failure stays with its item and becomes the
+cause of that model's verdict.  :func:`existence_verdict`,
+:func:`constant_state_index`, :func:`mode_cutoff`, :func:`mode_decisions`
+and :func:`check_nondegeneracy` run the same code on one item.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -54,6 +67,18 @@ class NegativeCount(NamedTuple):
     warnings: tuple[str, ...]
 
 
+def _mode_stack(
+    A: NDArray[np.float64], J: NDArray[np.float64], lam: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """``A - lambda_hat^{-1} J`` for every ``lambda_hat`` in ``lam``."""
+    if np.any(lam <= 0.0):
+        raise ModelError(
+            f"mode matrix needs lambda_hat > 0, got {float(lam.min())}; the constant "
+            "mode is covered by the determinant test in check_nondegeneracy"
+        )
+    return A - J / lam[..., None, None]
+
+
 def mode_matrix(
     model: Model, u_star: NDArray[np.float64], lambda_hat: float | NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -63,14 +88,10 @@ def mode_matrix(
     ``k`` eigenvalues gives the ``(k, m, m)`` stack, with ``A(u*)`` and
     ``J(u*)`` evaluated once.
     """
-    lam = np.asarray(lambda_hat, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ModelError(
-            f"mode matrix needs lambda_hat > 0, got {float(lam.min())}; the constant "
-            "mode is covered by the determinant test in check_nondegeneracy"
-        )
     u_star = np.asarray(u_star, dtype=float)
-    return model.A(u_star) - model.jacobian_f(u_star) / lam[..., None, None]
+    return _mode_stack(
+        model.A(u_star), model.jacobian_f(u_star), np.asarray(lambda_hat, dtype=float)
+    )
 
 
 def negative_counts(
@@ -106,12 +127,18 @@ def negative_counts(
     margins = np.abs(eigs.real).min(axis=-1)
     degenerate = margins <= tol_degenerate * scales
 
+    if np.iscomplexobj(eigs):
+        real_rows = (~eigs.imag.any(axis=-1)).tolist()
+    else:
+        real_rows = [False] * len(eigs)
+
     results = []
-    for k in range(len(M)):
-        N = int(counts[k])
-        scale = float(scales[k])
+    rows = zip(
+        counts.tolist(), scales.tolist(), margins.tolist(), degenerate.tolist(), real_rows
+    )
+    for k, (N, scale, margin, degen, real) in enumerate(rows):
         warnings: list[str] = []
-        if N > 0:
+        if N > 1:
             # Cluster the counted eigenvalues and compare geometric multiplicity.
             counted = np.sort(eigs[k].real[neg_mask[k]])
             clusters: list[list[float]] = [[counted[0]]]
@@ -133,12 +160,9 @@ def negative_counts(
                         f"defective eigenvalue {lam:.6g}: algebraic multiplicity "
                         f"{alg}, geometric {geo}; algebraic multiplicity counted"
                     )
-        eigs_k = eigs[k]
-        if np.iscomplexobj(eigs_k) and not eigs_k.imag.any():
-            eigs_k = eigs_k.real
         results.append(
             NegativeCount(
-                N, eigs_k, float(margins[k]), bool(degenerate[k]), tuple(warnings)
+                N, eigs[k].real if real else eigs[k], margin, degen, tuple(warnings)
             )
         )
     return tuple(results)
@@ -168,118 +192,6 @@ class ModeDecision:
     warnings: tuple[str, ...] = ()
 
 
-def mode_decisions(
-    model: Model, u_star: NDArray[np.float64], entries: Sequence[SpectrumEntry]
-) -> tuple[ModeDecision, ...]:
-    """Count ``N_i`` at nonzero Neumann eigenvalues of the spectrum, all at once."""
-    A_i = mode_matrix(model, u_star, np.array([e.lambda_hat for e in entries]))
-    counts = negative_counts(model.d_A(np.asarray(u_star, dtype=float)), A_i)
-    return tuple(
-        ModeDecision(
-            lambda_hat=entry.lambda_hat,
-            M=entry.M,
-            A_i=A_i[k],
-            eigs=nc.eigs,
-            N_i=nc.N,
-            margin=nc.margin,
-            degenerate=nc.degenerate,
-            mode_indices=entry.mode_indices,
-            warnings=nc.warnings,
-        )
-        for k, (entry, nc) in enumerate(zip(entries, counts))
-    )
-
-
-def mode_cutoff(
-    model: Model, u_star: NDArray[np.float64]
-) -> tuple[int, dict, ModeSpectrum, tuple[ModeDecision, ...]]:
-    """Certified mode cutoff ``L0`` beyond which every ``N_i`` vanishes.
-
-    Uses the eigenvector-conditioned perturbation bound: eigenvalues of
-    ``d_A^{-1} A_i = d_A^{-1} A(u*) - lambda_i^{-1} d_A^{-1} J`` stay
-    within ``kappa_V ||d_A^{-1} J|| / lambda_i`` of the spectrum of
-    ``d_A^{-1} A(u*)``, so once ``lambda_i`` clears
-    ``kappa_V ||d_A^{-1} J|| / rho`` no eigenvalue can reach the closed
-    left half-plane.  Three additional modes past the cutoff are scanned
-    and asserted stable.
-
-    The spectrum through the scanned modes is enumerated once, and every
-    nonzero mode of it is decided once.  Returns ``L0``, the certificate,
-    that spectrum and the decisions.
-    """
-    u_star = np.asarray(u_star, dtype=float)
-    A = model.A(u_star)
-    J = model.jacobian_f(u_star)
-    dvec = np.diag(A)
-    M0 = A / dvec[:, None]
-    w, V = np.linalg.eig(M0)
-    rho = float(w.real.min())
-    if rho <= 0.0:
-        raise CutoffError(
-            "cutoff uncertifiable: cross-diffusion is strong enough that "
-            f"d_A^{{-1}}A(u*) has eigenvalue real part {rho:.3e} <= 0"
-        )
-    kappa_V = float(np.linalg.cond(V, 2))
-    J_norm = float(np.linalg.norm(J / dvec[:, None], 2))
-    bound = kappa_V * J_norm / rho
-
-    spectrum = spectrum_through(model.domain, bound, extra=SCAN_EXTRA)
-    decisions = mode_decisions(model, u_star, spectrum.nonzero())
-    L0 = sum(1 for d in decisions if d.lambda_hat <= bound)
-    for d in decisions[L0:]:
-        if d.N_i != 0:
-            raise CutoffError(
-                f"certified bound violated: mode lambda_hat={d.lambda_hat:.6g} "
-                f"past the cutoff has N={d.N_i}"
-            )
-    certificate = {
-        "rho": rho,
-        "kappa_V": kappa_V,
-        "dA_inv_J_norm": J_norm,
-        "bound": bound,
-        "scanned_modes": [d.lambda_hat for d in decisions[L0:]],
-    }
-    return L0, certificate, spectrum, decisions
-
-
-def check_nondegeneracy(
-    model: Model,
-    u_star: NDArray[np.float64],
-    spectrum: Iterable[SpectrumEntry],
-    tol_degenerate: float = TOL_DEGENERATE,
-) -> tuple[bool, list[dict]]:
-    """Test ``det(lambda_hat A(u*) - J(u*)) != 0`` for every retained mode.
-
-    The constant mode ``lambda_hat = 0`` reduces to ``det J != 0``.  The
-    determinant is compared against the row-norm product of
-    ``|lambda_hat| |A| + |J|`` — the entry magnitudes *before* the
-    subtraction — so a resonance that cancels an entire row is still
-    flagged even though the cancelled row makes ``det`` and the naive
-    row norms of the difference shrink together.  Returns the overall
-    verdict and per-mode details.
-    """
-    u_star = np.asarray(u_star, dtype=float)
-    A = model.A(u_star)
-    J = model.jacobian_f(u_star)
-    lam = np.array([entry.lambda_hat for entry in spectrum])
-    # Near the lattice limit these overflow to inf in the details, which
-    # constant_state_index turns into its verdict; numpy's warning would
-    # only repeat that.
-    with np.errstate(over="ignore"):
-        dets = np.linalg.det(lam[:, None, None] * A - J)
-        gross = np.abs(lam)[:, None, None] * np.abs(A) + np.abs(J)
-        scales = np.prod(np.linalg.norm(gross, axis=-1), axis=-1)
-    details: list[dict] = []
-    ok_all = True
-    for lambda_hat, det, scale in zip(lam.tolist(), dets.tolist(), scales.tolist()):
-        ok = abs(det) > tol_degenerate * scale
-        ok_all &= ok
-        details.append(
-            {"lambda_hat": lambda_hat, "det": det, "scale": scale, "ok": ok}
-        )
-    return ok_all, details
-
-
 @dataclass(frozen=True)
 class IndexReport:
     """Local fixed-point index of a positive constant state.
@@ -297,86 +209,6 @@ class IndexReport:
     index: int | None
     nondegenerate: bool
     warnings: tuple[str, ...] = ()
-
-
-def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexReport:
-    """Assemble the mode-sum parity index at a positive constant state.
-
-    Raises :class:`ModelError` when a nondegeneracy determinant or its
-    scale is not finite: the test cannot be decided, which is not the
-    same as a degenerate mode.
-    """
-    if model.bc.kind != "neumann":
-        raise ModelError("the index mode sum is built on Neumann eigenmodes")
-    u_star = np.asarray(u_star, dtype=float)
-    if u_star.shape != (model.m,):
-        raise ModelError(f"u_star must have shape ({model.m},), got {u_star.shape}")
-    if np.any(u_star <= 0.0):
-        raise ModelError(
-            f"constant_state_index needs a strictly positive state, got {u_star}"
-        )
-    g_res = float(np.abs(model.g(u_star)).max())
-    g_scale = 1.0 + float(np.abs(model.r).max())
-    if g_res > 1e-8 * g_scale:
-        raise ModelError(
-            f"u_star is not a constant steady state: max |g(u_star)| = {g_res:.3e}"
-        )
-
-    L0, certificate, spectrum, decisions = mode_cutoff(model, u_star)
-    nondeg_ok, nondeg_details = check_nondegeneracy(model, u_star, spectrum)
-    overflow = [
-        d for d in nondeg_details
-        if not (math.isfinite(d["det"]) and math.isfinite(d["scale"]))
-    ]
-    if overflow:
-        raise ModelError(
-            f"nondegeneracy determinant or its scale overflows in {len(overflow)} "
-            f"mode(s) from lambda_hat = {overflow[0]['lambda_hat']:.6g}; no index"
-        )
-    certificate["nondegeneracy"] = nondeg_details
-
-    warnings: list[str] = []
-    for d in decisions:
-        for w in d.warnings:
-            warnings.append(f"mode lambda_hat={d.lambda_hat:.6g}: {w}")
-        if d.degenerate:
-            warnings.append(
-                f"mode lambda_hat={d.lambda_hat:.6g} is degenerate "
-                f"(margin {d.margin:.3e}); no index claimed"
-            )
-    degenerate_any = any(d.degenerate for d in decisions)
-    gamma = sum(d.N_i * d.M for d in decisions)
-
-    J = model.jacobian_f(u_star)
-    n_unstable = int(
-        np.sum(np.linalg.eigvals(J).real > TOL_SIGN * (1.0 + np.linalg.norm(J)))
-    )
-    if n_unstable > 0:
-        warnings.append(
-            f"reaction Jacobian at u_star has {n_unstable} eigenvalue(s) with "
-            "positive real part; a discrete solution-map eigenvalue count "
-            "includes these through its constant mode, while the mode sum "
-            "here tracks the nonconstant modes of the normalized homotopy"
-        )
-
-    nondegenerate = nondeg_ok and not degenerate_any
-    if not nondeg_ok:
-        bad = [d for d in nondeg_details if not d["ok"]]
-        warnings.append(
-            "determinant nondegeneracy fails at lambda_hat = "
-            + ", ".join(f"{d['lambda_hat']:.6g}" for d in bad)
-        )
-    index = int((-1) ** gamma) if nondegenerate else None
-    return IndexReport(
-        u_star=u_star,
-        mode_decisions=decisions,
-        L0=L0,
-        certificate=certificate,
-        gamma=gamma,
-        index=index,
-        nondegenerate=nondegenerate,
-        warnings=tuple(warnings),
-    )
 
 
 @dataclass(frozen=True)
@@ -489,101 +321,639 @@ def _state_label(state: ConstantState) -> str:
     return f"state {tuple(float(v) for v in state.u_star)}"
 
 
-def existence_verdict(
-    model: Model, states: StateEnumeration | None = None
-) -> ExistenceVerdict:
-    """Sum local indices over all constant states and compare against 1."""
+# -- the ledger ---------------------------------------------------------------
+
+
+def _index_precondition(model: Model, u_star: NDArray[np.float64]) -> ModelError | None:
+    """Why ``u_star`` cannot carry a mode-sum index of ``model``, if it cannot."""
     if model.bc.kind != "neumann":
-        raise ModelError("the existence verdict is built on the Neumann problem")
-    enum = states if states is not None else find_constant_states(model)
-    assumptions = list(_ASSUMPTIONS)
-    if model.m != 2:
-        assumptions.append(
-            "index bookkeeping beyond two species follows the same degree "
-            "argument but is not backed by the two-species case analysis"
+        return ModelError("the index mode sum is built on Neumann eigenmodes")
+    if u_star.shape != (model.m,):
+        return ModelError(f"u_star must have shape ({model.m},), got {u_star.shape}")
+    if np.any(u_star <= 0.0):
+        return ModelError(
+            f"constant_state_index needs a strictly positive state, got {u_star}"
         )
-    causes: list[str] = []
-    if enum.degenerate_subsets:
-        causes.append(
-            "degenerate-subset: singular interaction matrix on supports "
-            f"{enum.degenerate_subsets}; enumeration may be incomplete"
+    g_res = float(np.abs(model.g(u_star)).max())
+    g_scale = 1.0 + float(np.abs(model.r).max())
+    if g_res > 1e-8 * g_scale:
+        return ModelError(
+            f"u_star is not a constant steady state: max |g(u_star)| = {g_res:.3e}"
+        )
+    return None
+
+
+class _State:
+    """A positive state of a model or of a restricted subsystem, with the
+    parts of its index that depend on the kinetics ``(m, r, c)`` alone.
+
+    One ``_State`` serves every model of a batch with these kinetics.
+    ``support`` lists the components of the full model the state lives
+    on (``None``: all of them); ``error`` is set when the state cannot
+    carry an index at all.
+    """
+
+    def __init__(
+        self,
+        kinetics: Model,
+        u_star: NDArray[np.float64],
+        support: tuple[int, ...] | None = None,
+        error: ModelError | None = None,
+    ) -> None:
+        self.u = u_star
+        self.support = support
+        self.error = error
+        self.J = None if error is not None else kinetics.jacobian_f(u_star)
+
+    @functools.cached_property
+    def reaction_warning(self) -> str | None:
+        """Set when ``J(u*)`` has an unstable eigenvalue.  Asked for only
+        once an item at this state has passed the ledger, so a non-finite
+        ``J`` never reaches ``eigvals``."""
+        J = self.J
+        n_unstable = int(
+            np.sum(np.linalg.eigvals(J).real > TOL_SIGN * (1.0 + np.linalg.norm(J)))
+        )
+        if n_unstable == 0:
+            return None
+        return (
+            f"reaction Jacobian at u_star has {n_unstable} eigenvalue(s) with "
+            "positive real part; a discrete solution-map eigenvalue count "
+            "includes these through its constant mode, while the mode sum "
+            "here tracks the nonconstant modes of the normalized homotopy"
         )
 
-    boundary: list[BoundaryIndex] = []
-    for state in enum:
-        if state.classification == "nontrivial":
-            continue
-        sv = semitrivial_stability(model, state)
-        if sv.v_class == "degenerate":
-            boundary.append(
-                BoundaryIndex(state, sv, None, "degenerate growth sign")
-            )
-            causes.append(
-                f"{_state_label(state)}: growth sign vanishes within "
-                "tolerance (degenerate boundary state)"
-            )
-        elif sv.v_class == "v-unstable":
-            boundary.append(BoundaryIndex(state, sv, 0, "invadable: index 0"))
-        elif state.classification == "trivial":
-            boundary.append(
-                BoundaryIndex(state, sv, 1, "attracting trivial state: index 1")
-            )
+
+class _Item:
+    """One (model, positive state) pair and what the ledger found for it.
+
+    The stages fill the fields in order and skip an item once ``error``
+    is set.  ``modes`` are the entries :func:`_decide` counts; ``spectrum``
+    those the determinant test covers.
+    """
+
+    __slots__ = (
+        "d", "alpha", "domain", "state", "A", "dvec", "error", "certificate",
+        "spectrum", "modes", "decisions", "L0", "nondeg_ok", "nondeg_details",
+        "report",
+    )
+
+    def __init__(self, model: Model, state: _State) -> None:
+        if state.support is None:
+            self.d, self.alpha = model.d, model.alpha
         else:
-            # v-stable semitrivial: the index reduces to the index of the
-            # restricted subsystem at its positive state.
-            sub = model.restrict(state.support_indices)
-            u_sub = state.u_star[list(state.support_indices)]
-            try:
-                rep = constant_state_index(sub, u_sub)
-            except (ModelError, CutoffError) as exc:
-                boundary.append(BoundaryIndex(state, sv, None, str(exc)))
-                causes.append(f"{_state_label(state)}: {exc}")
+            idx = np.asarray(state.support)
+            self.d, self.alpha = model.d[idx], model.alpha[np.ix_(idx, idx)]
+        self.domain = model.domain
+        self.state = state
+        self.error: ModelError | None = None
+        self.certificate: dict = {}
+        self.decisions: tuple[ModeDecision, ...] = ()
+        self.L0 = 0
+
+
+def _item(model: Model, u_star: NDArray[np.float64]) -> _Item:
+    return _Item(model, _State(model, np.asarray(u_star, dtype=float)))
+
+
+def _groups(items: Iterable[_Item]) -> list[list[_Item]]:
+    """The undecided items, by species count: only matrices of one size stack."""
+    groups: dict[int, list[_Item]] = {}
+    for item in items:
+        if item.error is None:
+            groups.setdefault(len(item.state.u), []).append(item)
+    return list(groups.values())
+
+
+def _owners(group: list[_Item], entries: list[Sequence]) -> NDArray[np.intp]:
+    """Row ``k`` of a stack over every item's entries belongs to item ``owner[k]``."""
+    return np.repeat(np.arange(len(group)), [len(e) for e in entries])
+
+
+def _fail_nonfinite(
+    group: list[_Item], owner: NDArray[np.intp], stack: NDArray[np.float64], error
+) -> NDArray[np.bool_] | None:
+    """Fail every item owning a non-finite matrix of ``stack``.
+
+    One non-finite entry makes a stacked ``eig`` raise for the whole
+    stack, so those items are kept out of it.  Returns the mask of the
+    rows to keep, or ``None`` when every row is finite.
+    """
+    bad_rows = ~np.isfinite(stack).all(axis=(-2, -1))
+    if not bad_rows.any():
+        return None
+    bad = np.unique(owner[bad_rows])
+    for k in bad.tolist():
+        group[k].error = error()
+    return ~np.isin(owner, bad)
+
+
+def _flux(items: list[_Item]) -> None:
+    """``A(u*)`` and its diagonal ``d_A(u*)``, stacked, as :meth:`Model.A`
+    evaluates them one state at a time."""
+    for group in _groups(items):
+        u = np.array([it.state.u for it in group])
+        alpha = np.array([it.alpha for it in group])
+        d = np.array([it.d for it in group])
+        A = u[:, :, None] * alpha
+        idx = np.arange(u.shape[1])
+        A[:, idx, idx] += d + (u[:, None, :] @ np.swapaxes(alpha, -1, -2))[:, 0, :]
+        dvec = A[:, idx, idx]
+        for it, a, dv in zip(group, A, dvec):
+            it.A, it.dvec = a, dv
+
+
+def _certify(items: list[_Item]) -> None:
+    """Cutoff certificate and spectrum of every item.
+
+    Eigenvalues of ``d_A^{-1} J`` stay within ``kappa_V ||d_A^{-1} J|| /
+    lambda_hat`` of those of ``d_A^{-1} A(u*) = V diag(w) V^{-1}``, so
+    past ``bound = kappa_V ||d_A^{-1} J|| / rho``, ``rho = min Re w``, no
+    mode can count.  One ``eig``, one ``cond`` per eigenvector dtype and
+    one 2-norm cover a species count.  An item whose own eigenvalues are
+    real gets a real ``V``, as a one-matrix ``eig`` returns it, even when
+    the stack came back complex.
+    """
+    for group in _groups(items):
+        dvec = np.array([it.dvec for it in group])
+        M0 = np.array([it.A for it in group]) / dvec[:, :, None]
+        keep = _fail_nonfinite(
+            group, np.arange(len(group)), M0,
+            lambda: CutoffError("cutoff uncertifiable: d_A^{-1}A(u*) is not finite"),
+        )
+        if keep is not None:
+            group = [it for it, k in zip(group, keep) if k]
+            M0, dvec = M0[keep], dvec[keep]
+        if not group:
+            continue
+        w, V = np.linalg.eig(M0)
+        real_rows = ~w.imag.any(axis=-1) if np.iscomplexobj(w) else None
+        kept, rhos, Vs = [], [], []
+        for k, it in enumerate(group):
+            w_k, V_k = w[k], V[k]
+            if real_rows is not None and real_rows[k]:
+                w_k, V_k = w_k.real, V_k.real
+            rho = float(w_k.real.min())
+            if rho <= 0.0:
+                it.error = CutoffError(
+                    "cutoff uncertifiable: cross-diffusion is strong enough that "
+                    f"d_A^{{-1}}A(u*) has eigenvalue real part {rho:.3e} <= 0"
+                )
                 continue
-            if rep.index is None:
+            kept.append(k)
+            rhos.append(rho)
+            Vs.append(V_k)
+        if not kept:
+            continue
+        kappas = np.empty(len(kept))
+        for complex_ in (False, True):
+            rows = [i for i, V_k in enumerate(Vs) if np.iscomplexobj(V_k) == complex_]
+            if rows:
+                kappas[rows] = np.linalg.cond(np.array([Vs[i] for i in rows]), 2)
+        J = np.array([group[k].state.J for k in kept])
+        J_norms = np.linalg.norm(J / dvec[kept][:, :, None], 2, axis=(-2, -1))
+        for k, rho, kappa_V, J_norm in zip(kept, rhos, kappas.tolist(), J_norms.tolist()):
+            it = group[k]
+            bound = kappa_V * J_norm / rho
+            it.certificate = {
+                "rho": rho,
+                "kappa_V": kappa_V,
+                "dA_inv_J_norm": J_norm,
+                "bound": bound,
+            }
+            try:
+                it.spectrum = spectrum_through(it.domain, bound, extra=SCAN_EXTRA)
+            except ModelError as exc:
+                # Kept without traceback or context: their frames would hold
+                # every item of the batch in a reference cycle.
+                exc.__traceback__ = exc.__context__ = None
+                it.error = exc
+
+
+def _decide(items: list[_Item]) -> None:
+    """Count ``N_i`` at every item's ``modes``: one mode stack and one
+    :func:`negative_counts` call per species count."""
+    for group in _groups(items):
+        entries = [it.modes for it in group]
+        owner = _owners(group, entries)
+        if owner.size == 0:
+            continue
+        lam = np.array([e.lambda_hat for modes in entries for e in modes], dtype=float)
+        A = _mode_stack(
+            np.array([it.A for it in group])[owner],
+            np.array([it.state.J for it in group])[owner],
+            lam,
+        )
+        # Scaled here, each row by its own d_A, so one count covers all items.
+        M = A / np.array([it.dvec for it in group])[owner][:, :, None]
+        keep = _fail_nonfinite(
+            group, owner, M,
+            lambda: ModelError(
+                "mode matrix d_A^{-1}(A(u*) - J(u*)/lambda_hat) is not finite"
+            ),
+        )
+        if keep is not None:
+            A, M = A[keep], M[keep]
+        counts = negative_counts(np.ones(M.shape[-1]), M)
+        start = 0
+        for it, modes in zip(group, entries):
+            if it.error is not None:
+                continue
+            stop = start + len(modes)
+            it.decisions = tuple(
+                ModeDecision(
+                    lambda_hat=entry.lambda_hat,
+                    M=entry.M,
+                    A_i=A_i,
+                    eigs=nc.eigs,
+                    N_i=nc.N,
+                    margin=nc.margin,
+                    degenerate=nc.degenerate,
+                    mode_indices=entry.mode_indices,
+                    warnings=nc.warnings,
+                )
+                for entry, A_i, nc in zip(modes, A[start:stop], counts[start:stop])
+            )
+            start = stop
+
+
+def _cutoff(items: list[_Item]) -> None:
+    """Certify each item's cutoff ``L0`` and decide the modes up to three past it."""
+    _certify(items)
+    for it in items:
+        if it.error is None:
+            it.modes = it.spectrum.nonzero()
+    _decide(items)
+    for it in items:
+        if it.error is not None:
+            continue
+        bound = it.certificate["bound"]
+        L0 = sum(1 for d in it.decisions if d.lambda_hat <= bound)
+        for d in it.decisions[L0:]:
+            if d.N_i != 0:
+                it.error = CutoffError(
+                    f"certified bound violated: mode lambda_hat={d.lambda_hat:.6g} "
+                    f"past the cutoff has N={d.N_i}"
+                )
+                break
+        else:
+            it.L0 = L0
+            it.certificate["scanned_modes"] = [d.lambda_hat for d in it.decisions[L0:]]
+
+
+def _nondegeneracy(items: list[_Item], tol_degenerate: float = TOL_DEGENERATE) -> None:
+    """``det(lambda_hat A(u*) - J(u*))`` against its scale at every item's
+    ``spectrum``: one stacked ``det`` per species count."""
+    for group in _groups(items):
+        lams = [[entry.lambda_hat for entry in it.spectrum] for it in group]
+        owner = _owners(group, lams)
+        dets: list[float] = []
+        scales: list[float] = []
+        if owner.size:
+            lam = np.array([v for row in lams for v in row], dtype=float)
+            A = np.array([it.A for it in group])[owner]
+            J = np.array([it.state.J for it in group])[owner]
+            # Near the lattice limit these overflow to inf in the details,
+            # which _reports turns into the item's cause; numpy's warning
+            # would only repeat that.
+            with np.errstate(over="ignore"):
+                dets = np.linalg.det(lam[:, None, None] * A - J).tolist()
+                gross = np.abs(lam)[:, None, None] * np.abs(A) + np.abs(J)
+                scales = np.prod(np.linalg.norm(gross, axis=-1), axis=-1).tolist()
+        start = 0
+        for it, row in zip(group, lams):
+            details: list[dict] = []
+            ok_all = True
+            stop = start + len(row)
+            for lambda_hat, det, scale in zip(row, dets[start:stop], scales[start:stop]):
+                ok = abs(det) > tol_degenerate * scale
+                ok_all &= ok
+                details.append(
+                    {"lambda_hat": lambda_hat, "det": det, "scale": scale, "ok": ok}
+                )
+            start = stop
+            it.nondeg_ok, it.nondeg_details = ok_all, details
+
+
+def _reports(items: list[_Item]) -> None:
+    """Assemble the index report of every item that passed the ledger.
+
+    A nondegeneracy determinant or scale that is not finite fails the
+    item: the test cannot be decided, which is not the same as a
+    degenerate mode.
+    """
+    for it in items:
+        if it.error is not None:
+            continue
+        details = it.nondeg_details
+        overflow = [
+            d for d in details
+            if not (math.isfinite(d["det"]) and math.isfinite(d["scale"]))
+        ]
+        if overflow:
+            it.error = ModelError(
+                f"nondegeneracy determinant or its scale overflows in {len(overflow)} "
+                f"mode(s) from lambda_hat = {overflow[0]['lambda_hat']:.6g}; no index"
+            )
+            continue
+        it.certificate["nondegeneracy"] = details
+
+        warnings: list[str] = []
+        for d in it.decisions:
+            for w in d.warnings:
+                warnings.append(f"mode lambda_hat={d.lambda_hat:.6g}: {w}")
+            if d.degenerate:
+                warnings.append(
+                    f"mode lambda_hat={d.lambda_hat:.6g} is degenerate "
+                    f"(margin {d.margin:.3e}); no index claimed"
+                )
+        degenerate_any = any(d.degenerate for d in it.decisions)
+        gamma = sum(d.N_i * d.M for d in it.decisions)
+        if it.state.reaction_warning is not None:
+            warnings.append(it.state.reaction_warning)
+
+        nondegenerate = it.nondeg_ok and not degenerate_any
+        if not it.nondeg_ok:
+            bad = [d for d in details if not d["ok"]]
+            warnings.append(
+                "determinant nondegeneracy fails at lambda_hat = "
+                + ", ".join(f"{d['lambda_hat']:.6g}" for d in bad)
+            )
+        it.report = IndexReport(
+            u_star=it.state.u,
+            mode_decisions=it.decisions,
+            L0=it.L0,
+            certificate=it.certificate,
+            gamma=gamma,
+            index=int((-1) ** gamma) if nondegenerate else None,
+            nondegenerate=nondegenerate,
+            warnings=tuple(warnings),
+        )
+
+
+def _ledger(items: list[_Item]) -> None:
+    """Decide every item: flux matrices, cutoff, modes, nondegeneracy, report."""
+    _flux(items)
+    _cutoff(items)
+    _nondegeneracy(items)
+    _reports(items)
+
+
+# -- one item -----------------------------------------------------------------
+
+
+def mode_decisions(
+    model: Model, u_star: NDArray[np.float64], entries: Sequence[SpectrumEntry]
+) -> tuple[ModeDecision, ...]:
+    """Count ``N_i`` at nonzero Neumann eigenvalues of the spectrum, all at once."""
+    item = _item(model, u_star)
+    item.modes = tuple(entries)
+    _flux([item])
+    _decide([item])
+    if item.error is not None:
+        raise item.error
+    return item.decisions
+
+
+def mode_cutoff(
+    model: Model, u_star: NDArray[np.float64]
+) -> tuple[int, dict, ModeSpectrum, tuple[ModeDecision, ...]]:
+    """Certified mode cutoff ``L0`` beyond which every ``N_i`` vanishes.
+
+    Uses the eigenvector-conditioned perturbation bound: eigenvalues of
+    ``d_A^{-1} A_i = d_A^{-1} A(u*) - lambda_i^{-1} d_A^{-1} J`` stay
+    within ``kappa_V ||d_A^{-1} J|| / lambda_i`` of the spectrum of
+    ``d_A^{-1} A(u*)``, so once ``lambda_i`` clears
+    ``kappa_V ||d_A^{-1} J|| / rho`` no eigenvalue can reach the closed
+    left half-plane.  Three additional modes past the cutoff are scanned
+    and asserted stable.
+
+    The spectrum through the scanned modes is enumerated once, and every
+    nonzero mode of it is decided once.  Returns ``L0``, the certificate,
+    that spectrum and the decisions.
+    """
+    item = _item(model, u_star)
+    _flux([item])
+    _cutoff([item])
+    if item.error is not None:
+        raise item.error
+    return item.L0, item.certificate, item.spectrum, item.decisions
+
+
+def check_nondegeneracy(
+    model: Model,
+    u_star: NDArray[np.float64],
+    spectrum: Iterable[SpectrumEntry],
+    tol_degenerate: float = TOL_DEGENERATE,
+) -> tuple[bool, list[dict]]:
+    """Test ``det(lambda_hat A(u*) - J(u*)) != 0`` for every retained mode.
+
+    The constant mode ``lambda_hat = 0`` reduces to ``det J != 0``.  The
+    determinant is compared against the row-norm product of
+    ``|lambda_hat| |A| + |J|`` — the entry magnitudes *before* the
+    subtraction — so a resonance that cancels an entire row is still
+    flagged even though the cancelled row makes ``det`` and the naive
+    row norms of the difference shrink together.  Returns the overall
+    verdict and per-mode details.
+    """
+    item = _item(model, u_star)
+    item.spectrum = tuple(spectrum)
+    _flux([item])
+    _nondegeneracy([item], tol_degenerate)
+    return item.nondeg_ok, item.nondeg_details
+
+
+def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexReport:
+    """Assemble the mode-sum parity index at a positive constant state.
+
+    Raises :class:`ModelError` when a nondegeneracy determinant or its
+    scale is not finite: the test cannot be decided, which is not the
+    same as a degenerate mode.
+    """
+    u_star = np.asarray(u_star, dtype=float)
+    error = _index_precondition(model, u_star)
+    if error is not None:
+        raise error
+    item = _Item(model, _State(model, u_star))
+    _ledger([item])
+    if item.error is not None:
+        raise item.error
+    return item.report
+
+
+# -- existence verdicts -------------------------------------------------------
+
+
+class _Kinetics:
+    """What existence verdicts need from the kinetics ``(m, r, c)`` alone.
+
+    Built once per distinct kinetics of a batch: the constant states, the
+    case label, every boundary index that the growth signs settle, and a
+    :class:`_State` for every state whose index needs the ledger -- the
+    positive states and the v-stable semitrivial ones, whose index is
+    that of the restricted subsystem at its positive state.
+    """
+
+    def __init__(self, model: Model, states: StateEnumeration | None) -> None:
+        enum = states if states is not None else find_constant_states(model)
+        self.case_label = _case_label(model, enum)
+        assumptions = list(_ASSUMPTIONS)
+        if model.m != 2:
+            assumptions.append(
+                "index bookkeeping beyond two species follows the same degree "
+                "argument but is not backed by the two-species case analysis"
+            )
+        self.assumptions = tuple(assumptions)
+        self.causes: list[str] = []
+        if enum.degenerate_subsets:
+            self.causes.append(
+                "degenerate-subset: singular interaction matrix on supports "
+                f"{enum.degenerate_subsets}; enumeration may be incomplete"
+            )
+        # Per boundary state, in order: its index when the growth signs
+        # settle it, with the cause it adds if any, or else the _State whose
+        # restricted index the ledger decides.
+        self.boundary: list[
+            tuple[ConstantState, StabilityVerdict, BoundaryIndex | _State, str | None]
+        ] = []
+        for state in enum:
+            if state.classification == "nontrivial":
+                continue
+            sv = semitrivial_stability(model, state)
+            cause = None
+            if sv.v_class == "degenerate":
+                settled: BoundaryIndex | _State = BoundaryIndex(
+                    state, sv, None, "degenerate growth sign"
+                )
+                cause = (
+                    f"{_state_label(state)}: growth sign vanishes within "
+                    "tolerance (degenerate boundary state)"
+                )
+            elif sv.v_class == "v-unstable":
+                settled = BoundaryIndex(state, sv, 0, "invadable: index 0")
+            elif state.classification == "trivial":
+                settled = BoundaryIndex(state, sv, 1, "attracting trivial state: index 1")
+            else:
+                sub = model.restrict(state.support_indices)
+                u_sub = state.u_star[list(state.support_indices)]
+                error = _index_precondition(sub, u_sub)
+                settled = _State(sub, u_sub, state.support_indices, error)
+            self.boundary.append((state, sv, settled, cause))
+        self.nontrivial: list[tuple[ConstantState, _State]] = []
+        for state in enum.by_classification("nontrivial"):
+            error = _index_precondition(model, state.u_star)
+            self.nontrivial.append((state, _State(model, state.u_star, None, error)))
+        self.positive = [s for _, _, s, _ in self.boundary if isinstance(s, _State)]
+        self.positive += [pos for _, pos in self.nontrivial]
+
+    def verdict(self, items: dict[_State, _Item]) -> ExistenceVerdict:
+        """The verdict of one model, from its ledger items by state."""
+
+        def outcome(pos: _State) -> IndexReport | ModelError:
+            if pos.error is not None:
+                return pos.error
+            item = items[pos]
+            return item.error if item.error is not None else item.report
+
+        causes = list(self.causes)
+        boundary: list[BoundaryIndex] = []
+        for state, sv, settled, cause in self.boundary:
+            if isinstance(settled, BoundaryIndex):
+                boundary.append(settled)
+                if cause is not None:
+                    causes.append(cause)
+                continue
+            rep = outcome(settled)
+            if isinstance(rep, ModelError):
+                boundary.append(BoundaryIndex(state, sv, None, str(rep)))
+                causes.append(f"{_state_label(state)}: {rep}")
+            elif rep.index is None:
                 boundary.append(
                     BoundaryIndex(state, sv, None, "restricted index degenerate", rep)
                 )
                 causes.append(f"{_state_label(state)}: restricted index degenerate")
             else:
                 boundary.append(
-                    BoundaryIndex(
-                        state, sv, rep.index, "v-stable: restricted index", rep
-                    )
+                    BoundaryIndex(state, sv, rep.index, "v-stable: restricted index", rep)
                 )
 
-    nontrivial_indices: list[tuple[tuple[float, ...], int | None]] = []
-    reports: list[IndexReport] = []
-    for state in enum.by_classification("nontrivial"):
-        try:
-            rep = constant_state_index(model, state.u_star)
-        except (ModelError, CutoffError) as exc:
-            nontrivial_indices.append((tuple(state.u_star), None))
-            causes.append(f"{_state_label(state)}: {exc}")
-            continue
-        reports.append(rep)
-        nontrivial_indices.append((tuple(state.u_star), rep.index))
-        if rep.index is None:
-            causes.append(f"{_state_label(state)}: degenerate mode, no index")
+        nontrivial_indices: list[tuple[tuple[float, ...], int | None]] = []
+        reports: list[IndexReport] = []
+        for state, pos in self.nontrivial:
+            rep = outcome(pos)
+            if isinstance(rep, ModelError):
+                nontrivial_indices.append((tuple(state.u_star), None))
+                causes.append(f"{_state_label(state)}: {rep}")
+                continue
+            reports.append(rep)
+            nontrivial_indices.append((tuple(state.u_star), rep.index))
+            if rep.index is None:
+                causes.append(f"{_state_label(state)}: degenerate mode, no index")
 
-    inconclusive = bool(causes)
-    if inconclusive:
-        boundary_sum = None
-        total = None
-        predicts = None
-    else:
-        boundary_sum = sum(b.index for b in boundary)  # type: ignore[misc]
-        total = boundary_sum + sum(idx for _, idx in nontrivial_indices)  # type: ignore[misc]
-        predicts = total != 1
+        inconclusive = bool(causes)
+        if inconclusive:
+            boundary_sum = None
+            total = None
+            predicts = None
+        else:
+            boundary_sum = sum(b.index for b in boundary)  # type: ignore[misc]
+            total = boundary_sum + sum(idx for _, idx in nontrivial_indices)  # type: ignore[misc]
+            predicts = total != 1
 
-    return ExistenceVerdict(
-        case_label=_case_label(model, enum),
-        sum_of_boundary_indices=boundary_sum,
-        nontrivial_constant_indices=tuple(nontrivial_indices),
-        total=total,
-        predicts_nonconstant=predicts,
-        assumptions=tuple(assumptions),
-        inconclusive=inconclusive,
-        cause="; ".join(causes) if causes else None,
-        boundary=tuple(boundary),
-        index_reports=tuple(reports),
+        return ExistenceVerdict(
+            case_label=self.case_label,
+            sum_of_boundary_indices=boundary_sum,
+            nontrivial_constant_indices=tuple(nontrivial_indices),
+            total=total,
+            predicts_nonconstant=predicts,
+            assumptions=self.assumptions,
+            inconclusive=inconclusive,
+            cause="; ".join(causes) if causes else None,
+            boundary=tuple(boundary),
+            index_reports=tuple(reports),
+        )
+
+
+def existence_verdicts(
+    models: Sequence[Model], states: Sequence[StateEnumeration] | None = None
+) -> tuple[ExistenceVerdict, ...]:
+    """Existence verdicts of a batch of models, decided in one pass.
+
+    ``states`` gives each model's constant states; without it they are
+    enumerated once per distinct kinetics ``(m, r, c)``.  Verdict ``k``
+    equals ``existence_verdict(models[k], states[k])`` field by field: a
+    failure at one state of one model becomes that verdict's cause.  A
+    model the verdict does not apply to (a Dirichlet problem) or whose
+    states cannot be enumerated raises for the whole batch.
+    """
+    models = list(models)
+    enums: list[StateEnumeration | None] = (
+        [None] * len(models) if states is None else list(states)
     )
+    if len(enums) != len(models):
+        raise ModelError(
+            f"states needs one enumeration per model, got {len(enums)} for "
+            f"{len(models)} models"
+        )
+    shared: dict[tuple, _Kinetics] = {}
+    plans: list[tuple[_Kinetics, dict[_State, _Item]]] = []
+    for model, enum in zip(models, enums):
+        if model.bc.kind != "neumann":
+            raise ModelError("the existence verdict is built on the Neumann problem")
+        key = (model.m, model.r.tobytes(), model.c.tobytes(), id(enum))
+        kinetics = shared.get(key)
+        if kinetics is None:
+            kinetics = shared[key] = _Kinetics(model, enum)
+        plans.append((
+            kinetics,
+            {pos: _Item(model, pos) for pos in kinetics.positive if pos.error is None},
+        ))
+    _ledger([item for _, items in plans for item in items.values()])
+    return tuple(kinetics.verdict(items) for kinetics, items in plans)
+
+
+def existence_verdict(
+    model: Model, states: StateEnumeration | None = None
+) -> ExistenceVerdict:
+    """Sum local indices over all constant states and compare against 1."""
+    return existence_verdicts([model], None if states is None else [states])[0]

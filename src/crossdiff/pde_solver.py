@@ -56,6 +56,19 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
+class _NewtonFailure(ConvergenceError):
+    """A Newton run that stopped short, with its last iterate and the
+    residual norms of every iterate up to it (empty when the seed's
+    residual is not finite)."""
+
+    def __init__(
+        self, message: str, values: NDArray[np.float64], history: list[float]
+    ) -> None:
+        super().__init__(message)
+        self.values = values
+        self.history = history
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered tensor grid over an interval or rectangle."""
@@ -461,12 +474,13 @@ def _newton_core(
 
     Each iteration assembles the Jacobian on the grid's shared CSC
     pattern (duplicates summed in assembly order) and factors it with
-    ``splu`` under the ``MMD_AT_PLUS_A`` column ordering.
+    ``splu`` under the ``MMD_AT_PLUS_A`` column ordering.  A run that
+    stops short raises :class:`_NewtonFailure` with its last iterate.
     """
     R = system.residual(values)
     rn = float(np.linalg.norm(R))
     if not np.isfinite(rn):
-        raise ConvergenceError("NaN in residual at the seed")
+        raise _NewtonFailure("NaN in residual at the seed", values, [])
     # Relative convergence test: flux cancellations floor the achievable
     # absolute residual at roughly eps * ||A|| * ||u|| / h^2.
     abs_tol = tol * (1.0 + rn)
@@ -479,9 +493,11 @@ def _newton_core(
             lu = splu(J, permc_spec="MMD_AT_PLUS_A")
             delta = lu.solve(-R.reshape(-1))
         except RuntimeError as exc:
-            raise ConvergenceError(f"linear solve failed: {exc}") from exc
+            raise _NewtonFailure(f"linear solve failed: {exc}", values, history) from exc
         if not np.all(np.isfinite(delta)):
-            raise ConvergenceError("non-finite Newton step (singular Jacobian)")
+            raise _NewtonFailure(
+                "non-finite Newton step (singular Jacobian)", values, history
+            )
         delta = delta.reshape(values.shape)
         alpha = 1.0
         while True:
@@ -492,17 +508,20 @@ def _newton_core(
                 break
             alpha *= 0.5
             if alpha < 1e-12:
-                raise ConvergenceError(
-                    f"line search stagnates at iteration {it} "
-                    f"(residual {rn:.3e})"
+                raise _NewtonFailure(
+                    f"line search stagnates at iteration {it} (residual {rn:.3e})",
+                    values,
+                    history,
                 )
         values, R, rn = trial, R_try, rt
         history.append(rn)
     if rn <= abs_tol:
         return values, rn, abs_tol, max_iter, history
-    raise ConvergenceError(
+    raise _NewtonFailure(
         f"no convergence within {max_iter} iterations (residual {rn:.3e}, "
-        f"target {abs_tol:.3e})"
+        f"target {abs_tol:.3e})",
+        values,
+        history,
     )
 
 
@@ -520,16 +539,20 @@ def newton_solve(
     With ``strict`` (default) solver failures raise
     :class:`ConvergenceError`; otherwise a non-converged
     :class:`SolveResult` is returned with the failure reason attached.
+    It holds the last iterate, its residual norm, the Newton steps taken
+    and the residual history.
     """
     start = _seed_values(seed, grid, model.m)
     system = discretize(model, grid, forcing=forcing)
     try:
         values, rn, abs_tol, its, history = _newton_core(system, start, tol, max_iter)
-    except ConvergenceError as exc:
+    except _NewtonFailure as exc:
         if strict:
             raise
         return _finalize(
-            model, grid, start, start, False, float("nan"), 0, (1.0,), tol, (),
+            model, grid, start, exc.values, False,
+            exc.history[-1] if exc.history else float("nan"),
+            max(len(exc.history) - 1, 0), (1.0,), tol, exc.history,
             extra_warnings=(str(exc),),
         )
     return _finalize(

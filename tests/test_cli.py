@@ -426,10 +426,73 @@ def test_sweep_extreme_point_returns_a_row(tmp_path, monkeypatch, param, column,
         assert "degenerate" not in row["cause"]
 
 
-def test_sweep_bad_param_spec(tmp_path):
+def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path, monkeypatch):
+    # 30 points on 2 workers go out in chunks of 4, each decided in one
+    # ledger pass.  The chunks mix ordinary points, error rows (d.0 <= 0),
+    # one-sided points (alpha.0.1 = 0, too many modes) and points whose
+    # nondegeneracy determinant overflows (length 1e-150); every row must
+    # be the row its point gives when swept alone, and no RuntimeWarning
+    # may escape from any process.
+    cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
+    paths = ["alpha.0.1", "d.0", "domain.lengths.0"]
+    specs = ["0:1:3", "-0.2:0.6:5", "1e-150:3.0:2"]
+
+    def sweep(values, threads, name):
+        monkeypatch.setenv("CROSSDIFF_THREADS", str(threads))
+        out = tmp_path / name
+        argv = ["sweep", "--config", cfg, "--output", str(out)]
+        for path, value in zip(paths, values):
+            argv += ["--param", f"{path}={value}"]
+        assert cli.main(argv) == 0
+        with open(out, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = sweep(specs, 2, "chunked.csv")
+        assert len(rows) == 30
+        for i, row in enumerate(rows):
+            alone = [f"{row[p]}:{row[p]}:1" for p in paths]
+            assert sweep(alone, 1, f"point{i}.csv") == [row]
+
+    def kind(row):
+        if row["error"]:
+            return "error"
+        if row["inconclusive"] == "False":
+            return "conclusive"
+        return "one-sided" if "too many modes" in row["cause"] else "overflow"
+
+    # The third and fourth chunks (rows 8 to 15) mix all four kinds.
+    assert [kind(r) for r in rows[8:16]] == [
+        "overflow", "one-sided", "error", "error",
+        "error", "error", "overflow", "conclusive",
+    ]
+
+
+def test_sweep_bad_param_spec(tmp_path, capsys):
     cfg = write_config(tmp_path, WEAK_LV)
+    out = str(tmp_path / "sweep.csv")
     assert cli.main(["sweep", "--config", cfg, "--param", "c.0.1=nope"]) == 1
     assert cli.main(["sweep", "--config", cfg]) == 1
+    capsys.readouterr()
+    # Paths are resolved against the config before any point runs: one
+    # that does not reach a number, or names an entry twice, is an input
+    # error naming the path.
+    for params, message in [
+        (["alpha.x.1=0:1:2"], "'alpha.x.1' does not name a numeric config entry"),
+        (["alpha.0=0:1:2"], "'alpha.0' does not name a numeric config entry"),
+        (["d.2=0:1:2"], "'d.2' does not name a numeric config entry"),
+        (["bc=0:1:2"], "'bc' does not name a numeric config entry"),
+        (["d.0=0.3:0.5:2", "d.0=0.7:0.9:2"], "'d.0' names the same entry as 'd.0'"),
+        (["d.1=0.3:0.5:2", "d.-1=0.7:0.9:2"], "'d.-1' names the same entry as 'd.1'"),
+    ]:
+        argv = ["sweep", "--config", cfg, "--output", out]
+        for param in params:
+            argv += ["--param", param]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_version_flag_exits_zero():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from crossdiff import (
     check_nondegeneracy,
     constant_state_index,
     existence_verdict,
+    existence_verdicts,
     find_constant_states,
     mode_cutoff,
     mode_matrix,
@@ -436,6 +439,167 @@ def test_ledger_enumerates_once_and_decides_each_mode_once(monkeypatch):
     assert len(calls["spectrum_through"]) == 1
     ((_, stack),) = calls["negative_counts"]
     assert stack.shape == (7, 2, 2)
+
+
+def assert_identical(a, b, where="verdict"):
+    """``a`` and ``b`` agree field by field, to the bit and the type."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_identical(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert a.tobytes() == b.tobytes(), where
+    elif isinstance(a, (float, np.floating)):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), where
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_identical(x, y, f"{where}[{k}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for k in a:
+            assert_identical(a[k], b[k], f"{where}[{k!r}]")
+    else:
+        assert a == b, where
+
+
+def batch_models():
+    """One model per path through the ledger, named by what it exercises."""
+    square = build_model(
+        {
+            "m": 2,
+            "d": [0.4, 7.0],
+            "alpha": [[0.0, 0.0], [0.0, 0.0]],
+            "r": [1.0, 1.0],
+            "c": [[-1.0, 2.0], [-3.0, 4.0]],
+            "domain": {"kind": "rectangle", "lengths": [PI, PI]},
+            "bc": "neumann",
+        }
+    )
+    skt = build_model(
+        {
+            "m": 2,
+            "d": [0.05, 1.0],
+            "alpha": [[0.1, 3.0], [0.5, 0.2]],
+            "r": [1.0, 1.0],
+            "c": [[1.0, 0.5], [0.3, 1.0]],
+            "domain": {"kind": "rectangle", "lengths": [3.0, 3.0]},
+            "bc": "neumann",
+        }
+    )
+    return {
+        "m = 1": interval_model(1, (1.0,), (1.0,), ((1.0,),)),
+        "m = 2": sweep_point(0.5),
+        "m = 3": interval_model(
+            3, (0.3, 1.0, 2.0), (1.0, 0.8, 0.9),
+            ((1.0, 0.3, 0.2), (0.25, 1.0, 0.3), (0.1, 0.2, 1.0)),
+            alpha=((0.1, 0.5, 0.0), (0.2, 0.0, 0.6), (0.0, 0.4, 0.1)), length=5.0,
+        ),
+        "m = 3, cyclic: complex d_A^{-1} A(u*) spectrum": interval_model(
+            3, (0.3, 1.0, 2.0), (1.0, 1.0, 1.0),
+            ((1.0, 0.3, 0.2), (0.25, 1.0, 0.3), (0.1, 0.2, 1.0)),
+            alpha=((0.0, 3.0, 0.0), (0.0, 0.0, 3.0), (3.0, 0.0, 0.0)), length=5.0,
+        ),
+        "README model": turing_model(),
+        "2D SKT, complex spectrum": skt,
+        "square, double mode": square,
+        "one-sided alpha": sweep_point(0.0),
+        "degenerate subset": interval_model(
+            2, (1.0, 1.0), (1.0, 1.0), ((1.0, 1.0), (1.0, 1.0))
+        ),
+        "bistable saddle, v-stable boundary": interval_model(
+            2, (100.0, 100.0), (1.0, 1.0), ((1.0, 2.0), (2.0, 1.0))
+        ),
+        "overflowing determinant": interval_model(
+            2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
+            alpha=((0.0, 0.0), (0.1, 0.0)), length=1e-150,
+        ),
+    }
+
+
+def test_batch_verdicts_equal_one_model_verdicts():
+    models = batch_models()
+    batch = existence_verdicts(list(models.values()))
+    assert len(batch) == len(models)
+    for (name, model), verdict in zip(models.items(), batch):
+        assert_identical(verdict, existence_verdict(model), name)
+    # The batch covers the ledger's outcomes: claimed indices, restricted
+    # boundary indices and per-model causes.  Its three-species stack
+    # mixes a real and a complex d_A^{-1} A(u*) spectrum, and the square
+    # puts a double mode first.
+    causes = " ".join(v.cause or "" for v in batch)
+    for part in ("too many modes", "degenerate-subset", "overflows"):
+        assert part in causes
+    assert any(b.report is not None for v in batch for b in v.boundary)
+    kinds = []
+    for model, verdict in zip(models.values(), batch):
+        if model.m == 3:
+            (rep,) = verdict.index_reports
+            u = rep.u_star
+            _, V = np.linalg.eig(model.A(u) / model.d_A(u)[:, None])
+            kinds.append(V.dtype.kind)
+    assert kinds == ["f", "c"]
+    # The real item's kappa_V changes if its V is taken complex, as the
+    # stacked eig returns it, so the comparison above sees the dtype rule.
+    u = batch[2].index_reports[0].u_star
+    _, V = np.linalg.eig(models["m = 3"].A(u) / models["m = 3"].d_A(u)[:, None])
+    assert np.linalg.cond(V, 2) != np.linalg.cond(V.astype(complex), 2)
+    assert batch[6].index_reports[0].mode_decisions[0].M == 2
+    # The stacked flux matrices are Model.A to the bit.
+    for model, verdict in zip(models.values(), batch):
+        for rep in verdict.index_reports:
+            lam = np.array([d.lambda_hat for d in rep.mode_decisions])
+            stacked = np.array([d.A_i for d in rep.mode_decisions])
+            assert stacked.tobytes() == mode_matrix(model, rep.u_star, lam).tobytes()
+
+
+def test_nonfinite_matrices_fail_only_their_own_model():
+    # One non-finite matrix would make a stacked eig raise for the whole
+    # batch, so its model alone becomes inconclusive and the others keep
+    # their verdicts.  alpha_11 = 1e308 overflows A(u*); in the scalar
+    # model A(u*) = 1.4e308 and J(u*) = -1e308 are finite, but the mode
+    # matrix A - J / 1 overflows.
+    bad_flux = interval_model(
+        2, (0.3, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
+        alpha=((1e308, 0.5), (0.1, 0.0)),
+    )
+    bad_modes = interval_model(1, (1.0,), (1e308,), ((1e308,),), alpha=((0.7e308,),))
+    good = [sweep_point(0.5), interval_model(1, (1.0,), (1.0,), ((1.0,),))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdicts = existence_verdicts([bad_flux, good[0], bad_modes, good[1]])
+    assert [v.cause for v in verdicts[::2]] == [
+        "state (1.0, 1.0): cutoff uncertifiable: d_A^{-1}A(u*) is not finite",
+        "state (1.0,): mode matrix d_A^{-1}(A(u*) - J(u*)/lambda_hat) is not finite",
+    ]
+    for verdict, model in zip(verdicts[1::2], good):
+        assert_identical(verdict, existence_verdict(model))
+
+
+def test_batch_shares_kinetics_and_stacks_items(monkeypatch):
+    # Twelve models with one kinetics: one enumeration, and one stacked
+    # count over every model's modes.
+    from crossdiff import index_theory
+
+    calls = {"find_constant_states": 0, "negative_counts": []}
+    enumerate_ = index_theory.find_constant_states
+    count = index_theory.negative_counts
+
+    def counted_enumeration(model):
+        calls["find_constant_states"] += 1
+        return enumerate_(model)
+
+    def counted_count(d_A, stack, *args):
+        calls["negative_counts"].append(stack.shape)
+        return count(d_A, stack, *args)
+
+    monkeypatch.setattr(index_theory, "find_constant_states", counted_enumeration)
+    monkeypatch.setattr(index_theory, "negative_counts", counted_count)
+    models = [sweep_point(a) for a in np.linspace(0.25, 2.0, 12)]
+    verdicts = existence_verdicts(models)
+    assert calls["find_constant_states"] == 1
+    modes = sum(len(r.mode_decisions) for v in verdicts for r in v.index_reports)
+    assert calls["negative_counts"] == [(modes, 2, 2)]
 
 
 def reference_count(d_A, Ai, tol=1e-8):

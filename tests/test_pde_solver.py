@@ -368,6 +368,25 @@ def test_newton_singular_jacobian_raises_convergence_error():
     assert soft.warnings
 
 
+def test_failed_soft_newton_reports_its_last_iterate():
+    # Two Newton steps from a random field around u* = (1, 1) leave a
+    # residual of 1.479: the result is that iterate, not the seed.
+    model = turing()
+    grid = make_grid(model.domain, 64)
+    seed = random_field(grid, [0.5, 0.5], [1.5, 1.5], seed=0)
+    full = newton_solve(model, grid, seed)
+    soft = newton_solve(model, grid, seed, max_iter=2, strict=False)
+    assert not soft.converged
+    assert "no convergence within 2 iterations" in soft.warnings[0]
+    assert soft.iterations == 2
+    assert soft.residual_history == full.residual_history[:3]
+    assert soft.residual_norm == soft.residual_history[-1]
+    assert soft.residual_norm == pytest.approx(1.479, rel=1e-3)
+    residual = discretize(model, grid).residual(soft.field.values)
+    assert float(np.linalg.norm(residual)) == soft.residual_norm
+    assert not np.array_equal(soft.field.values, seed.values)
+
+
 def test_newton_warns_when_a_species_vanishes():
     # From a small positive constant the kinetics contract onto u = 0:
     # a converged answer, but one that lost both species of the seed.
