@@ -30,7 +30,6 @@ from .steady_states import (
 )
 from .spectral import (
     ModeSpectrum,
-    SpectrumEntry,
     discrete_laplacian_spectrum,
     eigenfunction,
     neumann_eigenvalues,
@@ -42,13 +41,9 @@ from .index_theory import (
     IndexReport,
     ModeDecision,
     StabilityVerdict,
-    check_nondegeneracy,
     constant_state_index,
     existence_verdict,
     existence_verdicts,
-    mode_cutoff,
-    mode_matrix,
-    negative_count,
     negative_counts,
     semitrivial_stability,
 )
@@ -97,13 +92,11 @@ __all__ = [
     "Model",
     "ModelError",
     "SolveResult",
-    "SpectrumEntry",
     "StabilityVerdict",
     "StateEnumeration",
     "StructureReport",
     "bmo_seminorm",
     "build_model",
-    "check_nondegeneracy",
     "classify_field",
     "constant_field",
     "constant_state_index",
@@ -117,9 +110,6 @@ __all__ = [
     "find_constant_states",
     "identity_residuals",
     "make_grid",
-    "mode_cutoff",
-    "mode_matrix",
-    "negative_count",
     "negative_counts",
     "neumann_eigenvalues",
     "newton_solve",

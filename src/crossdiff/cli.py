@@ -178,6 +178,7 @@ def _analysis_report(config: dict) -> tuple[dict, ExistenceVerdict | None]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    t_start = time.perf_counter()
     config = _load_config(args.config)
     t0 = time.perf_counter()
     report, verdict = _analysis_report(config)
@@ -189,16 +190,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("\n".join(_verdict_summary(verdict)))
     print(f"report written to {args.output}")
     print(f"timing analyze: {elapsed:.3f} s")
+    print(f"timing total: {time.perf_counter() - t_start:.3f} s")
     if verdict is not None and verdict.inconclusive:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
-def _positive_state(model: Model, states: StateEnumeration) -> np.ndarray:
+def _positive_state(states: StateEnumeration) -> np.ndarray | None:
     for state in states.by_classification("nontrivial"):
         if np.all(state.u_star > 0):
             return state.u_star
-    raise ConfigError("no positive nontrivial constant state to perturb")
+    return None
 
 
 def _build_seed(args: argparse.Namespace, model: Model, grid) -> DiscreteField:
@@ -225,32 +227,26 @@ def _build_seed(args: argparse.Namespace, model: Model, grid) -> DiscreteField:
             )
         return constant_field(grid, u0)
 
+    u_star = _positive_state(find_constant_states(model))
     if args.seed_mode is not None:
-        states = find_constant_states(model)
-        u_star = _positive_state(model, states)
+        if u_star is None:
+            raise ConfigError("no positive nontrivial constant state to perturb")
         k = args.seed_mode
         if k < 1:
             raise ConfigError(f"--seed-mode must be >= 1, got {k}")
-        # The k-th distinct nonzero zero-flux mode.
-        entry = neumann_eigenvalues(model.domain, k + 1).nonzero()[k - 1]
-        (decision,) = mode_decisions(model, u_star, [entry])
+        # The k-th distinct nonzero zero-flux mode; value 0 is the constant mode.
+        mode = neumann_eigenvalues(model.domain, k + 1)[k : k + 1]
+        (decision,) = mode_decisions(model, u_star, mode)
         return seed_from_mode(model, u_star, decision, args.amp, grid)
 
     if args.seed_random is not None:
-        states = find_constant_states(model)
-        try:
-            u_star = _positive_state(model, states)
+        if u_star is None:
+            low, high = np.full(model.m, 0.1), np.full(model.m, 2.0)
+        else:
             low, high = 0.5 * u_star, 1.5 * u_star
-        except ConfigError:
-            low = np.full(model.m, 0.1)
-            high = np.full(model.m, 2.0)
         return random_field(grid, low, high, seed=args.seed_random)
 
-    states = find_constant_states(model)
-    try:
-        return constant_field(grid, _positive_state(model, states))
-    except ConfigError:
-        return constant_field(grid, np.ones(model.m))
+    return constant_field(grid, np.ones(model.m) if u_star is None else u_star)
 
 
 def _field_csv(path: str, field: DiscreteField) -> None:
@@ -287,6 +283,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     model = build_model(config)
     grid = make_grid(model.domain, args.grid)
+    if not 0.0 < args.tol < np.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
     if args.radius is not None:
         ball_radii(grid, args.radius)  # reject a bad radius before solving
     seed = _build_seed(args, model, grid)
@@ -483,6 +481,7 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    t_start = time.perf_counter()
     config = _load_config(args.config)
     if not args.param:
         raise ConfigError("sweep needs at least one --param path=start:stop:num")
@@ -530,6 +529,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"swept {len(rows)} points across {len(params)} parameters")
     print(f"sweep written to {args.output}")
     print(f"timing sweep: {elapsed:.3f} s ({workers} workers)")
+    print(f"timing total: {time.perf_counter() - t_start:.3f} s")
     return EXIT_OK
 
 

@@ -13,14 +13,15 @@ degree against 1.
 :func:`existence_verdicts` decides a batch of models in one pass.  The
 work that depends only on the kinetics ``(m, r, c)`` -- constant states,
 boundary growth signs, the case label and ``J(u*)`` -- is done once per
-distinct kinetics.  The work that depends on ``d``, ``alpha`` or the
-domain is stacked over every (model, positive state) item, one numpy
-call per species count: ``A(u*)``, the cutoff certificate, the mode
-counts and the nondegeneracy determinants.  Only the spectrum is
-enumerated item by item.  A failure stays with its item and becomes the
-cause of that model's verdict.  :func:`existence_verdict`,
-:func:`constant_state_index`, :func:`mode_cutoff`, :func:`mode_decisions`
-and :func:`check_nondegeneracy` run the same code on one item.
+distinct kinetics.  The spectrum is enumerated once per distinct domain,
+through the largest cutoff bound among the items that pass the size
+limit, and each item reads its prefix of the arrays.  The work that
+depends on ``d`` or ``alpha`` is stacked over every (model, positive
+state) item, one numpy call per species count: ``A(u*)``, the cutoff
+certificate, the mode counts and the nondegeneracy determinants.  A
+failure stays with its item and becomes the cause of that model's
+verdict.  :func:`existence_verdict`, :func:`constant_state_index` and
+:func:`mode_decisions` run the same code on one item.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import Model, ModelError
-from .spectral import ModeSpectrum, SpectrumEntry, spectrum_through
+from .model import Domain, Model, ModelError
+from .spectral import ModeSpectrum, lattice_edge, spectrum_through
 from .steady_states import (
     ConstantState,
     StateEnumeration,
@@ -74,24 +75,9 @@ def _mode_stack(
     if np.any(lam <= 0.0):
         raise ModelError(
             f"mode matrix needs lambda_hat > 0, got {float(lam.min())}; the constant "
-            "mode is covered by the determinant test in check_nondegeneracy"
+            "mode is covered by the nondegeneracy determinant test"
         )
     return A - J / lam[..., None, None]
-
-
-def mode_matrix(
-    model: Model, u_star: NDArray[np.float64], lambda_hat: float | NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Mode matrix ``A(u*) - lambda_hat^{-1} J(u*)``.
-
-    A scalar ``lambda_hat`` gives one ``(m, m)`` matrix; a 1-D array of
-    ``k`` eigenvalues gives the ``(k, m, m)`` stack, with ``A(u*)`` and
-    ``J(u*)`` evaluated once.
-    """
-    u_star = np.asarray(u_star, dtype=float)
-    return _mode_stack(
-        model.A(u_star), model.jacobian_f(u_star), np.asarray(lambda_hat, dtype=float)
-    )
 
 
 def negative_counts(
@@ -166,15 +152,6 @@ def negative_counts(
             )
         )
     return tuple(results)
-
-
-def negative_count(
-    d_A: NDArray[np.float64],
-    Ai: NDArray[np.float64],
-    tol_degenerate: float = TOL_DEGENERATE,
-) -> NegativeCount:
-    """:func:`negative_counts` for one matrix ``Ai``."""
-    return negative_counts(d_A, np.asarray(Ai, dtype=float)[None], tol_degenerate)[0]
 
 
 @dataclass(frozen=True)
@@ -388,8 +365,8 @@ class _Item:
     """One (model, positive state) pair and what the ledger found for it.
 
     The stages fill the fields in order and skip an item once ``error``
-    is set.  ``modes`` are the entries :func:`_decide` counts; ``spectrum``
-    those the determinant test covers.
+    is set.  ``spectrum`` holds the values the determinant test covers;
+    ``modes``, the nonzero ones among them, those :func:`_decide` counts.
     """
 
     __slots__ = (
@@ -412,10 +389,6 @@ class _Item:
         self.L0 = 0
 
 
-def _item(model: Model, u_star: NDArray[np.float64]) -> _Item:
-    return _Item(model, _State(model, np.asarray(u_star, dtype=float)))
-
-
 def _groups(items: Iterable[_Item]) -> list[list[_Item]]:
     """The undecided items, by species count: only matrices of one size stack."""
     groups: dict[int, list[_Item]] = {}
@@ -425,9 +398,9 @@ def _groups(items: Iterable[_Item]) -> list[list[_Item]]:
     return list(groups.values())
 
 
-def _owners(group: list[_Item], entries: list[Sequence]) -> NDArray[np.intp]:
-    """Row ``k`` of a stack over every item's entries belongs to item ``owner[k]``."""
-    return np.repeat(np.arange(len(group)), [len(e) for e in entries])
+def _owners(group: list[_Item], rows: list[Sequence]) -> NDArray[np.intp]:
+    """Row ``k`` of a stack over every item's rows belongs to item ``owner[k]``."""
+    return np.repeat(np.arange(len(group)), [len(r) for r in rows])
 
 
 def _fail_nonfinite(
@@ -464,7 +437,7 @@ def _flux(items: list[_Item]) -> None:
 
 
 def _certify(items: list[_Item]) -> None:
-    """Cutoff certificate and spectrum of every item.
+    """Cutoff certificate of every item.
 
     Eigenvalues of ``d_A^{-1} J`` stay within ``kappa_V ||d_A^{-1} J|| /
     lambda_hat`` of those of ``d_A^{-1} A(u*) = V diag(w) V^{-1}``, so
@@ -513,32 +486,51 @@ def _certify(items: list[_Item]) -> None:
         J = np.array([group[k].state.J for k in kept])
         J_norms = np.linalg.norm(J / dvec[kept][:, :, None], 2, axis=(-2, -1))
         for k, rho, kappa_V, J_norm in zip(kept, rhos, kappas.tolist(), J_norms.tolist()):
-            it = group[k]
-            bound = kappa_V * J_norm / rho
-            it.certificate = {
+            group[k].certificate = {
                 "rho": rho,
                 "kappa_V": kappa_V,
                 "dA_inv_J_norm": J_norm,
-                "bound": bound,
+                "bound": kappa_V * J_norm / rho,
             }
-            try:
-                it.spectrum = spectrum_through(it.domain, bound, extra=SCAN_EXTRA)
-            except ModelError as exc:
-                # Kept without traceback or context: their frames would hold
-                # every item of the batch in a reference cycle.
-                exc.__traceback__ = exc.__context__ = None
-                it.error = exc
+
+
+def _spectra(items: list[_Item]) -> None:
+    """Each item's spectrum through its bound and ``SCAN_EXTRA`` values more.
+
+    Each item's size limit is checked in closed form first.  Then every
+    distinct domain is enumerated once, through the largest bound among
+    its items that pass, and each item takes its prefix.
+    """
+    domains: dict[Domain, list[_Item]] = {}
+    for it in items:
+        if it.error is not None:
+            continue
+        try:
+            lattice_edge(it.domain, it.certificate["bound"], SCAN_EXTRA)
+        except ModelError as exc:
+            # Kept without traceback or context: their frames would hold
+            # every item of the batch in a reference cycle.
+            exc.__traceback__ = exc.__context__ = None
+            it.error = exc
+            continue
+        domains.setdefault(it.domain, []).append(it)
+    for domain, group in domains.items():
+        bounds = [it.certificate["bound"] for it in group]
+        spectrum = spectrum_through(domain, max(bounds), extra=SCAN_EXTRA)
+        stops = np.searchsorted(spectrum.values, bounds, side="right") + SCAN_EXTRA
+        for it, stop in zip(group, stops.tolist()):
+            it.spectrum = spectrum[:stop]
 
 
 def _decide(items: list[_Item]) -> None:
     """Count ``N_i`` at every item's ``modes``: one mode stack and one
     :func:`negative_counts` call per species count."""
     for group in _groups(items):
-        entries = [it.modes for it in group]
-        owner = _owners(group, entries)
+        lams = [it.modes.values for it in group]
+        owner = _owners(group, lams)
         if owner.size == 0:
             continue
-        lam = np.array([e.lambda_hat for modes in entries for e in modes], dtype=float)
+        lam = np.concatenate(lams)
         A = _mode_stack(
             np.array([it.A for it in group])[owner],
             np.array([it.state.J for it in group])[owner],
@@ -556,23 +548,30 @@ def _decide(items: list[_Item]) -> None:
             A, M = A[keep], M[keep]
         counts = negative_counts(np.ones(M.shape[-1]), M)
         start = 0
-        for it, modes in zip(group, entries):
+        for it in group:
             if it.error is not None:
                 continue
+            modes = it.modes
             stop = start + len(modes)
             it.decisions = tuple(
                 ModeDecision(
-                    lambda_hat=entry.lambda_hat,
-                    M=entry.M,
+                    lambda_hat=lambda_hat,
+                    M=M,
                     A_i=A_i,
                     eigs=nc.eigs,
                     N_i=nc.N,
                     margin=nc.margin,
                     degenerate=nc.degenerate,
-                    mode_indices=entry.mode_indices,
+                    mode_indices=mode_indices,
                     warnings=nc.warnings,
                 )
-                for entry, A_i, nc in zip(modes, A[start:stop], counts[start:stop])
+                for lambda_hat, M, mode_indices, A_i, nc in zip(
+                    modes.values.tolist(),
+                    modes.M.tolist(),
+                    modes.mode_indices(),
+                    A[start:stop],
+                    counts[start:stop],
+                )
             )
             start = stop
 
@@ -580,15 +579,16 @@ def _decide(items: list[_Item]) -> None:
 def _cutoff(items: list[_Item]) -> None:
     """Certify each item's cutoff ``L0`` and decide the modes up to three past it."""
     _certify(items)
+    _spectra(items)
     for it in items:
         if it.error is None:
-            it.modes = it.spectrum.nonzero()
+            # The first value is the constant mode, 0.
+            it.modes = it.spectrum[1:]
     _decide(items)
     for it in items:
         if it.error is not None:
             continue
-        bound = it.certificate["bound"]
-        L0 = sum(1 for d in it.decisions if d.lambda_hat <= bound)
+        L0 = int(np.searchsorted(it.modes.values, it.certificate["bound"], side="right"))
         for d in it.decisions[L0:]:
             if d.N_i != 0:
                 it.error = CutoffError(
@@ -605,12 +605,12 @@ def _nondegeneracy(items: list[_Item], tol_degenerate: float = TOL_DEGENERATE) -
     """``det(lambda_hat A(u*) - J(u*))`` against its scale at every item's
     ``spectrum``: one stacked ``det`` per species count."""
     for group in _groups(items):
-        lams = [[entry.lambda_hat for entry in it.spectrum] for it in group]
+        lams = [it.spectrum.values for it in group]
         owner = _owners(group, lams)
         dets: list[float] = []
         scales: list[float] = []
         if owner.size:
-            lam = np.array([v for row in lams for v in row], dtype=float)
+            lam = np.concatenate(lams)
             A = np.array([it.A for it in group])[owner]
             J = np.array([it.state.J for it in group])[owner]
             # Near the lattice limit these overflow to inf in the details,
@@ -625,7 +625,9 @@ def _nondegeneracy(items: list[_Item], tol_degenerate: float = TOL_DEGENERATE) -
             details: list[dict] = []
             ok_all = True
             stop = start + len(row)
-            for lambda_hat, det, scale in zip(row, dets[start:stop], scales[start:stop]):
+            for lambda_hat, det, scale in zip(
+                row.tolist(), dets[start:stop], scales[start:stop]
+            ):
                 ok = abs(det) > tol_degenerate * scale
                 ok_all &= ok
                 details.append(
@@ -703,64 +705,16 @@ def _ledger(items: list[_Item]) -> None:
 
 
 def mode_decisions(
-    model: Model, u_star: NDArray[np.float64], entries: Sequence[SpectrumEntry]
+    model: Model, u_star: NDArray[np.float64], spectrum: ModeSpectrum
 ) -> tuple[ModeDecision, ...]:
-    """Count ``N_i`` at nonzero Neumann eigenvalues of the spectrum, all at once."""
-    item = _item(model, u_star)
-    item.modes = tuple(entries)
+    """Count ``N_i`` at every value of a spectrum slice of nonzero values, all at once."""
+    item = _Item(model, _State(model, np.asarray(u_star, dtype=float)))
+    item.modes = spectrum
     _flux([item])
     _decide([item])
     if item.error is not None:
         raise item.error
     return item.decisions
-
-
-def mode_cutoff(
-    model: Model, u_star: NDArray[np.float64]
-) -> tuple[int, dict, ModeSpectrum, tuple[ModeDecision, ...]]:
-    """Certified mode cutoff ``L0`` beyond which every ``N_i`` vanishes.
-
-    Uses the eigenvector-conditioned perturbation bound: eigenvalues of
-    ``d_A^{-1} A_i = d_A^{-1} A(u*) - lambda_i^{-1} d_A^{-1} J`` stay
-    within ``kappa_V ||d_A^{-1} J|| / lambda_i`` of the spectrum of
-    ``d_A^{-1} A(u*)``, so once ``lambda_i`` clears
-    ``kappa_V ||d_A^{-1} J|| / rho`` no eigenvalue can reach the closed
-    left half-plane.  Three additional modes past the cutoff are scanned
-    and asserted stable.
-
-    The spectrum through the scanned modes is enumerated once, and every
-    nonzero mode of it is decided once.  Returns ``L0``, the certificate,
-    that spectrum and the decisions.
-    """
-    item = _item(model, u_star)
-    _flux([item])
-    _cutoff([item])
-    if item.error is not None:
-        raise item.error
-    return item.L0, item.certificate, item.spectrum, item.decisions
-
-
-def check_nondegeneracy(
-    model: Model,
-    u_star: NDArray[np.float64],
-    spectrum: Iterable[SpectrumEntry],
-    tol_degenerate: float = TOL_DEGENERATE,
-) -> tuple[bool, list[dict]]:
-    """Test ``det(lambda_hat A(u*) - J(u*)) != 0`` for every retained mode.
-
-    The constant mode ``lambda_hat = 0`` reduces to ``det J != 0``.  The
-    determinant is compared against the row-norm product of
-    ``|lambda_hat| |A| + |J|`` — the entry magnitudes *before* the
-    subtraction — so a resonance that cancels an entire row is still
-    flagged even though the cancelled row makes ``det`` and the naive
-    row norms of the difference shrink together.  Returns the overall
-    verdict and per-mode details.
-    """
-    item = _item(model, u_star)
-    item.spectrum = tuple(spectrum)
-    _flux([item])
-    _nondegeneracy([item], tol_degenerate)
-    return item.nondeg_ok, item.nondeg_details
 
 
 def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexReport:

@@ -1,15 +1,17 @@
 """Neumann Laplacian spectra on intervals and rectangles.
 
 Analytic eigenvalues with exact multiplicities (collisions detected, not
-split), plus a finite-difference discrete spectrum used as an
-independent cross-check and by the verification oracles.
+split), held as arrays: :class:`ModeSpectrum` lists the distinct values
+in ascending order with the lattice points of each.  A finite-difference
+discrete spectrum serves as an independent cross-check and the
+verification oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,65 +24,68 @@ TOL_COLLIDE = 1e-9
 _MAX_LATTICE = 32767
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One distinct Laplacian eigenvalue with its multiplicity.
+@dataclass(frozen=True, eq=False)
+class ModeSpectrum:
+    """Ascending distinct eigenvalues of the Neumann Laplacian on ``domain``.
 
-    ``mode_indices`` lists the integer lattice tuples ``(k,)`` or
-    ``(k1, k2)`` whose separated cosine products span the eigenspace.
+    ``values[i]`` has multiplicity ``M[i]``: its eigenspace is spanned by
+    the separated cosine products of the integer lattice points
+    ``points[offsets[i]:offsets[i + 1]]``, rows ``(k,)`` or ``(k1, k2)``
+    in lexicographic order.  ``spectrum[a:b]`` is again a spectrum, of
+    the values ``a`` to ``b``.
     """
 
-    lambda_hat: float
-    M: int
-    mode_indices: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Ordered distinct eigenvalues of the Neumann Laplacian."""
-
-    entries: tuple[SpectrumEntry, ...]
+    values: NDArray[np.float64]
+    points: NDArray[np.intp]
+    offsets: NDArray[np.intp]
     domain: Domain
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
-    def __iter__(self) -> Iterator[SpectrumEntry]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> SpectrumEntry:
-        return self.entries[i]
+    def __getitem__(self, index: slice) -> ModeSpectrum:
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError("a spectrum slice takes consecutive values")
+        offsets = self.offsets[start : max(start, stop) + 1]
+        return ModeSpectrum(
+            self.values[start:stop],
+            self.points[offsets[0] : offsets[-1]],
+            offsets - offsets[0],
+            self.domain,
+        )
 
     @property
-    def values(self) -> NDArray[np.float64]:
-        return np.array([e.lambda_hat for e in self.entries])
+    def M(self) -> NDArray[np.intp]:
+        return np.diff(self.offsets)
 
-    def nonzero(self) -> tuple[SpectrumEntry, ...]:
-        """Entries with positive eigenvalue (drops the constant mode)."""
-        return tuple(e for e in self.entries if e.lambda_hat > 0.0)
+    def mode_indices(self) -> list[tuple[tuple[int, ...], ...]]:
+        """The lattice points of each value, as tuples of ints."""
+        points = [tuple(k) for k in self.points.tolist()]
+        ends = self.offsets.tolist()
+        return [tuple(points[a:b]) for a, b in zip(ends, ends[1:])]
 
 
-def _group_by_collision(
-    values: NDArray[np.float64], indices: list[tuple[int, ...]]
-) -> list[SpectrumEntry]:
-    order = np.argsort(values, kind="stable")
-    entries: list[SpectrumEntry] = []
-    cur_val: float | None = None
-    cur_idx: list[tuple[int, ...]] = []
-    for pos in order:
-        v = float(values[pos])
-        if cur_val is None or v - cur_val > TOL_COLLIDE * max(1.0, abs(v)):
-            if cur_val is not None:
-                entries.append(
-                    SpectrumEntry(cur_val, len(cur_idx), tuple(sorted(cur_idx)))
-                )
-            cur_val = v
-            cur_idx = [indices[pos]]
-        else:
-            cur_idx.append(indices[pos])
-    if cur_val is not None:
-        entries.append(SpectrumEntry(cur_val, len(cur_idx), tuple(sorted(cur_idx))))
-    return entries
+def _group_starts(values: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Where the collision groups of the ascending ``values`` start.
+
+    A value joins the current group when it lies within
+    ``TOL_COLLIDE * max(1, |value|)`` of the group's first value, not of
+    the value before it.  A gap above that tolerance starts a group
+    whatever the group's first value; within a run of smaller gaps, each
+    pass starts a new group at the first value too far from its group's
+    first, which is where a walk from the bottom would start it.
+    """
+    tol = TOL_COLLIDE * np.maximum(1.0, np.abs(values))
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = np.diff(values) > tol[1:]
+    position = np.arange(len(values))
+    while True:
+        first = np.maximum.accumulate(np.where(starts, position, 0))
+        late = np.flatnonzero(values - values[first] > tol)
+        if late.size == 0:
+            return starts
+        starts[late[np.r_[True, np.diff(first[late]) > 0]]] = True
 
 
 def _axis_value(k: int, L: float) -> float:
@@ -103,17 +108,15 @@ def _axis_top(L: float, x: float) -> int:
     return k
 
 
-def _lattice(domain: Domain, bound: float, extra: int) -> tuple[SpectrumEntry, ...]:
-    """Distinct eigenvalues ``<= bound`` and the next ``extra``, in one pass.
+def lattice_edge(domain: Domain, bound: float, extra: int = 0) -> tuple[float, list[int]]:
+    """What :func:`spectrum_through` lists, decided before any array is built.
 
-    The axis modes ``(k, 0, ...)`` of the longest side have distinct
-    values, so a reach raised to the ``extra``-th of them above ``bound``
-    holds at least ``extra`` entries past it.  Every lattice point ``k``
-    with ``sum_a (k_a pi / L_a)^2`` up to the reach is listed and
-    collisions are grouped, so each eigenvalue carries its full
-    multiplicity.  The points the result needs are counted before any
-    array is built; on an interval that count is the number of entries
-    returned.
+    Returns the largest value it lists and, per axis, the largest ``k``
+    that value needs.  The axis modes ``(k, 0, ...)`` of the longest side
+    have distinct values, so a reach raised to the ``extra``-th of them
+    above ``bound`` holds at least ``extra`` values past it.  Raises
+    :class:`ConfigError` when the lattice points up to the reach number
+    more than ``_MAX_LATTICE`` or their values overflow a float.
     """
     L_max = max(domain.lengths)
 
@@ -138,20 +141,41 @@ def _lattice(domain: Domain, bound: float, extra: int) -> tuple[SpectrumEntry, .
         # Widened twice, so that a collision group straddling ``bound`` or
         # the reach is counted once and listed whole.
         edge = _widen(reach(_widen(bound)))
-        axes = [
-            np.array([_axis_value(k, L) for k in range(_axis_top(L, edge) + 1)])
-            for L in domain.lengths
-        ]
+        return edge, [_axis_top(L, edge) for L in domain.lengths]
     except OverflowError:
         raise ConfigError(
             f"Neumann eigenvalues on lengths {domain.lengths} overflow a float"
         ) from None
+
+
+def spectrum_through(domain: Domain, bound: float, extra: int = 0) -> ModeSpectrum:
+    """All distinct eigenvalues with ``lambda_hat <= bound``, plus ``extra`` more.
+
+    Every lattice point ``k`` with ``sum_a (k_a pi / L_a)^2`` up to the
+    edge of :func:`lattice_edge` is listed and collisions are grouped, so
+    each eigenvalue carries its full multiplicity.  On an interval of
+    ordinary length the values are distinct and every group has one
+    point.  A prefix of the spectrum through a larger bound is the
+    spectrum through a smaller one.
+    """
+    edge, tops = lattice_edge(domain, bound, extra)
+    axes = [
+        np.array([_axis_value(k, L) for k in range(top + 1)])
+        for L, top in zip(domain.lengths, tops)
+    ]
     values = sum(np.ix_(*axes))
     inside = values <= edge
-    indices = [tuple(k) for k in np.argwhere(inside).tolist()]
-    entries = _group_by_collision(values[inside], indices)
-    below = sum(1 for e in entries if e.lambda_hat <= bound)
-    return tuple(entries[: below + extra])
+    points = np.argwhere(inside)
+    values = values[inside]
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = _group_starts(values)
+    # ``argwhere`` lists the points lexicographically: sorting a group by
+    # list position sorts its points.
+    points = points[order[np.lexsort((order, np.cumsum(starts)))]]
+    offsets = np.append(np.flatnonzero(starts), len(values))
+    spectrum = ModeSpectrum(values[starts], points, offsets, domain)
+    return spectrum[: int(np.searchsorted(spectrum.values, bound, side="right")) + extra]
 
 
 def neumann_eigenvalues(domain: Domain, count: int) -> ModeSpectrum:
@@ -166,12 +190,7 @@ def neumann_eigenvalues(domain: Domain, count: int) -> ModeSpectrum:
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
     bound = _axis_value(count - 1, max(domain.lengths))
-    return ModeSpectrum(entries=_lattice(domain, bound, 0)[:count], domain=domain)
-
-
-def spectrum_through(domain: Domain, bound: float, extra: int = 0) -> ModeSpectrum:
-    """All distinct eigenvalues with ``lambda_hat <= bound``, plus ``extra`` more."""
-    return ModeSpectrum(entries=_lattice(domain, bound, extra), domain=domain)
+    return spectrum_through(domain, bound)[:count]
 
 
 def eigenfunction(

@@ -175,6 +175,16 @@ def test_solve_writes_report_and_field_csv(tmp_path, capsys):
     assert float(rows[1][1]) == pytest.approx(10.0 / 17.0, abs=1e-9)
 
 
+def printed_timings(out):
+    """The ``timing NAME: SECONDS s ...`` lines of a command's output."""
+    timings = {}
+    for line in out.splitlines():
+        if line.startswith("timing "):
+            name, value = line[len("timing "):].split(": ")
+            timings[name] = float(value.split(" s")[0])
+    return timings
+
+
 def test_solve_timing_covers_the_whole_command(tmp_path, capsys):
     cfg = write_config(tmp_path, WEAK_LV)
     out = str(tmp_path / "s.json")
@@ -184,14 +194,47 @@ def test_solve_timing_covers_the_whole_command(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert code == 0
-    timings = {}
-    for line in captured.out.splitlines():
-        if line.startswith("timing "):
-            name, value = line[len("timing "):].split(": ")
-            timings[name] = float(value.removesuffix(" s"))
+    timings = printed_timings(captured.out)
     assert set(timings) == {"solve", "diagnostics", "total"}
     assert timings["total"] >= max(timings["solve"], timings["diagnostics"])
     assert "timing" not in (tmp_path / "s.json").read_text()
+
+
+def test_analyze_and_sweep_timing_covers_the_whole_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CROSSDIFF_THREADS", "1")
+    cfg = write_config(tmp_path, WEAK_LV)
+    report = tmp_path / "r.json"
+    assert cli.main(["analyze", "--config", cfg, "--output", str(report)]) == 0
+    timings = printed_timings(capsys.readouterr().out)
+    assert set(timings) == {"analyze", "total"}
+    assert timings["total"] >= timings["analyze"]
+    sweep = tmp_path / "s.csv"
+    assert cli.main(
+        ["sweep", "--config", cfg, "--output", str(sweep), "--param", "d.0=0.5:1.0:3"]
+    ) == 0
+    timings = printed_timings(capsys.readouterr().out)
+    assert set(timings) == {"sweep", "total"}
+    assert timings["total"] >= timings["sweep"]
+    assert "timing" not in report.read_text() + sweep.read_text()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_solve_rejects_bad_tol_before_solving(tmp_path, capsys, monkeypatch, tol):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "newton_solve", no_solve)
+    monkeypatch.setattr(cli, "continuation_solve", no_solve)
+    cfg = write_config(tmp_path, TURING)
+    out = tmp_path / "s.json"
+    code = cli.main(
+        ["solve", "--config", cfg, "--output", str(out), "--grid", "32",
+         f"--tol={tol}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --tol must be positive and finite")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("radius", ["inf", "nan", "0.01"])

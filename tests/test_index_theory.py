@@ -12,18 +12,15 @@ from hypothesis import strategies as st
 from crossdiff import (
     ModelError,
     build_model,
-    check_nondegeneracy,
     constant_state_index,
     existence_verdict,
     existence_verdicts,
     find_constant_states,
-    mode_cutoff,
-    mode_matrix,
-    negative_count,
     negative_counts,
     neumann_eigenvalues,
     semitrivial_stability,
 )
+from crossdiff.index_theory import mode_decisions
 
 PI = np.pi
 
@@ -57,24 +54,38 @@ def turing_model(d=(0.4, 7.0)):
     return interval_model(2, d, (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)))
 
 
-def test_mode_matrix_worked_case():
-    model = worked_diag_model()
-    u_star = np.ones(2)
-    np.testing.assert_allclose(
-        mode_matrix(model, u_star, 1.0), np.diag([-1.0, 2.0]), atol=1e-14
+def first_mode_matrix(model):
+    """``A(u*) - J(u*) / lambda_hat`` at the first nonzero mode, ``u* = (1, 1)``."""
+    (decision,) = mode_decisions(
+        model, np.ones(2), neumann_eigenvalues(model.domain, 2)[1:]
     )
+    return decision.lambda_hat, decision.A_i
+
+
+def negative_count(d_A, Ai):
+    """The count of one matrix, from a stack of one."""
+    (count,) = negative_counts(d_A, np.asarray(Ai, dtype=float)[None])
+    return count
+
+
+def test_mode_matrix_worked_case():
+    lambda_hat, A_i = first_mode_matrix(worked_diag_model())
+    assert lambda_hat == 1.0
+    np.testing.assert_allclose(A_i, np.diag([-1.0, 2.0]), atol=1e-14)
 
 
 def test_mode_matrix_vanishing_perturbation():
-    model = worked_diag_model()
-    u_star = np.ones(2)
-    A = mode_matrix(model, u_star, 1e9)
-    np.testing.assert_allclose(A, model.A(u_star), atol=1e-8)
+    # On (0, pi / sqrt(1e9)) the first mode sits at lambda_hat = 1e9.
+    model = worked_diag_model(length=PI / np.sqrt(1e9))
+    lambda_hat, A_i = first_mode_matrix(model)
+    assert lambda_hat == pytest.approx(1e9)
+    np.testing.assert_allclose(A_i, model.A(np.ones(2)), atol=1e-8)
 
 
 def test_mode_matrix_rejects_constant_mode():
-    with pytest.raises(ModelError):
-        mode_matrix(worked_diag_model(), np.ones(2), 0.0)
+    model = worked_diag_model()
+    with pytest.raises(ModelError, match="lambda_hat > 0"):
+        mode_decisions(model, np.ones(2), neumann_eigenvalues(model.domain, 1))
 
 
 def test_negative_count_examples():
@@ -122,9 +133,15 @@ def test_negative_determinant_forces_single_crossing(l1, l2, d1, d2, seed):
         assert count.N in (0, 2)
 
 
+def cutoff(model):
+    """The certified cutoff ``L0`` and certificate at ``u* = (1, 1)``."""
+    report = constant_state_index(model, np.ones(2))
+    return report.L0, report.certificate
+
+
 def test_mode_cutoff_worked_case():
     model = worked_diag_model()
-    L0, cert, _, _ = mode_cutoff(model, np.ones(2))
+    L0, cert = cutoff(model)
     assert L0 == 1
     assert cert["rho"] == pytest.approx(1.0)
     assert cert["kappa_V"] == pytest.approx(1.0)
@@ -133,7 +150,7 @@ def test_mode_cutoff_worked_case():
 
 def test_mode_cutoff_no_reaction_means_no_modes():
     model = interval_model(2, (1.0, 2.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
-    L0, _, _, _ = mode_cutoff(model, np.ones(2))
+    L0, _ = cutoff(model)
     assert L0 == 0
 
 
@@ -147,7 +164,7 @@ def test_mode_cutoff_nonnormal_inflates_condition_number():
         ((-2.0, 0.0), (0.0, 1.0)),
         alpha=[[0.0, 3.0], [0.1, 0.0]],
     )
-    L0, cert, _, _ = mode_cutoff(model, np.ones(2))
+    L0, cert = cutoff(model)
     assert cert["kappa_V"] > 2.0
     assert L0 >= 1
     assert cert["bound"] > 2.0
@@ -157,24 +174,27 @@ def test_mode_cutoff_scans_past_the_bound():
     # The certificate records a few modes past the cutoff, each verified
     # stable, and they all sit strictly above the certified bound.
     model = worked_diag_model()
-    L0, cert, _, _ = mode_cutoff(model, np.ones(2))
+    L0, cert = cutoff(model)
     assert len(cert["scanned_modes"]) == 3
     assert all(lam > cert["bound"] for lam in cert["scanned_modes"])
 
 
+def nondegeneracy(model):
+    """The determinant test's verdict and details at ``u* = (1, 1)``."""
+    details = constant_state_index(model, np.ones(2)).certificate["nondegeneracy"]
+    return all(d["ok"] for d in details), details
+
+
 def test_nondegeneracy_worked_case_true_on_pi_interval():
-    model = worked_diag_model()
-    spectrum = neumann_eigenvalues(model.domain, 6)
-    ok, details = check_nondegeneracy(model, np.ones(2), spectrum)
+    ok, details = nondegeneracy(worked_diag_model())
     assert ok
+    assert [d["lambda_hat"] for d in details] == [0.0, 1.0, 4.0, 9.0, 16.0]
 
 
 def test_nondegeneracy_fails_on_resonant_interval():
     # L = pi/sqrt(2) scales the spectrum to 2k^2, so lambda_hat = 2
     # collides with the positive reaction eigenvalue: det = 0.
-    model = worked_diag_model(length=PI / np.sqrt(2.0))
-    spectrum = neumann_eigenvalues(model.domain, 6)
-    ok, details = check_nondegeneracy(model, np.ones(2), spectrum)
+    ok, details = nondegeneracy(worked_diag_model(length=PI / np.sqrt(2.0)))
     assert not ok
     bad = [d for d in details if not d["ok"]]
     assert any(abs(d["lambda_hat"] - 2.0) < 1e-9 for d in bad)
@@ -183,8 +203,7 @@ def test_nondegeneracy_fails_on_resonant_interval():
 def test_nondegeneracy_fails_on_singular_reaction_jacobian():
     # u* = (1,1) with J singular: c = [[1,1],[1,1]] has det J = 0.
     model = interval_model(2, (1.0, 1.0), (2.0, 2.0), ((1.0, 1.0), (1.0, 1.0)))
-    spectrum = neumann_eigenvalues(model.domain, 4)
-    ok, details = check_nondegeneracy(model, np.ones(2), spectrum)
+    ok, details = nondegeneracy(model)
     assert not ok
     assert any(d["lambda_hat"] == 0.0 and not d["ok"] for d in details)
 
@@ -402,13 +421,14 @@ def sweep_point(alpha_01):
 def test_one_sided_point_is_inconclusive_before_any_spectrum(monkeypatch):
     # alpha_12 = 0 makes d_A^{-1} A(u*) unit-triangular and defective, so
     # the certified bound (~1e15) needs more modes than the enumeration
-    # allows; the limit is checked before any spectrum entry is built.
-    from crossdiff import spectral
+    # allows; the limit is checked before any lattice array is built.
+    from crossdiff import index_theory, spectral
 
-    def no_entry(*args, **kwargs):
-        raise AssertionError("a spectrum entry was built")
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was built")
 
-    monkeypatch.setattr(spectral, "SpectrumEntry", no_entry)
+    monkeypatch.setattr(index_theory, "spectrum_through", no_spectrum)
+    monkeypatch.setattr(spectral, "ModeSpectrum", no_spectrum)
     verdict = existence_verdict(sweep_point(0.0))
     assert verdict.inconclusive
     assert "requires too many modes" in verdict.cause
@@ -515,12 +535,36 @@ def batch_models():
             2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
             alpha=((0.0, 0.0), (0.1, 0.0)), length=1e-150,
         ),
+        # On (0, 1e-153) the fifth axis value is past the float limit: a
+        # bound of 1 needs the first four, and a bound of 1e308 the first
+        # seven.  The first item gets its spectrum and then fails on its
+        # determinant, which overflows there for any model.
+        "m = 1, near the float limit": interval_model(
+            1, (1.0,), (1.0,), ((1.0,),), length=1e-153
+        ),
+        "m = 1, spectrum overflows a float": interval_model(
+            1, (1e-300,), (1e8,), ((1e8,),), length=1e-153
+        ),
     }
 
 
-def test_batch_verdicts_equal_one_model_verdicts():
+def test_batch_verdicts_equal_one_model_verdicts(monkeypatch):
+    from crossdiff import index_theory
+
     models = batch_models()
+    enumerated = []
+    spectrum_through = index_theory.spectrum_through
+
+    def counted(domain, *args, **kwargs):
+        enumerated.append(domain)
+        return spectrum_through(domain, *args, **kwargs)
+
+    monkeypatch.setattr(index_theory, "spectrum_through", counted)
     batch = existence_verdicts(list(models.values()))
+    # Four interval lengths and two rectangles, each enumerated once; the
+    # items past the size limit do not keep their domain from the others.
+    assert len(enumerated) == len(set(enumerated)) == 6
+    assert set(enumerated) == {model.domain for model in models.values()}
     assert len(batch) == len(models)
     for (name, model), verdict in zip(models.items(), batch):
         assert_identical(verdict, existence_verdict(model), name)
@@ -529,9 +573,18 @@ def test_batch_verdicts_equal_one_model_verdicts():
     # mixes a real and a complex d_A^{-1} A(u*) spectrum, and the square
     # puts a double mode first.
     causes = " ".join(v.cause or "" for v in batch)
-    for part in ("too many modes", "degenerate-subset", "overflows"):
+    for part in ("too many modes", "degenerate-subset", "overflows", "overflow a float"):
         assert part in causes
     assert any(b.report is not None for v in batch for b in v.boundary)
+    # Every report holds its own prefix: the modes through its bound and
+    # three more, on top of the constant mode.
+    reports = [r for v in batch for r in v.index_reports]
+    reports += [b.report for v in batch for b in v.boundary if b.report is not None]
+    for rep in reports:
+        assert len(rep.mode_decisions) == rep.L0 + 3
+        assert len(rep.certificate["nondegeneracy"]) == rep.L0 + 4
+    assert "nondegeneracy determinant" in batch[-2].cause
+    assert "overflow a float" in batch[-1].cause
     kinds = []
     for model, verdict in zip(models.values(), batch):
         if model.m == 3:
@@ -551,7 +604,9 @@ def test_batch_verdicts_equal_one_model_verdicts():
         for rep in verdict.index_reports:
             lam = np.array([d.lambda_hat for d in rep.mode_decisions])
             stacked = np.array([d.A_i for d in rep.mode_decisions])
-            assert stacked.tobytes() == mode_matrix(model, rep.u_star, lam).tobytes()
+            u = rep.u_star
+            reference = model.A(u) - model.jacobian_f(u) / lam[:, None, None]
+            assert stacked.tobytes() == reference.tobytes()
 
 
 def test_nonfinite_matrices_fail_only_their_own_model():

@@ -19,22 +19,22 @@ from crossdiff import (
     neumann_eigenvalues,
     spectrum_through,
 )
+from crossdiff.spectral import _group_starts
 
 PI = np.pi
 
 
 def test_interval_modes_are_squares():
     spectrum = neumann_eigenvalues(Domain(kind="interval", lengths=(PI,)), 4)
-    got = [(e.lambda_hat, e.M) for e in spectrum.entries]
+    got = list(zip(spectrum.values.tolist(), spectrum.M.tolist()))
     assert got == [(0.0, 1), (1.0, 1), (4.0, 1), (9.0, 1)]
 
 
 def test_square_first_nonzero_mode_is_double():
     spectrum = neumann_eigenvalues(Domain(kind="rectangle", lengths=(PI, PI)), 3)
-    entry = spectrum.entries[1]
-    assert entry.lambda_hat == pytest.approx(1.0)
-    assert entry.M == 2
-    assert set(entry.mode_indices) == {(1, 0), (0, 1)}
+    assert spectrum.values[1] == pytest.approx(1.0)
+    assert spectrum.M[1] == 2
+    assert set(spectrum.mode_indices()[1]) == {(1, 0), (0, 1)}
 
 
 def test_half_height_rectangle_values():
@@ -46,8 +46,7 @@ def test_half_height_rectangle_values():
     exact = sorted({k1**2 + 4 * k2**2 for k1, k2 in pairs})[:6]
     np.testing.assert_allclose(spectrum.values[:6], exact, rtol=1e-12)
     # 4 = 2^2 + 0 = 0 + 4*1^2: an honest collision.
-    entry = next(e for e in spectrum.entries if e.lambda_hat == pytest.approx(4.0))
-    assert entry.M == 2
+    assert spectrum.M[np.isclose(spectrum.values, 4.0)].tolist() == [2]
 
 
 def test_entries_strictly_increasing_and_first_is_constant_mode():
@@ -56,7 +55,7 @@ def test_entries_strictly_increasing_and_first_is_constant_mode():
         spectrum = neumann_eigenvalues(Domain(kind=kind, lengths=lengths), 8)
         values = spectrum.values
         assert values[0] == 0.0
-        assert spectrum.entries[0].M == 1
+        assert spectrum.M[0] == 1
         assert np.all(np.diff(values) > 0)
 
 
@@ -70,9 +69,28 @@ def test_interval_scaling_law(s, k):
 def test_spectrum_through_bound_is_inclusive_cover():
     domain = Domain(kind="interval", lengths=(PI,))
     spectrum = spectrum_through(domain, 10.0)
-    assert [e.lambda_hat for e in spectrum.entries] == [0.0, 1.0, 4.0, 9.0]
+    assert spectrum.values.tolist() == [0.0, 1.0, 4.0, 9.0]
     with_extra = spectrum_through(domain, 10.0, extra=2)
-    assert [e.lambda_hat for e in with_extra.entries[-2:]] == [16.0, 25.0]
+    assert with_extra.values[-2:].tolist() == [16.0, 25.0]
+
+
+def test_collision_groups_compare_with_the_first_value():
+    # Each gap is below the tolerance, but the third value is past it from
+    # the first: two groups, where chaining from the previous value gives one.
+    run = np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9])
+    assert _group_starts(run).tolist() == [True, False, True]
+    assert _group_starts(run[:2]).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("lengths", [(PI,), (PI, PI), (PI, PI / 2)], ids=str)
+def test_slice_is_the_spectrum_of_its_values(lengths):
+    kind = "interval" if len(lengths) == 1 else "rectangle"
+    spectrum = neumann_eigenvalues(Domain(kind=kind, lengths=lengths), 12)
+    triples = as_triples(spectrum)
+    for a, b in [(0, 12), (1, 12), (2, 5), (4, 4), (11, 20), (0, 1)]:
+        part = spectrum[a:b]
+        assert as_triples(part) == triples[a:b]
+        assert part.offsets[0] == 0 and part.offsets[-1] == len(part.points)
 
 
 ORACLE_DOMAINS = [
@@ -112,7 +130,7 @@ def brute_force_spectrum(lengths, limit):
 
 
 def as_triples(spectrum):
-    return [(e.lambda_hat, e.M, e.mode_indices) for e in spectrum.entries]
+    return list(zip(spectrum.values.tolist(), spectrum.M.tolist(), spectrum.mode_indices()))
 
 
 @pytest.mark.parametrize("lengths", ORACLE_DOMAINS, ids=str)
