@@ -268,6 +268,7 @@ def _solve_summary(result: SolveResult, diag) -> list[str]:
         ("classification", result.classification),
         ("residual norm", f"{result.residual_norm:.6e}"),
         ("iterations", str(result.iterations)),
+        ("factorizations", str(result.factorizations)),
         ("homotopy steps", str(len(result.t_path))),
         ("grad_l2", f"{diag.grad_l2:.6e}"),
         ("bmo sup", f"{diag.bmo_sup:.6e}"),
@@ -325,6 +326,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "converged": result.converged,
             "residual_norm": result.residual_norm,
             "iterations": result.iterations,
+            "factorizations": result.factorizations,
             "t_path": list(result.t_path),
             "classification": result.classification,
             "grad_l2": result.grad_l2,

@@ -16,6 +16,15 @@ strength (``alpha -> t * alpha`` for ``t`` from 0 to 1), the
 deformation to the weakly coupled system that the degree argument
 uses: every constant state is a root of every member of the family.
 
+Newton reuses a factorization while it pays (a chord step, as in
+Deuflhard's *Newton Methods for Nonlinear Problems*): once a Newton run
+holds an LU, each iteration first takes the full step from that stale
+factor and keeps it when the residual norm contracts by at least
+``CHORD_CONTRACTION = 0.5``; otherwise the factor is dropped and the
+iteration refactors at the current iterate and takes the damped Newton
+step.  The factor never outlives one Newton run, i.e. one
+continuation stage.
+
 The flux convention: on a cell-centered grid the face flux between
 neighbours ``p`` and ``q`` is ``A((u_p + u_q)/2) (u_q - u_p)/h`` and
 the residual is ``-(flux divergence) - f(u)``.  Neumann walls carry
@@ -46,6 +55,9 @@ TOL_ZERO = 1e-8
 TOL_CONST = 1e-6
 MIN_STEP = 1e-4
 MIN_CELLS = 8
+# A chord step from a stale LU is kept when it cuts the residual norm by
+# at least this factor; otherwise the Jacobian is refactored.
+CHORD_CONTRACTION = 0.5
 
 
 class ConvergenceError(RuntimeError):
@@ -57,16 +69,21 @@ class ConvergenceError(RuntimeError):
 
 
 class _NewtonFailure(ConvergenceError):
-    """A Newton run that stopped short, with its last iterate and the
+    """A Newton run that stopped short, with its last iterate, the
     residual norms of every iterate up to it (empty when the seed's
-    residual is not finite)."""
+    residual is not finite) and the number of ``splu`` calls it made."""
 
     def __init__(
-        self, message: str, values: NDArray[np.float64], history: list[float]
+        self,
+        message: str,
+        values: NDArray[np.float64],
+        history: list[float],
+        factorizations: int,
     ) -> None:
         super().__init__(message)
         self.values = values
         self.history = history
+        self.factorizations = factorizations
 
 
 @dataclass(frozen=True)
@@ -373,12 +390,18 @@ def discretize(
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one nonlinear solve (possibly through a homotopy path)."""
+    """Outcome of one nonlinear solve (possibly through a homotopy path).
+
+    ``iterations`` counts the accepted steps, chord and Newton, of the
+    stages that converged; ``factorizations`` counts every ``splu``
+    call of the solve, failed and bisected stages included.
+    """
 
     field: DiscreteField
     converged: bool
     residual_norm: float
     iterations: int
+    factorizations: int
     t_path: tuple[float, ...]
     classification: str
     grad_l2: float
@@ -423,6 +446,7 @@ def _finalize(
     converged: bool,
     residual_norm: float,
     iterations: int,
+    factorizations: int,
     t_path: tuple[float, ...],
     tolerance: float,
     history: Sequence[float],
@@ -444,6 +468,7 @@ def _finalize(
         converged=converged,
         residual_norm=residual_norm,
         iterations=iterations,
+        factorizations=factorizations,
         t_path=t_path,
         classification=classify_field(model, values),
         grad_l2=_grad_l2(grid, values),
@@ -469,35 +494,59 @@ def _newton_core(
     values: NDArray[np.float64],
     tol: float,
     max_iter: int,
-) -> tuple[NDArray[np.float64], float, float, int, list[float]]:
-    """Damped Newton; returns (values, residual_norm, abs_tol, iters, history).
+) -> tuple[NDArray[np.float64], float, float, int, list[float], int]:
+    """Chord-accelerated damped Newton.
 
-    Each iteration assembles the Jacobian on the grid's shared CSC
-    pattern (duplicates summed in assembly order) and factors it with
-    ``splu`` under the ``MMD_AT_PLUS_A`` column ordering.  A run that
-    stops short raises :class:`_NewtonFailure` with its last iterate.
+    Returns ``(values, residual_norm, abs_tol, iterations, history,
+    factorizations)``.  A Newton step assembles the Jacobian on the
+    grid's shared CSC pattern (duplicates summed in assembly order),
+    factors it with ``splu`` under the ``MMD_AT_PLUS_A`` column ordering
+    and takes a damped step.  Once the run holds a factorization, each
+    iteration first tries the full chord step ``lu.solve(-R)`` from that
+    stale factor and keeps it when ``||R(u + delta)|| <= CHORD_CONTRACTION
+    * ||R(u)||``; otherwise it drops the factor and takes a Newton step
+    at the current iterate.  Both kinds of step count as iterations.  A
+    run that stops short raises :class:`_NewtonFailure` with its last
+    iterate and its factorization count.
     """
     R = system.residual(values)
     rn = float(np.linalg.norm(R))
     if not np.isfinite(rn):
-        raise _NewtonFailure("NaN in residual at the seed", values, [])
+        raise _NewtonFailure("NaN in residual at the seed", values, [], 0)
+    history = [rn]
+    factorizations = 0
+
+    def failure(message: str) -> _NewtonFailure:
+        return _NewtonFailure(message, values, history, factorizations)
+
     # Relative convergence test: flux cancellations floor the achievable
     # absolute residual at roughly eps * ||A|| * ||u|| / h^2.
     abs_tol = tol * (1.0 + rn)
-    history = [rn]
+    lu = None
     for it in range(1, max_iter + 1):
         if rn <= abs_tol:
-            return values, rn, abs_tol, it - 1, history
+            return values, rn, abs_tol, it - 1, history, factorizations
+        if lu is not None:
+            delta = lu.solve(-R.reshape(-1)).reshape(values.shape)
+            if np.all(np.isfinite(delta)):
+                trial = values + delta
+                R_try = system.residual(trial)
+                rt = float(np.linalg.norm(R_try))
+                if rt <= CHORD_CONTRACTION * rn:
+                    values, R, rn = trial, R_try, rt
+                    history.append(rn)
+                    continue
+            # Release the stale factor first: two L + U never coexist.
+            lu = None
         J = system.jacobian(values)
+        factorizations += 1
         try:
             lu = splu(J, permc_spec="MMD_AT_PLUS_A")
             delta = lu.solve(-R.reshape(-1))
         except RuntimeError as exc:
-            raise _NewtonFailure(f"linear solve failed: {exc}", values, history) from exc
+            raise failure(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
-            raise _NewtonFailure(
-                "non-finite Newton step (singular Jacobian)", values, history
-            )
+            raise failure("non-finite Newton step (singular Jacobian)")
         delta = delta.reshape(values.shape)
         alpha = 1.0
         while True:
@@ -508,20 +557,16 @@ def _newton_core(
                 break
             alpha *= 0.5
             if alpha < 1e-12:
-                raise _NewtonFailure(
-                    f"line search stagnates at iteration {it} (residual {rn:.3e})",
-                    values,
-                    history,
+                raise failure(
+                    f"line search stagnates at iteration {it} (residual {rn:.3e})"
                 )
         values, R, rn = trial, R_try, rt
         history.append(rn)
     if rn <= abs_tol:
-        return values, rn, abs_tol, max_iter, history
-    raise _NewtonFailure(
+        return values, rn, abs_tol, max_iter, history, factorizations
+    raise failure(
         f"no convergence within {max_iter} iterations (residual {rn:.3e}, "
-        f"target {abs_tol:.3e})",
-        values,
-        history,
+        f"target {abs_tol:.3e})"
     )
 
 
@@ -534,29 +579,31 @@ def newton_solve(
     forcing: NDArray[np.float64] | None = None,
     strict: bool = True,
 ) -> SolveResult:
-    """Damped-Newton solve from a seed field.
+    """Damped-Newton solve, with chord steps, from a seed field.
 
     With ``strict`` (default) solver failures raise
     :class:`ConvergenceError`; otherwise a non-converged
     :class:`SolveResult` is returned with the failure reason attached.
-    It holds the last iterate, its residual norm, the Newton steps taken
-    and the residual history.
+    It holds the last iterate, its residual norm, the steps taken (chord
+    and Newton), the factorizations made and the residual history.
     """
     start = _seed_values(seed, grid, model.m)
     system = discretize(model, grid, forcing=forcing)
     try:
-        values, rn, abs_tol, its, history = _newton_core(system, start, tol, max_iter)
+        values, rn, abs_tol, its, history, lus = _newton_core(
+            system, start, tol, max_iter
+        )
     except _NewtonFailure as exc:
         if strict:
             raise
         return _finalize(
             model, grid, start, exc.values, False,
             exc.history[-1] if exc.history else float("nan"),
-            max(len(exc.history) - 1, 0), (1.0,), tol, exc.history,
-            extra_warnings=(str(exc),),
+            max(len(exc.history) - 1, 0), exc.factorizations, (1.0,), tol,
+            exc.history, extra_warnings=(str(exc),),
         )
     return _finalize(
-        model, grid, start, values, True, rn, its, (1.0,), abs_tol, history
+        model, grid, start, values, True, rn, its, lus, (1.0,), abs_tol, history
     )
 
 
@@ -585,6 +632,7 @@ def continuation_solve(
     values = start
     path: list[float] = []
     total_iters = 0
+    total_lus = 0
     history: list[float] = []
     rn = float("nan")
     abs_tol = tol
@@ -594,10 +642,11 @@ def continuation_solve(
         t = queue[0]
         system = discretize(dataclasses.replace(model, alpha=t * model.alpha), grid)
         try:
-            values_new, rn, abs_tol, its, history = _newton_core(
+            values_new, rn, abs_tol, its, history, lus = _newton_core(
                 system, values, tol, max_iter
             )
-        except ConvergenceError as exc:
+        except _NewtonFailure as exc:
+            total_lus += exc.factorizations
             mid = 0.5 * (t_prev + t)
             if t - mid < MIN_STEP:
                 message = (
@@ -605,7 +654,7 @@ def continuation_solve(
                     f"t = {t:.6g}: {exc}"
                 )
                 partial = _finalize(
-                    model, grid, start, values, False, rn, total_iters,
+                    model, grid, start, values, False, rn, total_iters, total_lus,
                     tuple(path), tol, history, extra_warnings=(message,),
                 )
                 if strict:
@@ -615,13 +664,14 @@ def continuation_solve(
             continue
         values = values_new
         total_iters += its
+        total_lus += lus
         path.append(t)
         t_prev = t
         queue.pop(0)
 
     return _finalize(
-        model, grid, start, values, True, rn, total_iters, tuple(path), abs_tol,
-        history,
+        model, grid, start, values, True, rn, total_iters, total_lus, tuple(path),
+        abs_tol, history,
     )
 
 

@@ -70,13 +70,16 @@ def _group_starts(values: NDArray[np.float64]) -> NDArray[np.bool_]:
     """Where the collision groups of the ascending ``values`` start.
 
     A value joins the current group when it lies within
-    ``TOL_COLLIDE * max(1, |value|)`` of the group's first value, not of
-    the value before it.  A gap above that tolerance starts a group
+    ``TOL_COLLIDE * |value|`` of the group's first value, not of the
+    value before it.  The tolerance is relative because the spectrum's
+    scale is set by the domain: on a long interval ``(pi / L)^2`` may be
+    far below any absolute tolerance, and the constant mode's value 0
+    groups only with itself.  A gap above that tolerance starts a group
     whatever the group's first value; within a run of smaller gaps, each
     pass starts a new group at the first value too far from its group's
     first, which is where a walk from the bottom would start it.
     """
-    tol = TOL_COLLIDE * np.maximum(1.0, np.abs(values))
+    tol = TOL_COLLIDE * np.abs(values)
     starts = np.ones(len(values), dtype=bool)
     starts[1:] = np.diff(values) > tol[1:]
     position = np.arange(len(values))
@@ -95,7 +98,7 @@ def _axis_value(k: int, L: float) -> float:
 def _widen(x: float) -> float:
     """``x`` plus twice the collision tolerance: every value that can
     join a collision group starting at or below ``x`` is within it."""
-    return x + 2.0 * TOL_COLLIDE * max(1.0, x)
+    return x + 2.0 * TOL_COLLIDE * abs(x)
 
 
 def _axis_top(L: float, x: float) -> int:

@@ -175,6 +175,28 @@ def test_solve_writes_report_and_field_csv(tmp_path, capsys):
     assert float(rows[1][1]) == pytest.approx(10.0 / 17.0, abs=1e-9)
 
 
+def test_solve_reports_its_factorizations(tmp_path, capsys, monkeypatch):
+    calls = []
+    factor = pde_solver.splu
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(pde_solver, "splu", recording)
+    cfg = write_config(tmp_path, SKT)
+    out = str(tmp_path / "s.json")
+    code = cli.main(
+        ["solve", "--config", cfg, "--output", out, "--grid", "16", "--seed-random", "0"]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    result = json.loads((tmp_path / "s.json").read_text())["result"]
+    assert result["factorizations"] == len(calls) >= 1
+    assert result["iterations"] >= result["factorizations"]
+    assert ["factorizations", str(len(calls))] in [line.split() for line in captured.out.splitlines()]
+
+
 def printed_timings(out):
     """The ``timing NAME: SECONDS s ...`` lines of a command's output."""
     timings = {}

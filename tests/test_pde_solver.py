@@ -326,6 +326,19 @@ def test_jacobian_pattern_refill_matches_coo_assembly(kind, bc, m, t):
 # -- Newton -----------------------------------------------------------------
 
 
+def splu_calls(monkeypatch):
+    """Record every ``splu`` call the solver makes, failed ones included."""
+    calls = []
+    factor = pde_solver.splu
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(pde_solver, "splu", recording)
+    return calls
+
+
 def test_newton_finds_coexistence_from_nearby_constant():
     model = weak_lv()
     grid = make_grid(model.domain, 64)
@@ -355,17 +368,20 @@ def test_newton_rejects_bad_seed_shape():
         newton_solve(model, grid, np.zeros((16, 3)))
 
 
-def test_newton_singular_jacobian_raises_convergence_error():
+def test_newton_singular_jacobian_raises_convergence_error(monkeypatch):
     # u = 1/2 zeroes the logistic derivative pointwise, so the Jacobian
-    # is the bare Neumann operator — exactly singular.
+    # is the bare Neumann operator — exactly singular.  The failed
+    # factorization still counts.
     model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
     grid = make_grid(model.domain, 32)
     seed = constant_field(grid, [0.5])
     with pytest.raises(ConvergenceError):
         newton_solve(model, grid, seed, max_iter=3)
+    calls = splu_calls(monkeypatch)
     soft = newton_solve(model, grid, seed, max_iter=3, strict=False)
     assert not soft.converged
     assert soft.warnings
+    assert soft.factorizations == len(calls) == 1
 
 
 def test_failed_soft_newton_reports_its_last_iterate():
@@ -418,10 +434,11 @@ def test_continuation_agrees_with_direct_newton():
     assert cont.t_path == tuple(np.linspace(0.0, 1.0, 9))
 
 
-def test_continuation_bisects_on_stage_failure():
+def test_continuation_bisects_on_stage_failure(monkeypatch):
     # Follow a Turing pattern as cross-diffusion is switched on.  Three
     # Newton iterations cannot cross half the path in one step, so the
     # solver must insert midpoints that are not on the requested grid.
+    # The factorizations of the failed stages are counted too.
     base = turing()
     grid = make_grid(base.domain, 64)
     seed = seed_from_mode(base, np.ones(2), unstable_decision(base), 1.5, grid)
@@ -431,8 +448,10 @@ def test_continuation_bisects_on_stage_failure():
         2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
         alpha=((0.0, 0.0), (0.0, 0.2)),
     )
+    calls = splu_calls(monkeypatch)
     result = continuation_solve(model, grid, pattern.field, steps=2, max_iter=3)
     assert result.converged
+    assert result.factorizations == len(calls)
     assert result.classification == "nonconstant"
     assert result.t_path[0] == 0.0 and result.t_path[-1] == 1.0
     assert all(b > a for a, b in zip(result.t_path, result.t_path[1:]))
@@ -475,6 +494,81 @@ def test_first_factorization_fill_uses_a_fill_reducing_ordering(monkeypatch):
     assert fills and fills[0] < 300_000
 
 
+def test_skt_continuation_keeps_one_factorization_per_stage_that_needs_one(monkeypatch):
+    # The t = 0 stage runs its chord steps on one LU and the t = 0.125
+    # stage needs one more; the other stages start converged.  Plain
+    # Newton factored once per iteration: 5 times.
+    model = skt_2d()
+    grid = make_grid(model.domain, 48)
+    calls = splu_calls(monkeypatch)
+    seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
+    result = continuation_solve(model, grid, seed)
+    assert result.converged
+    assert result.factorizations == len(calls) <= 2
+    assert result.iterations > result.factorizations
+
+
+def test_chord_steps_refactor_when_they_stall(monkeypatch):
+    # From a random field the Turing model needs several factorizations:
+    # chord steps from a stale LU carry most iterations, and a step that
+    # does not halve the residual makes the solve refactor.  Only a
+    # Newton step, which costs one factorization, may cut the residual
+    # by less than CHORD_CONTRACTION.
+    model = turing()
+    grid = make_grid(model.domain, 64)
+    calls = splu_calls(monkeypatch)
+    result = newton_solve(model, grid, random_field(grid, [0.5, 0.5], [1.5, 1.5], seed=0))
+    assert result.converged
+    assert result.factorizations == len(calls)
+    assert 2 <= result.factorizations < result.iterations
+    history = np.array(result.residual_history)
+    assert np.all(history[1:] < history[:-1])
+    slow = history[1:] > pde_solver.CHORD_CONTRACTION * history[:-1]
+    assert 1 <= np.count_nonzero(slow) <= result.factorizations
+    residual = discretize(model, grid).residual(result.field.values)
+    assert np.linalg.norm(residual) <= result.tolerance
+
+
+# The answers of plain Newton (one LU per iteration) before chord steps:
+# classification, min, mean and grad_l2 of the converged field.  A
+# constant answer's grad_l2 is 0 up to the solve tolerance, so grad_l2 is
+# compared on the field's scale (about 1) as well.
+TURING_512_PLAIN_NEWTON = [
+    (1.27, "nonconstant", 0.35637115116108087, 1.139319152074372, 1.3586101802163855),
+    (1.62, "nontrivial-constant", 0.9999999999999989, 0.9999999999999999, 2.3874763111823764e-14),
+    (1.91, "nonconstant", 0.35637115116487733, 1.1393191520754464, 1.358610180213875),
+]
+SKT_48_PLAIN_NEWTON = [
+    (0, "nontrivial-constant", 0.5882352941176471, 0.7058823529411763, 0.0),
+    (1, "nontrivial-constant", 0.5882352941176471, 0.7058823529411763, 0.0),
+]
+
+
+def assert_same_answer(result, classification, vmin, mean, grad_l2):
+    assert result.converged
+    assert result.classification == classification
+    assert float(result.field.values.min()) == pytest.approx(vmin, rel=1e-8)
+    assert float(result.field.values.mean()) == pytest.approx(mean, rel=1e-8)
+    assert result.grad_l2 == pytest.approx(grad_l2, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("amp, classification, vmin, mean, grad_l2", TURING_512_PLAIN_NEWTON)
+def test_mode_seeded_turing_solve_matches_plain_newton(amp, classification, vmin, mean, grad_l2):
+    model = turing()
+    grid = make_grid(model.domain, 512)
+    seed = seed_from_mode(model, np.ones(2), unstable_decision(model), amp, grid)
+    result = newton_solve(model, grid, seed)
+    assert_same_answer(result, classification, vmin, mean, grad_l2)
+
+
+@pytest.mark.parametrize("seed, classification, vmin, mean, grad_l2", SKT_48_PLAIN_NEWTON)
+def test_skt_continuation_matches_plain_newton(seed, classification, vmin, mean, grad_l2):
+    model = skt_2d()
+    grid = make_grid(model.domain, 48)
+    result = continuation_solve(model, grid, random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=seed))
+    assert_same_answer(result, classification, vmin, mean, grad_l2)
+
+
 def test_continuation_builds_the_jacobian_pattern_once(monkeypatch):
     model = skt_2d()
     grid = make_grid(model.domain, 16)
@@ -502,18 +596,22 @@ def test_continuation_schedule_validation():
         continuation_solve(model, grid, seed, steps=0)
 
 
-def test_continuation_underflow_reports_partial_result():
+def test_continuation_underflow_reports_partial_result(monkeypatch):
     # One Newton iteration can never reach tolerance from this seed, so
-    # the t = 0 stage fails and the homotopy step underflows.
+    # the t = 0 stage fails and the homotopy step underflows.  The failed
+    # stage's factorization is counted.
     model = weak_lv()
     grid = make_grid(model.domain, 16)
     seed = constant_field(grid, [0.37, 0.41])
+    calls = splu_calls(monkeypatch)
     with pytest.raises(ConvergenceError, match="underflow") as excinfo:
         continuation_solve(model, grid, seed, max_iter=1)
     assert excinfo.value.result is not None
     assert not excinfo.value.result.converged
+    calls.clear()
     soft = continuation_solve(model, grid, seed, max_iter=1, strict=False)
     assert not soft.converged
+    assert soft.factorizations == len(calls) == 1
     assert any("underflow" in w for w in soft.warnings)
 
 

@@ -82,6 +82,21 @@ def test_collision_groups_compare_with_the_first_value():
     assert _group_starts(run[:2]).tolist() == [True, False]
 
 
+@pytest.mark.parametrize("lengths", [(2e5,), (2e5, 1.0)], ids=str)
+def test_long_sides_keep_their_first_modes_apart(lengths):
+    # On a side of 2e5 the axis values (k pi / L)^2 start at 2.5e-10, below
+    # an absolute collision tolerance of 1e-9: only a relative tolerance
+    # keeps modes 1 and 2 out of the constant mode's group.
+    kind = "interval" if len(lengths) == 1 else "rectangle"
+    spectrum = spectrum_through(Domain(kind=kind, lengths=lengths), 1e-7)
+    rest = (0,) * (len(lengths) - 1)
+    assert spectrum.M[:4].tolist() == [1, 1, 1, 1]
+    assert list(spectrum.mode_indices()[:4]) == [((k,) + rest,) for k in range(4)]
+    np.testing.assert_allclose(
+        spectrum.values[:4], (np.arange(4) * PI / 2e5) ** 2, rtol=1e-12
+    )
+
+
 @pytest.mark.parametrize("lengths", [(PI,), (PI, PI), (PI, PI / 2)], ids=str)
 def test_slice_is_the_spectrum_of_its_values(lengths):
     kind = "interval" if len(lengths) == 1 else "rectangle"
@@ -104,6 +119,8 @@ ORACLE_DOMAINS = [
     (3.0, 2.0),
     (1.0, math.sqrt(2.0)),
     (PI, PI / 100),
+    (2e5,),
+    (2e5, 1.0),
 ]
 
 
@@ -112,7 +129,7 @@ def brute_force_spectrum(lengths, limit):
 
     Every ``k`` with ``k_a pi / L_a <= sqrt(limit)`` is listed, values are
     ``sum_a (k_a pi / L_a)^2`` and a value joins the group of the smallest
-    value below it when within ``1e-9 max(1, value)``; only groups that
+    value below it when within ``1e-9 value``; only groups that
     start at or below ``limit / 2`` are sure to be whole and are returned.
     """
     tops = [int(math.sqrt(limit) * L / math.pi) + 2 for L in lengths]
@@ -122,7 +139,7 @@ def brute_force_spectrum(lengths, limit):
     points.sort()
     groups = []
     for value, ks in points:
-        if groups and value - groups[-1][0] <= 1e-9 * max(1.0, value):
+        if groups and value - groups[-1][0] <= 1e-9 * value:
             groups[-1][1].append(ks)
         else:
             groups.append((value, [ks]))
