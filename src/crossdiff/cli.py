@@ -336,6 +336,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "diagnostics": diag,
         "field_csv": os.path.basename(field_path),
     }
+    if not direct:
+        # The coarse-grid answer of a grid-sequenced continuation, or
+        # null when the continuation ran on one grid.
+        report["result"]["refinement"] = result.refinement
     _write_report(args.output, report)
     print("\n".join(_solve_summary(result, diag)))
     print(f"report written to {args.output}")

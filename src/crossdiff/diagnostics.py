@@ -22,6 +22,10 @@ from .pde_solver import DiscreteField, Grid, axis_slices, discretize
 
 NOT_A_SOLUTION_RTOL = 1e-6
 BALL_RTOL = 1e-12
+# A field whose every component stays within this many ulps of its
+# value at the first node is constant up to round-off: its oscillation
+# is 0.
+CONST_ULPS = 2
 # Distance terms per chunk when evaluating chosen balls.
 GATHER_TERMS = 1 << 16
 
@@ -157,6 +161,14 @@ def _max_oscillation(
     return float(np.max(found))
 
 
+def _constant_to_round_off(flat: NDArray[np.float64]) -> bool:
+    """Whether every row of ``flat`` lies within ``CONST_ULPS`` ulps of
+    the first row, componentwise."""
+    with np.errstate(over="ignore"):
+        dev = np.abs(flat - flat[0])
+    return bool((dev <= CONST_ULPS * np.spacing(np.abs(flat[0]))).all())
+
+
 def bmo_seminorm(field: DiscreteField, radius: float) -> float:
     """Supremum over node-centered balls of the mean oscillation.
 
@@ -183,14 +195,16 @@ def bmo_seminorm(field: DiscreteField, radius: float) -> float:
     ``N`` nodes, ``R`` radii, ``m`` components and ``|B|`` offsets in
     the largest ball, plus ``O(|B| m)`` per evaluated ball: a few percent
     of the ``R N`` balls on the fields tried (smooth patterns, noise),
-    every ball at worst.  A constant field returns ``0.0`` at once.
+    every ball at worst.  A field that is constant up to round-off
+    (each component within ``CONST_ULPS`` ulps of its value at the first
+    node) returns ``0.0`` at once.
     """
     grid = field.grid
     radii = ball_radii(grid, radius)
     shape = grid.shape
     m = field.m
     flat = field.values.reshape(-1, m)
-    if (flat == flat[0]).all():
+    if _constant_to_round_off(flat):
         return 0.0
 
     # Offsets of the largest ball, each tagged with the first radius

@@ -23,7 +23,19 @@ factor and keeps it when the residual norm contracts by at least
 ``CHORD_CONTRACTION = 0.5``; otherwise the factor is dropped and the
 iteration refactors at the current iterate and takes the damped Newton
 step.  The factor never outlives one Newton run, i.e. one
-continuation stage.
+continuation stage.  A run's ``max_iter`` budget bounds its
+factorizations: a chord step that halves the residual is free.
+
+The continuation is grid-sequenced (mesh sequencing, a Newton globalizer
+in Knoll & Keyes, *J. Comput. Phys.* 193, 2004).  When every axis has an
+even cell count and half of it is at least ``MIN_CELLS``, the homotopy
+stages run on the grid with half the cells, from the seed averaged over
+each block of ``2^d`` children; one Newton run at ``t = 1`` then solves
+on the full grid from the coarse answer, prolonged by cell-centred
+linear interpolation.  The coarse answer is reported as refinement
+evidence: its classification and ``max |u_h - P u_2h|``.  When the
+coarse stages or the fine run fail, the stages run again on the full
+grid from the original seed.
 
 The flux convention: on a cell-centered grid the face flux between
 neighbours ``p`` and ``q`` is ``A((u_p + u_q)/2) (u_q - u_p)/h`` and
@@ -203,12 +215,19 @@ def axis_slices(ndim: int, axis: int) -> tuple[tuple, tuple, tuple[tuple, tuple]
     component axes pass through untouched.
     """
 
-    def at(index: slice | int) -> tuple:
-        sl: list[slice | int] = [slice(None)] * ndim
-        sl[axis] = index
-        return tuple(sl)
+    return (
+        _at(ndim, axis, slice(None, -1)),
+        _at(ndim, axis, slice(1, None)),
+        (_at(ndim, axis, 0), _at(ndim, axis, -1)),
+    )
 
-    return at(slice(None, -1)), at(slice(1, None)), (at(0), at(-1))
+
+def _at(ndim: int, axis: int, index: slice | int) -> tuple:
+    """Index tuple that applies ``index`` along ``axis`` of an
+    ``ndim``-axis array and passes the other axes through."""
+    sl: list[slice | int] = [slice(None)] * ndim
+    sl[axis] = index
+    return tuple(sl)
 
 
 class DiscreteSystem:
@@ -389,12 +408,27 @@ def discretize(
 
 
 @dataclass(frozen=True)
+class Refinement:
+    """The coarse-grid answer of a grid-sequenced solve, as evidence.
+
+    ``prolongation_gap`` is ``max |u_h - P u_2h|``, the largest
+    difference between the fine answer and the prolonged coarse one.
+    """
+
+    coarse_grid: tuple[int, ...]
+    coarse_classification: str
+    prolongation_gap: float
+
+
+@dataclass(frozen=True)
 class SolveResult:
     """Outcome of one nonlinear solve (possibly through a homotopy path).
 
     ``iterations`` counts the accepted steps, chord and Newton, of the
     stages that converged; ``factorizations`` counts every ``splu``
     call of the solve, failed and bisected stages included.
+    ``refinement`` holds the coarse answer of a grid-sequenced
+    continuation, ``None`` for a solve on one grid.
     """
 
     field: DiscreteField
@@ -408,6 +442,7 @@ class SolveResult:
     tolerance: float
     warnings: tuple[str, ...] = ()
     residual_history: tuple[float, ...] = ()
+    refinement: Refinement | None = None
 
 
 def classify_field(
@@ -451,8 +486,26 @@ def _finalize(
     tolerance: float,
     history: Sequence[float],
     extra_warnings: Sequence[str] = (),
+    coarse: tuple[Grid, NDArray[np.float64]] | None = None,
 ) -> SolveResult:
     warns = list(extra_warnings)
+    classification = classify_field(model, values)
+    refinement = None
+    if coarse is not None:
+        coarse_grid, coarse_values = coarse
+        refinement = Refinement(
+            coarse_grid=coarse_grid.n_cells,
+            coarse_classification=classify_field(model, coarse_values),
+            prolongation_gap=float(
+                np.abs(values - prolong(coarse_values, model.bc.kind == "dirichlet")).max()
+            ),
+        )
+        if refinement.coarse_classification != classification:
+            warns.append(
+                f"classification changes on refinement: {refinement.coarse_classification} "
+                f"on the {'x'.join(map(str, coarse_grid.n_cells))} grid, "
+                f"{classification} on the {'x'.join(map(str, grid.n_cells))} grid"
+            )
     vmin = float(values.min())
     if vmin < -TOL_ZERO:
         warns.append(
@@ -470,11 +523,12 @@ def _finalize(
         iterations=iterations,
         factorizations=factorizations,
         t_path=t_path,
-        classification=classify_field(model, values),
+        classification=classification,
         grad_l2=_grad_l2(grid, values),
         tolerance=tolerance,
         warnings=tuple(warns),
         residual_history=tuple(history),
+        refinement=refinement,
     )
 
 
@@ -505,9 +559,11 @@ def _newton_core(
     iteration first tries the full chord step ``lu.solve(-R)`` from that
     stale factor and keeps it when ``||R(u + delta)|| <= CHORD_CONTRACTION
     * ||R(u)||``; otherwise it drops the factor and takes a Newton step
-    at the current iterate.  Both kinds of step count as iterations.  A
-    run that stops short raises :class:`_NewtonFailure` with its last
-    iterate and its factorization count.
+    at the current iterate.  Both kinds of step count as iterations;
+    ``max_iter`` bounds the factorizations, so a chord step that keeps
+    halving the residual is free.  A run that stops short raises
+    :class:`_NewtonFailure` with its last iterate and its factorization
+    count.
     """
     R = system.residual(values)
     rn = float(np.linalg.norm(R))
@@ -523,9 +579,7 @@ def _newton_core(
     # absolute residual at roughly eps * ||A|| * ||u|| / h^2.
     abs_tol = tol * (1.0 + rn)
     lu = None
-    for it in range(1, max_iter + 1):
-        if rn <= abs_tol:
-            return values, rn, abs_tol, it - 1, history, factorizations
+    while rn > abs_tol:
         if lu is not None:
             delta = lu.solve(-R.reshape(-1)).reshape(values.shape)
             if np.all(np.isfinite(delta)):
@@ -538,6 +592,11 @@ def _newton_core(
                     continue
             # Release the stale factor first: two L + U never coexist.
             lu = None
+        if factorizations == max_iter:
+            raise failure(
+                f"no convergence within {max_iter} factorizations (residual "
+                f"{rn:.3e}, target {abs_tol:.3e})"
+            )
         J = system.jacobian(values)
         factorizations += 1
         try:
@@ -558,16 +617,12 @@ def _newton_core(
             alpha *= 0.5
             if alpha < 1e-12:
                 raise failure(
-                    f"line search stagnates at iteration {it} (residual {rn:.3e})"
+                    f"line search stagnates at iteration {len(history)} "
+                    f"(residual {rn:.3e})"
                 )
         values, R, rn = trial, R_try, rt
         history.append(rn)
-    if rn <= abs_tol:
-        return values, rn, abs_tol, max_iter, history, factorizations
-    raise failure(
-        f"no convergence within {max_iter} iterations (residual {rn:.3e}, "
-        f"target {abs_tol:.3e})"
-    )
+    return values, rn, abs_tol, len(history) - 1, history, factorizations
 
 
 def newton_solve(
@@ -586,6 +641,7 @@ def newton_solve(
     :class:`SolveResult` is returned with the failure reason attached.
     It holds the last iterate, its residual norm, the steps taken (chord
     and Newton), the factorizations made and the residual history.
+    ``max_iter`` bounds the factorizations.
     """
     start = _seed_values(seed, grid, model.m)
     system = discretize(model, grid, forcing=forcing)
@@ -607,29 +663,91 @@ def newton_solve(
     )
 
 
-def continuation_solve(
+def half_grid(grid: Grid) -> Grid | None:
+    """The grid with half the cells per axis, or ``None`` when an axis
+    has an odd cell count or would fall below ``MIN_CELLS``."""
+    if any(n % 2 or n // 2 < MIN_CELLS for n in grid.n_cells):
+        return None
+    return make_grid(grid.domain, tuple(n // 2 for n in grid.n_cells))
+
+
+def restrict(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Average each block of ``2^d`` fine cells onto its coarse parent.
+
+    ``values`` has shape ``grid.shape + (m,)`` with every axis even.
+    The average is taken in pairs, axis by axis, so a constant field
+    restricts to itself bit for bit.
+    """
+    ndim = values.ndim
+    for axis in range(ndim - 1):
+        even = values[_at(ndim, axis, slice(0, None, 2))]
+        odd = values[_at(ndim, axis, slice(1, None, 2))]
+        values = 0.5 * (even + odd)
+    return values
+
+
+def prolong(values: NDArray[np.float64], dirichlet: bool) -> NDArray[np.float64]:
+    """Cell-centred linear interpolation onto the grid with twice the cells.
+
+    Along each axis, in turn, a coarse cell ``u`` hands each of its two
+    children ``u + 0.25 (u_nb - u)``, with ``u_nb`` the coarse neighbour
+    on that child's side, so a constant field prolongs to itself bit for
+    bit.  Past a wall the neighbour is a ghost: the wall cell itself
+    under Neumann walls, its negative under Dirichlet walls (the value
+    0 pinned on the wall).
+    """
+    sign = -1.0 if dirichlet else 1.0
+    ndim = values.ndim
+    for axis in range(ndim - 1):
+        padded = np.concatenate(
+            [
+                sign * values[_at(ndim, axis, slice(0, 1))],
+                values,
+                sign * values[_at(ndim, axis, slice(-1, None))],
+            ],
+            axis=axis,
+        )
+        below = padded[_at(ndim, axis, slice(None, -2))]
+        above = padded[_at(ndim, axis, slice(2, None))]
+        children = np.stack(
+            [values + 0.25 * (below - values), values + 0.25 * (above - values)],
+            axis=axis + 1,
+        )
+        n = values.shape[axis]
+        values = children.reshape(values.shape[:axis] + (2 * n,) + values.shape[axis + 1 :])
+    return values
+
+
+@dataclass(frozen=True)
+class _Stages:
+    """Outcome of one homotopy stage loop on one grid.
+
+    ``values`` is the answer at ``t = 1``, or the last converged stage's
+    field when ``failure`` is set; ``iterations`` counts the steps of the
+    converged stages, ``factorizations`` every ``splu`` call.
+    """
+
+    values: NDArray[np.float64]
+    residual_norm: float
+    tolerance: float
+    iterations: int
+    factorizations: int
+    t_path: tuple[float, ...]
+    history: list[float]
+    failure: _NewtonFailure | None = None
+    message: str = ""
+
+
+def _stage_loop(
     model: Model,
     grid: Grid,
-    seed: DiscreteField | NDArray[np.float64],
-    steps: int = 8,
-    tol: float = TOL_NEWTON,
-    max_iter: int = 100,
-    strict: bool = True,
-) -> SolveResult:
-    """Homotopy continuation in the cross-diffusion strength.
-
-    Solves the family with cross-diffusion ``t * alpha`` for ``t`` over
-    ``linspace(0, 1, steps + 1)``, warm-starting each stage from the
-    previous solution and bisecting a failed step down to ``MIN_STEP``.
-    Every constant state is a root of every member, so the path keeps
-    the branch of a seed near one.  The ``t = 0`` member is the
-    semilinear system ``-Div(d Du) = f(u)``, whose Newton matrix at a
-    generic seed is nonsingular; the ``t = 1`` member is the target.
-    """
-    if steps < 1:
-        raise ModelError("steps must be >= 1")
-    start = _seed_values(seed, grid, model.m)
-    values = start
+    values: NDArray[np.float64],
+    steps: int,
+    tol: float,
+    max_iter: int,
+) -> _Stages:
+    """Homotopy stages ``t * alpha`` on one grid, each warm-started from
+    the previous one; a failed step is bisected down to ``MIN_STEP``."""
     path: list[float] = []
     total_iters = 0
     total_lus = 0
@@ -653,13 +771,10 @@ def continuation_solve(
                     f"homotopy step underflow below {MIN_STEP} near "
                     f"t = {t:.6g}: {exc}"
                 )
-                partial = _finalize(
-                    model, grid, start, values, False, rn, total_iters, total_lus,
-                    tuple(path), tol, history, extra_warnings=(message,),
+                return _Stages(
+                    values, rn, tol, total_iters, total_lus, tuple(path), history,
+                    exc, message,
                 )
-                if strict:
-                    raise ConvergenceError(message, result=partial) from exc
-                return partial
             queue.insert(0, mid)
             continue
         values = values_new
@@ -668,10 +783,77 @@ def continuation_solve(
         path.append(t)
         t_prev = t
         queue.pop(0)
+    return _Stages(values, rn, abs_tol, total_iters, total_lus, tuple(path), history)
 
+
+def continuation_solve(
+    model: Model,
+    grid: Grid,
+    seed: DiscreteField | NDArray[np.float64],
+    steps: int = 8,
+    tol: float = TOL_NEWTON,
+    max_iter: int = 100,
+    strict: bool = True,
+) -> SolveResult:
+    """Homotopy continuation in the cross-diffusion strength, grid-sequenced.
+
+    Solves the family with cross-diffusion ``t * alpha`` for ``t`` over
+    ``linspace(0, 1, steps + 1)``, warm-starting each stage from the
+    previous solution and bisecting a failed step down to ``MIN_STEP``.
+    Every constant state is a root of every member, so the path keeps
+    the branch of a seed near one.  The ``t = 0`` member is the
+    semilinear system ``-Div(d Du) = f(u)``, whose Newton matrix at a
+    generic seed is nonsingular; the ``t = 1`` member is the target.
+
+    When :func:`half_grid` can halve the grid, the stages run there,
+    from the :func:`restrict`-ed seed, and one Newton run at ``t = 1``
+    on the full grid polishes the :func:`prolong`-ed answer (mesh
+    sequencing).  The coarse answer is kept as ``refinement``.  If the
+    coarse stages or the fine run fail, the stages run again on the full
+    grid from the original seed.  ``iterations`` and ``factorizations``
+    count both attempts; ``t_path`` is the path of the attempt that gave
+    the answer.
+    """
+    if steps < 1:
+        raise ModelError("steps must be >= 1")
+    start = _seed_values(seed, grid, model.m)
+    spent_iters = spent_lus = 0
+    coarse_answer = None
+    coarse = half_grid(grid)
+    if coarse is not None:
+        stages = _stage_loop(model, coarse, restrict(start), steps, tol, max_iter)
+        spent_iters, spent_lus = stages.iterations, stages.factorizations
+        if stages.failure is None:
+            coarse_answer = (coarse, stages.values)
+            fine = prolong(stages.values, model.bc.kind == "dirichlet")
+            try:
+                values, rn, abs_tol, its, history, lus = _newton_core(
+                    discretize(model, grid), fine, tol, max_iter
+                )
+            except _NewtonFailure as exc:
+                spent_lus += exc.factorizations
+            else:
+                return _finalize(
+                    model, grid, start, values, True, rn, spent_iters + its,
+                    spent_lus + lus, stages.t_path, abs_tol, history,
+                    coarse=coarse_answer,
+                )
+    stages = _stage_loop(model, grid, start, steps, tol, max_iter)
+    iterations = spent_iters + stages.iterations
+    factorizations = spent_lus + stages.factorizations
+    if stages.failure is not None:
+        partial = _finalize(
+            model, grid, start, stages.values, False, stages.residual_norm,
+            iterations, factorizations, stages.t_path, tol, stages.history,
+            extra_warnings=(stages.message,), coarse=coarse_answer,
+        )
+        if strict:
+            raise ConvergenceError(stages.message, result=partial) from stages.failure
+        return partial
     return _finalize(
-        model, grid, start, values, True, rn, total_iters, total_lus, tuple(path),
-        abs_tol, history,
+        model, grid, start, stages.values, True, stages.residual_norm, iterations,
+        factorizations, stages.t_path, stages.tolerance, stages.history,
+        coarse=coarse_answer,
     )
 
 

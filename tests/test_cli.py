@@ -330,6 +330,30 @@ def test_solve_continuation_path_recorded(tmp_path):
     assert "sigma_path" not in report["result"]
 
 
+def test_solve_reports_its_refinement(tmp_path):
+    # The continuation runs its stages on the half grid when every axis
+    # can be halved, and on the grid itself when one is odd.  A direct
+    # solve has no homotopy and no refinement block.
+    cfg = write_config(tmp_path, SKT)
+    results = {}
+    for name, extra in (
+        ("sequenced", ["--grid", "16"]),
+        ("odd", ["--grid", "15"]),
+        ("direct", ["--grid", "16", "--no-homotopy"]),
+    ):
+        out = tmp_path / f"{name}.json"
+        argv = ["solve", "--config", cfg, "--output", str(out), "--seed-random", "0"]
+        assert cli.main(argv + extra) == 0
+        results[name] = json.loads(out.read_text())["result"]
+    refinement = results["sequenced"]["refinement"]
+    assert set(refinement) == {"coarse_grid", "coarse_classification", "prolongation_gap"}
+    assert refinement["coarse_grid"] == [8, 8]
+    assert refinement["coarse_classification"] == "nontrivial-constant"
+    assert 0.0 <= refinement["prolongation_gap"] < 1e-8
+    assert results["odd"]["refinement"] is None
+    assert "refinement" not in results["direct"]
+
+
 def test_solve_default_keeps_skt_coexistence(tmp_path, capsys):
     cfg = write_config(tmp_path, SKT)
     out = str(tmp_path / "skt.json")

@@ -25,6 +25,7 @@ from crossdiff import (
     norms,
     seed_from_mode,
 )
+from crossdiff import diagnostics
 from crossdiff.diagnostics import _ball_bound, _shifted, ball_radii
 
 PI = np.pi
@@ -383,6 +384,37 @@ def test_bmo_of_a_constant_field_is_exactly_zero(cells, value):
     radius = max(2.0 * max(grid.h), min(grid.domain.lengths) / 4.0)
     assert bmo_seminorm(field, radius) == 0.0
     assert stencil_scan_bmo(field, radius) == 0.0
+
+
+def test_bmo_of_a_field_constant_up_to_round_off_is_zero_without_a_scan(monkeypatch):
+    # The 48 x 48 coexistence state with one ulp added at random nodes,
+    # as a chord-converged Newton solve can leave it.
+    grid = square_48()
+    state = np.array([10.0, 14.0]) / 17.0
+    vals = np.broadcast_to(state, grid.shape + (2,)).copy()
+    bumped = np.random.default_rng(5).random(vals.shape) < 0.3
+    vals[bumped] = np.nextafter(vals[bumped], np.inf)
+    field = DiscreteField(grid=grid, values=vals)
+    assert stencil_scan_bmo(field, 0.75) > 0.0
+
+    def no_scan(*args):
+        raise AssertionError("the oscillation scan ran")
+
+    monkeypatch.setattr(diagnostics, "_shifted", no_scan)
+    assert bmo_seminorm(field, 0.75) == 0.0
+
+
+def test_bmo_of_a_small_but_real_oscillation_is_scanned():
+    # A range of 1e-12 is thousands of ulps: the scan runs and finds it.
+    # The values carry rounding of about 1e-16 on that range, so the two
+    # scans agree to about 1e-4 of it.
+    field, radius = oracle_case("square", "off-ladder", 2)
+    flat = field.values.reshape(-1, 2)
+    small = (10.0 / 17.0) + 1e-12 * (flat - flat.min(axis=0)) / np.ptp(flat, axis=0)
+    field = DiscreteField(grid=field.grid, values=small.reshape(field.values.shape))
+    expected = brute_force_bmo(field, radius)
+    assert expected > 1e-14
+    assert bmo_seminorm(field, radius) == pytest.approx(expected, rel=1e-3, abs=0.0)
 
 
 @given(st.integers(0, 2**31 - 1), st.booleans(), st.sampled_from([1, 2, 3]))

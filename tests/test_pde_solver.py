@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -385,19 +387,21 @@ def test_newton_singular_jacobian_raises_convergence_error(monkeypatch):
 
 
 def test_failed_soft_newton_reports_its_last_iterate():
-    # Two Newton steps from a random field around u* = (1, 1) leave a
-    # residual of 1.479: the result is that iterate, not the seed.
+    # Two factorizations from a random field around u* = (1, 1) pay for
+    # two Newton steps and one chord step, which leave a residual of
+    # 0.4868: the result is that iterate, not the seed.
     model = turing()
     grid = make_grid(model.domain, 64)
     seed = random_field(grid, [0.5, 0.5], [1.5, 1.5], seed=0)
     full = newton_solve(model, grid, seed)
     soft = newton_solve(model, grid, seed, max_iter=2, strict=False)
     assert not soft.converged
-    assert "no convergence within 2 iterations" in soft.warnings[0]
-    assert soft.iterations == 2
-    assert soft.residual_history == full.residual_history[:3]
+    assert "no convergence within 2 factorizations" in soft.warnings[0]
+    assert soft.iterations == 3
+    assert soft.factorizations == 2
+    assert soft.residual_history == full.residual_history[:4]
     assert soft.residual_norm == soft.residual_history[-1]
-    assert soft.residual_norm == pytest.approx(1.479, rel=1e-3)
+    assert soft.residual_norm == pytest.approx(0.4868, rel=1e-3)
     residual = discretize(model, grid).residual(soft.field.values)
     assert float(np.linalg.norm(residual)) == soft.residual_norm
     assert not np.array_equal(soft.field.values, seed.values)
@@ -434,13 +438,11 @@ def test_continuation_agrees_with_direct_newton():
     assert cont.t_path == tuple(np.linspace(0.0, 1.0, 9))
 
 
-def test_continuation_bisects_on_stage_failure(monkeypatch):
-    # Follow a Turing pattern as cross-diffusion is switched on.  Three
-    # Newton iterations cannot cross half the path in one step, so the
-    # solver must insert midpoints that are not on the requested grid.
-    # The factorizations of the failed stages are counted too.
+def followed_turing_pattern(n_cells):
+    """A Turing pattern at ``alpha = 0`` and the model that switches on
+    ``alpha_22 = 0.2``: the start and target of a continuation."""
     base = turing()
-    grid = make_grid(base.domain, 64)
+    grid = make_grid(base.domain, n_cells)
     seed = seed_from_mode(base, np.ones(2), unstable_decision(base), 1.5, grid)
     pattern = newton_solve(base, grid, seed)
     assert pattern.classification == "nonconstant"
@@ -448,8 +450,18 @@ def test_continuation_bisects_on_stage_failure(monkeypatch):
         2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
         alpha=((0.0, 0.0), (0.0, 0.2)),
     )
+    return model, grid, pattern
+
+
+def test_continuation_bisects_on_stage_failure(monkeypatch):
+    # Follow a Turing pattern as cross-diffusion is switched on.  One
+    # factorization per stage cannot cross half the path in one step, so
+    # the solver must insert midpoints that are not on the requested
+    # grid.  The factorizations of the failed stages are counted too.
+    # An odd cell count keeps the stages on this grid.
+    model, grid, pattern = followed_turing_pattern(63)
     calls = splu_calls(monkeypatch)
-    result = continuation_solve(model, grid, pattern.field, steps=2, max_iter=3)
+    result = continuation_solve(model, grid, pattern.field, steps=2, max_iter=1)
     assert result.converged
     assert result.factorizations == len(calls)
     assert result.classification == "nonconstant"
@@ -477,6 +489,8 @@ def skt_2d():
 def test_first_factorization_fill_uses_a_fill_reducing_ordering(monkeypatch):
     # On the 48 x 48 SKT Jacobian, COLAMD fills L + U with about 423k
     # entries and the minimum-degree ordering on A + A^T with about 240k.
+    # A direct Newton solve factors that matrix; the continuation would
+    # factor the 24 x 24 one.
     model = skt_2d()
     grid = make_grid(model.domain, 48)
     fills = []
@@ -489,7 +503,7 @@ def test_first_factorization_fill_uses_a_fill_reducing_ordering(monkeypatch):
 
     monkeypatch.setattr(pde_solver, "splu", recording)
     seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
-    result = continuation_solve(model, grid, seed)
+    result = newton_solve(model, grid, seed)
     assert result.converged
     assert fills and fills[0] < 300_000
 
@@ -570,8 +584,9 @@ def test_skt_continuation_matches_plain_newton(seed, classification, vmin, mean,
 
 
 def test_continuation_builds_the_jacobian_pattern_once(monkeypatch):
+    # An odd cell count keeps every stage on this one grid.
     model = skt_2d()
-    grid = make_grid(model.domain, 16)
+    grid = make_grid(model.domain, 15)
     systems = set()
     assemble = pde_solver.DiscreteSystem.jacobian
 
@@ -597,11 +612,12 @@ def test_continuation_schedule_validation():
 
 
 def test_continuation_underflow_reports_partial_result(monkeypatch):
-    # One Newton iteration can never reach tolerance from this seed, so
-    # the t = 0 stage fails and the homotopy step underflows.  The failed
-    # stage's factorization is counted.
+    # One factorization can never reach tolerance from this seed, so the
+    # t = 0 stage fails and the homotopy step underflows.  The failed
+    # stage's factorization is counted.  An odd cell count keeps the
+    # stages on this grid.
     model = weak_lv()
-    grid = make_grid(model.domain, 16)
+    grid = make_grid(model.domain, 15)
     seed = constant_field(grid, [0.37, 0.41])
     calls = splu_calls(monkeypatch)
     with pytest.raises(ConvergenceError, match="underflow") as excinfo:
@@ -612,6 +628,178 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
     soft = continuation_solve(model, grid, seed, max_iter=1, strict=False)
     assert not soft.converged
     assert soft.factorizations == len(calls) == 1
+    assert any("underflow" in w for w in soft.warnings)
+
+
+@pytest.mark.parametrize("steps, max_iter, stages, factorizations", [(2, 3, 3, 4), (1, 2, 2, 3)])
+def test_iteration_budget_counts_factorizations_only(monkeypatch, steps, max_iter, stages, factorizations):
+    # Chord steps that halve the residual are free.  Counted against the
+    # budget they made these schedules bisect: (2, 3) took 408 stages and
+    # 814 factorizations, (1, 2) took 2,724 stages and 5,448.
+    model, grid, pattern = followed_turing_pattern(63)
+    calls = splu_calls(monkeypatch)
+    result = continuation_solve(model, grid, pattern.field, steps=steps, max_iter=max_iter)
+    assert result.converged
+    assert len(result.t_path) == stages
+    assert result.factorizations == len(calls) == factorizations
+    assert result.iterations > result.factorizations
+
+
+# -- grid sequencing --------------------------------------------------------
+
+
+def test_half_grid_needs_even_axes_of_min_cells():
+    domain = skt_2d().domain
+    assert pde_solver.half_grid(make_grid(domain, (48, 16))).shape == (24, 8)
+    assert pde_solver.half_grid(make_grid(domain, (48, 15))) is None
+    assert pde_solver.half_grid(make_grid(domain, (48, 14))) is None
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 12)], ids=str)
+def test_restriction_and_prolongation_keep_a_constant_bit_for_bit(shape):
+    state = np.array([0.1, 10.0 / 17.0, 7e-5 / 3.0])
+    fine = np.broadcast_to(state, shape + (3,)).copy()
+    coarse = pde_solver.restrict(fine)
+    assert coarse.shape == tuple(n // 2 for n in shape) + (3,)
+    assert np.all(coarse == state)
+    assert np.array_equal(pde_solver.prolong(coarse, dirichlet=False), fine)
+
+
+def linear_profile(grid):
+    # Two components, each affine in the coordinates.
+    return 1.5 + grid.points() @ np.array([[0.3, -1.2], [2.0, 0.7]])[: grid.ndim]
+
+
+@pytest.mark.parametrize("dirichlet", [False, True])
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_prolongation_is_exact_on_a_linear_profile_inside(kind, dirichlet):
+    domain = coupled_model(kind, "neumann", 1.0).domain
+    cells = (16,) if kind == "interval" else (16, 20)
+    coarse, fine = make_grid(domain, tuple(n // 2 for n in cells)), make_grid(domain, cells)
+    prolonged = pde_solver.prolong(linear_profile(coarse), dirichlet)
+    inside = (slice(1, -1),) * fine.ndim
+    np.testing.assert_allclose(prolonged[inside], linear_profile(fine)[inside], rtol=0, atol=1e-13)
+    # The two children of a coarse cell are symmetric about it, so
+    # averaging them back is exact too.
+    np.testing.assert_allclose(
+        pde_solver.restrict(linear_profile(fine)), linear_profile(coarse), rtol=0, atol=1e-13
+    )
+
+
+def test_prolongation_walls():
+    # u = x on (0, pi): a Neumann wall repeats the wall cell; a Dirichlet
+    # wall interpolates towards 0 on the wall, which u = x meets at x = 0.
+    domain = weak_lv().domain
+    coarse, fine = make_grid(domain, 8), make_grid(domain, 16)
+    u = coarse.points()
+    neumann = pde_solver.prolong(u, dirichlet=False)
+    dirichlet = pde_solver.prolong(u, dirichlet=True)
+    assert neumann[0, 0] == u[0, 0] and neumann[-1, 0] == u[-1, 0]
+    assert dirichlet[0, 0] == 0.5 * u[0, 0] and dirichlet[-1, 0] == 0.5 * u[-1, 0]
+    assert dirichlet[0, 0] == pytest.approx(fine.points()[0, 0], rel=1e-15)
+    np.testing.assert_array_equal(neumann[1:-1], dirichlet[1:-1])
+
+
+def single_grid(monkeypatch):
+    """Make ``continuation_solve`` run its stages on the grid it is given."""
+    monkeypatch.setattr(pde_solver, "half_grid", lambda grid: None)
+
+
+def test_skt_sequenced_continuation_factors_only_the_half_grid(monkeypatch):
+    # The stages run at 24 x 24 (1,152 unknowns); at 48 x 48 the prolonged
+    # coexistence state already meets the tolerance.
+    model = skt_2d()
+    grid = make_grid(model.domain, 48)
+    rows = []
+    factor = pde_solver.splu
+
+    def recording(J, **kwargs):
+        rows.append(J.shape[0])
+        return factor(J, **kwargs)
+
+    monkeypatch.setattr(pde_solver, "splu", recording)
+    result = continuation_solve(model, grid, random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0))
+    assert result.converged
+    assert 1 <= len(rows) <= 2 and set(rows) == {2 * 24 * 24}
+    assert result.factorizations == len(rows)
+    assert result.t_path == tuple(np.linspace(0.0, 1.0, 9))
+    assert result.refinement.coarse_grid == (24, 24)
+    assert result.refinement.coarse_classification == "nontrivial-constant"
+    assert result.refinement.prolongation_gap <= 1e-12
+
+
+def dirichlet_skt():
+    model = skt_2d()
+    return dataclasses.replace(model, bc=dataclasses.replace(model.bc, kind="dirichlet"))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sequenced_dirichlet_skt_matches_the_single_grid_solve(monkeypatch, seed):
+    # Zero walls admit no positive constant state: both routes find the
+    # same nonconstant solution.  The coarse answer differs from it by
+    # the discretization error, O(h^2), which is what a wrong
+    # prolongation spoils.
+    model = dirichlet_skt()
+    grid = make_grid(model.domain, 32)
+    seed_field = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=seed)
+    sequenced = continuation_solve(model, grid, seed_field)
+    single_grid(monkeypatch)
+    direct = continuation_solve(model, grid, seed_field)
+    assert sequenced.converged and direct.converged
+    assert sequenced.classification == direct.classification == "nonconstant"
+    np.testing.assert_allclose(sequenced.field.values, direct.field.values, rtol=0, atol=1e-8)
+    assert direct.refinement is None
+    refinement = sequenced.refinement
+    assert refinement.coarse_grid == (16, 16)
+    assert refinement.coarse_classification == "nonconstant"
+    assert 0.0 < refinement.prolongation_gap < 0.1
+
+
+def test_failed_fine_newton_falls_back_to_the_single_grid_stages(monkeypatch):
+    model = skt_2d()
+    grid = make_grid(model.domain, 16)
+    seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
+    calls = splu_calls(monkeypatch)
+    core = pde_solver._newton_core
+    forced = []
+
+    def failing_first_fine_run(system, values, tol, max_iter):
+        # The first Newton run on the full grid factors once and fails.
+        if system.grid.shape == grid.shape and not forced:
+            forced.append(values)
+            pde_solver.splu(system.jacobian(values), permc_spec="MMD_AT_PLUS_A")
+            raise pde_solver._NewtonFailure("forced failure", values, [], 1)
+        return core(system, values, tol, max_iter)
+
+    monkeypatch.setattr(pde_solver, "_newton_core", failing_first_fine_run)
+    result = continuation_solve(model, grid, seed)
+    assert forced
+    assert result.factorizations == len(calls)
+    sequenced_calls = len(calls)
+    calls.clear()
+    single_grid(monkeypatch)
+    direct = continuation_solve(model, grid, seed)
+    np.testing.assert_array_equal(result.field.values, direct.field.values)
+    assert (result.converged, result.classification, result.t_path) == (
+        direct.converged, direct.classification, direct.t_path,
+    )
+    assert (result.residual_norm, result.tolerance) == (direct.residual_norm, direct.tolerance)
+    assert direct.factorizations == len(calls) < sequenced_calls
+    assert result.iterations > direct.iterations
+    # The coarse answer is still there as refinement evidence.
+    assert result.refinement.coarse_grid == (8, 8)
+
+
+def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
+    # As in the underflow test, on a grid that can be halved: the coarse
+    # stages fail first, then the full-grid ones; both factorizations count.
+    model = weak_lv()
+    grid = make_grid(model.domain, 16)
+    calls = splu_calls(monkeypatch)
+    soft = continuation_solve(model, grid, constant_field(grid, [0.37, 0.41]), max_iter=1, strict=False)
+    assert not soft.converged
+    assert soft.factorizations == len(calls) == 2
+    assert soft.refinement is None
     assert any("underflow" in w for w in soft.warnings)
 
 
