@@ -39,7 +39,7 @@ from .index_theory import (
     CutoffError,
     ExistenceVerdict,
     IndexReport,
-    ModeDecision,
+    ModeDecisions,
     StabilityVerdict,
     constant_state_index,
     existence_verdict,
@@ -87,7 +87,7 @@ __all__ = [
     "ExistenceVerdict",
     "Grid",
     "IndexReport",
-    "ModeDecision",
+    "ModeDecisions",
     "ModeSpectrum",
     "Model",
     "ModelError",

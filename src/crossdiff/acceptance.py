@@ -236,15 +236,16 @@ def criterion_5() -> CriterionResult:
         r for r in verdict.index_reports
         if np.allclose(r.u_star, [1.0, 1.0])
     )
-    unstable = [dec for dec in report.mode_decisions if dec.N_i >= 1]
-    if verdict.predicts_nonconstant is not True or not unstable:
+    unstable = np.flatnonzero(report.mode_decisions.N >= 1)
+    if verdict.predicts_nonconstant is not True or not unstable.size:
         return CriterionResult(
             5, "pattern-pipeline", False,
             f"verdict predicts {verdict.predicts_nonconstant}, "
-            f"{len(unstable)} unstable modes",
+            f"{unstable.size} unstable modes",
         )
     grid = make_grid(model.domain, 128)
-    seed = seed_from_mode(model, report.u_star, unstable[0], 1.5, grid)
+    # Row i of the ledger is mode number i + 1.
+    seed = seed_from_mode(model, report.u_star, int(unstable[0]) + 1, 1.5, grid)
     result = newton_solve(model, grid, seed, strict=False)
     passed = (
         result.converged

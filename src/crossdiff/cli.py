@@ -28,9 +28,9 @@ from . import __version__
 from .diagnostics import ball_radii, diagnostics_report
 from .index_theory import (
     ExistenceVerdict,
+    ModeDecisions,
     existence_verdict,
     existence_verdicts,
-    mode_decisions,
 )
 from .model import ConfigError, Model, ModelError, build_model, validate_structure
 from .pde_solver import (
@@ -44,7 +44,6 @@ from .pde_solver import (
     random_field,
     seed_from_mode,
 )
-from .spectral import neumann_eigenvalues
 from .steady_states import StateEnumeration, find_constant_states
 
 SCHEMA_VERSION = 1
@@ -55,11 +54,20 @@ EXIT_INCONCLUSIVE = 2
 EXIT_SOLVER = 3
 
 
+# The keys of one mode's record in a report, in the order _jsonify zips its fields.
+_MODE_RECORD = (
+    "lambda_hat", "M", "mode_indices", "A_i", "eigs", "N_i", "margin", "degenerate",
+    "warnings",
+)
+
+
 def _jsonify(obj: Any) -> Any:
     """Recursively convert reports to JSON-compatible structures.
 
     Arrays become nested lists, complex numbers ``[re, im]`` pairs, and
-    dataclasses dictionaries keyed by field name.
+    dataclasses dictionaries keyed by field name.  A state's
+    :class:`ModeDecisions` becomes one record per mode, whose ``eigs``
+    are plain floats when every imaginary part of that row is zero.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -75,6 +83,14 @@ def _jsonify(obj: Any) -> Any:
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
+    if isinstance(obj, ModeDecisions):
+        modes = obj.modes
+        rows = zip(
+            modes.values.tolist(), modes.M.tolist(), modes.mode_indices(), obj.A_i,
+            [eigs if eigs.imag.any() else eigs.real for eigs in obj.eigs],
+            obj.N.tolist(), obj.margin.tolist(), obj.degenerate.tolist(), obj.warnings,
+        )
+        return [_jsonify(dict(zip(_MODE_RECORD, row))) for row in rows]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -231,13 +247,7 @@ def _build_seed(args: argparse.Namespace, model: Model, grid) -> DiscreteField:
     if args.seed_mode is not None:
         if u_star is None:
             raise ConfigError("no positive nontrivial constant state to perturb")
-        k = args.seed_mode
-        if k < 1:
-            raise ConfigError(f"--seed-mode must be >= 1, got {k}")
-        # The k-th distinct nonzero zero-flux mode; value 0 is the constant mode.
-        mode = neumann_eigenvalues(model.domain, k + 1)[k : k + 1]
-        (decision,) = mode_decisions(model, u_star, mode)
-        return seed_from_mode(model, u_star, decision, args.amp, grid)
+        return seed_from_mode(model, u_star, args.seed_mode, args.amp, grid)
 
     if args.seed_random is not None:
         if u_star is None:

@@ -20,8 +20,10 @@ depends on ``d`` or ``alpha`` is stacked over every (model, positive
 state) item, one numpy call per species count: ``A(u*)``, the cutoff
 certificate, the mode counts and the nondegeneracy determinants.  A
 failure stays with its item and becomes the cause of that model's
-verdict.  :func:`existence_verdict`, :func:`constant_state_index` and
-:func:`mode_decisions` run the same code on one item.
+verdict.  :func:`existence_verdict` and :func:`constant_state_index` run
+the same code on one item.  A state's per-mode counts stay arrays from
+the stacked ``eig`` to its :class:`IndexReport`: one
+:class:`ModeDecisions` per state.
 """
 
 from __future__ import annotations
@@ -51,57 +53,36 @@ class CutoffError(ModelError):
     """The mode cutoff cannot be certified for this state."""
 
 
-class NegativeCount(NamedTuple):
-    """Outcome of counting negative real eigenvalues of ``d_A^{-1} A_i``.
+class NegativeCounts(NamedTuple):
+    """Counts of negative real eigenvalues over a stack of matrices.
 
     ``N`` counts with algebraic multiplicity; complex-conjugate pairs are
     excluded (they shift any consistent count by an even amount and so
     cannot change the parity).  ``margin`` is the smallest ``|Re|`` over
-    all eigenvalues; when it falls below the degeneracy tolerance the
-    mode is undecidable and ``degenerate`` is set.
+    each matrix's eigenvalues; when it falls below the degeneracy
+    tolerance the mode is undecidable and ``degenerate`` is set.  Row
+    ``k`` of each array, and ``warnings[k]``, belong to matrix ``k``.
     """
 
-    N: int
+    N: NDArray[np.intp]
     eigs: NDArray[np.complex128]
-    margin: float
-    degenerate: bool
-    warnings: tuple[str, ...]
-
-
-def _mode_stack(
-    A: NDArray[np.float64], J: NDArray[np.float64], lam: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """``A - lambda_hat^{-1} J`` for every ``lambda_hat`` in ``lam``."""
-    if np.any(lam <= 0.0):
-        raise ModelError(
-            f"mode matrix needs lambda_hat > 0, got {float(lam.min())}; the constant "
-            "mode is covered by the nondegeneracy determinant test"
-        )
-    return A - J / lam[..., None, None]
+    margin: NDArray[np.float64]
+    degenerate: NDArray[np.bool_]
+    warnings: tuple[tuple[str, ...], ...]
 
 
 def negative_counts(
-    d_A: NDArray[np.float64],
-    Ai_stack: NDArray[np.float64],
-    tol_degenerate: float = TOL_DEGENERATE,
-) -> tuple[NegativeCount, ...]:
-    """Count real negative eigenvalues of ``diag(d_A)^{-1} Ai`` for a stack.
+    stack: NDArray[np.float64], tol_degenerate: float = TOL_DEGENERATE
+) -> NegativeCounts:
+    """Count real negative eigenvalues of every matrix of a scaled stack.
 
-    ``Ai_stack`` has shape ``(k, m, m)``; one 2-norm and one eigenvalue
-    call cover all ``k`` matrices.  Each result is
-    ``(N, eigs, margin, degenerate, warnings)``: the count with algebraic
-    multiplicity, all eigenvalues, the decision margin ``min |Re|``, the
-    undecidable flag, and defectiveness warnings when a counted
-    eigenvalue has geometric < algebraic multiplicity.  ``eigs`` is real
-    when every imaginary part of that matrix's eigenvalues is zero, as
-    for a one-matrix ``np.linalg.eig``.
+    ``stack`` holds ``d_A^{-1} A_i`` with shape ``(k, m, m)``; one 2-norm
+    and one eigenvalue call cover all ``k`` matrices.  ``eigs`` holds each
+    row's eigenvalues in ascending lexicographic order.  A row with
+    ``N > 1`` gets a defectiveness warning for every counted eigenvalue
+    whose geometric multiplicity is below its algebraic one.
     """
-    d_A = np.asarray(d_A, dtype=float)
-    if d_A.ndim == 2:
-        d_A = np.diag(d_A)
-    if np.any(d_A <= 0.0):
-        raise ModelError(f"d_A entries must be positive, got {d_A}")
-    M = np.asarray(Ai_stack, dtype=float) / d_A[:, None]
+    M = np.asarray(stack, dtype=float)
     m = M.shape[-1]
     scales = np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300)
     eigs, _ = np.linalg.eig(M)
@@ -111,62 +92,54 @@ def negative_counts(
     neg_mask = real_mask & (eigs.real < -tol_degenerate * scales[:, None])
     counts = neg_mask.sum(axis=-1)
     margins = np.abs(eigs.real).min(axis=-1)
-    degenerate = margins <= tol_degenerate * scales
 
-    if np.iscomplexobj(eigs):
-        real_rows = (~eigs.imag.any(axis=-1)).tolist()
-    else:
-        real_rows = [False] * len(eigs)
-
-    results = []
-    rows = zip(
-        counts.tolist(), scales.tolist(), margins.tolist(), degenerate.tolist(), real_rows
-    )
-    for k, (N, scale, margin, degen, real) in enumerate(rows):
-        warnings: list[str] = []
-        if N > 1:
-            # Cluster the counted eigenvalues and compare geometric multiplicity.
-            counted = np.sort(eigs[k].real[neg_mask[k]])
-            clusters: list[list[float]] = [[counted[0]]]
-            for v in counted[1:]:
-                if v - clusters[-1][-1] <= 1e-6 * scale:
-                    clusters[-1].append(v)
-                else:
-                    clusters.append([v])
-            for cluster in clusters:
-                alg = len(cluster)
-                if alg == 1:
-                    continue
-                lam = float(np.mean(cluster))
-                geo = m - np.linalg.matrix_rank(
-                    M[k] - lam * np.eye(m), tol=1e-8 * scale
+    warnings: list[tuple[str, ...]] = [()] * len(counts)
+    for k in np.flatnonzero(counts > 1).tolist():
+        # Cluster the counted eigenvalues and compare geometric multiplicity.
+        scale = scales[k]
+        counted = np.sort(eigs[k].real[neg_mask[k]])
+        clusters: list[list[float]] = [[counted[0]]]
+        for v in counted[1:]:
+            if v - clusters[-1][-1] <= 1e-6 * scale:
+                clusters[-1].append(v)
+            else:
+                clusters.append([v])
+        found = []
+        for cluster in clusters:
+            alg = len(cluster)
+            if alg == 1:
+                continue
+            lam = float(np.mean(cluster))
+            geo = m - np.linalg.matrix_rank(M[k] - lam * np.eye(m), tol=1e-8 * scale)
+            if geo < alg:
+                found.append(
+                    f"defective eigenvalue {lam:.6g}: algebraic multiplicity "
+                    f"{alg}, geometric {geo}; algebraic multiplicity counted"
                 )
-                if geo < alg:
-                    warnings.append(
-                        f"defective eigenvalue {lam:.6g}: algebraic multiplicity "
-                        f"{alg}, geometric {geo}; algebraic multiplicity counted"
-                    )
-        results.append(
-            NegativeCount(
-                N, eigs[k].real if real else eigs[k], margin, degen, tuple(warnings)
-            )
-        )
-    return tuple(results)
+        warnings[k] = tuple(found)
+    return NegativeCounts(
+        counts, eigs, margins, margins <= tol_degenerate * scales, tuple(warnings)
+    )
 
 
 @dataclass(frozen=True)
-class ModeDecision:
-    """Per-mode ingredient of the index: the count ``N_i`` at one ``lambda_hat``."""
+class ModeDecisions:
+    """The per-mode ingredients of one state's index, as arrays.
 
-    lambda_hat: float
-    M: int
+    Row ``i`` belongs to value ``i`` of ``modes``, the spectrum slice the
+    ledger decided (``modes.values`` are the ``lambda_hat``, ``modes.M``
+    their multiplicities): ``A_i[i] = A(u*) - J(u*) / lambda_hat_i`` and
+    the count ``N[i]`` of ``d_A^{-1} A_i[i]``, with its ``eigs``,
+    ``margin``, ``degenerate`` flag and ``warnings``.
+    """
+
+    modes: ModeSpectrum
     A_i: NDArray[np.float64]
+    N: NDArray[np.intp]
     eigs: NDArray[np.complex128]
-    N_i: int
-    margin: float
-    degenerate: bool
-    mode_indices: tuple[tuple[int, ...], ...]
-    warnings: tuple[str, ...] = ()
+    margin: NDArray[np.float64]
+    degenerate: NDArray[np.bool_]
+    warnings: tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -179,7 +152,7 @@ class IndexReport:
     """
 
     u_star: NDArray[np.float64]
-    mode_decisions: tuple[ModeDecision, ...]
+    mode_decisions: ModeDecisions
     L0: int
     certificate: dict
     gamma: int
@@ -385,7 +358,6 @@ class _Item:
         self.state = state
         self.error: ModelError | None = None
         self.certificate: dict = {}
-        self.decisions: tuple[ModeDecision, ...] = ()
         self.L0 = 0
 
 
@@ -531,10 +503,9 @@ def _decide(items: list[_Item]) -> None:
         if owner.size == 0:
             continue
         lam = np.concatenate(lams)
-        A = _mode_stack(
-            np.array([it.A for it in group])[owner],
-            np.array([it.state.J for it in group])[owner],
-            lam,
+        A = (
+            np.array([it.A for it in group])[owner]
+            - np.array([it.state.J for it in group])[owner] / lam[:, None, None]
         )
         # Scaled here, each row by its own d_A, so one count covers all items.
         M = A / np.array([it.dvec for it in group])[owner][:, :, None]
@@ -546,34 +517,20 @@ def _decide(items: list[_Item]) -> None:
         )
         if keep is not None:
             A, M = A[keep], M[keep]
-        counts = negative_counts(np.ones(M.shape[-1]), M)
+        counts = negative_counts(M)
         start = 0
         for it in group:
             if it.error is not None:
                 continue
-            modes = it.modes
-            stop = start + len(modes)
-            it.decisions = tuple(
-                ModeDecision(
-                    lambda_hat=lambda_hat,
-                    M=M,
-                    A_i=A_i,
-                    eigs=nc.eigs,
-                    N_i=nc.N,
-                    margin=nc.margin,
-                    degenerate=nc.degenerate,
-                    mode_indices=mode_indices,
-                    warnings=nc.warnings,
-                )
-                for lambda_hat, M, mode_indices, A_i, nc in zip(
-                    modes.values.tolist(),
-                    modes.M.tolist(),
-                    modes.mode_indices(),
-                    A[start:stop],
-                    counts[start:stop],
-                )
+            rows = slice(start, start + len(it.modes))
+            N, eigs, margin, degenerate, warnings = (c[rows] for c in counts)
+            if not eigs.imag.any():
+                # Real, as an eig over this item's rows alone returns them.
+                eigs = eigs.real
+            it.decisions = ModeDecisions(
+                it.modes, A[rows], N, eigs, margin, degenerate, warnings
             )
-            start = stop
+            start = rows.stop
 
 
 def _cutoff(items: list[_Item]) -> None:
@@ -589,16 +546,17 @@ def _cutoff(items: list[_Item]) -> None:
         if it.error is not None:
             continue
         L0 = int(np.searchsorted(it.modes.values, it.certificate["bound"], side="right"))
-        for d in it.decisions[L0:]:
-            if d.N_i != 0:
-                it.error = CutoffError(
-                    f"certified bound violated: mode lambda_hat={d.lambda_hat:.6g} "
-                    f"past the cutoff has N={d.N_i}"
-                )
-                break
+        past = it.decisions.N[L0:]
+        counted = np.flatnonzero(past)
+        if counted.size:
+            i = counted[0]
+            it.error = CutoffError(
+                f"certified bound violated: mode lambda_hat={it.modes.values[L0 + i]:.6g} "
+                f"past the cutoff has N={past[i]}"
+            )
         else:
             it.L0 = L0
-            it.certificate["scanned_modes"] = [d.lambda_hat for d in it.decisions[L0:]]
+            it.certificate["scanned_modes"] = it.modes.values[L0:].tolist()
 
 
 def _nondegeneracy(items: list[_Item], tol_degenerate: float = TOL_DEGENERATE) -> None:
@@ -660,17 +618,21 @@ def _reports(items: list[_Item]) -> None:
             continue
         it.certificate["nondegeneracy"] = details
 
+        dec = it.decisions
+        degenerate = dec.degenerate.tolist()
         warnings: list[str] = []
-        for d in it.decisions:
-            for w in d.warnings:
-                warnings.append(f"mode lambda_hat={d.lambda_hat:.6g}: {w}")
-            if d.degenerate:
+        for lambda_hat, mode_warnings, degen, margin in zip(
+            dec.modes.values.tolist(), dec.warnings, degenerate, dec.margin.tolist()
+        ):
+            for w in mode_warnings:
+                warnings.append(f"mode lambda_hat={lambda_hat:.6g}: {w}")
+            if degen:
                 warnings.append(
-                    f"mode lambda_hat={d.lambda_hat:.6g} is degenerate "
-                    f"(margin {d.margin:.3e}); no index claimed"
+                    f"mode lambda_hat={lambda_hat:.6g} is degenerate "
+                    f"(margin {margin:.3e}); no index claimed"
                 )
-        degenerate_any = any(d.degenerate for d in it.decisions)
-        gamma = sum(d.N_i * d.M for d in it.decisions)
+        degenerate_any = True in degenerate
+        gamma = int(dec.N @ dec.modes.M)
         if it.state.reaction_warning is not None:
             warnings.append(it.state.reaction_warning)
 
@@ -702,19 +664,6 @@ def _ledger(items: list[_Item]) -> None:
 
 
 # -- one item -----------------------------------------------------------------
-
-
-def mode_decisions(
-    model: Model, u_star: NDArray[np.float64], spectrum: ModeSpectrum
-) -> tuple[ModeDecision, ...]:
-    """Count ``N_i`` at every value of a spectrum slice of nonzero values, all at once."""
-    item = _Item(model, _State(model, np.asarray(u_star, dtype=float)))
-    item.modes = spectrum
-    _flux([item])
-    _decide([item])
-    if item.error is not None:
-        raise item.error
-    return item.decisions
 
 
 def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexReport:

@@ -58,9 +58,9 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import splu
 
-from .index_theory import ModeDecision
+from .index_theory import negative_counts
 from .model import ConfigError, Domain, Model, ModelError
-from .spectral import eigenfunction
+from .spectral import eigenfunction, neumann_eigenvalues
 
 TOL_NEWTON = 1e-10
 TOL_ZERO = 1e-8
@@ -860,29 +860,39 @@ def continuation_solve(
 def seed_from_mode(
     model: Model,
     u_star: NDArray[np.float64],
-    mode: ModeDecision,
+    k: int,
     amplitude: float,
     grid: Grid,
 ) -> DiscreteField:
-    """Perturb a constant state along an unstable mode direction.
+    """Perturb a constant state along the ``k``-th Neumann mode.
 
+    ``k >= 1`` numbers the distinct nonzero eigenvalues ``lambda_hat_k``
+    in ascending order, as ``--seed-mode K`` does (row ``k - 1`` of an
+    :class:`~crossdiff.index_theory.IndexReport`'s ``mode_decisions``).
     ``u(x) = u* + amplitude * c * psi(x)`` with ``c`` the (real, unit)
-    eigenvector of ``d_A^{-1} A_i`` at its most negative real eigenvalue
-    and ``psi`` the Neumann eigenfunction of the mode.  When ``u*`` is
-    positive the field is floored at a small positive fraction of
-    ``min(u*)`` so the seed stays in the positive cone.
+    eigenvector of ``d_A^{-1} A_k``, ``A_k = A(u*) - J(u*) / lambda_hat_k``,
+    at its most negative real eigenvalue and ``psi`` the eigenfunction of
+    the mode's first lattice point.  A mode with no negative count
+    (``N = 0``) gives a ``RuntimeWarning``.  When ``u*`` is positive the
+    field is floored at a small positive fraction of ``min(u*)`` so the
+    seed stays in the positive cone.
     """
     if model.bc.kind != "neumann":
         raise ModelError("mode seeding uses Neumann eigenfunctions")
+    if k < 1:
+        raise ConfigError(f"mode number must be >= 1, got {k}")
     u_star = np.asarray(u_star, dtype=float)
-    if mode.N_i < 1:
+    # Value 0 is the constant mode.
+    mode = neumann_eigenvalues(model.domain, k + 1)[k:]
+    lambda_hat = mode.values[0]
+    dvec = model.d_A(u_star)
+    M = (model.A(u_star) - model.jacobian_f(u_star) / lambda_hat) / dvec[:, None]
+    if negative_counts(M[None]).N[0] < 1:
         _warnings.warn(
-            f"mode lambda_hat={mode.lambda_hat:.6g} is not unstable (N=0); "
+            f"mode lambda_hat={lambda_hat:.6g} is not unstable (N=0); "
             "seeding along its least stable direction anyway",
             RuntimeWarning,
         )
-    dvec = model.d_A(u_star)
-    M = mode.A_i / dvec[:, None]
     w, V = np.linalg.eig(M)
     real = np.abs(w.imag) <= 1e-10 * max(1.0, float(np.abs(w).max()))
     if real.any():
@@ -896,7 +906,7 @@ def seed_from_mode(
     c = c / norm_c
     if c[np.argmax(np.abs(c))] < 0:
         c = -c
-    psi = eigenfunction(model.domain, mode.mode_indices[0], grid.points())
+    psi = eigenfunction(model.domain, mode.points[0].tolist(), grid.points())
     values = u_star + amplitude * psi[..., None] * c
     if np.all(u_star > 0.0):
         floor = 1e-3 * float(u_star.min())

@@ -57,7 +57,7 @@ class ModeSpectrum:
 
     @property
     def M(self) -> NDArray[np.intp]:
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     def mode_indices(self) -> list[tuple[tuple[int, ...], ...]]:
         """The lattice points of each value, as tuples of ints."""

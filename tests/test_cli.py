@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crossdiff import cli, pde_solver
+from crossdiff import build_model, cli, make_grid, pde_solver, seed_from_mode
 
 WEAK_LV = {
     "m": 2,
@@ -74,6 +74,66 @@ def test_analyze_turing_predicts_pattern(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"]["total"] == -1
     assert report["verdict"]["predicts_nonconstant"] is True
+
+
+MODE_RECORD_KEYS = {
+    "A_i", "M", "N_i", "degenerate", "eigs", "lambda_hat", "margin", "mode_indices",
+    "warnings",
+}
+
+
+@pytest.mark.parametrize(
+    "payload, lambda_hat, M, N_i, mode_indices, kinds",
+    [
+        (TURING, [1, 4, 9, 16, 25], [1] * 5, [1, 0, 0, 0, 0],
+         [[[k]] for k in range(1, 6)], "RRRRR"),
+        # The lambda_hat = 1 mode of the pi x pi square has two lattice points.
+        ({**TURING, "domain": {"kind": "rectangle", "lengths": [np.pi, np.pi]}},
+         [1, 2, 4, 5, 8, 9, 10], [2, 1, 2, 2, 1, 2, 2], [1, 0, 0, 0, 0, 0, 0],
+         [[[0, 1], [1, 0]], [[1, 1]], [[0, 2], [2, 0]], [[1, 2], [2, 1]], [[2, 2]],
+          [[0, 3], [3, 0]], [[1, 3], [3, 1]]],
+         "RRRRRRR"),
+        # A verdict-sweep point whose first five modes have complex pairs.
+        ({**TURING, "d": [0.3, 7.0], "alpha": [[0.0, 0.5], [0.1, 0.0]]},
+         [1, 4, 9, 16, 25, 36, 49], [1] * 7, [0] * 7,
+         [[[k]] for k in range(1, 8)], "CCCCCRR"),
+    ],
+    ids=["readme", "square", "complex-next-to-real"],
+)
+def test_analyze_mode_records(tmp_path, payload, lambda_hat, M, N_i, mode_indices, kinds):
+    # One record per mode, with a fixed key set.  A row's eigenvalues are
+    # plain floats when every imaginary part in that row is zero ("R") and
+    # [re, im] pairs otherwise ("C").
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == 0
+    (rep,) = json.loads(out.read_text())["verdict"]["index_reports"]
+    records = rep["mode_decisions"]
+    assert all(set(r) == MODE_RECORD_KEYS for r in records)
+    assert [r["lambda_hat"] for r in records] == lambda_hat
+    assert [r["M"] for r in records] == M
+    assert [r["N_i"] for r in records] == N_i
+    assert [r["mode_indices"] for r in records] == mode_indices
+    assert [(r["degenerate"], r["warnings"]) for r in records] == [(False, [])] * len(M)
+    model = build_model(payload)
+    u = np.array(rep["u_star"])
+    written = ""
+    for r in records:
+        A_i = np.array(r["A_i"])
+        reference = model.A(u) - model.jacobian_f(u) / r["lambda_hat"]
+        assert A_i.tobytes() == reference.tobytes()
+        w = np.linalg.eigvals(A_i / model.d_A(u)[:, None])
+        w = w[np.lexsort((w.imag, w.real))]
+        if all(isinstance(e, float) for e in r["eigs"]):
+            written += "R"
+            assert not w.imag.any()
+            np.testing.assert_allclose(r["eigs"], w.real, rtol=1e-12)
+        else:
+            written += "C"
+            assert all(isinstance(e, list) and len(e) == 2 for e in r["eigs"])
+            np.testing.assert_allclose(r["eigs"], np.stack([w.real, w.imag], -1), rtol=1e-12)
+        assert r["margin"] == pytest.approx(float(np.abs(w.real).min()), rel=1e-12)
+    assert written == kinds
 
 
 def test_analyze_degenerate_states_exit_inconclusive(tmp_path):
@@ -315,6 +375,48 @@ def test_solve_mode_seed_finds_pattern(tmp_path):
     assert report["result"]["classification"] == "nonconstant"
     assert report["result"]["grad_l2"] > 1e-2
     assert report["result"]["residual_norm"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "k, messages",
+    [
+        (1, []),
+        # On the README model only mode 1 has N > 0.
+        (4, ["mode lambda_hat=16 is not unstable (N=0); "
+             "seeding along its least stable direction anyway"]),
+    ],
+    ids=["mode-1", "mode-4-stable"],
+)
+def test_solve_mode_seed_is_the_library_seed(tmp_path, monkeypatch, k, messages):
+    # solve --seed-mode k seeds with seed_from_mode(model, u*, k, ...), warns
+    # when that mode has no negative count, and writes the field that Newton
+    # reaches from the seed, bit for bit.
+    seeds = []
+    solve = cli.newton_solve
+
+    def recorded(model, grid, seed, **kwargs):
+        seeds.append(seed)
+        return solve(model, grid, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "newton_solve", recorded)
+    cfg = write_config(tmp_path, TURING)
+    argv = ["solve", "--config", cfg, "--output", str(tmp_path / "cli.json"),
+            "--grid", "64", "--seed-mode", str(k), "--amp", "0.5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 0
+    assert [str(w.message) for w in caught] == messages
+    model = build_model(TURING)
+    grid = make_grid(model.domain, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        seed = seed_from_mode(model, np.ones(2), k, 0.5, grid)
+    (cli_seed,) = seeds
+    assert cli_seed.values.tobytes() == seed.values.tobytes()
+    result = solve(model, grid, seed, strict=False)
+    cli._field_csv(str(tmp_path / "lib_field.csv"), result.field)
+    written = (tmp_path / "cli_field.csv").read_bytes()
+    assert written == (tmp_path / "lib_field.csv").read_bytes()
 
 
 def test_solve_continuation_path_recorded(tmp_path):

@@ -329,8 +329,8 @@ def turing_pattern_512():
     model = turing_model()
     grid = make_grid(model.domain, 512)
     report = existence_verdict(model).index_reports[0]
-    mode = next(d for d in report.mode_decisions if d.N_i >= 1)
-    seed = seed_from_mode(model, np.ones(2), mode, amplitude=1.5, grid=grid)
+    k = 1 + int(np.flatnonzero(report.mode_decisions.N >= 1)[0])
+    seed = seed_from_mode(model, np.ones(2), k, amplitude=1.5, grid=grid)
     return newton_solve(model, grid, seed).field
 
 

@@ -17,10 +17,8 @@ from crossdiff import (
     existence_verdicts,
     find_constant_states,
     negative_counts,
-    neumann_eigenvalues,
     semitrivial_stability,
 )
-from crossdiff.index_theory import mode_decisions
 
 PI = np.pi
 
@@ -56,16 +54,14 @@ def turing_model(d=(0.4, 7.0)):
 
 def first_mode_matrix(model):
     """``A(u*) - J(u*) / lambda_hat`` at the first nonzero mode, ``u* = (1, 1)``."""
-    (decision,) = mode_decisions(
-        model, np.ones(2), neumann_eigenvalues(model.domain, 2)[1:]
-    )
-    return decision.lambda_hat, decision.A_i
+    decisions = constant_state_index(model, np.ones(2)).mode_decisions
+    return decisions.modes.values[0], decisions.A_i[0]
 
 
 def negative_count(d_A, Ai):
-    """The count of one matrix, from a stack of one."""
-    (count,) = negative_counts(d_A, np.asarray(Ai, dtype=float)[None])
-    return count
+    """``(N, degenerate)`` of ``diag(d_A)^{-1} Ai``, from a stack of one."""
+    counts = negative_counts((np.asarray(Ai, dtype=float) / d_A[:, None])[None])
+    return int(counts.N[0]), bool(counts.degenerate[0])
 
 
 def test_mode_matrix_worked_case():
@@ -82,28 +78,11 @@ def test_mode_matrix_vanishing_perturbation():
     np.testing.assert_allclose(A_i, model.A(np.ones(2)), atol=1e-8)
 
 
-def test_mode_matrix_rejects_constant_mode():
-    model = worked_diag_model()
-    with pytest.raises(ModelError, match="lambda_hat > 0"):
-        mode_decisions(model, np.ones(2), neumann_eigenvalues(model.domain, 1))
-
-
 def test_negative_count_examples():
-    assert negative_count(np.ones(2), np.diag([-1.0, 2.0])).N == 1
-    assert negative_count(np.ones(2), np.diag([0.5, 2.0])).N == 0
+    assert negative_count(np.ones(2), np.diag([-1.0, 2.0])) == (1, False)
+    assert negative_count(np.ones(2), np.diag([0.5, 2.0])) == (0, False)
     spd = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert negative_count(np.array([0.5, 2.0]), spd).N == 0
-
-
-def test_negative_count_accepts_diagonal_matrix_form():
-    count_vec = negative_count(np.array([1.0, 2.0]), np.diag([-1.0, 4.0]))
-    count_mat = negative_count(np.diag([1.0, 2.0]), np.diag([-1.0, 4.0]))
-    assert count_vec.N == count_mat.N == 1
-
-
-def test_negative_count_rejects_nonpositive_weights():
-    with pytest.raises(ModelError):
-        negative_count(np.array([1.0, 0.0]), np.eye(2))
+    assert negative_count(np.array([0.5, 2.0]), spd) == (0, False)
 
 
 @given(
@@ -123,14 +102,14 @@ def test_negative_determinant_forces_single_crossing(l1, l2, d1, d2, seed):
         return
     Ai = V @ np.diag([l1, l2]) @ np.linalg.inv(V)
     d_A = np.array([d1, d2])
-    count = negative_count(d_A, Ai)
-    if count.degenerate:
+    N, degenerate = negative_count(d_A, Ai)
+    if degenerate:
         return
     det = np.linalg.det(Ai / d_A[:, None])
     if det < -1e-8:
-        assert count.N == 1
+        assert N == 1
     elif det > 1e-8:
-        assert count.N in (0, 2)
+        assert N in (0, 2)
 
 
 def cutoff(model):
@@ -220,7 +199,8 @@ def test_worked_diagonal_index():
     report = constant_state_index(worked_diag_model(), np.ones(2))
     assert report.gamma == 1
     assert report.index == -1
-    decisions = {d.lambda_hat: d.N_i for d in report.mode_decisions}
+    decisions = report.mode_decisions
+    decisions = dict(zip(decisions.modes.values.tolist(), decisions.N.tolist()))
     assert decisions[1.0] == 1
     assert all(n == 0 for lam, n in decisions.items() if lam != 1.0)
 
@@ -378,8 +358,8 @@ def test_diagonal_consistency(d1, d2, j1, j2):
         diag_vals = np.diag(Ai) / d_A
         if np.abs(diag_vals).min() <= 1e-8:
             continue
-        count = negative_count(d_A, Ai)
-        assert count.N == int(np.sum(diag_vals < 0))
+        N, _ = negative_count(d_A, Ai)
+        assert N == int(np.sum(diag_vals < 0))
 
 
 def test_rectangle_multiplicities_enter_parity():
@@ -401,8 +381,8 @@ def test_rectangle_multiplicities_enter_parity():
     assert interval_report.gamma == 1
     # Square spectrum {1: M=2, 2: M=1, ...}: the lambda=1 instability
     # doubles and lambda=2 contributes whatever its own count is.
-    two_entry = [d for d in square_report.mode_decisions if d.lambda_hat == 1.0]
-    assert two_entry[0].M == 2
+    modes = square_report.mode_decisions.modes
+    assert modes.M[modes.values == 1.0].tolist() == [2]
     assert square_report.gamma >= 2
 
 
@@ -455,9 +435,9 @@ def test_ledger_enumerates_once_and_decides_each_mode_once(monkeypatch):
     verdict = existence_verdict(sweep_point(0.5))
     assert not verdict.inconclusive
     (report,) = verdict.index_reports
-    assert len(report.mode_decisions) == report.L0 + 3 == 7
+    assert len(report.mode_decisions.N) == report.L0 + 3 == 7
     assert len(calls["spectrum_through"]) == 1
-    ((_, stack),) = calls["negative_counts"]
+    ((stack,),) = calls["negative_counts"]
     assert stack.shape == (7, 2, 2)
 
 
@@ -581,7 +561,7 @@ def test_batch_verdicts_equal_one_model_verdicts(monkeypatch):
     reports = [r for v in batch for r in v.index_reports]
     reports += [b.report for v in batch for b in v.boundary if b.report is not None]
     for rep in reports:
-        assert len(rep.mode_decisions) == rep.L0 + 3
+        assert len(rep.mode_decisions.N) == rep.L0 + 3
         assert len(rep.certificate["nondegeneracy"]) == rep.L0 + 4
     assert "nondegeneracy determinant" in batch[-2].cause
     assert "overflow a float" in batch[-1].cause
@@ -598,12 +578,12 @@ def test_batch_verdicts_equal_one_model_verdicts(monkeypatch):
     u = batch[2].index_reports[0].u_star
     _, V = np.linalg.eig(models["m = 3"].A(u) / models["m = 3"].d_A(u)[:, None])
     assert np.linalg.cond(V, 2) != np.linalg.cond(V.astype(complex), 2)
-    assert batch[6].index_reports[0].mode_decisions[0].M == 2
+    assert batch[6].index_reports[0].mode_decisions.modes.M[0] == 2
     # The stacked flux matrices are Model.A to the bit.
     for model, verdict in zip(models.values(), batch):
         for rep in verdict.index_reports:
-            lam = np.array([d.lambda_hat for d in rep.mode_decisions])
-            stacked = np.array([d.A_i for d in rep.mode_decisions])
+            lam = rep.mode_decisions.modes.values
+            stacked = rep.mode_decisions.A_i
             u = rep.u_star
             reference = model.A(u) - model.jacobian_f(u) / lam[:, None, None]
             assert stacked.tobytes() == reference.tobytes()
@@ -644,16 +624,16 @@ def test_batch_shares_kinetics_and_stacks_items(monkeypatch):
         calls["find_constant_states"] += 1
         return enumerate_(model)
 
-    def counted_count(d_A, stack, *args):
+    def counted_count(stack, *args):
         calls["negative_counts"].append(stack.shape)
-        return count(d_A, stack, *args)
+        return count(stack, *args)
 
     monkeypatch.setattr(index_theory, "find_constant_states", counted_enumeration)
     monkeypatch.setattr(index_theory, "negative_counts", counted_count)
     models = [sweep_point(a) for a in np.linspace(0.25, 2.0, 12)]
     verdicts = existence_verdicts(models)
     assert calls["find_constant_states"] == 1
-    modes = sum(len(r.mode_decisions) for v in verdicts for r in v.index_reports)
+    modes = sum(len(r.mode_decisions.N) for v in verdicts for r in v.index_reports)
     assert calls["negative_counts"] == [(modes, 2, 2)]
 
 
@@ -711,17 +691,18 @@ def test_stacked_count_matches_one_matrix_reference(m, seed):
     rng = np.random.default_rng(seed)
     d_A = rng.uniform(0.2, 3.0, m)
     stack = mixed_stack(rng, d_A, 9)
-    counts = negative_counts(d_A, stack)
-    assert len(counts) == len(stack)
+    counts = negative_counts(stack / d_A[:, None])
+    assert len(counts.N) == len(counts.warnings) == len(stack)
     kinds = set()
-    for got, Ai in zip(counts, stack):
+    for k, Ai in enumerate(stack):
         N, eigs, margin, degenerate, warnings = reference_count(d_A, Ai)
         kinds.add((eigs.dtype.kind, bool(warnings)))
-        assert got.eigs.dtype == eigs.dtype
-        assert got.eigs.tobytes() == eigs.tobytes()
-        assert (got.N, got.margin, got.degenerate, got.warnings) == (
-            N, margin, degenerate, warnings
-        )
+        # A row with no imaginary part is the real array a one-matrix eig gives.
+        row = counts.eigs[k] if counts.eigs[k].imag.any() else counts.eigs[k].real
+        assert row.dtype == eigs.dtype
+        assert row.tobytes() == eigs.tobytes()
+        got = (counts.N[k], counts.margin[k], counts.degenerate[k], counts.warnings[k])
+        assert got == (N, margin, degenerate, warnings)
     # Each stack mixes real and complex spectra and holds a defective cluster.
     assert {"f", "c"} <= {kind for kind, _ in kinds}
     assert any(defective for _, defective in kinds)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -443,7 +444,7 @@ def followed_turing_pattern(n_cells):
     ``alpha_22 = 0.2``: the start and target of a continuation."""
     base = turing()
     grid = make_grid(base.domain, n_cells)
-    seed = seed_from_mode(base, np.ones(2), unstable_decision(base), 1.5, grid)
+    seed = seed_from_mode(base, np.ones(2), unstable_mode(base), 1.5, grid)
     pattern = newton_solve(base, grid, seed)
     assert pattern.classification == "nonconstant"
     model = interval_model(
@@ -570,7 +571,7 @@ def assert_same_answer(result, classification, vmin, mean, grad_l2):
 def test_mode_seeded_turing_solve_matches_plain_newton(amp, classification, vmin, mean, grad_l2):
     model = turing()
     grid = make_grid(model.domain, 512)
-    seed = seed_from_mode(model, np.ones(2), unstable_decision(model), amp, grid)
+    seed = seed_from_mode(model, np.ones(2), unstable_mode(model), amp, grid)
     result = newton_solve(model, grid, seed)
     assert_same_answer(result, classification, vmin, mean, grad_l2)
 
@@ -806,22 +807,25 @@ def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
 # -- mode seeding -----------------------------------------------------------
 
 
-def unstable_decision(model):
-    report = constant_state_index(model, np.ones(2))
-    return next(d for d in report.mode_decisions if d.N_i >= 1)
+def mode_counts(model):
+    """``N`` of every mode the ledger decides at ``u* = (1, 1)``; entry
+    ``k - 1`` belongs to mode number ``k``."""
+    return constant_state_index(model, np.ones(2)).mode_decisions.N
 
 
-def stable_decision(model):
-    report = constant_state_index(model, np.ones(2))
-    return next(d for d in report.mode_decisions if d.N_i == 0)
+def unstable_mode(model):
+    return 1 + int(np.flatnonzero(mode_counts(model) >= 1)[0])
+
+
+def stable_mode(model):
+    return 1 + int(np.flatnonzero(mode_counts(model) == 0)[0])
 
 
 def test_seed_from_mode_is_cosine_profile():
     model = turing()
     grid = make_grid(model.domain, 64)
-    mode = unstable_decision(model)
-    assert mode.lambda_hat == 1.0
-    seed = seed_from_mode(model, np.ones(2), mode, amplitude=0.05, grid=grid)
+    assert unstable_mode(model) == 1
+    seed = seed_from_mode(model, np.ones(2), 1, amplitude=0.05, grid=grid)
     x = grid.points()[:, 0]
     psi = np.cos(x)
     dev = seed.values - 1.0
@@ -836,7 +840,7 @@ def test_seed_from_mode_is_cosine_profile():
 def test_seed_from_mode_zero_amplitude_is_constant():
     model = turing()
     grid = make_grid(model.domain, 32)
-    seed = seed_from_mode(model, np.ones(2), unstable_decision(model), 0.0, grid)
+    seed = seed_from_mode(model, np.ones(2), unstable_mode(model), 0.0, grid)
     np.testing.assert_array_equal(seed.values, np.ones((32, 2)))
 
 
@@ -844,13 +848,37 @@ def test_seed_from_mode_warns_on_stable_mode():
     model = turing()
     grid = make_grid(model.domain, 32)
     with pytest.warns(RuntimeWarning, match="not unstable"):
-        seed_from_mode(model, np.ones(2), stable_decision(model), 0.1, grid)
+        seed_from_mode(model, np.ones(2), stable_mode(model), 0.1, grid)
+
+
+def test_seed_from_mode_warns_exactly_on_modes_without_a_negative_count():
+    # The README model: mode 1 (lambda_hat = 1) is the only unstable one.
+    model = turing()
+    grid = make_grid(model.domain, 32)
+    counts = mode_counts(model)
+    assert counts.tolist() == [1, 0, 0, 0, 0]
+    for k, N in enumerate(counts.tolist(), start=1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            seed_from_mode(model, np.ones(2), k, 0.1, grid)
+        messages = [str(w.message) for w in caught]
+        assert messages == ([] if N else [
+            f"mode lambda_hat={k * k} is not unstable (N=0); "
+            "seeding along its least stable direction anyway"
+        ])
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_seed_from_mode_rejects_mode_numbers_below_one(k):
+    model = turing()
+    with pytest.raises(ConfigError, match="mode number must be >= 1"):
+        seed_from_mode(model, np.ones(2), k, 0.1, make_grid(model.domain, 32))
 
 
 def test_seed_from_mode_floors_at_positive_values():
     model = turing()
     grid = make_grid(model.domain, 64)
-    seed = seed_from_mode(model, np.ones(2), unstable_decision(model), 50.0, grid)
+    seed = seed_from_mode(model, np.ones(2), unstable_mode(model), 50.0, grid)
     assert seed.values.min() > 0.0
 
 
@@ -858,11 +886,9 @@ def test_seed_from_mode_requires_neumann():
     model = interval_model(
         2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)), bc="dirichlet"
     )
-    neumann = turing()
     grid = make_grid(model.domain, 32)
-    mode = unstable_decision(neumann)
     with pytest.raises(ModelError, match="[Nn]eumann"):
-        seed_from_mode(model, np.ones(2), mode, 0.1, grid)
+        seed_from_mode(model, np.ones(2), 1, 0.1, grid)
 
 
 # -- classification ---------------------------------------------------------
