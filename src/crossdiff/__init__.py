@@ -48,7 +48,6 @@ from .index_theory import (
     semitrivial_stability,
 )
 from .pde_solver import (
-    ConvergenceError,
     DiscreteField,
     DiscreteSystem,
     Grid,
@@ -77,7 +76,6 @@ __all__ = [
     "BoundaryCondition",
     "ConfigError",
     "ConstantState",
-    "ConvergenceError",
     "CutoffError",
     "DiagnosticsReport",
     "DiscreteField",

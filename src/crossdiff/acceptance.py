@@ -246,7 +246,7 @@ def criterion_5() -> CriterionResult:
     grid = make_grid(model.domain, 128)
     # Row i of the ledger is mode number i + 1.
     seed = seed_from_mode(model, report.u_star, int(unstable[0]) + 1, 1.5, grid)
-    result = newton_solve(model, grid, seed, strict=False)
+    result = newton_solve(model, grid, seed)
     passed = (
         result.converged
         and result.residual_norm < 1e-8
@@ -270,7 +270,7 @@ def criterion_6() -> CriterionResult:
     worst = 0.0
     for s in range(20):
         start = random_field(grid, [0.0], [2.0], seed=s)
-        result = newton_solve(model, grid, start, strict=False)
+        result = newton_solve(model, grid, start)
         if not result.converged:
             return CriterionResult(
                 6, "nonexistence-threshold", False,
@@ -345,6 +345,11 @@ def criterion_8() -> CriterionResult:
         result = newton_solve(
             model, grid, seed, forcing=exact["forcing"](x)[:, None]
         )
+        if not result.converged:
+            return CriterionResult(
+                8, "discretization-order", False,
+                f"no convergence on the {n}-cell grid: {result.warnings[0]}",
+            )
         errors.append(float(np.abs(result.field.values[:, 0] - exact["u"](x)).max()))
     rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     rates_ok = bool(np.all((rates >= 1.8) & (rates <= 2.2)))

@@ -34,7 +34,6 @@ from .index_theory import (
 )
 from .model import ConfigError, Model, ModelError, build_model, validate_structure
 from .pde_solver import (
-    ConvergenceError,
     DiscreteField,
     SolveResult,
     constant_field,
@@ -308,16 +307,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     direct = args.no_homotopy or args.seed_mode is not None
 
     t0 = time.perf_counter()
-    try:
-        if direct:
-            result = newton_solve(model, grid, seed, tol=args.tol, strict=False)
-        else:
-            result = continuation_solve(model, grid, seed, tol=args.tol, strict=False)
-    except ConvergenceError as exc:
-        result = exc.result
-        if result is None:
-            print(f"solver aborted: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+    if direct:
+        result = newton_solve(model, grid, seed, tol=args.tol)
+    else:
+        result = continuation_solve(model, grid, seed, tol=args.tol)
     elapsed = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -15,6 +15,10 @@ damped Newton, and homotopy continuation in the cross-diffusion
 strength (``alpha -> t * alpha`` for ``t`` from 0 to 1), the
 deformation to the weakly coupled system that the degree argument
 uses: every constant state is a root of every member of the family.
+Both return a :class:`SolveResult`; a solve that stops short has
+``converged=False`` and the reason in ``warnings``.  Inside, each Newton
+run yields one ``_Run`` record (last iterate, residual, counts, history,
+failure), and a homotopy stage loop sums its stages into one.
 
 Newton reuses a factorization while it pays (a chord step, as in
 Deuflhard's *Newton Methods for Nonlinear Problems*): once a Newton run
@@ -70,32 +74,6 @@ MIN_CELLS = 8
 # A chord step from a stale LU is kept when it cuts the residual norm by
 # at least this factor; otherwise the Jacobian is refactored.
 CHORD_CONTRACTION = 0.5
-
-
-class ConvergenceError(RuntimeError):
-    """Solver failed: stagnation, divergence, or iteration budget hit."""
-
-    def __init__(self, message: str, result: "SolveResult | None" = None) -> None:
-        super().__init__(message)
-        self.result = result
-
-
-class _NewtonFailure(ConvergenceError):
-    """A Newton run that stopped short, with its last iterate, the
-    residual norms of every iterate up to it (empty when the seed's
-    residual is not finite) and the number of ``splu`` calls it made."""
-
-    def __init__(
-        self,
-        message: str,
-        values: NDArray[np.float64],
-        history: list[float],
-        factorizations: int,
-    ) -> None:
-        super().__init__(message)
-        self.values = values
-        self.history = history
-        self.factorizations = factorizations
 
 
 @dataclass(frozen=True)
@@ -172,12 +150,6 @@ class DiscreteField:
     @property
     def m(self) -> int:
         return self.values.shape[-1]
-
-    def component(self, i: int) -> NDArray[np.float64]:
-        return self.values[..., i]
-
-    def copy(self) -> "DiscreteField":
-        return DiscreteField(grid=self.grid, values=self.values.copy())
 
 
 def constant_field(grid: Grid, u0: Sequence[float]) -> DiscreteField:
@@ -473,22 +445,38 @@ def _grad_l2(grid: Grid, values: NDArray[np.float64]) -> float:
     return _norms(DiscreteField(grid=grid, values=values))[1]
 
 
+@dataclass(frozen=True)
+class _Run:
+    """One Newton run, or one stage loop summed into a record.
+
+    ``values`` is the last iterate and ``residual_norm`` its residual
+    norm (``nan`` when the seed's residual is not finite); ``history``
+    holds the residual norms of every iterate up to it.  ``tolerance``
+    is the absolute target ``tol * (1 + ||R(seed)||)`` of a converged
+    run and ``tol`` of a failed one.  ``iterations`` counts the accepted
+    steps, chord and Newton, and ``factorizations`` the ``splu`` calls.
+    ``failure`` says why a run stopped short, ``None`` when it converged.
+    """
+
+    values: NDArray[np.float64]
+    residual_norm: float
+    tolerance: float
+    iterations: int
+    factorizations: int
+    history: list[float]
+    t_path: tuple[float, ...] = (1.0,)
+    failure: str | None = None
+
+
 def _finalize(
     model: Model,
     grid: Grid,
     seed: NDArray[np.float64],
-    values: NDArray[np.float64],
-    converged: bool,
-    residual_norm: float,
-    iterations: int,
-    factorizations: int,
-    t_path: tuple[float, ...],
-    tolerance: float,
-    history: Sequence[float],
-    extra_warnings: Sequence[str] = (),
+    run: _Run,
     coarse: tuple[Grid, NDArray[np.float64]] | None = None,
 ) -> SolveResult:
-    warns = list(extra_warnings)
+    values = run.values
+    warns = [] if run.failure is None else [run.failure]
     classification = classify_field(model, values)
     refinement = None
     if coarse is not None:
@@ -518,16 +506,16 @@ def _finalize(
         warns.append(f"species {i + 1} present in the seed vanished from the solution")
     return SolveResult(
         field=DiscreteField(grid=grid, values=values),
-        converged=converged,
-        residual_norm=residual_norm,
-        iterations=iterations,
-        factorizations=factorizations,
-        t_path=t_path,
+        converged=run.failure is None,
+        residual_norm=run.residual_norm,
+        iterations=run.iterations,
+        factorizations=run.factorizations,
+        t_path=run.t_path,
         classification=classification,
         grad_l2=_grad_l2(grid, values),
-        tolerance=tolerance,
+        tolerance=run.tolerance,
         warnings=tuple(warns),
-        residual_history=tuple(history),
+        residual_history=tuple(run.history),
         refinement=refinement,
     )
 
@@ -548,32 +536,30 @@ def _newton_core(
     values: NDArray[np.float64],
     tol: float,
     max_iter: int,
-) -> tuple[NDArray[np.float64], float, float, int, list[float], int]:
-    """Chord-accelerated damped Newton.
+) -> _Run:
+    """Chord-accelerated damped Newton, as one :class:`_Run`.
 
-    Returns ``(values, residual_norm, abs_tol, iterations, history,
-    factorizations)``.  A Newton step assembles the Jacobian on the
-    grid's shared CSC pattern (duplicates summed in assembly order),
-    factors it with ``splu`` under the ``MMD_AT_PLUS_A`` column ordering
-    and takes a damped step.  Once the run holds a factorization, each
+    A Newton step assembles the Jacobian on the grid's shared CSC
+    pattern (duplicates summed in assembly order), factors it with
+    ``splu`` under the ``MMD_AT_PLUS_A`` column ordering and takes a
+    damped step.  Once the run holds a factorization, each
     iteration first tries the full chord step ``lu.solve(-R)`` from that
     stale factor and keeps it when ``||R(u + delta)|| <= CHORD_CONTRACTION
     * ||R(u)||``; otherwise it drops the factor and takes a Newton step
     at the current iterate.  Both kinds of step count as iterations;
     ``max_iter`` bounds the factorizations, so a chord step that keeps
-    halving the residual is free.  A run that stops short raises
-    :class:`_NewtonFailure` with its last iterate and its factorization
-    count.
+    halving the residual is free.  A run that stops short returns its
+    last iterate with ``failure`` set.
     """
     R = system.residual(values)
     rn = float(np.linalg.norm(R))
     if not np.isfinite(rn):
-        raise _NewtonFailure("NaN in residual at the seed", values, [], 0)
+        return _Run(values, float("nan"), tol, 0, 0, [], failure="NaN in residual at the seed")
     history = [rn]
     factorizations = 0
 
-    def failure(message: str) -> _NewtonFailure:
-        return _NewtonFailure(message, values, history, factorizations)
+    def stop(message: str) -> _Run:
+        return _Run(values, rn, tol, len(history) - 1, factorizations, history, failure=message)
 
     # Relative convergence test: flux cancellations floor the achievable
     # absolute residual at roughly eps * ||A|| * ||u|| / h^2.
@@ -593,7 +579,7 @@ def _newton_core(
             # Release the stale factor first: two L + U never coexist.
             lu = None
         if factorizations == max_iter:
-            raise failure(
+            return stop(
                 f"no convergence within {max_iter} factorizations (residual "
                 f"{rn:.3e}, target {abs_tol:.3e})"
             )
@@ -603,9 +589,9 @@ def _newton_core(
             lu = splu(J, permc_spec="MMD_AT_PLUS_A")
             delta = lu.solve(-R.reshape(-1))
         except RuntimeError as exc:
-            raise failure(f"linear solve failed: {exc}") from exc
+            return stop(f"linear solve failed: {exc}")
         if not np.all(np.isfinite(delta)):
-            raise failure("non-finite Newton step (singular Jacobian)")
+            return stop("non-finite Newton step (singular Jacobian)")
         delta = delta.reshape(values.shape)
         alpha = 1.0
         while True:
@@ -616,13 +602,13 @@ def _newton_core(
                 break
             alpha *= 0.5
             if alpha < 1e-12:
-                raise failure(
+                return stop(
                     f"line search stagnates at iteration {len(history)} "
                     f"(residual {rn:.3e})"
                 )
         values, R, rn = trial, R_try, rt
         history.append(rn)
-    return values, rn, abs_tol, len(history) - 1, history, factorizations
+    return _Run(values, rn, abs_tol, len(history) - 1, factorizations, history)
 
 
 def newton_solve(
@@ -632,35 +618,18 @@ def newton_solve(
     tol: float = TOL_NEWTON,
     max_iter: int = 100,
     forcing: NDArray[np.float64] | None = None,
-    strict: bool = True,
 ) -> SolveResult:
     """Damped-Newton solve, with chord steps, from a seed field.
 
-    With ``strict`` (default) solver failures raise
-    :class:`ConvergenceError`; otherwise a non-converged
-    :class:`SolveResult` is returned with the failure reason attached.
-    It holds the last iterate, its residual norm, the steps taken (chord
-    and Newton), the factorizations made and the residual history.
-    ``max_iter`` bounds the factorizations.
+    The result holds the last iterate, its residual norm, the steps
+    taken (chord and Newton), the factorizations made and the residual
+    history.  ``max_iter`` bounds the factorizations.  A run that stops
+    short (budget spent, failed linear solve, stagnating line search)
+    returns ``converged=False`` with the reason in ``warnings``.
     """
     start = _seed_values(seed, grid, model.m)
-    system = discretize(model, grid, forcing=forcing)
-    try:
-        values, rn, abs_tol, its, history, lus = _newton_core(
-            system, start, tol, max_iter
-        )
-    except _NewtonFailure as exc:
-        if strict:
-            raise
-        return _finalize(
-            model, grid, start, exc.values, False,
-            exc.history[-1] if exc.history else float("nan"),
-            max(len(exc.history) - 1, 0), exc.factorizations, (1.0,), tol,
-            exc.history, extra_warnings=(str(exc),),
-        )
-    return _finalize(
-        model, grid, start, values, True, rn, its, lus, (1.0,), abs_tol, history
-    )
+    run = _newton_core(discretize(model, grid, forcing=forcing), start, tol, max_iter)
+    return _finalize(model, grid, start, run)
 
 
 def half_grid(grid: Grid) -> Grid | None:
@@ -718,26 +687,6 @@ def prolong(values: NDArray[np.float64], dirichlet: bool) -> NDArray[np.float64]
     return values
 
 
-@dataclass(frozen=True)
-class _Stages:
-    """Outcome of one homotopy stage loop on one grid.
-
-    ``values`` is the answer at ``t = 1``, or the last converged stage's
-    field when ``failure`` is set; ``iterations`` counts the steps of the
-    converged stages, ``factorizations`` every ``splu`` call.
-    """
-
-    values: NDArray[np.float64]
-    residual_norm: float
-    tolerance: float
-    iterations: int
-    factorizations: int
-    t_path: tuple[float, ...]
-    history: list[float]
-    failure: _NewtonFailure | None = None
-    message: str = ""
-
-
 def _stage_loop(
     model: Model,
     grid: Grid,
@@ -745,45 +694,52 @@ def _stage_loop(
     steps: int,
     tol: float,
     max_iter: int,
-) -> _Stages:
+) -> _Run:
     """Homotopy stages ``t * alpha`` on one grid, each warm-started from
-    the previous one; a failed step is bisected down to ``MIN_STEP``."""
+    the previous one; a failed step is bisected down to ``MIN_STEP``.
+
+    Returns the run of the last converged stage with ``iterations``
+    summed over the converged stages, ``factorizations`` over all of
+    them and ``t_path`` the ``t`` of each converged stage.  When a step
+    underflows, ``failure`` says where; if no stage converged, the
+    record is the seed with the residual norm the first stage computed
+    there.
+    """
+    last: _Run | None = None
     path: list[float] = []
-    total_iters = 0
-    total_lus = 0
-    history: list[float] = []
-    rn = float("nan")
-    abs_tol = tol
+    iterations = factorizations = 0
     t_prev = 0.0
     queue = [float(t) for t in np.linspace(0.0, 1.0, steps + 1)]
     while queue:
         t = queue[0]
         system = discretize(dataclasses.replace(model, alpha=t * model.alpha), grid)
-        try:
-            values_new, rn, abs_tol, its, history, lus = _newton_core(
-                system, values, tol, max_iter
-            )
-        except _NewtonFailure as exc:
-            total_lus += exc.factorizations
+        run = _newton_core(system, values, tol, max_iter)
+        factorizations += run.factorizations
+        if run.failure is not None:
             mid = 0.5 * (t_prev + t)
-            if t - mid < MIN_STEP:
-                message = (
+            if t - mid >= MIN_STEP:
+                queue.insert(0, mid)
+                continue
+            if last is None:
+                seed_rn = run.history[0] if run.history else float("nan")
+                last = _Run(values, seed_rn, tol, 0, 0, run.history[:1])
+            return dataclasses.replace(
+                last, tolerance=tol, iterations=iterations,
+                factorizations=factorizations, t_path=tuple(path),
+                failure=(
                     f"homotopy step underflow below {MIN_STEP} near "
-                    f"t = {t:.6g}: {exc}"
-                )
-                return _Stages(
-                    values, rn, tol, total_iters, total_lus, tuple(path), history,
-                    exc, message,
-                )
-            queue.insert(0, mid)
-            continue
-        values = values_new
-        total_iters += its
-        total_lus += lus
+                    f"t = {t:.6g}: {run.failure}"
+                ),
+            )
+        values = run.values
+        last = run
+        iterations += run.iterations
         path.append(t)
         t_prev = t
         queue.pop(0)
-    return _Stages(values, rn, abs_tol, total_iters, total_lus, tuple(path), history)
+    return dataclasses.replace(
+        last, iterations=iterations, factorizations=factorizations, t_path=tuple(path)
+    )
 
 
 def continuation_solve(
@@ -793,7 +749,6 @@ def continuation_solve(
     steps: int = 8,
     tol: float = TOL_NEWTON,
     max_iter: int = 100,
-    strict: bool = True,
 ) -> SolveResult:
     """Homotopy continuation in the cross-diffusion strength, grid-sequenced.
 
@@ -812,7 +767,9 @@ def continuation_solve(
     coarse stages or the fine run fail, the stages run again on the full
     grid from the original seed.  ``iterations`` and ``factorizations``
     count both attempts; ``t_path`` is the path of the attempt that gave
-    the answer.
+    the answer.  When the full-grid stages fail too, the result has
+    ``converged=False``, the reason in ``warnings`` and the field of the
+    last converged stage (the seed when none converged).
     """
     if steps < 1:
         raise ModelError("steps must be >= 1")
@@ -826,35 +783,20 @@ def continuation_solve(
         if stages.failure is None:
             coarse_answer = (coarse, stages.values)
             fine = prolong(stages.values, model.bc.kind == "dirichlet")
-            try:
-                values, rn, abs_tol, its, history, lus = _newton_core(
-                    discretize(model, grid), fine, tol, max_iter
+            run = _newton_core(discretize(model, grid), fine, tol, max_iter)
+            spent_lus += run.factorizations
+            if run.failure is None:
+                run = dataclasses.replace(
+                    run, iterations=spent_iters + run.iterations,
+                    factorizations=spent_lus, t_path=stages.t_path,
                 )
-            except _NewtonFailure as exc:
-                spent_lus += exc.factorizations
-            else:
-                return _finalize(
-                    model, grid, start, values, True, rn, spent_iters + its,
-                    spent_lus + lus, stages.t_path, abs_tol, history,
-                    coarse=coarse_answer,
-                )
+                return _finalize(model, grid, start, run, coarse=coarse_answer)
     stages = _stage_loop(model, grid, start, steps, tol, max_iter)
-    iterations = spent_iters + stages.iterations
-    factorizations = spent_lus + stages.factorizations
-    if stages.failure is not None:
-        partial = _finalize(
-            model, grid, start, stages.values, False, stages.residual_norm,
-            iterations, factorizations, stages.t_path, tol, stages.history,
-            extra_warnings=(stages.message,), coarse=coarse_answer,
-        )
-        if strict:
-            raise ConvergenceError(stages.message, result=partial) from stages.failure
-        return partial
-    return _finalize(
-        model, grid, start, stages.values, True, stages.residual_norm, iterations,
-        factorizations, stages.t_path, stages.tolerance, stages.history,
-        coarse=coarse_answer,
+    run = dataclasses.replace(
+        stages, iterations=spent_iters + stages.iterations,
+        factorizations=spent_lus + stages.factorizations,
     )
+    return _finalize(model, grid, start, run, coarse=coarse_answer)
 
 
 def seed_from_mode(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import signal
 import warnings
 
@@ -28,6 +29,18 @@ TURING = {
     "alpha": [[0.0, 0.0], [0.0, 0.0]],
     "r": [1.0, 1.0],
     "c": [[-1.0, 2.0], [-3.0, 4.0]],
+    "domain": {"kind": "interval", "lengths": [float(np.pi)]},
+    "bc": "neumann",
+}
+
+# Logistic growth with u* = 1: at the constant seed u = 1/2 the kinetic
+# derivative vanishes and the Jacobian is the bare Neumann operator.
+LOGISTIC = {
+    "m": 1,
+    "d": [1.0],
+    "alpha": [[0.0]],
+    "r": [1.0],
+    "c": [[1.0]],
     "domain": {"kind": "interval", "lengths": [float(np.pi)]},
     "bc": "neumann",
 }
@@ -413,7 +426,7 @@ def test_solve_mode_seed_is_the_library_seed(tmp_path, monkeypatch, k, messages)
         seed = seed_from_mode(model, np.ones(2), k, 0.5, grid)
     (cli_seed,) = seeds
     assert cli_seed.values.tobytes() == seed.values.tobytes()
-    result = solve(model, grid, seed, strict=False)
+    result = solve(model, grid, seed)
     cli._field_csv(str(tmp_path / "lib_field.csv"), result.field)
     written = (tmp_path / "cli_field.csv").read_bytes()
     assert written == (tmp_path / "lib_field.csv").read_bytes()
@@ -503,6 +516,33 @@ def test_solve_byte_stability(tmp_path):
     assert (tmp_path / "a" / "run_field.csv").read_bytes() == (
         tmp_path / "b" / "run_field.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "route, reason, factorizations",
+    [
+        (["--no-homotopy"], "linear solve failed", 1),
+        # The stages fail on the 16-cell grid, then on the full grid.
+        ([], "homotopy step underflow", 2),
+    ],
+    ids=["newton", "continuation"],
+)
+def test_failed_solve_exits_3_with_its_report_and_field(tmp_path, route, reason, factorizations):
+    cfg = write_config(tmp_path, LOGISTIC)
+    out = tmp_path / "fail.json"
+    argv = ["solve", "--config", cfg, "--output", str(out), "--grid", "32",
+            "--seed-constant", "0.5"] + route
+    assert cli.main(argv) == 3
+    result = json.loads(out.read_text())["result"]
+    assert result["converged"] is False
+    # The residual at the seed: |f(1/2)| = 1/4 in each of 32 cells.
+    assert math.isfinite(result["residual_norm"])
+    assert result["residual_norm"] == pytest.approx(0.25 * math.sqrt(32))
+    assert any(w.startswith(reason) for w in result["warnings"])
+    assert result["factorizations"] == factorizations
+    if not route:
+        assert result["refinement"] is None
+    assert (tmp_path / "fail_field.csv").is_file()
 
 
 @pytest.mark.parametrize(

@@ -331,7 +331,9 @@ def turing_pattern_512():
     report = existence_verdict(model).index_reports[0]
     k = 1 + int(np.flatnonzero(report.mode_decisions.N >= 1)[0])
     seed = seed_from_mode(model, np.ones(2), k, amplitude=1.5, grid=grid)
-    return newton_solve(model, grid, seed).field
+    result = newton_solve(model, grid, seed)
+    assert result.converged
+    return result.field
 
 
 def noise_field(grid):

@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 from crossdiff import (
     ConfigError,
-    ConvergenceError,
     DiscreteField,
     ModelError,
     build_model,
@@ -378,10 +377,8 @@ def test_newton_singular_jacobian_raises_convergence_error(monkeypatch):
     model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
     grid = make_grid(model.domain, 32)
     seed = constant_field(grid, [0.5])
-    with pytest.raises(ConvergenceError):
-        newton_solve(model, grid, seed, max_iter=3)
     calls = splu_calls(monkeypatch)
-    soft = newton_solve(model, grid, seed, max_iter=3, strict=False)
+    soft = newton_solve(model, grid, seed, max_iter=3)
     assert not soft.converged
     assert soft.warnings
     assert soft.factorizations == len(calls) == 1
@@ -395,7 +392,7 @@ def test_failed_soft_newton_reports_its_last_iterate():
     grid = make_grid(model.domain, 64)
     seed = random_field(grid, [0.5, 0.5], [1.5, 1.5], seed=0)
     full = newton_solve(model, grid, seed)
-    soft = newton_solve(model, grid, seed, max_iter=2, strict=False)
+    soft = newton_solve(model, grid, seed, max_iter=2)
     assert not soft.converged
     assert "no convergence within 2 factorizations" in soft.warnings[0]
     assert soft.iterations == 3
@@ -446,6 +443,7 @@ def followed_turing_pattern(n_cells):
     grid = make_grid(base.domain, n_cells)
     seed = seed_from_mode(base, np.ones(2), unstable_mode(base), 1.5, grid)
     pattern = newton_solve(base, grid, seed)
+    assert pattern.converged
     assert pattern.classification == "nonconstant"
     model = interval_model(
         2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
@@ -616,20 +614,20 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
     # One factorization can never reach tolerance from this seed, so the
     # t = 0 stage fails and the homotopy step underflows.  The failed
     # stage's factorization is counted.  An odd cell count keeps the
-    # stages on this grid.
+    # stages on this grid.  With no stage converged the result is the
+    # seed, with the residual norm the t = 0 stage computed there.
     model = weak_lv()
     grid = make_grid(model.domain, 15)
     seed = constant_field(grid, [0.37, 0.41])
     calls = splu_calls(monkeypatch)
-    with pytest.raises(ConvergenceError, match="underflow") as excinfo:
-        continuation_solve(model, grid, seed, max_iter=1)
-    assert excinfo.value.result is not None
-    assert not excinfo.value.result.converged
-    calls.clear()
-    soft = continuation_solve(model, grid, seed, max_iter=1, strict=False)
+    soft = continuation_solve(model, grid, seed, max_iter=1)
     assert not soft.converged
     assert soft.factorizations == len(calls) == 1
     assert any("underflow" in w for w in soft.warnings)
+    assert soft.t_path == () and soft.iterations == 0
+    np.testing.assert_array_equal(soft.field.values, seed.values)
+    t0 = dataclasses.replace(model, alpha=0.0 * model.alpha)
+    assert soft.residual_norm == float(np.linalg.norm(discretize(t0, grid).residual(seed.values)))
 
 
 @pytest.mark.parametrize("steps, max_iter, stages, factorizations", [(2, 3, 3, 4), (1, 2, 2, 3)])
@@ -769,7 +767,7 @@ def test_failed_fine_newton_falls_back_to_the_single_grid_stages(monkeypatch):
         if system.grid.shape == grid.shape and not forced:
             forced.append(values)
             pde_solver.splu(system.jacobian(values), permc_spec="MMD_AT_PLUS_A")
-            raise pde_solver._NewtonFailure("forced failure", values, [], 1)
+            return pde_solver._Run(values, float("nan"), tol, 0, 1, [], failure="forced failure")
         return core(system, values, tol, max_iter)
 
     monkeypatch.setattr(pde_solver, "_newton_core", failing_first_fine_run)
@@ -797,7 +795,7 @@ def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
     model = weak_lv()
     grid = make_grid(model.domain, 16)
     calls = splu_calls(monkeypatch)
-    soft = continuation_solve(model, grid, constant_field(grid, [0.37, 0.41]), max_iter=1, strict=False)
+    soft = continuation_solve(model, grid, constant_field(grid, [0.37, 0.41]), max_iter=1)
     assert not soft.converged
     assert soft.factorizations == len(calls) == 2
     assert soft.refinement is None
