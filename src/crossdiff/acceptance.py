@@ -110,57 +110,76 @@ def _realized_model(A_target: np.ndarray, J: np.ndarray) -> Model:
     )
 
 
-def _random_instance(seed: int, m: int) -> Model:
+def _random_instance(seed: int, m: int, unstable: int = 0) -> Model:
     """Random nondegenerate instance: diagonally dominant flux matrix at
-    the positive state and a reaction Jacobian with all eigenvalue real
-    parts below ``-0.1``."""
+    the positive state and a reaction Jacobian with ``unstable`` real
+    eigenvalues in ``[0.1, 0.5]`` and every other eigenvalue real part
+    below ``-0.1``."""
     rng = np.random.default_rng(seed)
     off = rng.uniform(0.0, 0.5, (m, m))
     np.fill_diagonal(off, 0.0)
     A_target = off + np.diag(off.sum(axis=1) + rng.uniform(0.5, 2.0, m))
+    if unstable:
+        w = np.concatenate(
+            [rng.uniform(0.1, 0.5, unstable), -rng.uniform(0.2, 1.5, m - unstable)]
+        )
+        V = np.eye(m) + rng.uniform(-0.3, 0.3, (m, m))
+        return _realized_model(A_target, V @ np.diag(w) @ np.linalg.inv(V))
     R = rng.uniform(-1.0, 1.0, (m, m))
     shift = max(float(np.linalg.eigvals(R).real.max()), 0.0)
     J = R - (shift + 0.1 + rng.uniform(0.1, 0.5)) * np.eye(m)
     return _realized_model(A_target, J)
 
 
+def _bistable_saddle() -> tuple[Model, np.ndarray]:
+    """Strong competition at ``d = 100``: the coexistence state (1/3, 1/3)
+    is a saddle of the kinetics, ``det(-J) = -1/3``."""
+    model = build_model(
+        _interval_config(2, [100.0, 100.0], [[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0],
+                         [[1.0, 2.0], [2.0, 1.0]])
+    )
+    return model, np.linalg.solve(model.c, model.r)
+
+
 def criterion_1() -> CriterionResult:
-    """Index parity equals the discrete solution-map oracle parity."""
+    """Index equals the discrete solution-map oracle parity, the constant
+    mode included."""
     J_design = np.array([[1.0, -2.0], [3.0, -4.0]])
-    models = [
-        _realized_model(np.diag([0.4, 7.0]), J_design),
-        _realized_model(np.diag([0.05, 1.0]), J_design),
-        _realized_model(np.diag([0.25, 5.0]), J_design),
-        _random_instance(0, 2),
-        _random_instance(1, 3),
-        _random_instance(2, 3),
+    cases = [
+        (model, np.ones(model.m))
+        for model in (
+            _realized_model(np.diag([0.4, 7.0]), J_design),
+            _realized_model(np.diag([0.05, 1.0]), J_design),
+            _realized_model(np.diag([0.25, 5.0]), J_design),
+            _random_instance(0, 2),
+            _random_instance(1, 3),
+            _random_instance(2, 3),
+            _random_instance(3, 3, unstable=1),
+        )
     ]
-    gammas: list[int] = []
+    cases.append(_bistable_saddle())
+    indices: list[int | None] = []
+    unstable: list[int] = []
     worst_time = 0.0
-    for model in models:
-        u_star = np.ones(model.m)
-        if reaction_unstable_count(model, u_star) != 0:
-            return CriterionResult(
-                1, "index-parity-oracle", False,
-                "generator produced a reaction-unstable instance",
-            )
+    for model, u_star in cases:
         t0 = time.perf_counter()
         report = constant_state_index(model, u_star)
         k_base = 1.0 + float(np.linalg.norm(model.jacobian_f(u_star), 2))
         for k in (k_base, 2.0 * k_base + 3.7):
             count, parity = parity_oracle(model, u_star, n=256, k=k)
-            if parity != (-1) ** report.gamma:
+            if parity != report.index:
                 return CriterionResult(
                     1, "index-parity-oracle", False,
-                    f"parity mismatch: gamma={report.gamma}, oracle count="
-                    f"{count} at k={k:.3g} (m={model.m})",
+                    f"parity mismatch: index={report.index} (gamma={report.gamma}), "
+                    f"oracle count={count} at k={k:.3g} (m={model.m})",
                 )
         worst_time = max(worst_time, time.perf_counter() - t0)
-        gammas.append(report.gamma)
+        indices.append(report.index)
+        unstable.append(reaction_unstable_count(model, u_star))
     return CriterionResult(
         1, "index-parity-oracle", True,
-        f"6 models, gamma={gammas}, both k values match, "
-        f"slowest {worst_time:.2f}s",
+        f"{len(cases)} models, index={indices}, unstable kinetic eigenvalues="
+        f"{unstable}, both k values match, slowest {worst_time:.2f}s",
     )
 
 
@@ -216,7 +235,8 @@ def criterion_4() -> CriterionResult:
         )
     )
     report = constant_state_index(diag_model, np.ones(2))
-    diag_ok = report.gamma == 1 and report.index == -1
+    # J(u*) = diag(2, -1): det(-J) = -2 flips the sign of (-1)^gamma.
+    diag_ok = report.gamma == 1 and report.index == 1
 
     logistic = build_model(_logistic_config())
     log_report = constant_state_index(logistic, np.ones(1))

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
 import numpy as np
@@ -32,7 +31,14 @@ from .index_theory import (
     existence_verdict,
     existence_verdicts,
 )
-from .model import ConfigError, Model, ModelError, build_model, validate_structure
+from .model import (
+    ConfigError,
+    Model,
+    ModelError,
+    build_model,
+    replace_entries,
+    validate_structure,
+)
 from .pde_solver import (
     DiscreteField,
     SolveResult,
@@ -259,15 +265,24 @@ def _build_seed(args: argparse.Namespace, model: Model, grid) -> DiscreteField:
 
 
 def _field_csv(path: str, field: DiscreteField) -> None:
+    """The field as CSV, one row per node: the node's coordinates, then
+    its values, every number as its ``repr``.
+
+    The bytes are those of ``csv.writer``, with CRLF line ends.  The
+    nodes run over the product of the axis coordinates, as
+    ``grid.points()`` lists them, so each coordinate is formatted once.
+    """
     grid = field.grid
-    pts = grid.points().reshape(-1, grid.ndim)
-    vals = field.values.reshape(-1, field.m)
     header = list("xy"[: grid.ndim]) + [f"u_{i + 1}" for i in range(field.m)]
-    data = np.hstack([pts, vals])
+    axes = [list(map(repr, axis.tolist())) for axis in grid.coords]
+    coords = map(",".join, itertools.product(*axes))
+    lines = [",".join(header)]
+    lines += [
+        f"{node},{','.join(map(repr, row))}"
+        for node, row in zip(coords, field.values.reshape(-1, field.m).tolist())
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(v) for v in row] for row in data.tolist())
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _solve_summary(result: SolveResult, diag) -> list[str]:
@@ -419,44 +434,51 @@ _ROW_COLUMNS = (
 )
 
 
-def _chunk_verdicts(models: list[Model]) -> list[ExistenceVerdict | Exception]:
-    """Verdicts of a chunk in one pass; if the pass raises, each point
+def _batch_verdicts(models: list[Model]) -> list[ExistenceVerdict | Exception]:
+    """Verdicts of every model in one pass; if the pass raises, each model
     is decided alone, so the exception lands on its own point."""
     try:
         return list(existence_verdicts(models))
     except _POINT_ERRORS as exc:
         if len(models) == 1:
             return [exc]
-        return [outcome for model in models for outcome in _chunk_verdicts([model])]
+        return [outcome for model in models for outcome in _batch_verdicts([model])]
 
 
-def _sweep_worker(
-    task: tuple[dict, list[tuple[str, tuple[str | int, ...]]], list[tuple[float, ...]]]
+def _sweep_rows(
+    config: dict,
+    params: list[tuple[str, tuple[str | int, ...]]],
+    combos: list[tuple[float, ...]],
 ) -> list[dict]:
-    """One chunk of sweep points: one CSV row per point, in order.
+    """One CSV row per sweep point, in order.
 
-    ``task`` is the base config, the ``--param`` paths with their
-    resolved keys, and the chunk's value tuples.  Each point's model is
-    built from a copy of only the containers its values change, and the
-    chunk is decided by one :func:`existence_verdicts` call, so the
-    kinetic work runs once per distinct ``(m, r, c)`` of the chunk.  A
-    point whose model cannot be built or decided gets an error row.
+    The first point that builds is built from ``config`` with its values
+    written in, by :func:`build_model`; every later point is that model
+    with the ``--param`` entries replaced (:func:`replace_entries`), so
+    ``config`` need not be valid at the swept entries.  Every point is
+    decided by one :func:`existence_verdicts` batch, so the kinetic work
+    runs once per distinct ``(m, r, c)``.  A point whose model cannot be
+    built or decided gets an error row.
     """
-    config, params, combos = task
+    keys = [k for _, k in params]
     rows: list[dict] = []
     built: list[tuple[dict, Model]] = []
+    base: Model | None = None
     for combo in combos:
-        row: dict[str, Any] = {}
-        point = config
-        for (path, keys), value in zip(params, combo):
-            row[path] = value
-            point = _with_value(point, keys, value)
+        row: dict[str, Any] = {path: value for (path, _), value in zip(params, combo)}
         rows.append(row)
         try:
-            built.append((row, build_model(point)))
+            if base is None:
+                point = config
+                for point_keys, value in zip(keys, combo):
+                    point = _with_value(point, point_keys, value)
+                model = base = build_model(point)
+            else:
+                model = replace_entries(base, zip(keys, combo))
+            built.append((row, model))
         except _POINT_ERRORS as exc:
             row.update(dict.fromkeys(_ROW_COLUMNS, ""), error=str(exc))
-    outcomes = _chunk_verdicts([model for _, model in built])
+    outcomes = _batch_verdicts([model for _, model in built])
     for (row, _), verdict in zip(built, outcomes):
         if isinstance(verdict, Exception):
             row.update(dict.fromkeys(_ROW_COLUMNS, ""), error=str(verdict))
@@ -476,17 +498,6 @@ def _sweep_worker(
             }
         )
     return rows
-
-
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("CROSSDIFF_THREADS", "")
-    limit = os.cpu_count() or 1
-    if cap.strip():
-        try:
-            limit = max(1, int(cap))
-        except ValueError as exc:
-            raise ConfigError(f"bad CROSSDIFF_THREADS {cap!r}") from exc
-    return max(1, min(limit, n_tasks))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -509,24 +520,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     combos = list(itertools.product(*grids))
 
     t0 = time.perf_counter()
-    workers = _worker_count(len(combos))
-    if workers == 1:
-        rows = _sweep_worker((config, params, combos))
-    else:
-        # A few chunks per worker: one round trip and one ledger pass per
-        # chunk, and still enough chunks to balance uneven points.
-        size = -(-len(combos) // (4 * workers))
-        chunks = [
-            (config, params, combos[i : i + size]) for i in range(0, len(combos), size)
-        ]
-        # The workers fork with every object this process holds; frozen,
-        # those objects are skipped by the workers' garbage collections.
-        gc.freeze()
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = [row for chunk in pool.map(_sweep_worker, chunks) for row in chunk]
-        finally:
-            gc.unfreeze()
+    # Frozen, the objects the imports made are skipped by the collections
+    # that the ledger's allocations trigger.
+    gc.freeze()
+    try:
+        rows = _sweep_rows(config, params, combos)
+    finally:
+        gc.unfreeze()
     elapsed = time.perf_counter() - t0
 
     columns = [path for path, _ in params] + list(_ROW_COLUMNS)
@@ -537,7 +537,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             writer.writerow(row)
     print(f"swept {len(rows)} points across {len(params)} parameters")
     print(f"sweep written to {args.output}")
-    print(f"timing sweep: {elapsed:.3f} s ({workers} workers)")
+    print(f"timing sweep: {elapsed:.3f} s")
     print(f"timing total: {time.perf_counter() - t_start:.3f} s")
     return EXIT_OK
 

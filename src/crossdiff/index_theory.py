@@ -1,11 +1,13 @@
 """Local fixed-point indices of constant states and existence verdicts.
 
 At a nondegenerate positive constant state the local index is
-``(-1)^gamma`` with ``gamma = sum_i N_i M_i`` over the Neumann modes:
-``N_i`` counts the real negative eigenvalues of
+``sign det(-J(u*)) * (-1)^gamma`` with ``gamma = sum_i N_i M_i`` over the
+nonzero Neumann modes: ``N_i`` counts the real negative eigenvalues of
 ``d_A(u*)^{-1} (A(u*) - lambda_i^{-1} J(u*))`` and ``M_i`` is the
-eigenvalue multiplicity.  A perturbation bound certifies that all modes
-beyond a finite cutoff contribute nothing.  Boundary (trivial and
+eigenvalue multiplicity.  The sign is the constant mode's factor, the
+determinant ``det(lambda A(u*) - J(u*))`` at ``lambda = 0``.  A
+perturbation bound certifies that all modes beyond a finite cutoff
+contribute nothing.  Boundary (trivial and
 semitrivial) states are handled by sign criteria on the per-capita
 growth of the vanishing components, and the verdict compares the total
 degree against 1.
@@ -22,13 +24,12 @@ certificate, the mode counts and the nondegeneracy determinants.  A
 failure stays with its item and becomes the cause of that model's
 verdict.  :func:`existence_verdict` and :func:`constant_state_index` run
 the same code on one item.  A state's per-mode counts stay arrays from
-the stacked ``eig`` to its :class:`IndexReport`: one
+the stacked ``eigvals`` to its :class:`IndexReport`: one
 :class:`ModeDecisions` per state.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -85,7 +86,7 @@ def negative_counts(
     M = np.asarray(stack, dtype=float)
     m = M.shape[-1]
     scales = np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300)
-    eigs, _ = np.linalg.eig(M)
+    eigs = np.linalg.eigvals(M)
     eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real), axis=-1), -1)
 
     real_mask = np.abs(eigs.imag) <= 1e-10 * scales[:, None]
@@ -146,9 +147,11 @@ class ModeDecisions:
 class IndexReport:
     """Local fixed-point index of a positive constant state.
 
-    ``index`` is ``(-1)^gamma`` and is only claimed when every retained
-    mode is decidable and the nondegeneracy determinant test passes;
-    otherwise ``index`` is ``None`` and ``nondegenerate`` is false.
+    ``index`` is ``sign det(-J(u*)) * (-1)^gamma`` and is only claimed
+    when every retained mode is decidable and the nondegeneracy
+    determinant test passes; otherwise ``index`` is ``None`` and
+    ``nondegenerate`` is false.  A state whose ``det(-J(u*))`` is
+    negative gets a warning naming the constant mode's factor.
     """
 
     u_star: NDArray[np.float64]
@@ -314,24 +317,6 @@ class _State:
         self.support = support
         self.error = error
         self.J = None if error is not None else kinetics.jacobian_f(u_star)
-
-    @functools.cached_property
-    def reaction_warning(self) -> str | None:
-        """Set when ``J(u*)`` has an unstable eigenvalue.  Asked for only
-        once an item at this state has passed the ledger, so a non-finite
-        ``J`` never reaches ``eigvals``."""
-        J = self.J
-        n_unstable = int(
-            np.sum(np.linalg.eigvals(J).real > TOL_SIGN * (1.0 + np.linalg.norm(J)))
-        )
-        if n_unstable == 0:
-            return None
-        return (
-            f"reaction Jacobian at u_star has {n_unstable} eigenvalue(s) with "
-            "positive real part; a discrete solution-map eigenvalue count "
-            "includes these through its constant mode, while the mode sum "
-            "here tracks the nonconstant modes of the normalized homotopy"
-        )
 
 
 class _Item:
@@ -633,8 +618,15 @@ def _reports(items: list[_Item]) -> None:
                 )
         degenerate_any = True in degenerate
         gamma = int(dec.N @ dec.modes.M)
-        if it.state.reaction_warning is not None:
-            warnings.append(it.state.reaction_warning)
+        # The first value is the constant mode, 0, whose determinant is
+        # det(-J(u*)): its sign is the constant mode's factor.
+        det_J = details[0]["det"]
+        sign = 1 if det_J > 0.0 else -1
+        if sign < 0:
+            warnings.append(
+                f"constant mode: det(-J(u_star)) = {det_J:.6g} < 0 contributes "
+                "a factor -1 to the index"
+            )
 
         nondegenerate = it.nondeg_ok and not degenerate_any
         if not it.nondeg_ok:
@@ -649,7 +641,7 @@ def _reports(items: list[_Item]) -> None:
             L0=it.L0,
             certificate=it.certificate,
             gamma=gamma,
-            index=int((-1) ** gamma) if nondegenerate else None,
+            index=sign * (-1) ** gamma if nondegenerate else None,
             nondegenerate=nondegenerate,
             warnings=tuple(warnings),
         )

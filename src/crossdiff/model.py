@@ -10,9 +10,10 @@ of shape ``(..., m, m)``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -107,8 +108,6 @@ class Model:
     bc: BoundaryCondition = field(default_factory=BoundaryCondition)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
         d = _readonly(self.d)
         alpha = _readonly(self.alpha)
         r = _readonly(self.r)
@@ -123,12 +122,15 @@ class Model:
             )
         if c.shape != (self.m, self.m):
             raise ConfigError(f"c must have shape ({self.m}, {self.m}), got {c.shape}")
+        # After the shapes, so that a bad m gets the message build_model gives it.
+        if self.m < 1:
+            raise ConfigError(f"m must be >= 1, got {self.m}")
         for name, arr in (("d", d), ("alpha", alpha), ("r", r), ("c", c)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ConfigError(f"{name} contains non-finite entries")
-        if np.any(d <= 0):
+        if (d <= 0).any():
             raise ConfigError(f"diffusion rates d must be strictly positive, got {d}")
-        if np.any(alpha < 0):
+        if (alpha < 0).any():
             raise ConfigError(f"alpha coefficients must be nonnegative, got {alpha}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "alpha", alpha)
@@ -239,10 +241,7 @@ def build_model(config: Mapping[str, Any]) -> Model:
 
     bc = BoundaryCondition(kind=config.get("bc", "neumann"))
 
-    try:
-        m = int(config["m"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"m must be an integer, got {config['m']!r}") from exc
+    m = _species_count(config["m"])
 
     def _arr(key: str, shape: tuple[int, ...]) -> NDArray[np.float64]:
         try:
@@ -262,6 +261,52 @@ def build_model(config: Mapping[str, Any]) -> Model:
         domain=domain,
         bc=bc,
     )
+
+
+def _species_count(value: Any) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"m must be an integer, got {value!r}") from exc
+
+
+def replace_entries(
+    model: Model, entries: Iterable[tuple[Sequence[str | int], float]]
+) -> Model:
+    """``model`` with numeric config entries replaced, checked as
+    :func:`build_model` checks them.
+
+    Each entry is the key path of a numeric entry of ``model.to_config()``
+    -- ``("m",)``, ``("d", i)``, ``("alpha", i, j)``, ``("r", i)``,
+    ``("c", i, j)`` or ``("domain", "lengths", i)`` -- and its new value.
+    A model that :func:`build_model` would reject raises the error it
+    would raise, with its message.
+    """
+    arrays: dict[str, NDArray[np.float64]] = {}
+    lengths: list[float] | None = None
+    m = None
+    for keys, value in entries:
+        name, *index = keys
+        if name == "domain" and index[0] == "lengths":
+            if lengths is None:
+                lengths = list(model.domain.lengths)
+            lengths[index[1]] = value
+        elif name == "m" and not index:
+            m = value
+        elif name in ("d", "alpha", "r", "c"):
+            if name not in arrays:
+                arrays[name] = getattr(model, name).copy()
+            arrays[name][tuple(index)] = value
+        else:
+            raise ConfigError(f"no numeric config entry at {tuple(keys)!r}")
+    fields: dict[str, Any] = dict(arrays)
+    # Checked in build_model's order: the domain, then m, then the arrays
+    # (by Model.__post_init__).
+    if lengths is not None:
+        fields["domain"] = Domain(kind=model.domain.kind, lengths=tuple(lengths))
+    if m is not None:
+        fields["m"] = _species_count(m)
+    return dataclasses.replace(model, **fields)
 
 
 @dataclass(frozen=True)

@@ -520,14 +520,25 @@ def _finalize(
     )
 
 
-def _seed_values(seed: DiscreteField | NDArray[np.float64], grid: Grid, m: int) -> NDArray[np.float64]:
+def _seed_values(
+    seed: DiscreteField | NDArray[np.float64], system: DiscreteSystem
+) -> NDArray[np.float64]:
+    """A copy of the seed's values, checked as input: the shape of a
+    field on ``system``'s grid, finite, and with a finite residual."""
+    shape = system.grid.shape + (system.model.m,)
     values = seed.values if isinstance(seed, DiscreteField) else np.asarray(seed, dtype=float)
-    if values.shape != grid.shape + (m,):
-        raise ModelError(
-            f"seed shape {values.shape} does not match grid shape {grid.shape + (m,)}"
-        )
+    if values.shape != shape:
+        raise ModelError(f"seed shape {values.shape} does not match grid shape {shape}")
     if not np.all(np.isfinite(values)):
         raise ModelError("seed contains non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual_finite = np.isfinite(system.residual(values)).all()
+    if not residual_finite:
+        raise ModelError(
+            "the residual at the seed overflows a float "
+            f"(largest seed value {float(np.abs(values).max()):.3e}); "
+            "choose a smaller seed"
+        )
     return values.astype(float).copy()
 
 
@@ -554,7 +565,10 @@ def _newton_core(
     R = system.residual(values)
     rn = float(np.linalg.norm(R))
     if not np.isfinite(rn):
-        return _Run(values, float("nan"), tol, 0, 0, [], failure="NaN in residual at the seed")
+        # A solver's seed is checked on entry (_seed_values); this stops a
+        # continuation stage whose warm start overflows, which would
+        # otherwise pass the convergence test (inf > inf is false).
+        return _Run(values, float("nan"), tol, 0, 0, [], failure="non-finite residual at the seed")
     history = [rn]
     factorizations = 0
 
@@ -627,8 +641,9 @@ def newton_solve(
     short (budget spent, failed linear solve, stagnating line search)
     returns ``converged=False`` with the reason in ``warnings``.
     """
-    start = _seed_values(seed, grid, model.m)
-    run = _newton_core(discretize(model, grid, forcing=forcing), start, tol, max_iter)
+    system = discretize(model, grid, forcing=forcing)
+    start = _seed_values(seed, system)
+    run = _newton_core(system, start, tol, max_iter)
     return _finalize(model, grid, start, run)
 
 
@@ -773,7 +788,8 @@ def continuation_solve(
     """
     if steps < 1:
         raise ModelError("steps must be >= 1")
-    start = _seed_values(seed, grid, model.m)
+    system = discretize(model, grid)
+    start = _seed_values(seed, system)
     spent_iters = spent_lus = 0
     coarse_answer = None
     coarse = half_grid(grid)
@@ -783,7 +799,7 @@ def continuation_solve(
         if stages.failure is None:
             coarse_answer = (coarse, stages.values)
             fine = prolong(stages.values, model.bc.kind == "dirichlet")
-            run = _newton_core(discretize(model, grid), fine, tol, max_iter)
+            run = _newton_core(system, fine, tol, max_iter)
             spent_lus += run.factorizations
             if run.failure is None:
                 run = dataclasses.replace(

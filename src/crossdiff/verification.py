@@ -11,10 +11,10 @@ The central object is the linearized solution map at a constant state:
 the discrete Neumann operator ``-Div(A(u*) D .)``.  Its fixed-point
 index is ``(-1)^count`` with ``count`` the number of real eigenvalues
 ``mu > 1`` (algebraic multiplicity).  Note the constant mode contributes
-its own eigenvalues ``mu = 1 + eig(J)/k``: every eigenvalue of ``J``
-with positive real part adds to the count.  For reaction-stable states
-(Hurwitz ``J``) the count reduces to the nonconstant-mode sum and the
-parity formula applies verbatim.
+its own eigenvalues ``mu = 1 + eig(J)/k``: every real eigenvalue of ``J``
+above zero adds to the count, so the constant mode's share of the parity
+is ``sign det(-J)``.  The parity is then ``sign det(-J) * (-1)^gamma``,
+the index the mode sum reports.
 """
 
 from __future__ import annotations

@@ -5,13 +5,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import re
 import signal
+import subprocess
 import warnings
 
 import numpy as np
 import pytest
 
-from crossdiff import build_model, cli, make_grid, pde_solver, seed_from_mode
+from crossdiff import ModelError, build_model, cli, make_grid, pde_solver, seed_from_mode
 
 WEAK_LV = {
     "m": 2,
@@ -87,6 +90,21 @@ def test_analyze_turing_predicts_pattern(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"]["total"] == -1
     assert report["verdict"]["predicts_nonconstant"] is True
+
+
+def test_analyze_bistable_saddle_counts_the_constant_mode(tmp_path, capsys):
+    # Strong competition at d = 100: nonexistence_threshold proves that
+    # every solution is constant, and the saddle u* = (1/3, 1/3), with
+    # det(-J) < 0, has index -1, so the indices sum to 0 + 1 + 1 - 1 = 1.
+    bistable = dict(WEAK_LV, d=[100.0, 100.0], c=[[1.0, 2.0], [2.0, 1.0]])
+    cfg = write_config(tmp_path, bistable)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == 0
+    summary = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["total", "1"] in summary
+    assert ["predicts", "nonconstant", "no"] in summary
+    verdict = json.loads(out.read_text())["verdict"]
+    assert [index for _, index in verdict["nontrivial_constant_indices"]] == [-1]
 
 
 MODE_RECORD_KEYS = {
@@ -248,6 +266,41 @@ def test_solve_writes_report_and_field_csv(tmp_path, capsys):
     assert float(rows[1][1]) == pytest.approx(10.0 / 17.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("route", [["--no-homotopy"], []], ids=["newton", "continuation"])
+def test_solve_rejects_a_seed_whose_residual_overflows(tmp_path, capsys, route):
+    cfg = write_config(tmp_path, LOGISTIC)
+    out = tmp_path / "s.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(
+            ["solve", "--config", cfg, "--output", str(out), "--grid", "32",
+             "--seed-constant", "1e200"] + route
+        )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the residual at the seed overflows a float")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, n", [(TURING, 37), (SKT, (9, 11))], ids=["1d", "2d"])
+def test_field_csv_bytes_equal_csv_writer(tmp_path, payload, n):
+    model = build_model(payload)
+    grid = make_grid(model.domain, n)
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=grid.shape + (model.m,)) * 10.0 ** rng.integers(-8, 8, grid.shape + (1,))
+    values.flat[:3] = [0.0, -0.0, 1e-300]
+    field = pde_solver.DiscreteField(grid, values)
+    path = tmp_path / "field.csv"
+    cli._field_csv(str(path), field)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list("xy"[: grid.ndim]) + [f"u_{i + 1}" for i in range(model.m)])
+        data = np.hstack([grid.points().reshape(-1, grid.ndim), values.reshape(-1, model.m)])
+        writer.writerows([repr(v) for v in row] for row in data.tolist())
+    assert path.read_bytes() == expected.read_bytes()
+
+
 def test_solve_reports_its_factorizations(tmp_path, capsys, monkeypatch):
     calls = []
     factor = pde_solver.splu
@@ -295,8 +348,7 @@ def test_solve_timing_covers_the_whole_command(tmp_path, capsys):
     assert "timing" not in (tmp_path / "s.json").read_text()
 
 
-def test_analyze_and_sweep_timing_covers_the_whole_command(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CROSSDIFF_THREADS", "1")
+def test_analyze_and_sweep_timing_covers_the_whole_command(tmp_path, capsys):
     cfg = write_config(tmp_path, WEAK_LV)
     report = tmp_path / "r.json"
     assert cli.main(["analyze", "--config", cfg, "--output", str(report)]) == 0
@@ -307,7 +359,9 @@ def test_analyze_and_sweep_timing_covers_the_whole_command(tmp_path, capsys, mon
     assert cli.main(
         ["sweep", "--config", cfg, "--output", str(sweep), "--param", "d.0=0.5:1.0:3"]
     ) == 0
-    timings = printed_timings(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert re.search(r"^timing sweep: \d+\.\d{3} s$", out, re.MULTILINE)
+    timings = printed_timings(out)
     assert set(timings) == {"sweep", "total"}
     assert timings["total"] >= timings["sweep"]
     assert "timing" not in report.read_text() + sweep.read_text()
@@ -566,8 +620,7 @@ def test_solve_bytes_independent_of_the_cached_jacobian_pattern(tmp_path, payloa
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_sweep_produces_grid_rows(tmp_path, monkeypatch):
-    monkeypatch.setenv("CROSSDIFF_THREADS", "1")
+def test_sweep_produces_grid_rows(tmp_path):
     cfg = write_config(tmp_path, WEAK_LV)
     out = str(tmp_path / "sweep.csv")
     code = cli.main(
@@ -584,37 +637,96 @@ def test_sweep_produces_grid_rows(tmp_path, monkeypatch):
     assert all(r["case_label"] == "a" for r in rows)
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, WEAK_LV)
-    serial = str(tmp_path / "serial.csv")
-    parallel = str(tmp_path / "parallel.csv")
-    monkeypatch.setenv("CROSSDIFF_THREADS", "1")
-    assert cli.main(
-        ["sweep", "--config", cfg, "--output", serial, "--param", "c.0.1=0.1:0.7:4"]
-    ) == 0
-    monkeypatch.setenv("CROSSDIFF_THREADS", "2")
-    assert cli.main(
-        ["sweep", "--config", cfg, "--output", parallel, "--param", "c.0.1=0.1:0.7:4"]
-    ) == 0
-    assert (tmp_path / "serial.csv").read_bytes() == (
-        tmp_path / "parallel.csv"
-    ).read_bytes()
+def sweep_rows(tmp_path, cfg, params, name):
+    """The rows of one sweep over ``params`` (``path=start:stop:num`` specs)."""
+    out = tmp_path / name
+    argv = ["sweep", "--config", cfg, "--output", str(out)]
+    for param in params:
+        argv += ["--param", param]
+    assert cli.main(argv) == 0
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
-def test_sweep_chunked_parallel_matches_serial(tmp_path, monkeypatch):
-    # 64 points on 2 workers go out in chunks of 8; negative d.0 values
-    # make error rows, so the chunks mix both kinds of row.
+def assert_rows_equal_points_swept_alone(tmp_path, cfg, paths, rows):
+    for i, row in enumerate(rows):
+        alone = [f"{path}={row[path]}:{row[path]}:1" for path in paths]
+        assert sweep_rows(tmp_path, cfg, alone, f"point{i}.csv") == [row]
+
+
+def test_sweep_batch_matches_points_swept_alone(tmp_path):
+    # Every point is decided in one ledger batch, sharing the kinetic work
+    # of the points with equal (m, r, c); each row must be the row its
+    # point gives alone.
     cfg = write_config(tmp_path, WEAK_LV)
-    args = ["sweep", "--config", cfg, "--param", "d.0=-0.3:1.0:64"]
-    monkeypatch.setenv("CROSSDIFF_THREADS", "1")
-    assert cli.main(args + ["--output", str(tmp_path / "serial.csv")]) == 0
-    monkeypatch.setenv("CROSSDIFF_THREADS", "2")
-    assert cli.main(args + ["--output", str(tmp_path / "parallel.csv")]) == 0
-    serial = (tmp_path / "serial.csv").read_bytes()
-    assert serial == (tmp_path / "parallel.csv").read_bytes()
-    with open(tmp_path / "serial.csv", newline="") as fh:
-        errors = [row["error"] != "" for row in csv.DictReader(fh)]
+    rows = sweep_rows(tmp_path, cfg, ["c.0.1=0.1:0.7:4"], "batch.csv")
+    assert len(rows) == 4 and all(row["error"] == "" for row in rows)
+    assert_rows_equal_points_swept_alone(tmp_path, cfg, ["c.0.1"], rows)
+
+
+def test_sweep_batch_with_error_rows_matches_points_swept_alone(tmp_path):
+    # Negative d.0 values make error rows, so the batch mixes both kinds
+    # of row.
+    cfg = write_config(tmp_path, WEAK_LV)
+    rows = sweep_rows(tmp_path, cfg, ["d.0=-0.3:1.0:64"], "batch.csv")
+    errors = [row["error"] != "" for row in rows]
     assert len(errors) == 64 and 0 < sum(errors) < 64
+    assert_rows_equal_points_swept_alone(tmp_path, cfg, ["d.0"], rows)
+
+
+def test_sweep_runs_in_the_calling_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    cfg = write_config(tmp_path, WEAK_LV)
+    rows = sweep_rows(tmp_path, cfg, ["c.0.1=0.1:0.7:4", "d.0=-0.3:1.0:4"], "s.csv")
+    assert len(rows) == 16
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [("d.0", "0.0"), ("d.0", "-0.25"), ("alpha.0.1", "-0.5"), ("domain.lengths.0", "1e-300")],
+)
+def test_sweep_error_rows_carry_the_build_model_message(tmp_path, path, value):
+    config = dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]])
+    cfg = write_config(tmp_path, config)
+    (row,) = sweep_rows(tmp_path, cfg, [f"{path}={value}:{value}:1"], "s.csv")
+    point = json.loads(json.dumps(config))
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = point
+    for key in parents:
+        node = node[key]
+    node[last] = float(value)
+    with pytest.raises(ModelError) as excinfo:
+        build_model(point)
+    assert row["error"] == str(excinfo.value) != ""
+    assert row["case_label"] == row["cause"] == ""
+
+
+def test_sweep_config_invalid_only_at_a_swept_entry_sweeps(tmp_path):
+    # d.0 = 0 is no model, but every point overwrites it.
+    params = ["d.0=0.05:1:12", "alpha.0.1=0:2:3"]
+    template = dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]])
+    (tmp_path / "valid").mkdir()
+    valid = write_config(tmp_path / "valid", template)
+    invalid = write_config(tmp_path, dict(template, d=[0.0, 7.0]))
+    rows = sweep_rows(tmp_path, invalid, params, "invalid.csv")
+    assert len(rows) == 36 and all(row["error"] == "" for row in rows)
+    assert rows == sweep_rows(tmp_path, valid, params, "valid.csv")
+
+
+def test_sweep_config_invalid_at_an_unswept_entry_gives_error_rows(tmp_path):
+    config = dict(WEAK_LV, d=[1.0, -1.0])
+    cfg = write_config(tmp_path, config)
+    rows = sweep_rows(tmp_path, cfg, ["d.0=0.5:1:2"], "s.csv")
+    assert len(rows) == 2
+    for row in rows:
+        with pytest.raises(ModelError) as excinfo:
+            build_model(dict(config, d=[float(row["d.0"]), -1.0]))
+        assert row["error"] == str(excinfo.value)
+        assert row["error"].startswith("diffusion rates d must be strictly positive")
 
 
 def _timeout(signum, frame):
@@ -632,8 +744,7 @@ def _timeout(signum, frame):
         ("domain.lengths.0=1e-150:1e-150:1", "cause", "determinant or its scale overflow"),
     ],
 )
-def test_sweep_extreme_point_returns_a_row(tmp_path, monkeypatch, param, column, message):
-    monkeypatch.setenv("CROSSDIFF_THREADS", "1")
+def test_sweep_extreme_point_returns_a_row(tmp_path, param, column, message):
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     out = str(tmp_path / "sweep.csv")
     previous = signal.signal(signal.SIGALRM, _timeout)
@@ -657,34 +768,20 @@ def test_sweep_extreme_point_returns_a_row(tmp_path, monkeypatch, param, column,
         assert "degenerate" not in row["cause"]
 
 
-def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path, monkeypatch):
-    # 30 points on 2 workers go out in chunks of 4, each decided in one
-    # ledger pass.  The chunks mix ordinary points, error rows (d.0 <= 0),
-    # one-sided points (alpha.0.1 = 0, too many modes) and points whose
-    # nondegeneracy determinant overflows (length 1e-150); every row must
-    # be the row its point gives when swept alone, and no RuntimeWarning
-    # may escape from any process.
+def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
+    # 30 points in one ledger batch, on the grid and on the reversed grid.
+    # The batch mixes ordinary points, error rows (d.0 <= 0), one-sided
+    # points (alpha.0.1 = 0, too many modes) and points whose
+    # nondegeneracy determinant overflows (length 1e-150), so the points
+    # that fail the spectrum's size limit sit at both ends of the batch;
+    # every row must be the row its point gives when swept alone, and no
+    # RuntimeWarning may escape.
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     paths = ["alpha.0.1", "d.0", "domain.lengths.0"]
-    specs = ["0:1:3", "-0.2:0.6:5", "1e-150:3.0:2"]
-
-    def sweep(values, threads, name):
-        monkeypatch.setenv("CROSSDIFF_THREADS", str(threads))
-        out = tmp_path / name
-        argv = ["sweep", "--config", cfg, "--output", str(out)]
-        for path, value in zip(paths, values):
-            argv += ["--param", f"{path}={value}"]
-        assert cli.main(argv) == 0
-        with open(out, newline="") as fh:
-            return list(csv.DictReader(fh))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rows = sweep(specs, 2, "chunked.csv")
-        assert len(rows) == 30
-        for i, row in enumerate(rows):
-            alone = [f"{row[p]}:{row[p]}:1" for p in paths]
-            assert sweep(alone, 1, f"point{i}.csv") == [row]
+    grids = {
+        "forward": ["0:1:3", "-0.2:0.6:5", "1e-150:3.0:2"],
+        "reversed": ["1:0:3", "0.6:-0.2:5", "3.0:1e-150:2"],
+    }
 
     def kind(row):
         if row["error"]:
@@ -693,11 +790,23 @@ def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path, monkeypatch):
             return "conclusive"
         return "one-sided" if "too many modes" in row["cause"] else "overflow"
 
-    # The third and fourth chunks (rows 8 to 15) mix all four kinds.
-    assert [kind(r) for r in rows[8:16]] == [
+    kinds = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name, specs in grids.items():
+            params = [f"{path}={spec}" for path, spec in zip(paths, specs)]
+            rows = sweep_rows(tmp_path, cfg, params, f"{name}.csv")
+            assert len(rows) == 30
+            assert_rows_equal_points_swept_alone(tmp_path, cfg, paths, rows)
+            kinds[name] = [kind(r) for r in rows]
+
+    # Rows 8 to 15 mix all four kinds; the reversed grid lists the rows
+    # in reverse order.
+    assert kinds["forward"][8:16] == [
         "overflow", "one-sided", "error", "error",
         "error", "error", "overflow", "conclusive",
     ]
+    assert kinds["reversed"] == kinds["forward"][::-1]
 
 
 def test_sweep_bad_param_spec(tmp_path, capsys):

@@ -196,13 +196,40 @@ def test_scalar_logistic_index():
 
 
 def test_worked_diagonal_index():
+    # gamma = 1, and J(u*) = diag(2, -1) gives det(-J) = -2: the constant
+    # mode's factor -1 makes the index +1.
     report = constant_state_index(worked_diag_model(), np.ones(2))
     assert report.gamma == 1
-    assert report.index == -1
+    assert report.index == 1
     decisions = report.mode_decisions
     decisions = dict(zip(decisions.modes.values.tolist(), decisions.N.tolist()))
     assert decisions[1.0] == 1
     assert all(n == 0 for lam, n in decisions.items() if lam != 1.0)
+
+
+def test_bistable_saddle_index_counts_the_constant_mode():
+    # Strong competition: u* = (1/3, 1/3) is a saddle of the kinetics,
+    # det(-J(u*)) = -1/3 < 0.  At d = 100 no nonconstant mode counts, so
+    # the index is the constant mode's factor alone.
+    model = interval_model(2, (100.0, 100.0), (1.0, 1.0), ((1.0, 2.0), (2.0, 1.0)))
+    report = constant_state_index(model, np.full(2, 1.0 / 3.0))
+    assert report.gamma == 0
+    assert report.index == -1
+    assert any(w.startswith("constant mode: det(-J(u_star))") for w in report.warnings)
+    stable = constant_state_index(turing_model(), np.ones(2))
+    assert not any("constant mode" in w for w in stable.warnings)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_negative_counts_eigs_equal_the_eig_eigenvalues(m):
+    rng = np.random.default_rng(m)
+    stack = rng.uniform(-2.0, 2.0, (64, m, m))
+    stack[:8] = np.triu(stack[:8])  # real eigenvalues, some defective-looking rows
+    eigs = np.linalg.eig(stack)[0]
+    order = np.lexsort((eigs.imag, eigs.real), axis=-1)
+    expected = np.take_along_axis(eigs, order, -1).astype(complex)
+    got = negative_counts(stack).eigs.astype(complex)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_turing_index_against_eigendecomposition_oracle():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import sympy
@@ -15,6 +17,7 @@ from crossdiff import (
     build_model,
     validate_structure,
 )
+from crossdiff.model import replace_entries
 
 
 def lv_config(**overrides):
@@ -157,6 +160,80 @@ def test_restrict_keeps_selected_species():
     assert sub.d[0] == 1.0
     assert sub.r[0] == 1.0
     assert sub.c[0, 0] == 1.0
+
+
+def rect_config(**overrides):
+    return lv_config(
+        alpha=[[0.1, 0.2], [0.3, 0.4]], domain={"kind": "rectangle", "lengths": [2.0, 3.0]},
+        **overrides,
+    )
+
+
+def with_entry(config, keys, value):
+    """A deep copy of ``config`` with the entry at ``keys`` set to ``value``."""
+    point = json.loads(json.dumps(config))
+    node = point
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return point
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(("d", 0), 0.7)],
+        [(("alpha", 1, 0), 2.5), (("r", 1), -0.5)],
+        [(("c", 0, 1), 0.9), (("domain", "lengths", 1), 0.25)],
+        [(("domain", "lengths", 0), 5.0), (("domain", "lengths", 1), 1.5)],
+        [(("m",), 2.0)],
+    ],
+)
+def test_replace_entries_equals_build_model_of_the_replaced_config(entries):
+    config = rect_config()
+    base = build_model(config)
+    for keys, value in entries:
+        config = with_entry(config, keys, value)
+    expected = build_model(config)
+    model = replace_entries(base, entries)
+    assert model.to_config() == expected.to_config()
+    for name in ("d", "alpha", "r", "c"):
+        arr = getattr(model, name)
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert arr is not getattr(base, name)
+    assert base.to_config() == build_model(rect_config()).to_config()
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("d", 1), 0.0), (("d", 0), float("nan")), (("alpha", 0, 1), -1.0),
+        (("r", 0), float("inf")), (("domain", "lengths", 0), 1e-300),
+        (("domain", "lengths", 1), -2.0), (("m",), 3.0), (("m",), 0.0),
+        (("m",), -1.0), (("m",), float("nan")), (("m",), float("inf")),
+    ],
+)
+def test_replace_entries_raises_what_build_model_raises(keys, value):
+    config = rect_config()
+    with pytest.raises(ConfigError) as built:
+        build_model(with_entry(config, keys, value))
+    with pytest.raises(ConfigError) as replaced:
+        replace_entries(build_model(config), [(keys, value)])
+    assert str(replaced.value) == str(built.value)
+
+
+@pytest.mark.parametrize("owner", ["view", "owner"])
+def test_model_keeps_no_view_of_a_caller_array(owner):
+    # A read-only array, a view or one that owns its data, is still
+    # copied: its holder can make it writable again.
+    d = np.array([0.05, 1.0])
+    given = d[:] if owner == "view" else d
+    given.setflags(write=False)
+    model = build_model(lv_config())
+    model = type(model)(model.m, given, model.alpha, model.r, model.c, model.domain)
+    d.setflags(write=True)
+    d[0] = -9.0
+    assert model.d[0] == 0.05
 
 
 def test_config_round_trip():

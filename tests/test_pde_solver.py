@@ -370,6 +370,19 @@ def test_newton_rejects_bad_seed_shape():
         newton_solve(model, grid, np.zeros((16, 3)))
 
 
+@pytest.mark.parametrize("solve", [newton_solve, continuation_solve], ids=["newton", "continuation"])
+def test_solvers_reject_a_seed_whose_residual_overflows(monkeypatch, solve):
+    # The seed 1e200 is finite, but the logistic term u^2 overflows.
+    model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
+    grid = make_grid(model.domain, 32)
+    calls = splu_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ModelError, match="the residual at the seed overflows a float"):
+            solve(model, grid, constant_field(grid, [1e200]))
+    assert calls == []
+
+
 def test_newton_singular_jacobian_raises_convergence_error(monkeypatch):
     # u = 1/2 zeroes the logistic derivative pointwise, so the Jacobian
     # is the bare Neumann operator — exactly singular.  The failed
