@@ -87,6 +87,9 @@ def _jsonify(obj: Any) -> Any:
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.names:
+            # A record array, such as the nondegeneracy test: one dict per record.
+            return [_jsonify(dict(zip(obj.dtype.names, row))) for row in obj.tolist()]
         return _jsonify(obj.tolist())
     if isinstance(obj, ModeDecisions):
         modes = obj.modes

@@ -15,22 +15,35 @@ degree against 1.
 :func:`existence_verdicts` decides a batch of models in one pass.  The
 work that depends only on the kinetics ``(m, r, c)`` -- constant states,
 boundary growth signs, the case label and ``J(u*)`` -- is done once per
-distinct kinetics.  The spectrum is enumerated once per distinct domain,
-through the largest cutoff bound among the items that pass the size
-limit, and each item reads its prefix of the arrays.  The work that
-depends on ``d`` or ``alpha`` is stacked over every (model, positive
-state) item, one numpy call per species count: ``A(u*)``, the cutoff
-certificate, the mode counts and the nondegeneracy determinants.  A
-failure stays with its item and becomes the cause of that model's
-verdict.  :func:`existence_verdict` and :func:`constant_state_index` run
-the same code on one item.  A state's per-mode counts stay arrays from
-the stacked ``eigvals`` to its :class:`IndexReport`: one
-:class:`ModeDecisions` per state.
+distinct kinetics.  The work that depends on ``d``, ``alpha`` or the
+domain runs in stages over the arrays of a :class:`_Batch`, row ``k``
+for (model, positive state) item ``k``, and over its :class:`_Group` of
+each species count, whose matrices stack:
+
+* :func:`_certify`: the cutoff certificate, one ``eig`` over ``A(u*)``;
+* :func:`_spectra`: the spectrum of every distinct domain, enumerated
+  once through the largest bound among its items that pass the size
+  limit, which is bisected over the sorted bounds; each item takes its
+  prefix;
+* :func:`_decide`: one stack of every item's mode matrices and one
+  :func:`negative_counts` call;
+* :func:`_cutoff` and :func:`_nondegeneracy`: the modes past each
+  item's cutoff, by a row mask, and one stacked ``det``;
+* :func:`_reports`: overflow, warnings and ``gamma`` by row masks and
+  one ``reduceat`` per quantity over the items' runs of rows, then each
+  item's :class:`IndexReport` in one step.
+
+Python loops over modes only to write a report's warnings, for the items
+that have any.  A failure stays with its item and becomes the cause of
+that model's verdict.  :func:`existence_verdict` and
+:func:`constant_state_index` run the same code on one item.  A state's
+per-mode counts stay arrays from the stacked ``eigvals`` to its
+:class:`IndexReport`: one :class:`ModeDecisions` per state.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -48,6 +61,11 @@ from .steady_states import (
 
 TOL_DEGENERATE = 1e-8
 SCAN_EXTRA = 3
+# One record of the determinant test per spectrum value: an index
+# report's ``certificate["nondegeneracy"]``.
+NONDEGENERACY = np.dtype(
+    [("lambda_hat", np.float64), ("det", np.float64), ("scale", np.float64), ("ok", np.bool_)]
+)
 
 
 class CutoffError(ModelError):
@@ -152,6 +170,11 @@ class IndexReport:
     determinant test passes; otherwise ``index`` is ``None`` and
     ``nondegenerate`` is false.  A state whose ``det(-J(u*))`` is
     negative gets a warning naming the constant mode's factor.
+    ``certificate`` holds the cutoff certificate (``rho``, ``kappa_V``,
+    ``dA_inv_J_norm``, ``bound``), the ``scanned_modes`` past the cutoff
+    and the determinant test, ``nondegeneracy``: one
+    :data:`NONDEGENERACY` record per spectrum value, the constant mode
+    first.
     """
 
     u_star: NDArray[np.float64]
@@ -320,18 +343,10 @@ class _State:
 
 
 class _Item:
-    """One (model, positive state) pair and what the ledger found for it.
+    """One (model, positive state) pair and what the ledger found for it:
+    its ``report``, or the ``error`` of the stage that failed it."""
 
-    The stages fill the fields in order and skip an item once ``error``
-    is set.  ``spectrum`` holds the values the determinant test covers;
-    ``modes``, the nonzero ones among them, those :func:`_decide` counts.
-    """
-
-    __slots__ = (
-        "d", "alpha", "domain", "state", "A", "dvec", "error", "certificate",
-        "spectrum", "modes", "decisions", "L0", "nondeg_ok", "nondeg_details",
-        "report",
-    )
+    __slots__ = ("d", "alpha", "domain", "state", "error", "report")
 
     def __init__(self, model: Model, state: _State) -> None:
         if state.support is None:
@@ -342,26 +357,116 @@ class _Item:
         self.domain = model.domain
         self.state = state
         self.error: ModelError | None = None
-        self.certificate: dict = {}
-        self.L0 = 0
+        self.report: IndexReport | None = None
 
 
-def _groups(items: Iterable[_Item]) -> list[list[_Item]]:
-    """The undecided items, by species count: only matrices of one size stack."""
-    groups: dict[int, list[_Item]] = {}
-    for item in items:
-        if item.error is None:
-            groups.setdefault(len(item.state.u), []).append(item)
-    return list(groups.values())
+class _Modes(NamedTuple):
+    """One row per decided mode, item by item: the item ``owner``, the
+    mode's catalog row ``at``, ``A(u*) - J(u*) / lambda_hat`` and the
+    counts of ``d_A^{-1}`` times it."""
+
+    owner: NDArray[np.intp]
+    at: NDArray[np.intp]
+    A: NDArray[np.float64]
+    counts: NegativeCounts
 
 
-def _owners(group: list[_Item], rows: list[Sequence]) -> NDArray[np.intp]:
-    """Row ``k`` of a stack over every item's rows belongs to item ``owner[k]``."""
-    return np.repeat(np.arange(len(group)), [len(r) for r in rows])
+class _Tests(NamedTuple):
+    """One row per spectrum value, item by item: the item ``owner`` and
+    the determinant test's :data:`NONDEGENERACY` record."""
+
+    owner: NDArray[np.intp]
+    records: NDArray
+
+
+class _Catalog(NamedTuple):
+    """The spectrum of every domain of a batch, by domain number (``None``
+    where no item passed the size limit), with the values and the
+    multiplicities of all of them concatenated."""
+
+    spectra: list[ModeSpectrum | None]
+    values: NDArray[np.float64]
+    M: NDArray[np.intp]
+
+
+class _Batch:
+    """The undecided items of one ledger run, by species count, and their
+    per-item values: row ``k`` of every array belongs to ``items[k]``.
+
+    ``live[k]`` is cleared when a stage fails item ``k``, and a stage
+    reads live rows only.  The stages fill, in order: the certificate's
+    ``rho``, ``kappa``, ``J_norm`` and ``bound`` (:func:`_certify`), the
+    columns of ``certificate``; then ``dom``, ``first`` and ``stop``
+    (:func:`_spectra`), which put item ``k``'s spectrum at catalog rows
+    ``first[k]`` to ``first[k] + stop[k]`` of domain ``dom[k]``.  Each of
+    ``groups`` is the run of items of one species count.
+    """
+
+    def __init__(self, items: Iterable[_Item]) -> None:
+        runs: dict[int, list[_Item]] = {}
+        for item in items:
+            if item.error is None:
+                runs.setdefault(len(item.state.u), []).append(item)
+        self.items = [item for run in runs.values() for item in run]
+        n = len(self.items)
+        self.live = np.ones(n, dtype=bool)
+        self.certificate = np.full((n, 4), np.nan)
+        self.bound = self.certificate[:, 3]
+        self.dom = np.zeros(n, dtype=np.intp)
+        self.first = np.zeros(n, dtype=np.intp)
+        self.stop = np.zeros(n, dtype=np.intp)
+        ends = list(itertools.accumulate(len(run) for run in runs.values()))
+        self.groups = [_Group(self, slice(a, b)) for a, b in zip([0, *ends], ends)]
+
+    def fail(self, k: int, error: ModelError) -> None:
+        self.items[k].error = error
+        self.live[k] = False
+
+
+class _Group:
+    """The run ``rows`` of a batch's items of one species count, with their
+    matrices stacked: only matrices of one size stack.
+
+    Its per-item arrays are views of the batch's, so row ``k`` of each
+    belongs to ``items[k]``.  It starts with ``A(u*)``, its diagonal
+    ``dvec`` and ``J(u*)``, as :meth:`Model.A` and
+    :meth:`Model.jacobian_f` give them one state at a time; the stages
+    add the mode stack ``modes`` (:func:`_decide`) and the determinant
+    tests ``tests`` (:func:`_nondegeneracy`).
+    """
+
+    def __init__(self, batch: _Batch, rows: slice) -> None:
+        self.batch, self.offset = batch, rows.start
+        self.items = items = batch.items[rows]
+        self.live, self.certificate = batch.live[rows], batch.certificate[rows]
+        self.rho, self.kappa, self.J_norm, self.bound = self.certificate.T
+        self.dom, self.first, self.stop = batch.dom[rows], batch.first[rows], batch.stop[rows]
+        u = np.array([it.state.u for it in items])
+        alpha = np.array([it.alpha for it in items])
+        A = u[:, :, None] * alpha
+        idx = np.arange(u.shape[1])
+        A[:, idx, idx] += (
+            np.array([it.d for it in items])
+            + (u[:, None, :] @ np.swapaxes(alpha, -1, -2))[:, 0, :]
+        )
+        self.A, self.dvec = A, A[:, idx, idx]
+        self.J = np.array([it.state.J for it in items])
+        self.modes: _Modes | None = None
+        self.tests: _Tests | None = None
+
+    def fail(self, k: int, error: ModelError) -> None:
+        self.batch.fail(self.offset + k, error)
+
+
+def _ranges(starts: NDArray[np.intp], lengths: NDArray[np.intp]) -> NDArray[np.intp]:
+    """``range(starts[k], starts[k] + lengths[k])`` for every ``k``, concatenated."""
+    ends = np.cumsum(lengths)
+    size = int(ends[-1]) if ends.size else 0
+    return np.arange(size) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _fail_nonfinite(
-    group: list[_Item], owner: NDArray[np.intp], stack: NDArray[np.float64], error
+    group: _Group, owner: NDArray[np.intp], stack: NDArray[np.float64], error
 ) -> NDArray[np.bool_] | None:
     """Fail every item owning a non-finite matrix of ``stack``.
 
@@ -374,26 +479,11 @@ def _fail_nonfinite(
         return None
     bad = np.unique(owner[bad_rows])
     for k in bad.tolist():
-        group[k].error = error()
+        group.fail(k, error())
     return ~np.isin(owner, bad)
 
 
-def _flux(items: list[_Item]) -> None:
-    """``A(u*)`` and its diagonal ``d_A(u*)``, stacked, as :meth:`Model.A`
-    evaluates them one state at a time."""
-    for group in _groups(items):
-        u = np.array([it.state.u for it in group])
-        alpha = np.array([it.alpha for it in group])
-        d = np.array([it.d for it in group])
-        A = u[:, :, None] * alpha
-        idx = np.arange(u.shape[1])
-        A[:, idx, idx] += d + (u[:, None, :] @ np.swapaxes(alpha, -1, -2))[:, 0, :]
-        dvec = A[:, idx, idx]
-        for it, a, dv in zip(group, A, dvec):
-            it.A, it.dvec = a, dv
-
-
-def _certify(items: list[_Item]) -> None:
+def _certify(group: _Group) -> None:
     """Cutoff certificate of every item.
 
     Eigenvalues of ``d_A^{-1} J`` stay within ``kappa_V ||d_A^{-1} J|| /
@@ -404,210 +494,198 @@ def _certify(items: list[_Item]) -> None:
     real gets a real ``V``, as a one-matrix ``eig`` returns it, even when
     the stack came back complex.
     """
-    for group in _groups(items):
-        dvec = np.array([it.dvec for it in group])
-        M0 = np.array([it.A for it in group]) / dvec[:, :, None]
-        keep = _fail_nonfinite(
-            group, np.arange(len(group)), M0,
-            lambda: CutoffError("cutoff uncertifiable: d_A^{-1}A(u*) is not finite"),
-        )
-        if keep is not None:
-            group = [it for it, k in zip(group, keep) if k]
-            M0, dvec = M0[keep], dvec[keep]
-        if not group:
-            continue
-        w, V = np.linalg.eig(M0)
-        real_rows = ~w.imag.any(axis=-1) if np.iscomplexobj(w) else None
-        kept, rhos, Vs = [], [], []
-        for k, it in enumerate(group):
-            w_k, V_k = w[k], V[k]
-            if real_rows is not None and real_rows[k]:
-                w_k, V_k = w_k.real, V_k.real
-            rho = float(w_k.real.min())
-            if rho <= 0.0:
-                it.error = CutoffError(
-                    "cutoff uncertifiable: cross-diffusion is strong enough that "
-                    f"d_A^{{-1}}A(u*) has eigenvalue real part {rho:.3e} <= 0"
-                )
-                continue
-            kept.append(k)
-            rhos.append(rho)
-            Vs.append(V_k)
-        if not kept:
-            continue
-        kappas = np.empty(len(kept))
-        for complex_ in (False, True):
-            rows = [i for i, V_k in enumerate(Vs) if np.iscomplexobj(V_k) == complex_]
-            if rows:
-                kappas[rows] = np.linalg.cond(np.array([Vs[i] for i in rows]), 2)
-        J = np.array([group[k].state.J for k in kept])
-        J_norms = np.linalg.norm(J / dvec[kept][:, :, None], 2, axis=(-2, -1))
-        for k, rho, kappa_V, J_norm in zip(kept, rhos, kappas.tolist(), J_norms.tolist()):
-            group[k].certificate = {
-                "rho": rho,
-                "kappa_V": kappa_V,
-                "dA_inv_J_norm": J_norm,
-                "bound": kappa_V * J_norm / rho,
-            }
+    M0 = group.A / group.dvec[:, :, None]
+    _fail_nonfinite(
+        group, np.arange(len(group.items)), M0,
+        lambda: CutoffError("cutoff uncertifiable: d_A^{-1}A(u*) is not finite"),
+    )
+    rows = np.flatnonzero(group.live)
+    if not rows.size:
+        return
+    w, V = np.linalg.eig(M0[rows])
+    rho = w.real.min(axis=-1)
+    bad = rho <= 0.0
+    if bad.any():
+        for k, r in zip(rows[bad].tolist(), rho[bad].tolist()):
+            group.fail(k, CutoffError(
+                "cutoff uncertifiable: cross-diffusion is strong enough that "
+                f"d_A^{{-1}}A(u*) has eigenvalue real part {r:.3e} <= 0"
+            ))
+        rows, w, V, rho = rows[~bad], w[~bad], V[~bad], rho[~bad]
+        if not rows.size:
+            return
+    real = ~w.imag.any(axis=-1)
+    kappa = np.empty(len(rows))
+    if real.any():
+        kappa[real] = np.linalg.cond(V[real].real, 2)
+    if not real.all():
+        kappa[~real] = np.linalg.cond(V[~real], 2)
+    J_norm = np.linalg.norm(group.J[rows] / group.dvec[rows][:, :, None], 2, axis=(-2, -1))
+    group.rho[rows], group.kappa[rows], group.J_norm[rows] = rho, kappa, J_norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        group.bound[rows] = kappa * J_norm / rho
 
 
-def _spectra(items: list[_Item]) -> None:
-    """Each item's spectrum through its bound and ``SCAN_EXTRA`` values more.
+def _past_limit(domain: Domain, bounds: list[float]) -> list[tuple[int, ModelError]]:
+    """The positions among the ascending ``bounds`` past the size limit of
+    :func:`lattice_edge`, each with its own error.
 
-    Each item's size limit is checked in closed form first.  Then every
-    distinct domain is enumerated once, through the largest bound among
-    its items that pass, and each item takes its prefix.
+    The limit is monotone in the bound, so a bisection finds the first
+    bound past it; each bound from there on is checked on its own.
     """
-    domains: dict[Domain, list[_Item]] = {}
-    for it in items:
-        if it.error is not None:
-            continue
-        try:
-            lattice_edge(it.domain, it.certificate["bound"], SCAN_EXTRA)
-        except ModelError as exc:
-            # Kept without traceback or context: their frames would hold
-            # every item of the batch in a reference cycle.
-            exc.__traceback__ = exc.__context__ = None
-            it.error = exc
-            continue
-        domains.setdefault(it.domain, []).append(it)
-    for domain, group in domains.items():
-        bounds = [it.certificate["bound"] for it in group]
-        spectrum = spectrum_through(domain, max(bounds), extra=SCAN_EXTRA)
-        stops = np.searchsorted(spectrum.values, bounds, side="right") + SCAN_EXTRA
-        for it, stop in zip(group, stops.tolist()):
-            it.spectrum = spectrum[:stop]
+    checked: dict[int, ModelError | None] = {}
 
+    def error(i: int) -> ModelError | None:
+        if i not in checked:
+            try:
+                lattice_edge(domain, bounds[i], SCAN_EXTRA)
+                checked[i] = None
+            except ModelError as exc:
+                # Kept without traceback or context: their frames would hold
+                # every item of the batch in a reference cycle.
+                exc.__traceback__ = exc.__context__ = None
+                checked[i] = exc
+        return checked[i]
 
-def _decide(items: list[_Item]) -> None:
-    """Count ``N_i`` at every item's ``modes``: one mode stack and one
-    :func:`negative_counts` call per species count."""
-    for group in _groups(items):
-        lams = [it.modes.values for it in group]
-        owner = _owners(group, lams)
-        if owner.size == 0:
-            continue
-        lam = np.concatenate(lams)
-        A = (
-            np.array([it.A for it in group])[owner]
-            - np.array([it.state.J for it in group])[owner] / lam[:, None, None]
-        )
-        # Scaled here, each row by its own d_A, so one count covers all items.
-        M = A / np.array([it.dvec for it in group])[owner][:, :, None]
-        keep = _fail_nonfinite(
-            group, owner, M,
-            lambda: ModelError(
-                "mode matrix d_A^{-1}(A(u*) - J(u*)/lambda_hat) is not finite"
-            ),
-        )
-        if keep is not None:
-            A, M = A[keep], M[keep]
-        counts = negative_counts(M)
-        start = 0
-        for it in group:
-            if it.error is not None:
-                continue
-            rows = slice(start, start + len(it.modes))
-            N, eigs, margin, degenerate, warnings = (c[rows] for c in counts)
-            if not eigs.imag.any():
-                # Real, as an eig over this item's rows alone returns them.
-                eigs = eigs.real
-            it.decisions = ModeDecisions(
-                it.modes, A[rows], N, eigs, margin, degenerate, warnings
-            )
-            start = rows.stop
-
-
-def _cutoff(items: list[_Item]) -> None:
-    """Certify each item's cutoff ``L0`` and decide the modes up to three past it."""
-    _certify(items)
-    _spectra(items)
-    for it in items:
-        if it.error is None:
-            # The first value is the constant mode, 0.
-            it.modes = it.spectrum[1:]
-    _decide(items)
-    for it in items:
-        if it.error is not None:
-            continue
-        L0 = int(np.searchsorted(it.modes.values, it.certificate["bound"], side="right"))
-        past = it.decisions.N[L0:]
-        counted = np.flatnonzero(past)
-        if counted.size:
-            i = counted[0]
-            it.error = CutoffError(
-                f"certified bound violated: mode lambda_hat={it.modes.values[L0 + i]:.6g} "
-                f"past the cutoff has N={past[i]}"
-            )
+    lo, hi = 0, len(bounds) - 1
+    if error(hi) is None:
+        return []
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if error(mid) is None:
+            lo = mid + 1
         else:
-            it.L0 = L0
-            it.certificate["scanned_modes"] = it.modes.values[L0:].tolist()
+            hi = mid
+    return [(i, exc) for i in range(hi, len(bounds)) if (exc := error(i)) is not None]
 
 
-def _nondegeneracy(items: list[_Item], tol_degenerate: float = TOL_DEGENERATE) -> None:
-    """``det(lambda_hat A(u*) - J(u*))`` against its scale at every item's
-    ``spectrum``: one stacked ``det`` per species count."""
-    for group in _groups(items):
-        lams = [it.spectrum.values for it in group]
-        owner = _owners(group, lams)
-        dets: list[float] = []
-        scales: list[float] = []
-        if owner.size:
-            lam = np.concatenate(lams)
-            A = np.array([it.A for it in group])[owner]
-            J = np.array([it.state.J for it in group])[owner]
-            # Near the lattice limit these overflow to inf in the details,
-            # which _reports turns into the item's cause; numpy's warning
-            # would only repeat that.
-            with np.errstate(over="ignore"):
-                dets = np.linalg.det(lam[:, None, None] * A - J).tolist()
-                gross = np.abs(lam)[:, None, None] * np.abs(A) + np.abs(J)
-                scales = np.prod(np.linalg.norm(gross, axis=-1), axis=-1).tolist()
-        start = 0
-        for it, row in zip(group, lams):
-            details: list[dict] = []
-            ok_all = True
-            stop = start + len(row)
-            for lambda_hat, det, scale in zip(
-                row.tolist(), dets[start:stop], scales[start:stop]
-            ):
-                ok = abs(det) > tol_degenerate * scale
-                ok_all &= ok
-                details.append(
-                    {"lambda_hat": lambda_hat, "det": det, "scale": scale, "ok": ok}
-                )
-            start = stop
-            it.nondeg_ok, it.nondeg_details = ok_all, details
+def _spectra(batch: _Batch) -> _Catalog:
+    """Each live item's spectrum: the values through its bound and
+    ``SCAN_EXTRA`` more.
 
-
-def _reports(items: list[_Item]) -> None:
-    """Assemble the index report of every item that passed the ledger.
-
-    A nondegeneracy determinant or scale that is not finite fails the
-    item: the test cannot be decided, which is not the same as a
-    degenerate mode.
+    Every distinct domain is enumerated once, through the largest bound
+    among its items that pass the size limit.  Its items are sorted by
+    bound, so :func:`_past_limit` checks the limit in O(log n) calls
+    plus one per item past it, and each item takes its prefix.
     """
-    for it in items:
-        if it.error is not None:
-            continue
-        details = it.nondeg_details
-        overflow = [
-            d for d in details
-            if not (math.isfinite(d["det"]) and math.isfinite(d["scale"]))
-        ]
-        if overflow:
-            it.error = ModelError(
-                f"nondegeneracy determinant or its scale overflows in {len(overflow)} "
-                f"mode(s) from lambda_hat = {overflow[0]['lambda_hat']:.6g}; no index"
-            )
-            continue
-        it.certificate["nondegeneracy"] = details
+    numbers: dict[Domain, int] = {}
+    batch.dom[:] = [numbers.setdefault(it.domain, len(numbers)) for it in batch.items]
+    domains = list(numbers)
+    spectra: list[ModeSpectrum | None] = [None] * len(domains)
+    live = np.flatnonzero(batch.live)
+    order = live[np.lexsort((batch.bound[live], batch.dom[live]))]
+    # Where each domain's items start and stop in ``order``.
+    ordered = batch.dom[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    edges = [0, *cuts, len(order)] if order.size else []
+    for items in (order[a:b] for a, b in zip(edges, edges[1:])):
+        d = int(batch.dom[items[0]])
+        failed = _past_limit(domains[d], batch.bound[items].tolist())
+        for i, exc in failed:
+            batch.fail(int(items[i]), exc)
+        if failed:
+            items = np.delete(items, [i for i, _ in failed])
+            if not items.size:
+                continue
+        spectrum = spectra[d] = spectrum_through(
+            domains[d], batch.bound[items[-1]].item(), extra=SCAN_EXTRA
+        )
+        batch.stop[items] = (
+            np.searchsorted(spectrum.values, batch.bound[items], side="right") + SCAN_EXTRA
+        )
+    sizes = np.array([0 if s is None else len(s) for s in spectra], dtype=np.intp)
+    batch.first[:] = (np.cumsum(sizes) - sizes)[batch.dom]
+    enumerated = [s for s in spectra if s is not None]
+    return _Catalog(
+        spectra,
+        np.concatenate([s.values for s in enumerated] or [np.empty(0)]),
+        np.concatenate([s.M for s in enumerated] or [np.empty(0, dtype=np.intp)]),
+    )
 
-        dec = it.decisions
-        degenerate = dec.degenerate.tolist()
-        warnings: list[str] = []
+
+def _decide(group: _Group, catalog: _Catalog) -> None:
+    """Count ``N_i`` at every live item's nonzero modes: one mode stack
+    and one :func:`negative_counts` call."""
+    rows = np.flatnonzero(group.live)
+    if not rows.size:
+        return
+    # Catalog row first[k] is the constant mode, 0: the modes follow it.
+    n = group.stop[rows] - 1
+    at = _ranges(group.first[rows] + 1, n)
+    owner = np.repeat(rows, n)
+    A = group.A[owner] - group.J[owner] / catalog.values[at][:, None, None]
+    # Scaled here, each row by its own d_A, so one count covers all items.
+    M = A / group.dvec[owner][:, :, None]
+    keep = _fail_nonfinite(
+        group, owner, M,
+        lambda: ModelError(
+            "mode matrix d_A^{-1}(A(u*) - J(u*)/lambda_hat) is not finite"
+        ),
+    )
+    if keep is not None:
+        owner, at, A, M = owner[keep], at[keep], A[keep], M[keep]
+    if owner.size:
+        group.modes = _Modes(owner, at, A, negative_counts(M))
+
+
+def _cutoff(group: _Group, catalog: _Catalog) -> None:
+    """Fail every live item with a counted mode past its cutoff ``L0``.
+
+    An item's first ``L0 = stop - SCAN_EXTRA - 1`` modes are those
+    through its bound; the ``SCAN_EXTRA`` after them must count nothing.
+    """
+    if not group.live.any():
+        return
+    owner, at, _, counts = group.modes
+    L0 = group.stop - SCAN_EXTRA - 1
+    rank = at - group.first[owner] - 1
+    counted = np.flatnonzero((rank >= L0[owner]) & (counts.N != 0))
+    if not counted.size:
+        return
+    bad, first = np.unique(owner[counted], return_index=True)
+    for k, r in zip(bad.tolist(), counted[first].tolist()):
+        group.fail(k, CutoffError(
+            f"certified bound violated: mode lambda_hat={catalog.values[at[r]]:.6g} "
+            f"past the cutoff has N={counts.N[r]}"
+        ))
+
+
+def _nondegeneracy(
+    group: _Group, catalog: _Catalog, tol_degenerate: float = TOL_DEGENERATE
+) -> None:
+    """``det(lambda_hat A(u*) - J(u*))`` against its scale at every live
+    item's spectrum: one stacked ``det``."""
+    rows = np.flatnonzero(group.live)
+    if not rows.size:
+        return
+    n = group.stop[rows]
+    at = _ranges(group.first[rows], n)
+    owner = np.repeat(rows, n)
+    lam = catalog.values[at]
+    A, J = group.A[owner], group.J[owner]
+    # Near the lattice limit these overflow to inf, which _reports turns
+    # into the item's cause; numpy's warning would only repeat that.
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(lam[:, None, None] * A - J)
+        gross = np.abs(lam)[:, None, None] * np.abs(A) + np.abs(J)
+        scale = np.prod(np.linalg.norm(gross, axis=-1), axis=-1)
+    records = np.empty(len(owner), dtype=NONDEGENERACY)
+    records["lambda_hat"], records["det"], records["scale"] = lam, det, scale
+    records["ok"] = np.abs(det) > tol_degenerate * scale
+    group.tests = _Tests(owner, records)
+
+
+def _report_warnings(
+    decisions: ModeDecisions, tests: NDArray, noisy: bool, failed: bool
+) -> tuple[str, ...]:
+    """An index report's warnings: the per-mode count warnings and
+    degenerate modes (``noisy``), the constant mode's factor and the
+    determinant test (``failed``)."""
+    warnings: list[str] = []
+    if noisy:
         for lambda_hat, mode_warnings, degen, margin in zip(
-            dec.modes.values.tolist(), dec.warnings, degenerate, dec.margin.tolist()
+            decisions.modes.values.tolist(), decisions.warnings,
+            decisions.degenerate.tolist(), decisions.margin.tolist(),
         ):
             for w in mode_warnings:
                 warnings.append(f"mode lambda_hat={lambda_hat:.6g}: {w}")
@@ -616,43 +694,128 @@ def _reports(items: list[_Item]) -> None:
                     f"mode lambda_hat={lambda_hat:.6g} is degenerate "
                     f"(margin {margin:.3e}); no index claimed"
                 )
-        degenerate_any = True in degenerate
-        gamma = int(dec.N @ dec.modes.M)
-        # The first value is the constant mode, 0, whose determinant is
-        # det(-J(u*)): its sign is the constant mode's factor.
-        det_J = details[0]["det"]
-        sign = 1 if det_J > 0.0 else -1
-        if sign < 0:
-            warnings.append(
-                f"constant mode: det(-J(u_star)) = {det_J:.6g} < 0 contributes "
-                "a factor -1 to the index"
-            )
+    # The first value is the constant mode, 0, whose determinant is
+    # det(-J(u*)): its sign is the constant mode's factor.
+    det_J = tests[0]["det"]
+    if not det_J > 0.0:
+        warnings.append(
+            f"constant mode: det(-J(u_star)) = {det_J:.6g} < 0 contributes "
+            "a factor -1 to the index"
+        )
+    if failed:
+        warnings.append(
+            "determinant nondegeneracy fails at lambda_hat = "
+            + ", ".join(f"{lam:.6g}" for lam in tests["lambda_hat"][~tests["ok"]])
+        )
+    return tuple(warnings)
 
-        nondegenerate = it.nondeg_ok and not degenerate_any
-        if not it.nondeg_ok:
-            bad = [d for d in details if not d["ok"]]
-            warnings.append(
-                "determinant nondegeneracy fails at lambda_hat = "
-                + ", ".join(f"{d['lambda_hat']:.6g}" for d in bad)
-            )
-        it.report = IndexReport(
-            u_star=it.state.u,
-            mode_decisions=it.decisions,
-            L0=it.L0,
-            certificate=it.certificate,
+
+def _reports(group: _Group, catalog: _Catalog) -> None:
+    """Assemble the index report of every item that passed the ledger.
+
+    A nondegeneracy determinant or scale that is not finite fails the
+    item: the test cannot be decided, which is not the same as a
+    degenerate mode.  The rest is decided by masks and reductions over
+    the items' runs of rows, so each report is built in one step.
+    """
+    if not group.live.any():
+        return
+    owner, tests = group.tests
+    finite = np.isfinite(tests["det"]) & np.isfinite(tests["scale"])
+    if not finite.all():
+        overflow = np.flatnonzero(~finite)
+        bad, first, n_bad = np.unique(owner[overflow], return_index=True, return_counts=True)
+        for k, r, n in zip(bad.tolist(), overflow[first].tolist(), n_bad.tolist()):
+            group.fail(k, ModelError(
+                f"nondegeneracy determinant or its scale overflows in {n} "
+                f"mode(s) from lambda_hat = {tests['lambda_hat'][r]:.6g}; no index"
+            ))
+    rows = np.flatnonzero(group.live)
+    if not rows.size:
+        return
+    # Drop the rows of items failed since the stacks were built: then each
+    # live item's rows are one run, and one reduceat sums them all.
+    modes = group.modes
+    keep = group.live[owner]
+    if not keep.all():
+        tests = tests[keep]
+    keep = group.live[modes.owner]
+    if not keep.all():
+        counts = [c[keep] for c in modes.counts[:-1]]
+        counts.append(tuple(itertools.compress(modes.counts.warnings, keep)))
+        modes = _Modes(modes.owner[keep], modes.at[keep], modes.A[keep], NegativeCounts(*counts))
+    N, eigs, margin, degenerate, mode_warnings = modes.counts
+    # An item's tests cover its whole spectrum, its modes all but the
+    # constant mode: ``stop`` and ``stop - 1`` rows.
+    n = group.stop[rows]
+    d0 = np.cumsum(n) - n
+    m0 = d0 - np.arange(len(rows))
+    # Per item, from its runs of rows: the determinant test, gamma, and
+    # whether any mode is degenerate, may carry a warning (only a row
+    # counting more than one eigenvalue can) or has complex eigenvalues.
+    per_item = zip(
+        np.logical_and.reduceat(tests["ok"], d0).tolist(),
+        tests["det"][d0].tolist(),
+        np.add.reduceat(N * catalog.M[modes.at], m0).tolist(),
+        np.logical_or.reduceat(degenerate, m0).tolist(),
+        np.logical_or.reduceat((N > 1) | degenerate, m0).tolist(),
+        np.logical_or.reduceat(eigs.imag.any(axis=-1), m0).tolist(),
+    )
+    eigs_real = eigs.real
+    mode_values = catalog.values[modes.at].tolist()
+    # Items with one domain and one stop share their slice of the spectrum.
+    slices: dict[tuple[int, int], ModeSpectrum] = {}
+    for k, dom, stop, a, c, certified, reduced in zip(
+        rows.tolist(), group.dom[rows].tolist(), n.tolist(), m0.tolist(), d0.tolist(),
+        group.certificate[rows].tolist(), per_item,
+    ):
+        ok, det_J, gamma, degenerate_any, noisy, complex_k = reduced
+        nondegenerate = ok and not degenerate_any
+        b, e = a + stop - 1, c + stop
+        spectrum = slices.get((dom, stop))
+        if spectrum is None:
+            spectrum = slices[dom, stop] = catalog.spectra[dom][1:stop]
+        decisions = ModeDecisions(
+            spectrum, modes.A[a:b], N[a:b], eigs[a:b] if complex_k else eigs_real[a:b],
+            margin[a:b], degenerate[a:b], mode_warnings[a:b],
+        )
+        nondegeneracy = tests[c:e]
+        rho, kappa, J_norm, bound = certified
+        L0 = stop - SCAN_EXTRA - 1
+        item = group.items[k]
+        item.report = IndexReport(
+            u_star=item.state.u,
+            mode_decisions=decisions,
+            L0=L0,
+            certificate={
+                "rho": rho,
+                "kappa_V": kappa,
+                "dA_inv_J_norm": J_norm,
+                "bound": bound,
+                "scanned_modes": mode_values[a + L0 : b],
+                "nondegeneracy": nondegeneracy,
+            },
             gamma=gamma,
-            index=sign * (-1) ** gamma if nondegenerate else None,
+            # The constant mode's factor is the sign of det(-J(u*)).
+            index=(1 if det_J > 0.0 else -1) * (-1) ** gamma if nondegenerate else None,
             nondegenerate=nondegenerate,
-            warnings=tuple(warnings),
+            warnings=_report_warnings(decisions, nondegeneracy, noisy, not ok)
+            if noisy or not ok or not det_J > 0.0 else (),
         )
 
 
 def _ledger(items: list[_Item]) -> None:
-    """Decide every item: flux matrices, cutoff, modes, nondegeneracy, report."""
-    _flux(items)
-    _cutoff(items)
-    _nondegeneracy(items)
-    _reports(items)
+    """Decide every item: cutoff certificate, spectra, modes, cutoff
+    check, nondegeneracy, report."""
+    batch = _Batch(items)
+    for group in batch.groups:
+        _certify(group)
+    catalog = _spectra(batch)
+    for group in batch.groups:
+        _decide(group, catalog)
+        _cutoff(group, catalog)
+        _nondegeneracy(group, catalog)
+        _reports(group, catalog)
 
 
 # -- one item -----------------------------------------------------------------

@@ -504,6 +504,8 @@ def _finalize(
     comp_max = np.abs(values.reshape(-1, model.m)).max(axis=0)
     for i in np.flatnonzero((seed_max >= TOL_ZERO) & (comp_max < TOL_ZERO)):
         warns.append(f"species {i + 1} present in the seed vanished from the solution")
+    for i in np.flatnonzero((seed_max < TOL_ZERO) & (comp_max >= TOL_ZERO)):
+        warns.append(f"species {i + 1} absent from the seed is present in the solution")
     return SolveResult(
         field=DiscreteField(grid=grid, values=values),
         converged=run.failure is None,

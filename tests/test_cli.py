@@ -267,6 +267,22 @@ def test_solve_writes_report_and_field_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("route", [["--no-homotopy"], []], ids=["newton", "continuation"])
+def test_solve_from_an_absent_species_keeps_its_support(tmp_path, route):
+    # Species 1 could invade u = (0, 1) (its growth rate there is 1/2), but
+    # u_1 = 0 is invariant and Newton maps u_1 = 1e-9 to O(1e-18): the
+    # answer is the semitrivial state, whose support is the seed's, so no
+    # support warning is due.  A solve that does change the support warns
+    # (test_pde_solver: test_newton_warns_when_a_species_appears).
+    cfg = write_config(tmp_path, WEAK_LV)
+    out = tmp_path / "s.json"
+    argv = ["solve", "--config", cfg, "--output", str(out), "--grid", "32"]
+    assert cli.main(argv + ["--seed-constant", "1e-9,1"] + route) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["classification"] == "semitrivial-constant"
+    assert result["warnings"] == []
+
+
+@pytest.mark.parametrize("route", [["--no-homotopy"], []], ids=["newton", "continuation"])
 def test_solve_rejects_a_seed_whose_residual_overflows(tmp_path, capsys, route):
     cfg = write_config(tmp_path, LOGISTIC)
     out = tmp_path / "s.json"
@@ -807,6 +823,36 @@ def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
         "error", "error", "overflow", "conclusive",
     ]
     assert kinds["reversed"] == kinds["forward"][::-1]
+
+
+def test_sweep_ledger_work_is_logarithmic_in_its_points(tmp_path, monkeypatch):
+    # The benchmark's 12 x 48 grid on one domain: the size limit is
+    # bisected over the sorted bounds, then checked once for each of the
+    # 12 one-sided points past it, and every mode of one species count
+    # is counted in one stack.
+    from crossdiff import index_theory, spectral
+
+    calls = {"lattice_edge": 0, "negative_counts": []}
+    lattice_edge, negative_counts = spectral.lattice_edge, index_theory.negative_counts
+
+    def counted_edge(*args, **kwargs):
+        calls["lattice_edge"] += 1
+        return lattice_edge(*args, **kwargs)
+
+    def counted_counts(stack, *args):
+        calls["negative_counts"].append(stack.shape)
+        return negative_counts(stack, *args)
+
+    monkeypatch.setattr(spectral, "lattice_edge", counted_edge)
+    monkeypatch.setattr(index_theory, "lattice_edge", counted_edge)
+    monkeypatch.setattr(index_theory, "negative_counts", counted_counts)
+    cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
+    rows = sweep_rows(tmp_path, cfg, ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], "s.csv")
+    assert len(rows) == 576
+    assert sum("too many modes" in row["cause"] for row in rows) == 12
+    assert 12 < calls["lattice_edge"] <= 32
+    sizes = [shape[-1] for shape in calls["negative_counts"]]
+    assert len(sizes) == len(set(sizes)) >= 1
 
 
 def test_sweep_bad_param_spec(tmp_path, capsys):

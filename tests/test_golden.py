@@ -1,0 +1,61 @@
+"""Report and sweep bytes against recorded files: ``analyze`` and
+``sweep`` output must not move by a bit.
+
+Each ``<name>.model.json`` under ``tests/golden/`` is analyzed into
+``<name>.report.json``; the two sweep CSVs come from the commands in
+:data:`SWEEPS`.  To re-record a file after a deliberate change of bytes,
+run the same command with ``--output`` pointing into ``tests/golden/``.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from crossdiff import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+ANALYZE = {
+    "readme": cli.EXIT_OK,
+    "skt-2d": cli.EXIT_OK,
+    "square": cli.EXIT_OK,
+    # One-sided cross-diffusion, alpha[1][0] = 0.1: the cutoff bound needs
+    # too many modes, so the verdict is inconclusive.
+    "one-sided": cli.EXIT_INCONCLUSIVE,
+    "bistable": cli.EXIT_OK,
+    "three-species": cli.EXIT_OK,
+}
+
+SWEEPS = {
+    # The benchmark's 12 x 48 grid, alpha.0.1 = 0 rows included.
+    "sweep-d-alpha.csv": (
+        "one-sided", ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"],
+    ),
+    # Forty interval lengths: forty domains in one ledger batch, with
+    # predicting, non-predicting and inconclusive points on each.
+    "sweep-lengths.csv": (
+        "readme", ["domain.lengths.0=0.5:40:40", "d.0=0.05:0.6:4", "alpha.1.0=0:0.1:2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYZE))
+def test_analyze_report_matches_golden_bytes(tmp_path, name):
+    out = tmp_path / "report.json"
+    config = GOLDEN / f"{name}.model.json"
+    code = cli.main(["analyze", "--config", str(config), "--output", str(out)])
+    assert code == ANALYZE[name]
+    assert out.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweep_csv_matches_golden_bytes(tmp_path, name):
+    model, params = SWEEPS[name]
+    out = tmp_path / name
+    argv = ["sweep", "--config", str(GOLDEN / f"{model}.model.json"), "--output", str(out)]
+    for param in params:
+        argv += ["--param", param]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

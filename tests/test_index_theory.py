@@ -17,6 +17,7 @@ from crossdiff import (
     existence_verdicts,
     find_constant_states,
     negative_counts,
+    nonexistence_threshold,
     semitrivial_stability,
 )
 
@@ -323,6 +324,41 @@ def test_decaying_system_makes_no_prediction():
     verdict = existence_verdict(model)
     assert verdict.total == 1
     assert verdict.predicts_nonconstant is False
+
+
+def test_index_never_forces_what_the_nonexistence_threshold_forbids():
+    # With alpha = 0 and competition (c >= 0, c_ii > 0) the maximum
+    # principle bounds every positive solution by r_i / c_ii.  Where min d
+    # exceeds nonexistence_threshold on that box every solution is
+    # constant, so a verdict predicting a nonconstant solution there would
+    # contradict a proof.  The family mixes stable coexistence, saddles
+    # (det(-J(u*)) < 0) and states the ledger finds degenerate.
+    rng = np.random.default_rng(7)
+    models = [interval_model(2, (100.0, 100.0), (1.0, 1.0), ((1.0, 2.0), (2.0, 1.0)))]
+    for _ in range(400):
+        c = rng.uniform(0.0, 3.0, (2, 2))
+        c[[0, 1], [0, 1]] = rng.uniform(0.2, 2.0, 2)
+        d = 10.0 ** rng.uniform(0.0, 3.5, 2)
+        models.append(
+            interval_model(2, d, rng.uniform(0.2, 2.0, 2), c, length=rng.uniform(0.5, 4.0))
+        )
+    proven = [
+        model for model in models
+        if model.d.min() > nonexistence_threshold(
+            model, [[0.0, r / c] for r, c in zip(model.r, np.diag(model.c))]
+        )
+    ]
+    assert proven[0] is models[0]
+    verdicts = existence_verdicts(proven)
+    for model, verdict in zip(proven, verdicts):
+        assert verdict.predicts_nonconstant is not True, (model.d, model.r, model.c)
+    # Not vacuous: most proven models get a verdict, and among them are
+    # saddles, whose constant-mode factor keeps the total at 1.
+    decided = [v for v in verdicts if not v.inconclusive]
+    assert len(proven) >= 100 and len(decided) >= 0.9 * len(proven)
+    saddles = [v for v in decided if -1 in (i for _, i in v.nontrivial_constant_indices)]
+    assert len(saddles) >= 20
+    assert all(v.total == 1 for v in decided)
 
 
 def test_degenerate_subset_verdict_inconclusive():

@@ -430,6 +430,20 @@ def test_newton_warns_when_a_species_vanishes():
         assert f"species {i} present in the seed vanished from the solution" in result.warnings
 
 
+def test_newton_warns_when_a_species_appears():
+    # A source of species 1 (the forcing that makes u = (0.3, 0.6) a
+    # solution) moves the answer off the face u_1 = 0 that holds the seed.
+    model = weak_lv()
+    grid = make_grid(model.domain, 16)
+    target = np.array([0.3, 0.6])
+    forcing = np.broadcast_to(-model.f(target), grid.shape + (2,)).copy()
+    seed = constant_field(grid, [1e-9, 1.0])
+    result = newton_solve(model, grid, seed, forcing=forcing)
+    assert result.converged
+    np.testing.assert_allclose(result.field.values, np.broadcast_to(target, seed.values.shape))
+    assert result.warnings == ("species 1 absent from the seed is present in the solution",)
+
+
 # -- continuation -----------------------------------------------------------
 
 
