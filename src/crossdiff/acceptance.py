@@ -300,7 +300,7 @@ def criterion_6() -> CriterionResult:
     passed = worst < 1e-6
     return CriterionResult(
         6, "nonexistence-threshold", passed,
-        f"threshold {threshold:.4f} (3*pi^2={3 * PI**2:.4f}), d={d_hi:.4f}, "
+        f"threshold {threshold:.4f} (max|1-2u| diam^2/pi^2 = 3), d={d_hi:.4f}, "
         f"20 starts constant, max grad_l2 {worst:.3e}",
     )
 

@@ -310,21 +310,18 @@ def identity_residuals(
     return mass, energy
 
 
-def nonexistence_threshold(
-    model: Model,
-    solution_box: Sequence[Sequence[float]],
-    samples: int = 2048,
-    seed: int = 0,
-) -> float:
+def nonexistence_threshold(model: Model, solution_box: Sequence[Sequence[float]]) -> float:
     """Diffusion threshold above which no nonconstant solution exists.
 
     ``F_* = max ||J_f(u)||_2`` over the box of plausible solution values
-    and ``threshold = F_* diam(Omega)^2`` (the model family carries no
-    gradient term, so its bound contributes nothing).  If the ellipticity
-    floor of ``A`` exceeds the threshold, every solution is constant.
-    Since ``J_f`` is affine in ``u``, the spectral norm is convex and its
-    box maximum sits at a vertex; vertices are enumerated exactly (up to
-    ``2^m``) alongside a random sample as a cross-check.
+    and ``threshold = F_* diam(Omega)^2 / pi^2 >= F_* / lambda_1``: on a
+    convex domain the first nonzero Neumann eigenvalue is at least
+    ``pi^2 / diam^2`` (Payne-Weinberger), with equality on an interval.
+    If the ellipticity floor of ``A`` exceeds the threshold, the energy
+    estimate against the Poincare inequality leaves every solution
+    constant (the model family carries no gradient term).  Since ``J_f``
+    is affine in ``u``, the spectral norm is convex and its box maximum
+    sits at one of the ``2^m`` vertices, which are enumerated exactly.
     """
     box = np.asarray(solution_box, dtype=float)
     if box.shape != (model.m, 2):
@@ -333,14 +330,9 @@ def nonexistence_threshold(
         raise ModelError("empty box: upper bound below lower bound")
 
     corners = np.array(list(itertools.product(*box)), dtype=float)
-    rng = np.random.default_rng(seed)
-    sample = box[:, 0] + rng.random((samples, model.m)) * (box[:, 1] - box[:, 0])
-    u = np.vstack([corners, sample])
-    J = model.jacobian_f(u)
+    J = model.jacobian_f(corners)
     F_star = float(np.linalg.norm(J, ord=2, axis=(-2, -1)).max())
-    B_star = 0.0
-    diam = model.domain.diameter
-    return F_star * diam**2 + B_star * diam
+    return F_star * (model.domain.diameter / math.pi) ** 2
 
 
 def diagnostics_report(

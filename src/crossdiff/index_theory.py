@@ -6,8 +6,9 @@ nonzero Neumann modes: ``N_i`` counts the real negative eigenvalues of
 ``d_A(u*)^{-1} (A(u*) - lambda_i^{-1} J(u*))`` and ``M_i`` is the
 eigenvalue multiplicity.  The sign is the constant mode's factor, the
 determinant ``det(lambda A(u*) - J(u*))`` at ``lambda = 0``.  A
-perturbation bound certifies that all modes beyond a finite cutoff
-contribute nothing.  Boundary (trivial and
+resolvent bound from the eigenvalues of ``d_A(u*)^{-1} A(u*)`` and its
+departure from normality certifies that all modes beyond a finite
+cutoff contribute nothing.  Boundary (trivial and
 semitrivial) states are handled by sign criteria on the per-capita
 growth of the vanishing components, and the verdict compares the total
 degree against 1.
@@ -20,7 +21,8 @@ domain runs in stages over the arrays of a :class:`_Batch`, row ``k``
 for (model, positive state) item ``k``, and over its :class:`_Group` of
 each species count, whose matrices stack:
 
-* :func:`_certify`: the cutoff certificate, one ``eig`` over ``A(u*)``;
+* :func:`_certify`: the cutoff certificate, one ``eigvals`` over
+  ``d_A^{-1} A(u*)``;
 * :func:`_spectra`: the spectrum of every distinct domain, enumerated
   once through the largest bound among its items that pass the size
   limit, which is bisected over the sorted bounds; each item takes its
@@ -90,9 +92,7 @@ class NegativeCounts(NamedTuple):
     warnings: tuple[tuple[str, ...], ...]
 
 
-def negative_counts(
-    stack: NDArray[np.float64], tol_degenerate: float = TOL_DEGENERATE
-) -> NegativeCounts:
+def negative_counts(stack: NDArray[np.float64]) -> NegativeCounts:
     """Count real negative eigenvalues of every matrix of a scaled stack.
 
     ``stack`` holds ``d_A^{-1} A_i`` with shape ``(k, m, m)``; one 2-norm
@@ -108,7 +108,7 @@ def negative_counts(
     eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real), axis=-1), -1)
 
     real_mask = np.abs(eigs.imag) <= 1e-10 * scales[:, None]
-    neg_mask = real_mask & (eigs.real < -tol_degenerate * scales[:, None])
+    neg_mask = real_mask & (eigs.real < -TOL_DEGENERATE * scales[:, None])
     counts = neg_mask.sum(axis=-1)
     margins = np.abs(eigs.real).min(axis=-1)
 
@@ -137,7 +137,7 @@ def negative_counts(
                 )
         warnings[k] = tuple(found)
     return NegativeCounts(
-        counts, eigs, margins, margins <= tol_degenerate * scales, tuple(warnings)
+        counts, eigs, margins, margins <= TOL_DEGENERATE * scales, tuple(warnings)
     )
 
 
@@ -170,11 +170,11 @@ class IndexReport:
     determinant test passes; otherwise ``index`` is ``None`` and
     ``nondegenerate`` is false.  A state whose ``det(-J(u*))`` is
     negative gets a warning naming the constant mode's factor.
-    ``certificate`` holds the cutoff certificate (``rho``, ``kappa_V``,
-    ``dA_inv_J_norm``, ``bound``), the ``scanned_modes`` past the cutoff
-    and the determinant test, ``nondegeneracy``: one
-    :data:`NONDEGENERACY` record per spectrum value, the constant mode
-    first.
+    ``certificate`` holds the cutoff certificate of :func:`_certify`
+    (``rho``, ``departure``, ``dA_inv_J_norm``, ``bound``), the
+    ``scanned_modes`` past the cutoff and the determinant test,
+    ``nondegeneracy``: one :data:`NONDEGENERACY` record per spectrum
+    value, the constant mode first.
     """
 
     u_star: NDArray[np.float64]
@@ -395,7 +395,7 @@ class _Batch:
 
     ``live[k]`` is cleared when a stage fails item ``k``, and a stage
     reads live rows only.  The stages fill, in order: the certificate's
-    ``rho``, ``kappa``, ``J_norm`` and ``bound`` (:func:`_certify`), the
+    ``rho``, ``departure``, ``J_norm`` and ``bound`` (:func:`_certify`), the
     columns of ``certificate``; then ``dom``, ``first`` and ``stop``
     (:func:`_spectra`), which put item ``k``'s spectrum at catalog rows
     ``first[k]`` to ``first[k] + stop[k]`` of domain ``dom[k]``.  Each of
@@ -439,7 +439,7 @@ class _Group:
         self.batch, self.offset = batch, rows.start
         self.items = items = batch.items[rows]
         self.live, self.certificate = batch.live[rows], batch.certificate[rows]
-        self.rho, self.kappa, self.J_norm, self.bound = self.certificate.T
+        self.rho, self.departure, self.J_norm, self.bound = self.certificate.T
         self.dom, self.first, self.stop = batch.dom[rows], batch.first[rows], batch.stop[rows]
         u = np.array([it.state.u for it in items])
         alpha = np.array([it.alpha for it in items])
@@ -484,15 +484,17 @@ def _fail_nonfinite(
 
 
 def _certify(group: _Group) -> None:
-    """Cutoff certificate of every item.
+    """Cutoff certificate of every item, from eigenvalues alone.
 
-    Eigenvalues of ``d_A^{-1} J`` stay within ``kappa_V ||d_A^{-1} J|| /
-    lambda_hat`` of those of ``d_A^{-1} A(u*) = V diag(w) V^{-1}``, so
-    past ``bound = kappa_V ||d_A^{-1} J|| / rho``, ``rho = min Re w``, no
-    mode can count.  One ``eig``, one ``cond`` per eigenvector dtype and
-    one 2-norm cover a species count.  An item whose own eigenvalues are
-    real gets a real ``V``, as a one-matrix ``eig`` returns it, even when
-    the stack came back complex.
+    In a Schur form ``M0 = d_A^{-1} A(u*) = Q (D + N) Q^*`` the strictly
+    upper part has ``||N||_F = departure = sqrt(||M0||_F^2 - sum |w|^2)``
+    over the eigenvalues ``w`` (Henrici), so for every real ``mu <= 0``,
+    ``||(M0 - mu)^{-1}||_2 <= S = sum_{k<m} departure^k / rho^{k+1}`` with
+    ``rho = min Re w`` (Golub & Van Loan, section 7.2).  A mode matrix is
+    ``M0 - E / lambda_hat`` with ``E = d_A^{-1} J``: past ``bound = ||E||_2
+    S`` no real ``mu <= 0`` is one of its eigenvalues, so the mode counts
+    nothing and ``det(lambda_hat A - J) != 0``.  One ``eigvals``, one
+    Frobenius norm and one 2-norm cover a species count.
     """
     M0 = group.A / group.dvec[:, :, None]
     _fail_nonfinite(
@@ -502,7 +504,7 @@ def _certify(group: _Group) -> None:
     rows = np.flatnonzero(group.live)
     if not rows.size:
         return
-    w, V = np.linalg.eig(M0[rows])
+    w = np.linalg.eigvals(M0[rows])
     rho = w.real.min(axis=-1)
     bad = rho <= 0.0
     if bad.any():
@@ -511,19 +513,24 @@ def _certify(group: _Group) -> None:
                 "cutoff uncertifiable: cross-diffusion is strong enough that "
                 f"d_A^{{-1}}A(u*) has eigenvalue real part {r:.3e} <= 0"
             ))
-        rows, w, V, rho = rows[~bad], w[~bad], V[~bad], rho[~bad]
+        rows, w, rho = rows[~bad], w[~bad], rho[~bad]
         if not rows.size:
             return
-    real = ~w.imag.any(axis=-1)
-    kappa = np.empty(len(rows))
-    if real.any():
-        kappa[real] = np.linalg.cond(V[real].real, 2)
-    if not real.all():
-        kappa[~real] = np.linalg.cond(V[~real], 2)
+    m = w.shape[-1]
+    frobenius2 = (M0[rows] ** 2).sum(axis=(-2, -1))
+    # Rounding in the computed eigenvalues can lift sum |w|^2 above its
+    # exact value, and near normality the difference is all cancellation:
+    # a slack of 8 ulps of ||M0||_F^2 per eigenvalue keeps the departure
+    # from falling below that of M0.
+    departure = np.sqrt(
+        np.maximum(frobenius2 - (w.real**2 + w.imag**2).sum(axis=-1), 0.0)
+        + 8 * m * np.finfo(float).eps * frobenius2
+    )
     J_norm = np.linalg.norm(group.J[rows] / group.dvec[rows][:, :, None], 2, axis=(-2, -1))
-    group.rho[rows], group.kappa[rows], group.J_norm[rows] = rho, kappa, J_norm
+    group.rho[rows], group.departure[rows], group.J_norm[rows] = rho, departure, J_norm
     with np.errstate(over="ignore", invalid="ignore"):
-        group.bound[rows] = kappa * J_norm / rho
+        S = ((departure / rho)[:, None] ** np.arange(m)).sum(axis=-1) / rho
+        group.bound[rows] = J_norm * S
 
 
 def _past_limit(domain: Domain, bounds: list[float]) -> list[tuple[int, ModelError]]:
@@ -650,9 +657,7 @@ def _cutoff(group: _Group, catalog: _Catalog) -> None:
         ))
 
 
-def _nondegeneracy(
-    group: _Group, catalog: _Catalog, tol_degenerate: float = TOL_DEGENERATE
-) -> None:
+def _nondegeneracy(group: _Group, catalog: _Catalog) -> None:
     """``det(lambda_hat A(u*) - J(u*))`` against its scale at every live
     item's spectrum: one stacked ``det``."""
     rows = np.flatnonzero(group.live)
@@ -671,7 +676,7 @@ def _nondegeneracy(
         scale = np.prod(np.linalg.norm(gross, axis=-1), axis=-1)
     records = np.empty(len(owner), dtype=NONDEGENERACY)
     records["lambda_hat"], records["det"], records["scale"] = lam, det, scale
-    records["ok"] = np.abs(det) > tol_degenerate * scale
+    records["ok"] = np.abs(det) > TOL_DEGENERATE * scale
     group.tests = _Tests(owner, records)
 
 
@@ -780,7 +785,7 @@ def _reports(group: _Group, catalog: _Catalog) -> None:
             margin[a:b], degenerate[a:b], mode_warnings[a:b],
         )
         nondegeneracy = tests[c:e]
-        rho, kappa, J_norm, bound = certified
+        rho, departure, J_norm, bound = certified
         L0 = stop - SCAN_EXTRA - 1
         item = group.items[k]
         item.report = IndexReport(
@@ -789,7 +794,7 @@ def _reports(group: _Group, catalog: _Catalog) -> None:
             L0=L0,
             certificate={
                 "rho": rho,
-                "kappa_V": kappa,
+                "departure": departure,
                 "dA_inv_J_norm": J_norm,
                 "bound": bound,
                 "scanned_modes": mode_values[a + L0 : b],

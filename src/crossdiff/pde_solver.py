@@ -417,21 +417,16 @@ class SolveResult:
     refinement: Refinement | None = None
 
 
-def classify_field(
-    model: Model,
-    values: NDArray[np.float64],
-    tol_zero: float = TOL_ZERO,
-    tol_const: float = TOL_CONST,
-) -> str:
+def classify_field(model: Model, values: NDArray[np.float64]) -> str:
     """Constant/zero taxonomy of a field: trivial, semitrivial-constant,
     nontrivial-constant, or nonconstant."""
     flat = values.reshape(-1, model.m)
     comp_max = np.abs(flat).max(axis=0)
     means = flat.mean(axis=0)
     dev = np.abs(flat - means).max(axis=0)
-    if np.any(dev >= tol_const * (1.0 + np.abs(means))):
+    if np.any(dev >= TOL_CONST * (1.0 + np.abs(means))):
         return "nonconstant"
-    zero = comp_max < tol_zero
+    zero = comp_max < TOL_ZERO
     if zero.all():
         return "trivial"
     if zero.any():

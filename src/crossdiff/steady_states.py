@@ -21,6 +21,7 @@ TOL_ROOT = 1e-12
 TOL_DEDUP = 1e-9
 TOL_SIGN = 1e-10
 MAX_SPECIES = 12
+MAX_REFINE = 50
 
 
 class EnumerationError(ModelError):
@@ -110,11 +111,7 @@ class StateEnumeration:
         return [s for s in self.states if s.classification == classification]
 
 
-def find_constant_states(
-    model: Model,
-    tol_root: float = TOL_ROOT,
-    tol_dedup: float = TOL_DEDUP,
-) -> StateEnumeration:
+def find_constant_states(model: Model) -> StateEnumeration:
     """Enumerate all constant steady states with positive support.
 
     Solves ``c|_S u_S = r|_S`` for every support subset ``S`` and keeps
@@ -144,19 +141,19 @@ def find_constant_states(
             u_sub = np.linalg.solve(c_sub, r_sub)
             # Strict positivity on the support; boundary roots belong to
             # a smaller subset and are attributed there.
-            if np.any(u_sub <= tol_dedup * (1.0 + np.abs(u_sub).max())):
+            if np.any(u_sub <= TOL_DEDUP * (1.0 + np.abs(u_sub).max())):
                 continue
             u = np.zeros(model.m)
             u[idx] = u_sub
             if any(
-                np.abs(u - v).max() <= tol_dedup * (1.0 + np.abs(v).max())
+                np.abs(u - v).max() <= TOL_DEDUP * (1.0 + np.abs(v).max())
                 for v in seen
             ):
                 continue
             seen.append(u)
             state = _make_state(model, [i in subset for i in range(model.m)], u)
-            if state.residual > tol_root * (1.0 + float(np.abs(model.r).max())):
-                state = refine_root(model, state.support, u, tol_root=tol_root)
+            if state.residual > TOL_ROOT * (1.0 + float(np.abs(model.r).max())):
+                state = refine_root(model, state.support, u)
             states.append(state)
 
     return StateEnumeration(states, degenerate)
@@ -166,8 +163,6 @@ def refine_root(
     model: Model,
     support: Sequence[bool],
     u0: NDArray[np.float64],
-    tol_root: float = TOL_ROOT,
-    max_iter: int = 50,
 ) -> ConstantState:
     """Polish a constant-state candidate by damped Newton on ``g|_S``.
 
@@ -192,9 +187,9 @@ def refine_root(
     r_sub = model.r[idx]
     scale = 1.0 + float(np.abs(r_sub).max())
 
-    for _ in range(max_iter):
+    for _ in range(MAX_REFINE):
         g = r_sub - c_sub @ x
-        if np.abs(g).max() <= tol_root * scale:
+        if np.abs(g).max() <= TOL_ROOT * scale:
             u[idx] = x
             if np.any(x <= 0):
                 raise EnumerationError(
@@ -225,4 +220,4 @@ def refine_root(
                 f"iterate leaves the positive orthant on support {support}"
             )
 
-    raise EnumerationError(f"no convergence within {max_iter} iterations")
+    raise EnumerationError(f"no convergence within {MAX_REFINE} iterations")

@@ -124,10 +124,10 @@ MODE_RECORD_KEYS = {
          [[[0, 1], [1, 0]], [[1, 1]], [[0, 2], [2, 0]], [[1, 2], [2, 1]], [[2, 2]],
           [[0, 3], [3, 0]], [[1, 3], [3, 1]]],
          "RRRRRRR"),
-        # A verdict-sweep point whose first five modes have complex pairs.
-        ({**TURING, "d": [0.3, 7.0], "alpha": [[0.0, 0.5], [0.1, 0.0]]},
-         [1, 4, 9, 16, 25, 36, 49], [1] * 7, [0] * 7,
-         [[[k]] for k in range(1, 8)], "CCCCCRR"),
+        # A verdict-sweep model whose first four modes have complex pairs.
+        ({**TURING, "d": [0.3, 7.0], "alpha": [[0.0, 0.3], [0.1, 0.0]]},
+         [1, 4, 9, 16, 25], [1] * 5, [0] * 5,
+         [[[k]] for k in range(1, 6)], "CCCCR"),
     ],
     ids=["readme", "square", "complex-next-to-real"],
 )
@@ -752,7 +752,7 @@ def _timeout(signum, frame):
 @pytest.mark.parametrize(
     "param, column, message",
     [
-        # The certified cutoff bound is ~2.8e114, far past the lattice limit.
+        # The certified cutoff bound is ~2.3e100, far past the lattice limit.
         ("d.0=1e-100:1e-100:1", "cause", "requires too many modes"),
         ("domain.lengths.0=1e300:1e300:1", "cause", "requires too many modes"),
         ("domain.lengths.0=1e-300:1e-300:1", "error", "too small for the spectrum"),
@@ -785,18 +785,19 @@ def test_sweep_extreme_point_returns_a_row(tmp_path, param, column, message):
 
 
 def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
-    # 30 points in one ledger batch, on the grid and on the reversed grid.
-    # The batch mixes ordinary points, error rows (d.0 <= 0), one-sided
-    # points (alpha.0.1 = 0, too many modes) and points whose
-    # nondegeneracy determinant overflows (length 1e-150), so the points
-    # that fail the spectrum's size limit sit at both ends of the batch;
+    # 45 points in one ledger batch, on the grid and on the reversed grid.
+    # The batch mixes ordinary points, error rows (d.0 <= 0), points on
+    # long intervals (lengths 5e4 and 1e5, mostly too many modes) and
+    # points whose nondegeneracy determinant overflows (length 1e-150), so
+    # the points that fail the spectrum's size limit sit at both ends of
+    # the batch;
     # every row must be the row its point gives when swept alone, and no
     # RuntimeWarning may escape.
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     paths = ["alpha.0.1", "d.0", "domain.lengths.0"]
     grids = {
-        "forward": ["0:1:3", "-0.2:0.6:5", "1e-150:3.0:2"],
-        "reversed": ["1:0:3", "0.6:-0.2:5", "3.0:1e-150:2"],
+        "forward": ["0:1:3", "-0.2:0.6:5", "1e-150:1e5:3"],
+        "reversed": ["1:0:3", "0.6:-0.2:5", "1e5:1e-150:3"],
     }
 
     def kind(row):
@@ -804,7 +805,7 @@ def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
             return "error"
         if row["inconclusive"] == "False":
             return "conclusive"
-        return "one-sided" if "too many modes" in row["cause"] else "overflow"
+        return "too many" if "too many modes" in row["cause"] else "overflow"
 
     kinds = {}
     with warnings.catch_warnings():
@@ -812,24 +813,23 @@ def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
         for name, specs in grids.items():
             params = [f"{path}={spec}" for path, spec in zip(paths, specs)]
             rows = sweep_rows(tmp_path, cfg, params, f"{name}.csv")
-            assert len(rows) == 30
+            assert len(rows) == 45
             assert_rows_equal_points_swept_alone(tmp_path, cfg, paths, rows)
             kinds[name] = [kind(r) for r in rows]
 
-    # Rows 8 to 15 mix all four kinds; the reversed grid lists the rows
+    # Rows 12 to 17 mix all four kinds; the reversed grid lists the rows
     # in reverse order.
-    assert kinds["forward"][8:16] == [
-        "overflow", "one-sided", "error", "error",
-        "error", "error", "overflow", "conclusive",
+    assert kinds["forward"][12:18] == [
+        "overflow", "conclusive", "too many", "error", "error", "error",
     ]
     assert kinds["reversed"] == kinds["forward"][::-1]
 
 
 def test_sweep_ledger_work_is_logarithmic_in_its_points(tmp_path, monkeypatch):
-    # The benchmark's 12 x 48 grid on one domain: the size limit is
-    # bisected over the sorted bounds, then checked once for each of the
-    # 12 one-sided points past it, and every mode of one species count
-    # is counted in one stack.
+    # The benchmark's 12 x 48 grid on one domain: the size limit is checked
+    # once, at the largest bound, which passes, so no point is past it;
+    # the spectrum through that bound checks it once more, and every mode
+    # of one species count is counted in one stack.
     from crossdiff import index_theory, spectral
 
     calls = {"lattice_edge": 0, "negative_counts": []}
@@ -849,8 +849,8 @@ def test_sweep_ledger_work_is_logarithmic_in_its_points(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     rows = sweep_rows(tmp_path, cfg, ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], "s.csv")
     assert len(rows) == 576
-    assert sum("too many modes" in row["cause"] for row in rows) == 12
-    assert 12 < calls["lattice_edge"] <= 32
+    assert sum("too many modes" in row["cause"] for row in rows) == 0
+    assert calls["lattice_edge"] == 2
     sizes = [shape[-1] for shape in calls["negative_counts"]]
     assert len(sizes) == len(set(sizes)) >= 1
 

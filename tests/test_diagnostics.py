@@ -478,10 +478,11 @@ def test_forcing_enters_the_identities():
 
 
 def test_threshold_logistic_closed_form():
-    # max |1 - 2u| over [0, 2] is 3, diameter pi: threshold = 3 pi^2.
+    # max |1 - 2u| over [0, 2] is 3 and lambda_1 = 1 on (0, pi):
+    # threshold = 3 diam^2 / pi^2 = 3.
     model = scalar_logistic()
     value = nonexistence_threshold(model, [[0.0, 2.0]])
-    assert value == pytest.approx(3.0 * PI**2, rel=1e-12)
+    assert value == pytest.approx(3.0, rel=1e-12)
 
 
 def test_threshold_zero_reaction():

@@ -124,7 +124,8 @@ def test_mode_cutoff_worked_case():
     L0, cert = cutoff(model)
     assert L0 == 1
     assert cert["rho"] == pytest.approx(1.0)
-    assert cert["kappa_V"] == pytest.approx(1.0)
+    # d_A^{-1} A(u*) = I is normal: its departure is the rounding slack.
+    assert 0.0 < cert["departure"] < 1e-6
     assert cert["bound"] == pytest.approx(2.0)
 
 
@@ -134,9 +135,11 @@ def test_mode_cutoff_no_reaction_means_no_modes():
     assert L0 == 0
 
 
-def test_mode_cutoff_nonnormal_inflates_condition_number():
-    # Lopsided two-way coupling makes the flux eigenbasis oblique; the
-    # certificate widens (kappa_V > 1) but still terminates.
+def test_mode_cutoff_nonnormal_widens_with_departure():
+    # Lopsided two-way coupling makes d_A^{-1} A(u*) = [[1, 3/4], [1/11, 1]]
+    # non-normal.  Its eigenvalues are real, so its departure from
+    # normality is the difference of its off-diagonal entries, and the
+    # certificate widens by the departure term but still terminates.
     model = interval_model(
         2,
         (1.0, 1.0),
@@ -145,9 +148,36 @@ def test_mode_cutoff_nonnormal_inflates_condition_number():
         alpha=[[0.0, 3.0], [0.1, 0.0]],
     )
     L0, cert = cutoff(model)
-    assert cert["kappa_V"] > 2.0
+    rho, departure, J_norm = cert["rho"], cert["departure"], cert["dA_inv_J_norm"]
+    assert departure == pytest.approx(0.75 - 1.0 / 11.0, rel=1e-6)
+    assert cert["bound"] == pytest.approx(J_norm * (1.0 / rho + departure / rho**2))
+    assert cert["bound"] > 1.8 * J_norm / rho
     assert L0 >= 1
-    assert cert["bound"] > 2.0
+
+
+@pytest.mark.parametrize(
+    "u, c, d, alpha_12",
+    [
+        ((66.2, 1.0), ((0.86, 0.98), (1.95, 1.55)), (0.29, 0.25), 3.8),
+        ((19.5, 1.0), ((1.82, 0.09), (1.65, 0.83)), (1.76, 0.1), 2.1),
+        ((98.3, 1.0), ((0.99, 1.06), (1.57, 0.83)), (1.26, 1.17), 4.7),
+        ((159.8, 1.0), ((1.08, 0.6), (0.85, 0.06)), (0.15, 1.01), 3.4),
+    ],
+)
+def test_no_counted_mode_lies_past_the_certified_bound(u, c, d, alpha_12):
+    # One-sided cross-diffusion at a lopsided state makes d_A^{-1} A(u*)
+    # unit-triangular with a large off-diagonal entry: defective and far
+    # from normal.  Brute force over the first 2,999 interval modes: every
+    # mode that counts lies at or below the certified bound, and some lie
+    # past ||d_A^{-1} J|| / rho, so the departure terms are needed.
+    u, c = np.array(u), np.array(c)
+    model = interval_model(2, d, c @ u, c, alpha=[[0.0, alpha_12], [0.0, 0.0]])
+    cert = constant_state_index(model, u).certificate
+    lam = np.arange(1.0, 3000.0) ** 2
+    A, J = model.A(u), model.jacobian_f(u)
+    counted = lam[negative_counts((A - J / lam[:, None, None]) / model.d_A(u)[:, None]).N > 0]
+    assert counted.size and counted.max() <= cert["bound"]
+    assert counted.max() > cert["dA_inv_J_norm"] / cert["rho"]
 
 
 def test_mode_cutoff_scans_past_the_bound():
@@ -355,9 +385,9 @@ def test_index_never_forces_what_the_nonexistence_threshold_forbids():
     # Not vacuous: most proven models get a verdict, and among them are
     # saddles, whose constant-mode factor keeps the total at 1.
     decided = [v for v in verdicts if not v.inconclusive]
-    assert len(proven) >= 100 and len(decided) >= 0.9 * len(proven)
+    assert len(proven) >= 300 and len(decided) >= 0.9 * len(proven)
     saddles = [v for v in decided if -1 in (i for _, i in v.nontrivial_constant_indices)]
-    assert len(saddles) >= 20
+    assert len(saddles) >= 50
     assert all(v.total == 1 for v in decided)
 
 
@@ -461,10 +491,14 @@ def sweep_point(alpha_01):
     )
 
 
-def test_one_sided_point_is_inconclusive_before_any_spectrum(monkeypatch):
-    # alpha_12 = 0 makes d_A^{-1} A(u*) unit-triangular and defective, so
-    # the certified bound (~1e15) needs more modes than the enumeration
-    # allows; the limit is checked before any lattice array is built.
+def long_interval_model():
+    # The README model on (0, 1e5): its certified bound, 5.63, needs about
+    # 75,500 modes, more than the enumeration allows.
+    return interval_model(2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)), length=1e5)
+
+
+def test_long_interval_is_inconclusive_before_any_spectrum(monkeypatch):
+    # The size limit is checked before any lattice array is built.
     from crossdiff import index_theory, spectral
 
     def no_spectrum(*args, **kwargs):
@@ -472,14 +506,30 @@ def test_one_sided_point_is_inconclusive_before_any_spectrum(monkeypatch):
 
     monkeypatch.setattr(index_theory, "spectrum_through", no_spectrum)
     monkeypatch.setattr(spectral, "ModeSpectrum", no_spectrum)
-    verdict = existence_verdict(sweep_point(0.0))
+    verdict = existence_verdict(long_interval_model())
     assert verdict.inconclusive
-    assert "requires too many modes" in verdict.cause
+    assert "spectral bound 5.634e+00 requires too many modes" in verdict.cause
+
+
+def test_one_sided_point_is_conclusive_and_matches_parity_oracle():
+    # alpha_12 = 0 makes d_A^{-1} A(u*) unit-triangular and defective; its
+    # eigenvalues and departure from normality still certify a cutoff of
+    # a few modes, and the index agrees with the discrete oracle.
+    from crossdiff.verification import parity_oracle
+
+    model = sweep_point(0.0)
+    verdict = existence_verdict(model)
+    assert not verdict.inconclusive
+    (report,) = verdict.index_reports
+    assert report.certificate["bound"] == pytest.approx(7.591, rel=1e-3)
+    k0 = 1.0 + float(np.linalg.norm(model.jacobian_f(report.u_star), 2))
+    for k in (k0, 2.0 * k0 + 3.7):
+        assert parity_oracle(model, report.u_star, n=256, k=k)[1] == report.index
 
 
 def test_ledger_enumerates_once_and_decides_each_mode_once(monkeypatch):
-    # One spectrum and one stacked count per state: the seven modes
-    # (L0 = 4 plus the three scanned past the cutoff) are decided together.
+    # One spectrum and one stacked count per state: the five modes
+    # (L0 = 2 plus the three scanned past the cutoff) are decided together.
     from crossdiff import index_theory
 
     calls = {"negative_counts": [], "spectrum_through": []}
@@ -498,10 +548,10 @@ def test_ledger_enumerates_once_and_decides_each_mode_once(monkeypatch):
     verdict = existence_verdict(sweep_point(0.5))
     assert not verdict.inconclusive
     (report,) = verdict.index_reports
-    assert len(report.mode_decisions.N) == report.L0 + 3 == 7
+    assert len(report.mode_decisions.N) == report.L0 + 3 == 5
     assert len(calls["spectrum_through"]) == 1
     ((stack,),) = calls["negative_counts"]
-    assert stack.shape == (7, 2, 2)
+    assert stack.shape == (5, 2, 2)
 
 
 def assert_identical(a, b, where="verdict"):
@@ -568,6 +618,7 @@ def batch_models():
         "2D SKT, complex spectrum": skt,
         "square, double mode": square,
         "one-sided alpha": sweep_point(0.0),
+        "long interval": long_interval_model(),
         "degenerate subset": interval_model(
             2, (1.0, 1.0), (1.0, 1.0), ((1.0, 1.0), (1.0, 1.0))
         ),
@@ -605,9 +656,11 @@ def test_batch_verdicts_equal_one_model_verdicts(monkeypatch):
     monkeypatch.setattr(index_theory, "spectrum_through", counted)
     batch = existence_verdicts(list(models.values()))
     # Four interval lengths and two rectangles, each enumerated once; the
-    # items past the size limit do not keep their domain from the others.
+    # items past the size limit do not keep their domain from the others,
+    # and the long interval, with no item within it, is never enumerated.
     assert len(enumerated) == len(set(enumerated)) == 6
-    assert set(enumerated) == {model.domain for model in models.values()}
+    domains = {model.domain for model in models.values()}
+    assert set(enumerated) == domains - {models["long interval"].domain}
     assert len(batch) == len(models)
     for (name, model), verdict in zip(models.items(), batch):
         assert_identical(verdict, existence_verdict(model), name)
@@ -636,11 +689,6 @@ def test_batch_verdicts_equal_one_model_verdicts(monkeypatch):
             _, V = np.linalg.eig(model.A(u) / model.d_A(u)[:, None])
             kinds.append(V.dtype.kind)
     assert kinds == ["f", "c"]
-    # The real item's kappa_V changes if its V is taken complex, as the
-    # stacked eig returns it, so the comparison above sees the dtype rule.
-    u = batch[2].index_reports[0].u_star
-    _, V = np.linalg.eig(models["m = 3"].A(u) / models["m = 3"].d_A(u)[:, None])
-    assert np.linalg.cond(V, 2) != np.linalg.cond(V.astype(complex), 2)
     assert batch[6].index_reports[0].mode_decisions.modes.M[0] == 2
     # The stacked flux matrices are Model.A to the bit.
     for model, verdict in zip(models.values(), batch):
