@@ -435,6 +435,8 @@ _ROW_COLUMNS = (
     "cause",
     "error",
 )
+# The columns of an error row before its message.
+_ERROR_ROW = ("",) * (len(_ROW_COLUMNS) - 1)
 
 
 def _batch_verdicts(models: list[Model]) -> list[ExistenceVerdict | Exception]:
@@ -452,54 +454,44 @@ def _sweep_rows(
     config: dict,
     params: list[tuple[str, tuple[str | int, ...]]],
     combos: list[tuple[float, ...]],
-) -> list[dict]:
-    """One CSV row per sweep point, in order.
+) -> list[tuple]:
+    """One CSV row per sweep point, in order, each a tuple in column order.
 
     The first point that builds is built from ``config`` with its values
-    written in, by :func:`build_model`; every later point is that model
-    with the ``--param`` entries replaced (:func:`replace_entries`), so
+    written in, by :func:`build_model`; every later point is built from
+    that model in one checked batch (:func:`replace_entries`), so
     ``config`` need not be valid at the swept entries.  Every point is
     decided by one :func:`existence_verdicts` batch, so the kinetic work
     runs once per distinct ``(m, r, c)``.  A point whose model cannot be
     built or decided gets an error row.
     """
     keys = [k for _, k in params]
-    rows: list[dict] = []
-    built: list[tuple[dict, Model]] = []
-    base: Model | None = None
-    for combo in combos:
-        row: dict[str, Any] = {path: value for (path, _), value in zip(params, combo)}
-        rows.append(row)
+    outcomes: list[Model | Exception] = []
+    for i, combo in enumerate(combos):
+        point = config
+        for point_keys, value in zip(keys, combo):
+            point = _with_value(point, point_keys, value)
         try:
-            if base is None:
-                point = config
-                for point_keys, value in zip(keys, combo):
-                    point = _with_value(point, point_keys, value)
-                model = base = build_model(point)
-            else:
-                model = replace_entries(base, zip(keys, combo))
-            built.append((row, model))
+            base = build_model(point)
         except _POINT_ERRORS as exc:
-            row.update(dict.fromkeys(_ROW_COLUMNS, ""), error=str(exc))
-    outcomes = _batch_verdicts([model for _, model in built])
-    for (row, _), verdict in zip(built, outcomes):
+            outcomes.append(exc)
+            continue
+        outcomes.append(base)
+        outcomes += replace_entries(base, keys, combos[i + 1 :])
+        break
+    verdicts = iter(_batch_verdicts([o for o in outcomes if isinstance(o, Model)]))
+    rows: list[tuple] = []
+    for combo, outcome in zip(combos, outcomes):
+        verdict = next(verdicts) if isinstance(outcome, Model) else outcome
         if isinstance(verdict, Exception):
-            row.update(dict.fromkeys(_ROW_COLUMNS, ""), error=str(verdict))
+            rows.append((*combo, *_ERROR_ROW, str(verdict)))
             continue
         n_states = len(verdict.boundary) + len(verdict.nontrivial_constant_indices)
-        row.update(
-            {
-                "n_states": n_states,
-                "case_label": verdict.case_label,
-                "total": "" if verdict.total is None else verdict.total,
-                "predicts_nonconstant": ""
-                if verdict.predicts_nonconstant is None
-                else verdict.predicts_nonconstant,
-                "inconclusive": verdict.inconclusive,
-                "cause": verdict.cause or "",
-                "error": "",
-            }
-        )
+        # csv.writer writes None as an empty field.
+        rows.append((
+            *combo, n_states, verdict.case_label, verdict.total,
+            verdict.predicts_nonconstant, verdict.inconclusive, verdict.cause, "",
+        ))
     return rows
 
 
@@ -534,10 +526,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     columns = [path for path, _ in params] + list(_ROW_COLUMNS)
     with open(args.output, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
     print(f"swept {len(rows)} points across {len(params)} parameters")
     print(f"sweep written to {args.output}")
     print(f"timing sweep: {elapsed:.3f} s")

@@ -10,10 +10,9 @@ of shape ``(..., m, m)``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -84,6 +83,74 @@ def _readonly(arr: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
+# The array fields of a Model, in the order _field_errors takes them.
+_ARRAYS = ("d", "alpha", "r", "c")
+
+
+def _field_errors(
+    m: NDArray[Any],
+    d: NDArray[np.float64],
+    alpha: NDArray[np.float64],
+    r: NDArray[np.float64],
+    c: NDArray[np.float64],
+) -> list[str | None]:
+    """:class:`Model`'s checks over a batch of points: per point, the
+    message of the first check it fails, or ``None`` if it passes them all.
+
+    ``d``, ``alpha``, ``r`` and ``c`` are float stacks with the points on
+    their leading axis, and ``m`` holds each point's species count.
+    """
+    points = len(m)
+    if not points:
+        return []
+
+    def right_shape(arr: NDArray[np.float64], ndim: int) -> NDArray[np.bool_]:
+        sizes = set(arr.shape[1:])
+        if arr.ndim != ndim + 1 or len(sizes) != 1:
+            return np.zeros(points, dtype=bool)
+        return m == sizes.pop()
+
+    flat_d, flat_alpha, flat_r, flat_c = (
+        arr.reshape(points, -1) for arr in (d, alpha, r, c)
+    )
+    # One boolean per point for each check, true where the point passes,
+    # in the order the checks run.
+    checks = [
+        (right_shape(d, 1), lambda k: f"d must have shape ({m[k]},), got {d.shape[1:]}"),
+        (right_shape(r, 1), lambda k: f"r must have shape ({m[k]},), got {r.shape[1:]}"),
+        (
+            right_shape(alpha, 2),
+            lambda k: f"alpha must have shape ({m[k]}, {m[k]}), got {alpha.shape[1:]}",
+        ),
+        (
+            right_shape(c, 2),
+            lambda k: f"c must have shape ({m[k]}, {m[k]}), got {c.shape[1:]}",
+        ),
+        # After the shapes, so that a bad m gets the message build_model gives it.
+        (m >= 1, lambda k: f"m must be >= 1, got {m[k]}"),
+        (np.isfinite(flat_d).all(axis=1), lambda k: "d contains non-finite entries"),
+        (
+            np.isfinite(flat_alpha).all(axis=1),
+            lambda k: "alpha contains non-finite entries",
+        ),
+        (np.isfinite(flat_r).all(axis=1), lambda k: "r contains non-finite entries"),
+        (np.isfinite(flat_c).all(axis=1), lambda k: "c contains non-finite entries"),
+        (
+            (flat_d > 0).all(axis=1),
+            lambda k: f"diffusion rates d must be strictly positive, got {d[k]}",
+        ),
+        (
+            (flat_alpha >= 0).all(axis=1),
+            lambda k: f"alpha coefficients must be nonnegative, got {alpha[k]}",
+        ),
+    ]
+    passed = np.array([passes for passes, _ in checks])
+    errors: list[str | None] = [None] * points
+    for k in np.flatnonzero(~passed.all(axis=0)).tolist():
+        errors[k] = checks[passed[:, k].argmin()][1](k)
+    return errors
+
+
 @dataclass(frozen=True)
 class Model:
     """Cross-diffusion model with Lotka-Volterra reactions.
@@ -108,34 +175,20 @@ class Model:
     bc: BoundaryCondition = field(default_factory=BoundaryCondition)
 
     def __post_init__(self) -> None:
-        d = _readonly(self.d)
-        alpha = _readonly(self.alpha)
-        r = _readonly(self.r)
-        c = _readonly(self.c)
-        if d.shape != (self.m,):
-            raise ConfigError(f"d must have shape ({self.m},), got {d.shape}")
-        if r.shape != (self.m,):
-            raise ConfigError(f"r must have shape ({self.m},), got {r.shape}")
-        if alpha.shape != (self.m, self.m):
-            raise ConfigError(
-                f"alpha must have shape ({self.m}, {self.m}), got {alpha.shape}"
-            )
-        if c.shape != (self.m, self.m):
-            raise ConfigError(f"c must have shape ({self.m}, {self.m}), got {c.shape}")
-        # After the shapes, so that a bad m gets the message build_model gives it.
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        for name, arr in (("d", d), ("alpha", alpha), ("r", r), ("c", c)):
-            if not np.isfinite(arr).all():
-                raise ConfigError(f"{name} contains non-finite entries")
-        if (d <= 0).any():
-            raise ConfigError(f"diffusion rates d must be strictly positive, got {d}")
-        if (alpha < 0).any():
-            raise ConfigError(f"alpha coefficients must be nonnegative, got {alpha}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", c)
+        arrays = [_readonly(getattr(self, name)) for name in _ARRAYS]
+        (error,) = _field_errors(np.array([self.m]), *(arr[None] for arr in arrays))
+        if error is not None:
+            raise ConfigError(error)
+        for name, arr in zip(_ARRAYS, arrays):
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _checked(cls, **values: Any) -> "Model":
+        """A model of field values that have passed its checks, set
+        without running them again; every field must be given."""
+        model = object.__new__(cls)
+        model.__dict__.update({name: values[name] for name in _MODEL_FIELDS})
+        return model
 
     # -- evaluation -----------------------------------------------------
 
@@ -210,6 +263,9 @@ class Model:
         }
 
 
+# Every field Model._checked sets, in declaration order.
+_MODEL_FIELDS = tuple(f.name for f in fields(Model))
+
 _CONFIG_KEYS = {"m", "d", "alpha", "r", "c", "domain", "bc"}
 _DOMAIN_KEYS = {"kind", "lengths"}
 
@@ -271,42 +327,78 @@ def _species_count(value: Any) -> int:
 
 
 def replace_entries(
-    model: Model, entries: Iterable[tuple[Sequence[str | int], float]]
-) -> Model:
-    """``model`` with numeric config entries replaced, checked as
-    :func:`build_model` checks them.
+    model: Model,
+    keys: Sequence[Sequence[str | int]],
+    points: Sequence[Sequence[float]],
+) -> list[Model | ConfigError]:
+    """``model`` with numeric config entries replaced, once per point,
+    each point checked as :func:`build_model` checks its config.
 
-    Each entry is the key path of a numeric entry of ``model.to_config()``
+    ``keys`` are key paths of numeric entries of ``model.to_config()``
     -- ``("m",)``, ``("d", i)``, ``("alpha", i, j)``, ``("r", i)``,
-    ``("c", i, j)`` or ``("domain", "lengths", i)`` -- and its new value.
-    A model that :func:`build_model` would reject raises the error it
-    would raise, with its message.
+    ``("c", i, j)`` or ``("domain", "lengths", i)`` -- and each point
+    gives one value per path.  The values are written into one
+    read-only stack per array field, whose rows become the points'
+    arrays, and every point is checked by one pass of :class:`Model`'s
+    checks over the stacks; a swept domain or ``m`` is checked point by
+    point.  A point that :func:`build_model` would reject gets
+    the error it would raise, with its message, in place of its model.
     """
-    arrays: dict[str, NDArray[np.float64]] = {}
-    lengths: list[float] | None = None
-    m = None
-    for keys, value in entries:
-        name, *index = keys
-        if name == "domain" and index[0] == "lengths":
+    values = np.array(points, dtype=float).reshape(len(points), len(keys))
+    count = len(values)
+    stacks = {name: np.repeat(getattr(model, name)[None], count, 0) for name in _ARRAYS}
+    lengths: NDArray[np.float64] | None = None
+    m_values: NDArray[np.float64] | None = None
+    for column, (name, *index) in zip(values.T, keys):
+        if name == "domain" and len(index) == 2 and index[0] == "lengths":
             if lengths is None:
-                lengths = list(model.domain.lengths)
-            lengths[index[1]] = value
+                lengths = np.repeat([model.domain.lengths], count, 0)
+            lengths[:, index[1]] = column
         elif name == "m" and not index:
-            m = value
-        elif name in ("d", "alpha", "r", "c"):
-            if name not in arrays:
-                arrays[name] = getattr(model, name).copy()
-            arrays[name][tuple(index)] = value
+            m_values = column
+        elif name in stacks and len(index) == stacks[name].ndim - 1:
+            stacks[name][(slice(None), *index)] = column
         else:
-            raise ConfigError(f"no numeric config entry at {tuple(keys)!r}")
-    fields: dict[str, Any] = dict(arrays)
-    # Checked in build_model's order: the domain, then m, then the arrays
-    # (by Model.__post_init__).
+            raise ConfigError(f"no numeric config entry at {(name, *index)!r}")
+    for stack in stacks.values():
+        stack.setflags(write=False)
+
+    # build_model checks the domain first, then m, then the arrays.
+    ms: list[int | str] = [model.m] * count
+    m_column = np.full(count, model.m)
+    if m_values is not None:
+        ms = [_message_or(_species_count, value) for value in m_values.tolist()]
+        m_column = np.array([model.m if isinstance(m, str) else m for m in ms])
+    errors = _field_errors(m_column, *stacks.values())
+    if m_values is not None:
+        errors = [m if isinstance(m, str) else error for m, error in zip(ms, errors)]
+    domains: list[Domain | str] = [model.domain] * count
     if lengths is not None:
-        fields["domain"] = Domain(kind=model.domain.kind, lengths=tuple(lengths))
-    if m is not None:
-        fields["m"] = _species_count(m)
-    return dataclasses.replace(model, **fields)
+        domains = [
+            _message_or(lambda row: Domain(kind=model.domain.kind, lengths=row), row)
+            for row in lengths.tolist()
+        ]
+        errors = [
+            dom if isinstance(dom, str) else error for dom, error in zip(domains, errors)
+        ]
+
+    built: list[Model | ConfigError] = []
+    for error, m, domain, d, alpha, r, c in zip(errors, ms, domains, *stacks.values()):
+        if error is not None:
+            built.append(ConfigError(error))
+        else:
+            built.append(
+                Model._checked(m=m, d=d, alpha=alpha, r=r, c=c, domain=domain, bc=model.bc)
+            )
+    return built
+
+
+def _message_or(make: Callable[[Any], Any], value: Any) -> Any:
+    """``make(value)``, or the message of the :class:`ConfigError` it raises."""
+    try:
+        return make(value)
+    except ConfigError as exc:
+        return str(exc)
 
 
 @dataclass(frozen=True)

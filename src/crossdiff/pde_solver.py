@@ -65,6 +65,7 @@ from scipy.sparse.linalg import splu
 from .index_theory import negative_counts
 from .model import ConfigError, Domain, Model, ModelError
 from .spectral import eigenfunction, neumann_eigenvalues
+from .steady_states import TOL_SIGN
 
 TOL_NEWTON = 1e-10
 TOL_ZERO = 1e-8
@@ -501,6 +502,15 @@ def _finalize(
         warns.append(f"species {i + 1} present in the seed vanished from the solution")
     for i in np.flatnonzero((seed_max < TOL_ZERO) & (comp_max >= TOL_ZERO)):
         warns.append(f"species {i + 1} absent from the seed is present in the solution")
+    if model.bc.kind == "neumann" and classification in ("trivial", "semitrivial-constant"):
+        # The growth sign semitrivial_stability reads: an absent species
+        # that grows at the answer invades it.
+        growth = model.g(values.reshape(-1, model.m).mean(axis=0))
+        for i in np.flatnonzero((comp_max < TOL_ZERO) & (growth > TOL_SIGN)):
+            warns.append(
+                f"species {i + 1} absent from the solution can invade it: "
+                f"g_{i + 1} = {growth[i]:.3e} > 0 at its mean"
+            )
     return SolveResult(
         field=DiscreteField(grid=grid, values=values),
         converged=run.failure is None,

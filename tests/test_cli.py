@@ -266,18 +266,34 @@ def test_solve_writes_report_and_field_csv(tmp_path, capsys):
     assert float(rows[1][1]) == pytest.approx(10.0 / 17.0, abs=1e-9)
 
 
+def solve_result(tmp_path, config, seed, route):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "s.json"
+    argv = ["solve", "--config", cfg, "--output", str(out), "--grid", "32"]
+    assert cli.main(argv + ["--seed-constant", seed] + route) == 0
+    return json.loads(out.read_text())["result"]
+
+
 @pytest.mark.parametrize("route", [["--no-homotopy"], []], ids=["newton", "continuation"])
 def test_solve_from_an_absent_species_keeps_its_support(tmp_path, route):
-    # Species 1 could invade u = (0, 1) (its growth rate there is 1/2), but
     # u_1 = 0 is invariant and Newton maps u_1 = 1e-9 to O(1e-18): the
     # answer is the semitrivial state, whose support is the seed's, so no
     # support warning is due.  A solve that does change the support warns
-    # (test_pde_solver: test_newton_warns_when_a_species_appears).
-    cfg = write_config(tmp_path, WEAK_LV)
-    out = tmp_path / "s.json"
-    argv = ["solve", "--config", cfg, "--output", str(out), "--grid", "32"]
-    assert cli.main(argv + ["--seed-constant", "1e-9,1"] + route) == 0
-    result = json.loads(out.read_text())["result"]
+    # (test_pde_solver: test_newton_warns_when_a_species_appears).  But
+    # species 1 grows at rate 1/2 at u = (0, 1), so the answer is invadable
+    # and says so, once.
+    result = solve_result(tmp_path, WEAK_LV, "1e-9,1", route)
+    assert result["classification"] == "semitrivial-constant"
+    assert result["warnings"] == [
+        "species 1 absent from the solution can invade it: g_1 = 5.000e-01 > 0 at its mean"
+    ]
+
+
+@pytest.mark.parametrize("route", [["--no-homotopy"], []], ids=["newton", "continuation"])
+def test_solve_on_a_face_no_absent_species_invades_gives_no_warning(tmp_path, route):
+    # Strong competition: species 1 declines at rate 1 at u = (0, 1).
+    config = dict(WEAK_LV, c=[[1.0, 2.0], [2.0, 1.0]])
+    result = solve_result(tmp_path, config, "1e-9,1", route)
     assert result["classification"] == "semitrivial-constant"
     assert result["warnings"] == []
 
@@ -853,6 +869,25 @@ def test_sweep_ledger_work_is_logarithmic_in_its_points(tmp_path, monkeypatch):
     assert calls["lattice_edge"] == 2
     sizes = [shape[-1] for shape in calls["negative_counts"]]
     assert len(sizes) == len(set(sizes)) >= 1
+
+
+def test_sweep_checks_its_points_in_one_batch(tmp_path, monkeypatch):
+    # Only the first point is built by build_model; the other 575 are
+    # checked together and assembled without running Model.__post_init__.
+    from crossdiff.model import Model
+
+    calls = []
+    post_init = Model.__post_init__
+
+    def counted(self):
+        calls.append(self.m)
+        post_init(self)
+
+    monkeypatch.setattr(Model, "__post_init__", counted)
+    cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
+    rows = sweep_rows(tmp_path, cfg, ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], "s.csv")
+    assert len(rows) == 576 and all(row["error"] == "" for row in rows)
+    assert len(calls) <= 1
 
 
 def test_sweep_bad_param_spec(tmp_path, capsys):

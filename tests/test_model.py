@@ -179,6 +179,13 @@ def with_entry(config, keys, value):
     return point
 
 
+def assert_point_arrays_are_fresh(point, base):
+    for name in ("d", "alpha", "r", "c"):
+        arr = getattr(point, name)
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert arr is not getattr(base, name)
+
+
 @pytest.mark.parametrize(
     "entries",
     [
@@ -195,31 +202,74 @@ def test_replace_entries_equals_build_model_of_the_replaced_config(entries):
     for keys, value in entries:
         config = with_entry(config, keys, value)
     expected = build_model(config)
-    model = replace_entries(base, entries)
+    keys, values = zip(*entries)
+    (model,) = replace_entries(base, keys, [values])
     assert model.to_config() == expected.to_config()
-    for name in ("d", "alpha", "r", "c"):
-        arr = getattr(model, name)
-        assert arr.dtype == np.float64 and not arr.flags.writeable
-        assert arr is not getattr(base, name)
+    # Every attribute build_model sets, not only those to_config reads.
+    assert vars(model).keys() == vars(expected).keys()
+    assert_point_arrays_are_fresh(model, base)
     assert base.to_config() == build_model(rect_config()).to_config()
 
 
-@pytest.mark.parametrize(
-    "keys, value",
-    [
-        (("d", 1), 0.0), (("d", 0), float("nan")), (("alpha", 0, 1), -1.0),
-        (("r", 0), float("inf")), (("domain", "lengths", 0), 1e-300),
-        (("domain", "lengths", 1), -2.0), (("m",), 3.0), (("m",), 0.0),
-        (("m",), -1.0), (("m",), float("nan")), (("m",), float("inf")),
-    ],
-)
-def test_replace_entries_raises_what_build_model_raises(keys, value):
-    config = rect_config()
+FAILING_ENTRIES = [
+    (("d", 1), 0.0), (("d", 0), float("nan")), (("alpha", 0, 1), -1.0),
+    (("r", 0), float("inf")), (("domain", "lengths", 0), 1e-300),
+    (("domain", "lengths", 1), -2.0), (("m",), 3.0), (("m",), 0.0),
+    (("m",), -1.0), (("m",), float("nan")), (("m",), float("inf")),
+]
+
+
+def build_model_message(config):
     with pytest.raises(ConfigError) as built:
-        build_model(with_entry(config, keys, value))
-    with pytest.raises(ConfigError) as replaced:
-        replace_entries(build_model(config), [(keys, value)])
-    assert str(replaced.value) == str(built.value)
+        build_model(config)
+    return str(built.value)
+
+
+@pytest.mark.parametrize("keys, value", FAILING_ENTRIES)
+def test_replace_entries_raises_what_build_model_raises(keys, value):
+    # The point's error comes back in place of its model, not raised.
+    config = rect_config()
+    (replaced,) = replace_entries(build_model(config), [keys], [(value,)])
+    assert isinstance(replaced, ConfigError)
+    assert str(replaced) == build_model_message(with_entry(config, keys, value))
+
+
+def test_replace_entries_checks_a_mixed_batch_point_by_point():
+    # Every key of the failing entries swept at once: each point sets one
+    # failing value or none, and every other key keeps a valid value that
+    # differs from the base's, so each point is checked on its own row.
+    config = rect_config()
+    base = build_model(config)
+    keys = list(dict.fromkeys(keys for keys, _ in FAILING_ENTRIES))
+    valid = {
+        ("d", 1): 0.8, ("d", 0): 0.07, ("alpha", 0, 1): 0.6, ("r", 0): 1.5,
+        ("domain", "lengths", 0): 2.5, ("domain", "lengths", 1): 3.5, ("m",): 2.0,
+    }
+    points, configs = [], []
+    for failing in [None, *FAILING_ENTRIES, None, None]:
+        point = dict(valid)
+        point[("d", 1)] += 0.01 * len(points)
+        if failing is not None:
+            point[failing[0]] = failing[1]
+        point_config = config
+        for key in keys:
+            point_config = with_entry(point_config, key, point[key])
+        points.append(tuple(point[key] for key in keys))
+        configs.append(point_config)
+    built = replace_entries(base, keys, points)
+    assert len(built) == len(points)
+    failed = 0
+    for point, point_config in zip(built, configs):
+        if isinstance(point, ConfigError):
+            failed += 1
+            assert str(point) == build_model_message(point_config)
+        else:
+            expected = build_model(point_config)
+            assert point.to_config() == expected.to_config()
+            assert vars(point).keys() == vars(expected).keys()
+            assert_point_arrays_are_fresh(point, base)
+    assert failed == len(FAILING_ENTRIES)
+    assert base.to_config() == build_model(rect_config()).to_config()
 
 
 @pytest.mark.parametrize("owner", ["view", "owner"])
