@@ -3,10 +3,11 @@
 The package revolves around a population model with flux matrix
 ``A(u) = dP/du`` for ``P_i(u) = u_i * (d_i + sum_j alpha_ij u_j)`` and
 Lotka-Volterra reactions ``f_i(u) = u_i * (r_i - sum_j c_ij u_j)``.  It
-enumerates constant steady states, computes local fixed-point indices
-mode by mode, issues existence verdicts for nonconstant positive
-solutions, and confirms or refutes those verdicts with a nonlinear
-finite-difference solver plus homotopy continuation.
+enumerates constant steady states, computes their local fixed-point
+indices from the real roots of ``det(lambda A(u*) - J(u*))``, issues
+existence verdicts for nonconstant positive solutions, and confirms or
+refutes those verdicts with a nonlinear finite-difference solver plus
+homotopy continuation.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ from .spectral import (
     spectrum_through,
 )
 from .index_theory import (
-    CutoffError,
     ExistenceVerdict,
     IndexReport,
-    ModeDecisions,
     StabilityVerdict,
     constant_state_index,
     existence_verdict,
@@ -76,7 +75,6 @@ __all__ = [
     "BoundaryCondition",
     "ConfigError",
     "ConstantState",
-    "CutoffError",
     "DiagnosticsReport",
     "DiscreteField",
     "DiscreteSystem",
@@ -85,7 +83,6 @@ __all__ = [
     "ExistenceVerdict",
     "Grid",
     "IndexReport",
-    "ModeDecisions",
     "ModeSpectrum",
     "Model",
     "ModelError",

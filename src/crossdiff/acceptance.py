@@ -170,7 +170,7 @@ def criterion_1() -> CriterionResult:
             if parity != report.index:
                 return CriterionResult(
                     1, "index-parity-oracle", False,
-                    f"parity mismatch: index={report.index} (gamma={report.gamma}), "
+                    f"parity mismatch: index={report.index} (sigma={report.sigma}), "
                     f"oracle count={count} at k={k:.3g} (m={model.m})",
                 )
         worst_time = max(worst_time, time.perf_counter() - t0)
@@ -235,16 +235,18 @@ def criterion_4() -> CriterionResult:
         )
     )
     report = constant_state_index(diag_model, np.ones(2))
-    # J(u*) = diag(2, -1): det(-J) = -2 flips the sign of (-1)^gamma.
-    diag_ok = report.gamma == 1 and report.index == 1
+    # A(u*) = I and J(u*) = diag(2, -1): the roots are -1 and 2, and p < 0
+    # on [0, 2), which holds the constant mode and mode 1 (lambda_hat = 1).
+    diag_negative = [(int(r["first_mode"]), int(r["modes"])) for r in report.negative]
+    diag_ok = report.sigma == 2 and diag_negative == [(0, 2)] and report.index == 1
 
     logistic = build_model(_logistic_config())
     log_report = constant_state_index(logistic, np.ones(1))
-    log_ok = log_report.gamma == 0 and log_report.index == 1
+    log_ok = log_report.sigma == 0 and not log_report.negative.size and log_report.index == 1
     return CriterionResult(
         4, "worked-diagonal-index", diag_ok and log_ok,
-        f"diagonal case gamma={report.gamma} index={report.index}; "
-        f"logistic gamma={log_report.gamma} index={log_report.index}",
+        f"diagonal case sigma={report.sigma} p<0 (first mode, modes)={diag_negative} "
+        f"index={report.index}; logistic sigma={log_report.sigma} index={log_report.index}",
     )
 
 
@@ -256,16 +258,18 @@ def criterion_5() -> CriterionResult:
         r for r in verdict.index_reports
         if np.allclose(r.u_star, [1.0, 1.0])
     )
-    unstable = np.flatnonzero(report.mode_decisions.N >= 1)
-    if verdict.predicts_nonconstant is not True or not unstable.size:
+    # The first nonconstant mode where p(lambda_hat) < 0.
+    unstable = [
+        int(r["first_mode"]) for r in report.negative if r["first_mode"] >= 1 and r["modes"]
+    ]
+    if verdict.predicts_nonconstant is not True or not unstable:
         return CriterionResult(
             5, "pattern-pipeline", False,
             f"verdict predicts {verdict.predicts_nonconstant}, "
-            f"{unstable.size} unstable modes",
+            f"{len(unstable)} unstable modes",
         )
     grid = make_grid(model.domain, 128)
-    # Row i of the ledger is mode number i + 1.
-    seed = seed_from_mode(model, report.u_star, int(unstable[0]) + 1, 1.5, grid)
+    seed = seed_from_mode(model, report.u_star, unstable[0], 1.5, grid)
     result = newton_solve(model, grid, seed)
     passed = (
         result.converged
@@ -412,7 +416,7 @@ def criterion_9() -> CriterionResult:
         cfg["c"] = [[s * v for v in row] for row in cfg["c"]]
         scaled = constant_state_index(build_model(cfg), np.ones(2))
         scaling_ok = scaling_ok and (
-            scaled.gamma == base_report.gamma and scaled.index == base_report.index
+            scaled.sigma == base_report.sigma and scaled.index == base_report.index
         )
 
     grid = make_grid(base.domain, 64)

@@ -27,7 +27,6 @@ from . import __version__
 from .diagnostics import ball_radii, diagnostics_report
 from .index_theory import (
     ExistenceVerdict,
-    ModeDecisions,
     existence_verdict,
     existence_verdicts,
 )
@@ -59,20 +58,12 @@ EXIT_INCONCLUSIVE = 2
 EXIT_SOLVER = 3
 
 
-# The keys of one mode's record in a report, in the order _jsonify zips its fields.
-_MODE_RECORD = (
-    "lambda_hat", "M", "mode_indices", "A_i", "eigs", "N_i", "margin", "degenerate",
-    "warnings",
-)
-
-
 def _jsonify(obj: Any) -> Any:
     """Recursively convert reports to JSON-compatible structures.
 
-    Arrays become nested lists, complex numbers ``[re, im]`` pairs, and
-    dataclasses dictionaries keyed by field name.  A state's
-    :class:`ModeDecisions` becomes one record per mode, whose ``eigs``
-    are plain floats when every imaginary part of that row is zero.
+    Arrays become nested lists (a record array, such as an index
+    report's ``roots``, one dictionary per record), complex numbers
+    ``[re, im]`` pairs, and dataclasses dictionaries keyed by field name.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -88,17 +79,8 @@ def _jsonify(obj: Any) -> Any:
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
         if obj.dtype.names:
-            # A record array, such as the nondegeneracy test: one dict per record.
             return [_jsonify(dict(zip(obj.dtype.names, row))) for row in obj.tolist()]
         return _jsonify(obj.tolist())
-    if isinstance(obj, ModeDecisions):
-        modes = obj.modes
-        rows = zip(
-            modes.values.tolist(), modes.M.tolist(), modes.mode_indices(), obj.A_i,
-            [eigs if eigs.imag.any() else eigs.real for eigs in obj.eigs],
-            obj.N.tolist(), obj.margin.tolist(), obj.degenerate.tolist(), obj.warnings,
-        )
-        return [_jsonify(dict(zip(_MODE_RECORD, row))) for row in rows]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

@@ -1,59 +1,54 @@
 """Local fixed-point indices of constant states and existence verdicts.
 
-At a nondegenerate positive constant state the local index is
-``sign det(-J(u*)) * (-1)^gamma`` with ``gamma = sum_i N_i M_i`` over the
-nonzero Neumann modes: ``N_i`` counts the real negative eigenvalues of
-``d_A(u*)^{-1} (A(u*) - lambda_i^{-1} J(u*))`` and ``M_i`` is the
-eigenvalue multiplicity.  The sign is the constant mode's factor, the
-determinant ``det(lambda A(u*) - J(u*))`` at ``lambda = 0``.  A
-resolvent bound from the eigenvalues of ``d_A(u*)^{-1} A(u*)`` and its
-departure from normality certifies that all modes beyond a finite
-cutoff contribute nothing.  Boundary (trivial and
-semitrivial) states are handled by sign criteria on the per-capita
-growth of the vanishing components, and the verdict compares the total
-degree against 1.
+At a positive constant state ``u*`` let ``p(lambda) = det(lambda A(u*) -
+J(u*))``.  Its roots ``mu_j`` are the eigenvalues of ``A(u*)^{-1}
+J(u*)``.  At a Neumann eigenvalue ``lambda_k > 0`` the sign of
+``p(lambda_k)`` is ``(-1)^{N_k}``, where ``N_k`` counts the real negative
+eigenvalues of ``d_A(u*)^{-1} (A(u*) - J(u*) / lambda_k)``; at
+``lambda_0 = 0`` it is the constant mode's factor ``sign det(-J(u*))``.
+The local index of a nondegenerate state is the product of
+``sign p(lambda_k)^{M_k}`` over the whole spectrum, ``M_k`` the
+multiplicities.  When every eigenvalue of ``d_A^{-1} A(u*)`` has a
+positive real part, ``det A(u*) > 0`` and ``p > 0`` past its largest real
+root, so only finitely many factors are negative, and the product is
+
+    index = (-1)^sigma,   sigma = sum_j N(mu_j)   over the real mu_j,
+
+with ``N(mu)`` the number of Neumann eigenvalues below ``mu``, counted
+with multiplicity and 0 included (Pang & Wang, J. Differential Equations
+200, 2004; Lou & Ni, J. Differential Equations 131, 1996).  On an
+interval ``N(mu) = ceil(L sqrt(mu) / pi)``; on a rectangle it is one such
+count per lattice column.  The state is degenerate exactly when a real
+root is a Neumann eigenvalue, 0 included, so the degeneracy test is each
+root's distance to the nearest one, relative to the largest ``|mu_j|``,
+against :data:`TOL_DEGENERATE`.  Boundary (trivial and semitrivial)
+states are handled by sign criteria on the per-capita growth of the
+vanishing components, and the verdict compares the total degree
+against 1.
 
 :func:`existence_verdicts` decides a batch of models in one pass.  The
 work that depends only on the kinetics ``(m, r, c)`` -- constant states,
 boundary growth signs, the case label and ``J(u*)`` -- is done once per
-distinct kinetics.  The work that depends on ``d``, ``alpha`` or the
-domain runs in stages over the arrays of a :class:`_Batch`, row ``k``
-for (model, positive state) item ``k``, and over its :class:`_Group` of
-each species count, whose matrices stack:
-
-* :func:`_certify`: the cutoff certificate, one ``eigvals`` over
-  ``d_A^{-1} A(u*)``;
-* :func:`_spectra`: the spectrum of every distinct domain, enumerated
-  once through the largest bound among its items that pass the size
-  limit, which is bisected over the sorted bounds; each item takes its
-  prefix;
-* :func:`_decide`: one stack of every item's mode matrices and one
-  :func:`negative_counts` call;
-* :func:`_cutoff` and :func:`_nondegeneracy`: the modes past each
-  item's cutoff, by a row mask, and one stacked ``det``;
-* :func:`_reports`: overflow, warnings and ``gamma`` by row masks and
-  one ``reduceat`` per quantity over the items' runs of rows, then each
-  item's :class:`IndexReport` in one step.
-
-Python loops over modes only to write a report's warnings, for the items
-that have any.  A failure stays with its item and becomes the cause of
-that model's verdict.  :func:`existence_verdict` and
-:func:`constant_state_index` run the same code on one item.  A state's
-per-mode counts stay arrays from the stacked ``eigvals`` to its
-:class:`IndexReport`: one :class:`ModeDecisions` per state.
+distinct kinetics.  Every (model, positive state) item of one species
+count is then decided by one stacked kernel, :func:`_decide_run`: one
+``eigvals`` of ``d_A^{-1} A(u*)`` (ellipticity), one ``eigvals`` of
+``solve(A(u*), J(u*))`` (the roots), the counts and gaps of all roots in
+closed form, and each item's :class:`IndexReport` as views of the
+kernel's record arrays.  A failure stays with its item and becomes the
+cause of that model's verdict.  :func:`existence_verdict` and
+:func:`constant_state_index` run the same code on one item.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import Domain, Model, ModelError
-from .spectral import ModeSpectrum, lattice_edge, spectrum_through
+from .model import ConfigError, Model, ModelError
+from .spectral import spectrum_through
 from .steady_states import (
     ConstantState,
     StateEnumeration,
@@ -62,16 +57,20 @@ from .steady_states import (
 )
 
 TOL_DEGENERATE = 1e-8
-SCAN_EXTRA = 3
-# One record of the determinant test per spectrum value: an index
-# report's ``certificate["nondegeneracy"]``.
-NONDEGENERACY = np.dtype(
-    [("lambda_hat", np.float64), ("det", np.float64), ("scale", np.float64), ("ok", np.bool_)]
+# Most Neumann eigenvalues that may lie below a root.  Near a root with
+# more, the eigenvalues are spaced about TOL_DEGENERATE times the root
+# apart, so no gap would pass the degeneracy test; the counts also stay
+# exact integers.
+MAX_COUNT = 10**8
+# One record per root of p: an index report's ``roots``.
+ROOT = np.dtype(
+    [("mu", np.float64), ("imag", np.float64), ("real", np.bool_), ("count", np.int64),
+     ("gap", np.float64)]
 )
-
-
-class CutoffError(ModelError):
-    """The mode cutoff cannot be certified for this state."""
+# One record per interval of lambda >= 0 where p < 0: an index report's ``negative``.
+NEGATIVE = np.dtype(
+    [("lo", np.float64), ("hi", np.float64), ("first_mode", np.int64), ("modes", np.int64)]
+)
 
 
 class NegativeCounts(NamedTuple):
@@ -141,47 +140,35 @@ def negative_counts(stack: NDArray[np.float64]) -> NegativeCounts:
     )
 
 
-@dataclass(frozen=True)
-class ModeDecisions:
-    """The per-mode ingredients of one state's index, as arrays.
-
-    Row ``i`` belongs to value ``i`` of ``modes``, the spectrum slice the
-    ledger decided (``modes.values`` are the ``lambda_hat``, ``modes.M``
-    their multiplicities): ``A_i[i] = A(u*) - J(u*) / lambda_hat_i`` and
-    the count ``N[i]`` of ``d_A^{-1} A_i[i]``, with its ``eigs``,
-    ``margin``, ``degenerate`` flag and ``warnings``.
-    """
-
-    modes: ModeSpectrum
-    A_i: NDArray[np.float64]
-    N: NDArray[np.intp]
-    eigs: NDArray[np.complex128]
-    margin: NDArray[np.float64]
-    degenerate: NDArray[np.bool_]
-    warnings: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexReport:
     """Local fixed-point index of a positive constant state.
 
-    ``index`` is ``sign det(-J(u*)) * (-1)^gamma`` and is only claimed
-    when every retained mode is decidable and the nondegeneracy
-    determinant test passes; otherwise ``index`` is ``None`` and
+    ``roots`` holds one :data:`ROOT` record per root ``mu_j`` of ``p``,
+    ascending by real part, then imaginary part: ``mu`` and ``imag`` are
+    its parts, ``real`` says whether it is real, ``count`` is ``N(mu_j)``
+    (0 for a complex root) and ``gap`` its distance to the nearest
+    Neumann eigenvalue, 0 included, over the largest ``|mu_j|``.
+    ``sigma`` sums the counts.  ``negative`` holds one :data:`NEGATIVE`
+    record per interval of ``lambda >= 0`` where ``p < 0``, ascending:
+    its ends ``lo`` and ``hi`` (``lo`` is 0 when the interval holds the
+    constant mode), the number of the first Neumann eigenvalue in it
+    (distinct values numbered from 0, the constant mode, as ``--seed-mode
+    K`` numbers them; -1 on a rectangle with too many modes below ``lo``
+    to list) and the ``modes`` in it, with multiplicity.  Those modes are
+    the factors -1 of the index, so their number has the parity of
+    ``sigma``.
+
+    ``index`` is ``(-1)^sigma`` and is only claimed when every gap
+    exceeds :data:`TOL_DEGENERATE`; otherwise ``index`` is ``None`` and
     ``nondegenerate`` is false.  A state whose ``det(-J(u*))`` is
     negative gets a warning naming the constant mode's factor.
-    ``certificate`` holds the cutoff certificate of :func:`_certify`
-    (``rho``, ``departure``, ``dA_inv_J_norm``, ``bound``), the
-    ``scanned_modes`` past the cutoff and the determinant test,
-    ``nondegeneracy``: one :data:`NONDEGENERACY` record per spectrum
-    value, the constant mode first.
     """
 
     u_star: NDArray[np.float64]
-    mode_decisions: ModeDecisions
-    L0: int
-    certificate: dict
-    gamma: int
+    roots: NDArray
+    sigma: int
+    negative: NDArray
     index: int | None
     nondegenerate: bool
     warnings: tuple[str, ...] = ()
@@ -297,7 +284,7 @@ def _state_label(state: ConstantState) -> str:
     return f"state {tuple(float(v) for v in state.u_star)}"
 
 
-# -- the ledger ---------------------------------------------------------------
+# -- the kernel ---------------------------------------------------------------
 
 
 def _index_precondition(model: Model, u_star: NDArray[np.float64]) -> ModelError | None:
@@ -343,8 +330,8 @@ class _State:
 
 
 class _Item:
-    """One (model, positive state) pair and what the ledger found for it:
-    its ``report``, or the ``error`` of the stage that failed it."""
+    """One (model, positive state) pair and what the kernel found for it:
+    its ``report``, or the ``error`` of the check that failed it."""
 
     __slots__ = ("d", "alpha", "domain", "state", "error", "report")
 
@@ -360,485 +347,225 @@ class _Item:
         self.report: IndexReport | None = None
 
 
-class _Modes(NamedTuple):
-    """One row per decided mode, item by item: the item ``owner``, the
-    mode's catalog row ``at``, ``A(u*) - J(u*) / lambda_hat`` and the
-    counts of ``d_A^{-1}`` times it."""
-
-    owner: NDArray[np.intp]
-    at: NDArray[np.intp]
-    A: NDArray[np.float64]
-    counts: NegativeCounts
-
-
-class _Tests(NamedTuple):
-    """One row per spectrum value, item by item: the item ``owner`` and
-    the determinant test's :data:`NONDEGENERACY` record."""
-
-    owner: NDArray[np.intp]
-    records: NDArray
-
-
-class _Catalog(NamedTuple):
-    """The spectrum of every domain of a batch, by domain number (``None``
-    where no item passed the size limit), with the values and the
-    multiplicities of all of them concatenated."""
-
-    spectra: list[ModeSpectrum | None]
-    values: NDArray[np.float64]
-    M: NDArray[np.intp]
-
-
-class _Batch:
-    """The undecided items of one ledger run, by species count, and their
-    per-item values: row ``k`` of every array belongs to ``items[k]``.
-
-    ``live[k]`` is cleared when a stage fails item ``k``, and a stage
-    reads live rows only.  The stages fill, in order: the certificate's
-    ``rho``, ``departure``, ``J_norm`` and ``bound`` (:func:`_certify`), the
-    columns of ``certificate``; then ``dom``, ``first`` and ``stop``
-    (:func:`_spectra`), which put item ``k``'s spectrum at catalog rows
-    ``first[k]`` to ``first[k] + stop[k]`` of domain ``dom[k]``.  Each of
-    ``groups`` is the run of items of one species count.
-    """
-
-    def __init__(self, items: Iterable[_Item]) -> None:
-        runs: dict[int, list[_Item]] = {}
-        for item in items:
-            if item.error is None:
-                runs.setdefault(len(item.state.u), []).append(item)
-        self.items = [item for run in runs.values() for item in run]
-        n = len(self.items)
-        self.live = np.ones(n, dtype=bool)
-        self.certificate = np.full((n, 4), np.nan)
-        self.bound = self.certificate[:, 3]
-        self.dom = np.zeros(n, dtype=np.intp)
-        self.first = np.zeros(n, dtype=np.intp)
-        self.stop = np.zeros(n, dtype=np.intp)
-        ends = list(itertools.accumulate(len(run) for run in runs.values()))
-        self.groups = [_Group(self, slice(a, b)) for a, b in zip([0, *ends], ends)]
-
-    def fail(self, k: int, error: ModelError) -> None:
-        self.items[k].error = error
-        self.live[k] = False
-
-
-class _Group:
-    """The run ``rows`` of a batch's items of one species count, with their
-    matrices stacked: only matrices of one size stack.
-
-    Its per-item arrays are views of the batch's, so row ``k`` of each
-    belongs to ``items[k]``.  It starts with ``A(u*)``, its diagonal
-    ``dvec`` and ``J(u*)``, as :meth:`Model.A` and
-    :meth:`Model.jacobian_f` give them one state at a time; the stages
-    add the mode stack ``modes`` (:func:`_decide`) and the determinant
-    tests ``tests`` (:func:`_nondegeneracy`).
-    """
-
-    def __init__(self, batch: _Batch, rows: slice) -> None:
-        self.batch, self.offset = batch, rows.start
-        self.items = items = batch.items[rows]
-        self.live, self.certificate = batch.live[rows], batch.certificate[rows]
-        self.rho, self.departure, self.J_norm, self.bound = self.certificate.T
-        self.dom, self.first, self.stop = batch.dom[rows], batch.first[rows], batch.stop[rows]
-        u = np.array([it.state.u for it in items])
-        alpha = np.array([it.alpha for it in items])
-        A = u[:, :, None] * alpha
-        idx = np.arange(u.shape[1])
-        A[:, idx, idx] += (
-            np.array([it.d for it in items])
-            + (u[:, None, :] @ np.swapaxes(alpha, -1, -2))[:, 0, :]
-        )
-        self.A, self.dvec = A, A[:, idx, idx]
-        self.J = np.array([it.state.J for it in items])
-        self.modes: _Modes | None = None
-        self.tests: _Tests | None = None
-
-    def fail(self, k: int, error: ModelError) -> None:
-        self.batch.fail(self.offset + k, error)
-
-
-def _ranges(starts: NDArray[np.intp], lengths: NDArray[np.intp]) -> NDArray[np.intp]:
-    """``range(starts[k], starts[k] + lengths[k])`` for every ``k``, concatenated."""
-    ends = np.cumsum(lengths)
-    size = int(ends[-1]) if ends.size else 0
-    return np.arange(size) + np.repeat(starts - ends + lengths, lengths)
-
-
-def _fail_nonfinite(
-    group: _Group, owner: NDArray[np.intp], stack: NDArray[np.float64], error
-) -> NDArray[np.bool_] | None:
-    """Fail every item owning a non-finite matrix of ``stack``.
-
-    One non-finite entry makes a stacked ``eig`` raise for the whole
-    stack, so those items are kept out of it.  Returns the mask of the
-    rows to keep, or ``None`` when every row is finite.
-    """
-    bad_rows = ~np.isfinite(stack).all(axis=(-2, -1))
-    if not bad_rows.any():
-        return None
-    bad = np.unique(owner[bad_rows])
-    for k in bad.tolist():
-        group.fail(k, error())
-    return ~np.isin(owner, bad)
-
-
-def _certify(group: _Group) -> None:
-    """Cutoff certificate of every item, from eigenvalues alone.
-
-    In a Schur form ``M0 = d_A^{-1} A(u*) = Q (D + N) Q^*`` the strictly
-    upper part has ``||N||_F = departure = sqrt(||M0||_F^2 - sum |w|^2)``
-    over the eigenvalues ``w`` (Henrici), so for every real ``mu <= 0``,
-    ``||(M0 - mu)^{-1}||_2 <= S = sum_{k<m} departure^k / rho^{k+1}`` with
-    ``rho = min Re w`` (Golub & Van Loan, section 7.2).  A mode matrix is
-    ``M0 - E / lambda_hat`` with ``E = d_A^{-1} J``: past ``bound = ||E||_2
-    S`` no real ``mu <= 0`` is one of its eigenvalues, so the mode counts
-    nothing and ``det(lambda_hat A - J) != 0``.  One ``eigvals``, one
-    Frobenius norm and one 2-norm cover a species count.
-    """
-    M0 = group.A / group.dvec[:, :, None]
-    _fail_nonfinite(
-        group, np.arange(len(group.items)), M0,
-        lambda: CutoffError("cutoff uncertifiable: d_A^{-1}A(u*) is not finite"),
+def _axis(s: NDArray[np.float64], L: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
+    """Per entry: how many axis values ``(k pi / L)^2``, ``k >= 0``, lie
+    below ``s``, and the distance from ``s`` to the nearest one."""
+    t = L * np.sqrt(np.maximum(s, 0.0)) / np.pi
+    k = np.floor(t)
+    return np.ceil(t), np.minimum(
+        np.abs(s - (k * np.pi / L) ** 2), np.abs(s - ((k + 1.0) * np.pi / L) ** 2)
     )
-    rows = np.flatnonzero(group.live)
-    if not rows.size:
-        return
-    w = np.linalg.eigvals(M0[rows])
-    rho = w.real.min(axis=-1)
-    bad = rho <= 0.0
-    if bad.any():
-        for k, r in zip(rows[bad].tolist(), rho[bad].tolist()):
-            group.fail(k, CutoffError(
-                "cutoff uncertifiable: cross-diffusion is strong enough that "
-                f"d_A^{{-1}}A(u*) has eigenvalue real part {r:.3e} <= 0"
-            ))
-        rows, w, rho = rows[~bad], w[~bad], rho[~bad]
-        if not rows.size:
-            return
-    m = w.shape[-1]
-    frobenius2 = (M0[rows] ** 2).sum(axis=(-2, -1))
-    # Rounding in the computed eigenvalues can lift sum |w|^2 above its
-    # exact value, and near normality the difference is all cancellation:
-    # a slack of 8 ulps of ||M0||_F^2 per eigenvalue keeps the departure
-    # from falling below that of M0.
-    departure = np.sqrt(
-        np.maximum(frobenius2 - (w.real**2 + w.imag**2).sum(axis=-1), 0.0)
-        + 8 * m * np.finfo(float).eps * frobenius2
+
+
+def _weyl(
+    x: NDArray[np.float64], lengths: NDArray[np.float64]
+) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+    """``N(x)`` and the distance from ``x`` to the nearest Neumann eigenvalue.
+
+    Row ``i`` of ``x`` lives on the domain with sides ``lengths[i]``, all
+    of one dimension.  On an interval that is :func:`_axis`.  On a
+    rectangle it is :func:`_axis` along the longer side in every column
+    ``k`` of the shorter one, at ``x - (k pi / L_short)^2``: the columns
+    below ``x`` and one more, which holds the nearest eigenvalue above
+    ``x`` on the short axis.
+    """
+    if lengths.shape[1] == 1:
+        count, dist = _axis(x, lengths)
+        return count.astype(np.int64), dist
+    shape, x = x.shape, x.ravel()
+    short = np.repeat(lengths.min(axis=1), shape[1])
+    long = np.repeat(lengths.max(axis=1), shape[1])
+    cols = np.floor(short * np.sqrt(np.maximum(x, 0.0)) / np.pi).astype(np.intp) + 2
+    owner = np.repeat(np.arange(len(x)), cols)
+    starts = np.cumsum(cols) - cols
+    k = np.arange(owner.size) - starts[owner]
+    count, dist = _axis(x[owner] - (k * np.pi / short[owner]) ** 2, long[owner])
+    return (
+        np.bincount(owner, count, len(x)).astype(np.int64).reshape(shape),
+        np.minimum.reduceat(dist, starts).reshape(shape),
     )
-    J_norm = np.linalg.norm(group.J[rows] / group.dvec[rows][:, :, None], 2, axis=(-2, -1))
-    group.rho[rows], group.departure[rows], group.J_norm[rows] = rho, departure, J_norm
+
+
+def _decide_run(items: list[_Item]) -> None:
+    """Decide every item of one species count ``m`` in one stacked pass.
+
+    Row ``k`` of every array belongs to ``items[k]``.  A row that fails
+    a check gets its item's error and identity or zero matrices in its
+    place, so the stacked calls never see a non-finite entry.
+    """
+    n, m = len(items), len(items[0].state.u)
+    live = np.ones(n, dtype=bool)
+
+    def fail(bad: NDArray[np.bool_], error) -> None:
+        for k in np.flatnonzero(bad & live).tolist():
+            items[k].error = error(k)
+        live[bad] = False
+
+    u = np.array([it.state.u for it in items])
+    alpha = np.array([it.alpha for it in items])
+    A = u[:, :, None] * alpha
+    idx = np.arange(m)
+    A[:, idx, idx] += (
+        np.array([it.d for it in items]) + (u[:, None, :] @ np.swapaxes(alpha, -1, -2))[:, 0, :]
+    )
+    J = np.array([it.state.J for it in items])
+
+    # Ellipticity: every eigenvalue of d_A^{-1} A(u*) has a positive real
+    # part.  With d_A > 0 that makes det A(u*) > 0, so p > 0 past its roots.
     with np.errstate(over="ignore", invalid="ignore"):
-        S = ((departure / rho)[:, None] ** np.arange(m)).sum(axis=-1) / rho
-        group.bound[rows] = J_norm * S
+        M0 = A / A[:, idx, idx][:, :, None]
+        if not np.isfinite(M0).all():
+            fail(
+                ~np.isfinite(M0).all(axis=(-2, -1)),
+                lambda k: ModelError("index undefined: d_A^{-1}A(u*) is not finite"),
+            )
+            M0[~live] = np.eye(m)
+        rho = np.linalg.eigvals(M0).real.min(axis=-1)
+        if (rho <= 0.0).any():
+            fail(rho <= 0.0, lambda k: ModelError(
+                "index undefined: cross-diffusion is strong enough that "
+                f"d_A^{{-1}}A(u*) has eigenvalue real part {rho[k]:.3e} <= 0"
+            ))
+        A[~live] = np.eye(m)
+        E = np.linalg.solve(A, J)
+        if not np.isfinite(E).all():
+            fail(
+                ~np.isfinite(E).all(axis=(-2, -1)),
+                lambda k: ModelError("index undefined: A(u*)^{-1}J(u*) is not finite"),
+            )
+            E[~live] = 0.0
+    # Complex numbers sort by real part, then imaginary part.
+    mu = np.sort(np.linalg.eigvals(E).astype(complex), axis=-1)
+    x, y = mu.real, mu.imag
+    real = y == 0.0
 
+    count, dist = np.zeros((n, m), dtype=np.int64), np.zeros((n, m))
+    by_dim: dict[int, list[int]] = {}
+    for k, item in enumerate(items):
+        by_dim.setdefault(len(item.domain.lengths), []).append(k)
+    for dim, rows in by_dim.items():
+        L = np.array([items[k].domain.lengths for k in rows])
+        xs = x[rows]
+        # N(x) is at least the volume of the lattice region below x, so
+        # MAX_COUNT is decided before any lattice column is listed.
+        volume = (np.sqrt(np.maximum(xs, 0.0)) / np.pi) ** dim * L.prod(axis=1)[:, None]
+        too_many = volume * (np.pi / 4.0 if dim == 2 else 1.0) > MAX_COUNT
+        if too_many.any():
+            bad = np.zeros(n, dtype=bool)
+            bad[rows] = too_many.any(axis=1)
+            root = dict(zip(rows, xs[np.arange(len(rows)), too_many.argmax(axis=1)].tolist()))
+            fail(bad, lambda k: ModelError(
+                f"root mu={root[k]:.6g} requires too many modes: more than "
+                f"{MAX_COUNT:.0e} Neumann eigenvalues lie below it"
+            ))
+            xs = np.where(too_many, 0.0, xs)
+        count[rows], dist[rows] = _weyl(xs, L)
+    count *= real
+    scale = np.abs(mu).max(axis=-1, keepdims=True)
+    gap = np.hypot(dist, y) / np.maximum(scale, np.finfo(float).tiny)
+    at_eigenvalue = gap <= TOL_DEGENERATE
+    degenerate = at_eigenvalue.any(axis=-1)
+    sigma = count.sum(axis=-1)
+    roots = np.empty((n, m), dtype=ROOT)
+    roots["mu"], roots["imag"], roots["real"] = x, y, real
+    roots["count"], roots["gap"] = count, gap
 
-def _past_limit(domain: Domain, bounds: list[float]) -> list[tuple[int, ModelError]]:
-    """The positions among the ascending ``bounds`` past the size limit of
-    :func:`lattice_edge`, each with its own error.
-
-    The limit is monotone in the bound, so a bisection finds the first
-    bound past it; each bound from there on is checked on its own.
-    """
-    checked: dict[int, ModelError | None] = {}
-
-    def error(i: int) -> ModelError | None:
-        if i not in checked:
+    # p < 0 between the real roots taken in pairs from the top, and below
+    # the lowest one when their number is odd.  Sorted with complex roots
+    # as -inf, each row's real roots come last; N is nondecreasing and 0
+    # at complex roots, so the counts sort along with them.
+    ends = np.sort(np.where(real, x, -np.inf), axis=-1)
+    ends_count = np.sort(count, axis=-1)
+    top = np.arange(m - 1, -1, -2)[::-1]
+    hi, lo, lo_count = ends[:, top], ends[:, top - 1], ends_count[:, top - 1]
+    if m % 2:
+        lo[:, 0], lo_count[:, 0] = -np.inf, 0
+    held = (hi > 0.0) & live[:, None]
+    below_zero = lo < 0.0
+    first = np.where(below_zero, 0, lo_count)
+    if 2 in by_dim:
+        rectangle = np.zeros((n, 1), dtype=bool)
+        rectangle[by_dim[2]] = True
+        for r, j in zip(*np.nonzero(held & (lo > 0.0) & rectangle)):
             try:
-                lattice_edge(domain, bounds[i], SCAN_EXTRA)
-                checked[i] = None
-            except ModelError as exc:
-                # Kept without traceback or context: their frames would hold
-                # every item of the batch in a reference cycle.
-                exc.__traceback__ = exc.__context__ = None
-                checked[i] = exc
-        return checked[i]
+                first[r, j] = len(spectrum_through(items[r].domain, lo[r, j]))
+            except ConfigError:
+                first[r, j] = -1
+    negative = np.empty(int(held.sum()), dtype=NEGATIVE)
+    negative["lo"], negative["hi"] = np.maximum(lo[held], 0.0), hi[held]
+    negative["first_mode"] = first[held]
+    negative["modes"] = (ends_count[:, top] - lo_count)[held]
+    stops = np.cumsum(held.sum(axis=-1)).tolist()
 
-    lo, hi = 0, len(bounds) - 1
-    if error(hi) is None:
-        return []
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if error(mid) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    return [(i, exc) for i in range(hi, len(bounds)) if (exc := error(i)) is not None]
-
-
-def _spectra(batch: _Batch) -> _Catalog:
-    """Each live item's spectrum: the values through its bound and
-    ``SCAN_EXTRA`` more.
-
-    Every distinct domain is enumerated once, through the largest bound
-    among its items that pass the size limit.  Its items are sorted by
-    bound, so :func:`_past_limit` checks the limit in O(log n) calls
-    plus one per item past it, and each item takes its prefix.
-    """
-    numbers: dict[Domain, int] = {}
-    batch.dom[:] = [numbers.setdefault(it.domain, len(numbers)) for it in batch.items]
-    domains = list(numbers)
-    spectra: list[ModeSpectrum | None] = [None] * len(domains)
-    live = np.flatnonzero(batch.live)
-    order = live[np.lexsort((batch.bound[live], batch.dom[live]))]
-    # Where each domain's items start and stop in ``order``.
-    ordered = batch.dom[order]
-    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-    edges = [0, *cuts, len(order)] if order.size else []
-    for items in (order[a:b] for a, b in zip(edges, edges[1:])):
-        d = int(batch.dom[items[0]])
-        failed = _past_limit(domains[d], batch.bound[items].tolist())
-        for i, exc in failed:
-            batch.fail(int(items[i]), exc)
-        if failed:
-            items = np.delete(items, [i for i, _ in failed])
-            if not items.size:
-                continue
-        spectrum = spectra[d] = spectrum_through(
-            domains[d], batch.bound[items[-1]].item(), extra=SCAN_EXTRA
+    # p(0) = det(-J(u*)) < 0 where an interval holds 0: the constant
+    # mode's warning.
+    noisy = (held & below_zero).any(axis=-1) | degenerate
+    det_J = np.zeros(n)
+    if noisy.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            det_J[noisy] = np.linalg.det(-J[noisy])
+    start = 0
+    for k, (item, root, stop, sigma_k, degenerate_k, noisy_k) in enumerate(
+        zip(items, roots, stops, sigma.tolist(), degenerate.tolist(), noisy.tolist())
+    ):
+        negative_k, start = negative[start:stop], stop
+        if not live[k]:
+            continue
+        item.report = IndexReport(
+            u_star=item.state.u,
+            roots=root,
+            sigma=sigma_k,
+            negative=negative_k,
+            index=None if degenerate_k else (-1) ** sigma_k,
+            nondegenerate=not degenerate_k,
+            warnings=_report_warnings(float(det_J[k]), x[k, at_eigenvalue[k]])
+            if noisy_k else (),
         )
-        batch.stop[items] = (
-            np.searchsorted(spectrum.values, batch.bound[items], side="right") + SCAN_EXTRA
-        )
-    sizes = np.array([0 if s is None else len(s) for s in spectra], dtype=np.intp)
-    batch.first[:] = (np.cumsum(sizes) - sizes)[batch.dom]
-    enumerated = [s for s in spectra if s is not None]
-    return _Catalog(
-        spectra,
-        np.concatenate([s.values for s in enumerated] or [np.empty(0)]),
-        np.concatenate([s.M for s in enumerated] or [np.empty(0, dtype=np.intp)]),
-    )
 
 
-def _decide(group: _Group, catalog: _Catalog) -> None:
-    """Count ``N_i`` at every live item's nonzero modes: one mode stack
-    and one :func:`negative_counts` call."""
-    rows = np.flatnonzero(group.live)
-    if not rows.size:
-        return
-    # Catalog row first[k] is the constant mode, 0: the modes follow it.
-    n = group.stop[rows] - 1
-    at = _ranges(group.first[rows] + 1, n)
-    owner = np.repeat(rows, n)
-    A = group.A[owner] - group.J[owner] / catalog.values[at][:, None, None]
-    # Scaled here, each row by its own d_A, so one count covers all items.
-    M = A / group.dvec[owner][:, :, None]
-    keep = _fail_nonfinite(
-        group, owner, M,
-        lambda: ModelError(
-            "mode matrix d_A^{-1}(A(u*) - J(u*)/lambda_hat) is not finite"
-        ),
-    )
-    if keep is not None:
-        owner, at, A, M = owner[keep], at[keep], A[keep], M[keep]
-    if owner.size:
-        group.modes = _Modes(owner, at, A, negative_counts(M))
-
-
-def _cutoff(group: _Group, catalog: _Catalog) -> None:
-    """Fail every live item with a counted mode past its cutoff ``L0``.
-
-    An item's first ``L0 = stop - SCAN_EXTRA - 1`` modes are those
-    through its bound; the ``SCAN_EXTRA`` after them must count nothing.
-    """
-    if not group.live.any():
-        return
-    owner, at, _, counts = group.modes
-    L0 = group.stop - SCAN_EXTRA - 1
-    rank = at - group.first[owner] - 1
-    counted = np.flatnonzero((rank >= L0[owner]) & (counts.N != 0))
-    if not counted.size:
-        return
-    bad, first = np.unique(owner[counted], return_index=True)
-    for k, r in zip(bad.tolist(), counted[first].tolist()):
-        group.fail(k, CutoffError(
-            f"certified bound violated: mode lambda_hat={catalog.values[at[r]]:.6g} "
-            f"past the cutoff has N={counts.N[r]}"
-        ))
-
-
-def _nondegeneracy(group: _Group, catalog: _Catalog) -> None:
-    """``det(lambda_hat A(u*) - J(u*))`` against its scale at every live
-    item's spectrum: one stacked ``det``."""
-    rows = np.flatnonzero(group.live)
-    if not rows.size:
-        return
-    n = group.stop[rows]
-    at = _ranges(group.first[rows], n)
-    owner = np.repeat(rows, n)
-    lam = catalog.values[at]
-    A, J = group.A[owner], group.J[owner]
-    # Near the lattice limit these overflow to inf, which _reports turns
-    # into the item's cause; numpy's warning would only repeat that.
-    with np.errstate(over="ignore"):
-        det = np.linalg.det(lam[:, None, None] * A - J)
-        gross = np.abs(lam)[:, None, None] * np.abs(A) + np.abs(J)
-        scale = np.prod(np.linalg.norm(gross, axis=-1), axis=-1)
-    records = np.empty(len(owner), dtype=NONDEGENERACY)
-    records["lambda_hat"], records["det"], records["scale"] = lam, det, scale
-    records["ok"] = np.abs(det) > TOL_DEGENERATE * scale
-    group.tests = _Tests(owner, records)
-
-
-def _report_warnings(
-    decisions: ModeDecisions, tests: NDArray, noisy: bool, failed: bool
-) -> tuple[str, ...]:
-    """An index report's warnings: the per-mode count warnings and
-    degenerate modes (``noisy``), the constant mode's factor and the
-    determinant test (``failed``)."""
-    warnings: list[str] = []
-    if noisy:
-        for lambda_hat, mode_warnings, degen, margin in zip(
-            decisions.modes.values.tolist(), decisions.warnings,
-            decisions.degenerate.tolist(), decisions.margin.tolist(),
-        ):
-            for w in mode_warnings:
-                warnings.append(f"mode lambda_hat={lambda_hat:.6g}: {w}")
-            if degen:
-                warnings.append(
-                    f"mode lambda_hat={lambda_hat:.6g} is degenerate "
-                    f"(margin {margin:.3e}); no index claimed"
-                )
-    # The first value is the constant mode, 0, whose determinant is
-    # det(-J(u*)): its sign is the constant mode's factor.
-    det_J = tests[0]["det"]
+def _report_warnings(det_J: float, at_eigenvalue: NDArray[np.float64]) -> tuple[str, ...]:
+    """An index report's warnings: the constant mode's factor when
+    ``det(-J(u*))`` is not positive, and the roots ``at_eigenvalue``."""
+    warnings = []
     if not det_J > 0.0:
         warnings.append(
             f"constant mode: det(-J(u_star)) = {det_J:.6g} < 0 contributes "
             "a factor -1 to the index"
         )
-    if failed:
+    if at_eigenvalue.size:
         warnings.append(
-            "determinant nondegeneracy fails at lambda_hat = "
-            + ", ".join(f"{lam:.6g}" for lam in tests["lambda_hat"][~tests["ok"]])
+            "degenerate: root mu = " + ", ".join(f"{v:.6g}" for v in at_eigenvalue.tolist())
+            + " lies at a Neumann eigenvalue; no index claimed"
         )
     return tuple(warnings)
 
 
-def _reports(group: _Group, catalog: _Catalog) -> None:
-    """Assemble the index report of every item that passed the ledger.
-
-    A nondegeneracy determinant or scale that is not finite fails the
-    item: the test cannot be decided, which is not the same as a
-    degenerate mode.  The rest is decided by masks and reductions over
-    the items' runs of rows, so each report is built in one step.
-    """
-    if not group.live.any():
-        return
-    owner, tests = group.tests
-    finite = np.isfinite(tests["det"]) & np.isfinite(tests["scale"])
-    if not finite.all():
-        overflow = np.flatnonzero(~finite)
-        bad, first, n_bad = np.unique(owner[overflow], return_index=True, return_counts=True)
-        for k, r, n in zip(bad.tolist(), overflow[first].tolist(), n_bad.tolist()):
-            group.fail(k, ModelError(
-                f"nondegeneracy determinant or its scale overflows in {n} "
-                f"mode(s) from lambda_hat = {tests['lambda_hat'][r]:.6g}; no index"
-            ))
-    rows = np.flatnonzero(group.live)
-    if not rows.size:
-        return
-    # Drop the rows of items failed since the stacks were built: then each
-    # live item's rows are one run, and one reduceat sums them all.
-    modes = group.modes
-    keep = group.live[owner]
-    if not keep.all():
-        tests = tests[keep]
-    keep = group.live[modes.owner]
-    if not keep.all():
-        counts = [c[keep] for c in modes.counts[:-1]]
-        counts.append(tuple(itertools.compress(modes.counts.warnings, keep)))
-        modes = _Modes(modes.owner[keep], modes.at[keep], modes.A[keep], NegativeCounts(*counts))
-    N, eigs, margin, degenerate, mode_warnings = modes.counts
-    # An item's tests cover its whole spectrum, its modes all but the
-    # constant mode: ``stop`` and ``stop - 1`` rows.
-    n = group.stop[rows]
-    d0 = np.cumsum(n) - n
-    m0 = d0 - np.arange(len(rows))
-    # Per item, from its runs of rows: the determinant test, gamma, and
-    # whether any mode is degenerate, may carry a warning (only a row
-    # counting more than one eigenvalue can) or has complex eigenvalues.
-    per_item = zip(
-        np.logical_and.reduceat(tests["ok"], d0).tolist(),
-        tests["det"][d0].tolist(),
-        np.add.reduceat(N * catalog.M[modes.at], m0).tolist(),
-        np.logical_or.reduceat(degenerate, m0).tolist(),
-        np.logical_or.reduceat((N > 1) | degenerate, m0).tolist(),
-        np.logical_or.reduceat(eigs.imag.any(axis=-1), m0).tolist(),
-    )
-    eigs_real = eigs.real
-    mode_values = catalog.values[modes.at].tolist()
-    # Items with one domain and one stop share their slice of the spectrum.
-    slices: dict[tuple[int, int], ModeSpectrum] = {}
-    for k, dom, stop, a, c, certified, reduced in zip(
-        rows.tolist(), group.dom[rows].tolist(), n.tolist(), m0.tolist(), d0.tolist(),
-        group.certificate[rows].tolist(), per_item,
-    ):
-        ok, det_J, gamma, degenerate_any, noisy, complex_k = reduced
-        nondegenerate = ok and not degenerate_any
-        b, e = a + stop - 1, c + stop
-        spectrum = slices.get((dom, stop))
-        if spectrum is None:
-            spectrum = slices[dom, stop] = catalog.spectra[dom][1:stop]
-        decisions = ModeDecisions(
-            spectrum, modes.A[a:b], N[a:b], eigs[a:b] if complex_k else eigs_real[a:b],
-            margin[a:b], degenerate[a:b], mode_warnings[a:b],
-        )
-        nondegeneracy = tests[c:e]
-        rho, departure, J_norm, bound = certified
-        L0 = stop - SCAN_EXTRA - 1
-        item = group.items[k]
-        item.report = IndexReport(
-            u_star=item.state.u,
-            mode_decisions=decisions,
-            L0=L0,
-            certificate={
-                "rho": rho,
-                "departure": departure,
-                "dA_inv_J_norm": J_norm,
-                "bound": bound,
-                "scanned_modes": mode_values[a + L0 : b],
-                "nondegeneracy": nondegeneracy,
-            },
-            gamma=gamma,
-            # The constant mode's factor is the sign of det(-J(u*)).
-            index=(1 if det_J > 0.0 else -1) * (-1) ** gamma if nondegenerate else None,
-            nondegenerate=nondegenerate,
-            warnings=_report_warnings(decisions, nondegeneracy, noisy, not ok)
-            if noisy or not ok or not det_J > 0.0 else (),
-        )
-
-
-def _ledger(items: list[_Item]) -> None:
-    """Decide every item: cutoff certificate, spectra, modes, cutoff
-    check, nondegeneracy, report."""
-    batch = _Batch(items)
-    for group in batch.groups:
-        _certify(group)
-    catalog = _spectra(batch)
-    for group in batch.groups:
-        _decide(group, catalog)
-        _cutoff(group, catalog)
-        _nondegeneracy(group, catalog)
-        _reports(group, catalog)
+def _decide(items: list[_Item]) -> None:
+    """Decide every item: one :func:`_decide_run` per species count."""
+    runs: dict[int, list[_Item]] = {}
+    for item in items:
+        runs.setdefault(len(item.state.u), []).append(item)
+    for run in runs.values():
+        _decide_run(run)
 
 
 # -- one item -----------------------------------------------------------------
 
 
 def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexReport:
-    """Assemble the mode-sum parity index at a positive constant state.
+    """The root-count index at a positive constant state.
 
-    Raises :class:`ModelError` when a nondegeneracy determinant or its
-    scale is not finite: the test cannot be decided, which is not the
-    same as a degenerate mode.
+    Raises :class:`ModelError` when the state cannot carry one: the flux
+    matrix is not elliptic there, a matrix is not finite, or a root has
+    more than :data:`MAX_COUNT` Neumann eigenvalues below it.  A
+    degenerate state is not an error: its report claims no index.
     """
     u_star = np.asarray(u_star, dtype=float)
     error = _index_precondition(model, u_star)
     if error is not None:
         raise error
     item = _Item(model, _State(model, u_star))
-    _ledger([item])
+    _decide([item])
     if item.error is not None:
         raise item.error
     return item.report
@@ -852,7 +579,7 @@ class _Kinetics:
 
     Built once per distinct kinetics of a batch: the constant states, the
     case label, every boundary index that the growth signs settle, and a
-    :class:`_State` for every state whose index needs the ledger -- the
+    :class:`_State` for every state whose index needs the kernel -- the
     positive states and the v-stable semitrivial ones, whose index is
     that of the restricted subsystem at its positive state.
     """
@@ -875,7 +602,7 @@ class _Kinetics:
             )
         # Per boundary state, in order: its index when the growth signs
         # settle it, with the cause it adds if any, or else the _State whose
-        # restricted index the ledger decides.
+        # restricted index the kernel decides.
         self.boundary: list[
             tuple[ConstantState, StabilityVerdict, BoundaryIndex | _State, str | None]
         ] = []
@@ -1011,7 +738,7 @@ def existence_verdicts(
             kinetics,
             {pos: _Item(model, pos) for pos in kinetics.positive if pos.error is None},
         ))
-    _ledger([item for _, items in plans for item in items.values()])
+    _decide([item for _, items in plans for item in items.values()])
     return tuple(kinetics.verdict(items) for kinetics, items in plans)
 
 

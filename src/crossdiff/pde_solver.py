@@ -832,8 +832,9 @@ def seed_from_mode(
     """Perturb a constant state along the ``k``-th Neumann mode.
 
     ``k >= 1`` numbers the distinct nonzero eigenvalues ``lambda_hat_k``
-    in ascending order, as ``--seed-mode K`` does (row ``k - 1`` of an
-    :class:`~crossdiff.index_theory.IndexReport`'s ``mode_decisions``).
+    in ascending order, as ``--seed-mode K`` does and as the
+    ``first_mode`` of an :class:`~crossdiff.index_theory.IndexReport`'s
+    ``negative`` intervals does.
     ``u(x) = u* + amplitude * c * psi(x)`` with ``c`` the (real, unit)
     eigenvector of ``d_A^{-1} A_k``, ``A_k = A(u*) - J(u*) / lambda_hat_k``,
     at its most negative real eigenvalue and ``psi`` the eigenfunction of

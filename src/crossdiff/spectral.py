@@ -111,22 +111,15 @@ def _axis_top(L: float, x: float) -> int:
     return k
 
 
-def lattice_edge(domain: Domain, bound: float, extra: int = 0) -> tuple[float, list[int]]:
+def lattice_edge(domain: Domain, bound: float) -> tuple[float, list[int]]:
     """What :func:`spectrum_through` lists, decided before any array is built.
 
     Returns the largest value it lists and, per axis, the largest ``k``
-    that value needs.  The axis modes ``(k, 0, ...)`` of the longest side
-    have distinct values, so a reach raised to the ``extra``-th of them
-    above ``bound`` holds at least ``extra`` values past it.  Raises
-    :class:`ConfigError` when the lattice points up to the reach number
-    more than ``_MAX_LATTICE`` or their values overflow a float.
+    that value needs.  Raises :class:`ConfigError` when the lattice
+    points up to ``bound`` number more than ``_MAX_LATTICE`` or their
+    values overflow a float.
     """
-    L_max = max(domain.lengths)
-
-    def reach(x: float) -> float:
-        return max(bound, _axis_value(_axis_top(L_max, x) + extra, L_max))
-
-    # The longest axis alone needs floor(sqrt(bound) L_max / pi) + 1 + extra
+    # The longest axis alone needs floor(sqrt(bound) L_max / pi) + 1
     # points.  Deciding that in closed form first keeps ``_axis_top`` from
     # walking toward a top that no float step of one can reach; one point
     # of slack covers a floor that rounds up, and the exact count decides
@@ -134,16 +127,16 @@ def lattice_edge(domain: Domain, bound: float, extra: int = 0) -> tuple[float, l
     too_many = ConfigError(f"spectral bound {bound:.3e} requires too many modes")
     if (
         not math.isfinite(bound)
-        or math.sqrt(max(bound, 0.0)) * L_max / math.pi + extra >= _MAX_LATTICE + 1
+        or math.sqrt(max(bound, 0.0)) * max(domain.lengths) / math.pi >= _MAX_LATTICE + 1
     ):
         raise too_many
     try:
-        points = math.prod(_axis_top(L, reach(bound)) + 1 for L in domain.lengths)
+        points = math.prod(_axis_top(L, bound) + 1 for L in domain.lengths)
         if points > _MAX_LATTICE:
             raise too_many
-        # Widened twice, so that a collision group straddling ``bound`` or
-        # the reach is counted once and listed whole.
-        edge = _widen(reach(_widen(bound)))
+        # Widened, so that a collision group straddling ``bound`` is listed
+        # whole.
+        edge = _widen(bound)
         return edge, [_axis_top(L, edge) for L in domain.lengths]
     except OverflowError:
         raise ConfigError(
@@ -151,8 +144,8 @@ def lattice_edge(domain: Domain, bound: float, extra: int = 0) -> tuple[float, l
         ) from None
 
 
-def spectrum_through(domain: Domain, bound: float, extra: int = 0) -> ModeSpectrum:
-    """All distinct eigenvalues with ``lambda_hat <= bound``, plus ``extra`` more.
+def spectrum_through(domain: Domain, bound: float) -> ModeSpectrum:
+    """All distinct eigenvalues with ``lambda_hat <= bound``.
 
     Every lattice point ``k`` with ``sum_a (k_a pi / L_a)^2`` up to the
     edge of :func:`lattice_edge` is listed and collisions are grouped, so
@@ -161,7 +154,7 @@ def spectrum_through(domain: Domain, bound: float, extra: int = 0) -> ModeSpectr
     point.  A prefix of the spectrum through a larger bound is the
     spectrum through a smaller one.
     """
-    edge, tops = lattice_edge(domain, bound, extra)
+    edge, tops = lattice_edge(domain, bound)
     axes = [
         np.array([_axis_value(k, L) for k in range(top + 1)])
         for L, top in zip(domain.lengths, tops)
@@ -178,7 +171,7 @@ def spectrum_through(domain: Domain, bound: float, extra: int = 0) -> ModeSpectr
     points = points[order[np.lexsort((order, np.cumsum(starts)))]]
     offsets = np.append(np.flatnonzero(starts), len(values))
     spectrum = ModeSpectrum(values[starts], points, offsets, domain)
-    return spectrum[: int(np.searchsorted(spectrum.values, bound, side="right")) + extra]
+    return spectrum[: int(np.searchsorted(spectrum.values, bound, side="right"))]
 
 
 def neumann_eigenvalues(domain: Domain, count: int) -> ModeSpectrum:

@@ -13,8 +13,10 @@ index is ``(-1)^count`` with ``count`` the number of real eigenvalues
 ``mu > 1`` (algebraic multiplicity).  Note the constant mode contributes
 its own eigenvalues ``mu = 1 + eig(J)/k``: every real eigenvalue of ``J``
 above zero adds to the count, so the constant mode's share of the parity
-is ``sign det(-J)``.  The parity is then ``sign det(-J) * (-1)^gamma``,
-the index the mode sum reports.
+is ``sign det(-J)``.  The parity is then ``(-1)^sigma``, the index
+``index_theory`` reports, as long as the grid's eigenvalues fall on the
+same sides of the roots ``mu_j`` of ``det(lambda A(u*) - J(u*))`` as the
+exact ones: :func:`oracle_grid` picks such a grid.
 """
 
 from __future__ import annotations
@@ -68,20 +70,63 @@ def count_mu_above_one(
     return count, mu
 
 
+ORACLE_GRIDS = (256, 512, 1024)
+
+
+def oracle_grid(model: Model, u_star: NDArray[np.float64]) -> int:
+    """The smallest ``n`` of :data:`ORACLE_GRIDS` whose FD spectrum
+    crosses the real roots ``mu_j`` of ``det(lambda A - J)`` as the exact
+    spectrum does.
+
+    The roots come from a QZ solve of the pencil ``(J, A)``.  On ``(0, L)``
+    the exact eigenvalues ``(k pi / L)^2`` below ``mu`` number
+    ``ceil(L sqrt(mu) / pi)``; the FD ones ``(2n / L)^2 sin^2(k pi / 2n)``,
+    ``k < n``, number ``ceil((2n / pi) arcsin(L sqrt(mu) / 2n))``, or ``n``
+    when the arcsine's argument reaches 1.  Raises ``ValueError`` naming
+    the ``n`` (doubled from 256) a state needs past the largest grid.
+    """
+    u_star = np.asarray(u_star, dtype=float)
+    L = model.domain.lengths[0]
+    mu = scipy.linalg.eig(model.jacobian_f(u_star), model.A(u_star), right=False)
+    real = np.abs(mu.imag) <= 1e-10 * np.maximum(1.0, np.abs(mu))
+    root = L * np.sqrt(np.maximum(mu.real[real], 0.0))
+    exact = np.ceil(root / np.pi)
+
+    def resolves(n: int) -> bool:
+        x = root / (2 * n)
+        fd = np.where(x < 1.0, np.ceil(2 * n / np.pi * np.arcsin(np.minimum(x, 1.0))), n)
+        return bool(np.all(fd == exact))
+
+    n = ORACLE_GRIDS[0]
+    while not resolves(n):
+        n *= 2
+        if n > 2**40:
+            raise ValueError(f"parity oracle: no grid up to n = 2^40 resolves mu = {mu}")
+    if n > ORACLE_GRIDS[-1]:
+        raise ValueError(
+            f"parity oracle needs n = {n} to resolve mu = {mu.real[real]}, "
+            f"past its largest grid, n = {ORACLE_GRIDS[-1]}"
+        )
+    return n
+
+
 def parity_oracle(
     model: Model,
     u_star: NDArray[np.float64],
-    n: int = 256,
+    n: int | None = None,
     k: float | None = None,
 ) -> tuple[int, int]:
     """Fixed-point-index parity of the discrete linearized solution map.
 
     Returns ``(count, parity)`` with ``parity = (-1)^count``.  Interval
     domains only (the oracle is a verification tool, not a solver).
+    Without ``n`` the grid is :func:`oracle_grid`'s.
     """
     if model.domain.dimension != 1:
         raise ValueError("the discrete parity oracle is built for intervals")
     u_star = np.asarray(u_star, dtype=float)
+    if n is None:
+        n = oracle_grid(model, u_star)
     A = model.A(u_star)
     J = model.jacobian_f(u_star)
     if k is None:

@@ -14,7 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
-from crossdiff import ModelError, build_model, cli, make_grid, pde_solver, seed_from_mode
+from crossdiff import (
+    ModelError, build_model, cli, make_grid, pde_solver, seed_from_mode, spectrum_through,
+)
 
 WEAK_LV = {
     "m": 2,
@@ -107,64 +109,61 @@ def test_analyze_bistable_saddle_counts_the_constant_mode(tmp_path, capsys):
     assert [index for _, index in verdict["nontrivial_constant_indices"]] == [-1]
 
 
-MODE_RECORD_KEYS = {
-    "A_i", "M", "N_i", "degenerate", "eigs", "lambda_hat", "margin", "mode_indices",
-    "warnings",
-}
+ROOT_KEYS = {"mu", "imag", "real", "count", "gap"}
+NEGATIVE_KEYS = {"lo", "hi", "first_mode", "modes"}
 
 
 @pytest.mark.parametrize(
-    "payload, lambda_hat, M, N_i, mode_indices, kinds",
+    "payload, counts, negative, kinds",
     [
-        (TURING, [1, 4, 9, 16, 25], [1] * 5, [1, 0, 0, 0, 0],
-         [[[k]] for k in range(1, 6)], "RRRRR"),
+        # Roots 1/2 and 10/7: p < 0 between them, at mode 1 (lambda_hat = 1).
+        (TURING, [1, 2], [[1, 1]], "RR"),
         # The lambda_hat = 1 mode of the pi x pi square has two lattice points.
         ({**TURING, "domain": {"kind": "rectangle", "lengths": [np.pi, np.pi]}},
-         [1, 2, 4, 5, 8, 9, 10], [2, 1, 2, 2, 1, 2, 2], [1, 0, 0, 0, 0, 0, 0],
-         [[[0, 1], [1, 0]], [[1, 1]], [[0, 2], [2, 0]], [[1, 2], [2, 1]], [[2, 2]],
-          [[0, 3], [3, 0]], [[1, 3], [3, 1]]],
-         "RRRRRRR"),
-        # A verdict-sweep model whose first four modes have complex pairs.
+         [1, 3], [[1, 2]], "RR"),
+        # A verdict-sweep model whose roots are a complex pair: p > 0 on
+        # the whole spectrum.
         ({**TURING, "d": [0.3, 7.0], "alpha": [[0.0, 0.3], [0.1, 0.0]]},
-         [1, 4, 9, 16, 25], [1] * 5, [0] * 5,
-         [[[k]] for k in range(1, 6)], "CCCCR"),
+         [0, 0], [], "CC"),
     ],
     ids=["readme", "square", "complex-next-to-real"],
 )
-def test_analyze_mode_records(tmp_path, payload, lambda_hat, M, N_i, mode_indices, kinds):
-    # One record per mode, with a fixed key set.  A row's eigenvalues are
-    # plain floats when every imaginary part in that row is zero ("R") and
-    # [re, im] pairs otherwise ("C").
+def test_analyze_mode_records(tmp_path, payload, counts, negative, kinds):
+    # One record per root of p(lambda) = det(lambda A(u*) - J(u*)) and one
+    # per interval where p < 0, each with a fixed key set, checked against
+    # the state's own matrices and a listed spectrum.
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == 0
     (rep,) = json.loads(out.read_text())["verdict"]["index_reports"]
-    records = rep["mode_decisions"]
-    assert all(set(r) == MODE_RECORD_KEYS for r in records)
-    assert [r["lambda_hat"] for r in records] == lambda_hat
-    assert [r["M"] for r in records] == M
-    assert [r["N_i"] for r in records] == N_i
-    assert [r["mode_indices"] for r in records] == mode_indices
-    assert [(r["degenerate"], r["warnings"]) for r in records] == [(False, [])] * len(M)
+    assert all(set(r) == ROOT_KEYS for r in rep["roots"])
+    assert all(set(r) == NEGATIVE_KEYS for r in rep["negative"])
+    assert [r["count"] for r in rep["roots"]] == counts
+    assert rep["sigma"] == sum(counts)
+    assert [[r["first_mode"], r["modes"]] for r in rep["negative"]] == negative
+    assert "".join("R" if r["real"] else "C" for r in rep["roots"]) == kinds
     model = build_model(payload)
     u = np.array(rep["u_star"])
-    written = ""
-    for r in records:
-        A_i = np.array(r["A_i"])
-        reference = model.A(u) - model.jacobian_f(u) / r["lambda_hat"]
-        assert A_i.tobytes() == reference.tobytes()
-        w = np.linalg.eigvals(A_i / model.d_A(u)[:, None])
-        w = w[np.lexsort((w.imag, w.real))]
-        if all(isinstance(e, float) for e in r["eigs"]):
-            written += "R"
-            assert not w.imag.any()
-            np.testing.assert_allclose(r["eigs"], w.real, rtol=1e-12)
-        else:
-            written += "C"
-            assert all(isinstance(e, list) and len(e) == 2 for e in r["eigs"])
-            np.testing.assert_allclose(r["eigs"], np.stack([w.real, w.imag], -1), rtol=1e-12)
-        assert r["margin"] == pytest.approx(float(np.abs(w.real).min()), rel=1e-12)
-    assert written == kinds
+    A, J = model.A(u), model.jacobian_f(u)
+    mu = np.linalg.eigvals(np.linalg.solve(A, J)).astype(complex)
+    mu = mu[np.lexsort((mu.imag, mu.real))]
+    np.testing.assert_allclose([[r["mu"], r["imag"]] for r in rep["roots"]],
+                               np.stack([mu.real, mu.imag], -1), rtol=1e-12)
+    spectrum = spectrum_through(model.domain, 40.0)
+    for r in rep["roots"]:
+        if r["real"]:
+            assert r["count"] == int(spectrum.M[spectrum.values < r["mu"]].sum())
+        nearest = np.abs(r["mu"] + 1j * r["imag"] - spectrum.values).min()
+        assert r["gap"] == pytest.approx(nearest / np.abs(mu).max(), rel=1e-9)
+    # p < 0 at exactly the spectrum values inside the intervals.
+    p = np.linalg.det(spectrum.values[:, None, None] * A - J)
+    inside = np.zeros(len(spectrum), dtype=bool)
+    for r in rep["negative"]:
+        held = (spectrum.values > r["lo"]) & (spectrum.values < r["hi"])
+        assert int(np.flatnonzero(held)[0]) == r["first_mode"]
+        assert int(spectrum.M[held].sum()) == r["modes"]
+        inside |= held
+    assert ((p < 0) == inside).all()
 
 
 def test_analyze_degenerate_states_exit_inconclusive(tmp_path):
@@ -768,12 +767,12 @@ def _timeout(signum, frame):
 @pytest.mark.parametrize(
     "param, column, message",
     [
-        # The certified cutoff bound is ~2.3e100, far past the lattice limit.
+        # A root near 1e100: about 1e50 Neumann eigenvalues lie below it.
         ("d.0=1e-100:1e-100:1", "cause", "requires too many modes"),
         ("domain.lengths.0=1e300:1e300:1", "cause", "requires too many modes"),
         ("domain.lengths.0=1e-300:1e-300:1", "error", "too small for the spectrum"),
-        # lambda_hat ~ 1e301: the nondegeneracy determinant overflows.
-        ("domain.lengths.0=1e-150:1e-150:1", "cause", "determinant or its scale overflow"),
+        # lambda_hat ~ 1e301 lies far past both roots: the point is decided.
+        ("domain.lengths.0=1e-150:1e-150:1", "inconclusive", "False"),
     ],
 )
 def test_sweep_extreme_point_returns_a_row(tmp_path, param, column, message):
@@ -801,14 +800,12 @@ def test_sweep_extreme_point_returns_a_row(tmp_path, param, column, message):
 
 
 def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
-    # 45 points in one ledger batch, on the grid and on the reversed grid.
+    # 45 points in one kernel batch, on the grid and on the reversed grid.
     # The batch mixes ordinary points, error rows (d.0 <= 0), points on
-    # long intervals (lengths 5e4 and 1e5, mostly too many modes) and
-    # points whose nondegeneracy determinant overflows (length 1e-150), so
-    # the points that fail the spectrum's size limit sit at both ends of
-    # the batch;
-    # every row must be the row its point gives when swept alone, and no
-    # RuntimeWarning may escape.
+    # long intervals (lengths 5e4 and 1e5) and points whose first mode is
+    # ~1e301 (length 1e-150), so the error rows sit at both ends of the
+    # batch; every row must be the row its point gives when swept alone,
+    # and no RuntimeWarning may escape.
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     paths = ["alpha.0.1", "d.0", "domain.lengths.0"]
     grids = {
@@ -819,9 +816,7 @@ def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
     def kind(row):
         if row["error"]:
             return "error"
-        if row["inconclusive"] == "False":
-            return "conclusive"
-        return "too many" if "too many modes" in row["cause"] else "overflow"
+        return "conclusive" if row["inconclusive"] == "False" else "inconclusive"
 
     kinds = {}
     with warnings.catch_warnings():
@@ -833,42 +828,37 @@ def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
             assert_rows_equal_points_swept_alone(tmp_path, cfg, paths, rows)
             kinds[name] = [kind(r) for r in rows]
 
-    # Rows 12 to 17 mix all four kinds; the reversed grid lists the rows
-    # in reverse order.
+    # Rows 12 to 17 mix both kinds; every point with d.0 > 0 is decided,
+    # and the reversed grid lists the rows in reverse order.
     assert kinds["forward"][12:18] == [
-        "overflow", "conclusive", "too many", "error", "error", "error",
+        "conclusive", "conclusive", "conclusive", "error", "error", "error",
     ]
+    assert "inconclusive" not in kinds["forward"]
     assert kinds["reversed"] == kinds["forward"][::-1]
 
 
-def test_sweep_ledger_work_is_logarithmic_in_its_points(tmp_path, monkeypatch):
-    # The benchmark's 12 x 48 grid on one domain: the size limit is checked
-    # once, at the largest bound, which passes, so no point is past it;
-    # the spectrum through that bound checks it once more, and every mode
-    # of one species count is counted in one stack.
-    from crossdiff import index_theory, spectral
+def test_sweep_decides_every_point_in_one_kernel_pass(tmp_path, monkeypatch):
+    # The benchmark's 12 x 48 grid: every point's positive state has two
+    # species, so the kernel takes one eigvals of the 576 flux matrices and
+    # one of the 576 root matrices, and lists no spectrum.
+    from crossdiff import index_theory
 
-    calls = {"lattice_edge": 0, "negative_counts": []}
-    lattice_edge, negative_counts = spectral.lattice_edge, index_theory.negative_counts
+    shapes = []
+    eigvals = np.linalg.eigvals
 
-    def counted_edge(*args, **kwargs):
-        calls["lattice_edge"] += 1
-        return lattice_edge(*args, **kwargs)
+    def counted(stack):
+        shapes.append(np.shape(stack))
+        return eigvals(stack)
 
-    def counted_counts(stack, *args):
-        calls["negative_counts"].append(stack.shape)
-        return negative_counts(stack, *args)
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("a spectrum was listed")
 
-    monkeypatch.setattr(spectral, "lattice_edge", counted_edge)
-    monkeypatch.setattr(index_theory, "lattice_edge", counted_edge)
-    monkeypatch.setattr(index_theory, "negative_counts", counted_counts)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(index_theory, "spectrum_through", no_spectrum)
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     rows = sweep_rows(tmp_path, cfg, ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], "s.csv")
-    assert len(rows) == 576
-    assert sum("too many modes" in row["cause"] for row in rows) == 0
-    assert calls["lattice_edge"] == 2
-    sizes = [shape[-1] for shape in calls["negative_counts"]]
-    assert len(sizes) == len(set(sizes)) >= 1
+    assert len(rows) == 576 and all(row["inconclusive"] == "False" for row in rows)
+    assert shapes == [(576, 2, 2), (576, 2, 2)]
 
 
 def test_sweep_checks_its_points_in_one_batch(tmp_path, monkeypatch):

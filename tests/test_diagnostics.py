@@ -329,7 +329,7 @@ def turing_pattern_512():
     model = turing_model()
     grid = make_grid(model.domain, 512)
     report = existence_verdict(model).index_reports[0]
-    k = 1 + int(np.flatnonzero(report.mode_decisions.N >= 1)[0])
+    k = next(int(r["first_mode"]) for r in report.negative if r["first_mode"] >= 1)
     seed = seed_from_mode(model, np.ones(2), k, amplitude=1.5, grid=grid)
     result = newton_solve(model, grid, seed)
     assert result.converged

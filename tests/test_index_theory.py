@@ -1,4 +1,4 @@
-"""Mode-wise index formula, boundary-state stability, existence verdicts."""
+"""Root-count index formula, boundary-state stability, existence verdicts."""
 
 from __future__ import annotations
 
@@ -17,8 +17,10 @@ from crossdiff import (
     existence_verdicts,
     find_constant_states,
     negative_counts,
+    neumann_eigenvalues,
     nonexistence_threshold,
     semitrivial_stability,
+    spectrum_through,
 )
 
 PI = np.pi
@@ -55,8 +57,14 @@ def turing_model(d=(0.4, 7.0)):
 
 def first_mode_matrix(model):
     """``A(u*) - J(u*) / lambda_hat`` at the first nonzero mode, ``u* = (1, 1)``."""
-    decisions = constant_state_index(model, np.ones(2)).mode_decisions
-    return decisions.modes.values[0], decisions.A_i[0]
+    u = np.ones(2)
+    lambda_hat = float(neumann_eigenvalues(model.domain, 2).values[1])
+    return lambda_hat, model.A(u) - model.jacobian_f(u) / lambda_hat
+
+
+def negative_intervals(report):
+    """``(first_mode, modes)`` of each interval where ``p < 0``."""
+    return [(int(r["first_mode"]), int(r["modes"])) for r in report.negative]
 
 
 def negative_count(d_A, Ai):
@@ -66,17 +74,28 @@ def negative_count(d_A, Ai):
 
 
 def test_mode_matrix_worked_case():
-    lambda_hat, A_i = first_mode_matrix(worked_diag_model())
+    # The first mode matrix counts one negative eigenvalue, so p(1) < 0:
+    # mode 1 lies in the report's interval where p < 0, after the
+    # constant mode (det(-J) = -2 < 0).
+    model = worked_diag_model()
+    lambda_hat, A_i = first_mode_matrix(model)
     assert lambda_hat == 1.0
     np.testing.assert_allclose(A_i, np.diag([-1.0, 2.0]), atol=1e-14)
+    assert negative_count(np.ones(2), A_i) == (1, False)
+    assert np.linalg.det(lambda_hat * model.A(np.ones(2)) - model.jacobian_f(np.ones(2))) < 0
+    assert negative_intervals(constant_state_index(model, np.ones(2))) == [(0, 2)]
 
 
 def test_mode_matrix_vanishing_perturbation():
-    # On (0, pi / sqrt(1e9)) the first mode sits at lambda_hat = 1e9.
+    # On (0, pi / sqrt(1e9)) the first mode sits at lambda_hat = 1e9, far
+    # past both roots (-1 and 2): its matrix is A(u*) up to 1e-9 and counts
+    # nothing, and the interval where p < 0 holds the constant mode alone.
     model = worked_diag_model(length=PI / np.sqrt(1e9))
     lambda_hat, A_i = first_mode_matrix(model)
     assert lambda_hat == pytest.approx(1e9)
     np.testing.assert_allclose(A_i, model.A(np.ones(2)), atol=1e-8)
+    assert negative_count(np.ones(2), A_i) == (0, False)
+    assert negative_intervals(constant_state_index(model, np.ones(2))) == [(0, 1)]
 
 
 def test_negative_count_examples():
@@ -113,46 +132,33 @@ def test_negative_determinant_forces_single_crossing(l1, l2, d1, d2, seed):
         assert N in (0, 2)
 
 
-def cutoff(model):
-    """The certified cutoff ``L0`` and certificate at ``u* = (1, 1)``."""
-    report = constant_state_index(model, np.ones(2))
-    return report.L0, report.certificate
+def brute_force_counts(model, u, modes):
+    """``N_k`` of the first ``modes`` nonzero interval modes ``k^2 (pi/L)^2``."""
+    lam = (np.arange(1.0, modes + 1.0) * PI / model.domain.lengths[0]) ** 2
+    A, J = model.A(u), model.jacobian_f(u)
+    return lam, negative_counts((A - J / lam[:, None, None]) / model.d_A(u)[:, None]).N
 
 
 def test_mode_cutoff_worked_case():
+    # The cutoff past which no mode counts is the largest real root of p:
+    # det A(u*) > 0 makes p > 0 past it.  Here the roots are -1 and 2.
     model = worked_diag_model()
-    L0, cert = cutoff(model)
-    assert L0 == 1
-    assert cert["rho"] == pytest.approx(1.0)
-    # d_A^{-1} A(u*) = I is normal: its departure is the rounding slack.
-    assert 0.0 < cert["departure"] < 1e-6
-    assert cert["bound"] == pytest.approx(2.0)
+    report = constant_state_index(model, np.ones(2))
+    assert report.roots["mu"].tolist() == [-1.0, 2.0]
+    assert report.roots["real"].all()
+    assert report.negative["hi"].max() == 2.0
+    lam, N = brute_force_counts(model, np.ones(2), 40)
+    assert lam[N > 0].tolist() == [1.0]
 
 
 def test_mode_cutoff_no_reaction_means_no_modes():
+    # J(u*) = 0: every root is 0, so no mode counts and p(0) = det(-J) = 0
+    # makes the state degenerate.
     model = interval_model(2, (1.0, 2.0), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
-    L0, _ = cutoff(model)
-    assert L0 == 0
-
-
-def test_mode_cutoff_nonnormal_widens_with_departure():
-    # Lopsided two-way coupling makes d_A^{-1} A(u*) = [[1, 3/4], [1/11, 1]]
-    # non-normal.  Its eigenvalues are real, so its departure from
-    # normality is the difference of its off-diagonal entries, and the
-    # certificate widens by the departure term but still terminates.
-    model = interval_model(
-        2,
-        (1.0, 1.0),
-        (-2.0, 1.0),
-        ((-2.0, 0.0), (0.0, 1.0)),
-        alpha=[[0.0, 3.0], [0.1, 0.0]],
-    )
-    L0, cert = cutoff(model)
-    rho, departure, J_norm = cert["rho"], cert["departure"], cert["dA_inv_J_norm"]
-    assert departure == pytest.approx(0.75 - 1.0 / 11.0, rel=1e-6)
-    assert cert["bound"] == pytest.approx(J_norm * (1.0 / rho + departure / rho**2))
-    assert cert["bound"] > 1.8 * J_norm / rho
-    assert L0 >= 1
+    report = constant_state_index(model, np.ones(2))
+    assert report.roots["mu"].tolist() == [0.0, 0.0]
+    assert report.sigma == 0 and report.negative.size == 0
+    assert not report.nondegenerate and report.index is None
 
 
 @pytest.mark.parametrize(
@@ -167,84 +173,97 @@ def test_mode_cutoff_nonnormal_widens_with_departure():
 def test_no_counted_mode_lies_past_the_certified_bound(u, c, d, alpha_12):
     # One-sided cross-diffusion at a lopsided state makes d_A^{-1} A(u*)
     # unit-triangular with a large off-diagonal entry: defective and far
-    # from normal.  Brute force over the first 2,999 interval modes: every
-    # mode that counts lies at or below the certified bound, and some lie
-    # past ||d_A^{-1} J|| / rho, so the departure terms are needed.
+    # from normal.  Brute force over the first 2,999 interval modes: the
+    # modes that count are exactly those in the report's intervals where
+    # p < 0, all below the largest root, and there are many of them.
     u, c = np.array(u), np.array(c)
     model = interval_model(2, d, c @ u, c, alpha=[[0.0, alpha_12], [0.0, 0.0]])
-    cert = constant_state_index(model, u).certificate
-    lam = np.arange(1.0, 3000.0) ** 2
-    A, J = model.A(u), model.jacobian_f(u)
-    counted = lam[negative_counts((A - J / lam[:, None, None]) / model.d_A(u)[:, None]).N > 0]
-    assert counted.size and counted.max() <= cert["bound"]
-    assert counted.max() > cert["dA_inv_J_norm"] / cert["rho"]
+    report = constant_state_index(model, u)
+    lam, N = brute_force_counts(model, u, 2999)
+    counted = lam[N > 0]
+    assert counted.size >= 8 and counted.max() <= report.roots["mu"].max()
+    inside = np.zeros(lam.size, dtype=bool)
+    for r in report.negative:
+        inside |= (lam > r["lo"]) & (lam < r["hi"])
+    assert (inside == (N % 2 == 1)).all()
+    assert report.index == (-1) ** int(np.sum(N)) * np.sign(np.linalg.det(-model.jacobian_f(u)))
 
 
 def test_mode_cutoff_scans_past_the_bound():
-    # The certificate records a few modes past the cutoff, each verified
-    # stable, and they all sit strictly above the certified bound.
+    # Scanned past the largest root, 2, on the worked case: the modes
+    # there count nothing, and p > 0 at each of them.
     model = worked_diag_model()
-    L0, cert = cutoff(model)
-    assert len(cert["scanned_modes"]) == 3
-    assert all(lam > cert["bound"] for lam in cert["scanned_modes"])
+    u = np.ones(2)
+    lam, N = brute_force_counts(model, u, 12)
+    past = lam > constant_state_index(model, u).roots["mu"].max()
+    assert past.sum() == 11 and not N[past].any()
+    for value in lam[past]:
+        assert np.linalg.det(value * model.A(u) - model.jacobian_f(u)) > 0
 
 
 def nondegeneracy(model):
-    """The determinant test's verdict and details at ``u* = (1, 1)``."""
-    details = constant_state_index(model, np.ones(2)).certificate["nondegeneracy"]
-    return all(d["ok"] for d in details), details
+    """Whether the state ``u* = (1, 1)`` is nondegenerate, and its roots."""
+    report = constant_state_index(model, np.ones(2))
+    return report.nondegenerate, report.roots
 
 
 def test_nondegeneracy_worked_case_true_on_pi_interval():
-    ok, details = nondegeneracy(worked_diag_model())
+    # The roots -1 and 2 lie 1 from the eigenvalues 0 and 1 (and 2 from
+    # 4): relative to the largest root, both gaps are 1/2.
+    ok, roots = nondegeneracy(worked_diag_model())
     assert ok
-    assert [d["lambda_hat"] for d in details] == [0.0, 1.0, 4.0, 9.0, 16.0]
+    assert roots["gap"].tolist() == [0.5, 0.5]
 
 
 def test_nondegeneracy_fails_on_resonant_interval():
     # L = pi/sqrt(2) scales the spectrum to 2k^2, so lambda_hat = 2
-    # collides with the positive reaction eigenvalue: det = 0.
-    ok, details = nondegeneracy(worked_diag_model(length=PI / np.sqrt(2.0)))
+    # collides with the positive root: p(2) = 0.
+    ok, roots = nondegeneracy(worked_diag_model(length=PI / np.sqrt(2.0)))
     assert not ok
-    bad = [d for d in details if not d["ok"]]
-    assert any(abs(d["lambda_hat"] - 2.0) < 1e-9 for d in bad)
+    bad = roots[roots["gap"] <= 1e-8]
+    assert bad["mu"].tolist() == [2.0]
 
 
 def test_nondegeneracy_fails_on_singular_reaction_jacobian():
-    # u* = (1,1) with J singular: c = [[1,1],[1,1]] has det J = 0.
+    # u* = (1,1) with J singular: c = [[1,1],[1,1]] has det J = 0, so 0 is
+    # a root and the constant mode is degenerate.
     model = interval_model(2, (1.0, 1.0), (2.0, 2.0), ((1.0, 1.0), (1.0, 1.0)))
-    ok, details = nondegeneracy(model)
+    ok, roots = nondegeneracy(model)
     assert not ok
-    assert any(d["lambda_hat"] == 0.0 and not d["ok"] for d in details)
+    assert any(abs(r["mu"]) < 1e-12 and r["gap"] <= 1e-8 for r in roots)
 
 
 def test_scalar_logistic_index():
     model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
     report = constant_state_index(model, np.ones(1))
-    assert report.gamma == 0
+    assert report.sigma == 0
+    assert report.negative.size == 0
     assert report.index == 1
     assert report.nondegenerate
 
 
 def test_worked_diagonal_index():
-    # gamma = 1, and J(u*) = diag(2, -1) gives det(-J) = -2: the constant
-    # mode's factor -1 makes the index +1.
+    # The root 2 has the eigenvalues 0 and 1 below it, the root -1 none:
+    # sigma = 2.  p < 0 on [0, 2), at the constant mode (det(-J) = -2) and
+    # at mode 1 alone, and the index is +1.
     report = constant_state_index(worked_diag_model(), np.ones(2))
-    assert report.gamma == 1
+    assert report.roots["count"].tolist() == [0, 2]
+    assert report.sigma == 2
     assert report.index == 1
-    decisions = report.mode_decisions
-    decisions = dict(zip(decisions.modes.values.tolist(), decisions.N.tolist()))
-    assert decisions[1.0] == 1
-    assert all(n == 0 for lam, n in decisions.items() if lam != 1.0)
+    assert negative_intervals(report) == [(0, 2)]
+    assert report.negative["lo"].tolist() == [0.0]
+    assert report.negative["hi"].tolist() == [2.0]
 
 
 def test_bistable_saddle_index_counts_the_constant_mode():
     # Strong competition: u* = (1/3, 1/3) is a saddle of the kinetics,
-    # det(-J(u*)) = -1/3 < 0.  At d = 100 no nonconstant mode counts, so
-    # the index is the constant mode's factor alone.
+    # det(-J(u*)) = -1/3 < 0.  At d = 100 the roots are -1/100 and 1/300:
+    # only the constant mode lies below the positive one, so the index is
+    # the constant mode's factor alone.
     model = interval_model(2, (100.0, 100.0), (1.0, 1.0), ((1.0, 2.0), (2.0, 1.0)))
     report = constant_state_index(model, np.full(2, 1.0 / 3.0))
-    assert report.gamma == 0
+    assert report.sigma == 1
+    assert negative_intervals(report) == [(0, 1)]
     assert report.index == -1
     assert any(w.startswith("constant mode: det(-J(u_star))") for w in report.warnings)
     stable = constant_state_index(turing_model(), np.ones(2))
@@ -271,15 +290,18 @@ def test_turing_index_against_eigendecomposition_oracle():
     u_star = np.ones(2)
     J = model.jacobian_f(u_star)
     D_inv = np.diag(1.0 / np.array(d))
-    gamma_oracle = 0
+    counts = []
     for k in range(1, 200):
         lam = float(k * k)
         eigs = np.linalg.eigvals(np.eye(2) - D_inv @ J / lam)
         real = eigs[np.abs(eigs.imag) < 1e-12].real
-        gamma_oracle += int(np.sum(real < -1e-12))
+        counts.append(int(np.sum(real < -1e-12)))
     report = constant_state_index(model, u_star)
-    assert report.gamma == gamma_oracle
-    assert report.gamma == 4
+    # Mode 1 counts two eigenvalues, so p(1) > 0; modes 2 and 3 count one
+    # each and lie in the one interval where p < 0, (3.1, 12.9).
+    assert counts[:4] == [2, 1, 1, 0] and sum(counts) == 4
+    assert negative_intervals(report) == [(2, 2)]
+    assert report.sigma % 2 == sum(counts) % 2
     assert report.index == +1
 
 
@@ -400,23 +422,20 @@ def test_degenerate_subset_verdict_inconclusive():
     assert "degenerate-subset" in (verdict.cause or "")
 
 
-def test_overflowing_nondegeneracy_test_is_inconclusive_not_degenerate():
-    # On an interval of length 1e-150 the first mode has lambda_hat ~ 1e301:
-    # det(lambda_hat A - J) and its row-norm scale overflow to inf, and a
-    # comparison of infinities must not pass for a degenerate mode.
+def test_tiny_interval_is_decided_without_overflow():
+    # On an interval of length 1e-150 the first mode has lambda_hat ~ 1e301,
+    # where det(lambda_hat A - J) overflows.  No determinant is taken: both
+    # roots lie below that mode, so only the constant mode counts for each.
     model = interval_model(
         2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
         alpha=((0.0, 0.0), (0.1, 0.0)), length=1e-150,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ModelError, match="overflows"):
-            constant_state_index(model, np.ones(2))
-        verdict = existence_verdict(model)
-    assert verdict.inconclusive
-    assert verdict.total is None
-    assert verdict.cause.startswith("state (1.0, 1.0): nondegeneracy determinant")
-    assert "overflows" in verdict.cause
-    assert "degenerate mode" not in verdict.cause
+    report = constant_state_index(model, np.ones(2))
+    assert report.roots["count"].tolist() == [1, 1]
+    assert report.index == 1
+    assert negative_intervals(report) == [(1, 0)]
+    verdict = existence_verdict(model)
+    assert not verdict.inconclusive and verdict.total == 1
 
 
 @given(st.floats(0.1, 10.0))
@@ -430,7 +449,7 @@ def test_index_invariant_under_joint_scaling(s):
         ((-s, 2 * s), (-3 * s, 4 * s)),
     )
     scaled = constant_state_index(scaled_model, np.ones(2))
-    assert scaled.gamma == base.gamma
+    assert scaled.sigma == base.sigma
     assert scaled.index == base.index
 
 
@@ -457,7 +476,7 @@ def test_diagonal_consistency(d1, d2, j1, j2):
 
 def test_rectangle_multiplicities_enter_parity():
     # On the pi x pi square the lambda = 1 mode has multiplicity 2, so a
-    # single unstable direction there contributes 2 to gamma.
+    # single unstable direction there contributes 2 to the count.
     cfg_model = build_model(
         {
             "m": 2,
@@ -471,12 +490,14 @@ def test_rectangle_multiplicities_enter_parity():
     )
     interval_report = constant_state_index(turing_model(), np.ones(2))
     square_report = constant_state_index(cfg_model, np.ones(2))
-    assert interval_report.gamma == 1
-    # Square spectrum {1: M=2, 2: M=1, ...}: the lambda=1 instability
-    # doubles and lambda=2 contributes whatever its own count is.
-    modes = square_report.mode_decisions.modes
-    assert modes.M[modes.values == 1.0].tolist() == [2]
-    assert square_report.gamma >= 2
+    # p < 0 on (1/2, 10/7), which holds lambda = 1 alone.  Square spectrum
+    # {0, 1: M=2, 2, ...}: the root 10/7 has 3 eigenvalues below it, the
+    # interval two modes, and the index flips.
+    assert negative_intervals(interval_report) == [(1, 1)]
+    assert negative_intervals(square_report) == [(1, 2)]
+    assert interval_report.roots["count"].tolist() == [1, 2]
+    assert square_report.roots["count"].tolist() == [1, 3]
+    assert (interval_report.index, square_report.index) == (-1, 1)
 
 
 def sweep_point(alpha_01):
@@ -492,13 +513,13 @@ def sweep_point(alpha_01):
 
 
 def long_interval_model():
-    # The README model on (0, 1e5): its certified bound, 5.63, needs about
-    # 75,500 modes, more than the enumeration allows.
+    # The README model on (0, 1e5): about 60,000 modes lie below its roots.
     return interval_model(2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)), length=1e5)
 
 
-def test_long_interval_is_inconclusive_before_any_spectrum(monkeypatch):
-    # The size limit is checked before any lattice array is built.
+def test_long_interval_is_decided_without_a_spectrum(monkeypatch):
+    # The roots 1/2 and 10/7 have ceil(1e5 sqrt(mu) / pi) = 22,508 and
+    # 38,046 eigenvalues below them; no spectrum is listed to count them.
     from crossdiff import index_theory, spectral
 
     def no_spectrum(*args, **kwargs):
@@ -507,51 +528,55 @@ def test_long_interval_is_inconclusive_before_any_spectrum(monkeypatch):
     monkeypatch.setattr(index_theory, "spectrum_through", no_spectrum)
     monkeypatch.setattr(spectral, "ModeSpectrum", no_spectrum)
     verdict = existence_verdict(long_interval_model())
-    assert verdict.inconclusive
-    assert "spectral bound 5.634e+00 requires too many modes" in verdict.cause
+    assert not verdict.inconclusive and verdict.total == 1
+    (report,) = verdict.index_reports
+    assert report.roots["count"].tolist() == [22508, 38046]
+    assert report.sigma == 60554 and report.index == 1
+    assert negative_intervals(report) == [(22508, 38046 - 22508)]
 
 
 def test_one_sided_point_is_conclusive_and_matches_parity_oracle():
-    # alpha_12 = 0 makes d_A^{-1} A(u*) unit-triangular and defective; its
-    # eigenvalues and departure from normality still certify a cutoff of
-    # a few modes, and the index agrees with the discrete oracle.
+    # alpha_12 = 0 makes d_A^{-1} A(u*) unit-triangular and defective,
+    # which the roots of p do not see: the index agrees with the discrete
+    # oracle.
     from crossdiff.verification import parity_oracle
 
     model = sweep_point(0.0)
     verdict = existence_verdict(model)
     assert not verdict.inconclusive
     (report,) = verdict.index_reports
-    assert report.certificate["bound"] == pytest.approx(7.591, rel=1e-3)
     k0 = 1.0 + float(np.linalg.norm(model.jacobian_f(report.u_star), 2))
     for k in (k0, 2.0 * k0 + 3.7):
         assert parity_oracle(model, report.u_star, n=256, k=k)[1] == report.index
 
 
-def test_ledger_enumerates_once_and_decides_each_mode_once(monkeypatch):
-    # One spectrum and one stacked count per state: the five modes
-    # (L0 = 2 plus the three scanned past the cutoff) are decided together.
-    from crossdiff import index_theory
+def counted_eigvals(monkeypatch):
+    """The shape of every stack ``np.linalg.eigvals`` gets, in call order."""
+    shapes = []
+    eigvals = np.linalg.eigvals
 
-    calls = {"negative_counts": [], "spectrum_through": []}
+    def counted(stack):
+        shapes.append(np.shape(stack))
+        return eigvals(stack)
 
-    def counted(name):
-        original = getattr(index_theory, name)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return shapes
 
-        def wrapper(*args, **kwargs):
-            calls[name].append(args)
-            return original(*args, **kwargs)
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(index_theory, name, counted(name))
+def test_kernel_calls_one_eigvals_pair_per_species_count(monkeypatch):
+    # One model: one eigvals for ellipticity and one for the roots.  A
+    # batch mixing one, two and three species: one pair per species count,
+    # each over the stack of every state of that count.
+    shapes = counted_eigvals(monkeypatch)
     verdict = existence_verdict(sweep_point(0.5))
     assert not verdict.inconclusive
-    (report,) = verdict.index_reports
-    assert len(report.mode_decisions.N) == report.L0 + 3 == 5
-    assert len(calls["spectrum_through"]) == 1
-    ((stack,),) = calls["negative_counts"]
-    assert stack.shape == (5, 2, 2)
+    assert shapes == [(1, 2, 2), (1, 2, 2)]
+    shapes.clear()
+    models = batch_models()
+    with np.errstate(over="ignore", invalid="ignore"):
+        existence_verdicts(list(models.values()))
+    assert [shape[1:] for shape in shapes] == [(1, 1), (1, 1), (2, 2), (2, 2), (3, 3), (3, 3)]
+    assert all(a == b for a, b in zip(shapes[::2], shapes[1::2]))
 
 
 def assert_identical(a, b, where="verdict"):
@@ -625,62 +650,56 @@ def batch_models():
         "bistable saddle, v-stable boundary": interval_model(
             2, (100.0, 100.0), (1.0, 1.0), ((1.0, 2.0), (2.0, 1.0))
         ),
-        "overflowing determinant": interval_model(
+        # lambda_hat ~ 1e301 on (0, 1e-150): det(lambda_hat A - J) would
+        # overflow there, but both roots lie below it.
+        "tiny interval": interval_model(
             2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
             alpha=((0.0, 0.0), (0.1, 0.0)), length=1e-150,
         ),
-        # On (0, 1e-153) the fifth axis value is past the float limit: a
-        # bound of 1 needs the first four, and a bound of 1e308 the first
-        # seven.  The first item gets its spectrum and then fails on its
-        # determinant, which overflows there for any model.
-        "m = 1, near the float limit": interval_model(
-            1, (1.0,), (1.0,), ((1.0,),), length=1e-153
+        "resonant: a root at a Neumann eigenvalue": worked_diag_model(length=PI / np.sqrt(2.0)),
+        "a root with too many modes below it": interval_model(
+            2, (1e-100, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
+            alpha=((0.0, 0.0), (0.1, 0.0)),
+        ),
+        "m = 1, A(u*)^{-1} J(u*) overflows": interval_model(
+            1, (1e-300,), (1e10,), ((1e10,),)
         ),
         "m = 1, spectrum overflows a float": interval_model(
             1, (1e-300,), (1e8,), ((1e8,),), length=1e-153
         ),
+        # About 40,000 lattice points lie below the lower root, 1/2: more
+        # than the spectrum lists, so its interval's first mode is -1.
+        "large square": build_model(
+            {**turing_model().to_config(), "domain": {"kind": "rectangle", "lengths": [1e3, 1e3]}}
+        ),
     }
 
 
-def test_batch_verdicts_equal_one_model_verdicts(monkeypatch):
-    from crossdiff import index_theory
-
+def test_batch_verdicts_equal_one_model_verdicts():
     models = batch_models()
-    enumerated = []
-    spectrum_through = index_theory.spectrum_through
-
-    def counted(domain, *args, **kwargs):
-        enumerated.append(domain)
-        return spectrum_through(domain, *args, **kwargs)
-
-    monkeypatch.setattr(index_theory, "spectrum_through", counted)
-    batch = existence_verdicts(list(models.values()))
-    # Four interval lengths and two rectangles, each enumerated once; the
-    # items past the size limit do not keep their domain from the others,
-    # and the long interval, with no item within it, is never enumerated.
-    assert len(enumerated) == len(set(enumerated)) == 6
-    domains = {model.domain for model in models.values()}
-    assert set(enumerated) == domains - {models["long interval"].domain}
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = existence_verdicts(list(models.values()))
     assert len(batch) == len(models)
     for (name, model), verdict in zip(models.items(), batch):
-        assert_identical(verdict, existence_verdict(model), name)
-    # The batch covers the ledger's outcomes: claimed indices, restricted
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_identical(verdict, existence_verdict(model), name)
+    # The batch covers the kernel's outcomes: claimed indices, restricted
     # boundary indices and per-model causes.  Its three-species stack
     # mixes a real and a complex d_A^{-1} A(u*) spectrum, and the square
     # puts a double mode first.
-    causes = " ".join(v.cause or "" for v in batch)
-    for part in ("too many modes", "degenerate-subset", "overflows", "overflow a float"):
-        assert part in causes
+    verdicts = dict(zip(models, batch))
+    causes = {name: v.cause or "" for name, v in verdicts.items()}
+    assert "degenerate-subset" in causes["degenerate subset"]
+    assert causes["resonant: a root at a Neumann eigenvalue"] == (
+        "state (1.0, 1.0): degenerate mode, no index"
+    )
+    assert "requires too many modes" in causes["a root with too many modes below it"]
+    assert causes["m = 1, A(u*)^{-1} J(u*) overflows"] == (
+        "state (1.0,): index undefined: A(u*)^{-1}J(u*) is not finite"
+    )
+    for name in ("tiny interval", "m = 1, spectrum overflows a float", "long interval"):
+        assert not verdicts[name].inconclusive, name
     assert any(b.report is not None for v in batch for b in v.boundary)
-    # Every report holds its own prefix: the modes through its bound and
-    # three more, on top of the constant mode.
-    reports = [r for v in batch for r in v.index_reports]
-    reports += [b.report for v in batch for b in v.boundary if b.report is not None]
-    for rep in reports:
-        assert len(rep.mode_decisions.N) == rep.L0 + 3
-        assert len(rep.certificate["nondegeneracy"]) == rep.L0 + 4
-    assert "nondegeneracy determinant" in batch[-2].cause
-    assert "overflow a float" in batch[-1].cause
     kinds = []
     for model, verdict in zip(models.values(), batch):
         if model.m == 3:
@@ -689,34 +708,35 @@ def test_batch_verdicts_equal_one_model_verdicts(monkeypatch):
             _, V = np.linalg.eig(model.A(u) / model.d_A(u)[:, None])
             kinds.append(V.dtype.kind)
     assert kinds == ["f", "c"]
-    assert batch[6].index_reports[0].mode_decisions.modes.M[0] == 2
-    # The stacked flux matrices are Model.A to the bit.
+    assert negative_intervals(verdicts["square, double mode"].index_reports[0]) == [(1, 2)]
+    assert verdicts["large square"].index_reports[0].negative["first_mode"].tolist() == [-1]
+    # The stacked roots are those of each state's own matrices, to the bit.
     for model, verdict in zip(models.values(), batch):
         for rep in verdict.index_reports:
-            lam = rep.mode_decisions.modes.values
-            stacked = rep.mode_decisions.A_i
             u = rep.u_star
-            reference = model.A(u) - model.jacobian_f(u) / lam[:, None, None]
-            assert stacked.tobytes() == reference.tobytes()
+            mu = np.linalg.eigvals(np.linalg.solve(model.A(u), model.jacobian_f(u)))
+            mu = mu.astype(complex)[np.lexsort((mu.imag, mu.real))]
+            assert rep.roots["mu"].tobytes() == mu.real.tobytes()
+            assert rep.roots["imag"].tobytes() == mu.imag.tobytes()
 
 
 def test_nonfinite_matrices_fail_only_their_own_model():
-    # One non-finite matrix would make a stacked eig raise for the whole
-    # batch, so its model alone becomes inconclusive and the others keep
-    # their verdicts.  alpha_11 = 1e308 overflows A(u*); in the scalar
-    # model A(u*) = 1.4e308 and J(u*) = -1e308 are finite, but the mode
-    # matrix A - J / 1 overflows.
+    # One non-finite matrix would make a stacked eigvals raise for the
+    # whole batch, so its model alone becomes inconclusive and the others
+    # keep their verdicts.  alpha_11 = 1e308 overflows A(u*); in the
+    # scalar model A(u*) = 1e-300 and J(u*) = -1e10 are finite, but
+    # A(u*)^{-1} J(u*) overflows.
     bad_flux = interval_model(
         2, (0.3, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
         alpha=((1e308, 0.5), (0.1, 0.0)),
     )
-    bad_modes = interval_model(1, (1.0,), (1e308,), ((1e308,),), alpha=((0.7e308,),))
+    bad_roots = interval_model(1, (1e-300,), (1e10,), ((1e10,),))
     good = [sweep_point(0.5), interval_model(1, (1.0,), (1.0,), ((1.0,),))]
     with np.errstate(over="ignore", invalid="ignore"):
-        verdicts = existence_verdicts([bad_flux, good[0], bad_modes, good[1]])
+        verdicts = existence_verdicts([bad_flux, good[0], bad_roots, good[1]])
     assert [v.cause for v in verdicts[::2]] == [
-        "state (1.0, 1.0): cutoff uncertifiable: d_A^{-1}A(u*) is not finite",
-        "state (1.0,): mode matrix d_A^{-1}(A(u*) - J(u*)/lambda_hat) is not finite",
+        "state (1.0, 1.0): index undefined: d_A^{-1}A(u*) is not finite",
+        "state (1.0,): index undefined: A(u*)^{-1}J(u*) is not finite",
     ]
     for verdict, model in zip(verdicts[1::2], good):
         assert_identical(verdict, existence_verdict(model))
@@ -724,28 +744,23 @@ def test_nonfinite_matrices_fail_only_their_own_model():
 
 def test_batch_shares_kinetics_and_stacks_items(monkeypatch):
     # Twelve models with one kinetics: one enumeration, and one stacked
-    # count over every model's modes.
+    # pair of eigvals over every model's positive state.
     from crossdiff import index_theory
 
-    calls = {"find_constant_states": 0, "negative_counts": []}
+    calls = {"find_constant_states": 0}
     enumerate_ = index_theory.find_constant_states
-    count = index_theory.negative_counts
 
     def counted_enumeration(model):
         calls["find_constant_states"] += 1
         return enumerate_(model)
 
-    def counted_count(stack, *args):
-        calls["negative_counts"].append(stack.shape)
-        return count(stack, *args)
-
     monkeypatch.setattr(index_theory, "find_constant_states", counted_enumeration)
-    monkeypatch.setattr(index_theory, "negative_counts", counted_count)
+    shapes = counted_eigvals(monkeypatch)
     models = [sweep_point(a) for a in np.linspace(0.25, 2.0, 12)]
     verdicts = existence_verdicts(models)
     assert calls["find_constant_states"] == 1
-    modes = sum(len(r.mode_decisions.N) for v in verdicts for r in v.index_reports)
-    assert calls["negative_counts"] == [(modes, 2, 2)]
+    assert sum(len(v.index_reports) for v in verdicts) == 12
+    assert shapes == [(12, 2, 2), (12, 2, 2)]
 
 
 def reference_count(d_A, Ai, tol=1e-8):
@@ -817,3 +832,78 @@ def test_stacked_count_matches_one_matrix_reference(m, seed):
     # Each stack mixes real and complex spectra and holds a defective cluster.
     assert {"f", "c"} <= {kind for kind, _ in kinds}
     assert any(defective for _, defective in kinds)
+
+
+def random_model(rng, m, kind):
+    """A model whose constant state ``u*`` is drawn first: ``r = c u*``."""
+    u = rng.uniform(0.3, 2.0, m)
+    c = rng.uniform(-2.0, 2.0, (m, m))
+    alpha = rng.uniform(0.0, 1.5, (m, m)) * (rng.random((m, m)) < 0.5)
+    if kind == "interval":
+        lengths = [rng.uniform(0.5, 8.0)]
+    elif kind == "rectangle":
+        lengths = rng.uniform(0.5, 5.0, 2).tolist()
+    else:
+        lengths = [PI if rng.random() < 0.3 else rng.uniform(1.0, 5.0)] * 2
+    model = build_model(
+        {
+            "m": m,
+            "d": (10.0 ** rng.uniform(-1.5, 0.5, m)).tolist(),
+            "alpha": alpha.tolist(),
+            "r": (c @ u).tolist(),
+            "c": c.tolist(),
+            "domain": {"kind": "interval" if kind == "interval" else "rectangle",
+                       "lengths": lengths},
+            "bc": "neumann",
+        }
+    )
+    return model, u
+
+
+def test_index_equals_the_brute_force_sign_product_on_random_models():
+    # An independent route to the index: the product of sign p(lambda_k)
+    # ^ M_k over the listed Neumann spectrum, through past the largest
+    # root, with the roots from a QZ solve of the pencil (J, A).  Also
+    # brute force: sigma, and the modes where p < 0 against the report's
+    # intervals.
+    import scipy.linalg
+
+    rng = np.random.default_rng(20240521)
+    seen = {"decided": 0, "index -1": 0, "double mode in p < 0": 0, "complex": 0,
+            "odd positive roots": 0, "rectangle": 0}
+    for trial in range(480):
+        kind = ("interval", "rectangle", "square")[trial % 3]
+        model, u = random_model(rng, 2 + (trial // 3) % 2, kind)
+        report = constant_state_index(model, u)
+        A, J = model.A(u), model.jacobian_f(u)
+        mu = scipy.linalg.eig(J, A, right=False)
+        real = mu.real[np.abs(mu.imag) <= 1e-9 * np.abs(mu).max()]
+        spectrum = spectrum_through(model.domain, max(real.max(initial=0.0), 0.0) * 1.1 + 1.0)
+        p = np.linalg.det(spectrum.values[:, None, None] * A - J)
+        where = (model.m, model.domain.lengths, model.d.tolist())
+        # Every count with multiplicity, the constant mode included.
+        sigma = sum(int(spectrum.M[spectrum.values < v].sum()) for v in real)
+        assert report.sigma == sigma, where
+        if not report.nondegenerate:
+            continue
+        assert report.index == int(np.prod(np.sign(p) ** spectrum.M)), where
+        inside = np.zeros(len(spectrum), dtype=bool)
+        for r in report.negative:
+            held = (spectrum.values > r["lo"]) & (spectrum.values < r["hi"])
+            if r["lo"] == 0.0 and r["first_mode"] == 0:
+                held[0] = True
+            assert int(spectrum.M[held].sum()) == r["modes"], where
+            if held.any():
+                assert int(np.flatnonzero(held)[0]) == r["first_mode"], where
+            inside |= held
+        assert ((p < 0) == inside).all(), where
+        seen["decided"] += 1
+        seen["index -1"] += report.index == -1
+        seen["double mode in p < 0"] += bool((spectrum.M[inside] == 2).any())
+        seen["complex"] += bool((~report.roots["real"]).any())
+        seen["odd positive roots"] += int((real > 0).sum()) % 2
+        seen["rectangle"] += kind != "interval"
+    # Not vacuous: most states are decided, with both indices, complex
+    # roots, saddles, and squares whose double modes are factors -1.
+    assert seen["decided"] >= 450, seen
+    assert min(seen.values()) >= 40, seen

@@ -20,6 +20,8 @@ from crossdiff import (
     continuation_solve,
     discretize,
     make_grid,
+    negative_counts,
+    neumann_eigenvalues,
     newton_solve,
     pde_solver,
     random_field,
@@ -832,14 +834,19 @@ def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
 # -- mode seeding -----------------------------------------------------------
 
 
-def mode_counts(model):
-    """``N`` of every mode the ledger decides at ``u* = (1, 1)``; entry
-    ``k - 1`` belongs to mode number ``k``."""
-    return constant_state_index(model, np.ones(2)).mode_decisions.N
+def mode_counts(model, count=5):
+    """``N`` of modes 1 to ``count`` at ``u* = (1, 1)``, the count
+    :func:`seed_from_mode` checks; entry ``k - 1`` belongs to mode ``k``."""
+    u = np.ones(2)
+    lam = neumann_eigenvalues(model.domain, count + 1).values[1:]
+    stack = (model.A(u) - model.jacobian_f(u) / lam[:, None, None]) / model.d_A(u)[:, None]
+    return negative_counts(stack).N
 
 
 def unstable_mode(model):
-    return 1 + int(np.flatnonzero(mode_counts(model) >= 1)[0])
+    """The first nonconstant mode of the index report's ``p < 0`` intervals."""
+    negative = constant_state_index(model, np.ones(2)).negative
+    return next(int(r["first_mode"]) for r in negative if r["first_mode"] >= 1 and r["modes"])
 
 
 def stable_mode(model):
@@ -882,6 +889,7 @@ def test_seed_from_mode_warns_exactly_on_modes_without_a_negative_count():
     grid = make_grid(model.domain, 32)
     counts = mode_counts(model)
     assert counts.tolist() == [1, 0, 0, 0, 0]
+    assert unstable_mode(model) == 1
     for k, N in enumerate(counts.tolist(), start=1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

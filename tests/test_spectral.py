@@ -70,8 +70,7 @@ def test_spectrum_through_bound_is_inclusive_cover():
     domain = Domain(kind="interval", lengths=(PI,))
     spectrum = spectrum_through(domain, 10.0)
     assert spectrum.values.tolist() == [0.0, 1.0, 4.0, 9.0]
-    with_extra = spectrum_through(domain, 10.0, extra=2)
-    assert with_extra.values[-2:].tolist() == [16.0, 25.0]
+    assert spectrum_through(domain, 25.0).values[-2:].tolist() == [16.0, 25.0]
 
 
 def test_collision_groups_compare_with_the_first_value():
@@ -164,24 +163,23 @@ def test_enumeration_matches_brute_force_lattice(lengths):
     between = [(a + b) / 2 for a, b in zip(values, values[1:])]
     for bound in on + between:
         below = sum(1 for v in values if v <= bound)
-        for extra in (0, 1, 3):
-            got = as_triples(spectrum_through(domain, bound, extra))
-            assert got == oracle[: below + extra], (bound, extra)
+        assert as_triples(spectrum_through(domain, bound)) == oracle[:below], bound
 
 
 def test_interval_size_limit_edge():
-    # At most 32,767 modes are returned; one more raises.  The bounds on
-    # eigenvalues are placed where the square root rounds either way:
-    # (32764 pi / pi)^2 lies above 32764^2, and sqrt((32758 pi / pi)^2)
-    # rounds below 32758.
+    # At most 32,767 modes are returned; one more raises.  Bounds on
+    # eigenvalues below the limit are placed where the square root rounds
+    # either way: (32764 pi / pi)^2 lies above 32764^2, and
+    # sqrt((32758 pi / pi)^2) rounds below 32758.
     domain = Domain(kind="interval", lengths=(PI,))
-    on = (32758 * PI / PI) ** 2
-    for bound, extra in [(32766.5**2, 0), (32763.5**2, 3), (32764.0**2, 3), (on, 8)]:
-        assert len(spectrum_through(domain, bound, extra)) == 32767
+    for k in (32758, 32764):
+        assert len(spectrum_through(domain, (k * PI / PI) ** 2)) == k + 1
+    for bound in (32766.5**2, 32766.0**2):
+        assert len(spectrum_through(domain, bound)) == 32767
     assert len(neumann_eigenvalues(domain, 32767)) == 32767
-    for bound, extra in [(32767.5**2, 0), (32764.5**2, 3), (32765.0**2, 3), (on, 9)]:
+    for bound in (32767.5**2, 32767.0**2):
         with pytest.raises(ConfigError, match="requires too many modes"):
-            spectrum_through(domain, bound, extra)
+            spectrum_through(domain, bound)
     with pytest.raises(ConfigError, match=r"spectral bound 1\.074e\+09 requires too many"):
         neumann_eigenvalues(domain, 32768)
 
@@ -190,7 +188,7 @@ def test_interval_size_limit_edge():
 def test_non_finite_bound_raises(bound):
     domain = Domain(kind="interval", lengths=(PI,))
     with pytest.raises(ConfigError, match="requires too many modes"):
-        spectrum_through(domain, bound, extra=3)
+        spectrum_through(domain, bound)
 
 
 def _timeout(signum, frame):
@@ -203,8 +201,8 @@ def _timeout(signum, frame):
         # sqrt(bound) L / pi is past 2^53, where k + 1 rounds back to k.
         (PI, 1e114, "requires too many modes"),
         (1e300, 1.0, "requires too many modes"),
-        # (pi / L)^2 is a float, but the next axis values overflow.
-        (2.5e-154, 1.0, "overflow a float"),
+        # (pi / L)^2 is a float, but the next axis value overflows.
+        (2.5e-154, 1.6e308, "overflow a float"),
     ],
 )
 def test_lattice_limit_decided_before_the_walk(length, bound, message):
@@ -213,7 +211,7 @@ def test_lattice_limit_decided_before_the_walk(length, bound, message):
     signal.alarm(30)
     try:
         with pytest.raises(ConfigError, match=message):
-            spectrum_through(domain, bound, extra=3)
+            spectrum_through(domain, bound)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -12,6 +12,7 @@ from crossdiff.verification import (
     discrete_mode_mu,
     ev1_mu_for_mode,
     fd_neumann_matrix,
+    oracle_grid,
     parity_oracle,
     reaction_unstable_count,
     solution_map_matrix,
@@ -95,18 +96,19 @@ def test_solution_map_constant_mode_eigenvalues():
 
 
 def test_parity_counts_constant_mode_separately():
-    # Worked diagonal case: gamma = 1 from the first nonconstant mode,
-    # plus one unstable constant direction (J has eigenvalue +2), so the
-    # raw discrete count is 2 and the parities agree only after the
-    # constant-mode correction.
+    # Worked diagonal case: p < 0 at the first nonconstant mode and at the
+    # constant mode, whose unstable direction (J has eigenvalue +2) the
+    # discrete count includes: the raw count is 2, the report's modes
+    # where p < 0.
     model = interval_model(2, (1.0, 1.0), (-2.0, 1.0), ((-2.0, 0.0), (0.0, 1.0)))
     u_star = np.ones(2)
     count, parity = parity_oracle(model, u_star, n=192)
     n_plus = reaction_unstable_count(model, u_star)
     report = constant_state_index(model, u_star)
     assert n_plus == 1
-    assert count == report.gamma + n_plus == 2
-    assert parity == (-1) ** (report.gamma + n_plus)
+    assert report.negative["first_mode"].tolist() == [0]
+    assert count == report.negative["modes"].sum() == 2
+    assert parity == (-1) ** report.sigma == report.index
 
 
 def test_parity_matches_index_for_stable_kinetics():
@@ -118,7 +120,7 @@ def test_parity_matches_index_for_stable_kinetics():
     report = constant_state_index(model, u_star)
     for k in (None, 11.3):
         count, parity = parity_oracle(model, u_star, n=192, k=k)
-        assert count == report.gamma == 1
+        assert count == report.negative["modes"].sum() == 1
         assert parity == report.index == -1
 
 
@@ -203,3 +205,40 @@ def test_oracles_reject_rectangles():
         discrete_mode_mu(model, np.ones(1), 32, 3)
     with pytest.raises(ValueError, match="interval"):
         dense_pencil_mu(model, np.ones(1), 32)
+
+
+def readme_on(length, d1, alpha_21):
+    """The README model on ``(0, length)`` with ``d_1`` and ``alpha_21`` set."""
+    return interval_model(
+        2, (d1, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
+        alpha=((0.0, 0.0), (alpha_21, 0.0)), length=length,
+    )
+
+
+@pytest.mark.parametrize(
+    "length, d1, alpha_21",
+    [
+        (19.743589743589745, 0.05, 0.1),
+        (20.756410256410255, 0.05, 0.0),
+        (26.833333333333332, 0.23333333333333334, 0.1),
+        (28.858974358974358, 0.41666666666666663, 0.1),
+    ],
+)
+def test_parity_oracle_picks_a_grid_that_resolves_the_roots(length, d1, alpha_21):
+    # Rows of the sweep-lengths golden sweep where a fixed n = 256 gives
+    # the wrong parity: an FD eigenvalue (2n/L)^2 sin^2(k pi / 2n) falls
+    # below a root that the exact one lies above.  The oracle's own grid
+    # resolves them at n = 512, and its parity is the index.
+    model = readme_on(length, d1, alpha_21)
+    u_star = np.ones(2)
+    report = constant_state_index(model, u_star)
+    assert parity_oracle(model, u_star, n=256)[1] != report.index
+    assert oracle_grid(model, u_star) == 512
+    assert parity_oracle(model, u_star)[1] == report.index
+
+
+def test_parity_oracle_names_the_grid_a_long_interval_needs():
+    # The README model on (0, 1e5) has ~60,000 eigenvalues below its roots.
+    model = readme_on(1e5, 0.4, 0.0)
+    with pytest.raises(ValueError, match=r"needs n = 8388608 .* largest grid, n = 1024"):
+        parity_oracle(model, np.ones(2))
