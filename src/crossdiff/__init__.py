@@ -43,7 +43,6 @@ from .index_theory import (
     constant_state_index,
     existence_verdict,
     existence_verdicts,
-    negative_counts,
     semitrivial_stability,
 )
 from .pde_solver import (
@@ -105,7 +104,6 @@ __all__ = [
     "find_constant_states",
     "identity_residuals",
     "make_grid",
-    "negative_counts",
     "neumann_eigenvalues",
     "newton_solve",
     "nonexistence_threshold",

@@ -42,7 +42,7 @@ cause of that model's verdict.  :func:`existence_verdict` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,11 +52,11 @@ from .spectral import spectrum_through
 from .steady_states import (
     ConstantState,
     StateEnumeration,
+    TOL_DEGENERATE,
     TOL_SIGN,
     find_constant_states,
 )
 
-TOL_DEGENERATE = 1e-8
 # Most Neumann eigenvalues that may lie below a root.  Near a root with
 # more, the eigenvalues are spaced about TOL_DEGENERATE times the root
 # apart, so no gap would pass the degeneracy test; the counts also stay
@@ -71,73 +71,6 @@ ROOT = np.dtype(
 NEGATIVE = np.dtype(
     [("lo", np.float64), ("hi", np.float64), ("first_mode", np.int64), ("modes", np.int64)]
 )
-
-
-class NegativeCounts(NamedTuple):
-    """Counts of negative real eigenvalues over a stack of matrices.
-
-    ``N`` counts with algebraic multiplicity; complex-conjugate pairs are
-    excluded (they shift any consistent count by an even amount and so
-    cannot change the parity).  ``margin`` is the smallest ``|Re|`` over
-    each matrix's eigenvalues; when it falls below the degeneracy
-    tolerance the mode is undecidable and ``degenerate`` is set.  Row
-    ``k`` of each array, and ``warnings[k]``, belong to matrix ``k``.
-    """
-
-    N: NDArray[np.intp]
-    eigs: NDArray[np.complex128]
-    margin: NDArray[np.float64]
-    degenerate: NDArray[np.bool_]
-    warnings: tuple[tuple[str, ...], ...]
-
-
-def negative_counts(stack: NDArray[np.float64]) -> NegativeCounts:
-    """Count real negative eigenvalues of every matrix of a scaled stack.
-
-    ``stack`` holds ``d_A^{-1} A_i`` with shape ``(k, m, m)``; one 2-norm
-    and one eigenvalue call cover all ``k`` matrices.  ``eigs`` holds each
-    row's eigenvalues in ascending lexicographic order.  A row with
-    ``N > 1`` gets a defectiveness warning for every counted eigenvalue
-    whose geometric multiplicity is below its algebraic one.
-    """
-    M = np.asarray(stack, dtype=float)
-    m = M.shape[-1]
-    scales = np.maximum(np.linalg.norm(M, 2, axis=(-2, -1)), 1e-300)
-    eigs = np.linalg.eigvals(M)
-    eigs = np.take_along_axis(eigs, np.lexsort((eigs.imag, eigs.real), axis=-1), -1)
-
-    real_mask = np.abs(eigs.imag) <= 1e-10 * scales[:, None]
-    neg_mask = real_mask & (eigs.real < -TOL_DEGENERATE * scales[:, None])
-    counts = neg_mask.sum(axis=-1)
-    margins = np.abs(eigs.real).min(axis=-1)
-
-    warnings: list[tuple[str, ...]] = [()] * len(counts)
-    for k in np.flatnonzero(counts > 1).tolist():
-        # Cluster the counted eigenvalues and compare geometric multiplicity.
-        scale = scales[k]
-        counted = np.sort(eigs[k].real[neg_mask[k]])
-        clusters: list[list[float]] = [[counted[0]]]
-        for v in counted[1:]:
-            if v - clusters[-1][-1] <= 1e-6 * scale:
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
-        found = []
-        for cluster in clusters:
-            alg = len(cluster)
-            if alg == 1:
-                continue
-            lam = float(np.mean(cluster))
-            geo = m - np.linalg.matrix_rank(M[k] - lam * np.eye(m), tol=1e-8 * scale)
-            if geo < alg:
-                found.append(
-                    f"defective eigenvalue {lam:.6g}: algebraic multiplicity "
-                    f"{alg}, geometric {geo}; algebraic multiplicity counted"
-                )
-        warnings[k] = tuple(found)
-    return NegativeCounts(
-        counts, eigs, margins, margins <= TOL_DEGENERATE * scales, tuple(warnings)
-    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,6 +26,10 @@ class ConfigError(ModelError):
     """Malformed or inconsistent model configuration input."""
 
 
+# Most species whose 2^m subsets or box corners are enumerated.
+MAX_SPECIES = 12
+
+
 _DOMAIN_KINDS = ("interval", "rectangle")
 _BC_KINDS = ("neumann", "dirichlet")
 
@@ -403,25 +407,21 @@ def _message_or(make: Callable[[Any], Any], value: Any) -> Any:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Sampled ellipticity and growth certificate for the flux matrix.
+    """Ellipticity certificate for the flux matrix over a box.
 
-    ``lambda_floor`` is the sampled minimum over the box of the smallest
-    eigenvalue of the symmetric part of ``A(u)``; ``C_star`` bounds
-    ``||A(u)|| / lambda(u)``; ``growth_exponent`` is the fitted exponent
-    ``k`` in ``lambda(u) ~ (1 + |u|)^k``; ``Lambda_sup`` bounds the
-    relative gradient ``|grad lambda| / lambda``.  ``sg_check`` is
-    ``"vacuous"`` when the spatial dimension is at most 4, otherwise a
-    pass/fail verdict on the smallness condition for ``C_star``.
+    ``lambda_floor`` is the minimum over the box of ``lambda(u)``, the
+    smallest eigenvalue of the symmetric part of ``A(u)``, and ``C_star``
+    the maximum of ``||A(u)||_2 / lambda(u)``; both are exact.
+    ``Lambda_sup`` is an upper bound on the relative gradient
+    ``|grad lambda| / lambda`` over the box.  On a non-elliptic box
+    (``lambda_floor <= 0``) the last two are infinite.
     """
 
     lambda_floor: float
     C_star: float
-    growth_exponent: float
     Lambda_sup: float
-    sg_check: str
     elliptic: bool
     box: tuple[tuple[float, float], ...]
-    samples: int
     warnings: tuple[str, ...] = ()
 
 
@@ -430,99 +430,59 @@ def _min_sym_eig(A: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.linalg.eigvalsh(sym)[..., 0]
 
 
-def validate_structure(
-    model: Model,
-    box: Sequence[Sequence[float]],
-    samples: int = 512,
-    seed: int = 0,
-) -> StructureReport:
-    """Sample the flux matrix over a box and certify ellipticity bounds.
+def validate_structure(model: Model, box: Sequence[Sequence[float]]) -> StructureReport:
+    """Certify ellipticity bounds of the flux matrix over a box.
 
-    ``box`` gives ``(low, high)`` bounds per component.  Sampling is
-    deterministic for a fixed ``seed``.  A nonpositive ``lambda_floor``
-    marks the model non-elliptic on the box; dependent quantities are
-    then reported as infinities with a warning instead of going silent.
+    ``box`` gives ``(low, high)`` bounds per component.  ``A(u)`` is
+    affine in ``u``, so ``lambda(u)`` is concave and takes its minimum
+    at a corner of the box; where ``lambda > 0`` the ratio
+    ``||A(u)||_2 / lambda(u)`` is quasi-convex and takes its maximum at a
+    corner too.  Both are evaluated on the ``2^m`` corners, which bounds
+    ``m`` at :data:`MAX_SPECIES`.  ``Lambda_sup`` is the bound
+    ``(sum_k ||sym d_k A||_2^2)^(1/2) / lambda_floor``, with
+    ``(d_k A)_ij = delta_ij alpha_ik + delta_ik alpha_kj`` constant in
+    ``u``.  A nonpositive ``lambda_floor`` marks the model non-elliptic
+    on the box; ``C_star`` and ``Lambda_sup`` are then reported as
+    infinities with a warning instead of going silent.
     """
     box_arr = np.asarray(box, dtype=float)
     if box_arr.shape != (model.m, 2):
         raise ModelError(f"box must have shape ({model.m}, 2), got {box_arr.shape}")
     if np.any(box_arr[:, 1] < box_arr[:, 0]):
         raise ModelError("box upper bounds must not be below lower bounds")
-    if samples < 2:
-        raise ModelError("need at least 2 samples")
-
-    rng = np.random.default_rng(seed)
-    u = box_arr[:, 0] + rng.random((samples, model.m)) * (
-        box_arr[:, 1] - box_arr[:, 0]
-    )
-    # Corners are the extremal states for the affine family; always include.
-    corners = np.stack(
-        np.meshgrid(*[box_arr[i] for i in range(model.m)], indexing="ij"), axis=-1
-    ).reshape(-1, model.m)
-    if corners.shape[0] <= 4096:
-        u = np.vstack([u, corners])
-
-    A = model.A(u)
-    lam = _min_sym_eig(A)
-    lambda_floor = float(lam.min())
-    norms = np.linalg.norm(A, ord=2, axis=(-2, -1))
-
-    warnings: list[str] = []
-    elliptic = lambda_floor > 0.0
-    if elliptic:
-        C_star = float((norms / lam).max())
-    else:
-        C_star = math.inf
-        warnings.append(
-            "flux matrix loses ellipticity on the box "
-            f"(min symmetric eigenvalue {lambda_floor:.3e} <= 0)"
+    if model.m > MAX_SPECIES:
+        raise ModelError(
+            f"structure check visits the 2^m box corners, bounded at "
+            f"m <= {MAX_SPECIES}, got m = {model.m}"
         )
 
-    # Growth exponent: regress log lambda(u) on log(1 + |u|) over the samples.
+    corners = np.stack(np.meshgrid(*box_arr, indexing="ij"), axis=-1).reshape(-1, model.m)
+    A = model.A(corners)
+    lam = _min_sym_eig(A)
+    lambda_floor = float(lam.min())
+    elliptic = lambda_floor > 0.0
+    warnings: tuple[str, ...] = ()
     if elliptic:
-        x = np.log1p(np.linalg.norm(u, axis=-1))
-        y = np.log(lam)
-        spread = x.max() - x.min()
-        if spread > 1e-8 and np.ptp(y) > 1e-12:
-            growth_exponent = float(np.polyfit(x, y, 1)[0])
-        else:
-            growth_exponent = 0.0
+        C_star = float((np.linalg.norm(A, ord=2, axis=(-2, -1)) / lam).max())
+        # d_k A stacked on k: alpha[i, k] down the diagonal, alpha[k, :] in row k.
+        idx = np.arange(model.m)
+        dA = np.zeros((model.m,) * 3)
+        dA[:, idx, idx] = model.alpha.T
+        dA[idx, idx, :] += model.alpha
+        norms = np.linalg.norm(0.5 * (dA + np.swapaxes(dA, -1, -2)), ord=2, axis=(-2, -1))
+        Lambda_sup = float(np.linalg.norm(norms)) / lambda_floor
     else:
-        growth_exponent = math.nan
-
-    # Relative gradient of lambda via central differences at the samples.
-    if elliptic:
-        eps = 1e-6 * (1.0 + np.abs(u))
-        grads = np.empty_like(u)
-        for k in range(model.m):
-            up = u.copy()
-            dn = u.copy()
-            up[:, k] += eps[:, k]
-            dn[:, k] -= eps[:, k]
-            grads[:, k] = (_min_sym_eig(model.A(up)) - _min_sym_eig(model.A(dn))) / (
-                2.0 * eps[:, k]
-            )
-        Lambda_sup = float((np.linalg.norm(grads, axis=-1) / lam).max())
-    else:
-        Lambda_sup = math.inf
-
-    # The smallness condition on C_* only bites in dimension > 4.
-    n = model.domain.dimension
-    if n <= 4:
-        sg_check = "vacuous"
-    elif elliptic and C_star < (n - 2.0) / (n - 4.0):
-        sg_check = "pass"
-    else:
-        sg_check = "fail"
+        C_star = Lambda_sup = math.inf
+        warnings = (
+            "flux matrix loses ellipticity on the box "
+            f"(min symmetric eigenvalue {lambda_floor:.3e} <= 0)",
+        )
 
     return StructureReport(
         lambda_floor=lambda_floor,
         C_star=C_star,
-        growth_exponent=growth_exponent,
         Lambda_sup=Lambda_sup,
-        sg_check=sg_check,
         elliptic=elliptic,
         box=tuple((float(lo), float(hi)) for lo, hi in box_arr),
-        samples=int(u.shape[0]),
-        warnings=tuple(warnings),
+        warnings=warnings,
     )

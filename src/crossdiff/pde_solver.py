@@ -62,10 +62,9 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import splu
 
-from .index_theory import negative_counts
 from .model import ConfigError, Domain, Model, ModelError
 from .spectral import eigenfunction, neumann_eigenvalues
-from .steady_states import TOL_SIGN
+from .steady_states import TOL_DEGENERATE, TOL_SIGN
 
 TOL_NEWTON = 1e-10
 TOL_ZERO = 1e-8
@@ -734,7 +733,10 @@ def _stage_loop(
     queue = [float(t) for t in np.linspace(0.0, 1.0, steps + 1)]
     while queue:
         t = queue[0]
-        system = discretize(dataclasses.replace(model, alpha=t * model.alpha), grid)
+        # t * alpha with 0 <= t <= 1 passes the checks alpha passed.
+        alpha = t * model.alpha
+        alpha.setflags(write=False)
+        system = discretize(Model._checked(**{**vars(model), "alpha": alpha}), grid)
         run = _newton_core(system, values, tol, max_iter)
         factorizations += run.factorizations
         if run.failure is not None:
@@ -838,8 +840,9 @@ def seed_from_mode(
     ``u(x) = u* + amplitude * c * psi(x)`` with ``c`` the (real, unit)
     eigenvector of ``d_A^{-1} A_k``, ``A_k = A(u*) - J(u*) / lambda_hat_k``,
     at its most negative real eigenvalue and ``psi`` the eigenfunction of
-    the mode's first lattice point.  A mode with no negative count
-    (``N = 0``) gives a ``RuntimeWarning``.  When ``u*`` is positive the
+    the mode's first lattice point.  A mode whose matrix has no real
+    eigenvalue below ``-TOL_DEGENERATE`` times its 2-norm (``N = 0``)
+    gives a ``RuntimeWarning``.  When ``u*`` is positive the
     field is floored at a small positive fraction of ``min(u*)`` so the
     seed stays in the positive cone.
     """
@@ -853,13 +856,14 @@ def seed_from_mode(
     lambda_hat = mode.values[0]
     dvec = model.d_A(u_star)
     M = (model.A(u_star) - model.jacobian_f(u_star) / lambda_hat) / dvec[:, None]
-    if negative_counts(M[None]).N[0] < 1:
+    w, V = np.linalg.eig(M)
+    scale = max(float(np.linalg.norm(M, 2)), 1e-300)
+    if not np.any((np.abs(w.imag) <= 1e-10 * scale) & (w.real < -TOL_DEGENERATE * scale)):
         _warnings.warn(
             f"mode lambda_hat={lambda_hat:.6g} is not unstable (N=0); "
             "seeding along its least stable direction anyway",
             RuntimeWarning,
         )
-    w, V = np.linalg.eig(M)
     real = np.abs(w.imag) <= 1e-10 * max(1.0, float(np.abs(w).max()))
     if real.any():
         pick = np.where(real)[0][np.argmin(w.real[real])]

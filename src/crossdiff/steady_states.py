@@ -15,12 +15,12 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import Model, ModelError
+from .model import MAX_SPECIES, Model, ModelError
 
 TOL_ROOT = 1e-12
 TOL_DEDUP = 1e-9
 TOL_SIGN = 1e-10
-MAX_SPECIES = 12
+TOL_DEGENERATE = 1e-8
 MAX_REFINE = 50
 
 

@@ -16,7 +16,6 @@ from crossdiff import (
     existence_verdict,
     existence_verdicts,
     find_constant_states,
-    negative_counts,
     neumann_eigenvalues,
     nonexistence_threshold,
     semitrivial_stability,
@@ -67,10 +66,15 @@ def negative_intervals(report):
     return [(int(r["first_mode"]), int(r["modes"])) for r in report.negative]
 
 
-def negative_count(d_A, Ai):
-    """``(N, degenerate)`` of ``diag(d_A)^{-1} Ai``, from a stack of one."""
-    counts = negative_counts((np.asarray(Ai, dtype=float) / d_A[:, None])[None])
-    return int(counts.N[0]), bool(counts.degenerate[0])
+def reference_count(d_A, Ai):
+    """``(N, degenerate)`` of ``diag(d_A)^{-1} Ai``: its real eigenvalues
+    below ``-1e-8`` times its 2-norm, and whether an eigenvalue's real
+    part lies within that of 0."""
+    M = Ai / d_A[:, None]
+    scale = max(float(np.linalg.norm(M, 2)), 1e-300)
+    eigs = np.linalg.eig(M)[0]
+    neg = (np.abs(eigs.imag) <= 1e-10 * scale) & (eigs.real < -1e-8 * scale)
+    return int(neg.sum()), bool(np.abs(eigs.real).min() <= 1e-8 * scale)
 
 
 def test_mode_matrix_worked_case():
@@ -81,7 +85,7 @@ def test_mode_matrix_worked_case():
     lambda_hat, A_i = first_mode_matrix(model)
     assert lambda_hat == 1.0
     np.testing.assert_allclose(A_i, np.diag([-1.0, 2.0]), atol=1e-14)
-    assert negative_count(np.ones(2), A_i) == (1, False)
+    assert reference_count(np.ones(2), A_i) == (1, False)
     assert np.linalg.det(lambda_hat * model.A(np.ones(2)) - model.jacobian_f(np.ones(2))) < 0
     assert negative_intervals(constant_state_index(model, np.ones(2))) == [(0, 2)]
 
@@ -94,15 +98,15 @@ def test_mode_matrix_vanishing_perturbation():
     lambda_hat, A_i = first_mode_matrix(model)
     assert lambda_hat == pytest.approx(1e9)
     np.testing.assert_allclose(A_i, model.A(np.ones(2)), atol=1e-8)
-    assert negative_count(np.ones(2), A_i) == (0, False)
+    assert reference_count(np.ones(2), A_i) == (0, False)
     assert negative_intervals(constant_state_index(model, np.ones(2))) == [(0, 1)]
 
 
 def test_negative_count_examples():
-    assert negative_count(np.ones(2), np.diag([-1.0, 2.0])) == (1, False)
-    assert negative_count(np.ones(2), np.diag([0.5, 2.0])) == (0, False)
+    assert reference_count(np.ones(2), np.diag([-1.0, 2.0])) == (1, False)
+    assert reference_count(np.ones(2), np.diag([0.5, 2.0])) == (0, False)
     spd = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert negative_count(np.array([0.5, 2.0]), spd) == (0, False)
+    assert reference_count(np.array([0.5, 2.0]), spd) == (0, False)
 
 
 @given(
@@ -122,7 +126,7 @@ def test_negative_determinant_forces_single_crossing(l1, l2, d1, d2, seed):
         return
     Ai = V @ np.diag([l1, l2]) @ np.linalg.inv(V)
     d_A = np.array([d1, d2])
-    N, degenerate = negative_count(d_A, Ai)
+    N, degenerate = reference_count(d_A, Ai)
     if degenerate:
         return
     det = np.linalg.det(Ai / d_A[:, None])
@@ -135,8 +139,8 @@ def test_negative_determinant_forces_single_crossing(l1, l2, d1, d2, seed):
 def brute_force_counts(model, u, modes):
     """``N_k`` of the first ``modes`` nonzero interval modes ``k^2 (pi/L)^2``."""
     lam = (np.arange(1.0, modes + 1.0) * PI / model.domain.lengths[0]) ** 2
-    A, J = model.A(u), model.jacobian_f(u)
-    return lam, negative_counts((A - J / lam[:, None, None]) / model.d_A(u)[:, None]).N
+    A, J, d_A = model.A(u), model.jacobian_f(u), model.d_A(u)
+    return lam, np.array([reference_count(d_A, A - J / value)[0] for value in lam])
 
 
 def test_mode_cutoff_worked_case():
@@ -268,18 +272,6 @@ def test_bistable_saddle_index_counts_the_constant_mode():
     assert any(w.startswith("constant mode: det(-J(u_star))") for w in report.warnings)
     stable = constant_state_index(turing_model(), np.ones(2))
     assert not any("constant mode" in w for w in stable.warnings)
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_negative_counts_eigs_equal_the_eig_eigenvalues(m):
-    rng = np.random.default_rng(m)
-    stack = rng.uniform(-2.0, 2.0, (64, m, m))
-    stack[:8] = np.triu(stack[:8])  # real eigenvalues, some defective-looking rows
-    eigs = np.linalg.eig(stack)[0]
-    order = np.lexsort((eigs.imag, eigs.real), axis=-1)
-    expected = np.take_along_axis(eigs, order, -1).astype(complex)
-    got = negative_counts(stack).eigs.astype(complex)
-    assert got.tobytes() == expected.tobytes()
 
 
 def test_turing_index_against_eigendecomposition_oracle():
@@ -470,7 +462,7 @@ def test_diagonal_consistency(d1, d2, j1, j2):
         diag_vals = np.diag(Ai) / d_A
         if np.abs(diag_vals).min() <= 1e-8:
             continue
-        N, _ = negative_count(d_A, Ai)
+        N, _ = reference_count(d_A, Ai)
         assert N == int(np.sum(diag_vals < 0))
 
 
@@ -761,77 +753,6 @@ def test_batch_shares_kinetics_and_stacks_items(monkeypatch):
     assert calls["find_constant_states"] == 1
     assert sum(len(v.index_reports) for v in verdicts) == 12
     assert shapes == [(12, 2, 2), (12, 2, 2)]
-
-
-def reference_count(d_A, Ai, tol=1e-8):
-    """The count of one matrix with numpy's one-matrix ``eig``."""
-    M = Ai / d_A[:, None]
-    m = M.shape[0]
-    scale = max(float(np.linalg.norm(M, 2)), 1e-300)
-    eigs = np.linalg.eig(M)[0]
-    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    neg = (np.abs(eigs.imag) <= 1e-10 * scale) & (eigs.real < -tol * scale)
-    margin = float(np.abs(eigs.real).min())
-    warnings = []
-    clusters = []
-    for v in np.sort(eigs.real[neg]):
-        if clusters and v - clusters[-1][-1] <= 1e-6 * scale:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    for cluster in clusters:
-        lam = float(np.mean(cluster))
-        geo = m - np.linalg.matrix_rank(M - lam * np.eye(m), tol=1e-8 * scale)
-        if len(cluster) > 1 and geo < len(cluster):
-            warnings.append(
-                f"defective eigenvalue {lam:.6g}: algebraic multiplicity "
-                f"{len(cluster)}, geometric {geo}; algebraic multiplicity counted"
-            )
-    return int(neg.sum()), eigs, margin, margin <= tol * scale, tuple(warnings)
-
-
-def mixed_stack(rng, d_A, k):
-    """``k`` mode matrices whose ``diag(d_A)^{-1} Ai`` cycle through a real
-    spectrum, a complex pair and a defective negative cluster (a Jordan
-    block at -1)."""
-    m = len(d_A)
-    stack = []
-    for i in range(k):
-        V = rng.uniform(-1.0, 1.0, (m, m)) + 2.0 * np.eye(m)
-        T = np.diag(rng.uniform(-2.0, 2.0, m))
-        kind = i % 3
-        if kind == 1:
-            a, b = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5)
-            T[:2, :2] = [[a, -b], [b, a]]
-        if kind == 2:
-            T = np.triu(T)
-            T[:2, :2] = [[-1.0, 1.0], [0.0, -1.0]]
-            V = np.eye(m)
-        stack.append(d_A[:, None] * (V @ T @ np.linalg.inv(V)))
-    return np.array(stack)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("seed", range(4))
-def test_stacked_count_matches_one_matrix_reference(m, seed):
-    rng = np.random.default_rng(seed)
-    d_A = rng.uniform(0.2, 3.0, m)
-    stack = mixed_stack(rng, d_A, 9)
-    counts = negative_counts(stack / d_A[:, None])
-    assert len(counts.N) == len(counts.warnings) == len(stack)
-    kinds = set()
-    for k, Ai in enumerate(stack):
-        N, eigs, margin, degenerate, warnings = reference_count(d_A, Ai)
-        kinds.add((eigs.dtype.kind, bool(warnings)))
-        # A row with no imaginary part is the real array a one-matrix eig gives.
-        row = counts.eigs[k] if counts.eigs[k].imag.any() else counts.eigs[k].real
-        assert row.dtype == eigs.dtype
-        assert row.tobytes() == eigs.tobytes()
-        got = (counts.N[k], counts.margin[k], counts.degenerate[k], counts.warnings[k])
-        assert got == (N, margin, degenerate, warnings)
-    # Each stack mixes real and complex spectra and holds a defective cluster.
-    assert {"f", "c"} <= {kind for kind, _ in kinds}
-    assert any(defective for _, defective in kinds)
 
 
 def random_model(rng, m, kind):

@@ -20,7 +20,6 @@ from crossdiff import (
     continuation_solve,
     discretize,
     make_grid,
-    negative_counts,
     neumann_eigenvalues,
     newton_solve,
     pde_solver,
@@ -631,6 +630,27 @@ def test_continuation_builds_the_jacobian_pattern_once(monkeypatch):
     assert pde_solver._jacobian_pattern.cache_info().misses == 1
 
 
+def test_continuation_stages_run_no_model_checks(monkeypatch):
+    # Each stage's model t * alpha is assembled from the checked model's
+    # fields: Model.__post_init__ does not run once per stage attempt.
+    from crossdiff.model import Model
+
+    model = skt_2d()
+    grid = make_grid(model.domain, 15)
+    calls = []
+    post_init = Model.__post_init__
+
+    def counted(self):
+        calls.append(self.m)
+        post_init(self)
+
+    monkeypatch.setattr(Model, "__post_init__", counted)
+    seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
+    result = continuation_solve(model, grid, seed)
+    assert result.converged and len(result.t_path) > 1
+    assert calls == []
+
+
 def test_continuation_schedule_validation():
     model = weak_lv()
     grid = make_grid(model.domain, 16)
@@ -836,11 +856,15 @@ def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
 
 def mode_counts(model, count=5):
     """``N`` of modes 1 to ``count`` at ``u* = (1, 1)``, the count
-    :func:`seed_from_mode` checks; entry ``k - 1`` belongs to mode ``k``."""
+    :func:`seed_from_mode` checks: the real eigenvalues of each mode's
+    ``d_A^{-1} A_k`` below ``-1e-8`` times its 2-norm.  Entry ``k - 1``
+    belongs to mode ``k``."""
     u = np.ones(2)
     lam = neumann_eigenvalues(model.domain, count + 1).values[1:]
     stack = (model.A(u) - model.jacobian_f(u) / lam[:, None, None]) / model.d_A(u)[:, None]
-    return negative_counts(stack).N
+    scale = np.linalg.norm(stack, 2, axis=(-2, -1))[:, None]
+    eigs = np.linalg.eigvals(stack)
+    return ((np.abs(eigs.imag) <= 1e-10 * scale) & (eigs.real < -1e-8 * scale)).sum(axis=1)
 
 
 def unstable_mode(model):
