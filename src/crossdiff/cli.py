@@ -16,6 +16,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -25,11 +26,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ball_radii, diagnostics_report
-from .index_theory import (
-    ExistenceVerdict,
-    existence_verdict,
-    existence_verdicts,
-)
+from .index_theory import ExistenceVerdict, existence_verdict, verdict_table
 from .model import (
     ConfigError,
     Model,
@@ -63,20 +60,19 @@ def _jsonify(obj: Any) -> Any:
 
     Arrays become nested lists (a record array, such as an index
     report's ``roots``, one dictionary per record), complex numbers
-    ``[re, im]`` pairs, and dataclasses dictionaries keyed by field name.
+    ``[re, im]`` pairs, dataclasses dictionaries keyed by field name, and
+    non-finite floats ``null``, which strict JSON readers accept.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [_jsonify(float(obj.real)), _jsonify(float(obj.imag))]
     if isinstance(obj, np.ndarray):
         if obj.dtype.names:
             return [_jsonify(dict(zip(obj.dtype.names, row))) for row in obj.tolist()]
@@ -96,7 +92,7 @@ def _jsonify(obj: Any) -> Any:
 
 
 def _write_report(path: str, report: dict) -> None:
-    text = json.dumps(_jsonify(report), sort_keys=True, indent=2)
+    text = json.dumps(_jsonify(report), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -408,6 +404,7 @@ def _parse_param(spec: str) -> tuple[str, list[float]]:
 
 _POINT_ERRORS = (ModelError, KeyError, IndexError, TypeError)
 
+# All but ``error`` are columns of the verdict table.
 _ROW_COLUMNS = (
     "n_states",
     "case_label",
@@ -421,15 +418,17 @@ _ROW_COLUMNS = (
 _ERROR_ROW = ("",) * (len(_ROW_COLUMNS) - 1)
 
 
-def _batch_verdicts(models: list[Model]) -> list[ExistenceVerdict | Exception]:
-    """Verdicts of every model in one pass; if the pass raises, each model
-    is decided alone, so the exception lands on its own point."""
+def _verdict_rows(models: list[Model]) -> list[tuple | Exception]:
+    """The verdict columns of every model's row, from one
+    :func:`verdict_table`; if building it raises, each model is decided
+    alone, so the exception lands on its own point."""
     try:
-        return list(existence_verdicts(models))
+        table = verdict_table(models)
     except _POINT_ERRORS as exc:
         if len(models) == 1:
             return [exc]
-        return [outcome for model in models for outcome in _batch_verdicts([model])]
+        return [row for model in models for row in _verdict_rows([model])]
+    return list(zip(*(getattr(table, name).tolist() for name in _ROW_COLUMNS[:-1])))
 
 
 def _sweep_rows(
@@ -443,9 +442,10 @@ def _sweep_rows(
     written in, by :func:`build_model`; every later point is built from
     that model in one checked batch (:func:`replace_entries`), so
     ``config`` need not be valid at the swept entries.  Every point is
-    decided by one :func:`existence_verdicts` batch, so the kinetic work
-    runs once per distinct ``(m, r, c)``.  A point whose model cannot be
-    built or decided gets an error row.
+    decided in one :func:`verdict_table`, so the kinetic work runs once
+    per distinct ``(m, r, c)``, and its rows are written from the table's
+    columns.  A point whose model cannot be built or decided gets an
+    error row.
     """
     keys = [k for _, k in params]
     outcomes: list[Model | Exception] = []
@@ -461,19 +461,15 @@ def _sweep_rows(
         outcomes.append(base)
         outcomes += replace_entries(base, keys, combos[i + 1 :])
         break
-    verdicts = iter(_batch_verdicts([o for o in outcomes if isinstance(o, Model)]))
+    decided = iter(_verdict_rows([o for o in outcomes if isinstance(o, Model)]))
     rows: list[tuple] = []
     for combo, outcome in zip(combos, outcomes):
-        verdict = next(verdicts) if isinstance(outcome, Model) else outcome
-        if isinstance(verdict, Exception):
-            rows.append((*combo, *_ERROR_ROW, str(verdict)))
-            continue
-        n_states = len(verdict.boundary) + len(verdict.nontrivial_constant_indices)
+        row = next(decided) if isinstance(outcome, Model) else outcome
         # csv.writer writes None as an empty field.
-        rows.append((
-            *combo, n_states, verdict.case_label, verdict.total,
-            verdict.predicts_nonconstant, verdict.inconclusive, verdict.cause, "",
-        ))
+        if isinstance(row, Exception):
+            rows.append((*combo, *_ERROR_ROW, str(row)))
+        else:
+            rows.append((*combo, *row, ""))
     return rows
 
 

@@ -26,28 +26,30 @@ states are handled by sign criteria on the per-capita growth of the
 vanishing components, and the verdict compares the total degree
 against 1.
 
-:func:`existence_verdicts` decides a batch of models in one pass.  The
-work that depends only on the kinetics ``(m, r, c)`` -- constant states,
+:func:`verdict_table` decides a batch of models in one pass.  The work
+that depends only on the kinetics ``(m, r, c)`` -- constant states,
 boundary growth signs, the case label and ``J(u*)`` -- is done once per
-distinct kinetics.  Every (model, positive state) item of one species
+distinct kinetics.  Every (model, positive state) row of one species
 count is then decided by one stacked kernel, :func:`_decide_run`: one
 ``eigvals`` of ``d_A^{-1} A(u*)`` (ellipticity), one ``eigvals`` of
 ``solve(A(u*), J(u*))`` (the roots), the counts and gaps of all roots in
-closed form, and each item's :class:`IndexReport` as views of the
-kernel's record arrays.  A failure stays with its item and becomes the
-cause of that model's verdict.  :func:`existence_verdict` and
-:func:`constant_state_index` run the same code on one item.
+closed form.  The kernel writes a table: each row's index ``(-1)^sigma``
+and its root and interval records.  The verdicts, one row per model,
+are sums over its ``index`` column, with causes only where inconclusive.
+:class:`ExistenceVerdict` and :class:`IndexReport` objects are views of
+the table, built only on request.  A failure stays with its row and
+becomes the cause of that model's verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import ConfigError, Model, ModelError
+from .model import ConfigError, Domain, Model, ModelError
 from .spectral import spectrum_through
 from .steady_states import (
     ConstantState,
@@ -245,39 +247,33 @@ class _State:
 
     One ``_State`` serves every model of a batch with these kinetics.
     ``support`` lists the components of the full model the state lives
-    on (``None``: all of them); ``error`` is set when the state cannot
-    carry an index at all.
+    on; ``error`` is set when the state cannot carry an index at all.
+    :func:`_decide` places the state's rows, one per model, at ``start``
+    of a kernel ``run``.
     """
 
     def __init__(
         self,
         kinetics: Model,
         u_star: NDArray[np.float64],
-        support: tuple[int, ...] | None = None,
+        support: tuple[int, ...],
         error: ModelError | None = None,
     ) -> None:
         self.u = u_star
         self.support = support
         self.error = error
         self.J = None if error is not None else kinetics.jacobian_f(u_star)
+        self.run: _Run | None = None
+        self.start = 0
 
+    def failure(self, i: int) -> ModelError | None:
+        """Why member ``i`` of the kinetics has no index report here, if it has none."""
+        return self.error if self.error is not None else self.run.errors.get(self.start + i)
 
-class _Item:
-    """One (model, positive state) pair and what the kernel found for it:
-    its ``report``, or the ``error`` of the check that failed it."""
-
-    __slots__ = ("d", "alpha", "domain", "state", "error", "report")
-
-    def __init__(self, model: Model, state: _State) -> None:
-        if state.support is None:
-            self.d, self.alpha = model.d, model.alpha
-        else:
-            idx = np.asarray(state.support)
-            self.d, self.alpha = model.d[idx], model.alpha[np.ix_(idx, idx)]
-        self.domain = model.domain
-        self.state = state
-        self.error: ModelError | None = None
-        self.report: IndexReport | None = None
+    def outcome(self, i: int) -> IndexReport | ModelError:
+        """Member ``i``'s index report at this state, or why it has none."""
+        failure = self.failure(i)
+        return failure if failure is not None else self.run.report(self.start + i, self.u)
 
 
 def _axis(s: NDArray[np.float64], L: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
@@ -319,29 +315,75 @@ def _weyl(
     )
 
 
-def _decide_run(items: list[_Item]) -> None:
-    """Decide every item of one species count ``m`` in one stacked pass.
+@dataclass(frozen=True, slots=True)
+class _Run:
+    """The records :func:`_decide_run` writes for its rows.
 
-    Row ``k`` of every array belongs to ``items[k]``.  A row that fails
-    a check gets its item's error and identity or zero matrices in its
-    place, so the stacked calls never see a non-finite entry.
+    ``errors`` holds the error of every row that failed a check and
+    ``index`` every row's index, 0 where the row claims none.  Row ``k``
+    of ``roots``, its ``negative`` records from ``bounds[k]`` to
+    ``bounds[k + 1]`` and ``det_J[k]`` (1 where no warning needs it) make
+    its report, which :meth:`report` builds on request.
     """
-    n, m = len(items), len(items[0].state.u)
+
+    errors: dict[int, ModelError]
+    index: NDArray[np.int64]
+    roots: NDArray
+    negative: NDArray
+    bounds: NDArray[np.int64]
+    det_J: NDArray[np.float64]
+
+    def report(self, k: int, u_star: NDArray[np.float64]) -> IndexReport:
+        """The index report of row ``k``, a row without an error: it warns of
+        the constant mode's factor when ``det(-J(u*))`` is not positive, and
+        of the roots at a Neumann eigenvalue."""
+        root, index = self.roots[k], int(self.index[k])
+        warnings = []
+        if not self.det_J[k] > 0.0:
+            warnings.append(
+                f"constant mode: det(-J(u_star)) = {float(self.det_J[k]):.6g} < 0 contributes "
+                "a factor -1 to the index"
+            )
+        at_eigenvalue = root["mu"][root["gap"] <= TOL_DEGENERATE]
+        if at_eigenvalue.size:
+            warnings.append(
+                "degenerate: root mu = " + ", ".join(f"{v:.6g}" for v in at_eigenvalue.tolist())
+                + " lies at a Neumann eigenvalue; no index claimed"
+            )
+        return IndexReport(
+            u_star=u_star,
+            roots=root,
+            sigma=int(root["count"].sum()),
+            negative=self.negative[self.bounds[k] : self.bounds[k + 1]],
+            index=index or None,
+            nondegenerate=bool(index),
+            warnings=tuple(warnings),
+        )
+
+
+def _decide_run(
+    u: NDArray, J: NDArray, d: NDArray, alpha: NDArray, lengths: NDArray, dims: NDArray
+) -> _Run:
+    """Decide every row of one species count ``m`` in one stacked pass.
+
+    Row ``k`` is the state ``u[k]`` with ``J(u*) = J[k]`` of the model
+    with ``d[k]`` and ``alpha[k]`` on a domain of dimension ``dims[k]``
+    with sides ``lengths[k, :dims[k]]``.  A row that fails a check gets
+    an error and identity or zero matrices in its place, so the stacked
+    calls never see a non-finite entry.
+    """
+    n, m = u.shape
     live = np.ones(n, dtype=bool)
+    errors: dict[int, ModelError] = {}
 
     def fail(bad: NDArray[np.bool_], error) -> None:
         for k in np.flatnonzero(bad & live).tolist():
-            items[k].error = error(k)
+            errors[k] = error(k)
         live[bad] = False
 
-    u = np.array([it.state.u for it in items])
-    alpha = np.array([it.alpha for it in items])
     A = u[:, :, None] * alpha
     idx = np.arange(m)
-    A[:, idx, idx] += (
-        np.array([it.d for it in items]) + (u[:, None, :] @ np.swapaxes(alpha, -1, -2))[:, 0, :]
-    )
-    J = np.array([it.state.J for it in items])
+    A[:, idx, idx] += d + (u[:, None, :] @ np.swapaxes(alpha, -1, -2))[:, 0, :]
 
     # Ellipticity: every eigenvalue of d_A^{-1} A(u*) has a positive real
     # part.  With d_A > 0 that makes det A(u*) > 0, so p > 0 past its roots.
@@ -373,11 +415,9 @@ def _decide_run(items: list[_Item]) -> None:
     real = y == 0.0
 
     count, dist = np.zeros((n, m), dtype=np.int64), np.zeros((n, m))
-    by_dim: dict[int, list[int]] = {}
-    for k, item in enumerate(items):
-        by_dim.setdefault(len(item.domain.lengths), []).append(k)
-    for dim, rows in by_dim.items():
-        L = np.array([items[k].domain.lengths for k in rows])
+    for dim in np.unique(dims).tolist():
+        rows = np.flatnonzero(dims == dim)
+        L = lengths[rows, :dim]
         xs = x[rows]
         # N(x) is at least the volume of the lattice region below x, so
         # MAX_COUNT is decided before any lattice column is listed.
@@ -416,70 +456,54 @@ def _decide_run(items: list[_Item]) -> None:
     held = (hi > 0.0) & live[:, None]
     below_zero = lo < 0.0
     first = np.where(below_zero, 0, lo_count)
-    if 2 in by_dim:
-        rectangle = np.zeros((n, 1), dtype=bool)
-        rectangle[by_dim[2]] = True
-        for r, j in zip(*np.nonzero(held & (lo > 0.0) & rectangle)):
-            try:
-                first[r, j] = len(spectrum_through(items[r].domain, lo[r, j]))
-            except ConfigError:
-                first[r, j] = -1
+    for r, j in zip(*np.nonzero(held & (lo > 0.0) & (dims == 2)[:, None])):
+        try:
+            first[r, j] = len(spectrum_through(Domain("rectangle", tuple(lengths[r])), lo[r, j]))
+        except ConfigError:
+            first[r, j] = -1
     negative = np.empty(int(held.sum()), dtype=NEGATIVE)
     negative["lo"], negative["hi"] = np.maximum(lo[held], 0.0), hi[held]
     negative["first_mode"] = first[held]
     negative["modes"] = (ends_count[:, top] - lo_count)[held]
-    stops = np.cumsum(held.sum(axis=-1)).tolist()
 
     # p(0) = det(-J(u*)) < 0 where an interval holds 0: the constant
     # mode's warning.
     noisy = (held & below_zero).any(axis=-1) | degenerate
-    det_J = np.zeros(n)
+    det_J = np.ones(n)
     if noisy.any():
         with np.errstate(over="ignore", invalid="ignore"):
             det_J[noisy] = np.linalg.det(-J[noisy])
-    start = 0
-    for k, (item, root, stop, sigma_k, degenerate_k, noisy_k) in enumerate(
-        zip(items, roots, stops, sigma.tolist(), degenerate.tolist(), noisy.tolist())
-    ):
-        negative_k, start = negative[start:stop], stop
-        if not live[k]:
-            continue
-        item.report = IndexReport(
-            u_star=item.state.u,
-            roots=root,
-            sigma=sigma_k,
-            negative=negative_k,
-            index=None if degenerate_k else (-1) ** sigma_k,
-            nondegenerate=not degenerate_k,
-            warnings=_report_warnings(float(det_J[k]), x[k, at_eigenvalue[k]])
-            if noisy_k else (),
-        )
+    # Each row's index is (-1)^sigma; 0 marks a row that claims none.
+    index = np.where(degenerate | ~live, 0, 1 - 2 * (sigma % 2))
+    bounds = np.concatenate(([0], np.cumsum(held.sum(axis=-1))))
+    return _Run(errors, index, roots, negative, bounds, det_J)
 
 
-def _report_warnings(det_J: float, at_eigenvalue: NDArray[np.float64]) -> tuple[str, ...]:
-    """An index report's warnings: the constant mode's factor when
-    ``det(-J(u*))`` is not positive, and the roots ``at_eigenvalue``."""
-    warnings = []
-    if not det_J > 0.0:
-        warnings.append(
-            f"constant mode: det(-J(u_star)) = {det_J:.6g} < 0 contributes "
-            "a factor -1 to the index"
-        )
-    if at_eigenvalue.size:
-        warnings.append(
-            "degenerate: root mu = " + ", ".join(f"{v:.6g}" for v in at_eigenvalue.tolist())
-            + " lies at a Neumann eigenvalue; no index claimed"
-        )
-    return tuple(warnings)
-
-
-def _decide(items: list[_Item]) -> None:
-    """Decide every item: one :func:`_decide_run` per species count."""
-    runs: dict[int, list[_Item]] = {}
-    for item in items:
-        runs.setdefault(len(item.state.u), []).append(item)
-    for run in runs.values():
-        _decide_run(run)
+def _decide(groups: Sequence[tuple[Sequence[Model], Sequence[_State]]]) -> None:
+    """Decide every model of each group at each of the group's states
+    that can carry an index: one :func:`_decide_run` per species count
+    over all of those rows, and each state placed at its rows."""
+    runs: dict[int, list[tuple]] = {}
+    for models, states in groups:
+        d = np.array([model.d for model in models])
+        alpha = np.array([model.alpha for model in models])
+        sides = [model.domain.lengths for model in models]
+        # An interval's length fills both columns; ``dims`` tells them apart.
+        lengths = np.array([s[:1] + s[-1:] for s in sides])
+        dims = np.array([len(s) for s in sides])
+        for pos in states:
+            if pos.error is None:
+                n, m, idx = len(models), len(pos.u), np.asarray(pos.support)
+                runs.setdefault(m, []).append((
+                    pos, np.broadcast_to(pos.u, (n, m)), np.broadcast_to(pos.J, (n, m, m)),
+                    d[:, idx], alpha[:, idx[:, None], idx], lengths, dims,
+                ))
+    for blocks in runs.values():
+        run = _decide_run(*(np.concatenate(column) for column in list(zip(*blocks))[1:]))
+        start = 0
+        for pos, u, *_ in blocks:
+            pos.run, pos.start = run, start
+            start += len(u)
 
 
 # -- one item -----------------------------------------------------------------
@@ -497,11 +521,12 @@ def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexRepo
     error = _index_precondition(model, u_star)
     if error is not None:
         raise error
-    item = _Item(model, _State(model, u_star))
-    _decide([item])
-    if item.error is not None:
-        raise item.error
-    return item.report
+    pos = _State(model, u_star, tuple(range(model.m)))
+    _decide([([model], [pos])])
+    report = pos.outcome(0)
+    if isinstance(report, ModelError):
+        raise report
+    return report
 
 
 # -- existence verdicts -------------------------------------------------------
@@ -514,7 +539,8 @@ class _Kinetics:
     case label, every boundary index that the growth signs settle, and a
     :class:`_State` for every state whose index needs the kernel -- the
     positive states and the v-stable semitrivial ones, whose index is
-    that of the restricted subsystem at its positive state.
+    that of the restricted subsystem at its positive state.  ``members``
+    lists the batch positions of the models with these kinetics.
     """
 
     def __init__(self, model: Model, states: StateEnumeration | None) -> None:
@@ -527,127 +553,120 @@ class _Kinetics:
                 "argument but is not backed by the two-species case analysis"
             )
         self.assumptions = tuple(assumptions)
+        self.members: list[int] = []
         self.causes: list[str] = []
         if enum.degenerate_subsets:
             self.causes.append(
                 "degenerate-subset: singular interaction matrix on supports "
                 f"{enum.degenerate_subsets}; enumeration may be incomplete"
             )
+        # Per state that can leave a verdict inconclusive, in the order of
+        # its cause: its label, the _State whose index the kernel decides
+        # (None: a vanishing growth sign) and the cause when it has no index.
+        self.sources: list[tuple[str, _State | None, str]] = []
         # Per boundary state, in order: its index when the growth signs
-        # settle it, with the cause it adds if any, or else the _State whose
-        # restricted index the kernel decides.
-        self.boundary: list[
-            tuple[ConstantState, StabilityVerdict, BoundaryIndex | _State, str | None]
-        ] = []
+        # settle it, or else the _State of its restricted index.
+        self.boundary: list[tuple[ConstantState, StabilityVerdict, BoundaryIndex | _State]] = []
         for state in enum:
             if state.classification == "nontrivial":
                 continue
             sv = semitrivial_stability(model, state)
-            cause = None
             if sv.v_class == "degenerate":
-                settled: BoundaryIndex | _State = BoundaryIndex(
+                entry: BoundaryIndex | _State = BoundaryIndex(
                     state, sv, None, "degenerate growth sign"
                 )
-                cause = (
-                    f"{_state_label(state)}: growth sign vanishes within "
-                    "tolerance (degenerate boundary state)"
-                )
+                self.sources.append((_state_label(state), None, (
+                    "growth sign vanishes within tolerance (degenerate boundary state)"
+                )))
             elif sv.v_class == "v-unstable":
-                settled = BoundaryIndex(state, sv, 0, "invadable: index 0")
+                entry = BoundaryIndex(state, sv, 0, "invadable: index 0")
             elif state.classification == "trivial":
-                settled = BoundaryIndex(state, sv, 1, "attracting trivial state: index 1")
+                entry = BoundaryIndex(state, sv, 1, "attracting trivial state: index 1")
             else:
                 sub = model.restrict(state.support_indices)
                 u_sub = state.u_star[list(state.support_indices)]
                 error = _index_precondition(sub, u_sub)
-                settled = _State(sub, u_sub, state.support_indices, error)
-            self.boundary.append((state, sv, settled, cause))
+                entry = _State(sub, u_sub, state.support_indices, error)
+                self.sources.append((_state_label(state), entry, "restricted index degenerate"))
+            self.boundary.append((state, sv, entry))
         self.nontrivial: list[tuple[ConstantState, _State]] = []
         for state in enum.by_classification("nontrivial"):
             error = _index_precondition(model, state.u_star)
-            self.nontrivial.append((state, _State(model, state.u_star, None, error)))
-        self.positive = [s for _, _, s, _ in self.boundary if isinstance(s, _State)]
-        self.positive += [pos for _, pos in self.nontrivial]
+            pos = _State(model, state.u_star, state.support_indices, error)
+            self.nontrivial.append((state, pos))
+            self.sources.append((_state_label(state), pos, "degenerate mode, no index"))
+        self.positive = [pos for _, pos, _ in self.sources if pos is not None]
+        settled = [b.index for _, _, b in self.boundary if isinstance(b, BoundaryIndex)]
+        self.settled = None if None in settled else sum(settled)
 
-    def verdict(self, items: dict[_State, _Item]) -> ExistenceVerdict:
-        """The verdict of one model, from its ledger items by state."""
 
-        def outcome(pos: _State) -> IndexReport | ModelError:
-            if pos.error is not None:
-                return pos.error
-            item = items[pos]
-            return item.error if item.error is not None else item.report
+@dataclass(frozen=True)
+class VerdictTable:
+    """Existence verdicts of a batch of models as columns, row ``k`` for
+    model ``k``: ``n_states`` counts its constant states, and the other
+    columns hold the :class:`ExistenceVerdict` fields of their names.
+    :meth:`verdict` builds row ``k``'s verdict on request.
+    """
 
-        causes = list(self.causes)
+    n_states: NDArray[np.int64]
+    case_label: NDArray[np.object_]
+    total: NDArray[np.object_]
+    predicts_nonconstant: NDArray[np.object_]
+    inconclusive: NDArray[np.bool_]
+    cause: NDArray[np.object_]
+    members: list[tuple[_Kinetics, int]] = field(repr=False)
+
+    def verdict(self, k: int) -> ExistenceVerdict:
+        """Row ``k`` as an :class:`ExistenceVerdict`."""
+        kinetics, i = self.members[k]
         boundary: list[BoundaryIndex] = []
-        for state, sv, settled, cause in self.boundary:
-            if isinstance(settled, BoundaryIndex):
-                boundary.append(settled)
-                if cause is not None:
-                    causes.append(cause)
-                continue
-            rep = outcome(settled)
-            if isinstance(rep, ModelError):
-                boundary.append(BoundaryIndex(state, sv, None, str(rep)))
-                causes.append(f"{_state_label(state)}: {rep}")
-            elif rep.index is None:
-                boundary.append(
-                    BoundaryIndex(state, sv, None, "restricted index degenerate", rep)
-                )
-                causes.append(f"{_state_label(state)}: restricted index degenerate")
-            else:
-                boundary.append(
-                    BoundaryIndex(state, sv, rep.index, "v-stable: restricted index", rep)
-                )
-
-        nontrivial_indices: list[tuple[tuple[float, ...], int | None]] = []
+        for state, sv, entry in kinetics.boundary:
+            if isinstance(entry, _State):
+                rep = entry.outcome(i)
+                if isinstance(rep, ModelError):
+                    entry = BoundaryIndex(state, sv, None, str(rep))
+                elif rep.index is None:
+                    entry = BoundaryIndex(state, sv, None, "restricted index degenerate", rep)
+                else:
+                    entry = BoundaryIndex(state, sv, rep.index, "v-stable: restricted index", rep)
+            boundary.append(entry)
+        nontrivial: list[tuple[tuple[float, ...], int | None]] = []
         reports: list[IndexReport] = []
-        for state, pos in self.nontrivial:
-            rep = outcome(pos)
+        for state, pos in kinetics.nontrivial:
+            rep = pos.outcome(i)
             if isinstance(rep, ModelError):
-                nontrivial_indices.append((tuple(state.u_star), None))
-                causes.append(f"{_state_label(state)}: {rep}")
-                continue
-            reports.append(rep)
-            nontrivial_indices.append((tuple(state.u_star), rep.index))
-            if rep.index is None:
-                causes.append(f"{_state_label(state)}: degenerate mode, no index")
-
-        inconclusive = bool(causes)
-        if inconclusive:
-            boundary_sum = None
-            total = None
-            predicts = None
-        else:
-            boundary_sum = sum(b.index for b in boundary)  # type: ignore[misc]
-            total = boundary_sum + sum(idx for _, idx in nontrivial_indices)  # type: ignore[misc]
-            predicts = total != 1
-
+                nontrivial.append((tuple(state.u_star), None))
+            else:
+                reports.append(rep)
+                nontrivial.append((tuple(state.u_star), rep.index))
+        inconclusive = bool(self.inconclusive[k])
         return ExistenceVerdict(
-            case_label=self.case_label,
-            sum_of_boundary_indices=boundary_sum,
-            nontrivial_constant_indices=tuple(nontrivial_indices),
-            total=total,
-            predicts_nonconstant=predicts,
-            assumptions=self.assumptions,
+            case_label=self.case_label[k],
+            sum_of_boundary_indices=None if inconclusive else sum(b.index for b in boundary),
+            nontrivial_constant_indices=tuple(nontrivial),
+            total=self.total[k],
+            predicts_nonconstant=self.predicts_nonconstant[k],
+            assumptions=kinetics.assumptions,
             inconclusive=inconclusive,
-            cause="; ".join(causes) if causes else None,
+            cause=self.cause[k],
             boundary=tuple(boundary),
             index_reports=tuple(reports),
         )
 
 
-def existence_verdicts(
+def verdict_table(
     models: Sequence[Model], states: Sequence[StateEnumeration] | None = None
-) -> tuple[ExistenceVerdict, ...]:
+) -> VerdictTable:
     """Existence verdicts of a batch of models, decided in one pass.
 
     ``states`` gives each model's constant states; without it they are
-    enumerated once per distinct kinetics ``(m, r, c)``.  Verdict ``k``
-    equals ``existence_verdict(models[k], states[k])`` field by field: a
-    failure at one state of one model becomes that verdict's cause.  A
-    model the verdict does not apply to (a Dirichlet problem) or whose
-    states cannot be enumerated raises for the whole batch.
+    enumerated once per distinct kinetics ``(m, r, c)``.  Every (model,
+    state) pair whose index needs the kernel is decided by one
+    :func:`_decide_run` per species count, and the verdicts are summed
+    from its ``index`` column.  A failure at one state of one model
+    becomes that row's cause.  A model the verdict does not apply to (a
+    Dirichlet problem) or whose states cannot be enumerated raises for
+    the whole batch.
     """
     models = list(models)
     enums: list[StateEnumeration | None] = (
@@ -659,20 +678,63 @@ def existence_verdicts(
             f"{len(models)} models"
         )
     shared: dict[tuple, _Kinetics] = {}
-    plans: list[tuple[_Kinetics, dict[_State, _Item]]] = []
-    for model, enum in zip(models, enums):
+    members: list[tuple[_Kinetics, int]] = []
+    for k, (model, enum) in enumerate(zip(models, enums)):
         if model.bc.kind != "neumann":
             raise ModelError("the existence verdict is built on the Neumann problem")
         key = (model.m, model.r.tobytes(), model.c.tobytes(), id(enum))
         kinetics = shared.get(key)
         if kinetics is None:
             kinetics = shared[key] = _Kinetics(model, enum)
-        plans.append((
-            kinetics,
-            {pos: _Item(model, pos) for pos in kinetics.positive if pos.error is None},
-        ))
-    _decide([item for _, items in plans for item in items.values()])
-    return tuple(kinetics.verdict(items) for kinetics, items in plans)
+        members.append((kinetics, len(kinetics.members)))
+        kinetics.members.append(k)
+    _decide([
+        ([models[k] for k in kinetics.members], kinetics.positive) for kinetics in shared.values()
+    ])
+    n = len(models)
+    n_states = np.zeros(n, dtype=np.int64)
+    inconclusive = np.zeros(n, dtype=bool)
+    case_label, total, predicts, cause = (np.full(n, None, dtype=object) for _ in range(4))
+    for kinetics in shared.values():
+        rows = np.array(kinetics.members)
+        sums = np.full(len(rows), kinetics.settled or 0)
+        bad = np.full(len(rows), bool(kinetics.causes) or kinetics.settled is None)
+        for pos in kinetics.positive:
+            if pos.error is not None:
+                bad[:] = True
+                continue
+            index = pos.run.index[pos.start : pos.start + len(rows)]
+            sums += index
+            bad |= index == 0
+        n_states[rows] = len(kinetics.boundary) + len(kinetics.nontrivial)
+        case_label[rows] = kinetics.case_label
+        total[rows] = np.where(bad, None, sums)
+        predicts[rows] = np.where(bad, None, sums != 1)
+        inconclusive[rows] = bad
+        # Causes, for inconclusive rows only: the kinetics', then the
+        # boundary states' in order, then the nontrivial states'.
+        for i in np.flatnonzero(bad).tolist():
+            causes = list(kinetics.causes)
+            for label, pos, text in kinetics.sources:
+                failure = None if pos is None else pos.failure(i)
+                if failure is not None:
+                    causes.append(f"{label}: {failure}")
+                elif pos is None or not pos.run.index[pos.start + i]:
+                    causes.append(f"{label}: {text}")
+            cause[rows[i]] = "; ".join(causes)
+    return VerdictTable(n_states, case_label, total, predicts, inconclusive, cause, members)
+
+
+def existence_verdicts(
+    models: Sequence[Model], states: Sequence[StateEnumeration] | None = None
+) -> tuple[ExistenceVerdict, ...]:
+    """Existence verdicts of a batch of models, decided in one pass.
+
+    Verdict ``k`` is row ``k`` of :func:`verdict_table` and equals
+    ``existence_verdict(models[k], states[k])`` field by field.
+    """
+    table = verdict_table(models, states)
+    return tuple(table.verdict(k) for k in range(len(table.members)))
 
 
 def existence_verdict(

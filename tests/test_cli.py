@@ -880,6 +880,29 @@ def test_sweep_checks_its_points_in_one_batch(tmp_path, monkeypatch):
     assert len(calls) <= 1
 
 
+def test_sweep_builds_no_verdict_objects(tmp_path, monkeypatch):
+    # The 576 rows are written from the verdict table's columns: no
+    # ExistenceVerdict and no IndexReport is built for any point.  One
+    # model's verdict afterwards builds one of each, so the counters work.
+    from crossdiff.index_theory import ExistenceVerdict, IndexReport, existence_verdict
+
+    calls = []
+    for cls in (ExistenceVerdict, IndexReport):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    config = dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]])
+    cfg = write_config(tmp_path, config)
+    rows = sweep_rows(tmp_path, cfg, ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], "s.csv")
+    assert len(rows) == 576 and all(row["error"] == "" for row in rows)
+    assert calls == []
+    existence_verdict(build_model(config))
+    assert sorted(calls) == ["ExistenceVerdict", "IndexReport"]
+
+
 def test_sweep_bad_param_spec(tmp_path, capsys):
     cfg = write_config(tmp_path, WEAK_LV)
     out = str(tmp_path / "sweep.csv")

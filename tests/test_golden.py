@@ -9,6 +9,7 @@ run the same command with ``--output`` pointing into ``tests/golden/``.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,20 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, name):
         argv += ["--param", param]
     assert cli.main(argv) == cli.EXIT_OK
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_reports_are_strict_json():
+    # A non-finite float, such as C_star of a non-elliptic model, is
+    # written as null: no report holds the tokens Infinity or NaN, which
+    # strict JSON readers reject.
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    reports = sorted(GOLDEN.glob("*.report.json"))
+    assert [p.name for p in reports] == sorted(f"{name}.report.json" for name in ANALYZE)
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=refuse)
+    structure = json.loads((GOLDEN / "skt-2d.report.json").read_text())["structure"]
+    assert (structure["elliptic"], structure["C_star"], structure["Lambda_sup"]) == (
+        False, None, None
+    )

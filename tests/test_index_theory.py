@@ -21,6 +21,7 @@ from crossdiff import (
     semitrivial_stability,
     spectrum_through,
 )
+from crossdiff.index_theory import verdict_table
 
 PI = np.pi
 
@@ -753,6 +754,52 @@ def test_batch_shares_kinetics_and_stacks_items(monkeypatch):
     assert calls["find_constant_states"] == 1
     assert sum(len(v.index_reports) for v in verdicts) == 12
     assert shapes == [(12, 2, 2), (12, 2, 2)]
+
+
+def test_table_columns_equal_the_verdicts():
+    # Every model of batch_models() and one with causes at a boundary and
+    # at the nontrivial state, each at three d.0 values, interleaved: each
+    # kinetics is shared by three rows that are not adjacent.  Every table
+    # row equals the row of its model's own verdict, cause byte for byte,
+    # and the causes come in order: the kinetics', then the boundary
+    # states', then the nontrivial states'.
+    named = {
+        **batch_models(),
+        "boundary and nontrivial causes": interval_model(
+            2, (1e-300, 1.0), (1e10, 1.0), ((1e10, 2e10), (2.0, 1.0))
+        ),
+    }
+    names, models = [], []
+    for scale in (1.0, 0.5, 2.0):
+        for name, model in named.items():
+            d = [scale * model.d[0], *model.d[1:].tolist()]
+            names.append(name)
+            models.append(build_model({**model.to_config(), "d": d}))
+    columns = ("n_states", "case_label", "total", "predicts_nonconstant", "inconclusive", "cause")
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = verdict_table(models)
+        verdicts = [existence_verdict(model) for model in models]
+    for k, (name, verdict) in enumerate(zip(names, verdicts)):
+        row = tuple(getattr(table, column).tolist()[k] for column in columns)
+        expected = (
+            len(verdict.boundary) + len(verdict.nontrivial_constant_indices),
+            verdict.case_label, verdict.total, verdict.predicts_nonconstant,
+            verdict.inconclusive, verdict.cause,
+        )
+        assert [type(v) for v in row] == [type(v) for v in expected], name
+        assert row == expected, name
+    causes = dict(zip(names, table.cause.tolist()))
+    assert causes["degenerate subset"] == (
+        "degenerate-subset: singular interaction matrix on supports [(0, 1)]; "
+        "enumeration may be incomplete; state (1.0, 0.0): growth sign vanishes within "
+        "tolerance (degenerate boundary state); state (0.0, 1.0): growth sign vanishes "
+        "within tolerance (degenerate boundary state)"
+    )
+    assert causes["boundary and nontrivial causes"] == (
+        "state (1.0, 0.0): index undefined: A(u*)^{-1}J(u*) is not finite; "
+        "state (0.33333333333333337, 0.3333333333333333): index undefined: "
+        "A(u*)^{-1}J(u*) is not finite"
+    )
 
 
 def random_model(rng, m, kind):
