@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cli
-from .diagnostics import bmo_seminorm, identity_residuals, nonexistence_threshold
+from .diagnostics import bmo_seminorm, identity_residuals, nonexistence_threshold, norms
 from .index_theory import constant_state_index, existence_verdict
 from .model import Domain, Model, build_model
 from .pde_solver import (
@@ -271,15 +271,16 @@ def criterion_5() -> CriterionResult:
     grid = make_grid(model.domain, 128)
     seed = seed_from_mode(model, report.u_star, unstable[0], 1.5, grid)
     result = newton_solve(model, grid, seed)
+    grad_l2 = norms(result.field)[1]
     passed = (
         result.converged
         and result.residual_norm < 1e-8
-        and result.grad_l2 > 1e-2
+        and grad_l2 > 1e-2
         and result.classification == "nonconstant"
     )
     return CriterionResult(
         5, "pattern-pipeline", passed,
-        f"residual {result.residual_norm:.3e}, grad_l2 {result.grad_l2:.3f}, "
+        f"residual {result.residual_norm:.3e}, grad_l2 {grad_l2:.3f}, "
         f"classification {result.classification}",
     )
 
@@ -300,7 +301,7 @@ def criterion_6() -> CriterionResult:
                 6, "nonexistence-threshold", False,
                 f"start {s} did not converge",
             )
-        worst = max(worst, result.grad_l2)
+        worst = max(worst, norms(result.field)[1])
     passed = worst < 1e-6
     return CriterionResult(
         6, "nonexistence-threshold", passed,

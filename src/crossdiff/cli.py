@@ -115,6 +115,13 @@ def _output_stem(path: str) -> str:
     return root if ext == ".json" else path
 
 
+def _summary(title: str, rows: list[tuple[str, str]]) -> list[str]:
+    """The stdout summary: ``title``, then one aligned name/value line
+    per row."""
+    width = max(len(name) for name, _ in rows)
+    return [title] + [f"  {name:<{width}}  {value}" for name, value in rows]
+
+
 def _verdict_summary(verdict: ExistenceVerdict) -> list[str]:
     def fmt(v: Any) -> str:
         if v is None:
@@ -123,7 +130,6 @@ def _verdict_summary(verdict: ExistenceVerdict) -> list[str]:
             return "yes" if v else "no"
         return str(v)
 
-    lines = ["verdict"]
     rows = [
         ("case label", verdict.case_label),
         ("boundary index sum", verdict.sum_of_boundary_indices),
@@ -137,10 +143,7 @@ def _verdict_summary(verdict: ExistenceVerdict) -> list[str]:
     ]
     if verdict.cause:
         rows.append(("cause", verdict.cause))
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
-        lines.append(f"  {name:<{width}}  {fmt(value)}")
-    return lines
+    return _summary("verdict", [(name, fmt(value)) for name, value in rows])
 
 
 def _analysis_report(config: dict) -> tuple[dict, ExistenceVerdict | None]:
@@ -170,11 +173,6 @@ def _analysis_report(config: dict) -> tuple[dict, ExistenceVerdict | None]:
         return report, None
 
     verdict = existence_verdict(model, states)
-    report["stability"] = [b.stability for b in verdict.boundary]
-    report["boundary_indices"] = [
-        {"state": b.state, "index": b.index, "note": b.note} for b in verdict.boundary
-    ]
-    report["index_reports"] = verdict.index_reports
     report["verdict"] = verdict
     return report, verdict
 
@@ -267,8 +265,7 @@ def _field_csv(path: str, field: DiscreteField) -> None:
 
 
 def _solve_summary(result: SolveResult, diag) -> list[str]:
-    lines = ["solve"]
-    rows = [
+    return _summary("solve", [
         ("converged", "yes" if result.converged else "no"),
         ("classification", result.classification),
         ("residual norm", f"{result.residual_norm:.6e}"),
@@ -277,11 +274,7 @@ def _solve_summary(result: SolveResult, diag) -> list[str]:
         ("homotopy steps", str(len(result.t_path))),
         ("grad_l2", f"{diag.grad_l2:.6e}"),
         ("bmo sup", f"{diag.bmo_sup:.6e}"),
-    ]
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
-        lines.append(f"  {name:<{width}}  {value}")
-    return lines
+    ])
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -328,17 +321,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "factorizations": result.factorizations,
             "t_path": list(result.t_path),
             "classification": result.classification,
-            "grad_l2": result.grad_l2,
             "tolerance": result.tolerance,
             "warnings": list(result.warnings),
+            # The coarse-grid answer of a grid-sequenced continuation;
+            # null on a direct solve or a continuation on one grid.
+            "refinement": result.refinement,
         },
         "diagnostics": diag,
         "field_csv": os.path.basename(field_path),
     }
-    if not direct:
-        # The coarse-grid answer of a grid-sequenced continuation, or
-        # null when the continuation ran on one grid.
-        report["result"]["refinement"] = result.refinement
     _write_report(args.output, report)
     print("\n".join(_solve_summary(result, diag)))
     print(f"report written to {args.output}")

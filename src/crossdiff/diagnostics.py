@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import Model, ModelError
-from .pde_solver import DiscreteField, Grid, axis_slices, discretize
+from .pde_solver import DiscreteField, Grid, discretize
 
 NOT_A_SOLUTION_RTOL = 1e-6
 BALL_RTOL = 1e-12
@@ -81,12 +81,13 @@ def ball_radii(grid: Grid, radius: float) -> list[float]:
     is off that ladder.  The ladder stops at the first radius whose
     ball holds the whole grid from every center: larger balls are the
     same set of nodes.  Raises ``ModelError`` for a non-finite radius or
-    one below ``2h``.
+    one below ``2h``.  Both comparisons forgive a relative ``BALL_RTOL``,
+    so the ladder in units of ``h`` does not depend on the unit of length.
     """
     h = max(grid.h)
     if not math.isfinite(radius):
         raise ModelError(f"ball radius must be finite, got {radius}")
-    if radius < 2.0 * h - 1e-12:
+    if radius < 2.0 * h * (1.0 - BALL_RTOL):
         raise ModelError(
             f"unresolvable ball: radius {radius:.4g} < 2h = {2 * h:.4g}"
         )
@@ -96,7 +97,7 @@ def ball_radii(grid: Grid, radius: float) -> list[float]:
         radii.append(2.0 * h * j)
         if span2 <= _ball_bound(radii[-1]):
             return radii
-    if not radii or radius - radii[-1] > 1e-12 * max(1.0, radius):
+    if not radii or radius - radii[-1] > BALL_RTOL * radius:
         radii.append(radius)
     return radii
 
@@ -271,42 +272,22 @@ def identity_residuals(
 
     mass: ``max_i |integral of f_i(u)|`` — converged Neumann solutions
     satisfy it to solver tolerance (test the system with the constant 1).
-    energy: ``|integral <A(u)Du, Du> - integral <f(u), u>|`` with the
-    flux term quadratured face-by-face, consistent with the
-    discretization (test the system with ``u``).
+    energy: ``|sum_nodes <R(u), u>| * cell volume``, the discrete system
+    ``R`` of :func:`discretize` tested with ``u``.  Summed by parts, that
+    is ``|integral <A(u)Du, Du> - integral <f(u), u>|`` with the flux term
+    quadratured face by face, Dirichlet wall faces included.
 
     ``forcing`` is added to the reaction before testing, matching the
     forced system whose solutions satisfy the identities.
     """
-    grid = field.grid
     u = field.values
-    vol = grid.cell_volume
+    vol = field.grid.cell_volume
     f_vals = model.f(u)
     if forcing is not None:
         f_vals = f_vals + np.asarray(forcing, dtype=float)
     mass = float(np.abs(f_vals.reshape(-1, model.m).sum(axis=0) * vol).max())
-
-    energy_flux = 0.0
-    for axis, h in enumerate(grid.h):
-        sl_p, sl_q, walls = axis_slices(grid.ndim, axis)
-        u_p = u[sl_p]
-        u_q = u[sl_q]
-        ubar = 0.5 * (u_p + u_q)
-        du = (u_q - u_p) / h
-        A = model.A(ubar)
-        Adu = np.einsum("...ij,...j->...i", A, du)
-        energy_flux += float((Adu * du).sum() * vol)
-        if model.bc.kind == "dirichlet":
-            # Wall faces: ghost reflection doubles the one-sided jump.
-            for wall in walls:
-                u_w = u[wall]
-                jump = 2.0 * u_w / h
-                A0 = model.A(np.zeros_like(u_w))
-                Aj = np.einsum("...ij,...j->...i", A0, jump)
-                energy_flux += float((Aj * u_w).sum() * vol / h)
-
-    reaction = float((f_vals * u).sum() * vol)
-    energy = abs(energy_flux - reaction)
+    residual = discretize(model, field.grid, forcing).residual(u)
+    energy = abs(float((residual * u).sum())) * vol
     return mass, energy
 
 

@@ -65,10 +65,6 @@ class Domain:
     def diameter(self) -> float:
         return math.hypot(*self.lengths)
 
-    @property
-    def volume(self) -> float:
-        return math.prod(self.lengths)
-
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -195,11 +191,6 @@ class Model:
         return model
 
     # -- evaluation -----------------------------------------------------
-
-    def P(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Flux potential ``P_i(u) = u_i * (d_i + sum_j alpha_ij u_j)``."""
-        u = np.asarray(u, dtype=float)
-        return u * (self.d + u @ self.alpha.T)
 
     def A(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
         """Flux matrix ``A(u) = dP/du``, shape ``(..., m, m)``.

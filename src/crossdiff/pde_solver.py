@@ -400,7 +400,9 @@ class SolveResult:
     stages that converged; ``factorizations`` counts every ``splu``
     call of the solve, failed and bisected stages included.
     ``refinement`` holds the coarse answer of a grid-sequenced
-    continuation, ``None`` for a solve on one grid.
+    continuation, ``None`` for a solve on one grid.  Norms of the field
+    and its positivity are facts of :mod:`crossdiff.diagnostics`, not of
+    the solve.
     """
 
     field: DiscreteField
@@ -410,7 +412,6 @@ class SolveResult:
     factorizations: int
     t_path: tuple[float, ...]
     classification: str
-    grad_l2: float
     tolerance: float
     warnings: tuple[str, ...] = ()
     residual_history: tuple[float, ...] = ()
@@ -432,12 +433,6 @@ def classify_field(model: Model, values: NDArray[np.float64]) -> str:
     if zero.any():
         return "semitrivial-constant"
     return "nontrivial-constant"
-
-
-def _grad_l2(grid: Grid, values: NDArray[np.float64]) -> float:
-    from .diagnostics import norms as _norms
-
-    return _norms(DiscreteField(grid=grid, values=values))[1]
 
 
 @dataclass(frozen=True)
@@ -489,12 +484,6 @@ def _finalize(
                 f"on the {'x'.join(map(str, coarse_grid.n_cells))} grid, "
                 f"{classification} on the {'x'.join(map(str, grid.n_cells))} grid"
             )
-    vmin = float(values.min())
-    if vmin < -TOL_ZERO:
-        warns.append(
-            f"positivity violated: minimum component value {vmin:.3e} "
-            "(reported, not clipped)"
-        )
     seed_max = np.abs(seed.reshape(-1, model.m)).max(axis=0)
     comp_max = np.abs(values.reshape(-1, model.m)).max(axis=0)
     for i in np.flatnonzero((seed_max >= TOL_ZERO) & (comp_max < TOL_ZERO)):
@@ -518,7 +507,6 @@ def _finalize(
         factorizations=run.factorizations,
         t_path=run.t_path,
         classification=classification,
-        grad_l2=_grad_l2(grid, values),
         tolerance=run.tolerance,
         warnings=tuple(warns),
         residual_history=tuple(run.history),

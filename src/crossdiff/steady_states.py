@@ -103,10 +103,6 @@ class StateEnumeration:
     def __getitem__(self, i: int) -> ConstantState:
         return self.states[i]
 
-    @property
-    def trivial(self) -> ConstantState:
-        return self.states[0]
-
     def by_classification(self, classification: str) -> list[ConstantState]:
         return [s for s in self.states if s.classification == classification]
 

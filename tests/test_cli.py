@@ -471,7 +471,7 @@ def test_solve_mode_seed_finds_pattern(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "pattern.json").read_text())
     assert report["result"]["classification"] == "nonconstant"
-    assert report["result"]["grad_l2"] > 1e-2
+    assert report["diagnostics"]["grad_l2"] > 1e-2
     assert report["result"]["residual_norm"] < 1e-8
 
 
@@ -533,7 +533,7 @@ def test_solve_continuation_path_recorded(tmp_path):
 def test_solve_reports_its_refinement(tmp_path):
     # The continuation runs its stages on the half grid when every axis
     # can be halved, and on the grid itself when one is odd.  A direct
-    # solve has no homotopy and no refinement block.
+    # solve has no homotopy, so its refinement is null.
     cfg = write_config(tmp_path, SKT)
     results = {}
     for name, extra in (
@@ -551,7 +551,34 @@ def test_solve_reports_its_refinement(tmp_path):
     assert refinement["coarse_classification"] == "nontrivial-constant"
     assert 0.0 <= refinement["prolongation_gap"] < 1e-8
     assert results["odd"]["refinement"] is None
-    assert "refinement" not in results["direct"]
+    assert results["direct"]["refinement"] is None
+
+
+ANALYZE_KEYS = {"schema_version", "version", "command", "model", "structure", "states", "verdict"}
+SOLVE_RESULT_KEYS = {
+    "converged", "residual_norm", "iterations", "factorizations", "t_path",
+    "classification", "tolerance", "warnings", "refinement",
+}
+
+
+def test_reports_write_each_fact_once(tmp_path):
+    # The boundary stabilities, indices and index reports live under
+    # verdict only; grad_l2 lives under diagnostics only; every solve
+    # has a refinement key, null on the direct route.
+    cfg = write_config(tmp_path, TURING)
+    out = tmp_path / "analyze.json"
+    assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == ANALYZE_KEYS
+    assert {"boundary", "index_reports"} <= set(report["verdict"])
+    for name, route in (("direct", ["--no-homotopy"]), ("sequenced", [])):
+        out = tmp_path / f"{name}.json"
+        argv = ["solve", "--config", cfg, "--output", str(out), "--grid", "16"]
+        assert cli.main(argv + route) == 0
+        report = json.loads(out.read_text())
+        assert set(report["result"]) == SOLVE_RESULT_KEYS
+        assert "grad_l2" in report["diagnostics"]
+    assert json.loads((tmp_path / "direct.json").read_text())["result"]["refinement"] is None
 
 
 def test_solve_default_keeps_skt_coexistence(tmp_path, capsys):

@@ -160,13 +160,25 @@ def test_bmo_ball_is_closed(j):
     assert bmo_seminorm(field, 2.0 * grid.h[0]) == pytest.approx(0.32, rel=1e-14)
 
 
+@pytest.mark.parametrize("length", [1.0, 1e-13])
+def test_ball_ladder_does_not_depend_on_the_unit_of_length(length):
+    # The same 64-cell ladder in units of h on (0, 1) and on (0, 1e-13):
+    # a radius of 7.5h is off the ladder and is appended, and 0.8 * 2h
+    # cannot be resolved.
+    grid = make_grid(Domain(kind="interval", lengths=(length,)), 64)
+    h = grid.h[0]
+    assert np.array(ball_radii(grid, 7.5 * h)) / h == pytest.approx([2.0, 4.0, 6.0, 7.5], rel=1e-12)
+    with pytest.raises(ModelError, match="unresolvable"):
+        ball_radii(grid, 0.8 * 2.0 * h)
+
+
 def brute_force_bmo(field, radius):
     """Per-center scan of closed balls ``|o h| <= r`` at radii 2h, 4h, ...
     and ``radius`` itself when it is off that ladder."""
     grid = field.grid
     h = max(grid.h)
     radii = [2.0 * h * j for j in range(1, int(radius / (2.0 * h)) + 1)]
-    if not radii or radius - radii[-1] > 1e-12 * max(1.0, radius):
+    if not radii or radius - radii[-1] > 1e-12 * radius:
         radii.append(radius)
     index = np.indices(grid.shape).reshape(grid.ndim, -1).T
     vals = field.values.reshape(-1, field.m)
@@ -472,6 +484,69 @@ def test_forcing_enters_the_identities():
     assert energy_f == pytest.approx(0.0, abs=1e-13)
     mass, _ = identity_residuals(model, field)
     assert mass == pytest.approx(2.0 * PI, rel=1e-12)
+
+
+def face_energy(model, field, forcing=None):
+    """The energy identity ``|integral <A(u)Du, Du> - integral <f(u), u>|``
+    with the flux term quadratured face by face: ``A`` at the face mean,
+    and on Dirichlet walls the ghost reflection's doubled one-sided jump
+    against ``A(0)``."""
+    grid = field.grid
+    u = field.values
+    vol = grid.cell_volume
+    f_vals = model.f(u) if forcing is None else model.f(u) + forcing
+    flux = 0.0
+    for axis, h in enumerate(grid.h):
+        along = np.moveaxis(u, axis, 0)
+        u_p, u_q = along[:-1], along[1:]
+        du = (u_q - u_p) / h
+        Adu = np.einsum("...ij,...j->...i", model.A(0.5 * (u_p + u_q)), du)
+        flux += float((Adu * du).sum() * vol)
+        if model.bc.kind == "dirichlet":
+            for u_w in (along[0], along[-1]):
+                jump = 2.0 * u_w / h
+                Aj = np.einsum("...ij,...j->...i", model.A(np.zeros_like(u_w)), jump)
+                flux += float((Aj * u_w).sum() * vol / h)
+    return abs(flux - float((f_vals * u).sum() * vol))
+
+
+def random_identity_case(seed):
+    """A random model with m = 1..3 on an interval or a rectangle under
+    either boundary condition, a random positive field on a small grid,
+    and a forcing on half of the cases."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    planar = bool(rng.integers(2))
+    lengths = rng.uniform(0.5, 5.0, size=2 if planar else 1)
+    model = build_model(
+        {
+            "m": m,
+            "d": rng.uniform(0.1, 2.0, m).tolist(),
+            "alpha": rng.uniform(0.0, 1.0, (m, m)).tolist(),
+            "r": rng.uniform(-1.0, 2.0, m).tolist(),
+            "c": rng.uniform(-1.0, 2.0, (m, m)).tolist(),
+            "domain": {"kind": "rectangle" if planar else "interval", "lengths": lengths.tolist()},
+            "bc": ("neumann", "dirichlet")[int(rng.integers(2))],
+        }
+    )
+    grid = make_grid(model.domain, tuple(int(n) for n in rng.integers(8, 25, len(lengths))))
+    field = DiscreteField(grid=grid, values=rng.uniform(0.1, 2.0, grid.shape + (m,)))
+    forcing = rng.normal(size=grid.shape + (m,)) if rng.integers(2) else None
+    return model, field, forcing
+
+
+def test_energy_identity_equals_the_face_quadrature():
+    # The energy is the discrete system tested with u; summed by parts it
+    # is the face-by-face quadrature, up to round-off.
+    kinds = set()
+    for seed in range(120):
+        model, field, forcing = random_identity_case(seed)
+        kinds.add((model.m, field.grid.ndim, model.bc.kind, forcing is not None))
+        _, energy = identity_residuals(model, field, forcing=forcing)
+        u = field.values
+        scale = 1.0 + field.grid.cell_volume * np.abs(model.f(u) * u).sum()
+        assert abs(energy - face_energy(model, field, forcing)) <= 1e-12 * scale, seed
+    assert len(kinds) == 3 * 2 * 2 * 2
 
 
 # -- nonexistence threshold ------------------------------------------------------

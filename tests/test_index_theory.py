@@ -341,7 +341,7 @@ def test_semitrivial_stability_signs():
 def test_trivial_state_stable_for_negative_rates():
     model = interval_model(2, (1.0, 1.0), (-1.0, -1.0), np.eye(2))
     states = find_constant_states(model)
-    sv = semitrivial_stability(model, states.trivial)
+    sv = semitrivial_stability(model, states[0])
     assert sv.v_class == "v-stable"
 
 

@@ -62,7 +62,7 @@ def test_singular_subset_flagged_not_fatal():
 
 def test_trivial_state_always_present_and_first():
     states = find_constant_states(lv_model(r=(-1.0, -1.0)))
-    assert states.trivial.classification == "trivial"
+    assert states[0].classification == "trivial"
     np.testing.assert_array_equal(states[0].u_star, np.zeros(2))
 
 
