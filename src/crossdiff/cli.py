@@ -59,9 +59,9 @@ def _jsonify(obj: Any) -> Any:
     """Recursively convert reports to JSON-compatible structures.
 
     Arrays become nested lists (a record array, such as an index
-    report's ``roots``, one dictionary per record), complex numbers
-    ``[re, im]`` pairs, dataclasses dictionaries keyed by field name, and
-    non-finite floats ``null``, which strict JSON readers accept.
+    report's ``roots``, one dictionary per record), dataclasses
+    dictionaries keyed by field name, and non-finite floats ``null``,
+    which strict JSON readers accept.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -71,8 +71,6 @@ def _jsonify(obj: Any) -> Any:
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [_jsonify(float(obj.real)), _jsonify(float(obj.imag))]
     if isinstance(obj, np.ndarray):
         if obj.dtype.names:
             return [_jsonify(dict(zip(obj.dtype.names, row))) for row in obj.tolist()]
@@ -234,6 +232,8 @@ def _build_seed(args: argparse.Namespace, model: Model, grid) -> DiscreteField:
         return seed_from_mode(model, u_star, args.seed_mode, args.amp, grid)
 
     if args.seed_random is not None:
+        if args.seed_random < 0:
+            raise ConfigError(f"--seed-random must be >= 0, got {args.seed_random}")
         if u_star is None:
             low, high = np.full(model.m, 0.1), np.full(model.m, 2.0)
         else:
@@ -551,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--seed-mode", type=int, default=None, metavar="K",
-        help="perturb the coexistence state along the K-th nonzero mode",
+        help="perturb the coexistence state along Neumann mode K >= 1 "
+        "(modes counted with multiplicity, 0 the constant mode)",
     )
     solve.add_argument(
         "--amp", type=float, default=0.1, help="mode seed amplitude"

@@ -7,10 +7,11 @@ J(u*)``.  At a Neumann eigenvalue ``lambda_k > 0`` the sign of
 eigenvalues of ``d_A(u*)^{-1} (A(u*) - J(u*) / lambda_k)``; at
 ``lambda_0 = 0`` it is the constant mode's factor ``sign det(-J(u*))``.
 The local index of a nondegenerate state is the product of
-``sign p(lambda_k)^{M_k}`` over the whole spectrum, ``M_k`` the
-multiplicities.  When every eigenvalue of ``d_A^{-1} A(u*)`` has a
-positive real part, ``det A(u*) > 0`` and ``p > 0`` past its largest real
-root, so only finitely many factors are negative, and the product is
+``sign p(lambda_k)`` over the Neumann modes ``k``, an eigenvalue of
+multiplicity ``M`` giving ``M`` modes.  When every eigenvalue of
+``d_A^{-1} A(u*)`` has a positive real part, ``det A(u*) > 0`` and
+``p > 0`` past its largest real root, so only finitely many factors are
+negative, and the product is
 
     index = (-1)^sigma,   sigma = sum_j N(mu_j)   over the real mu_j,
 
@@ -49,8 +50,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import ConfigError, Domain, Model, ModelError
-from .spectral import spectrum_through
+from .model import Model, ModelError
 from .steady_states import (
     ConstantState,
     StateEnumeration,
@@ -87,12 +87,13 @@ class IndexReport:
     ``sigma`` sums the counts.  ``negative`` holds one :data:`NEGATIVE`
     record per interval of ``lambda >= 0`` where ``p < 0``, ascending:
     its ends ``lo`` and ``hi`` (``lo`` is 0 when the interval holds the
-    constant mode), the number of the first Neumann eigenvalue in it
-    (distinct values numbered from 0, the constant mode, as ``--seed-mode
-    K`` numbers them; -1 on a rectangle with too many modes below ``lo``
-    to list) and the ``modes`` in it, with multiplicity.  Those modes are
-    the factors -1 of the index, so their number has the parity of
-    ``sigma``.
+    constant mode), the number ``first_mode`` of its first Neumann mode
+    and the number of ``modes`` in it.  Modes are counted with
+    multiplicity and numbered from 0, the constant mode, as
+    ``--seed-mode K`` numbers them, so ``first_mode`` is ``N(lo)`` and
+    the interval holds the modes ``first_mode`` to ``first_mode + modes
+    - 1``.  Those modes are the factors -1 of the index, so their number
+    has the parity of ``sigma``.
 
     ``index`` is ``(-1)^sigma`` and is only claimed when every gap
     exceeds :data:`TOL_DEGENERATE`; otherwise ``index`` is ``None`` and
@@ -454,21 +455,16 @@ def _decide_run(
     if m % 2:
         lo[:, 0], lo_count[:, 0] = -np.inf, 0
     held = (hi > 0.0) & live[:, None]
-    below_zero = lo < 0.0
-    first = np.where(below_zero, 0, lo_count)
-    for r, j in zip(*np.nonzero(held & (lo > 0.0) & (dims == 2)[:, None])):
-        try:
-            first[r, j] = len(spectrum_through(Domain("rectangle", tuple(lengths[r])), lo[r, j]))
-        except ConfigError:
-            first[r, j] = -1
     negative = np.empty(int(held.sum()), dtype=NEGATIVE)
     negative["lo"], negative["hi"] = np.maximum(lo[held], 0.0), hi[held]
-    negative["first_mode"] = first[held]
+    # The N(lo) modes below an interval are numbered 0 to N(lo) - 1, so
+    # its first mode is N(lo), and 0 when it holds the constant mode.
+    negative["first_mode"] = lo_count[held]
     negative["modes"] = (ends_count[:, top] - lo_count)[held]
 
     # p(0) = det(-J(u*)) < 0 where an interval holds 0: the constant
     # mode's warning.
-    noisy = (held & below_zero).any(axis=-1) | degenerate
+    noisy = (held & (lo < 0.0)).any(axis=-1) | degenerate
     det_J = np.ones(n)
     if noisy.any():
         with np.errstate(over="ignore", invalid="ignore"):

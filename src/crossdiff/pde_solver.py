@@ -821,14 +821,17 @@ def seed_from_mode(
 ) -> DiscreteField:
     """Perturb a constant state along the ``k``-th Neumann mode.
 
-    ``k >= 1`` numbers the distinct nonzero eigenvalues ``lambda_hat_k``
-    in ascending order, as ``--seed-mode K`` does and as the
-    ``first_mode`` of an :class:`~crossdiff.index_theory.IndexReport`'s
-    ``negative`` intervals does.
+    ``k >= 1`` numbers the nonconstant modes in ascending order of
+    eigenvalue ``lambda_hat_k``, counted with multiplicity and ties in
+    lexicographic order of their lattice points, as ``--seed-mode K``
+    does and as the ``first_mode`` of an
+    :class:`~crossdiff.index_theory.IndexReport`'s ``negative`` intervals
+    does: on the square ``(0, pi)^2`` mode 1 is ``cos y``, mode 2
+    ``cos x`` and mode 3 ``cos x cos y``.
     ``u(x) = u* + amplitude * c * psi(x)`` with ``c`` the (real, unit)
     eigenvector of ``d_A^{-1} A_k``, ``A_k = A(u*) - J(u*) / lambda_hat_k``,
-    at its most negative real eigenvalue and ``psi`` the eigenfunction of
-    the mode's first lattice point.  A mode whose matrix has no real
+    at its most negative real eigenvalue and ``psi`` the mode's
+    eigenfunction.  A mode whose matrix has no real
     eigenvalue below ``-TOL_DEGENERATE`` times its 2-norm (``N = 0``)
     gives a ``RuntimeWarning``.  When ``u*`` is positive the
     field is floored at a small positive fraction of ``min(u*)`` so the

@@ -1,10 +1,12 @@
 """Neumann Laplacian spectra on intervals and rectangles.
 
-Analytic eigenvalues with exact multiplicities (collisions detected, not
-split), held as arrays: :class:`ModeSpectrum` lists the distinct values
-in ascending order with the lattice points of each.  A finite-difference
-discrete spectrum serves as an independent cross-check and the
-verification oracles.
+Analytic eigenvalues held as arrays: :class:`ModeSpectrum` lists the
+modes, one integer lattice point each, in ascending order of eigenvalue,
+so an eigenvalue of multiplicity ``M`` takes ``M`` consecutive rows.
+Mode ``K`` is row ``K`` of that list, mode 0 the constant mode: the
+numbering of ``--seed-mode K`` and of an index report's ``first_mode``.
+A finite-difference discrete spectrum serves as an independent
+cross-check and the verification oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from numpy.typing import NDArray
 
 from .model import ConfigError, Domain
 
-TOL_COLLIDE = 1e-9
 # Most lattice points a spectrum may need, so an interval returns at most
 # this many modes.
 _MAX_LATTICE = 32767
@@ -26,79 +27,28 @@ _MAX_LATTICE = 32767
 
 @dataclass(frozen=True, eq=False)
 class ModeSpectrum:
-    """Ascending distinct eigenvalues of the Neumann Laplacian on ``domain``.
+    """Neumann modes on ``domain`` in ascending order of eigenvalue.
 
-    ``values[i]`` has multiplicity ``M[i]``: its eigenspace is spanned by
-    the separated cosine products of the integer lattice points
-    ``points[offsets[i]:offsets[i + 1]]``, rows ``(k,)`` or ``(k1, k2)``
-    in lexicographic order.  ``spectrum[a:b]`` is again a spectrum, of
-    the values ``a`` to ``b``.
+    Row ``K`` is mode ``K``: its eigenvalue ``values[K]`` and its lattice
+    point ``points[K]``, a row ``(k,)`` or ``(k1, k2)`` whose separated
+    cosine product is the eigenfunction.  An eigenvalue of multiplicity
+    ``M`` takes ``M`` rows, its points in lexicographic order.
+    ``spectrum[a:b]`` is again a spectrum, of the modes ``a`` to ``b``.
     """
 
     values: NDArray[np.float64]
     points: NDArray[np.intp]
-    offsets: NDArray[np.intp]
     domain: Domain
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, index: slice) -> ModeSpectrum:
-        start, stop, step = index.indices(len(self))
-        if step != 1:
-            raise ValueError("a spectrum slice takes consecutive values")
-        offsets = self.offsets[start : max(start, stop) + 1]
-        return ModeSpectrum(
-            self.values[start:stop],
-            self.points[offsets[0] : offsets[-1]],
-            offsets - offsets[0],
-            self.domain,
-        )
-
-    @property
-    def M(self) -> NDArray[np.intp]:
-        return self.offsets[1:] - self.offsets[:-1]
-
-    def mode_indices(self) -> list[tuple[tuple[int, ...], ...]]:
-        """The lattice points of each value, as tuples of ints."""
-        points = [tuple(k) for k in self.points.tolist()]
-        ends = self.offsets.tolist()
-        return [tuple(points[a:b]) for a, b in zip(ends, ends[1:])]
-
-
-def _group_starts(values: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """Where the collision groups of the ascending ``values`` start.
-
-    A value joins the current group when it lies within
-    ``TOL_COLLIDE * |value|`` of the group's first value, not of the
-    value before it.  The tolerance is relative because the spectrum's
-    scale is set by the domain: on a long interval ``(pi / L)^2`` may be
-    far below any absolute tolerance, and the constant mode's value 0
-    groups only with itself.  A gap above that tolerance starts a group
-    whatever the group's first value; within a run of smaller gaps, each
-    pass starts a new group at the first value too far from its group's
-    first, which is where a walk from the bottom would start it.
-    """
-    tol = TOL_COLLIDE * np.abs(values)
-    starts = np.ones(len(values), dtype=bool)
-    starts[1:] = np.diff(values) > tol[1:]
-    position = np.arange(len(values))
-    while True:
-        first = np.maximum.accumulate(np.where(starts, position, 0))
-        late = np.flatnonzero(values - values[first] > tol)
-        if late.size == 0:
-            return starts
-        starts[late[np.r_[True, np.diff(first[late]) > 0]]] = True
+        return ModeSpectrum(self.values[index], self.points[index], self.domain)
 
 
 def _axis_value(k: int, L: float) -> float:
     return (k * math.pi / L) ** 2
-
-
-def _widen(x: float) -> float:
-    """``x`` plus twice the collision tolerance: every value that can
-    join a collision group starting at or below ``x`` is within it."""
-    return x + 2.0 * TOL_COLLIDE * abs(x)
 
 
 def _axis_top(L: float, x: float) -> int:
@@ -111,13 +61,17 @@ def _axis_top(L: float, x: float) -> int:
     return k
 
 
-def lattice_edge(domain: Domain, bound: float) -> tuple[float, list[int]]:
-    """What :func:`spectrum_through` lists, decided before any array is built.
+def spectrum_through(domain: Domain, bound: float) -> ModeSpectrum:
+    """Every mode with ``lambda_hat <= bound``.
 
-    Returns the largest value it lists and, per axis, the largest ``k``
-    that value needs.  Raises :class:`ConfigError` when the lattice
-    points up to ``bound`` number more than ``_MAX_LATTICE`` or their
-    values overflow a float.
+    Each lattice point ``k`` with ``sum_a (k_a pi / L_a)^2 <= bound`` is
+    one mode.  The modes are sorted by value with a stable sort over
+    ``argwhere``'s lexicographic order and no tolerance, so points with
+    bit-equal values stay in lexicographic order.  A prefix of the
+    spectrum through a larger bound is the spectrum through a smaller
+    one.  Raises :class:`ConfigError` when the lattice points up to
+    ``bound`` number more than ``_MAX_LATTICE`` or their values overflow
+    a float.
     """
     # The longest axis alone needs floor(sqrt(bound) L_max / pi) + 1
     # points.  Deciding that in closed form first keeps ``_axis_top`` from
@@ -131,56 +85,31 @@ def lattice_edge(domain: Domain, bound: float) -> tuple[float, list[int]]:
     ):
         raise too_many
     try:
-        points = math.prod(_axis_top(L, bound) + 1 for L in domain.lengths)
-        if points > _MAX_LATTICE:
-            raise too_many
-        # Widened, so that a collision group straddling ``bound`` is listed
-        # whole.
-        edge = _widen(bound)
-        return edge, [_axis_top(L, edge) for L in domain.lengths]
+        tops = [_axis_top(L, bound) for L in domain.lengths]
     except OverflowError:
         raise ConfigError(
             f"Neumann eigenvalues on lengths {domain.lengths} overflow a float"
         ) from None
-
-
-def spectrum_through(domain: Domain, bound: float) -> ModeSpectrum:
-    """All distinct eigenvalues with ``lambda_hat <= bound``.
-
-    Every lattice point ``k`` with ``sum_a (k_a pi / L_a)^2`` up to the
-    edge of :func:`lattice_edge` is listed and collisions are grouped, so
-    each eigenvalue carries its full multiplicity.  On an interval of
-    ordinary length the values are distinct and every group has one
-    point.  A prefix of the spectrum through a larger bound is the
-    spectrum through a smaller one.
-    """
-    edge, tops = lattice_edge(domain, bound)
+    if math.prod(top + 1 for top in tops) > _MAX_LATTICE:
+        raise too_many
     axes = [
         np.array([_axis_value(k, L) for k in range(top + 1)])
         for L, top in zip(domain.lengths, tops)
     ]
     values = sum(np.ix_(*axes))
-    inside = values <= edge
-    points = np.argwhere(inside)
+    inside = values <= bound
     values = values[inside]
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    starts = _group_starts(values)
-    # ``argwhere`` lists the points lexicographically: sorting a group by
-    # list position sorts its points.
-    points = points[order[np.lexsort((order, np.cumsum(starts)))]]
-    offsets = np.append(np.flatnonzero(starts), len(values))
-    spectrum = ModeSpectrum(values[starts], points, offsets, domain)
-    return spectrum[: int(np.searchsorted(spectrum.values, bound, side="right"))]
+    return ModeSpectrum(values[order], np.argwhere(inside)[order], domain)
 
 
 def neumann_eigenvalues(domain: Domain, count: int) -> ModeSpectrum:
-    """First ``count`` distinct Neumann eigenvalues of ``-Laplace``.
+    """The first ``count`` Neumann modes of ``-Laplace``.
 
     Interval ``(0, L)``: ``lambda_k = (k pi / L)^2`` with eigenfunction
-    ``cos(k pi x / L)``, all simple.  Rectangle: sums over both axes,
-    with multiplicities from exact value collisions.  The axis modes of
-    the longest side put ``count`` distinct values at or below
+    ``cos(k pi x / L)``, all simple.  Rectangle: sums over both axes, an
+    eigenvalue of multiplicity ``M`` taking ``M`` modes.  The axis modes
+    of the longest side put ``count`` modes at or below
     ``((count - 1) pi / L_max)^2``.
     """
     if count < 1:

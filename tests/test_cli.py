@@ -152,7 +152,7 @@ def test_analyze_mode_records(tmp_path, payload, counts, negative, kinds):
     spectrum = spectrum_through(model.domain, 40.0)
     for r in rep["roots"]:
         if r["real"]:
-            assert r["count"] == int(spectrum.M[spectrum.values < r["mu"]].sum())
+            assert r["count"] == int((spectrum.values < r["mu"]).sum())
         nearest = np.abs(r["mu"] + 1j * r["imag"] - spectrum.values).min()
         assert r["gap"] == pytest.approx(nearest / np.abs(mu).max(), rel=1e-9)
     # p < 0 at exactly the spectrum values inside the intervals.
@@ -160,8 +160,9 @@ def test_analyze_mode_records(tmp_path, payload, counts, negative, kinds):
     inside = np.zeros(len(spectrum), dtype=bool)
     for r in rep["negative"]:
         held = (spectrum.values > r["lo"]) & (spectrum.values < r["hi"])
-        assert int(np.flatnonzero(held)[0]) == r["first_mode"]
-        assert int(spectrum.M[held].sum()) == r["modes"]
+        assert np.flatnonzero(held).tolist() == list(
+            range(r["first_mode"], r["first_mode"] + r["modes"])
+        )
         inside |= held
     assert ((p < 0) == inside).all()
 
@@ -233,6 +234,18 @@ def test_solve_seed_flags_are_exclusive(tmp_path):
          "--seed-random", "1", "--seed-constant", "0.5,0.5"]
     )
     assert code == 1
+
+
+def test_solve_rejects_a_negative_random_seed(tmp_path, capsys):
+    # Rejected as an input error before any solve, not by the RNG.
+    cfg = write_config(tmp_path, WEAK_LV)
+    out = tmp_path / "s.json"
+    code = cli.main(
+        ["solve", "--config", cfg, "--output", str(out), "--seed-random", "-1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --seed-random")
+    assert not out.exists()
 
 
 def test_solve_seed_constant_length_checked(tmp_path):
@@ -868,7 +881,7 @@ def test_sweep_decides_every_point_in_one_kernel_pass(tmp_path, monkeypatch):
     # The benchmark's 12 x 48 grid: every point's positive state has two
     # species, so the kernel takes one eigvals of the 576 flux matrices and
     # one of the 576 root matrices, and lists no spectrum.
-    from crossdiff import index_theory
+    from crossdiff import spectral
 
     shapes = []
     eigvals = np.linalg.eigvals
@@ -881,7 +894,8 @@ def test_sweep_decides_every_point_in_one_kernel_pass(tmp_path, monkeypatch):
         raise AssertionError("a spectrum was listed")
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    monkeypatch.setattr(index_theory, "spectrum_through", no_spectrum)
+    monkeypatch.setattr(spectral, "spectrum_through", no_spectrum)
+    monkeypatch.setattr(spectral, "ModeSpectrum", no_spectrum)
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     rows = sweep_rows(tmp_path, cfg, ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], "s.csv")
     assert len(rows) == 576 and all(row["inconclusive"] == "False" for row in rows)

@@ -30,6 +30,10 @@ ANALYZE = {
     # The README model on (0, 1e5): 60,554 Neumann eigenvalues lie below
     # its two roots, counted in closed form; index +1 and total 1.
     "long-interval": cli.EXIT_OK,
+    # A(u*) = I and J(u*) = diag(1.5, 6) on the pi x pi square: p < 0 on
+    # (1.5, 6), which holds modes 3 to 7 (lambda_hat = 2, 4, 4, 5, 5)
+    # counted with multiplicity; modes 0 to 2 lie below it.
+    "square-band": cli.EXIT_OK,
 }
 
 SWEEPS = {

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdiff import (
+    ConfigError,
     ModelError,
     build_model,
     constant_state_index,
@@ -513,12 +514,12 @@ def long_interval_model():
 def test_long_interval_is_decided_without_a_spectrum(monkeypatch):
     # The roots 1/2 and 10/7 have ceil(1e5 sqrt(mu) / pi) = 22,508 and
     # 38,046 eigenvalues below them; no spectrum is listed to count them.
-    from crossdiff import index_theory, spectral
+    from crossdiff import spectral
 
     def no_spectrum(*args, **kwargs):
         raise AssertionError("a spectrum was built")
 
-    monkeypatch.setattr(index_theory, "spectrum_through", no_spectrum)
+    monkeypatch.setattr(spectral, "spectrum_through", no_spectrum)
     monkeypatch.setattr(spectral, "ModeSpectrum", no_spectrum)
     verdict = existence_verdict(long_interval_model())
     assert not verdict.inconclusive and verdict.total == 1
@@ -661,7 +662,7 @@ def batch_models():
             1, (1e-300,), (1e8,), ((1e8,),), length=1e-153
         ),
         # About 40,000 lattice points lie below the lower root, 1/2: more
-        # than the spectrum lists, so its interval's first mode is -1.
+        # than a spectrum lists, but its interval's first mode is N(1/2).
         "large square": build_model(
             {**turing_model().to_config(), "domain": {"kind": "rectangle", "lengths": [1e3, 1e3]}}
         ),
@@ -702,7 +703,8 @@ def test_batch_verdicts_equal_one_model_verdicts():
             kinds.append(V.dtype.kind)
     assert kinds == ["f", "c"]
     assert negative_intervals(verdicts["square, double mode"].index_reports[0]) == [(1, 2)]
-    assert verdicts["large square"].index_reports[0].negative["first_mode"].tolist() == [-1]
+    large = verdicts["large square"].index_reports[0]
+    assert large.negative["first_mode"].tolist() == [large.roots["count"][0]] == [40022]
     # The stacked roots are those of each state's own matrices, to the bit.
     for model, verdict in zip(models.values(), batch):
         for rep in verdict.index_reports:
@@ -830,8 +832,8 @@ def random_model(rng, m, kind):
 
 def test_index_equals_the_brute_force_sign_product_on_random_models():
     # An independent route to the index: the product of sign p(lambda_k)
-    # ^ M_k over the listed Neumann spectrum, through past the largest
-    # root, with the roots from a QZ solve of the pencil (J, A).  Also
+    # over the listed Neumann modes, one factor per mode, through past the
+    # largest root, with the roots from a QZ solve of the pencil (J, A).  Also
     # brute force: sigma, and the modes where p < 0 against the report's
     # intervals.
     import scipy.linalg
@@ -850,24 +852,24 @@ def test_index_equals_the_brute_force_sign_product_on_random_models():
         p = np.linalg.det(spectrum.values[:, None, None] * A - J)
         where = (model.m, model.domain.lengths, model.d.tolist())
         # Every count with multiplicity, the constant mode included.
-        sigma = sum(int(spectrum.M[spectrum.values < v].sum()) for v in real)
+        sigma = sum(int((spectrum.values < v).sum()) for v in real)
         assert report.sigma == sigma, where
         if not report.nondegenerate:
             continue
-        assert report.index == int(np.prod(np.sign(p) ** spectrum.M)), where
+        assert report.index == int(np.prod(np.sign(p))), where
         inside = np.zeros(len(spectrum), dtype=bool)
         for r in report.negative:
             held = (spectrum.values > r["lo"]) & (spectrum.values < r["hi"])
             if r["lo"] == 0.0 and r["first_mode"] == 0:
                 held[0] = True
-            assert int(spectrum.M[held].sum()) == r["modes"], where
-            if held.any():
-                assert int(np.flatnonzero(held)[0]) == r["first_mode"], where
+            assert np.flatnonzero(held).tolist() == list(
+                range(r["first_mode"], r["first_mode"] + r["modes"])
+            ), where
             inside |= held
         assert ((p < 0) == inside).all(), where
         seen["decided"] += 1
         seen["index -1"] += report.index == -1
-        seen["double mode in p < 0"] += bool((spectrum.M[inside] == 2).any())
+        seen["double mode in p < 0"] += bool((np.diff(spectrum.values[inside]) == 0).any())
         seen["complex"] += bool((~report.roots["real"]).any())
         seen["odd positive roots"] += int((real > 0).sum()) % 2
         seen["rectangle"] += kind != "interval"
@@ -875,3 +877,36 @@ def test_index_equals_the_brute_force_sign_product_on_random_models():
     # roots, saddles, and squares whose double modes are factors -1.
     assert seen["decided"] >= 450, seen
     assert min(seen.values()) >= 40, seen
+
+
+def test_negative_records_number_the_modes_inside_their_intervals():
+    # On rectangles and squares, the modes first_mode to first_mode +
+    # modes - 1 of each interval where p < 0, numbered as --seed-mode K
+    # numbers them, are the modes strictly inside it.  A reported lo of 0
+    # stands for a lower end below 0: the interval holds the constant mode.
+    rng = np.random.default_rng(20261019)
+    seen = {"records": 0, "square": 0, "after a double mode": 0}
+    for trial in range(240):
+        kind = ("rectangle", "square")[trial % 2]
+        model, u = random_model(rng, 2 + (trial // 2) % 2, kind)
+        report = constant_state_index(model, u)
+        if not report.nondegenerate:
+            continue
+        for r in report.negative:
+            first, modes = int(r["first_mode"]), int(r["modes"])
+            try:
+                spectrum = neumann_eigenvalues(model.domain, first + modes)
+            except ConfigError:  # more modes than a spectrum lists
+                continue
+            values = spectrum.values[first:]
+            lo = -np.inf if r["lo"] == 0.0 else r["lo"]
+            where = (model.domain.lengths, r)
+            assert len(values) == modes, where
+            assert ((lo < values) & (values < r["hi"])).all(), where
+            seen["records"] += 1
+            seen["after a double mode"] += bool((np.diff(spectrum.values[:first]) == 0).any())
+            seen["square"] += kind == "square"
+    # Not vacuous: most records are checked, many on squares, and some
+    # start past a double mode, which counts twice below them.
+    assert seen["records"] >= 150 and seen["square"] >= 40, seen
+    assert seen["after a double mode"] >= 1, seen

@@ -894,6 +894,20 @@ def test_seed_from_mode_is_cosine_profile():
     np.testing.assert_allclose(dev.mean(axis=0), 0.0, atol=1e-12)
 
 
+def test_seed_from_mode_numbers_square_modes_with_multiplicity():
+    # On the pi x pi square lambda_hat = 1 is double: mode 1 is the lattice
+    # point (0, 1), cos y, and mode 2 the point (1, 0), cos x.
+    config = {**turing().to_config(), "domain": {"kind": "rectangle", "lengths": [PI, PI]}}
+    model = build_model(config)
+    grid = make_grid(model.domain, 16)
+    points = grid.points()
+    for k, psi in ((1, np.cos(points[..., 1])), (2, np.cos(points[..., 0]))):
+        dev = seed_from_mode(model, np.ones(2), k, amplitude=0.05, grid=grid).values - 1.0
+        coeff = np.tensordot(psi, dev, psi.ndim) / np.sum(psi**2)
+        np.testing.assert_allclose(dev, psi[..., None] * coeff, atol=1e-12)
+        assert np.linalg.norm(coeff) == pytest.approx(0.05, rel=1e-10)
+
+
 def test_seed_from_mode_zero_amplitude_is_constant():
     model = turing()
     grid = make_grid(model.domain, 32)

@@ -19,44 +19,50 @@ from crossdiff import (
     neumann_eigenvalues,
     spectrum_through,
 )
-from crossdiff.spectral import _group_starts
 
 PI = np.pi
 
 
 def test_interval_modes_are_squares():
     spectrum = neumann_eigenvalues(Domain(kind="interval", lengths=(PI,)), 4)
-    got = list(zip(spectrum.values.tolist(), spectrum.M.tolist()))
-    assert got == [(0.0, 1), (1.0, 1), (4.0, 1), (9.0, 1)]
+    assert as_pairs(spectrum) == [(0.0, (0,)), (1.0, (1,)), (4.0, (2,)), (9.0, (3,))]
 
 
 def test_square_first_nonzero_mode_is_double():
     spectrum = neumann_eigenvalues(Domain(kind="rectangle", lengths=(PI, PI)), 3)
-    assert spectrum.values[1] == pytest.approx(1.0)
-    assert spectrum.M[1] == 2
-    assert set(spectrum.mode_indices()[1]) == {(1, 0), (0, 1)}
+    assert spectrum.values.tolist() == [0.0, 1.0, 1.0]
+    assert [tuple(k) for k in spectrum.points.tolist()] == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_square_modes_in_value_then_lattice_order():
+    # Bit-equal values keep the lexicographic order of their points.
+    spectrum = neumann_eigenvalues(Domain(kind="rectangle", lengths=(PI, PI)), 6)
+    assert as_pairs(spectrum) == [
+        (0.0, (0, 0)), (1.0, (0, 1)), (1.0, (1, 0)),
+        (2.0, (1, 1)), (4.0, (0, 2)), (4.0, (2, 0)),
+    ]
 
 
 def test_half_height_rectangle_values():
-    # (0,pi) x (0,pi/2): eigenvalues are k1^2 + 4 k2^2.
+    # (0,pi) x (0,pi/2): eigenvalues are k1^2 + 4 k2^2, with multiplicity.
     spectrum = neumann_eigenvalues(
         Domain(kind="rectangle", lengths=(PI, PI / 2)), 6
     )
     pairs = [(k1, k2) for k1 in range(6) for k2 in range(6)]
-    exact = sorted({k1**2 + 4 * k2**2 for k1, k2 in pairs})[:6]
-    np.testing.assert_allclose(spectrum.values[:6], exact, rtol=1e-12)
-    # 4 = 2^2 + 0 = 0 + 4*1^2: an honest collision.
-    assert spectrum.M[np.isclose(spectrum.values, 4.0)].tolist() == [2]
+    exact = sorted(k1**2 + 4 * k2**2 for k1, k2 in pairs)[:6]
+    np.testing.assert_allclose(spectrum.values, exact, rtol=1e-12)
+    # 4 = 2^2 + 0 = 0 + 4*1^2: an honest collision, two modes.
+    assert int(np.isclose(spectrum.values, 4.0).sum()) == 2
 
 
-def test_entries_strictly_increasing_and_first_is_constant_mode():
+def test_entries_ascending_and_first_is_constant_mode():
     for lengths in [(PI,), (2.0, 3.0)]:
         kind = "interval" if len(lengths) == 1 else "rectangle"
         spectrum = neumann_eigenvalues(Domain(kind=kind, lengths=lengths), 8)
         values = spectrum.values
-        assert values[0] == 0.0
-        assert spectrum.M[0] == 1
-        assert np.all(np.diff(values) > 0)
+        assert values[0] == 0.0 and not spectrum.points[0].any()
+        assert values[1] > 0.0
+        assert np.all(np.diff(values) >= 0)
 
 
 @given(st.floats(0.3, 4.0), st.integers(1, 6))
@@ -73,24 +79,14 @@ def test_spectrum_through_bound_is_inclusive_cover():
     assert spectrum_through(domain, 25.0).values[-2:].tolist() == [16.0, 25.0]
 
 
-def test_collision_groups_compare_with_the_first_value():
-    # Each gap is below the tolerance, but the third value is past it from
-    # the first: two groups, where chaining from the previous value gives one.
-    run = np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9])
-    assert _group_starts(run).tolist() == [True, False, True]
-    assert _group_starts(run[:2]).tolist() == [True, False]
-
-
 @pytest.mark.parametrize("lengths", [(2e5,), (2e5, 1.0)], ids=str)
 def test_long_sides_keep_their_first_modes_apart(lengths):
-    # On a side of 2e5 the axis values (k pi / L)^2 start at 2.5e-10, below
-    # an absolute collision tolerance of 1e-9: only a relative tolerance
-    # keeps modes 1 and 2 out of the constant mode's group.
+    # On a side of 2e5 the axis values (k pi / L)^2 start at 2.5e-10: the
+    # first modes are the long side's, each with its own value.
     kind = "interval" if len(lengths) == 1 else "rectangle"
     spectrum = spectrum_through(Domain(kind=kind, lengths=lengths), 1e-7)
     rest = (0,) * (len(lengths) - 1)
-    assert spectrum.M[:4].tolist() == [1, 1, 1, 1]
-    assert list(spectrum.mode_indices()[:4]) == [((k,) + rest,) for k in range(4)]
+    assert [k for _, k in as_pairs(spectrum)[:4]] == [(k,) + rest for k in range(4)]
     np.testing.assert_allclose(
         spectrum.values[:4], (np.arange(4) * PI / 2e5) ** 2, rtol=1e-12
     )
@@ -100,11 +96,11 @@ def test_long_sides_keep_their_first_modes_apart(lengths):
 def test_slice_is_the_spectrum_of_its_values(lengths):
     kind = "interval" if len(lengths) == 1 else "rectangle"
     spectrum = neumann_eigenvalues(Domain(kind=kind, lengths=lengths), 12)
-    triples = as_triples(spectrum)
+    pairs = as_pairs(spectrum)
     for a, b in [(0, 12), (1, 12), (2, 5), (4, 4), (11, 20), (0, 1)]:
         part = spectrum[a:b]
-        assert as_triples(part) == triples[a:b]
-        assert part.offsets[0] == 0 and part.offsets[-1] == len(part.points)
+        assert as_pairs(part) == pairs[a:b]
+        assert part.domain is spectrum.domain
 
 
 ORACLE_DOMAINS = [
@@ -124,29 +120,23 @@ ORACLE_DOMAINS = [
 
 
 def brute_force_spectrum(lengths, limit):
-    """Distinct ``(lambda_hat, M, mode_indices)`` from a plain loop over ``k``.
+    """``(lambda_hat, k)`` of every mode up to ``limit``, from a plain loop.
 
-    Every ``k`` with ``k_a pi / L_a <= sqrt(limit)`` is listed, values are
-    ``sum_a (k_a pi / L_a)^2`` and a value joins the group of the smallest
-    value below it when within ``1e-9 value``; only groups that
-    start at or below ``limit / 2`` are sure to be whole and are returned.
+    Every lattice point ``k`` with ``k_a pi / L_a <= sqrt(limit)`` is
+    visited, its value is ``sum_a (k_a pi / L_a)^2``, and the points with
+    values up to ``limit`` are sorted by ``(value, k)``.
     """
     tops = [int(math.sqrt(limit) * L / math.pi) + 2 for L in lengths]
-    points = []
+    modes = []
     for ks in itertools.product(*(range(top) for top in tops)):
-        points.append((sum((k * math.pi / L) ** 2 for k, L in zip(ks, lengths)), ks))
-    points.sort()
-    groups = []
-    for value, ks in points:
-        if groups and value - groups[-1][0] <= 1e-9 * value:
-            groups[-1][1].append(ks)
-        else:
-            groups.append((value, [ks]))
-    return [(v, len(ks), tuple(sorted(ks))) for v, ks in groups if v <= limit / 2]
+        value = sum((k * math.pi / L) ** 2 for k, L in zip(ks, lengths))
+        if value <= limit:
+            modes.append((value, ks))
+    return sorted(modes)
 
 
-def as_triples(spectrum):
-    return list(zip(spectrum.values.tolist(), spectrum.M.tolist(), spectrum.mode_indices()))
+def as_pairs(spectrum):
+    return list(zip(spectrum.values.tolist(), map(tuple, spectrum.points.tolist())))
 
 
 @pytest.mark.parametrize("lengths", ORACLE_DOMAINS, ids=str)
@@ -154,16 +144,16 @@ def test_enumeration_matches_brute_force_lattice(lengths):
     kind = "interval" if len(lengths) == 1 else "rectangle"
     domain = Domain(kind=kind, lengths=lengths)
     step = math.pi / max(lengths)
-    oracle = brute_force_spectrum(lengths, 2.0 * ((40 + 4) * step) ** 2)
+    oracle = brute_force_spectrum(lengths, ((40 + 4) * step) ** 2)
     assert len(oracle) > 44
     for count in range(1, 41):
-        assert as_triples(neumann_eigenvalues(domain, count)) == oracle[:count]
-    values = [v for v, _, _ in oracle[:41]]
+        assert as_pairs(neumann_eigenvalues(domain, count)) == oracle[:count]
+    values = [v for v, _ in oracle[:41]]
     on = values + [math.nextafter(v, 0.0) for v in values[1:]]
     between = [(a + b) / 2 for a, b in zip(values, values[1:])]
     for bound in on + between:
-        below = sum(1 for v in values if v <= bound)
-        assert as_triples(spectrum_through(domain, bound)) == oracle[:below], bound
+        below = sum(1 for v, _ in oracle if v <= bound)
+        assert as_pairs(spectrum_through(domain, bound)) == oracle[:below], bound
 
 
 def test_interval_size_limit_edge():
