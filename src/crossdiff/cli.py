@@ -30,6 +30,7 @@ from .index_theory import ExistenceVerdict, existence_verdict, verdict_table
 from .model import (
     ConfigError,
     Model,
+    ModelBatch,
     ModelError,
     build_model,
     replace_entries,
@@ -409,37 +410,43 @@ _ROW_COLUMNS = (
 _ERROR_ROW = ("",) * (len(_ROW_COLUMNS) - 1)
 
 
-def _verdict_rows(models: list[Model]) -> list[tuple | Exception]:
-    """The verdict columns of every model's row, from one
-    :func:`verdict_table`; if building it raises, each model is decided
-    alone, so the exception lands on its own point."""
+def _verdict_rows(models: ModelBatch | list[Model]) -> list[tuple | Exception]:
+    """The verdict columns of every model, or every batch point not in
+    error, from one :func:`verdict_table`; if building it raises, each
+    model is decided alone, so the exception lands on its own point."""
     try:
         table = verdict_table(models)
     except _POINT_ERRORS as exc:
-        if len(models) == 1:
+        if isinstance(models, list):
             return [exc]
-        return [row for model in models for row in _verdict_rows([model])]
+        return [
+            row for k, error in enumerate(models.errors) if error is None
+            for row in _verdict_rows([models.model(k)])
+        ]
     return list(zip(*(getattr(table, name).tolist() for name in _ROW_COLUMNS[:-1])))
 
 
 def _sweep_rows(
     config: dict,
     params: list[tuple[str, tuple[str | int, ...]]],
-    combos: list[tuple[float, ...]],
+    grids: list[list[float]],
 ) -> list[tuple]:
-    """One CSV row per sweep point, in order, each a tuple in column order.
+    """One CSV row per point of the product of the ``grids``, in order,
+    each a tuple in column order.
 
     The first point that builds is built from ``config`` with its values
-    written in, by :func:`build_model`; every later point is built from
-    that model in one checked batch (:func:`replace_entries`), so
-    ``config`` need not be valid at the swept entries.  Every point is
-    decided in one :func:`verdict_table`, so the kinetic work runs once
-    per distinct ``(m, r, c)``, and its rows are written from the table's
-    columns.  A point whose model cannot be built or decided gets an
-    error row.
+    written in, by :func:`build_model`; it and every later point are
+    written from that model into the stacks of one checked batch
+    (:func:`replace_entries`), so ``config`` need not be valid at the
+    swept entries, and no :class:`Model` is built per point.  The batch
+    is decided in one :func:`verdict_table`, so the kinetic work runs
+    once per distinct ``(m, r, c)``, and the rows are written from the
+    table's columns.  A point whose model cannot be built or decided gets
+    an error row.
     """
     keys = [k for _, k in params]
-    outcomes: list[Model | Exception] = []
+    combos = list(itertools.product(*grids))
+    rows: list[tuple | Exception | str] = []
     for i, combo in enumerate(combos):
         point = config
         for point_keys, value in zip(keys, combo):
@@ -447,21 +454,19 @@ def _sweep_rows(
         try:
             base = build_model(point)
         except _POINT_ERRORS as exc:
-            outcomes.append(exc)
+            rows.append(exc)
             continue
-        outcomes.append(base)
-        outcomes += replace_entries(base, keys, combos[i + 1 :])
+        batch = replace_entries(base, keys, combos[i:])
+        decided = iter(_verdict_rows(batch))
+        rows += [error or next(decided) for error in batch.errors]
         break
-    decided = iter(_verdict_rows([o for o in outcomes if isinstance(o, Model)]))
-    rows: list[tuple] = []
-    for combo, outcome in zip(combos, outcomes):
-        row = next(decided) if isinstance(outcome, Model) else outcome
-        # csv.writer writes None as an empty field.
-        if isinstance(row, Exception):
-            rows.append((*combo, *_ERROR_ROW, str(row)))
-        else:
-            rows.append((*combo, *row, ""))
-    return rows
+    # csv.writer writes None as an empty field and a float as its str,
+    # which is taken once per grid value.
+    labels = itertools.product(*([str(v) for v in values] for values in grids))
+    return [
+        (*label, *row, "") if isinstance(row, tuple) else (*label, *_ERROR_ROW, str(row))
+        for label, row in zip(labels, rows)
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -481,14 +486,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
         params.append((path, keys))
         grids.append(values)
-    combos = list(itertools.product(*grids))
 
     t0 = time.perf_counter()
     # Frozen, the objects the imports made are skipped by the collections
     # that the ledger's allocations trigger.
     gc.freeze()
     try:
-        rows = _sweep_rows(config, params, combos)
+        rows = _sweep_rows(config, params, grids)
     finally:
         gc.unfreeze()
     elapsed = time.perf_counter() - t0
@@ -525,7 +529,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given a ``command``, only that
+    one gets its options, and it parses that command as the full tree does."""
     parser = _Parser(
         prog="crossdiff",
         description=(
@@ -538,44 +544,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="index analysis and existence verdict")
-    analyze.add_argument("--config", required=True, help="model config (JSON)")
-    analyze.add_argument("--output", default="crossdiff_report.json")
+    if command in (None, "analyze"):
+        analyze.add_argument("--config", required=True, help="model config (JSON)")
+        analyze.add_argument("--output", default="crossdiff_report.json")
 
     solve = sub.add_parser("solve", help="nonlinear solve with continuation")
-    solve.add_argument("--config", required=True, help="model config (JSON)")
-    solve.add_argument("--output", default="crossdiff_solve.json")
-    solve.add_argument("--grid", type=int, default=128, help="cells per axis")
-    solve.add_argument("--tol", type=float, default=1e-10, help="Newton tolerance")
-    solve.add_argument(
-        "--no-homotopy", action="store_true", help="direct Newton on the target problem"
-    )
-    solve.add_argument(
-        "--seed-mode", type=int, default=None, metavar="K",
-        help="perturb the coexistence state along Neumann mode K >= 1 "
-        "(modes counted with multiplicity, 0 the constant mode)",
-    )
-    solve.add_argument(
-        "--amp", type=float, default=0.1, help="mode seed amplitude"
-    )
-    solve.add_argument(
-        "--seed-constant", default=None, metavar="V",
-        help='constant seed components "v1,...,vm"',
-    )
-    solve.add_argument(
-        "--seed-random", type=int, default=None, metavar="S",
-        help="componentwise-uniform random seed with RNG seed S",
-    )
-    solve.add_argument(
-        "--radius", type=float, default=None, help="oscillation ball radius"
-    )
+    if command in (None, "solve"):
+        solve.add_argument("--config", required=True, help="model config (JSON)")
+        solve.add_argument("--output", default="crossdiff_solve.json")
+        solve.add_argument("--grid", type=int, default=128, help="cells per axis")
+        solve.add_argument("--tol", type=float, default=1e-10, help="Newton tolerance")
+        solve.add_argument(
+            "--no-homotopy", action="store_true", help="direct Newton on the target problem"
+        )
+        solve.add_argument(
+            "--seed-mode", type=int, default=None, metavar="K",
+            help="perturb the coexistence state along Neumann mode K >= 1 "
+            "(modes counted with multiplicity, 0 the constant mode)",
+        )
+        solve.add_argument("--amp", type=float, default=0.1, help="mode seed amplitude")
+        solve.add_argument(
+            "--seed-constant", default=None, metavar="V",
+            help='constant seed components "v1,...,vm"',
+        )
+        solve.add_argument(
+            "--seed-random", type=int, default=None, metavar="S",
+            help="componentwise-uniform random seed with RNG seed S",
+        )
+        solve.add_argument("--radius", type=float, default=None, help="oscillation ball radius")
 
     sweep = sub.add_parser("sweep", help="parameter grid of analyze verdicts")
-    sweep.add_argument("--config", required=True, help="base model config (JSON)")
-    sweep.add_argument("--output", default="crossdiff_sweep.csv")
-    sweep.add_argument(
-        "--param", action="append", default=[], metavar="P",
-        help="path=start:stop:num (repeatable; dotted path, list indices numeric)",
-    )
+    if command in (None, "sweep"):
+        sweep.add_argument("--config", required=True, help="base model config (JSON)")
+        sweep.add_argument("--output", default="crossdiff_sweep.csv")
+        sweep.add_argument(
+            "--param", action="append", default=[], metavar="P",
+            help="path=start:stop:num (repeatable; dotted path, list indices numeric)",
+        )
 
     sub.add_parser("selftest", help="run the built-in acceptance suite")
 
@@ -591,7 +596,9 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option values, so its first non-option names the command.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import Model, ModelError
+from .model import Model, ModelBatch, ModelError
 from .steady_states import (
     ConstantState,
     StateEnumeration,
@@ -475,21 +475,29 @@ def _decide_run(
     return _Run(errors, index, roots, negative, bounds, det_J)
 
 
-def _decide(groups: Sequence[tuple[Sequence[Model], Sequence[_State]]]) -> None:
+def _stack(models: Sequence[Model]) -> tuple[NDArray, ...]:
+    """The ``d``, ``alpha``, ``lengths`` and ``dims`` stacks of models of
+    one species count.  An interval's length fills both columns of
+    ``lengths``; ``dims`` tells them apart."""
+    sides = [model.domain.lengths for model in models]
+    return (
+        np.array([model.d for model in models]),
+        np.array([model.alpha for model in models]),
+        np.array([s[:1] + s[-1:] for s in sides]),
+        np.array([len(s) for s in sides]),
+    )
+
+
+def _decide(groups: Sequence[tuple[tuple[NDArray, ...], Sequence[_State]]]) -> None:
     """Decide every model of each group at each of the group's states
     that can carry an index: one :func:`_decide_run` per species count
-    over all of those rows, and each state placed at its rows."""
+    over all of those rows, and each state placed at its rows.  A group's
+    models are the rows of its stacks, as :func:`_stack` makes them."""
     runs: dict[int, list[tuple]] = {}
-    for models, states in groups:
-        d = np.array([model.d for model in models])
-        alpha = np.array([model.alpha for model in models])
-        sides = [model.domain.lengths for model in models]
-        # An interval's length fills both columns; ``dims`` tells them apart.
-        lengths = np.array([s[:1] + s[-1:] for s in sides])
-        dims = np.array([len(s) for s in sides])
+    for (d, alpha, lengths, dims), states in groups:
         for pos in states:
             if pos.error is None:
-                n, m, idx = len(models), len(pos.u), np.asarray(pos.support)
+                n, m, idx = len(d), len(pos.u), np.asarray(pos.support)
                 runs.setdefault(m, []).append((
                     pos, np.broadcast_to(pos.u, (n, m)), np.broadcast_to(pos.J, (n, m, m)),
                     d[:, idx], alpha[:, idx[:, None], idx], lengths, dims,
@@ -514,11 +522,8 @@ def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexRepo
     degenerate state is not an error: its report claims no index.
     """
     u_star = np.asarray(u_star, dtype=float)
-    error = _index_precondition(model, u_star)
-    if error is not None:
-        raise error
-    pos = _State(model, u_star, tuple(range(model.m)))
-    _decide([([model], [pos])])
+    pos = _State(model, u_star, tuple(range(model.m)), _index_precondition(model, u_star))
+    _decide([(_stack([model]), [pos])])
     report = pos.outcome(0)
     if isinstance(report, ModelError):
         raise report
@@ -540,6 +545,8 @@ class _Kinetics:
     """
 
     def __init__(self, model: Model, states: StateEnumeration | None) -> None:
+        if model.bc.kind != "neumann":
+            raise ModelError("the existence verdict is built on the Neumann problem")
         enum = states if states is not None else find_constant_states(model)
         self.case_label = _case_label(model, enum)
         assumptions = list(_ASSUMPTIONS)
@@ -651,43 +658,52 @@ class VerdictTable:
 
 
 def verdict_table(
-    models: Sequence[Model], states: Sequence[StateEnumeration] | None = None
+    models: Sequence[Model] | ModelBatch, states: Sequence[StateEnumeration] | None = None
 ) -> VerdictTable:
     """Existence verdicts of a batch of models, decided in one pass.
 
-    ``states`` gives each model's constant states; without it they are
-    enumerated once per distinct kinetics ``(m, r, c)``.  Every (model,
-    state) pair whose index needs the kernel is decided by one
-    :func:`_decide_run` per species count, and the verdicts are summed
-    from its ``index`` column.  A failure at one state of one model
-    becomes that row's cause.  A model the verdict does not apply to (a
-    Dirichlet problem) or whose states cannot be enumerated raises for
-    the whole batch.
+    ``models`` is a list of models, or a :class:`ModelBatch` whose points
+    not in error are the rows, with one :class:`Model` built per distinct
+    kinetics ``(m, r, c)`` and none per point.  ``states`` gives each
+    row's constant states; without it they are enumerated once per
+    distinct kinetics.  Every (model, state) pair whose index needs the
+    kernel is decided by one :func:`_decide_run` per species count, and
+    the verdicts are summed from its ``index`` column.  A failure at one
+    state of one model becomes that row's cause.  A model the verdict
+    does not apply to (a Dirichlet problem) or whose states cannot be
+    enumerated raises for the whole batch.
     """
-    models = list(models)
-    enums: list[StateEnumeration | None] = (
-        [None] * len(models) if states is None else list(states)
-    )
-    if len(enums) != len(models):
+    if isinstance(models, ModelBatch):
+        batch, points = models, np.flatnonzero([error is None for error in models.errors])
+        # A row's kinetics: the bytes of its r and c, side by side.
+        c = batch.c[points].reshape(len(points), batch.c.shape[1] * batch.c.shape[2])
+        rc = np.concatenate([batch.r[points], c], axis=1)
+        keys = rc.view(np.dtype((np.void, 8 * rc.shape[1]))).ravel().tolist()
+        lengths = batch.lengths[points]
+        dims = np.full(len(points), lengths.shape[1])
+        columns = (batch.d[points], batch.alpha[points], lengths[:, [0, -1]], dims)
+        kinetics_model = lambda k: batch.model(points[k])
+        stacks = lambda ks: tuple(column[ks] for column in columns)
+    else:
+        models = list(models)
+        keys = [(model.m, model.bc.kind, model.r.tobytes(), model.c.tobytes()) for model in models]
+        kinetics_model = models.__getitem__
+        stacks = lambda ks: _stack([models[k] for k in ks])
+    n = len(keys)
+    enums: list[StateEnumeration | None] = [None] * n if states is None else list(states)
+    if len(enums) != n:
         raise ModelError(
-            f"states needs one enumeration per model, got {len(enums)} for "
-            f"{len(models)} models"
+            f"states needs one enumeration per model, got {len(enums)} for {n} models"
         )
-    shared: dict[tuple, _Kinetics] = {}
+    shared: dict[object, _Kinetics] = {}
     members: list[tuple[_Kinetics, int]] = []
-    for k, (model, enum) in enumerate(zip(models, enums)):
-        if model.bc.kind != "neumann":
-            raise ModelError("the existence verdict is built on the Neumann problem")
-        key = (model.m, model.r.tobytes(), model.c.tobytes(), id(enum))
+    for k, key in enumerate(zip(keys, map(id, enums))):
         kinetics = shared.get(key)
         if kinetics is None:
-            kinetics = shared[key] = _Kinetics(model, enum)
+            kinetics = shared[key] = _Kinetics(kinetics_model(k), enums[k])
         members.append((kinetics, len(kinetics.members)))
         kinetics.members.append(k)
-    _decide([
-        ([models[k] for k in kinetics.members], kinetics.positive) for kinetics in shared.values()
-    ])
-    n = len(models)
+    _decide([(stacks(kinetics.members), kinetics.positive) for kinetics in shared.values()])
     n_states = np.zeros(n, dtype=np.int64)
     inconclusive = np.zeros(n, dtype=bool)
     case_label, total, predicts, cause = (np.full(n, None, dtype=object) for _ in range(4))

@@ -321,33 +321,58 @@ def _species_count(value: Any) -> int:
         raise ConfigError(f"m must be an integer, got {value!r}") from exc
 
 
+@dataclass(frozen=True)
+class ModelBatch:
+    """Points of one boundary condition, as read-only float stacks of
+    ``d``, ``alpha``, ``r``, ``c`` and the domain ``lengths`` (one column
+    for an interval, two for a rectangle), one row per point.
+    ``errors[k]`` is the message that :func:`build_model` would raise for
+    point ``k``, or ``None``; no :class:`Model` is held, :meth:`model`
+    builds one on request."""
+
+    d: NDArray[np.float64]
+    alpha: NDArray[np.float64]
+    r: NDArray[np.float64]
+    c: NDArray[np.float64]
+    lengths: NDArray[np.float64]
+    errors: list[str | None]
+    bc: BoundaryCondition
+
+    def model(self, k: int) -> Model:
+        """Point ``k``'s model; a point in error raises its :class:`ConfigError`."""
+        if self.errors[k] is not None:
+            raise ConfigError(self.errors[k])
+        sides = tuple(self.lengths[k].tolist())
+        return Model._checked(
+            m=self.d.shape[1], d=self.d[k], alpha=self.alpha[k], r=self.r[k], c=self.c[k],
+            domain=Domain(_DOMAIN_KINDS[len(sides) - 1], sides), bc=self.bc,
+        )
+
+
 def replace_entries(
     model: Model,
     keys: Sequence[Sequence[str | int]],
     points: Sequence[Sequence[float]],
-) -> list[Model | ConfigError]:
+) -> ModelBatch:
     """``model`` with numeric config entries replaced, once per point,
     each point checked as :func:`build_model` checks its config.
 
     ``keys`` are key paths of numeric entries of ``model.to_config()``
     -- ``("m",)``, ``("d", i)``, ``("alpha", i, j)``, ``("r", i)``,
     ``("c", i, j)`` or ``("domain", "lengths", i)`` -- and each point
-    gives one value per path.  The values are written into one
-    read-only stack per array field, whose rows become the points'
-    arrays, and every point is checked by one pass of :class:`Model`'s
-    checks over the stacks; a swept domain or ``m`` is checked point by
-    point.  A point that :func:`build_model` would reject gets
-    the error it would raise, with its message, in place of its model.
+    gives one value per path.  The values are written into the batch's
+    stacks, and every point is checked by one pass of :class:`Model`'s
+    checks over them; a swept domain or ``m`` is checked point by point.
+    A point that :func:`build_model` would reject gets the message of the
+    error it would raise.  No :class:`Model` is built per point.
     """
     values = np.array(points, dtype=float).reshape(len(points), len(keys))
     count = len(values)
     stacks = {name: np.repeat(getattr(model, name)[None], count, 0) for name in _ARRAYS}
-    lengths: NDArray[np.float64] | None = None
+    lengths = np.repeat([model.domain.lengths], count, 0)
     m_values: NDArray[np.float64] | None = None
     for column, (name, *index) in zip(values.T, keys):
         if name == "domain" and len(index) == 2 and index[0] == "lengths":
-            if lengths is None:
-                lengths = np.repeat([model.domain.lengths], count, 0)
             lengths[:, index[1]] = column
         elif name == "m" and not index:
             m_values = column
@@ -355,11 +380,10 @@ def replace_entries(
             stacks[name][(slice(None), *index)] = column
         else:
             raise ConfigError(f"no numeric config entry at {(name, *index)!r}")
-    for stack in stacks.values():
+    for stack in (*stacks.values(), lengths):
         stack.setflags(write=False)
 
     # build_model checks the domain first, then m, then the arrays.
-    ms: list[int | str] = [model.m] * count
     m_column = np.full(count, model.m)
     if m_values is not None:
         ms = [_message_or(_species_count, value) for value in m_values.tolist()]
@@ -367,8 +391,8 @@ def replace_entries(
     errors = _field_errors(m_column, *stacks.values())
     if m_values is not None:
         errors = [m if isinstance(m, str) else error for m, error in zip(ms, errors)]
-    domains: list[Domain | str] = [model.domain] * count
-    if lengths is not None:
+    # A point with the model's own lengths has its valid domain.
+    if (lengths != model.domain.lengths).any():
         domains = [
             _message_or(lambda row: Domain(kind=model.domain.kind, lengths=row), row)
             for row in lengths.tolist()
@@ -376,16 +400,7 @@ def replace_entries(
         errors = [
             dom if isinstance(dom, str) else error for dom, error in zip(domains, errors)
         ]
-
-    built: list[Model | ConfigError] = []
-    for error, m, domain, d, alpha, r, c in zip(errors, ms, domains, *stacks.values()):
-        if error is not None:
-            built.append(ConfigError(error))
-        else:
-            built.append(
-                Model._checked(m=m, d=d, alpha=alpha, r=r, c=c, domain=domain, bc=model.bc)
-            )
-    return built
+    return ModelBatch(*stacks.values(), lengths, errors, model.bc)
 
 
 def _message_or(make: Callable[[Any], Any], value: Any) -> Any:

@@ -903,22 +903,81 @@ def test_sweep_decides_every_point_in_one_kernel_pass(tmp_path, monkeypatch):
 
 
 def test_sweep_checks_its_points_in_one_batch(tmp_path, monkeypatch):
-    # Only the first point is built by build_model; the other 575 are
-    # checked together and assembled without running Model.__post_init__.
+    # Only the first point is built by build_model; the others are checked
+    # together without running Model.__post_init__.  Their rows stay in
+    # the batch's stacks: besides that first model, one Model is built
+    # per distinct kinetics (m, r, c), and none per point.
     from crossdiff.model import Model
 
     calls = []
-    post_init = Model.__post_init__
+    post_init, checked = Model.__post_init__, Model._checked.__func__
 
-    def counted(self):
-        calls.append(self.m)
+    def counted_post_init(self):
+        calls.append("__post_init__")
         post_init(self)
 
-    monkeypatch.setattr(Model, "__post_init__", counted)
+    def counted_checked(cls, **values):
+        calls.append("_checked")
+        return checked(cls, **values)
+
+    monkeypatch.setattr(Model, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Model, "_checked", classmethod(counted_checked))
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
-    rows = sweep_rows(tmp_path, cfg, ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], "s.csv")
-    assert len(rows) == 576 and all(row["error"] == "" for row in rows)
-    assert len(calls) <= 1
+    for params, points, kinetics in [
+        # The benchmark's 12 x 48 grid: one kinetics.
+        (["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], 576, 1),
+        (["d.0=0.05:1.0:12", "r.0=0.5:1.5:4", "c.1.0=-3.5:-2.5:3"], 144, 12),
+    ]:
+        calls.clear()
+        rows = sweep_rows(tmp_path, cfg, params, "s.csv")
+        assert len(rows) == points and all(row["error"] == "" for row in rows)
+        swept = [param.split("=")[0] for param in params]
+        kinetic = [path for path in swept if path[0] in "rc"]
+        assert len({tuple(row[path] for path in kinetic) for row in rows}) == kinetics
+        assert calls.count("__post_init__") <= 1
+        assert len(calls) <= 1 + kinetics
+
+
+def test_sweep_batch_that_raises_decides_each_point_alone(tmp_path, monkeypatch):
+    # The constant states of one kinetics cannot be enumerated, so the
+    # batch's table raises: each point not in error is then built from the
+    # batch and decided alone, and only that kinetics' points get the error.
+    from crossdiff import index_theory
+
+    find = index_theory.find_constant_states
+
+    def failing(model):
+        if model.r[0] == 0.5:
+            raise ModelError("no constant states at r.0 = 0.5")
+        return find(model)
+
+    monkeypatch.setattr(index_theory, "find_constant_states", failing)
+    cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
+    paths = ["r.0", "d.0"]
+    rows = sweep_rows(tmp_path, cfg, ["r.0=0.5:1.5:3", "d.0=-0.2:0.6:3"], "s.csv")
+    failed = [row for row in rows if row["error"] == "no constant states at r.0 = 0.5"]
+    assert [row["r.0"] for row in failed] == ["0.5", "0.5"]
+    assert sum(row["error"] == "" for row in rows) == 4
+    assert_rows_equal_points_swept_alone(tmp_path, cfg, paths, rows)
+
+
+def test_sweep_rectangle_lengths_match_points_swept_alone(tmp_path):
+    # Both sides of a rectangle swept: the batch's lengths have two
+    # columns.  The grid holds square points (equal sides, double modes)
+    # and error rows (a side <= 0); every row must be the row its point
+    # gives alone.
+    config = dict(TURING, domain={"kind": "rectangle", "lengths": [3.0, 2.0]})
+    cfg = write_config(tmp_path, config)
+    paths = ["domain.lengths.0", "domain.lengths.1"]
+    rows = sweep_rows(tmp_path, cfg, [f"{paths[0]}=-1:5:7", f"{paths[1]}=1:5:3"], "s.csv")
+    assert len(rows) == 21
+    errors = [row for row in rows if row["error"]]
+    assert len(errors) == 6
+    assert all(row["error"].startswith("domain lengths must be positive") for row in errors)
+    squares = [row for row in rows if row[paths[0]] == row[paths[1]]]
+    assert len(squares) == 3 and not any(row["error"] for row in squares)
+    assert len({(row["total"], row["predicts_nonconstant"]) for row in rows if not row["error"]}) > 1
+    assert_rows_equal_points_swept_alone(tmp_path, cfg, paths, rows)
 
 
 def test_sweep_builds_no_verdict_objects(tmp_path, monkeypatch):
@@ -968,6 +1027,43 @@ def test_sweep_bad_param_spec(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"], ["analyze", "--help"], ["solve", "--help"], ["sweep", "--help"],
+        ["selftest", "--help"], ["--version"], [], ["bogus"], ["sweep"],
+        ["solve", "--config", "m.json", "--grid", "x"], ["sweep", "--config"],
+        ["-x", "sweep"], ["--", "sweep"], ["analyze", "--param", "d.0=0:1:2"],
+    ],
+)
+def test_parser_output_equals_the_full_tree(argv, capsys, monkeypatch):
+    # main gives only the named subcommand its options; help, version and
+    # usage errors must be the bytes and exit code of the full tree.
+    def run():
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    lazy = run()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run() == lazy
+    code, out, err = lazy
+    if "--help" in argv or argv == ["--version"]:
+        assert code == 0 and out and not err
+    else:
+        assert code == 1 and err.startswith("error: ") and not out
+
+
+def test_parser_gives_options_only_to_its_command():
+    with pytest.raises(ModelError, match="unrecognized arguments: --config m.json --grid 8"):
+        cli.build_parser("sweep").parse_args(["solve", "--config", "m.json", "--grid", "8"])
+    args = cli.build_parser("solve").parse_args(["solve", "--config", "m.json", "--grid", "8"])
+    assert args.grid == 8
 
 
 def test_version_flag_exits_zero():

@@ -23,6 +23,7 @@ from crossdiff import (
     spectrum_through,
 )
 from crossdiff.index_theory import verdict_table
+from crossdiff.model import replace_entries
 
 PI = np.pi
 
@@ -802,6 +803,31 @@ def test_table_columns_equal_the_verdicts():
         "state (0.33333333333333337, 0.3333333333333333): index undefined: "
         "A(u*)^{-1}J(u*) is not finite"
     )
+
+
+def test_batch_table_equals_the_table_of_its_models():
+    # A ModelBatch is decided from its stacks, with no model per point:
+    # its rows are its points not in error, and each must equal the row
+    # of the model that point builds.  The points share four kinetics and
+    # two rectangles, one of them the square; d.0 = -0.1 is in error.
+    base = batch_models()["square, double mode"]
+    keys = [("d", 0), ("r", 0), ("domain", "lengths", 1)]
+    points = [(d, r, L) for d in (-0.1, 0.4, 0.2) for r in (1.0, 0.5) for L in (PI, 2.0)]
+    batch = replace_entries(base, keys, points)
+    valid = [k for k, error in enumerate(batch.errors) if error is None]
+    assert len(valid) == 8
+    models = [batch.model(k) for k in valid]
+    columns = ("n_states", "case_label", "total", "predicts_nonconstant", "inconclusive", "cause")
+    expected = verdict_table(models)
+    states = [find_constant_states(model) for model in models]
+    for table in (verdict_table(batch), verdict_table(batch, states)):
+        for column in columns:
+            assert getattr(table, column).tolist() == getattr(expected, column).tolist()
+        assert [table.verdict(i).total for i in range(8)] == expected.total.tolist()
+    assert len(set(expected.total.tolist())) > 1
+    # A batch with no point, or none that builds, has no rows.
+    for points in ([], [(-0.1, 1.0, PI)]):
+        assert verdict_table(replace_entries(base, keys, points)).n_states.tolist() == []
 
 
 def random_model(rng, m, kind):

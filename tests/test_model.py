@@ -208,7 +208,9 @@ def test_replace_entries_equals_build_model_of_the_replaced_config(entries):
         config = with_entry(config, keys, value)
     expected = build_model(config)
     keys, values = zip(*entries)
-    (model,) = replace_entries(base, keys, [values])
+    batch = replace_entries(base, keys, [values])
+    assert batch.errors == [None]
+    model = batch.model(0)
     assert model.to_config() == expected.to_config()
     # Every attribute build_model sets, not only those to_config reads.
     assert vars(model).keys() == vars(expected).keys()
@@ -232,11 +234,15 @@ def build_model_message(config):
 
 @pytest.mark.parametrize("keys, value", FAILING_ENTRIES)
 def test_replace_entries_raises_what_build_model_raises(keys, value):
-    # The point's error comes back in place of its model, not raised.
+    # The point's message comes back in the batch, not raised; its model
+    # view raises it.
     config = rect_config()
-    (replaced,) = replace_entries(build_model(config), [keys], [(value,)])
-    assert isinstance(replaced, ConfigError)
-    assert str(replaced) == build_model_message(with_entry(config, keys, value))
+    batch = replace_entries(build_model(config), [keys], [(value,)])
+    message = build_model_message(with_entry(config, keys, value))
+    assert batch.errors == [message]
+    with pytest.raises(ConfigError) as raised:
+        batch.model(0)
+    assert str(raised.value) == message
 
 
 def test_replace_entries_checks_a_mixed_batch_point_by_point():
@@ -261,14 +267,15 @@ def test_replace_entries_checks_a_mixed_batch_point_by_point():
             point_config = with_entry(point_config, key, point[key])
         points.append(tuple(point[key] for key in keys))
         configs.append(point_config)
-    built = replace_entries(base, keys, points)
-    assert len(built) == len(points)
+    batch = replace_entries(base, keys, points)
+    assert len(batch.errors) == len(points)
     failed = 0
-    for point, point_config in zip(built, configs):
-        if isinstance(point, ConfigError):
+    for k, (error, point_config) in enumerate(zip(batch.errors, configs)):
+        if error is not None:
             failed += 1
-            assert str(point) == build_model_message(point_config)
+            assert error == build_model_message(point_config)
         else:
+            point = batch.model(k)
             expected = build_model(point_config)
             assert point.to_config() == expected.to_config()
             assert vars(point).keys() == vars(expected).keys()
