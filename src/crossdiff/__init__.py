@@ -30,11 +30,8 @@ from .steady_states import (
     refine_root,
 )
 from .spectral import (
-    ModeSpectrum,
     discrete_laplacian_spectrum,
     eigenfunction,
-    neumann_eigenvalues,
-    spectrum_through,
 )
 from .index_theory import (
     ExistenceVerdict,
@@ -82,7 +79,6 @@ __all__ = [
     "ExistenceVerdict",
     "Grid",
     "IndexReport",
-    "ModeSpectrum",
     "Model",
     "ModelError",
     "SolveResult",
@@ -104,7 +100,6 @@ __all__ = [
     "find_constant_states",
     "identity_residuals",
     "make_grid",
-    "neumann_eigenvalues",
     "newton_solve",
     "nonexistence_threshold",
     "norms",
@@ -112,7 +107,6 @@ __all__ = [
     "refine_root",
     "seed_from_mode",
     "semitrivial_stability",
-    "spectrum_through",
     "validate_structure",
     "__version__",
 ]

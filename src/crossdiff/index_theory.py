@@ -51,6 +51,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import Model, ModelBatch, ModelError
+from .spectral import MAX_COUNT, _weyl
 from .steady_states import (
     ConstantState,
     StateEnumeration,
@@ -59,11 +60,6 @@ from .steady_states import (
     find_constant_states,
 )
 
-# Most Neumann eigenvalues that may lie below a root.  Near a root with
-# more, the eigenvalues are spaced about TOL_DEGENERATE times the root
-# apart, so no gap would pass the degeneracy test; the counts also stay
-# exact integers.
-MAX_COUNT = 10**8
 # One record per root of p: an index report's ``roots``.
 ROOT = np.dtype(
     [("mu", np.float64), ("imag", np.float64), ("real", np.bool_), ("count", np.int64),
@@ -90,10 +86,10 @@ class IndexReport:
     constant mode), the number ``first_mode`` of its first Neumann mode
     and the number of ``modes`` in it.  Modes are counted with
     multiplicity and numbered from 0, the constant mode, as
-    ``--seed-mode K`` numbers them, so ``first_mode`` is ``N(lo)`` and
-    the interval holds the modes ``first_mode`` to ``first_mode + modes
-    - 1``.  Those modes are the factors -1 of the index, so their number
-    has the parity of ``sigma``.
+    :func:`crossdiff.spectral.mode` and ``--seed-mode K`` number them,
+    so ``first_mode`` is ``N(lo)`` and the interval holds the modes
+    ``first_mode`` to ``first_mode + modes - 1``.  Those modes are the
+    factors -1 of the index, so their number has the parity of ``sigma``.
 
     ``index`` is ``(-1)^sigma`` and is only claimed when every gap
     exceeds :data:`TOL_DEGENERATE`; otherwise ``index`` is ``None`` and
@@ -275,45 +271,6 @@ class _State:
         """Member ``i``'s index report at this state, or why it has none."""
         failure = self.failure(i)
         return failure if failure is not None else self.run.report(self.start + i, self.u)
-
-
-def _axis(s: NDArray[np.float64], L: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
-    """Per entry: how many axis values ``(k pi / L)^2``, ``k >= 0``, lie
-    below ``s``, and the distance from ``s`` to the nearest one."""
-    t = L * np.sqrt(np.maximum(s, 0.0)) / np.pi
-    k = np.floor(t)
-    return np.ceil(t), np.minimum(
-        np.abs(s - (k * np.pi / L) ** 2), np.abs(s - ((k + 1.0) * np.pi / L) ** 2)
-    )
-
-
-def _weyl(
-    x: NDArray[np.float64], lengths: NDArray[np.float64]
-) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-    """``N(x)`` and the distance from ``x`` to the nearest Neumann eigenvalue.
-
-    Row ``i`` of ``x`` lives on the domain with sides ``lengths[i]``, all
-    of one dimension.  On an interval that is :func:`_axis`.  On a
-    rectangle it is :func:`_axis` along the longer side in every column
-    ``k`` of the shorter one, at ``x - (k pi / L_short)^2``: the columns
-    below ``x`` and one more, which holds the nearest eigenvalue above
-    ``x`` on the short axis.
-    """
-    if lengths.shape[1] == 1:
-        count, dist = _axis(x, lengths)
-        return count.astype(np.int64), dist
-    shape, x = x.shape, x.ravel()
-    short = np.repeat(lengths.min(axis=1), shape[1])
-    long = np.repeat(lengths.max(axis=1), shape[1])
-    cols = np.floor(short * np.sqrt(np.maximum(x, 0.0)) / np.pi).astype(np.intp) + 2
-    owner = np.repeat(np.arange(len(x)), cols)
-    starts = np.cumsum(cols) - cols
-    k = np.arange(owner.size) - starts[owner]
-    count, dist = _axis(x[owner] - (k * np.pi / short[owner]) ** 2, long[owner])
-    return (
-        np.bincount(owner, count, len(x)).astype(np.int64).reshape(shape),
-        np.minimum.reduceat(dist, starts).reshape(shape),
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -518,8 +475,9 @@ def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexRepo
 
     Raises :class:`ModelError` when the state cannot carry one: the flux
     matrix is not elliptic there, a matrix is not finite, or a root has
-    more than :data:`MAX_COUNT` Neumann eigenvalues below it.  A
-    degenerate state is not an error: its report claims no index.
+    more than :data:`~crossdiff.spectral.MAX_COUNT` Neumann eigenvalues
+    below it.  A degenerate state is not an error: its report claims no
+    index.
     """
     u_star = np.asarray(u_star, dtype=float)
     pos = _State(model, u_star, tuple(range(model.m)), _index_precondition(model, u_star))

@@ -63,7 +63,7 @@ from numpy.typing import NDArray
 from scipy.sparse.linalg import splu
 
 from .model import ConfigError, Domain, Model, ModelError
-from .spectral import eigenfunction, neumann_eigenvalues
+from .spectral import eigenfunction, mode
 from .steady_states import TOL_DEGENERATE, TOL_SIGN
 
 TOL_NEWTON = 1e-10
@@ -821,13 +821,13 @@ def seed_from_mode(
 ) -> DiscreteField:
     """Perturb a constant state along the ``k``-th Neumann mode.
 
-    ``k >= 1`` numbers the nonconstant modes in ascending order of
-    eigenvalue ``lambda_hat_k``, counted with multiplicity and ties in
-    lexicographic order of their lattice points, as ``--seed-mode K``
-    does and as the ``first_mode`` of an
-    :class:`~crossdiff.index_theory.IndexReport`'s ``negative`` intervals
-    does: on the square ``(0, pi)^2`` mode 1 is ``cos y``, mode 2
-    ``cos x`` and mode 3 ``cos x cos y``.
+    ``k >= 1`` is a mode number of :func:`crossdiff.spectral.mode`, the
+    numbering of ``--seed-mode K`` and of an
+    :class:`~crossdiff.index_theory.IndexReport`'s ``first_mode``: on the
+    square ``(0, pi)^2`` mode 1 is ``cos y``, mode 2 ``cos x`` and mode 3
+    ``cos x cos y``.  A mode whose lattice point has ``k_a >= n_a`` on an
+    axis of ``n_a`` cells is a :class:`ConfigError`: the grid samples its
+    cosine as zero or as a lower mode.
     ``u(x) = u* + amplitude * c * psi(x)`` with ``c`` the (real, unit)
     eigenvector of ``d_A^{-1} A_k``, ``A_k = A(u*) - J(u*) / lambda_hat_k``,
     at its most negative real eigenvalue and ``psi`` the mode's
@@ -841,10 +841,11 @@ def seed_from_mode(
         raise ModelError("mode seeding uses Neumann eigenfunctions")
     if k < 1:
         raise ConfigError(f"mode number must be >= 1, got {k}")
+    lambda_hat, point = mode(model.domain, k)
+    if any(k_a >= n_a for k_a, n_a in zip(point, grid.n_cells)):
+        raise ConfigError(f"mode {k} is the lattice point {point}: {grid.n_cells} cells "
+                          "cannot resolve it")
     u_star = np.asarray(u_star, dtype=float)
-    # Value 0 is the constant mode.
-    mode = neumann_eigenvalues(model.domain, k + 1)[k:]
-    lambda_hat = mode.values[0]
     dvec = model.d_A(u_star)
     M = (model.A(u_star) - model.jacobian_f(u_star) / lambda_hat) / dvec[:, None]
     w, V = np.linalg.eig(M)
@@ -867,7 +868,7 @@ def seed_from_mode(
     c = c / norm_c
     if c[np.argmax(np.abs(c))] < 0:
         c = -c
-    psi = eigenfunction(model.domain, mode.points[0].tolist(), grid.points())
+    psi = eigenfunction(model.domain, point, grid.points())
     values = u_star + amplitude * psi[..., None] * c
     if np.all(u_star > 0.0):
         floor = 1e-3 * float(u_star.min())

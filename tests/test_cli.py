@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from crossdiff import (
-    ModelError, build_model, cli, make_grid, pde_solver, seed_from_mode, spectrum_through,
+    ModelError, build_model, cli, eigenfunction, find_constant_states, make_grid, pde_solver,
+    seed_from_mode,
 )
+from test_spectral import brute_force_spectrum
 
 WEAK_LV = {
     "m": 2,
@@ -131,7 +133,7 @@ NEGATIVE_KEYS = {"lo", "hi", "first_mode", "modes"}
 def test_analyze_mode_records(tmp_path, payload, counts, negative, kinds):
     # One record per root of p(lambda) = det(lambda A(u*) - J(u*)) and one
     # per interval where p < 0, each with a fixed key set, checked against
-    # the state's own matrices and a listed spectrum.
+    # the state's own matrices and a brute-force lattice spectrum.
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == 0
@@ -149,17 +151,17 @@ def test_analyze_mode_records(tmp_path, payload, counts, negative, kinds):
     mu = mu[np.lexsort((mu.imag, mu.real))]
     np.testing.assert_allclose([[r["mu"], r["imag"]] for r in rep["roots"]],
                                np.stack([mu.real, mu.imag], -1), rtol=1e-12)
-    spectrum = spectrum_through(model.domain, 40.0)
+    values = np.array([v for v, _ in brute_force_spectrum(model.domain.lengths, 40.0)])
     for r in rep["roots"]:
         if r["real"]:
-            assert r["count"] == int((spectrum.values < r["mu"]).sum())
-        nearest = np.abs(r["mu"] + 1j * r["imag"] - spectrum.values).min()
+            assert r["count"] == int((values < r["mu"]).sum())
+        nearest = np.abs(r["mu"] + 1j * r["imag"] - values).min()
         assert r["gap"] == pytest.approx(nearest / np.abs(mu).max(), rel=1e-9)
     # p < 0 at exactly the spectrum values inside the intervals.
-    p = np.linalg.det(spectrum.values[:, None, None] * A - J)
-    inside = np.zeros(len(spectrum), dtype=bool)
+    p = np.linalg.det(values[:, None, None] * A - J)
+    inside = np.zeros(len(values), dtype=bool)
     for r in rep["negative"]:
-        held = (spectrum.values > r["lo"]) & (spectrum.values < r["hi"])
+        held = (values > r["lo"]) & (values < r["hi"])
         assert np.flatnonzero(held).tolist() == list(
             range(r["first_mode"], r["first_mode"] + r["modes"])
         )
@@ -450,11 +452,19 @@ def test_solve_rejects_bad_radius_before_solving(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "payload, mode", [(SKT, "100000"), (SKT, "181"), (TURING, "32767")],
-    ids=["skt-100000", "skt-181", "interval-32767"],
+    "payload, mode, message",
+    [
+        (SKT, "100000", "cannot resolve it"),
+        (TURING, "32767", "mode 32767 is the lattice point (32767,): (16,) cells cannot resolve it"),
+        # Mode n samples its cosine as zero, mode n + 1 as mode n - 1.
+        (TURING, "16", "cannot resolve it"),
+        (TURING, "17", "cannot resolve it"),
+        (SKT, "100000001", "mode 100000001 requires too many modes"),
+    ],
+    ids=["skt-100000", "interval-32767", "interval-16", "interval-17", "skt-100000001"],
 )
 def test_solve_rejects_huge_seed_mode_before_solving(
-    tmp_path, capsys, monkeypatch, payload, mode
+    tmp_path, capsys, monkeypatch, payload, mode, message
 ):
     def no_solve(*args, **kwargs):
         raise AssertionError("solver ran before the seed mode was checked")
@@ -470,8 +480,40 @@ def test_solve_rejects_huge_seed_mode_before_solving(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ")
-    assert "requires too many modes" in captured.err
+    assert message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, mode, point", [(SKT, 181, (4, 14)), (TURING, 15, (15,))],
+    ids=["skt-181", "interval-15"],
+)
+def test_solve_seeds_every_mode_the_grid_resolves(tmp_path, monkeypatch, payload, mode, point):
+    # Mode 181 on the 3x3 square is the lattice point (4, 14), and mode
+    # n - 1 the last one an interval of n cells resolves: each seeds u*
+    # plus 0.1 times a unit vector times its cosine, and the solve runs.
+    seeds = []
+    solve = cli.newton_solve
+
+    def recorded(model, grid, seed, **kwargs):
+        seeds.append(seed)
+        return solve(model, grid, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "newton_solve", recorded)
+    cfg = write_config(tmp_path, payload)
+    argv = ["solve", "--config", cfg, "--output", str(tmp_path / "s.json"), "--grid", "16",
+            "--seed-mode", str(mode)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_SOLVER)
+    (seed,) = seeds
+    model = build_model(payload)
+    u_star = cli._positive_state(find_constant_states(model))
+    psi = eigenfunction(model.domain, point, seed.grid.points()).ravel()
+    dev = (seed.values - u_star).reshape(-1, model.m)
+    coeff = dev.T @ psi / (psi @ psi)
+    np.testing.assert_allclose(dev, np.outer(psi, coeff), atol=1e-12)
+    assert np.linalg.norm(coeff) == pytest.approx(0.1, rel=1e-10)
 
 
 def test_solve_mode_seed_finds_pattern(tmp_path):
@@ -880,7 +922,7 @@ def test_sweep_mixed_chunks_match_points_swept_alone(tmp_path):
 def test_sweep_decides_every_point_in_one_kernel_pass(tmp_path, monkeypatch):
     # The benchmark's 12 x 48 grid: every point's positive state has two
     # species, so the kernel takes one eigvals of the 576 flux matrices and
-    # one of the 576 root matrices, and lists no spectrum.
+    # one of the 576 root matrices, and looks up no mode.
     from crossdiff import spectral
 
     shapes = []
@@ -890,12 +932,11 @@ def test_sweep_decides_every_point_in_one_kernel_pass(tmp_path, monkeypatch):
         shapes.append(np.shape(stack))
         return eigvals(stack)
 
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("a spectrum was listed")
+    def no_mode(*args, **kwargs):
+        raise AssertionError("a mode was looked up")
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    monkeypatch.setattr(spectral, "spectrum_through", no_spectrum)
-    monkeypatch.setattr(spectral, "ModeSpectrum", no_spectrum)
+    monkeypatch.setattr(spectral, "mode", no_mode)
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     rows = sweep_rows(tmp_path, cfg, ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"], "s.csv")
     assert len(rows) == 576 and all(row["inconclusive"] == "False" for row in rows)

@@ -17,13 +17,13 @@ from crossdiff import (
     existence_verdict,
     existence_verdicts,
     find_constant_states,
-    neumann_eigenvalues,
     nonexistence_threshold,
     semitrivial_stability,
-    spectrum_through,
 )
 from crossdiff.index_theory import verdict_table
 from crossdiff.model import replace_entries
+from crossdiff.spectral import mode
+from test_spectral import brute_force_spectrum
 
 PI = np.pi
 
@@ -60,7 +60,7 @@ def turing_model(d=(0.4, 7.0)):
 def first_mode_matrix(model):
     """``A(u*) - J(u*) / lambda_hat`` at the first nonzero mode, ``u* = (1, 1)``."""
     u = np.ones(2)
-    lambda_hat = float(neumann_eigenvalues(model.domain, 2).values[1])
+    lambda_hat = mode(model.domain, 1)[0]
     return lambda_hat, model.A(u) - model.jacobian_f(u) / lambda_hat
 
 
@@ -514,14 +514,13 @@ def long_interval_model():
 
 def test_long_interval_is_decided_without_a_spectrum(monkeypatch):
     # The roots 1/2 and 10/7 have ceil(1e5 sqrt(mu) / pi) = 22,508 and
-    # 38,046 eigenvalues below them; no spectrum is listed to count them.
+    # 38,046 eigenvalues below them; no mode is looked up to count them.
     from crossdiff import spectral
 
-    def no_spectrum(*args, **kwargs):
-        raise AssertionError("a spectrum was built")
+    def no_mode(*args, **kwargs):
+        raise AssertionError("a mode was looked up")
 
-    monkeypatch.setattr(spectral, "spectrum_through", no_spectrum)
-    monkeypatch.setattr(spectral, "ModeSpectrum", no_spectrum)
+    monkeypatch.setattr(spectral, "mode", no_mode)
     verdict = existence_verdict(long_interval_model())
     assert not verdict.inconclusive and verdict.total == 1
     (report,) = verdict.index_reports
@@ -662,8 +661,8 @@ def batch_models():
         "m = 1, spectrum overflows a float": interval_model(
             1, (1e-300,), (1e8,), ((1e8,),), length=1e-153
         ),
-        # About 40,000 lattice points lie below the lower root, 1/2: more
-        # than a spectrum lists, but its interval's first mode is N(1/2).
+        # About 40,000 lattice points lie below the lower root, 1/2: its
+        # interval's first mode is N(1/2), mode 40,022.
         "large square": build_model(
             {**turing_model().to_config(), "domain": {"kind": "rectangle", "lengths": [1e3, 1e3]}}
         ),
@@ -858,10 +857,10 @@ def random_model(rng, m, kind):
 
 def test_index_equals_the_brute_force_sign_product_on_random_models():
     # An independent route to the index: the product of sign p(lambda_k)
-    # over the listed Neumann modes, one factor per mode, through past the
-    # largest root, with the roots from a QZ solve of the pencil (J, A).  Also
-    # brute force: sigma, and the modes where p < 0 against the report's
-    # intervals.
+    # over the Neumann modes of a brute-force lattice loop, one factor per
+    # mode, through past the largest root, with the roots from a QZ solve
+    # of the pencil (J, A).  Also brute force: sigma, and the modes where
+    # p < 0 against the report's intervals.
     import scipy.linalg
 
     rng = np.random.default_rng(20240521)
@@ -874,18 +873,19 @@ def test_index_equals_the_brute_force_sign_product_on_random_models():
         A, J = model.A(u), model.jacobian_f(u)
         mu = scipy.linalg.eig(J, A, right=False)
         real = mu.real[np.abs(mu.imag) <= 1e-9 * np.abs(mu).max()]
-        spectrum = spectrum_through(model.domain, max(real.max(initial=0.0), 0.0) * 1.1 + 1.0)
-        p = np.linalg.det(spectrum.values[:, None, None] * A - J)
+        bound = max(real.max(initial=0.0), 0.0) * 1.1 + 1.0
+        values = np.array([v for v, _ in brute_force_spectrum(model.domain.lengths, bound)])
+        p = np.linalg.det(values[:, None, None] * A - J)
         where = (model.m, model.domain.lengths, model.d.tolist())
         # Every count with multiplicity, the constant mode included.
-        sigma = sum(int((spectrum.values < v).sum()) for v in real)
+        sigma = sum(int((values < v).sum()) for v in real)
         assert report.sigma == sigma, where
         if not report.nondegenerate:
             continue
         assert report.index == int(np.prod(np.sign(p))), where
-        inside = np.zeros(len(spectrum), dtype=bool)
+        inside = np.zeros(len(values), dtype=bool)
         for r in report.negative:
-            held = (spectrum.values > r["lo"]) & (spectrum.values < r["hi"])
+            held = (values > r["lo"]) & (values < r["hi"])
             if r["lo"] == 0.0 and r["first_mode"] == 0:
                 held[0] = True
             assert np.flatnonzero(held).tolist() == list(
@@ -895,7 +895,7 @@ def test_index_equals_the_brute_force_sign_product_on_random_models():
         assert ((p < 0) == inside).all(), where
         seen["decided"] += 1
         seen["index -1"] += report.index == -1
-        seen["double mode in p < 0"] += bool((np.diff(spectrum.values[inside]) == 0).any())
+        seen["double mode in p < 0"] += bool((np.diff(values[inside]) == 0).any())
         seen["complex"] += bool((~report.roots["real"]).any())
         seen["odd positive roots"] += int((real > 0).sum()) % 2
         seen["rectangle"] += kind != "interval"
@@ -908,8 +908,9 @@ def test_index_equals_the_brute_force_sign_product_on_random_models():
 def test_negative_records_number_the_modes_inside_their_intervals():
     # On rectangles and squares, the modes first_mode to first_mode +
     # modes - 1 of each interval where p < 0, numbered as --seed-mode K
-    # numbers them, are the modes strictly inside it.  A reported lo of 0
-    # stands for a lower end below 0: the interval holds the constant mode.
+    # numbers them, are the modes strictly inside it; every mode before
+    # them and the one after lie outside.  A reported lo of 0 stands for a
+    # lower end below 0: the interval holds the constant mode.
     rng = np.random.default_rng(20261019)
     seen = {"records": 0, "square": 0, "after a double mode": 0}
     for trial in range(240):
@@ -920,17 +921,14 @@ def test_negative_records_number_the_modes_inside_their_intervals():
             continue
         for r in report.negative:
             first, modes = int(r["first_mode"]), int(r["modes"])
-            try:
-                spectrum = neumann_eigenvalues(model.domain, first + modes)
-            except ConfigError:  # more modes than a spectrum lists
-                continue
-            values = spectrum.values[first:]
+            values = np.array([mode(model.domain, K)[0] for K in range(first + modes + 1)])
             lo = -np.inf if r["lo"] == 0.0 else r["lo"]
             where = (model.domain.lengths, r)
-            assert len(values) == modes, where
-            assert ((lo < values) & (values < r["hi"])).all(), where
+            assert ((lo < values) & (values < r["hi"])).tolist() == (
+                [False] * first + [True] * modes + [False]
+            ), where
             seen["records"] += 1
-            seen["after a double mode"] += bool((np.diff(spectrum.values[:first]) == 0).any())
+            seen["after a double mode"] += bool((np.diff(values[:first]) == 0).any())
             seen["square"] += kind == "square"
     # Not vacuous: most records are checked, many on squares, and some
     # start past a double mode, which counts twice below them.

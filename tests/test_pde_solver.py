@@ -20,13 +20,13 @@ from crossdiff import (
     continuation_solve,
     discretize,
     make_grid,
-    neumann_eigenvalues,
     newton_solve,
     norms,
     pde_solver,
     random_field,
     seed_from_mode,
 )
+from test_spectral import brute_force_spectrum
 
 PI = np.pi
 
@@ -859,9 +859,12 @@ def mode_counts(model, count=5):
     """``N`` of modes 1 to ``count`` at ``u* = (1, 1)``, the count
     :func:`seed_from_mode` checks: the real eigenvalues of each mode's
     ``d_A^{-1} A_k`` below ``-1e-8`` times its 2-norm.  Entry ``k - 1``
-    belongs to mode ``k``."""
+    belongs to mode ``k``; the modes come from a brute-force lattice loop,
+    whose limit puts the longest side's first ``count + 1`` modes below it."""
     u = np.ones(2)
-    lam = neumann_eigenvalues(model.domain, count + 1).values[1:]
+    lengths = model.domain.lengths
+    modes = brute_force_spectrum(lengths, ((count + 1) * np.pi / max(lengths)) ** 2)
+    lam = np.array([v for v, _ in modes[1 : count + 1]])
     stack = (model.A(u) - model.jacobian_f(u) / lam[:, None, None]) / model.d_A(u)[:, None]
     scale = np.linalg.norm(stack, 2, axis=(-2, -1))[:, None]
     eigs = np.linalg.eigvals(stack)

@@ -2,42 +2,40 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-import signal
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossdiff import (
-    ConfigError,
-    Domain,
-    discrete_laplacian_spectrum,
-    eigenfunction,
-    neumann_eigenvalues,
-    spectrum_through,
-)
+from crossdiff import ConfigError, Domain, discrete_laplacian_spectrum, eigenfunction
+from crossdiff.spectral import MAX_COUNT, _columns_below, mode
 
 PI = np.pi
 
 
+def modes(domain, stop, start=0):
+    """``(lambda_hat, k)`` of modes ``start`` to ``stop - 1``."""
+    return [mode(domain, K) for K in range(start, stop)]
+
+
 def test_interval_modes_are_squares():
-    spectrum = neumann_eigenvalues(Domain(kind="interval", lengths=(PI,)), 4)
-    assert as_pairs(spectrum) == [(0.0, (0,)), (1.0, (1,)), (4.0, (2,)), (9.0, (3,))]
+    spectrum = modes(Domain(kind="interval", lengths=(PI,)), 4)
+    assert spectrum == [(0.0, (0,)), (1.0, (1,)), (4.0, (2,)), (9.0, (3,))]
 
 
 def test_square_first_nonzero_mode_is_double():
-    spectrum = neumann_eigenvalues(Domain(kind="rectangle", lengths=(PI, PI)), 3)
-    assert spectrum.values.tolist() == [0.0, 1.0, 1.0]
-    assert [tuple(k) for k in spectrum.points.tolist()] == [(0, 0), (0, 1), (1, 0)]
+    spectrum = modes(Domain(kind="rectangle", lengths=(PI, PI)), 3)
+    assert spectrum == [(0.0, (0, 0)), (1.0, (0, 1)), (1.0, (1, 0))]
 
 
 def test_square_modes_in_value_then_lattice_order():
     # Bit-equal values keep the lexicographic order of their points.
-    spectrum = neumann_eigenvalues(Domain(kind="rectangle", lengths=(PI, PI)), 6)
-    assert as_pairs(spectrum) == [
+    spectrum = modes(Domain(kind="rectangle", lengths=(PI, PI)), 6)
+    assert spectrum == [
         (0.0, (0, 0)), (1.0, (0, 1)), (1.0, (1, 0)),
         (2.0, (1, 1)), (4.0, (0, 2)), (4.0, (2, 0)),
     ]
@@ -45,38 +43,29 @@ def test_square_modes_in_value_then_lattice_order():
 
 def test_half_height_rectangle_values():
     # (0,pi) x (0,pi/2): eigenvalues are k1^2 + 4 k2^2, with multiplicity.
-    spectrum = neumann_eigenvalues(
-        Domain(kind="rectangle", lengths=(PI, PI / 2)), 6
-    )
+    values = [v for v, _ in modes(Domain(kind="rectangle", lengths=(PI, PI / 2)), 6)]
     pairs = [(k1, k2) for k1 in range(6) for k2 in range(6)]
     exact = sorted(k1**2 + 4 * k2**2 for k1, k2 in pairs)[:6]
-    np.testing.assert_allclose(spectrum.values, exact, rtol=1e-12)
+    np.testing.assert_allclose(values, exact, rtol=1e-12)
     # 4 = 2^2 + 0 = 0 + 4*1^2: an honest collision, two modes.
-    assert int(np.isclose(spectrum.values, 4.0).sum()) == 2
+    assert int(np.isclose(values, 4.0).sum()) == 2
 
 
 def test_entries_ascending_and_first_is_constant_mode():
     for lengths in [(PI,), (2.0, 3.0)]:
         kind = "interval" if len(lengths) == 1 else "rectangle"
-        spectrum = neumann_eigenvalues(Domain(kind=kind, lengths=lengths), 8)
-        values = spectrum.values
-        assert values[0] == 0.0 and not spectrum.points[0].any()
+        spectrum = modes(Domain(kind=kind, lengths=lengths), 8)
+        values = [v for v, _ in spectrum]
+        assert values[0] == 0.0 and not any(spectrum[0][1])
         assert values[1] > 0.0
         assert np.all(np.diff(values) >= 0)
 
 
 @given(st.floats(0.3, 4.0), st.integers(1, 6))
 def test_interval_scaling_law(s, k):
-    base = neumann_eigenvalues(Domain(kind="interval", lengths=(PI,)), 8)
-    scaled = neumann_eigenvalues(Domain(kind="interval", lengths=(s * PI,)), 8)
-    assert scaled.values[k] == pytest.approx(base.values[k] / s**2, rel=1e-12)
-
-
-def test_spectrum_through_bound_is_inclusive_cover():
-    domain = Domain(kind="interval", lengths=(PI,))
-    spectrum = spectrum_through(domain, 10.0)
-    assert spectrum.values.tolist() == [0.0, 1.0, 4.0, 9.0]
-    assert spectrum_through(domain, 25.0).values[-2:].tolist() == [16.0, 25.0]
+    base = mode(Domain(kind="interval", lengths=(PI,)), k)[0]
+    scaled = mode(Domain(kind="interval", lengths=(s * PI,)), k)[0]
+    assert scaled == pytest.approx(base / s**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("lengths", [(2e5,), (2e5, 1.0)], ids=str)
@@ -84,23 +73,25 @@ def test_long_sides_keep_their_first_modes_apart(lengths):
     # On a side of 2e5 the axis values (k pi / L)^2 start at 2.5e-10: the
     # first modes are the long side's, each with its own value.
     kind = "interval" if len(lengths) == 1 else "rectangle"
-    spectrum = spectrum_through(Domain(kind=kind, lengths=lengths), 1e-7)
+    spectrum = modes(Domain(kind=kind, lengths=lengths), 4)
     rest = (0,) * (len(lengths) - 1)
-    assert [k for _, k in as_pairs(spectrum)[:4]] == [(k,) + rest for k in range(4)]
+    assert [k for _, k in spectrum] == [(k,) + rest for k in range(4)]
     np.testing.assert_allclose(
-        spectrum.values[:4], (np.arange(4) * PI / 2e5) ** 2, rtol=1e-12
+        [v for v, _ in spectrum], (np.arange(4) * PI / 2e5) ** 2, rtol=1e-12
     )
 
 
 @pytest.mark.parametrize("lengths", [(PI,), (PI, PI), (PI, PI / 2)], ids=str)
 def test_slice_is_the_spectrum_of_its_values(lengths):
+    # Each run of modes a to b - 1 ascends strictly in (value, point), and
+    # each value is the sum of its point's axis values, to the bit.
     kind = "interval" if len(lengths) == 1 else "rectangle"
-    spectrum = neumann_eigenvalues(Domain(kind=kind, lengths=lengths), 12)
-    pairs = as_pairs(spectrum)
-    for a, b in [(0, 12), (1, 12), (2, 5), (4, 4), (11, 20), (0, 1)]:
-        part = spectrum[a:b]
-        assert as_pairs(part) == pairs[a:b]
-        assert part.domain is spectrum.domain
+    domain = Domain(kind=kind, lengths=lengths)
+    for a, b in [(0, 12), (2, 5), (11, 20), (150, 190)]:
+        run = modes(domain, b, a)
+        assert run == sorted(set(run))
+        for value, point in run:
+            assert value == sum((k * math.pi / L) ** 2 for k, L in zip(point, lengths))
 
 
 ORACLE_DOMAINS = [
@@ -127,16 +118,12 @@ def brute_force_spectrum(lengths, limit):
     values up to ``limit`` are sorted by ``(value, k)``.
     """
     tops = [int(math.sqrt(limit) * L / math.pi) + 2 for L in lengths]
-    modes = []
+    found = []
     for ks in itertools.product(*(range(top) for top in tops)):
         value = sum((k * math.pi / L) ** 2 for k, L in zip(ks, lengths))
         if value <= limit:
-            modes.append((value, ks))
-    return sorted(modes)
-
-
-def as_pairs(spectrum):
-    return list(zip(spectrum.values.tolist(), map(tuple, spectrum.points.tolist())))
+            found.append((value, ks))
+    return sorted(found)
 
 
 @pytest.mark.parametrize("lengths", ORACLE_DOMAINS, ids=str)
@@ -144,67 +131,94 @@ def test_enumeration_matches_brute_force_lattice(lengths):
     kind = "interval" if len(lengths) == 1 else "rectangle"
     domain = Domain(kind=kind, lengths=lengths)
     step = math.pi / max(lengths)
-    oracle = brute_force_spectrum(lengths, ((40 + 4) * step) ** 2)
-    assert len(oracle) > 44
-    for count in range(1, 41):
-        assert as_pairs(neumann_eigenvalues(domain, count)) == oracle[:count]
-    values = [v for v, _ in oracle[:41]]
-    on = values + [math.nextafter(v, 0.0) for v in values[1:]]
-    between = [(a + b) / 2 for a, b in zip(values, values[1:])]
-    for bound in on + between:
-        below = sum(1 for v, _ in oracle if v <= bound)
-        assert as_pairs(spectrum_through(domain, bound)) == oracle[:below], bound
+    oracle = brute_force_spectrum(lengths, ((200 + 4) * step) ** 2)
+    assert len(oracle) > 201
+    assert modes(domain, 201) == oracle[:201]
 
 
-def test_interval_size_limit_edge():
-    # At most 32,767 modes are returned; one more raises.  Bounds on
-    # eigenvalues below the limit are placed where the square root rounds
-    # either way: (32764 pi / pi)^2 lies above 32764^2, and
-    # sqrt((32758 pi / pi)^2) rounds below 32758.
-    domain = Domain(kind="interval", lengths=(PI,))
-    for k in (32758, 32764):
-        assert len(spectrum_through(domain, (k * PI / PI) ** 2)) == k + 1
-    for bound in (32766.5**2, 32766.0**2):
-        assert len(spectrum_through(domain, bound)) == 32767
-    assert len(neumann_eigenvalues(domain, 32767)) == 32767
-    for bound in (32767.5**2, 32767.0**2):
-        with pytest.raises(ConfigError, match="requires too many modes"):
-            spectrum_through(domain, bound)
-    with pytest.raises(ConfigError, match=r"spectral bound 1\.074e\+09 requires too many"):
-        neumann_eigenvalues(domain, 32768)
+@pytest.mark.parametrize("lengths", [L for L in ORACLE_DOMAINS if len(L) == 2], ids=str)
+def test_column_counts_are_exact_at_and_beside_lattice_values(lengths):
+    # At each of the first 200 values, and one float to either side, each
+    # column holds as many points below x as the brute-force loop puts
+    # there: the closed form's rounding at x on a value is corrected.
+    short, long = sorted(lengths)
+    column = 1 if lengths[1] < lengths[0] else 0
+    limit = 1e-12
+    while len(oracle := brute_force_spectrum(lengths, limit)) <= 200:
+        limit *= 2.0
+    for v, _ in oracle[:200]:
+        for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)):
+            counts = collections.Counter(k[column] for value, k in oracle if value < x)
+            assert _columns_below(x, short, long) == [counts[c] for c in range(len(counts))]
 
 
-@pytest.mark.parametrize("bound", [math.inf, math.nan])
-def test_non_finite_bound_raises(bound):
-    domain = Domain(kind="interval", lengths=(PI,))
-    with pytest.raises(ConfigError, match="requires too many modes"):
-        spectrum_through(domain, bound)
-
-
-def _timeout(signum, frame):
-    raise TimeoutError("the lattice walk did not end")
+def test_mode_matches_brute_force_on_seeded_rectangles():
+    # 240 rectangles and squares, some of side pi whose values are
+    # integers with many ties: modes 0 to 79 are the oracle's first rows.
+    rng = np.random.default_rng(20261019)
+    for trial in range(240):
+        if trial % 2:
+            lengths = (PI if rng.random() < 0.3 else rng.uniform(0.5, 6.0),) * 2
+        else:
+            lengths = tuple(rng.uniform(0.2, 6.0, 2).tolist())
+        domain = Domain(kind="rectangle", lengths=lengths)
+        limit = 1.0
+        while len(oracle := brute_force_spectrum(lengths, limit)) < 80:
+            limit *= 2.0
+        assert modes(domain, 80) == oracle[:80], lengths
 
 
 @pytest.mark.parametrize(
-    "length, bound, message",
+    "lengths, limit, first, count",
     [
-        # sqrt(bound) L / pi is past 2^53, where k + 1 rounds back to k.
-        (PI, 1e114, "requires too many modes"),
-        (1e300, 1.0, "requires too many modes"),
-        # (pi / L)^2 is a float, but the next axis value overflows.
-        (2.5e-154, 1.6e308, "overflow a float"),
+        # Past the 32,767 lattice points a spectrum listing once allowed.
+        ((3.0, 3.0), 900.0, 170, 400),
+        ((PI,), 32785.0**2, 32760, 20),
+        # Around the large square's first negative mode, N(1/2) = 40,022.
+        ((1e3, 1e3), 0.51, 40000, 40),
     ],
+    ids=str,
 )
-def test_lattice_limit_decided_before_the_walk(length, bound, message):
-    domain = Domain(kind="interval", lengths=(length,))
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(30)
-    try:
-        with pytest.raises(ConfigError, match=message):
-            spectrum_through(domain, bound)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def test_mode_matches_brute_force_at_large_numbers(lengths, limit, first, count):
+    kind = "interval" if len(lengths) == 1 else "rectangle"
+    oracle = brute_force_spectrum(lengths, limit)
+    assert len(oracle) >= first + count
+    run = modes(Domain(kind=kind, lengths=lengths), first + count, first)
+    assert run == oracle[first : first + count]
+
+
+def test_mode_numbers_the_first_modes_of_the_report_records():
+    # Mode 181 on the 3x3 square, which a spectrum listing could not
+    # reach, and the large square's mode 40,022, inside its p < 0
+    # interval (1/2, 10/7).
+    assert mode(Domain(kind="rectangle", lengths=(3.0, 3.0)), 181)[1] == (4, 14)
+    value, point = mode(Domain(kind="rectangle", lengths=(1e3, 1e3)), 40022)
+    assert point == (6, 225) and 0.5 < value < 10 / 7
+
+
+def test_interval_size_limit_edge():
+    # Mode numbers run to MAX_COUNT = 1 / TOL_DEGENERATE; one more raises
+    # before any mode is looked up.
+    domain = Domain(kind="interval", lengths=(PI,))
+    assert MAX_COUNT == 10**8
+    assert mode(domain, MAX_COUNT) == ((MAX_COUNT * PI / PI) ** 2, (MAX_COUNT,))
+    square = Domain(kind="rectangle", lengths=(PI, PI))
+    for K in (MAX_COUNT + 1, 10**57):
+        for where in (domain, square):
+            with pytest.raises(ConfigError, match=f"mode {K} requires too many modes"):
+                mode(where, K)
+    with pytest.raises(ConfigError, match="mode number must be >= 0"):
+        mode(domain, -1)
+
+
+@pytest.mark.parametrize(
+    "lengths, K", [((2.5e-154,), 2), ((2.5e-154, 2.5e-154), 3)], ids=str
+)
+def test_mode_values_that_overflow_a_float_raise(lengths, K):
+    # (pi / L)^2 is a float, but a later value overflows.
+    kind = "interval" if len(lengths) == 1 else "rectangle"
+    with pytest.raises(ConfigError, match="overflow a float"):
+        mode(Domain(kind=kind, lengths=lengths), K)
 
 
 @pytest.mark.parametrize("lengths", [(1e-300,), (PI, 1e-160)])
