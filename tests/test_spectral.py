@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -209,6 +210,33 @@ def test_interval_size_limit_edge():
                 mode(where, K)
     with pytest.raises(ConfigError, match="mode number must be >= 0"):
         mode(domain, -1)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the mode lookup did not end")
+
+
+@pytest.mark.parametrize(
+    "length, bound, message",
+    [
+        # sqrt(bound) L / pi is past 2^53, where k + 1 rounds back to k.
+        (PI, 1e114, "requires too many modes"),
+        (1e300, 1.0, "requires too many modes"),
+    ],
+)
+def test_lattice_limit_decided_before_the_walk(length, bound, message):
+    # The first mode at or above the bound is numbered by the closed-form
+    # count below it; its lookup raises before any mode is listed.
+    domain = Domain(kind="interval", lengths=(length,))
+    K = math.ceil(length * math.sqrt(bound) / math.pi)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ConfigError, match=message):
+            mode(domain, K)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize(
