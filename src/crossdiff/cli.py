@@ -530,8 +530,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; given a ``command``, only that
-    one gets its options, and it parses that command as the full tree does."""
+    """The parser of every subcommand; given a ``command``, the top level
+    with that subcommand alone, which parses it as the full tree does."""
     parser = _Parser(
         prog="crossdiff",
         description=(
@@ -543,13 +543,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="index analysis and existence verdict")
     if command in (None, "analyze"):
+        analyze = sub.add_parser("analyze", help="index analysis and existence verdict")
         analyze.add_argument("--config", required=True, help="model config (JSON)")
         analyze.add_argument("--output", default="crossdiff_report.json")
 
-    solve = sub.add_parser("solve", help="nonlinear solve with continuation")
     if command in (None, "solve"):
+        solve = sub.add_parser("solve", help="nonlinear solve with continuation")
         solve.add_argument("--config", required=True, help="model config (JSON)")
         solve.add_argument("--output", default="crossdiff_solve.json")
         solve.add_argument("--grid", type=int, default=128, help="cells per axis")
@@ -573,8 +573,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         )
         solve.add_argument("--radius", type=float, default=None, help="oscillation ball radius")
 
-    sweep = sub.add_parser("sweep", help="parameter grid of analyze verdicts")
     if command in (None, "sweep"):
+        sweep = sub.add_parser("sweep", help="parameter grid of analyze verdicts")
         sweep.add_argument("--config", required=True, help="base model config (JSON)")
         sweep.add_argument("--output", default="crossdiff_sweep.csv")
         sweep.add_argument(
@@ -582,7 +582,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="path=start:stop:num (repeatable; dotted path, list indices numeric)",
         )
 
-    sub.add_parser("selftest", help="run the built-in acceptance suite")
+    if command in (None, "selftest"):
+        sub.add_parser("selftest", help="run the built-in acceptance suite")
 
     return parser
 
@@ -597,8 +598,9 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top level takes no option values, so its first non-option names the command.
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
+    # The top level's help, version and usage errors list every subcommand,
+    # so one subcommand alone parses only an argv that opens with it.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -27,7 +27,10 @@ BALL_RTOL = 1e-12
 # is 0.
 CONST_ULPS = 2
 # Distance terms per chunk when evaluating chosen balls.
-GATHER_TERMS = 1 << 16
+GATHER_TERMS = 1 << 14
+# A centred field whose largest component lies outside
+# [2^-RESCALE_EXP, 2^RESCALE_EXP] is scanned scaled by a power of two.
+RESCALE_EXP = 400
 
 
 @dataclass(frozen=True)
@@ -102,64 +105,88 @@ def ball_radii(grid: Grid, radius: float) -> list[float]:
     return radii
 
 
-def _shifted(n_cells: tuple[int, ...], offset: Sequence[int]):
-    """Slices ``(centers, nodes)`` pairing each center ``c`` whose
-    neighbour ``c + offset`` lies in the grid with that neighbour."""
-    pairs = list(zip(n_cells, offset))
-    centers = tuple(slice(max(0, -o), n - max(0, o)) for n, o in pairs)
-    nodes = tuple(slice(max(0, o), n + min(0, o)) for n, o in pairs)
-    return centers, nodes
+def _ball_sums(
+    rows: NDArray[np.float64],
+    shifts: NDArray[np.intp],
+    first: NDArray[np.intp],
+    n_radii: int,
+    span: int,
+) -> NDArray[np.float64]:
+    """Sums of the channels of ``rows`` over every ball, as ``(radius,
+    center, channel)``.
+
+    ``rows`` holds each node of the padded grid, zero outside the grid;
+    center ``p``'s neighbour at an offset is row ``p + shift`` for that
+    offset's ``shift``.  Each offset adds ``span`` contiguous rows to the
+    shell of its ``first`` radius, in offset order from ``0.0``; nested
+    balls are then the running sums of the shells, as the scan over
+    every ball adds them.
+    """
+    # Zeroed by a write, not by calloc: each fresh page then faults once,
+    # not once on the first read and again on the first write.
+    sums = np.empty((n_radii, span, rows.shape[1]))
+    sums.fill(0.0)
+    shells = list(sums)
+    for shift, k in zip(shifts.tolist(), first.tolist()):
+        shells[k] += rows[shift : shift + span]
+    for k in range(1, n_radii):
+        sums[k] += sums[k - 1]
+    return sums
 
 
 def _max_oscillation(
-    centred: NDArray[np.float64],
-    means: NDArray[np.float64],
-    counts: NDArray[np.float64],
-    shape: tuple[int, ...],
-    offsets: NDArray[np.intp],
+    vals: NDArray[np.float64],
+    homes: NDArray[np.intp],
+    shifts: NDArray[np.intp],
     first: NDArray[np.intp],
+    sums: NDArray[np.float64],
     balls: NDArray[np.bool_],
 ) -> float:
     """Largest mean oscillation among the ``balls`` marked in a
     ``(radius, node)`` mask, each to the bit as an offset-by-offset scan
     over every ball computes it.
 
-    A ball of radius index ``r`` holds the ``offsets`` with ``first <=
-    r``.  Its distances from the ball mean are summed from ``0.0`` in
-    offset order; an offset that leaves the grid adds ``0.0``, which
-    changes no sum.  ``means`` and ``counts`` are flat over the nodes.
+    ``vals`` holds the ``m`` channels of the padded grid, NaN outside
+    the grid, and ``homes`` the padded position of each node.  A ball of
+    radius index ``r`` holds the ``shifts`` with ``first <= r``; its mean
+    is its row of the ``_ball_sums`` ``sums`` (``homes[0]`` is that
+    array's center 0), and its distances from the mean are summed from
+    ``0.0`` in offset order.  In a ball that meets a wall, with fewer
+    nodes than offsets, an out-of-grid node's distance is NaN and is
+    turned into ``0.0``, which changes no sum.
     """
-    m = centred.shape[1]
-    # Pad the grid by the stencil's reach, so that every offset of every
-    # ball lands in it: a node's flat index is its center's plus a shift.
-    reach = np.abs(offsets).max(axis=0)
-    padded = tuple(int(n + 2 * k) for n, k in zip(shape, reach))
-    window = tuple(slice(k, k + n) for k, n in zip(reach, shape))
-    slots = np.zeros((m,) + padded)
-    slots[(slice(None),) + window] = centred.T.reshape((m,) + shape)
-    slots = slots.reshape(m, -1)
-    in_grid = np.zeros(padded, dtype=bool)
-    in_grid[window] = True
-    in_grid = in_grid.ravel()
-    steps = np.array([math.prod(padded[a + 1 :]) for a in range(len(padded))])
-    shifts = offsets @ steps
-    homes = (np.indices(shape).reshape(len(shape), -1).T + reach) @ steps
-
-    found = []
+    m = len(vals)
+    # Buffers for GATHER_TERMS terms, or for all the balls if they need
+    # fewer, and for one largest ball at least.
+    size = max(min(GATHER_TERMS, int(balls.sum()) * len(shifts)), len(shifts))
+    node_buf = np.empty(size, dtype=np.intp)
+    diff_buf = np.empty(m * size)
+    dist_buf = np.empty(size)
+    best = 0.0
     for r in np.flatnonzero(balls.any(axis=1)):
         ball = shifts[first <= r]
-        todo = np.flatnonzero(balls[r])
-        step = max(1, GATHER_TERMS // len(ball))
+        todo = homes[balls[r]]
+        step = size // len(ball)
         for lo in range(0, len(todo), step):
             centers = todo[lo : lo + step]
-            nodes = ball[:, None] + homes[centers]
-            diff = np.take(slots, nodes, axis=1)
-            diff -= means[r, centers].T[:, None, :]
-            dist = np.square(diff, out=diff).sum(axis=0)
-            dist = np.where(np.take(in_grid, nodes), np.sqrt(dist, out=dist), 0.0)
-            total = np.cumsum(dist, axis=0, out=dist)[-1]
-            found.append((total / counts[r, centers]).max())
-    return float(np.max(found))
+            own = sums[r, centers - homes[0]]
+            terms = (len(ball), len(centers))
+            n = len(ball) * len(centers)
+            nodes = np.add.outer(ball, centers, out=node_buf[:n].reshape(terms))
+            # Every node lies in the padded grid; "clip" writes straight
+            # into the buffer, where the default mode would check through a copy.
+            diff = diff_buf[: m * n].reshape((m,) + terms)
+            np.take(vals, nodes, axis=1, out=diff, mode="clip")
+            diff -= (own[:, :m] / own[:, m + 1 :]).T[:, None, :]
+            dist = np.square(diff, out=diff).sum(axis=0, out=dist_buf[:n].reshape(terms))
+            np.sqrt(dist, out=dist)
+            if (own[:, m + 1] < len(ball)).any():
+                np.fmax(dist, 0.0, out=dist)
+            # A reduction over rows adds them in order, but a single
+            # column would be summed pairwise.
+            total = np.add.reduce(dist) if len(centers) > 1 else np.cumsum(dist)[-1]
+            best = max(best, float((total / own[:, m + 1]).max()))
+    return best
 
 
 def _constant_to_round_off(flat: NDArray[np.float64]) -> bool:
@@ -180,17 +207,26 @@ def bmo_seminorm(field: DiscreteField, radius: float) -> float:
     oscillation of a vector field is the Euclidean norm of the
     componentwise deviation from the ball mean, averaged over the ball.
 
-    On the uniform grid a ball is the same offset set at every center,
-    so one loop over the offsets of the largest ball, each vectorised
-    over all centers, gives every ball's sums of ``v``, ``|v|^2`` and
-    ``1`` (nested radii share the offset list).  By Cauchy-Schwarz a
-    ball's oscillation is at most ``U = sqrt(mean |v|^2 - |mean v|^2)``,
-    which is padded by a rounding slack so that the computed ``U`` is
-    never below the computed oscillation.  The balls of largest ``U``
-    are evaluated first; after them only the balls whose ``U`` exceeds
-    the best oscillation found, since no other ball can hold the
-    supremum.  An evaluated ball sums its distances in the order of a
-    scan over every ball, so the supremum is that scan's to the bit.
+    On the uniform grid a ball is the same offset set at every center.
+    The field is laid out row-major on the grid padded by the largest
+    ball's reach, so an offset is one shift of the flat index and adds
+    one contiguous block of rows to every center at once.  One loop over
+    the offsets of the largest ball gives every ball's sums of ``v``,
+    ``|v|^2`` and ``1`` (nested radii share the offset list).  By
+    Cauchy-Schwarz a ball's oscillation is at most ``U = sqrt(mean |v|^2
+    - |mean v|^2)``, which is padded by a rounding slack so that the
+    computed ``U`` is never below the computed oscillation.  The balls
+    of largest ``U`` are evaluated first; after them only the balls
+    whose ``U`` exceeds the best oscillation found, since no other ball
+    can hold the supremum.  An evaluated ball sums its distances in the
+    order of a scan over every ball, so the supremum is that scan's to
+    the bit.
+
+    The centred field is scanned as it is when its largest component
+    lies in ``[2^-400, 2^400]``.  Outside, where squares could overflow
+    or underflow, it is scaled by a power of two into ``[1/2, 1)`` and
+    the supremum scaled back, which is exact: the supremum of
+    ``2^k v`` is ``2^k`` times that of ``v``.
 
     Cost: ``O(N |B|)`` time and ``O(R N m)`` memory for the sums, with
     ``N`` nodes, ``R`` radii, ``m`` components and ``|B|`` offsets in
@@ -221,46 +257,64 @@ def bmo_seminorm(field: DiscreteField, radius: float) -> float:
 
     # The oscillation is shift invariant; centring keeps the sums small.
     centred = flat - flat.mean(axis=0)
+    exponent = 0
+    largest = float(np.abs(centred).max())
+    if not 2.0**-RESCALE_EXP <= largest <= 2.0**RESCALE_EXP:
+        exponent = math.frexp(largest)[1]
+        centred = np.ldexp(centred, -exponent)
 
-    # Per-radius ball sums of v, |v|^2 and 1, channels last so that each
-    # offset adds contiguous rows.
-    augmented = np.concatenate(
+    # The padded grid has one more row on the first axis, so that the
+    # centers span ``shape[0]`` whole padded rows from the first node's.
+    reach = np.abs(offsets).max(axis=0)
+    padded = tuple(int(n + 2 * k + (a == 0)) for a, (n, k) in enumerate(zip(shape, reach)))
+    steps = np.array([math.prod(padded[a + 1 :]) for a in range(len(padded))])
+    inner = tuple(slice(k, k + n) for k, n in zip(reach, shape))
+    shifts = offsets @ steps
+    homes = np.indices(shape).reshape(len(shape), -1).T @ steps + int(reach @ steps)
+
+    # Channels v, |v|^2 and 1, last, so that each offset adds whole rows.
+    rows = np.zeros(padded + (m + 2,))
+    rows[inner] = np.concatenate(
         [centred, np.square(centred).sum(axis=1, keepdims=True), np.ones((len(flat), 1))],
         axis=1,
     ).reshape(shape + (m + 2,))
-    sums = np.zeros((len(radii),) + shape + (m + 2,))
-    for off, k in zip(offsets.tolist(), first.tolist()):
-        centers, nodes = _shifted(shape, off)
-        sums[(k,) + centers] += augmented[nodes]
-    for k in range(1, len(radii)):
-        sums[k] += sums[k - 1]
-    sums = sums.reshape(len(radii), -1, m + 2)
-    counts = sums[..., m + 1]
-    means = sums[..., :m] / counts[..., None]
+    span = shape[0] * int(steps[0])
+    sums = _ball_sums(rows.reshape(-1, m + 2), shifts + homes[0], first, len(radii), span)
+    own = sums.reshape((len(radii), shape[0]) + padded[1:] + (m + 2,))
+    own = own[(slice(None), slice(None)) + tuple(slice(n) for n in shape[1:])]
 
     # The bound.  The ball sums, the subtraction below and the computed
     # oscillation each carry a relative rounding error of at most about
     # (|B| + m) 2^-53; the slack is 8 times that, plus 2^-500 for
-    # underflow in the squares.  Past 2^400 a square may overflow, so
-    # then every ball is evaluated.
-    mean_sq = sums[..., m] / counts
-    variance = mean_sq - sum(np.square(means[..., j]) for j in range(m))
+    # underflow in the squares.
+    counts = own[..., m + 1]
+    mean = np.divide(own[..., 0], counts)
+    norm_sq = np.square(mean)
+    for j in range(1, m):
+        np.divide(own[..., j], counts, out=mean)
+        norm_sq += np.square(mean, out=mean)
+    mean_sq = np.divide(own[..., m], counts, out=mean)
+    bound = np.subtract(mean_sq, norm_sq, out=norm_sq)
+    np.maximum(bound, 0.0, out=bound)
     slack = 8.0 * (len(offsets) + m + 8) * 2.0**-53
-    bound = np.sqrt(np.maximum(variance, 0.0) + slack * mean_sq)
+    mean_sq *= slack
+    bound += mean_sq
+    np.sqrt(bound, out=bound)
     bound *= 1.0 + slack
     bound += 2.0**-500
-    if not np.abs(centred).max() <= 2.0**400:
-        bound.fill(np.inf)
+    bound = bound.reshape(len(radii), -1)
 
     # Seed with the balls of largest bound; then no ball whose bound is
     # at most the best oscillation found can hold the supremum.
-    scan = (centred, means, counts, shape, offsets, first)
+    vals = np.full((m,) + padded, np.nan)
+    vals[(slice(None),) + inner] = np.moveaxis(centred.reshape(shape + (m,)), -1, 0)
+    scan = (vals.reshape(m, -1), homes, shifts, first, sums)
     top = bound == bound.max()
     best = _max_oscillation(*scan, top)
     rest = (bound > best) & ~top
     if rest.any():
         best = max(best, _max_oscillation(*scan, rest))
-    return best
+    return float(np.ldexp(best, exponent))
 
 
 def identity_residuals(

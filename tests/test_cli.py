@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -1101,10 +1102,28 @@ def test_parser_output_equals_the_full_tree(argv, capsys, monkeypatch):
 
 
 def test_parser_gives_options_only_to_its_command():
-    with pytest.raises(ModelError, match="unrecognized arguments: --config m.json --grid 8"):
+    # A parser built for one subcommand holds that subcommand alone.
+    with pytest.raises(ModelError, match="invalid choice: 'solve'"):
         cli.build_parser("sweep").parse_args(["solve", "--config", "m.json", "--grid", "8"])
     args = cli.build_parser("solve").parse_args(["solve", "--config", "m.json", "--grid", "8"])
     assert args.grid == 8
+
+
+def test_a_named_command_builds_two_parsers(tmp_path, monkeypatch):
+    # The top level and the named subcommand; the other three subparsers
+    # are not built.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cfg = write_config(tmp_path, TURING)
+    out = str(tmp_path / "sweep.csv")
+    assert cli.main(["sweep", "--config", cfg, "--output", out, "--param", "d.0=0.1:0.2:2"]) == 0
+    assert built == ["crossdiff", "crossdiff sweep"]
 
 
 def test_version_flag_exits_zero():

@@ -26,7 +26,7 @@ from crossdiff import (
     seed_from_mode,
 )
 from crossdiff import diagnostics
-from crossdiff.diagnostics import _ball_bound, _shifted, ball_radii
+from crossdiff.diagnostics import _ball_bound, ball_radii
 
 PI = np.pi
 
@@ -292,6 +292,15 @@ def test_bmo_axioms(scale, shift, seed):
 # -- the pruned scan against the full stencil scan -------------------------------
 
 
+def _shifted(n_cells, offset):
+    """Slices ``(centers, nodes)`` pairing each center ``c`` whose
+    neighbour ``c + offset`` lies in the grid with that neighbour."""
+    pairs = list(zip(n_cells, offset))
+    centers = tuple(slice(max(0, -o), n - max(0, o)) for n, o in pairs)
+    nodes = tuple(slice(max(0, o), n + min(0, o)) for n, o in pairs)
+    return centers, nodes
+
+
 def stencil_scan_bmo(field, radius):
     """The scan over every ball that ``bmo_seminorm`` prunes: loop over
     the offsets of the largest ball, each vectorised over all centers,
@@ -370,6 +379,33 @@ def random_m3_field():
     return DiscreteField(grid=grid, values=rng.uniform(0.0, 1.0, grid.shape + (3,)))
 
 
+def waves_1024(m):
+    # Three cosine modes per component and a little noise on 1,024 cells.
+    grid = make_grid(Domain(kind="interval", lengths=(PI,)), 1024)
+    x = grid.points()[:, 0]
+    rng = np.random.default_rng(11 * m)
+    modes = rng.integers(1, 12, size=(3, m))
+    amps = rng.uniform(0.2, 1.0, size=(3, m))
+    vals = 1.0 + (amps * np.cos(modes * x[:, None, None])).sum(axis=1)
+    return DiscreteField(grid=grid, values=vals + 0.01 * rng.normal(size=(1024, m)))
+
+
+def multi_peak_m3_field():
+    field = multi_peak_field()
+    x, y = np.moveaxis(field.grid.points(), -1, 0)
+    third = 1.5 + 0.4 * np.sin(PI * x / 1.5) * np.cos(PI * y)
+    vals = np.concatenate([field.values, third[..., None]], axis=-1)
+    return DiscreteField(grid=field.grid, values=vals)
+
+
+def slope_field(kind, lengths, cells):
+    # A slope plus noise: the largest balls oscillate most.
+    grid = make_grid(Domain(kind=kind, lengths=lengths), cells)
+    rng = np.random.default_rng(23)
+    vals = grid.points() @ rng.normal(size=(grid.ndim, 2))
+    return DiscreteField(grid=grid, values=vals + rng.uniform(-0.1, 0.1, grid.shape + (2,)))
+
+
 EXACT_CASES = {
     "turing-512": (turing_pattern_512, PI / 4.0),
     "single-peak-48": (single_peak_field, 0.75),
@@ -379,6 +415,13 @@ EXACT_CASES = {
     "turning-2h": (turning_unit_vector_field, 2.0 * PI / 511.0),
     "turning-wide": (turning_unit_vector_field, 0.3),
     "random-m3": (random_m3_field, 0.6),
+    # Off the 2h ladder: 0.4 is 130.25 h, between the radii 130 h and 132 h.
+    "waves-1024-m1": (lambda: waves_1024(1), 0.4),
+    "waves-1024-m3": (lambda: waves_1024(3), 0.4),
+    "multi-peak-48-m3": (multi_peak_m3_field, 0.75),
+    # The largest ball around a central node reaches both walls of every axis.
+    "both-walls-256": (lambda: slope_field("interval", (PI,), 256), 0.7 * PI),
+    "both-walls-24x24": (lambda: slope_field("rectangle", (3.0, 3.0), 24), 2.0),
 }
 
 
@@ -387,6 +430,34 @@ def test_bmo_equals_the_full_stencil_scan(case):
     make_field, radius = EXACT_CASES[case]
     field = make_field()
     assert bmo_seminorm(field, radius) == stencil_scan_bmo(field, radius)
+
+
+def test_bmo_evaluates_few_balls_on_the_turing_pattern(monkeypatch):
+    # The README's "849 of 32,768": only the balls whose bound beats the
+    # supremum are evaluated exactly, not every ball.
+    evaluated = []
+    evaluate = diagnostics._max_oscillation
+
+    def counting(*args):
+        evaluated.append(int(args[-1].sum()))
+        return evaluate(*args)
+
+    monkeypatch.setattr(diagnostics, "_max_oscillation", counting)
+    make_field, radius = EXACT_CASES["turing-512"]
+    bmo_seminorm(make_field(), radius)
+    assert 0 < sum(evaluated) <= 849
+
+
+@pytest.mark.parametrize("k", [450, -450, 600, -600, 1000, -1000])
+def test_bmo_is_exactly_homogeneous_under_powers_of_two(k):
+    # Far outside [2^-400, 2^400] the squares would overflow or underflow;
+    # the scan rescales by a power of two instead, which is exact.
+    grid = make_grid(Domain(kind="interval", lengths=(PI,)), 512)
+    x = grid.points()[:, 0]
+    vals = np.stack([np.cos(x), np.sin(x)], axis=-1)
+    base = bmo_seminorm(DiscreteField(grid=grid, values=vals), PI / 4.0)
+    scaled = bmo_seminorm(DiscreteField(grid=grid, values=np.ldexp(vals, k)), PI / 4.0)
+    assert scaled == np.ldexp(base, k)
 
 
 @pytest.mark.parametrize("value", [0.1, 10.0 / 17.0, 1.0 / 3.0, PI, 1e-300])
@@ -414,7 +485,7 @@ def test_bmo_of_a_field_constant_up_to_round_off_is_zero_without_a_scan(monkeypa
     def no_scan(*args):
         raise AssertionError("the oscillation scan ran")
 
-    monkeypatch.setattr(diagnostics, "_shifted", no_scan)
+    monkeypatch.setattr(diagnostics, "_ball_sums", no_scan)
     assert bmo_seminorm(field, 0.75) == 0.0
 
 
