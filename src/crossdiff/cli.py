@@ -109,6 +109,14 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _check_output_dir(path: str) -> None:
+    """Reject an ``--output`` in a directory that does not exist before
+    the command does any work or opens any file."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--output directory {directory!r} does not exist")
+
+
 def _output_stem(path: str) -> str:
     root, ext = os.path.splitext(path)
     return root if ext == ".json" else path
@@ -178,6 +186,7 @@ def _analysis_report(config: dict) -> tuple[dict, ExistenceVerdict | None]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
+    _check_output_dir(args.output)
     config = _load_config(args.config)
     t0 = time.perf_counter()
     report, verdict = _analysis_report(config)
@@ -248,21 +257,28 @@ def _field_csv(path: str, field: DiscreteField) -> None:
     """The field as CSV, one row per node: the node's coordinates, then
     its values, every number as its ``repr``.
 
-    The bytes are those of ``csv.writer``, with CRLF line ends.  The
-    nodes run over the product of the axis coordinates, as
-    ``grid.points()`` lists them, so each coordinate is formatted once.
+    The bytes are those of ``csv.writer``, with CRLF line ends, and the
+    nodes run in ``grid.points()`` order.  Each coordinate is formatted
+    once per axis value, and each value once per distinct bit pattern
+    (``0.0`` and ``-0.0`` stay apart), so a constant field formats ``m``
+    values, not ``m`` per node.  The formatted numbers, each followed by
+    its separator, fill one object array of the nodes' columns, which is
+    joined once.
     """
     grid = field.grid
     header = list("xy"[: grid.ndim]) + [f"u_{i + 1}" for i in range(field.m)]
-    axes = [list(map(repr, axis.tolist())) for axis in grid.coords]
-    coords = map(",".join, itertools.product(*axes))
-    lines = [",".join(header)]
-    lines += [
-        f"{node},{','.join(map(repr, row))}"
-        for node, row in zip(coords, field.values.reshape(-1, field.m).tolist())
-    ]
+    pieces = np.empty(grid.shape + (grid.ndim + field.m, 2), dtype=object)
+    pieces[..., 1] = ","
+    pieces[..., -1, 1] = "\r\n"
+    for a, axis in enumerate(grid.coords):
+        texts = np.array(list(map(repr, axis.tolist())), dtype=object)
+        pieces[..., a, 0] = texts.reshape([-1 if b == a else 1 for b in range(grid.ndim)])
+    bits = field.values.view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    pieces[..., grid.ndim :, 0] = texts[index.reshape(bits.shape)]
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n" + "".join(pieces.ravel().tolist()))
 
 
 def _solve_summary(result: SolveResult, diag) -> list[str]:
@@ -280,6 +296,7 @@ def _solve_summary(result: SolveResult, diag) -> list[str]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
+    _check_output_dir(args.output)
     config = _load_config(args.config)
     model = build_model(config)
     grid = make_grid(model.domain, args.grid)
@@ -471,6 +488,7 @@ def _sweep_rows(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
+    _check_output_dir(args.output)
     config = _load_config(args.config)
     if not args.param:
         raise ConfigError("sweep needs at least one --param path=start:stop:num")

@@ -329,13 +329,76 @@ def test_solve_rejects_a_seed_whose_residual_overflows(tmp_path, capsys, route):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("payload, n", [(TURING, 37), (SKT, (9, 11))], ids=["1d", "2d"])
-def test_field_csv_bytes_equal_csv_writer(tmp_path, payload, n):
-    model = build_model(payload)
-    grid = make_grid(model.domain, n)
+THREE_SPECIES = {
+    "m": 3,
+    "d": [0.3, 1.0, 2.0],
+    "alpha": [[0.1, 0.5, 0.0], [0.2, 0.0, 0.6], [0.0, 0.4, 0.1]],
+    "r": [1.0, 0.8, 0.9],
+    "c": [[1.0, 0.3, 0.2], [0.25, 1.0, 0.3], [0.1, 0.2, 1.0]],
+    "domain": {"kind": "rectangle", "lengths": [5.0, 2.0]},
+    "bc": "neumann",
+}
+
+
+def random_values(model, grid):
     rng = np.random.default_rng(0)
     values = rng.normal(size=grid.shape + (model.m,)) * 10.0 ** rng.integers(-8, 8, grid.shape + (1,))
     values.flat[:3] = [0.0, -0.0, 1e-300]
+    return values
+
+
+def coexistence_values(model, grid):
+    u_star = cli._positive_state(find_constant_states(model))
+    return pde_solver.constant_field(grid, u_star).values
+
+
+def stripe_values(model, grid):
+    """Values that vary along the first axis only: each row repeats
+    along the second."""
+    x = grid.coords[0][:, None]
+    stripes = np.stack([1.0 + 0.5 * np.cos(x), 2.0 - x**2], axis=-1)
+    return np.broadcast_to(stripes, grid.shape + (model.m,)).copy()
+
+
+def signed_zero_values(model, grid):
+    values = random_values(model, grid)
+    rng = np.random.default_rng(1)
+    values[..., 0] = np.where(rng.random(grid.shape) < 0.5, 0.0, -0.0)
+    return values
+
+
+def semitrivial_values(model, grid):
+    values = random_values(model, grid)
+    values[..., 0] = 0.0
+    return values
+
+
+def subnormal_and_huge_values(model, grid):
+    rng = np.random.default_rng(2)
+    size = grid.shape + (model.m,)
+    subnormal = rng.integers(1, 1 << 52, size).view(np.float64)
+    huge = rng.uniform(1.0, 10.0, size) * 1e300
+    return np.where(rng.random(size) < 0.5, subnormal, huge) * rng.choice([-1.0, 1.0], size)
+
+
+@pytest.mark.parametrize(
+    "payload, n, fill",
+    [
+        (TURING, 37, random_values),
+        (SKT, (9, 11), random_values),
+        (SKT, 48, coexistence_values),
+        (SKT, (12, 10), stripe_values),
+        (SKT, (9, 11), signed_zero_values),
+        (SKT, (9, 11), semitrivial_values),
+        (THREE_SPECIES, (10, 8), random_values),
+        (TURING, 64, subnormal_and_huge_values),
+    ],
+    ids=["1d", "2d", "constant-48", "stripes", "signed-zero", "semitrivial", "m3", "subnormal-huge"],
+)
+def test_field_csv_bytes_equal_csv_writer(tmp_path, payload, n, fill):
+    model = build_model(payload)
+    grid = make_grid(model.domain, n)
+    values = fill(model, grid)
     field = pde_solver.DiscreteField(grid, values)
     path = tmp_path / "field.csv"
     cli._field_csv(str(path), field)
@@ -346,6 +409,26 @@ def test_field_csv_bytes_equal_csv_writer(tmp_path, payload, n):
         data = np.hstack([grid.points().reshape(-1, grid.ndim), values.reshape(-1, model.m)])
         writer.writerows([repr(v) for v in row] for row in data.tolist())
     assert path.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fill, formatted",
+    [(coexistence_values, lambda values: values.shape[-1]), (random_values, np.size)],
+    ids=["constant", "random"],
+)
+def test_field_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, fill, formatted):
+    model = build_model(SKT)
+    grid = make_grid(model.domain, 48)
+    values = fill(model, grid)
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        return repr(obj)
+
+    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    cli._field_csv(str(tmp_path / "field.csv"), pde_solver.DiscreteField(grid, values))
+    assert 0 < len(calls) <= formatted(values) + sum(grid.shape)
 
 
 def test_solve_reports_its_factorizations(tmp_path, capsys, monkeypatch):
@@ -450,6 +533,33 @@ def test_solve_rejects_bad_radius_before_solving(tmp_path, capsys, monkeypatch, 
     assert code == 1
     assert captured.err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("analyze", []),
+        ("solve", ["--grid", "64", "--seed-mode", "1", "--amp", "1.5"]),
+        ("sweep", ["--param", "d.0=0.3:0.5:3"]),
+    ],
+    ids=["analyze", "solve", "sweep"],
+)
+def test_missing_output_directory_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command, extra
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the output directory was checked")
+
+    monkeypatch.setattr(cli, "build_model", no_work)
+    monkeypatch.setattr(cli, "newton_solve", no_work)
+    monkeypatch.setattr(cli, "continuation_solve", no_work)
+    cfg = write_config(tmp_path, TURING)
+    missing = tmp_path / "nodir"
+    code = cli.main([command, "--config", cfg, "--output", str(missing / "out.json")] + extra)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.err == f"error: --output directory {str(missing)!r} does not exist\n"
+    assert os.listdir(tmp_path) == ["model.json"]
 
 
 @pytest.mark.parametrize(
