@@ -1,14 +1,19 @@
-"""Report and sweep bytes against recorded files: ``analyze`` and
-``sweep`` output must not move by a bit.
+"""Report, sweep and solve bytes against recorded files: ``analyze``,
+``sweep`` and ``solve`` output must not move by a bit.
 
 Each ``<name>.model.json`` under ``tests/golden/`` is analyzed into
 ``<name>.report.json``; the two sweep CSVs come from the commands in
-:data:`SWEEPS`.  To re-record a file after a deliberate change of bytes,
-run the same command with ``--output`` pointing into ``tests/golden/``.
+:data:`SWEEPS`, and each ``<name>.solve.json`` from the solve in
+:data:`SOLVES`, whose field CSV is pinned by its SHA-256.  To re-record
+a file after a deliberate change of bytes, run the same command with
+``--output`` pointing into ``tests/golden/``; a solve report is written
+as ``<dir>/solve.json``, so that its ``field_csv`` reads
+``solve_field.csv``, and copied to ``<name>.solve.json``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -50,6 +55,31 @@ SWEEPS = {
     ),
 }
 
+_SKT = json.loads((GOLDEN / "skt-2d.model.json").read_text())
+
+# name: (model config file or dict, solve arguments, SHA-256 of the field CSV)
+SOLVES = {
+    # Direct Newton from a mode seed to the nonconstant Turing pattern.
+    "readme-mode1-512": (
+        "readme.model.json", ["--grid", "512", "--seed-mode", "1", "--amp", "1.5"],
+        "53877cead49a940770493d1f0b06bb557a8feaabde78700353f8ae5f4b9feedb",
+    ),
+    # Grid-sequenced continuation: stages on 24x24, one Newton run on 48x48.
+    "skt-2d-seed0": (
+        "skt-2d.model.json", ["--grid", "48", "--seed-random", "0"],
+        "bbe8a373e9eee980a48dcd85f6fd2aa0fc904a7f71c5a783c5843f03156ca36f",
+    ),
+    "skt-2d-seed7": (
+        "skt-2d.model.json", ["--grid", "48", "--seed-random", "7"],
+        "bbe8a373e9eee980a48dcd85f6fd2aa0fc904a7f71c5a783c5843f03156ca36f",
+    ),
+    # Dirichlet walls: 94 steps over 9 stages to a nonconstant field.
+    "skt-dirichlet-32": (
+        {**_SKT, "bc": "dirichlet"}, ["--grid", "32", "--seed-random", "1"],
+        "7764b05656e4f10bbba99f63995f8c06565ca542cde70203d216727158dd975c",
+    ),
+}
+
 
 @pytest.mark.parametrize("name", list(ANALYZE))
 def test_analyze_report_matches_golden_bytes(tmp_path, name):
@@ -71,6 +101,22 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", list(SOLVES))
+def test_solve_report_and_field_match_golden(tmp_path, name):
+    config, args, field_sha256 = SOLVES[name]
+    if isinstance(config, dict):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = GOLDEN / config
+    out = tmp_path / "solve.json"
+    code = cli.main(["solve", "--config", str(path), "--output", str(out), *args])
+    assert code == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN / f"{name}.solve.json").read_bytes()
+    field = (tmp_path / "solve_field.csv").read_bytes()
+    assert hashlib.sha256(field).hexdigest() == field_sha256
+
+
 def test_golden_reports_are_strict_json():
     # A non-finite float, such as C_star of a non-elliptic model, is
     # written as null: no report holds the tokens Infinity or NaN, which
@@ -80,7 +126,9 @@ def test_golden_reports_are_strict_json():
 
     reports = sorted(GOLDEN.glob("*.report.json"))
     assert [p.name for p in reports] == sorted(f"{name}.report.json" for name in ANALYZE)
-    for path in reports:
+    solves = sorted(GOLDEN.glob("*.solve.json"))
+    assert [p.name for p in solves] == sorted(f"{name}.solve.json" for name in SOLVES)
+    for path in reports + solves:
         json.loads(path.read_text(), parse_constant=refuse)
     structure = json.loads((GOLDEN / "skt-2d.report.json").read_text())["structure"]
     assert (structure["elliptic"], structure["C_star"], structure["Lambda_sup"]) == (
