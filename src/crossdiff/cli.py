@@ -109,12 +109,16 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _check_output_dir(path: str) -> None:
-    """Reject an ``--output`` in a directory that does not exist before
-    the command does any work or opens any file."""
-    directory = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(directory):
-        raise ConfigError(f"--output directory {directory!r} does not exist")
+def _check_output_dir(*paths: str) -> None:
+    """Reject output paths in a directory that does not exist, or that
+    are themselves directories, before the command does any work or
+    opens any file."""
+    for path in paths:
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            raise ConfigError(f"--output directory {directory!r} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
 
 
 def _output_stem(path: str) -> str:
@@ -296,7 +300,8 @@ def _solve_summary(result: SolveResult, diag) -> list[str]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     t_start = time.perf_counter()
-    _check_output_dir(args.output)
+    field_path = f"{_output_stem(args.output)}_field.csv"
+    _check_output_dir(args.output, field_path)
     config = _load_config(args.config)
     model = build_model(config)
     grid = make_grid(model.domain, args.grid)
@@ -323,8 +328,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     diag = diagnostics_report(model, result.field, radius=args.radius)
     diag_elapsed = time.perf_counter() - t0
-    stem = _output_stem(args.output)
-    field_path = f"{stem}_field.csv"
     _field_csv(field_path, result.field)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -11,7 +11,7 @@ of shape ``(..., m, m)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -182,14 +182,6 @@ class Model:
         for name, arr in zip(_ARRAYS, arrays):
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def _checked(cls, **values: Any) -> "Model":
-        """A model of field values that have passed its checks, set
-        without running them again; every field must be given."""
-        model = object.__new__(cls)
-        model.__dict__.update({name: values[name] for name in _MODEL_FIELDS})
-        return model
-
     # -- evaluation -----------------------------------------------------
 
     def A(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -197,18 +189,11 @@ class Model:
 
         ``a_ij = delta_ij * (d_i + sum_l alpha_il u_l) + u_i * alpha_ij``.
         """
-        u = np.asarray(u, dtype=float)
-        out = u[..., :, None] * self.alpha
-        diag = self.d + u @ self.alpha.T
-        idx = np.arange(self.m)
-        out[..., idx, idx] += diag
-        return out
+        return flux_matrix(u, self.d, self.alpha)
 
     def d_A(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Diagonal of the flux matrix as a vector, shape ``(..., m)``."""
-        u = np.asarray(u, dtype=float)
-        idx = np.arange(self.m)
-        return self.d + u @ self.alpha.T + u * self.alpha[idx, idx]
+        """Diagonal of the flux matrix as a read-only vector, shape ``(..., m)``."""
+        return np.diagonal(self.A(u), axis1=-2, axis2=-1)
 
     def g(self, u: NDArray[np.float64]) -> NDArray[np.float64]:
         """Per-capita growth ``g_i(u) = r_i - sum_j c_ij u_j``."""
@@ -258,8 +243,17 @@ class Model:
         }
 
 
-# Every field Model._checked sets, in declaration order.
-_MODEL_FIELDS = tuple(f.name for f in fields(Model))
+def flux_matrix(
+    u: NDArray[np.float64], d: NDArray[np.float64], alpha: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """The flux matrix ``A(u)`` of diffusion rates ``d`` and coefficients
+    ``alpha``, shape ``(..., m, m)``; :meth:`Model.A` with its own."""
+    u = np.asarray(u, dtype=float)
+    out = u[..., :, None] * alpha
+    idx = np.arange(len(d))
+    out[..., idx, idx] += d + u @ alpha.T
+    return out
+
 
 _CONFIG_KEYS = {"m", "d", "alpha", "r", "c", "domain", "bc"}
 _DOMAIN_KEYS = {"kind", "lengths"}
@@ -343,7 +337,7 @@ class ModelBatch:
         if self.errors[k] is not None:
             raise ConfigError(self.errors[k])
         sides = tuple(self.lengths[k].tolist())
-        return Model._checked(
+        return Model(
             m=self.d.shape[1], d=self.d[k], alpha=self.alpha[k], r=self.r[k], c=self.c[k],
             domain=Domain(_DOMAIN_KINDS[len(sides) - 1], sides), bc=self.bc,
         )

@@ -10,11 +10,14 @@ only the block values and sums them into their slots with
 walls after each axis's faces, reaction blocks last).  Newton factors
 it with SuperLU under the minimum-degree ordering on the pattern of
 ``J + J^T`` (``permc_spec="MMD_AT_PLUS_A"``), which suits this
-structurally symmetric stencil matrix.  Solvers:
+structurally symmetric stencil matrix.  The residual and the Jacobian
+read their face states from one face loop.  Solvers:
 damped Newton, and homotopy continuation in the cross-diffusion
 strength (``alpha -> t * alpha`` for ``t`` from 0 to 1), the
 deformation to the weakly coupled system that the degree argument
 uses: every constant state is a root of every member of the family.
+A stage sets ``t * alpha`` on its grid's one :class:`DiscreteSystem`;
+it builds no model and no system.
 Both return a :class:`SolveResult`; a solve that stops short has
 ``converged=False`` and the reason in ``warnings``.  Inside, each Newton
 run yields one ``_Run`` record (last iterate, residual, counts, history,
@@ -55,14 +58,14 @@ import dataclasses
 import functools
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import splu
 
-from .model import ConfigError, Domain, Model, ModelError
+from .model import ConfigError, Domain, Model, ModelError, flux_matrix
 from .spectral import eigenfunction, mode
 from .steady_states import TOL_DEGENERATE, TOL_SIGN
 
@@ -206,7 +209,9 @@ class DiscreteSystem:
     """Residual and Jacobian of the discretized system.
 
     ``residual(values)`` returns ``-(flux divergence) - f(u)`` minus any
-    forcing; ``jacobian(values)`` the sparse analytic derivative.
+    forcing; ``jacobian(values)`` the sparse analytic derivative.  ``d``
+    and ``alpha`` are the system's own, taken from the model once; a
+    homotopy stage sets ``alpha`` to ``t * model.alpha``.
     """
 
     def __init__(
@@ -219,6 +224,8 @@ class DiscreteSystem:
             raise ModelError("grid and model domains have different dimensions")
         self.model = model
         self.grid = grid
+        self.d = model.d
+        self.alpha = model.alpha
         self.dirichlet = model.bc.kind == "dirichlet"
         if forcing is not None:
             forcing = np.asarray(forcing, dtype=float)
@@ -229,26 +236,29 @@ class DiscreteSystem:
         self.forcing = forcing
         self.n_dof = grid.n_nodes * model.m
 
+    def _faces(self, values: NDArray[np.float64]) -> Iterator[tuple]:
+        """Per axis: ``h``, the index tuples ``p`` and ``q`` of the cells on
+        either side of its interior faces, and at the faces the mean state
+        ``v`` and the difference quotient ``du``, shaped like ``values[p]``."""
+        for axis, h in enumerate(self.grid.h):
+            p, q, _ = axis_slices(self.grid.ndim, axis)
+            u_p, u_q = values[p], values[q]
+            yield h, p, q, 0.5 * (u_p + u_q), (u_q - u_p) / h
+
     # -- residual ---------------------------------------------------------
 
     def residual(self, values: NDArray[np.float64]) -> NDArray[np.float64]:
-        model = self.model
-        ndim = self.grid.ndim
-        R = -model.f(values)
-        for axis, h in enumerate(self.grid.h):
-            p, q, _ = axis_slices(ndim, axis)
-            u_p = values[p]
-            u_q = values[q]
-            v = 0.5 * (u_p + u_q)
-            du = (u_q - u_p) / h
-            flux = (model.d + v @ model.alpha.T) * du + v * (du @ model.alpha.T)
+        d, alpha = self.d, self.alpha
+        R = -self.model.f(values)
+        for h, p, q, v, du in self._faces(values):
+            flux = (d + v @ alpha.T) * du + v * (du @ alpha.T)
             R[p] -= flux / h
             R[q] += flux / h
         # Walls after all faces: the order fixes the corner cells' bits.
         if self.dirichlet:
             for axis, h in enumerate(self.grid.h):
-                for wall in axis_slices(ndim, axis)[2]:
-                    R[wall] += 2.0 * model.d * values[wall] / h**2
+                for wall in axis_slices(self.grid.ndim, axis)[2]:
+                    R[wall] += 2.0 * d * values[wall] / h**2
         if self.forcing is not None:
             R = R - self.forcing
         return R
@@ -263,26 +273,21 @@ class DiscreteSystem:
         then the reaction blocks; ``np.bincount`` sums them into their
         CSC slots in that order.
         """
-        model = self.model
-        m = model.m
-        ndim = self.grid.ndim
+        d, alpha, m = self.d, self.alpha, self.model.m
         pattern = _jacobian_pattern(self.grid.shape, m, self.dirichlet)
         blocks: list[NDArray[np.float64]] = []
         idx = np.arange(m)
-        for axis, h in enumerate(self.grid.h):
-            sl_p, sl_q, _ = axis_slices(ndim, axis)
-            u_p = values[sl_p].reshape(-1, m)
-            u_q = values[sl_q].reshape(-1, m)
-            K = model.A(0.5 * (u_p + u_q)) / h**2
-            du = (u_q - u_p) / h
-            G = model.alpha[None, :, :] * du[:, :, None]
-            G[:, idx, idx] += du @ model.alpha.T
+        for axis, (h, _, _, v, du) in enumerate(self._faces(values)):
+            K = flux_matrix(v.reshape(-1, m), d, alpha) / h**2
+            du = du.reshape(-1, m)
+            G = alpha[None, :, :] * du[:, :, None]
+            G[:, idx, idx] += du @ alpha.T
             S = (1.0 / (2.0 * h)) * G
             blocks += [K - S, -K - S, -K + S, K + S]
             if self.dirichlet:
                 n_wall = 2 * (self.grid.n_nodes // self.grid.shape[axis])
-                blocks.append(np.tile(2.0 * model.d / h**2, n_wall))
-        blocks.append(-model.jacobian_f(values.reshape(-1, m)))
+                blocks.append(np.tile(2.0 * d / h**2, n_wall))
+        blocks.append(-self.model.jacobian_f(values.reshape(-1, m)))
         data = np.bincount(
             pattern.slots,
             weights=np.concatenate([b.reshape(-1) for b in blocks]),
@@ -697,15 +702,15 @@ def prolong(values: NDArray[np.float64], dirichlet: bool) -> NDArray[np.float64]
 
 
 def _stage_loop(
-    model: Model,
-    grid: Grid,
+    system: DiscreteSystem,
     values: NDArray[np.float64],
     steps: int,
     tol: float,
     max_iter: int,
 ) -> _Run:
-    """Homotopy stages ``t * alpha`` on one grid, each warm-started from
-    the previous one; a failed step is bisected down to ``MIN_STEP``.
+    """Homotopy stages on one grid's one system: each stage sets its
+    ``alpha`` to ``t * system.model.alpha`` and is warm-started from the
+    previous one; a failed step is bisected down to ``MIN_STEP``.
 
     Returns the run of the last converged stage with ``iterations``
     summed over the converged stages, ``factorizations`` over all of
@@ -721,10 +726,7 @@ def _stage_loop(
     queue = [float(t) for t in np.linspace(0.0, 1.0, steps + 1)]
     while queue:
         t = queue[0]
-        # t * alpha with 0 <= t <= 1 passes the checks alpha passed.
-        alpha = t * model.alpha
-        alpha.setflags(write=False)
-        system = discretize(Model._checked(**{**vars(model), "alpha": alpha}), grid)
+        system.alpha = t * system.model.alpha
         run = _newton_core(system, values, tol, max_iter)
         factorizations += run.factorizations
         if run.failure is not None:
@@ -791,7 +793,7 @@ def continuation_solve(
     coarse_answer = None
     coarse = half_grid(grid)
     if coarse is not None:
-        stages = _stage_loop(model, coarse, restrict(start), steps, tol, max_iter)
+        stages = _stage_loop(DiscreteSystem(model, coarse), restrict(start), steps, tol, max_iter)
         spent_iters, spent_lus = stages.iterations, stages.factorizations
         if stages.failure is None:
             coarse_answer = (coarse, stages.values)
@@ -804,7 +806,7 @@ def continuation_solve(
                     factorizations=spent_lus, t_path=stages.t_path,
                 )
                 return _finalize(model, grid, start, run, coarse=coarse_answer)
-    stages = _stage_loop(model, grid, start, steps, tol, max_iter)
+    stages = _stage_loop(system, start, steps, tol, max_iter)
     run = dataclasses.replace(
         stages, iterations=spent_iters + stages.iterations,
         factorizations=spent_lus + stages.factorizations,

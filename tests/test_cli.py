@@ -563,6 +563,40 @@ def test_missing_output_directory_fails_before_any_work(
 
 
 @pytest.mark.parametrize(
+    "command, extra, field_dir",
+    [
+        ("analyze", [], False),
+        ("sweep", ["--param", "d.0=0.3:0.5:3"], False),
+        ("solve", ["--grid", "64", "--seed-mode", "1", "--amp", "1.5"], False),
+        ("solve", ["--grid", "64", "--seed-mode", "1", "--amp", "1.5"], True),
+    ],
+    ids=["analyze", "sweep", "solve", "solve-field-csv"],
+)
+def test_output_that_is_a_directory_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command, extra, field_dir
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the output path was checked")
+
+    cfg = write_config(tmp_path, TURING)
+    monkeypatch.setattr(cli, "_load_config", no_work)
+    out = tmp_path / "out"
+    out.mkdir()
+    if field_dir:
+        # The report path is free, but the field CSV's is a directory.
+        blocked, output = out / "solve_field.csv", out / "solve.json"
+        blocked.mkdir()
+    else:
+        blocked = output = out
+    code = cli.main([command, "--config", cfg, "--output", str(output)] + extra)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.err == f"error: cannot write {str(blocked)!r}: it is a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["model.json", "out"]
+    assert os.listdir(out) == (["solve_field.csv"] if field_dir else [])
+
+
+@pytest.mark.parametrize(
     "payload, mode, message",
     [
         (SKT, "100000", "cannot resolve it"),
@@ -1056,24 +1090,19 @@ def test_sweep_decides_every_point_in_one_kernel_pass(tmp_path, monkeypatch):
 
 def test_sweep_checks_its_points_in_one_batch(tmp_path, monkeypatch):
     # Only the first point is built by build_model; the others are checked
-    # together without running Model.__post_init__.  Their rows stay in
-    # the batch's stacks: besides that first model, one Model is built
-    # per distinct kinetics (m, r, c), and none per point.
+    # together, as columns of the batch's stacks.  Besides that first
+    # model, one Model is built per distinct kinetics (m, r, c), and none
+    # per point.
     from crossdiff.model import Model
 
     calls = []
-    post_init, checked = Model.__post_init__, Model._checked.__func__
+    post_init = Model.__post_init__
 
     def counted_post_init(self):
         calls.append("__post_init__")
         post_init(self)
 
-    def counted_checked(cls, **values):
-        calls.append("_checked")
-        return checked(cls, **values)
-
     monkeypatch.setattr(Model, "__post_init__", counted_post_init)
-    monkeypatch.setattr(Model, "_checked", classmethod(counted_checked))
     cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
     for params, points, kinetics in [
         # The benchmark's 12 x 48 grid: one kinetics.
@@ -1086,7 +1115,6 @@ def test_sweep_checks_its_points_in_one_batch(tmp_path, monkeypatch):
         swept = [param.split("=")[0] for param in params]
         kinetic = [path for path in swept if path[0] in "rc"]
         assert len({tuple(row[path] for path in kinetic) for row in rows}) == kinetics
-        assert calls.count("__post_init__") <= 1
         assert len(calls) <= 1 + kinetics
 
 

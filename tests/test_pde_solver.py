@@ -327,6 +327,25 @@ def test_jacobian_pattern_refill_matches_coo_assembly(kind, bc, m, t):
     assert err.max() <= 1e-14
 
 
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_stage_alpha_on_a_system_matches_a_model_with_that_alpha(kind, bc, m, t):
+    # A homotopy stage sets t * alpha on its grid's one system; residual and
+    # Jacobian must be those of a system built from the model at stage t.
+    model = (coupled_model if m == 2 else three_species_model)(kind, bc, 1.0)
+    grid = make_grid(model.domain, 12 if kind == "interval" else (9, 8))
+    values = random_field(grid, [0.3] * m, [1.7] * m, seed=11).values
+    stage = pde_solver.DiscreteSystem(model, grid)
+    stage.alpha = t * model.alpha
+    built = pde_solver.DiscreteSystem(dataclasses.replace(model, alpha=t * model.alpha), grid)
+    np.testing.assert_array_equal(stage.residual(values), built.residual(values))
+    J, J_built = stage.jacobian(values), built.jacobian(values)
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(J, name), getattr(J_built, name))
+
+
 # -- Newton -----------------------------------------------------------------
 
 
@@ -612,7 +631,8 @@ def test_skt_continuation_matches_plain_newton(seed, classification, vmin, mean,
 
 
 def test_continuation_builds_the_jacobian_pattern_once(monkeypatch):
-    # An odd cell count keeps every stage on this one grid.
+    # An odd cell count keeps every stage on this one grid, which has one
+    # system: the stages set its alpha.
     model = skt_2d()
     grid = make_grid(model.domain, 15)
     systems = set()
@@ -626,14 +646,14 @@ def test_continuation_builds_the_jacobian_pattern_once(monkeypatch):
     pde_solver._jacobian_pattern.cache_clear()
     seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
     result = continuation_solve(model, grid, seed)
-    assert result.converged
-    assert len(systems) > 1
+    assert result.converged and len(result.t_path) > 1
+    assert len(systems) == 1
     assert pde_solver._jacobian_pattern.cache_info().misses == 1
 
 
 def test_continuation_stages_run_no_model_checks(monkeypatch):
-    # Each stage's model t * alpha is assembled from the checked model's
-    # fields: Model.__post_init__ does not run once per stage attempt.
+    # A stage sets t * alpha on its grid's system: no Model is built,
+    # so Model.__post_init__ never runs.
     from crossdiff.model import Model
 
     model = skt_2d()
