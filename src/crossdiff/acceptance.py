@@ -14,7 +14,6 @@ import json
 import math
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,8 @@ from .steady_states import find_constant_states
 from .verification import (
     discrete_mode_mu,
     ev1_mu_for_mode,
-    parity_oracle,
+    index_oracle,
+    oracle_grid,
     reaction_unstable_count,
 )
 
@@ -58,7 +58,6 @@ def _interval_config(
     alpha: list[list[float]],
     r: list[float],
     c: list[list[float]],
-    length: float = PI,
 ) -> dict:
     return {
         "m": m,
@@ -66,17 +65,21 @@ def _interval_config(
         "alpha": alpha,
         "r": r,
         "c": c,
-        "domain": {"kind": "interval", "lengths": [length]},
+        "domain": {"kind": "interval", "lengths": [PI]},
         "bc": "neumann",
     }
 
 
-def _turing_config() -> dict:
+def _turing_config(d_1: float = 0.4, alpha_21: float = 0.0) -> dict:
     """Activator–inhibitor pair with a diffusion-driven unstable mode."""
     return _interval_config(
-        2, [0.4, 7.0], [[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0],
+        2, [d_1, 7.0], [[0.0, 0.0], [alpha_21, 0.0]], [1.0, 1.0],
         [[-1.0, 2.0], [-3.0, 4.0]],
     )
+
+
+def _rectangle(config: dict, lengths: tuple[float, float]) -> Model:
+    return build_model({**config, "domain": {"kind": "rectangle", "lengths": list(lengths)}})
 
 
 def _logistic_config(d: float = 1.0) -> dict:
@@ -142,44 +145,42 @@ def _bistable_saddle() -> tuple[Model, np.ndarray]:
 
 
 def criterion_1() -> CriterionResult:
-    """Index equals the discrete solution-map oracle parity, the constant
-    mode included."""
+    """Index equals the sign of the discrete determinant
+    (:func:`~crossdiff.verification.index_oracle`), the constant mode
+    included, on intervals and rectangles."""
     J_design = np.array([[1.0, -2.0], [3.0, -4.0]])
-    cases = [
-        (model, np.ones(model.m))
-        for model in (
-            _realized_model(np.diag([0.4, 7.0]), J_design),
-            _realized_model(np.diag([0.05, 1.0]), J_design),
-            _realized_model(np.diag([0.25, 5.0]), J_design),
-            _random_instance(0, 2),
-            _random_instance(1, 3),
-            _random_instance(2, 3),
-            _random_instance(3, 3, unstable=1),
-        )
-    ]
-    cases.append(_bistable_saddle())
-    indices: list[int | None] = []
-    unstable: list[int] = []
-    worst_time = 0.0
+    models = (
+        _realized_model(np.diag([0.4, 7.0]), J_design),
+        _realized_model(np.diag([0.05, 1.0]), J_design),
+        _realized_model(np.diag([0.25, 5.0]), J_design),
+        _random_instance(0, 2),
+        _random_instance(1, 3),
+        _random_instance(2, 3),
+        _random_instance(3, 3, unstable=1),
+        # sigma = 5 counts the double modes of the square twice, and the
+        # last state's constant mode is kinetically unstable.
+        _rectangle(_turing_config(d_1=0.3), (PI, PI)),
+        _rectangle(_turing_config(d_1=0.3, alpha_21=0.1), (3.0, 2.0)),
+        _rectangle(_random_instance(3, 3, unstable=1).to_config(), (PI, PI / 2.0)),
+    )
+    cases = [(model, np.ones(model.m)) for model in models] + [_bistable_saddle()]
+    rows = []
     for model, u_star in cases:
-        t0 = time.perf_counter()
         report = constant_state_index(model, u_star)
-        k_base = 1.0 + float(np.linalg.norm(model.jacobian_f(u_star), 2))
-        for k in (k_base, 2.0 * k_base + 3.7):
-            count, parity = parity_oracle(model, u_star, n=256, k=k)
-            if parity != report.index:
-                return CriterionResult(
-                    1, "index-parity-oracle", False,
-                    f"parity mismatch: index={report.index} (sigma={report.sigma}), "
-                    f"oracle count={count} at k={k:.3g} (m={model.m})",
-                )
-        worst_time = max(worst_time, time.perf_counter() - t0)
-        indices.append(report.index)
-        unstable.append(reaction_unstable_count(model, u_star))
+        n = oracle_grid(model, u_star)
+        sign = index_oracle(model, u_star, n=n)
+        if sign != report.index:
+            return CriterionResult(
+                1, "index-parity-oracle", False,
+                f"index={report.index} (sigma={report.sigma}) but the discrete "
+                f"determinant's sign is {sign} at n={n} on {model.domain}",
+            )
+        rows.append((report.index, reaction_unstable_count(model, u_star), n))
+    indices, unstable, grids = zip(*rows)
     return CriterionResult(
         1, "index-parity-oracle", True,
-        f"{len(cases)} models, index={indices}, unstable kinetic eigenvalues="
-        f"{unstable}, both k values match, slowest {worst_time:.2f}s",
+        f"{len(cases)} models (3 rectangles), index={indices}, unstable kinetic "
+        f"eigenvalues={unstable}, grids n={grids}",
     )
 
 

@@ -424,9 +424,12 @@ class SolveResult:
 
 
 def classify_field(model: Model, values: NDArray[np.float64]) -> str:
-    """Constant/zero taxonomy of a field: trivial, semitrivial-constant,
-    nontrivial-constant, or nonconstant."""
+    """Taxonomy of a field: negative (a component below ``-TOL_ZERO`` at
+    some node), else trivial, semitrivial-constant, nontrivial-constant,
+    or nonconstant."""
     flat = values.reshape(-1, model.m)
+    if flat.min() < -TOL_ZERO:
+        return "negative"
     comp_max = np.abs(flat).max(axis=0)
     means = flat.mean(axis=0)
     dev = np.abs(flat - means).max(axis=0)

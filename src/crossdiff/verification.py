@@ -1,139 +1,143 @@
 """Independent discrete oracles for the index and mode machinery.
 
-Everything here is built from scratch on dense matrices — its own
-finite-difference Laplacian, Kronecker-product operators, and
-generalized (QZ) eigensolves — deliberately sharing no code with
-``index_theory`` or ``pde_solver``, so agreement between the two routes
-is evidence, not tautology.
+Everything here is built from scratch — its own finite-difference
+Laplacian, Kronecker-product operators, a sparse LU and generalized (QZ)
+eigensolves — sharing no code with ``index_theory``, ``spectral``,
+``steady_states`` or ``pde_solver``, so agreement is evidence.
 
-The central object is the linearized solution map at a constant state:
-``T'(u*) = (L_A + k I)^{-1} (J + k I)`` on a fine grid, where ``L_A`` is
-the discrete Neumann operator ``-Div(A(u*) D .)``.  Its fixed-point
-index is ``(-1)^count`` with ``count`` the number of real eigenvalues
-``mu > 1`` (algebraic multiplicity).  Note the constant mode contributes
-its own eigenvalues ``mu = 1 + eig(J)/k``: every real eigenvalue of ``J``
-above zero adds to the count, so the constant mode's share of the parity
-is ``sign det(-J)``.  The parity is then ``(-1)^sigma``, the index
-``index_theory`` reports, as long as the grid's eigenvalues fall on the
-same sides of the roots ``mu_j`` of ``det(lambda A(u*) - J(u*))`` as the
-exact ones: :func:`oracle_grid` picks such a grid.
+With ``K_h`` the cell-centred FD Neumann Laplacian (on a rectangle the
+Kronecker sum of the axis matrices), the solution map
+``T(u) = (L_A + kI)^{-1}(f(u) + ku)``, ``k > 0``, linearized at a constant
+state has ``L_A = K_h (x) A(u*)`` and ``T' = (L_A + kI)^{-1}(I (x) J + kI)``,
+so ``det(I - T') = det(K_h (x) A - I (x) J) / det(L_A + kI)``.  The
+eigenvalues of ``L_A + kI`` are ``lambda_h a + k`` over those of ``K_h``
+(``lambda_h >= 0``) and of ``A(u*)``.  When every ``a`` has a positive real
+part (ellipticity) the real ones are positive and the rest pair off, so
+the Leray–Schauder index ``sign det(I - T')`` (Deimling, *Nonlinear
+Functional Analysis*, 1985, §8) is the sign of one sparse determinant for
+every ``k``: :func:`index_oracle`.  Over the eigenbasis of ``K_h`` that
+determinant is ``prod_h det(A) prod_j (lambda_h - mu_j)``, ``mu_j`` the
+roots of ``det(lambda A - J)``, so its sign is ``(-1)^sigma``, the
+constant mode included, on a grid with as many eigenvalues below each
+real root as the exact spectrum: :func:`oracle_grid` picks one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
 from numpy.typing import NDArray
 
 from .model import Model
 
-
-def fd_neumann_matrix(n: int, L: float) -> NDArray[np.float64]:
-    """Dense cell-centered FD ``-d2/dx2`` on ``(0, L)`` with zero-flux walls."""
-    h = L / n
-    K = np.zeros((n, n))
-    for j in range(n):
-        if j > 0:
-            K[j, j] += 1.0
-            K[j, j - 1] -= 1.0
-        if j < n - 1:
-            K[j, j] += 1.0
-            K[j, j + 1] -= 1.0
-    return K / h**2
+# Most nodes of an index oracle grid: 16,384 cells, or 128 x 128.
+MAX_NODES = 2**14
 
 
-def solution_map_matrix(
-    A: NDArray[np.float64],
-    J: NDArray[np.float64],
-    n: int,
-    L: float,
-    k: float,
-) -> NDArray[np.float64]:
-    """Dense linearized solution map ``(L_A + kI)^{-1}(J + kI)``.
-
-    Component-major layout: the operator acts on ``(u^(1); ...; u^(m))``
-    stacked per species, so ``L_A = kron(A, K_h)``.
-    """
-    m = A.shape[0]
-    Kh = fd_neumann_matrix(n, L)
-    lhs = np.kron(A, Kh) + k * np.eye(m * n)
-    rhs = np.kron(J + k * np.eye(m), np.eye(n))
-    return np.linalg.solve(lhs, rhs)
-
-def count_mu_above_one(
-    M: NDArray[np.float64], tol: float = 1e-8
-) -> tuple[int, NDArray[np.complex128]]:
-    """Count real eigenvalues ``mu > 1`` with algebraic multiplicity."""
-    mu = np.linalg.eigvals(M)
-    real = np.abs(mu.imag) <= tol * np.maximum(1.0, np.abs(mu.real))
-    count = int(np.sum(real & (mu.real > 1.0 + tol)))
-    return count, mu
+def fd_neumann_matrix(n: int, *lengths: float) -> sp.csr_matrix:
+    """Sparse cell-centered FD ``-Laplace`` with zero-flux walls on the box
+    with sides ``lengths``, ``n`` cells per axis: on a rectangle the
+    Kronecker sum of the axis matrices."""
+    D = sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n))  # no flux through the walls
+    K = sp.csr_matrix((1, 1))  # the Kronecker sum's zero start
+    for L in lengths:
+        axis = (D.T @ D) / (L / n) ** 2
+        K = sp.kron(K, sp.identity(n)) + sp.kron(sp.identity(K.shape[0]), axis)
+    return K.tocsr()
 
 
-ORACLE_GRIDS = (256, 512, 1024)
+def _below(x: float, lengths: tuple[float, ...], n: int | None = None) -> int:
+    """Lattice points ``k >= 0`` below ``x`` of the exact Neumann spectrum
+    ``sum_a (k_a pi / L_a)^2`` on the box, or with ``n`` of the FD one
+    ``sum_a (2n / L_a)^2 sin^2(k_a pi / 2n)``, ``k_a < n``."""
+
+    def count(s: NDArray[np.float64], L: float) -> NDArray[np.float64]:
+        t = L * np.sqrt(np.maximum(s, 0.0))
+        if n is None:
+            return np.ceil(t / np.pi)
+        return np.minimum(np.ceil(2 * n / np.pi * np.arcsin(np.minimum(t / (2 * n), 1.0))), n)
+
+    s = np.array([x])
+    for L in lengths[:-1]:  # a rectangle: one column per first-axis value below x
+        k = np.arange(count(s, L)[0])
+        root = k * np.pi / L if n is None else 2 * n / L * np.sin(k * np.pi / (2 * n))
+        s = x - root**2
+    return int(count(s, lengths[-1]).sum())
 
 
 def oracle_grid(model: Model, u_star: NDArray[np.float64]) -> int:
-    """The smallest ``n`` of :data:`ORACLE_GRIDS` whose FD spectrum
-    crosses the real roots ``mu_j`` of ``det(lambda A - J)`` as the exact
-    spectrum does.
-
-    The roots come from a QZ solve of the pencil ``(J, A)``.  On ``(0, L)``
-    the exact eigenvalues ``(k pi / L)^2`` below ``mu`` number
-    ``ceil(L sqrt(mu) / pi)``; the FD ones ``(2n / L)^2 sin^2(k pi / 2n)``,
-    ``k < n``, number ``ceil((2n / pi) arcsin(L sqrt(mu) / 2n))``, or ``n``
-    when the arcsine's argument reaches 1.  Raises ``ValueError`` naming
-    the ``n`` (doubled from 256) a state needs past the largest grid.
+    """The smallest ``n``, doubled from 32 cells per axis, whose FD
+    spectrum has as many eigenvalues below each real root of the QZ pencil
+    ``(J, A)`` as the exact one.  Raises ``ValueError`` naming the ``n`` a
+    state needs when it has more than :data:`MAX_NODES` nodes.
     """
-    u_star = np.asarray(u_star, dtype=float)
-    L = model.domain.lengths[0]
+    lengths = model.domain.lengths
     mu = scipy.linalg.eig(model.jacobian_f(u_star), model.A(u_star), right=False)
-    real = np.abs(mu.imag) <= 1e-10 * np.maximum(1.0, np.abs(mu))
-    root = L * np.sqrt(np.maximum(mu.real[real], 0.0))
-    exact = np.ceil(root / np.pi)
-
-    def resolves(n: int) -> bool:
-        x = root / (2 * n)
-        fd = np.where(x < 1.0, np.ceil(2 * n / np.pi * np.arcsin(np.minimum(x, 1.0))), n)
-        return bool(np.all(fd == exact))
-
-    n = ORACLE_GRIDS[0]
-    while not resolves(n):
+    roots = mu.real[np.abs(mu.imag) <= 1e-10 * np.maximum(1.0, np.abs(mu))]
+    exact = [_below(x, lengths) for x in roots]
+    n = 32
+    while [_below(x, lengths, n) for x in roots] != exact:
         n *= 2
         if n > 2**40:
-            raise ValueError(f"parity oracle: no grid up to n = 2^40 resolves mu = {mu}")
-    if n > ORACLE_GRIDS[-1]:
+            raise ValueError(f"index oracle: no grid up to n = 2^40 resolves mu = {mu}")
+    if n ** len(lengths) > MAX_NODES:
         raise ValueError(
-            f"parity oracle needs n = {n} to resolve mu = {mu.real[real]}, "
-            f"past its largest grid, n = {ORACLE_GRIDS[-1]}"
+            f"index oracle needs n = {n} cells per axis to resolve mu = {roots}, "
+            f"past its cap of {MAX_NODES} nodes"
         )
     return n
 
 
-def parity_oracle(
-    model: Model,
-    u_star: NDArray[np.float64],
-    n: int | None = None,
-    k: float | None = None,
-) -> tuple[int, int]:
-    """Fixed-point-index parity of the discrete linearized solution map.
+def _parity(perm: NDArray[np.intp]) -> int:
+    """``(-1)^(n - cycles)``, the determinant of a permutation of ``0..n-1``."""
+    perm, seen, cycles = perm.tolist(), set(), 0
+    for start in perm:
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return -1 if (len(perm) - cycles) % 2 else 1
 
-    Returns ``(count, parity)`` with ``parity = (-1)^count``.  Interval
-    domains only (the oracle is a verification tool, not a solver).
-    Without ``n`` the grid is :func:`oracle_grid`'s.
+
+def lu_det_sign(lu: scipy.sparse.linalg.SuperLU) -> int:
+    """Sign of the determinant of the matrix ``lu`` factors, 0 when a
+    pivot is zero to rounding (``size * eps`` of the largest entry of
+    ``U``).  SuperLU factors ``Pr M Pc = L U`` with a unit diagonal in
+    ``L``, so the sign is that of ``prod diag(U)`` times the parities of
+    ``perm_r`` and ``perm_c``."""
+    pivots = lu.U.diagonal()
+    if np.abs(pivots).min() <= pivots.size * np.finfo(float).eps * abs(lu.U).max():
+        return 0
+    return (-1) ** int(np.count_nonzero(pivots < 0)) * _parity(lu.perm_r) * _parity(lu.perm_c)
+
+
+def index_oracle(model: Model, u_star: NDArray[np.float64], n: int | None = None) -> int:
+    """The discrete fixed-point index ``sign det(K_h (x) A(u*) - I (x) J(u*))``
+    from one sparse LU, on :func:`oracle_grid`'s grid without ``n``.
+    Raises ``ValueError`` when an eigenvalue of ``A(u*)`` has a real part
+    ``<= 0`` (the sign is then not the index) or the matrix is singular.
     """
-    if model.domain.dimension != 1:
-        raise ValueError("the discrete parity oracle is built for intervals")
-    u_star = np.asarray(u_star, dtype=float)
+    A, J = model.A(u_star), model.jacobian_f(u_star)
+    rho = float(np.linalg.eigvals(A).real.min())
+    if rho <= 0.0:
+        raise ValueError(
+            f"index oracle: A(u*) has an eigenvalue of real part {rho:.3e} <= 0, "
+            "so the sign of det(K_h (x) A - I (x) J) is not the index"
+        )
     if n is None:
         n = oracle_grid(model, u_star)
-    A = model.A(u_star)
-    J = model.jacobian_f(u_star)
-    if k is None:
-        k = 1.0 + float(np.linalg.norm(J, 2))
-    M = solution_map_matrix(A, J, n, model.domain.lengths[0], k)
-    count, _ = count_mu_above_one(M)
-    return count, (-1) ** count
+    K = fd_neumann_matrix(n, *model.domain.lengths)
+    M = sp.kron(K, A) - sp.kron(sp.identity(K.shape[0]), J)
+    try:
+        sign = lu_det_sign(scipy.sparse.linalg.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A"))
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        sign = 0
+    if sign == 0:
+        raise ValueError(f"index oracle: K_h (x) A(u*) - I (x) J(u*) is singular at n = {n}")
+    return sign
 
 
 def reaction_unstable_count(model: Model, u_star: NDArray[np.float64]) -> int:
@@ -158,8 +162,7 @@ def ev1_mu_for_mode(
         raise ValueError("lambda_hat must be positive")
     lhs = J / lambda_hat - A
     w = scipy.linalg.eig(lhs, np.diag(d_A), right=False)
-    mu = 1.0 + w
-    return np.sort_complex(mu)
+    return np.sort_complex(1.0 + w)
 
 
 def discrete_mode_mu(
@@ -181,8 +184,7 @@ def discrete_mode_mu(
     A = model.A(u_star)
     J = model.jacobian_f(u_star)
     d_A = np.diag(A)
-    Kh = fd_neumann_matrix(n, model.domain.lengths[0])
-    lam_h = np.sort(np.linalg.eigvalsh(0.5 * (Kh + Kh.T)))
+    lam_h = np.linalg.eigvalsh(fd_neumann_matrix(n, model.domain.lengths[0]).toarray())
     out: list[tuple[float, NDArray[np.complex128]]] = []
     for lam in lam_h:
         if lam <= 1e-10:
@@ -211,12 +213,9 @@ def dense_pencil_mu(
     A = model.A(u_star)
     J = model.jacobian_f(u_star)
     d_A = np.diag(np.diag(A))
-    m = model.m
-    Kh = fd_neumann_matrix(n, model.domain.lengths[0])
-    In = np.eye(n)
-    B = np.kron(A - d_A, Kh) - np.kron(J, In)
+    Kh = fd_neumann_matrix(n, model.domain.lengths[0]).toarray()
+    B = np.kron(A - d_A, Kh) - np.kron(J, np.eye(n))
     C = np.kron(d_A, Kh)
     alpha, beta = scipy.linalg.eig(-B, C, right=False, homogeneous_eigvals=True)
     finite = np.abs(beta) > 1e-10 * np.abs(alpha)
-    mu = alpha[finite] / beta[finite]
-    return np.sort_complex(mu)
+    return np.sort_complex(alpha[finite] / beta[finite])

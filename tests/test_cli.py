@@ -304,6 +304,19 @@ def test_solve_from_an_absent_species_keeps_its_support(tmp_path, route):
     ]
 
 
+def test_solve_to_a_negative_state_is_not_semitrivial(tmp_path, capsys):
+    # The one-sided golden model seeded at (-0.9, 0.1) converges to the
+    # constant (-1, 0), outside the positive cone.
+    out = tmp_path / "solve.json"
+    config = os.path.join(os.path.dirname(__file__), "golden", "one-sided.model.json")
+    argv = ["solve", "--config", config, "--grid", "128",
+            "--seed-constant=-0.9,0.1", "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert re.search(r"classification\s+negative\n", capsys.readouterr().out)
+    result = json.loads(out.read_text())["result"]
+    assert result["converged"] is True and result["classification"] == "negative"
+
+
 @pytest.mark.parametrize("route", [["--no-homotopy"], []], ids=["newton", "continuation"])
 def test_solve_on_a_face_no_absent_species_invades_gives_no_warning(tmp_path, route):
     # Strong competition: species 1 declines at rate 1 at u = (0, 1).

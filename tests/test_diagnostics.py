@@ -192,14 +192,14 @@ def brute_force_bmo(field, radius):
     return sup
 
 
-ORACLE_GRIDS = {
+BRUTE_FORCE_GRIDS = {
     "interval": (("interval", [PI]), 64, (0.3, 2.0)),
     "square": (("rectangle", [3.0, 3.0]), 16, (0.5, 2.0)),
     "rectangle": (("rectangle", [3.0, 2.0]), (40, 28), (0.4, 1.7)),
 }
 ORACLE_CASES = [
     (domain, which, m)
-    for domain in sorted(ORACLE_GRIDS)
+    for domain in sorted(BRUTE_FORCE_GRIDS)
     for which in ("2h", "off-ladder", "wide")
     for m in (1, 2, 3)
 ] + [("multi-peak", "default", 2)]
@@ -236,7 +236,7 @@ def oracle_case(domain, which, m):
     """``(field, radius)`` of one brute-force case."""
     if domain == "multi-peak":
         return multi_peak_field(), 0.75
-    (kind, lengths), cells, (off_ladder, wide) = ORACLE_GRIDS[domain]
+    (kind, lengths), cells, (off_ladder, wide) = BRUTE_FORCE_GRIDS[domain]
     grid = make_grid(Domain(kind=kind, lengths=tuple(lengths)), cells)
     radius = {"2h": 2.0 * max(grid.h), "off-ladder": off_ladder, "wide": wide}[which]
     # A random slope plus noise: the largest ball oscillates most, and

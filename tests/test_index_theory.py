@@ -529,19 +529,17 @@ def test_long_interval_is_decided_without_a_spectrum(monkeypatch):
     assert negative_intervals(report) == [(22508, 38046 - 22508)]
 
 
-def test_one_sided_point_is_conclusive_and_matches_parity_oracle():
+def test_one_sided_point_is_conclusive_and_matches_index_oracle():
     # alpha_12 = 0 makes d_A^{-1} A(u*) unit-triangular and defective,
     # which the roots of p do not see: the index agrees with the discrete
     # oracle.
-    from crossdiff.verification import parity_oracle
+    from crossdiff.verification import index_oracle
 
     model = sweep_point(0.0)
     verdict = existence_verdict(model)
     assert not verdict.inconclusive
     (report,) = verdict.index_reports
-    k0 = 1.0 + float(np.linalg.norm(model.jacobian_f(report.u_star), 2))
-    for k in (k0, 2.0 * k0 + 3.7):
-        assert parity_oracle(model, report.u_star, n=256, k=k)[1] == report.index
+    assert index_oracle(model, report.u_star) == report.index
 
 
 def counted_eigvals(monkeypatch):

@@ -1001,3 +1001,10 @@ def test_classify_field_taxonomy():
     x = grid.points()[:, 0]
     wavy = full + 0.1 * np.cos(x)[:, None]
     assert classify_field(model, wavy) == "nonconstant"
+    # Any component below -TOL_ZERO at any node: outside the positive
+    # cone, whether the field is constant or not.
+    assert classify_field(model, constant_field(grid, [-1.0, 0.0]).values) == "negative"
+    assert classify_field(model, wavy - 1.81) == "negative"  # min -0.91
+    assert classify_field(model, full - np.where(x < 1.0, 1.0 + 2e-8, 0.0)[:, None]) == "negative"
+    # A wall value of -4.7e-28 (the Dirichlet golden's minimum) is zero.
+    assert classify_field(model, wavy * (x > 0.1)[:, None] - 4.7e-28) == "nonconstant"

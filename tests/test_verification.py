@@ -1,21 +1,28 @@
-"""Discrete solution-map and pencil oracles used to verify the index formula."""
+"""Discrete determinant and pencil oracles used to verify the index formula."""
 
 from __future__ import annotations
 
+import ast
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from crossdiff import build_model, constant_state_index, discrete_laplacian_spectrum
+from crossdiff import verification
+from crossdiff.model import Domain
 from crossdiff.verification import (
-    count_mu_above_one,
     dense_pencil_mu,
     discrete_mode_mu,
     ev1_mu_for_mode,
     fd_neumann_matrix,
+    index_oracle,
+    lu_det_sign,
     oracle_grid,
-    parity_oracle,
     reaction_unstable_count,
-    solution_map_matrix,
 )
 
 PI = np.pi
@@ -50,7 +57,7 @@ def assert_multiset_close(a, b, tol):
 
 
 def test_fd_neumann_matrix_structure():
-    K = fd_neumann_matrix(16, PI)
+    K = fd_neumann_matrix(16, PI).toarray()
     np.testing.assert_allclose(K, K.T, atol=0.0)
     np.testing.assert_allclose(K @ np.ones(16), np.zeros(16), atol=1e-12)
     h = PI / 16
@@ -60,68 +67,84 @@ def test_fd_neumann_matrix_structure():
 
 def test_fd_matrix_spectrum_matches_spectral_module():
     n = 64
-    domain = {"kind": "interval", "lengths": [PI]}
     model = interval_model(1, (1.0,), (0.0,), ((0.0,),))
-    vals = np.sort(np.linalg.eigvalsh(fd_neumann_matrix(n, PI)))
+    vals = np.linalg.eigvalsh(fd_neumann_matrix(n, PI).toarray())
     spec = discrete_laplacian_spectrum(model.domain, n, bc="neumann")
     np.testing.assert_allclose(vals[:8], spec[:8], rtol=1e-10, atol=1e-10)
 
 
-def test_count_mu_above_one():
-    count, mu = count_mu_above_one(np.diag([0.5, 2.0, 3.0]))
-    assert count == 2
-    # Complex pair with modulus > 1 but off the real axis: not counted.
-    rot = 1.8 * np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
-    count, mu = count_mu_above_one(rot)
-    assert count == 0
+def test_fd_matrix_on_a_rectangle_is_the_kronecker_sum():
+    # Its spectrum is every pairwise sum of the two axis spectra.
+    domain = Domain(kind="rectangle", lengths=(3.0, 2.0))
+    vals = np.linalg.eigvalsh(fd_neumann_matrix(12, 3.0, 2.0).toarray())
+    spec = discrete_laplacian_spectrum(domain, 12, bc="neumann")
+    np.testing.assert_allclose(vals, spec, rtol=1e-10, atol=1e-10)
 
 
-def test_solution_map_pure_diffusion_has_no_crossing():
-    # A = I, J = 0: mu = k/(lambda_h + k) <= 1 for every mode.
-    M = solution_map_matrix(np.eye(2), np.zeros((2, 2)), 48, PI, k=3.0)
-    count, mu = count_mu_above_one(M)
-    assert count == 0
-    assert mu.real.max() <= 1.0 + 1e-10
+def random_sparse(rng):
+    """A random nonsingular sparse matrix, 2 to 40 rows, and its dense
+    determinant."""
+    size = int(rng.integers(2, 41))
+    while True:
+        M = sp.random(size, size, density=rng.uniform(0.1, 0.5), random_state=rng)
+        M = (M + sp.diags(rng.normal(size=size) * rng.integers(0, 2, size))).tocsc()
+        det = np.linalg.det(M.toarray())
+        if abs(det) > 1e-8:
+            return M, det
 
 
-def test_solution_map_constant_mode_eigenvalues():
-    # The constant mode passes through untouched by diffusion, so it
-    # contributes mu = 1 + eig(J)/k exactly.
-    J = np.diag([2.0, -1.0])
-    k = 4.0
-    M = solution_map_matrix(np.eye(2), J, 48, PI, k=k)
-    mu = np.linalg.eigvals(M)
-    for target in (1.0 + 2.0 / k, 1.0 - 1.0 / k):
-        assert np.min(np.abs(mu - target)) < 1e-10
+def test_lu_det_sign_matches_the_dense_determinant():
+    # 300 random matrices, each factored under two column orderings: the
+    # sign must not depend on the permutations SuperLU chose.
+    rng = np.random.default_rng(20261020)
+    odd = 0
+    for _ in range(300):
+        M, det = random_sparse(rng)
+        for spec in ("COLAMD", "MMD_AT_PLUS_A"):
+            lu = scipy.sparse.linalg.splu(M, permc_spec=spec)
+            assert lu_det_sign(lu) == np.sign(det)
+            odd += verification._parity(lu.perm_r) * verification._parity(lu.perm_c) < 0
+    # Not vacuous: many factorizations carry odd permutations.
+    assert odd > 100
 
 
-def test_parity_counts_constant_mode_separately():
-    # Worked diagonal case: p < 0 at the first nonconstant mode and at the
-    # constant mode, whose unstable direction (J has eigenvalue +2) the
-    # discrete count includes: the raw count is 2, the report's modes
-    # where p < 0.
+def test_index_oracle_counts_the_constant_mode():
+    # Worked diagonal case: p < 0 at the constant mode, whose unstable
+    # direction (J has eigenvalue +2) the determinant holds in its
+    # det(-J) block, and at the first nonconstant mode: sigma = 2.
     model = interval_model(2, (1.0, 1.0), (-2.0, 1.0), ((-2.0, 0.0), (0.0, 1.0)))
     u_star = np.ones(2)
-    count, parity = parity_oracle(model, u_star, n=192)
-    n_plus = reaction_unstable_count(model, u_star)
     report = constant_state_index(model, u_star)
-    assert n_plus == 1
+    assert reaction_unstable_count(model, u_star) == 1
     assert report.negative["first_mode"].tolist() == [0]
-    assert count == report.negative["modes"].sum() == 2
-    assert parity == (-1) ** report.sigma == report.index
+    assert report.negative["modes"].sum() == report.sigma == 2
+    assert index_oracle(model, u_star, n=192) == index_oracle(model, u_star) == report.index == 1
 
 
-def test_parity_matches_index_for_stable_kinetics():
-    # Hurwitz J: no constant-mode crossings, so the oracle parity IS the
-    # index, and it is insensitive to the shift k.
+def test_index_oracle_matches_index_for_stable_kinetics():
+    # Hurwitz J: no constant-mode crossing, one mode with p < 0.
     model = interval_model(2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)))
     u_star = np.ones(2)
     assert reaction_unstable_count(model, u_star) == 0
     report = constant_state_index(model, u_star)
-    for k in (None, 11.3):
-        count, parity = parity_oracle(model, u_star, n=192, k=k)
-        assert count == report.negative["modes"].sum() == 1
-        assert parity == report.index == -1
+    assert report.negative["modes"].sum() == 1
+    assert index_oracle(model, u_star, n=192) == index_oracle(model, u_star) == report.index == -1
+
+
+def test_index_oracle_refuses_a_non_elliptic_state():
+    # A(u) = d + 2 alpha u is -1 at u = -1.
+    model = interval_model(1, (1.0,), (1.0,), ((1.0,),), alpha=((1.0,),))
+    with pytest.raises(ValueError, match=r"A\(u\*\) has an eigenvalue of real part -1\.000e\+00 <= 0"):
+        index_oracle(model, np.array([-1.0]))
+
+
+@pytest.mark.parametrize("n", [32, 33, 100])
+def test_index_oracle_refuses_a_singular_matrix(n):
+    # Logistic growth at u = 1/2: J = 0, so the constant mode's block is 0.
+    # At n = 33 rounding leaves a pivot of ~3e-14 instead of 0.
+    model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
+    with pytest.raises(ValueError, match=f"singular at n = {n}"):
+        index_oracle(model, np.array([0.5]), n=n)
 
 
 def test_ev1_mu_diagonal_closed_form():
@@ -200,18 +223,25 @@ def test_oracles_reject_rectangles():
         }
     )
     with pytest.raises(ValueError, match="interval"):
-        parity_oracle(model, np.ones(1))
-    with pytest.raises(ValueError, match="interval"):
         discrete_mode_mu(model, np.ones(1), 32, 3)
     with pytest.raises(ValueError, match="interval"):
         dense_pencil_mu(model, np.ones(1), 32)
 
 
-def readme_on(length, d1, alpha_21):
-    """The README model on ``(0, length)`` with ``d_1`` and ``alpha_21`` set."""
-    return interval_model(
-        2, (d1, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
-        alpha=((0.0, 0.0), (alpha_21, 0.0)), length=length,
+def readme_on(lengths, d1, alpha_21):
+    """The README model on the interval or rectangle with sides ``lengths``,
+    with ``d_1`` and ``alpha_21`` set."""
+    return build_model(
+        {
+            "m": 2,
+            "d": [d1, 7.0],
+            "alpha": [[0.0, 0.0], [alpha_21, 0.0]],
+            "r": [1.0, 1.0],
+            "c": [[-1.0, 2.0], [-3.0, 4.0]],
+            "domain": {"kind": "interval" if len(lengths) == 1 else "rectangle",
+                       "lengths": list(lengths)},
+            "bc": "neumann",
+        }
     )
 
 
@@ -224,21 +254,71 @@ def readme_on(length, d1, alpha_21):
         (28.858974358974358, 0.41666666666666663, 0.1),
     ],
 )
-def test_parity_oracle_picks_a_grid_that_resolves_the_roots(length, d1, alpha_21):
+def test_index_oracle_picks_a_grid_that_resolves_the_roots(length, d1, alpha_21):
     # Rows of the sweep-lengths golden sweep where a fixed n = 256 gives
-    # the wrong parity: an FD eigenvalue (2n/L)^2 sin^2(k pi / 2n) falls
+    # the wrong sign: an FD eigenvalue (2n/L)^2 sin^2(k pi / 2n) falls
     # below a root that the exact one lies above.  The oracle's own grid
-    # resolves them at n = 512, and its parity is the index.
-    model = readme_on(length, d1, alpha_21)
+    # resolves them at n = 512, and its sign is the index.
+    model = readme_on((length,), d1, alpha_21)
     u_star = np.ones(2)
     report = constant_state_index(model, u_star)
-    assert parity_oracle(model, u_star, n=256)[1] != report.index
+    assert index_oracle(model, u_star, n=256) != report.index
     assert oracle_grid(model, u_star) == 512
-    assert parity_oracle(model, u_star)[1] == report.index
+    assert index_oracle(model, u_star) == report.index
 
 
-def test_parity_oracle_names_the_grid_a_long_interval_needs():
+def test_index_oracle_names_the_grid_a_long_interval_needs():
     # The README model on (0, 1e5) has ~60,000 eigenvalues below its roots.
-    model = readme_on(1e5, 0.4, 0.0)
-    with pytest.raises(ValueError, match=r"needs n = 8388608 .* largest grid, n = 1024"):
-        parity_oracle(model, np.ones(2))
+    model = readme_on((1e5,), 0.4, 0.0)
+    with pytest.raises(
+        ValueError, match=r"needs n = 8388608 cells per axis .* past its cap of 16384 nodes"
+    ):
+        index_oracle(model, np.ones(2))
+
+
+def test_index_oracle_matches_the_index_on_every_sweep_lengths_row():
+    # All 320 rows of the golden sweep, 40 lengths from 0.5 to 40: the
+    # grids run from 32 to 4096 cells.
+    path = Path(__file__).resolve().parent / "golden" / "sweep-lengths.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 320
+    grids = set()
+    for row in rows:
+        model = readme_on(
+            (float(row["domain.lengths.0"]),), float(row["d.0"]), float(row["alpha.1.0"])
+        )
+        grids.add(oracle_grid(model, np.ones(2)))
+        assert index_oracle(model, np.ones(2)) == constant_state_index(model, np.ones(2)).index
+    assert grids == {32, 64, 128, 256, 512, 1024, 4096}
+
+
+@pytest.mark.parametrize(
+    "lengths, d1, alpha_21, sigma",
+    [
+        # Double modes of the square: sigma counts lambda = 1, 4 and 5 twice.
+        ((PI, PI), 0.3, 0.0, 5),
+        ((3.0, 3.0), 0.05, 0.1, 20),
+        ((PI, PI / 2.0), 0.2, 0.1, 5),
+        ((3.0, 2.0), 0.3, 0.1, 4),
+    ],
+)
+def test_index_oracle_matches_the_index_on_rectangles(lengths, d1, alpha_21, sigma):
+    model = readme_on(lengths, d1, alpha_21)
+    report = constant_state_index(model, np.ones(2))
+    assert report.sigma == sigma
+    assert index_oracle(model, np.ones(2)) == report.index == (-1) ** sigma
+
+
+def test_verification_imports_none_of_the_code_it_checks():
+    # The oracles stay independent of the modules they verify.
+    tree = ast.parse(Path(verification.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert imported & {"index_theory", "spectral", "steady_states", "pde_solver"} == set()
+    assert "model" in imported
