@@ -29,10 +29,7 @@ from .steady_states import (
     find_constant_states,
     refine_root,
 )
-from .spectral import (
-    discrete_laplacian_spectrum,
-    eigenfunction,
-)
+from .spectral import eigenfunction
 from .index_theory import (
     ExistenceVerdict,
     IndexReport,
@@ -92,7 +89,6 @@ __all__ = [
     "constant_state_index",
     "continuation_solve",
     "diagnostics_report",
-    "discrete_laplacian_spectrum",
     "discretize",
     "eigenfunction",
     "existence_verdict",

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import Model, ModelError
-from .pde_solver import DiscreteField, Grid, discretize
+from .pde_solver import TOL_ZERO, DiscreteField, Grid, discretize
 
 NOT_A_SOLUTION_RTOL = 1e-6
 BALL_RTOL = 1e-12
@@ -95,8 +95,11 @@ def ball_radii(grid: Grid, radius: float) -> list[float]:
             f"unresolvable ball: radius {radius:.4g} < 2h = {2 * h:.4g}"
         )
     span2 = sum(((n - 1) * hh) ** 2 for n, hh in zip(grid.n_cells, grid.h))
+    # The first covering radius is at most one step past the span, so a
+    # huge radius does not overflow the loop bound.
+    stop = min(radius, math.sqrt(span2) + 2.0 * h)
     radii: list[float] = []
-    for j in range(1, int(radius / (2.0 * h)) + 1):
+    for j in range(1, int(stop / (2.0 * h)) + 1):
         radii.append(2.0 * h * j)
         if span2 <= _ball_bound(radii[-1]):
             return radii
@@ -404,7 +407,7 @@ def diagnostics_report(
             f"{NOT_A_SOLUTION_RTOL:.0e} relative; identity residuals are "
             "not meaningful"
         )
-    if pos_min < -1e-8:
+    if pos_min < -TOL_ZERO:
         warnings.append(f"positivity violated: min component {pos_min:.3e}")
     return DiagnosticsReport(
         l1_norm=l1,

@@ -6,9 +6,7 @@ Modes are numbered in ascending order of eigenvalue from mode 0, the
 constant mode, bit-equal values in lexicographic order of their points:
 the numbering of ``--seed-mode K`` and of an index report's
 ``first_mode``.  :func:`mode` looks up mode ``K`` and :func:`_weyl`
-counts the modes below a value, neither listing the modes before.  A
-finite-difference discrete spectrum serves as an independent cross-check
-and the verification oracles.
+counts the modes below a value, neither listing the modes before.
 """
 
 from __future__ import annotations
@@ -169,46 +167,3 @@ def eigenfunction(
     for axis, (k, L) in enumerate(zip(mode_index, domain.lengths)):
         out = out * np.cos(k * math.pi * pts[..., axis] / L)
     return out
-
-
-def _fd_eigs_1d(n: int, L: float, bc: str) -> NDArray[np.float64]:
-    """Eigenvalues of the cell-centered FD ``-d2/dx2`` on ``(0, L)``.
-
-    Closed form, ascending: ``4/h^2 sin^2(k pi / 2n)`` under Neumann
-    (``k = 0`` is the exact zero mode) and ``4/h^2 sin^2((k+1) pi / 2n)``
-    under Dirichlet, for ``k = 0..n-1``.
-    """
-    h = L / n
-    k = np.arange(n, dtype=float)
-    if bc == "dirichlet":
-        k += 1.0
-    elif bc != "neumann":
-        raise ConfigError(f"unknown boundary condition {bc!r}")
-    return 4.0 / h**2 * np.sin(k * np.pi / (2 * n)) ** 2
-
-
-def discrete_laplacian_spectrum(
-    domain: Domain, grid_n: int | Sequence[int], bc: str = "neumann"
-) -> NDArray[np.float64]:
-    """Sorted eigenvalues of the finite-difference ``-Laplace`` operator.
-
-    Cell-centered grid; Neumann by ghost reflection, Dirichlet by
-    zero-pinning at the wall.  On rectangles the operator is a Kronecker
-    sum, so eigenvalues are all pairwise sums of the 1D spectra.
-    """
-    if isinstance(grid_n, int):
-        ns = (grid_n,) * domain.dimension
-    else:
-        ns = tuple(int(n) for n in grid_n)
-    if len(ns) != domain.dimension:
-        raise ConfigError(
-            f"grid_n needs {domain.dimension} entries, got {len(ns)}"
-        )
-    if any(n < 3 for n in ns):
-        raise ConfigError(f"grid_n must be >= 3 per axis, got {ns}")
-    spectra = [_fd_eigs_1d(n, L, bc) for n, L in zip(ns, domain.lengths)]
-    if domain.dimension == 1:
-        vals = spectra[0]
-    else:
-        vals = (spectra[0][:, None] + spectra[1][None, :]).ravel()
-    return np.sort(vals)

@@ -1,9 +1,9 @@
-"""Independent discrete oracles for the index and mode machinery.
+"""Independent discrete oracles for the index and the solver's linearization.
 
 Everything here is built from scratch — its own finite-difference
-Laplacian, Kronecker-product operators, a sparse LU and generalized (QZ)
-eigensolves — sharing no code with ``index_theory``, ``spectral``,
-``steady_states`` or ``pde_solver``, so agreement is evidence.
+Laplacian, Kronecker-product operators and a sparse LU — sharing no code
+with ``index_theory``, ``spectral``, ``steady_states`` or ``pde_solver``,
+so agreement is evidence.
 
 With ``K_h`` the cell-centred FD Neumann Laplacian (on a rectangle the
 Kronecker sum of the axis matrices), the solution map
@@ -19,7 +19,9 @@ every ``k``: :func:`index_oracle`.  Over the eigenbasis of ``K_h`` that
 determinant is ``prod_h det(A) prod_j (lambda_h - mu_j)``, ``mu_j`` the
 roots of ``det(lambda A - J)``, so its sign is ``(-1)^sigma``, the
 constant mode included, on a grid with as many eigenvalues below each
-real root as the exact spectrum: :func:`oracle_grid` picks one.
+real root as the exact spectrum: :func:`oracle_grid` picks one.  The
+matrix itself, :func:`linearization`, is the solver's Jacobian at a
+constant Neumann state, which acceptance criterion 2 checks.
 """
 
 from __future__ import annotations
@@ -114,14 +116,21 @@ def lu_det_sign(lu: scipy.sparse.linalg.SuperLU) -> int:
     return (-1) ** int(np.count_nonzero(pivots < 0)) * _parity(lu.perm_r) * _parity(lu.perm_c)
 
 
+def linearization(model: Model, u_star: NDArray[np.float64], n: int) -> sp.csc_matrix:
+    """``K_h (x) A(u*) - I (x) J(u*)`` on ``n`` cells per axis, node-major
+    with the ``m`` components of a node consecutive."""
+    K = fd_neumann_matrix(n, *model.domain.lengths)
+    I = sp.identity(K.shape[0])
+    return (sp.kron(K, model.A(u_star)) - sp.kron(I, model.jacobian_f(u_star))).tocsc()
+
+
 def index_oracle(model: Model, u_star: NDArray[np.float64], n: int | None = None) -> int:
     """The discrete fixed-point index ``sign det(K_h (x) A(u*) - I (x) J(u*))``
     from one sparse LU, on :func:`oracle_grid`'s grid without ``n``.
     Raises ``ValueError`` when an eigenvalue of ``A(u*)`` has a real part
     ``<= 0`` (the sign is then not the index) or the matrix is singular.
     """
-    A, J = model.A(u_star), model.jacobian_f(u_star)
-    rho = float(np.linalg.eigvals(A).real.min())
+    rho = float(np.linalg.eigvals(model.A(u_star)).real.min())
     if rho <= 0.0:
         raise ValueError(
             f"index oracle: A(u*) has an eigenvalue of real part {rho:.3e} <= 0, "
@@ -129,10 +138,9 @@ def index_oracle(model: Model, u_star: NDArray[np.float64], n: int | None = None
         )
     if n is None:
         n = oracle_grid(model, u_star)
-    K = fd_neumann_matrix(n, *model.domain.lengths)
-    M = sp.kron(K, A) - sp.kron(sp.identity(K.shape[0]), J)
+    M = linearization(model, u_star, n)
     try:
-        sign = lu_det_sign(scipy.sparse.linalg.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A"))
+        sign = lu_det_sign(scipy.sparse.linalg.splu(M, permc_spec="MMD_AT_PLUS_A"))
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
         sign = 0
     if sign == 0:
@@ -145,77 +153,3 @@ def reaction_unstable_count(model: Model, u_star: NDArray[np.float64]) -> int:
     J = model.jacobian_f(np.asarray(u_star, dtype=float))
     scale = max(1.0, float(np.linalg.norm(J, 2)))
     return int(np.sum(np.linalg.eigvals(J).real > 1e-10 * scale))
-
-
-def ev1_mu_for_mode(
-    A: NDArray[np.float64],
-    d_A: NDArray[np.float64],
-    J: NDArray[np.float64],
-    lambda_hat: float,
-) -> NDArray[np.complex128]:
-    """The ``mu`` solving ``lambda [A + (mu - 1) diag(d_A)] c = J c``.
-
-    Solved as a generalized (QZ) eigenproblem — an implementation route
-    independent of the similarity transform used by the index formula.
-    """
-    if lambda_hat <= 0:
-        raise ValueError("lambda_hat must be positive")
-    lhs = J / lambda_hat - A
-    w = scipy.linalg.eig(lhs, np.diag(d_A), right=False)
-    return np.sort_complex(1.0 + w)
-
-
-def discrete_mode_mu(
-    model: Model,
-    u_star: NDArray[np.float64],
-    n: int,
-    n_modes: int,
-) -> list[tuple[float, NDArray[np.complex128]]]:
-    """Per-discrete-mode ``mu`` values of the FD-discretized pencil.
-
-    The discrete pencil block-diagonalizes exactly over the eigenbasis of
-    the FD Laplacian (Kronecker structure), so each discrete eigenvalue
-    ``lambda_h > 0`` yields an m x m problem.  Returns the first
-    ``n_modes`` nonzero modes as ``(lambda_h, sorted mu)``.
-    """
-    if model.domain.dimension != 1:
-        raise ValueError("discrete mode oracle is built for intervals")
-    u_star = np.asarray(u_star, dtype=float)
-    A = model.A(u_star)
-    J = model.jacobian_f(u_star)
-    d_A = np.diag(A)
-    lam_h = np.linalg.eigvalsh(fd_neumann_matrix(n, model.domain.lengths[0]).toarray())
-    out: list[tuple[float, NDArray[np.complex128]]] = []
-    for lam in lam_h:
-        if lam <= 1e-10:
-            continue
-        out.append((float(lam), ev1_mu_for_mode(A, d_A, J, float(lam))))
-        if len(out) == n_modes:
-            break
-    return out
-
-
-def dense_pencil_mu(
-    model: Model,
-    u_star: NDArray[np.float64],
-    n: int,
-) -> NDArray[np.complex128]:
-    """All finite ``mu`` of the fully assembled discrete pencil via QZ.
-
-    Solves ``[K_h (x) A + (mu - 1) K_h (x) diag(d_A)] U = (I (x) J) U``
-    without exploiting the Kronecker block structure — the cross-check
-    for :func:`discrete_mode_mu`.  Constant modes appear as infinite
-    eigenvalues and are dropped.
-    """
-    if model.domain.dimension != 1:
-        raise ValueError("dense pencil oracle is built for intervals")
-    u_star = np.asarray(u_star, dtype=float)
-    A = model.A(u_star)
-    J = model.jacobian_f(u_star)
-    d_A = np.diag(np.diag(A))
-    Kh = fd_neumann_matrix(n, model.domain.lengths[0]).toarray()
-    B = np.kron(A - d_A, Kh) - np.kron(J, np.eye(n))
-    C = np.kron(d_A, Kh)
-    alpha, beta = scipy.linalg.eig(-B, C, right=False, homogeneous_eigvals=True)
-    finite = np.abs(beta) > 1e-10 * np.abs(alpha)
-    return np.sort_complex(alpha[finite] / beta[finite])

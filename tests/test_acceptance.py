@@ -12,6 +12,11 @@ from crossdiff import acceptance
 from crossdiff.acceptance import _CRITERIA
 
 
+def test_the_suite_runs_nine_criteria_in_order():
+    # A rewritten criterion must not drop out of the suite silently.
+    assert [fn.__name__ for fn in _CRITERIA] == [f"criterion_{k}" for k in range(1, 10)]
+
+
 @pytest.mark.parametrize("criterion", _CRITERIA, ids=[f.__name__ for f in _CRITERIA])
 def test_criterion(criterion):
     result = criterion()

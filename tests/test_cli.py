@@ -548,6 +548,18 @@ def test_solve_rejects_bad_radius_before_solving(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+def test_solve_accepts_a_huge_finite_radius(tmp_path, capsys):
+    # 1e308 / 2h overflows a float; the scan stops at the first ball that
+    # holds the whole grid, as at any radius past it.
+    out = tmp_path / "solve.json"
+    config = os.path.join(os.path.dirname(__file__), "golden", "readme.model.json")
+    argv = ["solve", "--config", config, "--grid", "64", "--radius", "1e308",
+            "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert "error" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["diagnostics"]["bmo_radius"] == 1e308
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from crossdiff import (
     ModelError,
     bmo_seminorm,
     build_model,
+    classify_field,
     constant_field,
     diagnostics_report,
     existence_verdict,
@@ -170,6 +172,21 @@ def test_ball_ladder_does_not_depend_on_the_unit_of_length(length):
     assert np.array(ball_radii(grid, 7.5 * h)) / h == pytest.approx([2.0, 4.0, 6.0, 7.5], rel=1e-12)
     with pytest.raises(ModelError, match="unresolvable"):
         ball_radii(grid, 0.8 * 2.0 * h)
+
+
+@pytest.mark.parametrize(
+    "kind, lengths, n", [("interval", (1e-13,), 512), ("rectangle", (3.0, 2.0), 48)]
+)
+def test_a_huge_radius_gives_the_covering_ladder(kind, lengths, n):
+    # 1e308 / 2h overflows a float; the ladder still stops at the first
+    # ball that holds the whole grid, as at any radius past it.
+    grid = make_grid(Domain(kind=kind, lengths=lengths), n)
+    h = max(grid.h)
+    span2 = sum(((k - 1) * hh) ** 2 for k, hh in zip(grid.n_cells, grid.h))
+    ladder = ball_radii(grid, 1e308)
+    assert ladder == [2.0 * h * j for j in range(1, len(ladder) + 1)]
+    assert _ball_bound(ladder[-2]) < span2 <= _ball_bound(ladder[-1])
+    assert ladder == ball_radii(grid, 4.0 * math.sqrt(span2))
 
 
 def brute_force_bmo(field, radius):
@@ -695,6 +712,17 @@ def test_report_flags_non_solutions():
     grid = make_grid(model.domain, 32)
     report = diagnostics_report(model, constant_field(grid, [0.3, 0.9]))
     assert any("not a solution" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("minimum, negative", [(-1.5e-8, True), (-0.5e-8, False)])
+def test_positivity_warning_and_negative_class_share_one_threshold(minimum, negative):
+    model = scalar_logistic()
+    grid = make_grid(model.domain, 32)
+    vals = np.ones((32, 1))
+    vals[5] = minimum
+    report = diagnostics_report(model, DiscreteField(grid=grid, values=vals))
+    assert any("positivity" in w for w in report.warnings) is negative
+    assert (classify_field(model, vals) == "negative") is negative
 
 
 def test_report_flags_negative_fields():

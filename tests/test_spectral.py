@@ -1,4 +1,4 @@
-"""Zero-flux Laplacian spectra: analytic enumeration and the discrete check."""
+"""Zero-flux Laplacian spectra: mode numbering, lookup and eigenfunctions."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossdiff import ConfigError, Domain, discrete_laplacian_spectrum, eigenfunction
+from crossdiff import ConfigError, Domain, eigenfunction
 from crossdiff.spectral import MAX_COUNT, _columns_below, mode
 
 PI = np.pi
@@ -265,59 +265,3 @@ def test_eigenfunction_interval_and_square():
     expected = np.cos(pts[:, 0]) * np.cos(2 * pts[:, 1])
     np.testing.assert_allclose(eigenfunction(square, (1, 2), pts), expected)
     np.testing.assert_allclose(eigenfunction(square, (0, 0), pts), [1.0, 1.0])
-
-
-def test_discrete_interval_spectrum_converges():
-    domain = Domain(kind="interval", lengths=(PI,))
-    vals = discrete_laplacian_spectrum(domain, 256)
-    exact = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
-    h = PI / 256
-    assert vals[0] == 0.0
-    # Second-order accuracy: |lambda_h - k^2| <= k^4 h^2 / 12 roughly.
-    np.testing.assert_allclose(vals[:5], exact, atol=30 * h**2)
-
-
-def test_discrete_dirichlet_spectrum_near_squares():
-    domain = Domain(kind="interval", lengths=(PI,))
-    vals = discrete_laplacian_spectrum(domain, 512, bc="dirichlet")
-    np.testing.assert_allclose(vals[:3], [1.0, 4.0, 9.0], rtol=1e-3)
-
-
-def test_discrete_minimum_grid():
-    domain = Domain(kind="interval", lengths=(PI,))
-    vals = discrete_laplacian_spectrum(domain, 3)
-    assert len(vals) == 3
-    assert vals[0] == 0.0
-    with pytest.raises(ConfigError):
-        discrete_laplacian_spectrum(domain, 2)
-
-
-def test_discrete_matches_dense_assembly():
-    # Dual route: closed-form eigenvalues against a
-    # dense matrix assembled here from scratch.
-    n, L = 24, PI
-    h = L / n
-    dense = np.zeros((n, n))
-    for i in range(n):
-        dense[i, i] = 2.0
-        if i > 0:
-            dense[i, i - 1] = -1.0
-        if i < n - 1:
-            dense[i, i + 1] = -1.0
-    dense[0, 0] = 1.0
-    dense[-1, -1] = 1.0
-    dense /= h**2
-    expected = np.sort(np.linalg.eigvalsh(dense))
-    got = discrete_laplacian_spectrum(Domain(kind="interval", lengths=(L,)), n)
-    np.testing.assert_allclose(got[1:], expected[1:], rtol=1e-10)
-    assert got[0] == 0.0
-
-
-def test_discrete_rectangle_is_pairwise_sum():
-    domain = Domain(kind="rectangle", lengths=(PI, 2.0))
-    vals = discrete_laplacian_spectrum(domain, (8, 12))
-    a = discrete_laplacian_spectrum(Domain(kind="interval", lengths=(PI,)), 8)
-    b = discrete_laplacian_spectrum(Domain(kind="interval", lengths=(2.0,)), 12)
-    expected = np.sort((a[:, None] + b[None, :]).ravel())
-    expected[0] = 0.0
-    np.testing.assert_allclose(vals, expected, atol=1e-12)

@@ -1,4 +1,4 @@
-"""Discrete determinant and pencil oracles used to verify the index formula."""
+"""Discrete determinant oracle used to verify the index formula."""
 
 from __future__ import annotations
 
@@ -11,13 +11,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from crossdiff import build_model, constant_state_index, discrete_laplacian_spectrum
+from crossdiff import build_model, constant_state_index
 from crossdiff import verification
-from crossdiff.model import Domain
 from crossdiff.verification import (
-    dense_pencil_mu,
-    discrete_mode_mu,
-    ev1_mu_for_mode,
     fd_neumann_matrix,
     index_oracle,
     lu_det_sign,
@@ -43,19 +39,6 @@ def interval_model(m, d, r, c, alpha=None, length=PI):
     )
 
 
-def assert_multiset_close(a, b, tol):
-    # Conjugate pairs sort unstably when real parts agree only to
-    # rounding, so compare as multisets via nearest-neighbour matching.
-    a = np.asarray(a)
-    remaining = list(np.asarray(b))
-    assert a.shape[0] == len(remaining)
-    for z in a:
-        dist = [abs(z - w) for w in remaining]
-        j = int(np.argmin(dist))
-        assert dist[j] < tol, f"no partner for {z} within {tol}"
-        remaining.pop(j)
-
-
 def test_fd_neumann_matrix_structure():
     K = fd_neumann_matrix(16, PI).toarray()
     np.testing.assert_allclose(K, K.T, atol=0.0)
@@ -65,20 +48,23 @@ def test_fd_neumann_matrix_structure():
     assert K[1, 1] == pytest.approx(2.0 / h**2)
 
 
-def test_fd_matrix_spectrum_matches_spectral_module():
+def fd_eigenvalues(n, L):
+    """Closed form of the FD Neumann spectrum on ``(0, L)``, ascending:
+    ``(2n / L)^2 sin^2(k pi / 2n)`` for ``k = 0..n-1``."""
+    return (2 * n / L) ** 2 * np.sin(np.arange(n) * PI / (2 * n)) ** 2
+
+
+def test_fd_matrix_spectrum_matches_the_closed_form():
     n = 64
-    model = interval_model(1, (1.0,), (0.0,), ((0.0,),))
     vals = np.linalg.eigvalsh(fd_neumann_matrix(n, PI).toarray())
-    spec = discrete_laplacian_spectrum(model.domain, n, bc="neumann")
-    np.testing.assert_allclose(vals[:8], spec[:8], rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(vals, fd_eigenvalues(n, PI), rtol=1e-10, atol=1e-10)
 
 
 def test_fd_matrix_on_a_rectangle_is_the_kronecker_sum():
     # Its spectrum is every pairwise sum of the two axis spectra.
-    domain = Domain(kind="rectangle", lengths=(3.0, 2.0))
     vals = np.linalg.eigvalsh(fd_neumann_matrix(12, 3.0, 2.0).toarray())
-    spec = discrete_laplacian_spectrum(domain, 12, bc="neumann")
-    np.testing.assert_allclose(vals, spec, rtol=1e-10, atol=1e-10)
+    sums = fd_eigenvalues(12, 3.0)[:, None] + fd_eigenvalues(12, 2.0)[None, :]
+    np.testing.assert_allclose(vals, np.sort(sums.ravel()), rtol=1e-10, atol=1e-10)
 
 
 def random_sparse(rng):
@@ -147,85 +133,11 @@ def test_index_oracle_refuses_a_singular_matrix(n):
         index_oracle(model, np.array([0.5]), n=n)
 
 
-def test_ev1_mu_diagonal_closed_form():
-    # Diagonal data decouples: mu_i = j_i / (lambda_hat a_i).
-    mu = ev1_mu_for_mode(np.eye(2), np.ones(2), np.diag([2.0, -1.0]), 1.0)
-    np.testing.assert_allclose(mu, [-1.0, 2.0], atol=1e-12)
-    mu = ev1_mu_for_mode(np.eye(2), np.ones(2), np.diag([2.0, -1.0]), 4.0)
-    np.testing.assert_allclose(mu, [-0.25, 0.5], atol=1e-12)
-
-
-def test_ev1_mu_rejects_constant_mode():
-    with pytest.raises(ValueError):
-        ev1_mu_for_mode(np.eye(2), np.ones(2), np.zeros((2, 2)), 0.0)
-
-
-def test_discrete_mode_mu_approaches_analytic():
-    model = interval_model(2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)))
-    u_star = np.ones(2)
-    A = model.A(u_star)
-    J = model.jacobian_f(u_star)
-    modes = discrete_mode_mu(model, u_star, n=512, n_modes=4)
-    for j, (lam_h, mu_h) in enumerate(modes, start=1):
-        assert lam_h == pytest.approx(j**2, rel=1e-3)
-        mu_exact = ev1_mu_for_mode(A, np.diag(A), J, float(j**2))
-        np.testing.assert_allclose(mu_h, mu_exact, rtol=2e-3, atol=2e-3)
-
-
-def test_dense_pencil_agrees_with_blockwise_modes():
-    # The full QZ pencil (no Kronecker shortcut) must reproduce the
-    # per-mode eigenvalues: same multiset of finite mu.
-    n = 48
-    model = interval_model(2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)))
-    u_star = np.ones(2)
-    dense = dense_pencil_mu(model, u_star, n)
-    blocks = discrete_mode_mu(model, u_star, n, n_modes=n - 1)
-    assert len(blocks) == n - 1
-    stacked = np.sort_complex(np.concatenate([mu for _, mu in blocks]))
-    assert dense.shape == stacked.shape
-    assert_multiset_close(dense, stacked, tol=1e-7)
-
-
-def test_dense_pencil_with_cross_diffusion():
-    # Same agreement when A(u*) has genuine off-diagonal flux coupling.
-    n = 32
-    model = interval_model(
-        2,
-        (0.5, 1.0),
-        (1.0, 1.0),
-        ((-1.0, 2.0), (-3.0, 4.0)),
-        alpha=[[0.1, 1.5], [0.7, 0.0]],
-    )
-    u_star = np.ones(2)
-    dense = dense_pencil_mu(model, u_star, n)
-    blocks = discrete_mode_mu(model, u_star, n, n_modes=n - 1)
-    stacked = np.sort_complex(np.concatenate([mu for _, mu in blocks]))
-    assert_multiset_close(dense, stacked, tol=1e-6)
-
-
 def test_reaction_unstable_count_examples():
     model = interval_model(2, (1.0, 1.0), (-2.0, 1.0), ((-2.0, 0.0), (0.0, 1.0)))
     assert reaction_unstable_count(model, np.ones(2)) == 1
     turing = interval_model(2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)))
     assert reaction_unstable_count(turing, np.ones(2)) == 0
-
-
-def test_oracles_reject_rectangles():
-    model = build_model(
-        {
-            "m": 1,
-            "d": [1.0],
-            "alpha": [[0.0]],
-            "r": [1.0],
-            "c": [[1.0]],
-            "domain": {"kind": "rectangle", "lengths": [PI, PI]},
-            "bc": "neumann",
-        }
-    )
-    with pytest.raises(ValueError, match="interval"):
-        discrete_mode_mu(model, np.ones(1), 32, 3)
-    with pytest.raises(ValueError, match="interval"):
-        dense_pencil_mu(model, np.ones(1), 32)
 
 
 def readme_on(lengths, d1, alpha_21):
