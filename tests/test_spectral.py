@@ -1,4 +1,5 @@
-"""Zero-flux Laplacian spectra: mode numbering, lookup and eigenfunctions."""
+"""Zero-flux Laplacian spectra: mode numbering, lookup and eigenfunctions,
+and the discrete Laplacians of the solver and of the index oracle."""
 
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossdiff import ConfigError, Domain, eigenfunction
+from crossdiff import ConfigError, Domain, build_model, discretize, eigenfunction, make_grid
 from crossdiff.spectral import MAX_COUNT, _columns_below, mode
+from crossdiff.verification import fd_neumann_matrix
 
 PI = np.pi
 
@@ -265,3 +267,86 @@ def test_eigenfunction_interval_and_square():
     expected = np.cos(pts[:, 0]) * np.cos(2 * pts[:, 1])
     np.testing.assert_allclose(eigenfunction(square, (1, 2), pts), expected)
     np.testing.assert_allclose(eigenfunction(square, (0, 0), pts), [1.0, 1.0])
+
+
+def solver_laplacian(lengths, n_cells, bc="neumann"):
+    """The solver's ``-Laplace``, dense: the Jacobian of one species with
+    ``d = 1`` and no kinetics at the zero state."""
+    kind = "interval" if len(lengths) == 1 else "rectangle"
+    model = build_model(
+        {
+            "m": 1,
+            "d": [1.0],
+            "alpha": [[0.0]],
+            "r": [0.0],
+            "c": [[0.0]],
+            "domain": {"kind": kind, "lengths": list(lengths)},
+            "bc": bc,
+        }
+    )
+    grid = make_grid(model.domain, n_cells)
+    system = discretize(model, grid)
+    return system.jacobian(np.zeros(grid.shape + (1,))).toarray()
+
+
+def test_discrete_interval_spectrum_converges():
+    # The oracle's FD spectrum tends to mode()'s k^2 at second order:
+    # |lambda_h - k^2| <= k^4 h^2 / 12 roughly.
+    domain = Domain(kind="interval", lengths=(PI,))
+    vals = np.linalg.eigvalsh(fd_neumann_matrix(256, PI).toarray())
+    exact = [value for value, _ in modes(domain, 5)]
+    assert exact == [0.0, 1.0, 4.0, 9.0, 16.0]
+    h = PI / 256
+    assert abs(vals[0]) < 1e-9
+    np.testing.assert_allclose(vals[:5], exact, atol=30 * h**2)
+
+
+def test_discrete_dirichlet_spectrum_near_squares():
+    # The solver's Dirichlet walls: eigenvalues near k^2, k >= 1, on (0, pi).
+    vals = np.linalg.eigvalsh(solver_laplacian((PI,), 512, bc="dirichlet"))
+    np.testing.assert_allclose(vals[:3], [1.0, 4.0, 9.0], rtol=1e-3)
+
+
+def test_discrete_minimum_grid():
+    # On the coarsest grid make_grid accepts, the solver's Neumann
+    # Laplacian is the oracle's FD matrix entry by entry.
+    K = solver_laplacian((PI,), 8)
+    np.testing.assert_allclose(K, fd_neumann_matrix(8, PI).toarray(), rtol=1e-14, atol=0.0)
+    vals = np.linalg.eigvalsh(K)
+    assert len(vals) == 8
+    assert abs(vals[0]) < 1e-12 and vals[1] > 0.5
+    with pytest.raises(ConfigError, match="too coarse"):
+        make_grid(Domain(kind="interval", lengths=(PI,)), 7)
+
+
+def test_discrete_matches_dense_assembly():
+    # Dual route: the oracle's sparse FD matrix against a dense matrix
+    # assembled here from scratch, entries and eigenvalues.
+    n, L = 24, PI
+    h = L / n
+    dense = np.zeros((n, n))
+    for i in range(n):
+        dense[i, i] = 2.0
+        if i > 0:
+            dense[i, i - 1] = -1.0
+        if i < n - 1:
+            dense[i, i + 1] = -1.0
+    dense[0, 0] = 1.0
+    dense[-1, -1] = 1.0
+    dense /= h**2
+    K = fd_neumann_matrix(n, L).toarray()
+    np.testing.assert_allclose(K, dense, rtol=1e-14, atol=0.0)
+    expected = np.sort(np.linalg.eigvalsh(dense))
+    got = np.linalg.eigvalsh(K)
+    np.testing.assert_allclose(got[1:], expected[1:], rtol=1e-10)
+    assert abs(got[0]) < 1e-9
+
+
+def test_discrete_rectangle_is_pairwise_sum():
+    # The solver's Neumann Laplacian on an 8 x 12 grid of the pi x 2
+    # rectangle: its spectrum is every pairwise sum of the two axis ones.
+    vals = np.linalg.eigvalsh(solver_laplacian((PI, 2.0), (8, 12)))
+    a = np.linalg.eigvalsh(solver_laplacian((PI,), 8))
+    b = np.linalg.eigvalsh(solver_laplacian((2.0,), 12))
+    expected = np.sort((a[:, None] + b[None, :]).ravel())
+    np.testing.assert_allclose(vals, expected, atol=1e-10)

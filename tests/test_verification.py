@@ -11,15 +11,17 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from crossdiff import build_model, constant_state_index
+from crossdiff import Domain, build_model, constant_state_index
 from crossdiff import verification
 from crossdiff.verification import (
     fd_neumann_matrix,
     index_oracle,
+    linearization,
     lu_det_sign,
     oracle_grid,
     reaction_unstable_count,
 )
+from crossdiff.spectral import mode
 
 PI = np.pi
 
@@ -58,6 +60,17 @@ def test_fd_matrix_spectrum_matches_the_closed_form():
     n = 64
     vals = np.linalg.eigvalsh(fd_neumann_matrix(n, PI).toarray())
     np.testing.assert_allclose(vals, fd_eigenvalues(n, PI), rtol=1e-10, atol=1e-10)
+
+
+def test_fd_matrix_spectrum_matches_spectral_module():
+    # The first eight FD eigenvalues are mode()'s, with multiplicity, to
+    # the O(h^2) of the stencil: the square's double 1, and 4 twice on
+    # pi x pi/2.
+    n = 24
+    for lengths in [(PI, PI), (PI, PI / 2)]:
+        vals = np.linalg.eigvalsh(fd_neumann_matrix(n, *lengths).toarray())[:8]
+        exact = [mode(Domain(kind="rectangle", lengths=lengths), K)[0] for K in range(8)]
+        np.testing.assert_allclose(vals, exact, rtol=2e-2, atol=1e-9)
 
 
 def test_fd_matrix_on_a_rectangle_is_the_kronecker_sum():
@@ -131,6 +144,58 @@ def test_index_oracle_refuses_a_singular_matrix(n):
     model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
     with pytest.raises(ValueError, match=f"singular at n = {n}"):
         index_oracle(model, np.array([0.5]), n=n)
+
+
+def assert_multiset_close(a, b, tol):
+    # Conjugate pairs sort unstably when real parts agree only to
+    # rounding, so compare as multisets via nearest-neighbour matching.
+    a = np.asarray(a)
+    remaining = list(np.asarray(b))
+    assert a.shape[0] == len(remaining)
+    for z in a:
+        dist = [abs(z - w) for w in remaining]
+        j = int(np.argmin(dist))
+        assert dist[j] < tol, f"no partner for {z} within {tol}"
+        remaining.pop(j)
+
+
+def blockwise_eigenvalues(model, u_star, n):
+    """Eigenvalues of ``lambda_h A(u*) - J(u*)`` over the closed-form FD
+    spectrum, one ``m x m`` block per mode."""
+    A, J = model.A(u_star), model.jacobian_f(u_star)
+    return np.concatenate(
+        [np.linalg.eigvals(lam * A - J) for lam in fd_eigenvalues(n, model.domain.lengths[0])]
+    )
+
+
+def test_dense_pencil_agrees_with_blockwise_modes():
+    # The whole linearization, eigenvalues from the dense matrix (no
+    # Kronecker shortcut), is the union of the per-mode blocks.
+    n = 48
+    model = interval_model(2, (0.4, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)))
+    u_star = np.ones(2)
+    dense = np.linalg.eigvals(linearization(model, u_star, n).toarray())
+    blocks = blockwise_eigenvalues(model, u_star, n)
+    assert dense.shape == blocks.shape == (2 * n,)
+    assert_multiset_close(dense, blocks, tol=1e-9 * np.abs(blocks).max())
+
+
+def test_dense_pencil_with_cross_diffusion():
+    # Same agreement when A(u*) has genuine off-diagonal flux coupling.
+    n = 32
+    model = interval_model(
+        2,
+        (0.5, 1.0),
+        (1.0, 1.0),
+        ((-1.0, 2.0), (-3.0, 4.0)),
+        alpha=[[0.1, 1.5], [0.7, 0.0]],
+    )
+    u_star = np.ones(2)
+    A = model.A(u_star)
+    assert A[0, 1] != 0.0 and A[1, 0] != 0.0
+    dense = np.linalg.eigvals(linearization(model, u_star, n).toarray())
+    blocks = blockwise_eigenvalues(model, u_star, n)
+    assert_multiset_close(dense, blocks, tol=1e-9 * np.abs(blocks).max())
 
 
 def test_reaction_unstable_count_examples():
