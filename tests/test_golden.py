@@ -4,7 +4,8 @@
 Each ``<name>.model.json`` under ``tests/golden/`` is analyzed into
 ``<name>.report.json``; the two sweep CSVs come from the commands in
 :data:`SWEEPS`, and each ``<name>.solve.json`` from the solve in
-:data:`SOLVES`, whose field CSV is pinned by its SHA-256.  To re-record
+:data:`SOLVES`, whose exit code is stated and whose field CSV is pinned
+by its SHA-256.  To re-record
 a file after a deliberate change of bytes, run the same command with
 ``--output`` pointing into ``tests/golden/``; a solve report is written
 as ``<dir>/solve.json``, so that its ``field_csv`` reads
@@ -57,26 +58,59 @@ SWEEPS = {
 
 _SKT = json.loads((GOLDEN / "skt-2d.model.json").read_text())
 
-# name: (model config file or dict, solve arguments, SHA-256 of the field CSV)
+_LOGISTIC = {
+    "m": 1, "d": [1.0], "alpha": [[0.0]], "r": [1.0], "c": [[1.0]],
+    "domain": {"kind": "interval", "lengths": [3.141592653589793]}, "bc": "neumann",
+}
+
+# name: (model config file or dict, solve arguments, exit code,
+#        SHA-256 of the field CSV)
 SOLVES = {
     # Direct Newton from a mode seed to the nonconstant Turing pattern.
     "readme-mode1-512": (
-        "readme.model.json", ["--grid", "512", "--seed-mode", "1", "--amp", "1.5"],
+        "readme.model.json", ["--grid", "512", "--seed-mode", "1", "--amp", "1.5"], cli.EXIT_OK,
         "53877cead49a940770493d1f0b06bb557a8feaabde78700353f8ae5f4b9feedb",
     ),
     # Grid-sequenced continuation: stages on 24x24, one Newton run on 48x48.
     "skt-2d-seed0": (
-        "skt-2d.model.json", ["--grid", "48", "--seed-random", "0"],
+        "skt-2d.model.json", ["--grid", "48", "--seed-random", "0"], cli.EXIT_OK,
         "bbe8a373e9eee980a48dcd85f6fd2aa0fc904a7f71c5a783c5843f03156ca36f",
     ),
     "skt-2d-seed7": (
-        "skt-2d.model.json", ["--grid", "48", "--seed-random", "7"],
+        "skt-2d.model.json", ["--grid", "48", "--seed-random", "7"], cli.EXIT_OK,
         "bbe8a373e9eee980a48dcd85f6fd2aa0fc904a7f71c5a783c5843f03156ca36f",
     ),
     # Dirichlet walls: 94 steps over 9 stages to a nonconstant field.
     "skt-dirichlet-32": (
-        {**_SKT, "bc": "dirichlet"}, ["--grid", "32", "--seed-random", "1"],
+        {**_SKT, "bc": "dirichlet"}, ["--grid", "32", "--seed-random", "1"], cli.EXIT_OK,
         "7764b05656e4f10bbba99f63995f8c06565ca542cde70203d216727158dd975c",
+    ),
+    # The failure paths.  A direct solve that stagnates: its last iterate,
+    # 12 steps and 13 factorizations.
+    "one-sided-seed3-newton": (
+        "one-sided.model.json", ["--grid", "128", "--seed-random", "3", "--no-homotopy"],
+        cli.EXIT_SOLVER,
+        "ce88717838de3527bf14f895713554a2fca70140630f89982b9833f3c2f4a4a3",
+    ),
+    # Coarse and full-grid stages both fail: the path is bisected until
+    # its step underflows near t = 0.977, after 374 steps and 522
+    # factorizations.
+    "one-sided-seed3": (
+        "one-sided.model.json", ["--grid", "128", "--seed-random", "3"], cli.EXIT_SOLVER,
+        "9042d9a25272070f816366b42c19a5bc20f1a03afe70b278127998c4b65adf80",
+    ),
+    # The coarse stages fail and the full-grid ones converge: no
+    # refinement, and the factorizations of both attempts are counted.
+    "one-sided-seed5": (
+        "one-sided.model.json", ["--grid", "128", "--seed-random", "5"], cli.EXIT_OK,
+        "7fd67d63764e692f0a483a5d0179391c622c6c7da4ad26f025322bec40a61267",
+    ),
+    # Logistic growth at u = 1/2, where the Jacobian is the bare Neumann
+    # operator: no stage converges on either grid, and the answer is the
+    # seed with an empty t_path.
+    "logistic-half": (
+        _LOGISTIC, ["--grid", "32", "--seed-constant", "0.5"], cli.EXIT_SOLVER,
+        "d85227bf4596bae6231c0922de79deae23b75bdaecc3622823e89d23e8801f01",
     ),
 }
 
@@ -103,7 +137,7 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, name):
 
 @pytest.mark.parametrize("name", list(SOLVES))
 def test_solve_report_and_field_match_golden(tmp_path, name):
-    config, args, field_sha256 = SOLVES[name]
+    config, args, exit_code, field_sha256 = SOLVES[name]
     if isinstance(config, dict):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(config))
@@ -111,7 +145,7 @@ def test_solve_report_and_field_match_golden(tmp_path, name):
         path = GOLDEN / config
     out = tmp_path / "solve.json"
     code = cli.main(["solve", "--config", str(path), "--output", str(out), *args])
-    assert code == cli.EXIT_OK
+    assert code == exit_code
     assert out.read_bytes() == (GOLDEN / f"{name}.solve.json").read_bytes()
     field = (tmp_path / "solve_field.csv").read_bytes()
     assert hashlib.sha256(field).hexdigest() == field_sha256
