@@ -13,15 +13,17 @@ it with SuperLU under the minimum-degree ordering on the pattern of
 structurally symmetric stencil matrix.  The residual and the Jacobian
 read their face states from one face loop.  Solvers:
 damped Newton, and homotopy continuation in the cross-diffusion
-strength (``alpha -> t * alpha`` for ``t`` from 0 to 1), the
+strength (``alpha -> t * alpha`` for ``t`` from 0 to 1 in
+``HOMOTOPY_STEPS = 8`` steps, each bisected on failure), the
 deformation to the weakly coupled system that the degree argument
 uses: every constant state is a root of every member of the family.
 A stage sets ``t * alpha`` on its grid's one :class:`DiscreteSystem`;
 it builds no model and no system.
 Both return a :class:`SolveResult`; a solve that stops short has
 ``converged=False`` and the reason in ``warnings``.  Inside, each Newton
-run yields one ``_Run`` record (last iterate, residual, counts, history,
-failure), and a homotopy stage loop sums its stages into one.
+run yields one ``_Run`` record (last iterate, residual history,
+factorizations, failure); a solve keeps every run it makes, and
+``_finalize`` reads its result from them.
 
 Newton reuses a factorization while it pays (a chord step, as in
 Deuflhard's *Newton Methods for Nonlinear Problems*): once a Newton run
@@ -30,7 +32,7 @@ factor and keeps it when the residual norm contracts by at least
 ``CHORD_CONTRACTION = 0.5``; otherwise the factor is dropped and the
 iteration refactors at the current iterate and takes the damped Newton
 step.  The factor never outlives one Newton run, i.e. one
-continuation stage.  A run's ``max_iter`` budget bounds its
+continuation stage.  ``MAX_FACTORIZATIONS = 100`` bounds a run's
 factorizations: a chord step that halves the residual is free.
 
 The continuation is grid-sequenced (mesh sequencing, a Newton globalizer
@@ -54,7 +56,6 @@ zero flux; Dirichlet walls reflect the ghost state (``u_ghost =
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import warnings as _warnings
 from dataclasses import dataclass
@@ -77,6 +78,11 @@ MIN_CELLS = 8
 # A chord step from a stale LU is kept when it cuts the residual norm by
 # at least this factor; otherwise the Jacobian is refactored.
 CHORD_CONTRACTION = 0.5
+# Each Newton run may factor its Jacobian at most this many times.
+MAX_FACTORIZATIONS = 100
+# A continuation's stages: t over linspace(0, 1, HOMOTOPY_STEPS + 1),
+# before any bisection.
+HOMOTOPY_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -401,13 +407,28 @@ class Refinement:
 class SolveResult:
     """Outcome of one nonlinear solve (possibly through a homotopy path).
 
-    ``iterations`` counts the accepted steps, chord and Newton, of the
-    stages that converged; ``factorizations`` counts every ``splu``
-    call of the solve, failed and bisected stages included.
-    ``refinement`` holds the coarse answer of a grid-sequenced
-    continuation, ``None`` for a solve on one grid.  Norms of the field
-    and its positivity are facts of :mod:`crossdiff.diagnostics`, not of
-    the solve.
+    It is read from every Newton run of the solve, one rule per field:
+
+    - ``field``: a direct solve's last iterate, even when it failed; a
+      continuation's fine run if it converged, else its last converged
+      full-grid stage, else the seed;
+    - ``converged``: the last run converged;
+    - ``residual_history``: the answer's run's residual norms (for the
+      seed, the one the last run computed there); ``residual_norm`` is
+      its last entry, ``nan`` when it has none;
+    - ``iterations``: the accepted steps, chord and Newton, of every run
+      that converged, plus those of the answer's own run;
+    - ``factorizations``: the ``splu`` calls of every run, failed and
+      bisected stages included;
+    - ``t_path``: ``(1.0,)`` for a direct solve, else the ``t`` of each
+      converged stage of the attempt that gave the answer;
+    - ``tolerance``: when converged, the answer's run's target
+      ``tol * (1 + ||R(start)||)``; when failed, ``tol``;
+    - ``refinement``: the coarse stages' answer when a fine run followed
+      them, else ``None``.
+
+    Norms of the field and its positivity are facts of
+    :mod:`crossdiff.diagnostics`, not of the solve.
     """
 
     field: DiscreteField
@@ -445,51 +466,70 @@ def classify_field(model: Model, values: NDArray[np.float64]) -> str:
 
 @dataclass(frozen=True)
 class _Run:
-    """One Newton run, or one stage loop summed into a record.
-
-    ``values`` is the last iterate and ``residual_norm`` its residual
-    norm (``nan`` when the seed's residual is not finite); ``history``
-    holds the residual norms of every iterate up to it.  ``tolerance``
-    is the absolute target ``tol * (1 + ||R(seed)||)`` of a converged
-    run and ``tol`` of a failed one.  ``iterations`` counts the accepted
-    steps, chord and Newton, and ``factorizations`` the ``splu`` calls.
-    ``failure`` says why a run stopped short, ``None`` when it converged.
-    """
+    """One Newton run: its last iterate, the residual norms of every
+    iterate up to it (empty when the start's residual is not finite),
+    its ``splu`` calls, and why it stopped short (``None`` when it
+    converged)."""
 
     values: NDArray[np.float64]
-    residual_norm: float
-    tolerance: float
-    iterations: int
-    factorizations: int
     history: list[float]
-    t_path: tuple[float, ...] = (1.0,)
+    factorizations: int
     failure: str | None = None
+
+    @property
+    def steps(self) -> int:
+        """Accepted steps, chord and Newton."""
+        return max(len(self.history) - 1, 0)
 
 
 def _finalize(
-    model: Model,
-    grid: Grid,
+    system: DiscreteSystem,
     seed: NDArray[np.float64],
-    run: _Run,
-    coarse: tuple[Grid, NDArray[np.float64]] | None = None,
+    tol: float,
+    runs: list[tuple[float | None, _Run]],
 ) -> SolveResult:
-    values = run.values
-    warns = [] if run.failure is None else [run.failure]
+    """Read a solve's :class:`SolveResult`, by the rules stated there,
+    from every Newton run it made.  ``runs`` holds them in order as
+    ``(t, run)``: a homotopy stage with its ``t``, and the direct run of
+    :func:`newton_solve` or the fine run of a grid-sequenced
+    continuation with ``t = None``."""
+    model, grid = system.model, system.grid
+    stages = [(t, run) for t, run in runs if t is not None]
+    polish = next((run for t, run in runs if t is None), None)
+    if not stages:
+        answer, path = polish, [1.0]
+    elif polish is not None and polish.failure is None:
+        # No full-grid stage runs after a converged fine run.
+        answer, path = polish, [t for t, run in stages if run.failure is None]
+    else:
+        done = [(t, run) for t, run in stages
+                if run.failure is None and run.values.shape == seed.shape]
+        answer = done[-1][1] if done else None
+        path = [t for t, _ in done]
+    last_t, last = runs[-1]
+    converged = last.failure is None
+    values, history = (seed, last.history[:1]) if answer is None else (answer.values, answer.history)
+    if converged:
+        warns = []
+    elif last_t is None:
+        warns = [last.failure]
+    else:
+        warns = [f"homotopy step underflow below {MIN_STEP} near t = {last_t:.6g}: {last.failure}"]
     classification = classify_field(model, values)
     refinement = None
-    if coarse is not None:
-        coarse_grid, coarse_values = coarse
+    if stages and polish is not None:
+        coarse_values = [run for _, run in stages if run.values.shape != seed.shape][-1].values
         refinement = Refinement(
-            coarse_grid=coarse_grid.n_cells,
+            coarse_grid=coarse_values.shape[:-1],
             coarse_classification=classify_field(model, coarse_values),
             prolongation_gap=float(
-                np.abs(values - prolong(coarse_values, model.bc.kind == "dirichlet")).max()
+                np.abs(values - prolong(coarse_values, system.dirichlet)).max()
             ),
         )
         if refinement.coarse_classification != classification:
             warns.append(
                 f"classification changes on refinement: {refinement.coarse_classification} "
-                f"on the {'x'.join(map(str, coarse_grid.n_cells))} grid, "
+                f"on the {'x'.join(map(str, refinement.coarse_grid))} grid, "
                 f"{classification} on the {'x'.join(map(str, grid.n_cells))} grid"
             )
     seed_max = np.abs(seed.reshape(-1, model.m)).max(axis=0)
@@ -509,15 +549,15 @@ def _finalize(
             )
     return SolveResult(
         field=DiscreteField(grid=grid, values=values),
-        converged=run.failure is None,
-        residual_norm=run.residual_norm,
-        iterations=run.iterations,
-        factorizations=run.factorizations,
-        t_path=run.t_path,
+        converged=converged,
+        residual_norm=history[-1] if history else float("nan"),
+        iterations=sum(run.steps for _, run in runs if run.failure is None or run is answer),
+        factorizations=sum(run.factorizations for _, run in runs),
+        t_path=tuple(path),
         classification=classification,
-        tolerance=run.tolerance,
+        tolerance=tol * (1.0 + history[0]) if converged else tol,
         warnings=tuple(warns),
-        residual_history=tuple(run.history),
+        residual_history=tuple(history),
         refinement=refinement,
     )
 
@@ -548,7 +588,6 @@ def _newton_core(
     system: DiscreteSystem,
     values: NDArray[np.float64],
     tol: float,
-    max_iter: int,
 ) -> _Run:
     """Chord-accelerated damped Newton, as one :class:`_Run`.
 
@@ -560,9 +599,9 @@ def _newton_core(
     stale factor and keeps it when ``||R(u + delta)|| <= CHORD_CONTRACTION
     * ||R(u)||``; otherwise it drops the factor and takes a Newton step
     at the current iterate.  Both kinds of step count as iterations;
-    ``max_iter`` bounds the factorizations, so a chord step that keeps
-    halving the residual is free.  A run that stops short returns its
-    last iterate with ``failure`` set.
+    ``MAX_FACTORIZATIONS`` bounds the factorizations, so a chord step
+    that keeps halving the residual is free.  A run that stops short
+    returns its last iterate with ``failure`` set.
     """
     R = system.residual(values)
     rn = float(np.linalg.norm(R))
@@ -570,12 +609,12 @@ def _newton_core(
         # A solver's seed is checked on entry (_seed_values); this stops a
         # continuation stage whose warm start overflows, which would
         # otherwise pass the convergence test (inf > inf is false).
-        return _Run(values, float("nan"), tol, 0, 0, [], failure="non-finite residual at the seed")
+        return _Run(values, [], 0, "non-finite residual at the seed")
     history = [rn]
     factorizations = 0
 
     def stop(message: str) -> _Run:
-        return _Run(values, rn, tol, len(history) - 1, factorizations, history, failure=message)
+        return _Run(values, history, factorizations, message)
 
     # Relative convergence test: flux cancellations floor the achievable
     # absolute residual at roughly eps * ||A|| * ||u|| / h^2.
@@ -594,9 +633,9 @@ def _newton_core(
                     continue
             # Release the stale factor first: two L + U never coexist.
             lu = None
-        if factorizations == max_iter:
+        if factorizations == MAX_FACTORIZATIONS:
             return stop(
-                f"no convergence within {max_iter} factorizations (residual "
+                f"no convergence within {MAX_FACTORIZATIONS} factorizations (residual "
                 f"{rn:.3e}, target {abs_tol:.3e})"
             )
         J = system.jacobian(values)
@@ -624,7 +663,7 @@ def _newton_core(
                 )
         values, R, rn = trial, R_try, rt
         history.append(rn)
-    return _Run(values, rn, abs_tol, len(history) - 1, factorizations, history)
+    return _Run(values, history, factorizations)
 
 
 def newton_solve(
@@ -632,21 +671,19 @@ def newton_solve(
     grid: Grid,
     seed: DiscreteField | NDArray[np.float64],
     tol: float = TOL_NEWTON,
-    max_iter: int = 100,
     forcing: NDArray[np.float64] | None = None,
 ) -> SolveResult:
     """Damped-Newton solve, with chord steps, from a seed field.
 
     The result holds the last iterate, its residual norm, the steps
     taken (chord and Newton), the factorizations made and the residual
-    history.  ``max_iter`` bounds the factorizations.  A run that stops
-    short (budget spent, failed linear solve, stagnating line search)
-    returns ``converged=False`` with the reason in ``warnings``.
+    history.  ``MAX_FACTORIZATIONS`` bounds the factorizations.  A run
+    that stops short (budget spent, failed linear solve, stagnating line
+    search) returns ``converged=False`` with the reason in ``warnings``.
     """
     system = discretize(model, grid, forcing=forcing)
     start = _seed_values(seed, system)
-    run = _newton_core(system, start, tol, max_iter)
-    return _finalize(model, grid, start, run)
+    return _finalize(system, start, tol, [(None, _newton_core(system, start, tol))])
 
 
 def half_grid(grid: Grid) -> Grid | None:
@@ -707,74 +744,49 @@ def prolong(values: NDArray[np.float64], dirichlet: bool) -> NDArray[np.float64]
 def _stage_loop(
     system: DiscreteSystem,
     values: NDArray[np.float64],
-    steps: int,
     tol: float,
-    max_iter: int,
-) -> _Run:
-    """Homotopy stages on one grid's one system: each stage sets its
-    ``alpha`` to ``t * system.model.alpha`` and is warm-started from the
-    previous one; a failed step is bisected down to ``MIN_STEP``.
+    runs: list[tuple[float | None, _Run]],
+) -> bool:
+    """Homotopy stages at ``t`` in ``linspace(0, 1, HOMOTOPY_STEPS + 1)``
+    on one grid's one system: each stage sets its ``alpha`` to
+    ``t * system.model.alpha`` and is warm-started from the previous
+    one; a failed step is bisected down to ``MIN_STEP``.
 
-    Returns the run of the last converged stage with ``iterations``
-    summed over the converged stages, ``factorizations`` over all of
-    them and ``t_path`` the ``t`` of each converged stage.  When a step
-    underflows, ``failure`` says where; if no stage converged, the
-    record is the seed with the residual norm the first stage computed
-    there.
+    Appends every stage, failed and bisected ones included, to ``runs``
+    as ``(t, run)``, and says whether the stages reached ``t = 1``.
     """
-    last: _Run | None = None
-    path: list[float] = []
-    iterations = factorizations = 0
     t_prev = 0.0
-    queue = [float(t) for t in np.linspace(0.0, 1.0, steps + 1)]
+    queue = [float(t) for t in np.linspace(0.0, 1.0, HOMOTOPY_STEPS + 1)]
     while queue:
         t = queue[0]
         system.alpha = t * system.model.alpha
-        run = _newton_core(system, values, tol, max_iter)
-        factorizations += run.factorizations
+        run = _newton_core(system, values, tol)
+        runs.append((t, run))
         if run.failure is not None:
             mid = 0.5 * (t_prev + t)
-            if t - mid >= MIN_STEP:
-                queue.insert(0, mid)
-                continue
-            if last is None:
-                seed_rn = run.history[0] if run.history else float("nan")
-                last = _Run(values, seed_rn, tol, 0, 0, run.history[:1])
-            return dataclasses.replace(
-                last, tolerance=tol, iterations=iterations,
-                factorizations=factorizations, t_path=tuple(path),
-                failure=(
-                    f"homotopy step underflow below {MIN_STEP} near "
-                    f"t = {t:.6g}: {run.failure}"
-                ),
-            )
-        values = run.values
-        last = run
-        iterations += run.iterations
-        path.append(t)
-        t_prev = t
+            if t - mid < MIN_STEP:
+                return False
+            queue.insert(0, mid)
+            continue
+        values, t_prev = run.values, t
         queue.pop(0)
-    return dataclasses.replace(
-        last, iterations=iterations, factorizations=factorizations, t_path=tuple(path)
-    )
+    return True
 
 
 def continuation_solve(
     model: Model,
     grid: Grid,
     seed: DiscreteField | NDArray[np.float64],
-    steps: int = 8,
     tol: float = TOL_NEWTON,
-    max_iter: int = 100,
 ) -> SolveResult:
     """Homotopy continuation in the cross-diffusion strength, grid-sequenced.
 
     Solves the family with cross-diffusion ``t * alpha`` for ``t`` over
-    ``linspace(0, 1, steps + 1)``, warm-starting each stage from the
-    previous solution and bisecting a failed step down to ``MIN_STEP``.
-    Every constant state is a root of every member, so the path keeps
-    the branch of a seed near one.  The ``t = 0`` member is the
-    semilinear system ``-Div(d Du) = f(u)``, whose Newton matrix at a
+    ``linspace(0, 1, HOMOTOPY_STEPS + 1)``, warm-starting each stage from
+    the previous solution and bisecting a failed step down to
+    ``MIN_STEP``.  Every constant state is a root of every member, so the
+    path keeps the branch of a seed near one.  The ``t = 0`` member is
+    the semilinear system ``-Div(d Du) = f(u)``, whose Newton matrix at a
     generic seed is nonsingular; the ``t = 1`` member is the target.
 
     When :func:`half_grid` can halve the grid, the stages run there,
@@ -782,39 +794,23 @@ def continuation_solve(
     on the full grid polishes the :func:`prolong`-ed answer (mesh
     sequencing).  The coarse answer is kept as ``refinement``.  If the
     coarse stages or the fine run fail, the stages run again on the full
-    grid from the original seed.  ``iterations`` and ``factorizations``
-    count both attempts; ``t_path`` is the path of the attempt that gave
-    the answer.  When the full-grid stages fail too, the result has
-    ``converged=False``, the reason in ``warnings`` and the field of the
-    last converged stage (the seed when none converged).
+    grid from the original seed.  :func:`_finalize` reads the result
+    from every run of both attempts; when the full-grid stages fail
+    too, it has ``converged=False``, the reason in ``warnings`` and the
+    field of the last converged full-grid stage (the seed when none
+    converged).
     """
-    if steps < 1:
-        raise ModelError("steps must be >= 1")
     system = discretize(model, grid)
     start = _seed_values(seed, system)
-    spent_iters = spent_lus = 0
-    coarse_answer = None
+    runs: list[tuple[float | None, _Run]] = []
     coarse = half_grid(grid)
-    if coarse is not None:
-        stages = _stage_loop(DiscreteSystem(model, coarse), restrict(start), steps, tol, max_iter)
-        spent_iters, spent_lus = stages.iterations, stages.factorizations
-        if stages.failure is None:
-            coarse_answer = (coarse, stages.values)
-            fine = prolong(stages.values, model.bc.kind == "dirichlet")
-            run = _newton_core(system, fine, tol, max_iter)
-            spent_lus += run.factorizations
-            if run.failure is None:
-                run = dataclasses.replace(
-                    run, iterations=spent_iters + run.iterations,
-                    factorizations=spent_lus, t_path=stages.t_path,
-                )
-                return _finalize(model, grid, start, run, coarse=coarse_answer)
-    stages = _stage_loop(system, start, steps, tol, max_iter)
-    run = dataclasses.replace(
-        stages, iterations=spent_iters + stages.iterations,
-        factorizations=spent_lus + stages.factorizations,
-    )
-    return _finalize(model, grid, start, run, coarse=coarse_answer)
+    if coarse is not None and _stage_loop(DiscreteSystem(model, coarse), restrict(start), tol, runs):
+        fine = prolong(runs[-1][1].values, system.dirichlet)
+        runs.append((None, _newton_core(system, fine, tol)))
+        if runs[-1][1].failure is None:
+            return _finalize(system, start, tol, runs)
+    _stage_loop(system, start, tol, runs)
+    return _finalize(system, start, tol, runs)
 
 
 def seed_from_mode(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from crossdiff import acceptance
+from crossdiff import acceptance, pde_solver
 from crossdiff.acceptance import _CRITERIA
 
 
@@ -27,10 +27,7 @@ def test_criterion(criterion):
 
 def test_criterion_8_fails_when_a_solve_does_not_converge(monkeypatch):
     # No factorization allowed: every solve stops at its seed.
-    solve = acceptance.newton_solve
-    monkeypatch.setattr(
-        acceptance, "newton_solve", lambda *args, **kwargs: solve(*args, max_iter=0, **kwargs)
-    )
+    monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 0)
     result = acceptance.criterion_8()
     assert not result.passed
     assert result.detail.startswith("no convergence on the 32-cell grid: no convergence within 0")

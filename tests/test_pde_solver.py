@@ -412,13 +412,14 @@ def test_newton_singular_jacobian_raises_convergence_error(monkeypatch):
     grid = make_grid(model.domain, 32)
     seed = constant_field(grid, [0.5])
     calls = splu_calls(monkeypatch)
-    soft = newton_solve(model, grid, seed, max_iter=3)
+    monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 3)
+    soft = newton_solve(model, grid, seed)
     assert not soft.converged
     assert soft.warnings
     assert soft.factorizations == len(calls) == 1
 
 
-def test_failed_soft_newton_reports_its_last_iterate():
+def test_failed_soft_newton_reports_its_last_iterate(monkeypatch):
     # Two factorizations from a random field around u* = (1, 1) pay for
     # two Newton steps and one chord step, which leave a residual of
     # 0.4868: the result is that iterate, not the seed.
@@ -426,7 +427,8 @@ def test_failed_soft_newton_reports_its_last_iterate():
     grid = make_grid(model.domain, 64)
     seed = random_field(grid, [0.5, 0.5], [1.5, 1.5], seed=0)
     full = newton_solve(model, grid, seed)
-    soft = newton_solve(model, grid, seed, max_iter=2)
+    monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 2)
+    soft = newton_solve(model, grid, seed)
     assert not soft.converged
     assert "no convergence within 2 factorizations" in soft.warnings[0]
     assert soft.iterations == 3
@@ -508,7 +510,9 @@ def test_continuation_bisects_on_stage_failure(monkeypatch):
     # An odd cell count keeps the stages on this grid.
     model, grid, pattern = followed_turing_pattern(63)
     calls = splu_calls(monkeypatch)
-    result = continuation_solve(model, grid, pattern.field, steps=2, max_iter=1)
+    monkeypatch.setattr(pde_solver, "HOMOTOPY_STEPS", 2)
+    monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 1)
+    result = continuation_solve(model, grid, pattern.field)
     assert result.converged
     assert result.factorizations == len(calls)
     assert result.classification == "nonconstant"
@@ -672,14 +676,6 @@ def test_continuation_stages_run_no_model_checks(monkeypatch):
     assert calls == []
 
 
-def test_continuation_schedule_validation():
-    model = weak_lv()
-    grid = make_grid(model.domain, 16)
-    seed = constant_field(grid, [0.6, 0.8])
-    with pytest.raises(ModelError, match="steps"):
-        continuation_solve(model, grid, seed, steps=0)
-
-
 def test_continuation_underflow_reports_partial_result(monkeypatch):
     # One factorization can never reach tolerance from this seed, so the
     # t = 0 stage fails and the homotopy step underflows.  The failed
@@ -690,7 +686,8 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
     grid = make_grid(model.domain, 15)
     seed = constant_field(grid, [0.37, 0.41])
     calls = splu_calls(monkeypatch)
-    soft = continuation_solve(model, grid, seed, max_iter=1)
+    monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 1)
+    soft = continuation_solve(model, grid, seed)
     assert not soft.converged
     assert soft.factorizations == len(calls) == 1
     assert any("underflow" in w for w in soft.warnings)
@@ -700,14 +697,16 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
     assert soft.residual_norm == float(np.linalg.norm(discretize(t0, grid).residual(seed.values)))
 
 
-@pytest.mark.parametrize("steps, max_iter, stages, factorizations", [(2, 3, 3, 4), (1, 2, 2, 3)])
-def test_iteration_budget_counts_factorizations_only(monkeypatch, steps, max_iter, stages, factorizations):
+@pytest.mark.parametrize("steps, budget, stages, factorizations", [(2, 3, 3, 4), (1, 2, 2, 3)])
+def test_iteration_budget_counts_factorizations_only(monkeypatch, steps, budget, stages, factorizations):
     # Chord steps that halve the residual are free.  Counted against the
     # budget they made these schedules bisect: (2, 3) took 408 stages and
     # 814 factorizations, (1, 2) took 2,724 stages and 5,448.
     model, grid, pattern = followed_turing_pattern(63)
     calls = splu_calls(monkeypatch)
-    result = continuation_solve(model, grid, pattern.field, steps=steps, max_iter=max_iter)
+    monkeypatch.setattr(pde_solver, "HOMOTOPY_STEPS", steps)
+    monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", budget)
+    result = continuation_solve(model, grid, pattern.field)
     assert result.converged
     assert len(result.t_path) == stages
     assert result.factorizations == len(calls) == factorizations
@@ -832,13 +831,13 @@ def test_failed_fine_newton_falls_back_to_the_single_grid_stages(monkeypatch):
     core = pde_solver._newton_core
     forced = []
 
-    def failing_first_fine_run(system, values, tol, max_iter):
+    def failing_first_fine_run(system, values, tol):
         # The first Newton run on the full grid factors once and fails.
         if system.grid.shape == grid.shape and not forced:
             forced.append(values)
             pde_solver.splu(system.jacobian(values), permc_spec="MMD_AT_PLUS_A")
-            return pde_solver._Run(values, float("nan"), tol, 0, 1, [], failure="forced failure")
-        return core(system, values, tol, max_iter)
+            return pde_solver._Run(values, [], 1, "forced failure")
+        return core(system, values, tol)
 
     monkeypatch.setattr(pde_solver, "_newton_core", failing_first_fine_run)
     result = continuation_solve(model, grid, seed)
@@ -865,7 +864,8 @@ def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
     model = weak_lv()
     grid = make_grid(model.domain, 16)
     calls = splu_calls(monkeypatch)
-    soft = continuation_solve(model, grid, constant_field(grid, [0.37, 0.41]), max_iter=1)
+    monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 1)
+    soft = continuation_solve(model, grid, constant_field(grid, [0.37, 0.41]))
     assert not soft.converged
     assert soft.factorizations == len(calls) == 2
     assert soft.refinement is None
