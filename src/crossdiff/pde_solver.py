@@ -413,9 +413,12 @@ class SolveResult:
       continuation's fine run if it converged, else its last converged
       full-grid stage, else the seed;
     - ``converged``: the last run converged;
-    - ``residual_history``: the answer's run's residual norms (for the
-      seed, the one the last run computed there); ``residual_norm`` is
-      its last entry, ``nan`` when it has none;
+    - ``residual_norm``: ``||R(field)||`` of the target system (``t = 1``
+      on the full grid): when converged, the answer's run's last
+      residual; when failed, recomputed, since a failed continuation's
+      answer is a stage's at ``t < 1`` or the seed;
+    - ``residual_history``: the answer's run's residual norms, empty for
+      the seed;
     - ``iterations``: the accepted steps, chord and Newton, of every run
       that converged, plus those of the answer's own run;
     - ``factorizations``: the ``splu`` calls of every run, failed and
@@ -508,13 +511,13 @@ def _finalize(
         path = [t for t, _ in done]
     last_t, last = runs[-1]
     converged = last.failure is None
-    values, history = (seed, last.history[:1]) if answer is None else (answer.values, answer.history)
-    if converged:
-        warns = []
-    elif last_t is None:
-        warns = [last.failure]
-    else:
-        warns = [f"homotopy step underflow below {MIN_STEP} near t = {last_t:.6g}: {last.failure}"]
+    values, history = (seed, []) if answer is None else (answer.values, answer.history)
+    # A failed stage loop leaves the system at its last t * alpha.
+    system.alpha = model.alpha
+    residual_norm = history[-1] if converged else float(np.linalg.norm(system.residual(values)))
+    warns = [] if converged else [last.failure if last_t is None else (
+        f"homotopy step underflow below {MIN_STEP} near t = {last_t:.6g}: {last.failure}"
+    )]
     classification = classify_field(model, values)
     refinement = None
     if stages and polish is not None:
@@ -550,7 +553,7 @@ def _finalize(
     return SolveResult(
         field=DiscreteField(grid=grid, values=values),
         converged=converged,
-        residual_norm=history[-1] if history else float("nan"),
+        residual_norm=residual_norm,
         iterations=sum(run.steps for _, run in runs if run.failure is None or run is answer),
         factorizations=sum(run.factorizations for _, run in runs),
         t_path=tuple(path),
@@ -794,11 +797,8 @@ def continuation_solve(
     on the full grid polishes the :func:`prolong`-ed answer (mesh
     sequencing).  The coarse answer is kept as ``refinement``.  If the
     coarse stages or the fine run fail, the stages run again on the full
-    grid from the original seed.  :func:`_finalize` reads the result
-    from every run of both attempts; when the full-grid stages fail
-    too, it has ``converged=False``, the reason in ``warnings`` and the
-    field of the last converged full-grid stage (the seed when none
-    converged).
+    grid from the original seed.  The result is read from every run of
+    both attempts, by the rules of :class:`SolveResult`.
     """
     system = discretize(model, grid)
     start = _seed_values(seed, system)

@@ -94,7 +94,7 @@ SOLVES = {
     ),
     # Coarse and full-grid stages both fail: the path is bisected until
     # its step underflows near t = 0.977, after 374 steps and 522
-    # factorizations.
+    # factorizations.  The residual norm is the answer's at t = 1.
     "one-sided-seed3": (
         "one-sided.model.json", ["--grid", "128", "--seed-random", "3"], cli.EXIT_SOLVER,
         "9042d9a25272070f816366b42c19a5bc20f1a03afe70b278127998c4b65adf80",

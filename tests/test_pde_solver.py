@@ -681,7 +681,7 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
     # t = 0 stage fails and the homotopy step underflows.  The failed
     # stage's factorization is counted.  An odd cell count keeps the
     # stages on this grid.  With no stage converged the result is the
-    # seed, with the residual norm the t = 0 stage computed there.
+    # seed, with its residual norm at t = 1.
     model = weak_lv()
     grid = make_grid(model.domain, 15)
     seed = constant_field(grid, [0.37, 0.41])
@@ -693,8 +693,28 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
     assert any("underflow" in w for w in soft.warnings)
     assert soft.t_path == () and soft.iterations == 0
     np.testing.assert_array_equal(soft.field.values, seed.values)
-    t0 = dataclasses.replace(model, alpha=0.0 * model.alpha)
-    assert soft.residual_norm == float(np.linalg.norm(discretize(t0, grid).residual(seed.values)))
+    assert soft.residual_norm == float(np.linalg.norm(discretize(model, grid).residual(seed.values)))
+
+
+def test_failed_continuation_reports_the_target_residual_of_its_answer(monkeypatch):
+    # Every stage with cross-diffusion fails, so only the t = 0 stage
+    # converges and the step after it underflows: the result is the
+    # t = 0 stage's field.  Its residual norm is the target's, at t = 1,
+    # not the t = 0 stage's.
+    model, grid, pattern = followed_turing_pattern(63)
+    core = pde_solver._newton_core
+
+    def no_cross_diffusion(system, values, tol):
+        if system.alpha.any():
+            return pde_solver._Run(values, [], 0, "forced failure")
+        return core(system, values, tol)
+
+    monkeypatch.setattr(pde_solver, "_newton_core", no_cross_diffusion)
+    soft = continuation_solve(model, grid, pattern.field)
+    assert not soft.converged and soft.t_path == (0.0,)
+    assert soft.residual_history[-1] < 1e-8
+    residual = float(np.linalg.norm(discretize(model, grid).residual(soft.field.values)))
+    assert soft.residual_norm == residual > 1e-3
 
 
 @pytest.mark.parametrize("steps, budget, stages, factorizations", [(2, 3, 3, 4), (1, 2, 2, 3)])
