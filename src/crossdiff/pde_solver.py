@@ -413,10 +413,9 @@ class SolveResult:
       continuation's fine run if it converged, else its last converged
       full-grid stage, else the seed;
     - ``converged``: the last run converged;
-    - ``residual_norm``: ``||R(field)||`` of the target system (``t = 1``
-      on the full grid): when converged, the answer's run's last
-      residual; when failed, recomputed, since a failed continuation's
-      answer is a stage's at ``t < 1`` or the seed;
+    - ``residual_norm``: ``||R(field)||`` of the target system (``t = 1``,
+      full grid): the answer's run's last residual when converged,
+      recomputed when failed (the answer may be a stage's or the seed);
     - ``residual_history``: the answer's run's residual norms, empty for
       the seed;
     - ``iterations``: the accepted steps, chord and Newton, of every run
@@ -493,17 +492,17 @@ def _finalize(
 ) -> SolveResult:
     """Read a solve's :class:`SolveResult`, by the rules stated there,
     from every Newton run it made.  ``runs`` holds them in order as
-    ``(t, run)``: a homotopy stage with its ``t``, and the direct run of
-    :func:`newton_solve` or the fine run of a grid-sequenced
-    continuation with ``t = None``."""
+    ``(t, run)``: a homotopy stage with its ``t``, and a run on the
+    target system itself, the direct run of :func:`newton_solve` or the
+    fine run of a grid-sequenced continuation, with ``t = None``."""
     model, grid = system.model, system.grid
     stages = [(t, run) for t, run in runs if t is not None]
-    polish = next((run for t, run in runs if t is None), None)
+    target = next((run for t, run in runs if t is None), None)
     if not stages:
-        answer, path = polish, [1.0]
-    elif polish is not None and polish.failure is None:
+        answer, path = target, [1.0]
+    elif target is not None and target.failure is None:
         # No full-grid stage runs after a converged fine run.
-        answer, path = polish, [t for t, run in stages if run.failure is None]
+        answer, path = target, [t for t, run in stages if run.failure is None]
     else:
         done = [(t, run) for t, run in stages
                 if run.failure is None and run.values.shape == seed.shape]
@@ -515,12 +514,15 @@ def _finalize(
     # A failed stage loop leaves the system at its last t * alpha.
     system.alpha = model.alpha
     residual_norm = history[-1] if converged else float(np.linalg.norm(system.residual(values)))
-    warns = [] if converged else [last.failure if last_t is None else (
-        f"homotopy step underflow below {MIN_STEP} near t = {last_t:.6g}: {last.failure}"
-    )]
+    if converged:
+        warns = []
+    elif last_t is None:  # the direct run: a failed fine run is never the last
+        warns = [last.failure]
+    else:
+        warns = [f"homotopy step underflow below {MIN_STEP} near t = {last_t:.6g}: {last.failure}"]
     classification = classify_field(model, values)
     refinement = None
-    if stages and polish is not None:
+    if stages and target is not None:
         coarse_values = [run for _, run in stages if run.values.shape != seed.shape][-1].values
         refinement = Refinement(
             coarse_grid=coarse_values.shape[:-1],
@@ -805,9 +807,9 @@ def continuation_solve(
     runs: list[tuple[float | None, _Run]] = []
     coarse = half_grid(grid)
     if coarse is not None and _stage_loop(DiscreteSystem(model, coarse), restrict(start), tol, runs):
-        fine = prolong(runs[-1][1].values, system.dirichlet)
-        runs.append((None, _newton_core(system, fine, tol)))
-        if runs[-1][1].failure is None:
+        fine = _newton_core(system, prolong(runs[-1][1].values, system.dirichlet), tol)
+        runs.append((None, fine))
+        if fine.failure is None:
             return _finalize(system, start, tol, runs)
     _stage_loop(system, start, tol, runs)
     return _finalize(system, start, tol, runs)
