@@ -8,10 +8,14 @@ kind)`` and shared by every system on that grid: each call computes
 only the block values and sums them into their slots with
 ``np.bincount``, in assembly order (faces axis by axis, Dirichlet
 walls after each axis's faces, reaction blocks last).  Newton factors
-it with SuperLU under the minimum-degree ordering on the pattern of
-``J + J^T`` (``permc_spec="MMD_AT_PLUS_A"``), which suits this
-structurally symmetric stencil matrix.  The residual and the Jacobian
-read their face states from one face loop.  Solvers:
+it through one seam, :func:`_factor`, chosen by the grid's dimension.
+On an interval the node-major Jacobian is banded, ``kl = ku = 2m - 1``,
+and LAPACK's partial-pivoting banded LU (``dgbtrf``/``dgbtrs``) factors
+it from a band array filled through a slot map the pattern holds.  On a
+rectangle SuperLU factors it under the minimum-degree ordering on the
+pattern of ``J + J^T`` (``permc_spec="MMD_AT_PLUS_A"``), which suits
+this structurally symmetric stencil matrix.  The residual and the
+Jacobian read their face states from one face loop.  Solvers:
 damped Newton, and homotopy continuation in the cross-diffusion
 strength (``alpha -> t * alpha`` for ``t`` from 0 to 1 in
 ``HOMOTOPY_STEPS = 8`` steps, each bisected on failure), the
@@ -64,6 +68,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from .model import ConfigError, Domain, Model, ModelError, flux_matrix
@@ -309,12 +314,17 @@ class _JacobianPattern:
     """CSC structure of the Jacobian on one grid.
 
     ``slots[k]`` is the position in ``data`` of the k-th entry that
-    :meth:`DiscreteSystem.jacobian` assembles, in its order.
+    :meth:`DiscreteSystem.jacobian` assembles, in its order.  On an
+    interval ``band[k]`` is the position of ``data[k]`` in the flattened
+    ``(n, 3 kl + 1)`` array whose transpose is the LAPACK band storage
+    that ``dgbtrf`` factors, ``kl = ku = 2m - 1``; on a rectangle
+    ``band`` is ``None``.
     """
 
     indptr: NDArray[np.int32]
     indices: NDArray[np.int32]
     slots: NDArray[np.intp]
+    band: NDArray[np.intp] | None
 
 
 @functools.lru_cache(maxsize=4)
@@ -372,13 +382,57 @@ def _jacobian_pattern(
     nodes = ids.ravel()
     slots.append(entries(nodes, nodes, ndim))
     slots = np.concatenate(slots)
-    # An unfilled slot would hand uninitialised row indices to SuperLU.
+    # An unfilled slot would hand uninitialised row indices to the LU.
     if np.bincount(slots, minlength=indices.size).min() == 0:
         raise RuntimeError(f"Jacobian pattern on {shape} leaves a slot empty")
-    pattern = _JacobianPattern(indptr.astype(np.int32), indices, slots)
-    for arr in (pattern.indptr, pattern.indices, pattern.slots):
-        arr.flags.writeable = False
+    band = None
+    if ndim == 1:
+        # Entry (i, j) sits in row kl + ku + i - j of band column j; the
+        # top kl rows are room for the pivoting's fill.
+        kl = 2 * m - 1
+        cols = np.repeat(np.arange(ids.size * m), np.diff(indptr))
+        band = cols * (3 * kl + 1) + 2 * kl + indices - cols
+    pattern = _JacobianPattern(indptr.astype(np.int32), indices, slots, band)
+    for arr in (pattern.indptr, pattern.indices, pattern.slots, pattern.band):
+        if arr is not None:
+            arr.flags.writeable = False
     return pattern
+
+
+class _BandLU:
+    """Partial-pivoting LU of a banded matrix with ``kl = ku``, by LAPACK's
+    ``dgbtrf``; ``solve(b)`` is ``dgbtrs``, as SuperLU's ``solve``."""
+
+    def __init__(self, J: sp.csc_matrix, band: NDArray[np.intp], kl: int) -> None:
+        ab = np.zeros((J.shape[0], 3 * kl + 1))
+        ab.reshape(-1)[band] = J.data
+        self.kl = kl
+        self.lu, self.piv, info = dgbtrf(ab.T, kl, kl, overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")  # SuperLU's words
+        if info < 0:
+            raise ValueError(f"dgbtrf: illegal argument {-info}")
+
+    def solve(self, b: NDArray[np.float64]) -> NDArray[np.float64]:
+        x, info = dgbtrs(self.lu, self.kl, self.kl, b, self.piv)
+        if info < 0:
+            raise ValueError(f"dgbtrs: illegal argument {-info}")
+        return x
+
+
+def _factor(system: DiscreteSystem, J: sp.csc_matrix):
+    """LU factor of the Jacobian ``J`` of ``system``, with ``solve(b)``.
+
+    The grid's dimension chooses: on an interval a :class:`_BandLU`
+    (LAPACK's banded LU, ``kl = ku = 2m - 1``), on a rectangle SuperLU
+    under ``permc_spec="MMD_AT_PLUS_A"``.  A singular factor raises
+    ``RuntimeError("Factor is exactly singular")`` on both.
+    """
+    m = system.model.m
+    band = _jacobian_pattern(system.grid.shape, m, system.dirichlet).band
+    if band is None:
+        return splu(J, permc_spec="MMD_AT_PLUS_A")
+    return _BandLU(J, band, 2 * m - 1)
 
 
 def discretize(
@@ -420,8 +474,9 @@ class SolveResult:
       the seed;
     - ``iterations``: the accepted steps, chord and Newton, of every run
       that converged, plus those of the answer's own run;
-    - ``factorizations``: the ``splu`` calls of every run, failed and
-      bisected stages included;
+    - ``factorizations``: the LU factorizations of every run, failed
+      and bisected stages included (LAPACK's banded LU on an interval,
+      SuperLU under ``MMD_AT_PLUS_A`` on a rectangle);
     - ``t_path``: ``(1.0,)`` for a direct solve, else the ``t`` of each
       converged stage of the attempt that gave the answer;
     - ``tolerance``: when converged, the answer's run's target
@@ -470,7 +525,7 @@ def classify_field(model: Model, values: NDArray[np.float64]) -> str:
 class _Run:
     """One Newton run: its last iterate, the residual norms of every
     iterate up to it (empty when the start's residual is not finite),
-    its ``splu`` calls, and why it stopped short (``None`` when it
+    its factorizations, and why it stopped short (``None`` when it
     converged)."""
 
     values: NDArray[np.float64]
@@ -597,8 +652,9 @@ def _newton_core(
     """Chord-accelerated damped Newton, as one :class:`_Run`.
 
     A Newton step assembles the Jacobian on the grid's shared CSC
-    pattern (duplicates summed in assembly order), factors it with
-    ``splu`` under the ``MMD_AT_PLUS_A`` column ordering and takes a
+    pattern (duplicates summed in assembly order), factors it through
+    :func:`_factor` (LAPACK's banded LU on an interval, SuperLU under
+    the ``MMD_AT_PLUS_A`` column ordering on a rectangle) and takes a
     damped step.  Once the run holds a factorization, each
     iteration first tries the full chord step ``lu.solve(-R)`` from that
     stale factor and keeps it when ``||R(u + delta)|| <= CHORD_CONTRACTION
@@ -646,7 +702,7 @@ def _newton_core(
         J = system.jacobian(values)
         factorizations += 1
         try:
-            lu = splu(J, permc_spec="MMD_AT_PLUS_A")
+            lu = _factor(system, J)
             delta = lu.solve(-R.reshape(-1))
         except RuntimeError as exc:
             return stop(f"linear solve failed: {exc}")

@@ -446,13 +446,13 @@ def test_field_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, fill,
 
 def test_solve_reports_its_factorizations(tmp_path, capsys, monkeypatch):
     calls = []
-    factor = pde_solver.splu
+    factor = pde_solver._factor
 
     def recording(*args, **kwargs):
         calls.append(1)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(pde_solver, "splu", recording)
+    monkeypatch.setattr(pde_solver, "_factor", recording)
     cfg = write_config(tmp_path, SKT)
     out = str(tmp_path / "s.json")
     code = cli.main(

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 
 from crossdiff import (
     ConfigError,
@@ -346,19 +347,60 @@ def test_stage_alpha_on_a_system_matches_a_model_with_that_alpha(kind, bc, m, t)
         np.testing.assert_array_equal(getattr(J, name), getattr(J_built, name))
 
 
+def cross_diffusing_model(kind, bc, m):
+    if m == 1:
+        return interval_model(1, (0.7,), (1.0,), ((1.0,),), alpha=((0.4,),), bc=bc)
+    return (coupled_model if m == 2 else three_species_model)(kind, bc, 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_banded_factor_solves_as_superlu_on_an_interval(bc, m):
+    model = cross_diffusing_model("interval", bc, m)
+    grid = make_grid(model.domain, 24)
+    system = discretize(model, grid)
+    J = system.jacobian(random_field(grid, [0.3] * m, [1.7] * m, seed=4).values)
+    lu = pde_solver._factor(system, J)
+    assert isinstance(lu, pde_solver._BandLU)
+    b = np.random.default_rng(5).standard_normal(J.shape[0])
+    expected = splu(J, permc_spec="MMD_AT_PLUS_A").solve(b)
+    x = lu.solve(b)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_banded_factor_of_a_singular_jacobian_raises_superlus_error():
+    # The logistic Jacobian at u = 1/2 is the bare Neumann operator.
+    model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
+    grid = make_grid(model.domain, 32)
+    system = discretize(model, grid)
+    J = system.jacobian(constant_field(grid, [0.5]).values)
+    for factor in (lambda: splu(J, permc_spec="MMD_AT_PLUS_A"), lambda: pde_solver._factor(system, J)):
+        with pytest.raises(RuntimeError, match="^Factor is exactly singular$"):
+            factor()
+
+
+def test_rectangle_jacobian_is_factored_by_superlu():
+    model = coupled_model("rectangle", "neumann", 1.0)
+    grid = make_grid(model.domain, (9, 8))
+    system = discretize(model, grid)
+    J = system.jacobian(random_field(grid, [0.3, 0.3], [1.7, 1.7], seed=4).values)
+    assert isinstance(pde_solver._factor(system, J), SuperLU)
+
+
 # -- Newton -----------------------------------------------------------------
 
 
-def splu_calls(monkeypatch):
-    """Record every ``splu`` call the solver makes, failed ones included."""
+def factor_calls(monkeypatch):
+    """Record every factorization the solver makes, failed ones included:
+    the calls of its one factor seam, banded or SuperLU."""
     calls = []
-    factor = pde_solver.splu
+    factor = pde_solver._factor
 
     def recording(*args, **kwargs):
         calls.append(1)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(pde_solver, "splu", recording)
+    monkeypatch.setattr(pde_solver, "_factor", recording)
     return calls
 
 
@@ -396,7 +438,7 @@ def test_solvers_reject_a_seed_whose_residual_overflows(monkeypatch, solve):
     # The seed 1e200 is finite, but the logistic term u^2 overflows.
     model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
     grid = make_grid(model.domain, 32)
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ModelError, match="the residual at the seed overflows a float"):
@@ -411,7 +453,7 @@ def test_newton_singular_jacobian_raises_convergence_error(monkeypatch):
     model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
     grid = make_grid(model.domain, 32)
     seed = constant_field(grid, [0.5])
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 3)
     soft = newton_solve(model, grid, seed)
     assert not soft.converged
@@ -509,7 +551,7 @@ def test_continuation_bisects_on_stage_failure(monkeypatch):
     # grid.  The factorizations of the failed stages are counted too.
     # An odd cell count keeps the stages on this grid.
     model, grid, pattern = followed_turing_pattern(63)
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     monkeypatch.setattr(pde_solver, "HOMOTOPY_STEPS", 2)
     monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 1)
     result = continuation_solve(model, grid, pattern.field)
@@ -565,7 +607,7 @@ def test_skt_continuation_keeps_one_factorization_per_stage_that_needs_one(monke
     # Newton factored once per iteration: 5 times.
     model = skt_2d()
     grid = make_grid(model.domain, 48)
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
     result = continuation_solve(model, grid, seed)
     assert result.converged
@@ -581,7 +623,7 @@ def test_chord_steps_refactor_when_they_stall(monkeypatch):
     # by less than CHORD_CONTRACTION.
     model = turing()
     grid = make_grid(model.domain, 64)
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     result = newton_solve(model, grid, random_field(grid, [0.5, 0.5], [1.5, 1.5], seed=0))
     assert result.converged
     assert result.factorizations == len(calls)
@@ -685,7 +727,7 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
     model = weak_lv()
     grid = make_grid(model.domain, 15)
     seed = constant_field(grid, [0.37, 0.41])
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 1)
     soft = continuation_solve(model, grid, seed)
     assert not soft.converged
@@ -723,7 +765,7 @@ def test_iteration_budget_counts_factorizations_only(monkeypatch, steps, budget,
     # budget they made these schedules bisect: (2, 3) took 408 stages and
     # 814 factorizations, (1, 2) took 2,724 stages and 5,448.
     model, grid, pattern = followed_turing_pattern(63)
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     monkeypatch.setattr(pde_solver, "HOMOTOPY_STEPS", steps)
     monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", budget)
     result = continuation_solve(model, grid, pattern.field)
@@ -847,7 +889,7 @@ def test_failed_fine_newton_falls_back_to_the_single_grid_stages(monkeypatch):
     model = skt_2d()
     grid = make_grid(model.domain, 16)
     seed = random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0)
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     core = pde_solver._newton_core
     forced = []
 
@@ -855,7 +897,7 @@ def test_failed_fine_newton_falls_back_to_the_single_grid_stages(monkeypatch):
         # The first Newton run on the full grid factors once and fails.
         if system.grid.shape == grid.shape and not forced:
             forced.append(values)
-            pde_solver.splu(system.jacobian(values), permc_spec="MMD_AT_PLUS_A")
+            pde_solver._factor(system, system.jacobian(values))
             return pde_solver._Run(values, [], 1, "forced failure")
         return core(system, values, tol)
 
@@ -883,7 +925,7 @@ def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
     # stages fail first, then the full-grid ones; both factorizations count.
     model = weak_lv()
     grid = make_grid(model.domain, 16)
-    calls = splu_calls(monkeypatch)
+    calls = factor_calls(monkeypatch)
     monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 1)
     soft = continuation_solve(model, grid, constant_field(grid, [0.37, 0.41]))
     assert not soft.converged
