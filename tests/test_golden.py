@@ -69,7 +69,7 @@ SOLVES = {
     # Direct Newton from a mode seed to the nonconstant Turing pattern.
     "readme-mode1-512": (
         "readme.model.json", ["--grid", "512", "--seed-mode", "1", "--amp", "1.5"], cli.EXIT_OK,
-        "53877cead49a940770493d1f0b06bb557a8feaabde78700353f8ae5f4b9feedb",
+        "efe21c17ebb8cf77c84c6aabc3e84f76ba889b48ee0089c8dc758cd74ba09623",
     ),
     # Grid-sequenced continuation: stages on 24x24, one Newton run on 48x48.
     "skt-2d-seed0": (
@@ -90,20 +90,20 @@ SOLVES = {
     "one-sided-seed3-newton": (
         "one-sided.model.json", ["--grid", "128", "--seed-random", "3", "--no-homotopy"],
         cli.EXIT_SOLVER,
-        "ce88717838de3527bf14f895713554a2fca70140630f89982b9833f3c2f4a4a3",
+        "29e4dbf8ef6cb4f8f80710327235d0eb51b3848b667d242a066691a499d630ba",
     ),
     # Coarse and full-grid stages both fail: the path is bisected until
-    # its step underflows near t = 0.977, after 374 steps and 522
+    # its step underflows near t = 0.977, after 375 steps and 517
     # factorizations.  The residual norm is the answer's at t = 1.
     "one-sided-seed3": (
         "one-sided.model.json", ["--grid", "128", "--seed-random", "3"], cli.EXIT_SOLVER,
-        "9042d9a25272070f816366b42c19a5bc20f1a03afe70b278127998c4b65adf80",
+        "b9e6a72fe111fe48100445fa1f74d3345c654511ce1cdd1589dfb736408b7ea2",
     ),
     # The coarse stages fail and the full-grid ones converge: no
     # refinement, and the factorizations of both attempts are counted.
     "one-sided-seed5": (
         "one-sided.model.json", ["--grid", "128", "--seed-random", "5"], cli.EXIT_OK,
-        "7fd67d63764e692f0a483a5d0179391c622c6c7da4ad26f025322bec40a61267",
+        "c8528a375530f7467c1c31d5104eddf98b2b4d80100fa61ce5c0f6c88008ee9e",
     ),
     # Logistic growth at u = 1/2, where the Jacobian is the bare Neumann
     # operator: no stage converges on either grid, and the answer is the
