@@ -421,7 +421,8 @@ class _BandLU:
 
 
 def _factor(system: DiscreteSystem, J: sp.csc_matrix):
-    """LU factor of the Jacobian ``J`` of ``system``, with ``solve(b)``.
+    """LU factor, with ``solve(b)``, of ``J`` as ``system.jacobian``
+    returns it, on the grid's shared pattern.
 
     The grid's dimension chooses: on an interval a :class:`_BandLU`
     (LAPACK's banded LU, ``kl = ku = 2m - 1``), on a rectangle SuperLU
