@@ -18,11 +18,11 @@ this structurally symmetric stencil matrix.  The residual and the
 Jacobian read their face states from one face loop.  Solvers:
 damped Newton, and homotopy continuation in the cross-diffusion
 strength (``alpha -> t * alpha`` for ``t`` from 0 to 1 in
-``HOMOTOPY_STEPS = 8`` steps, each bisected on failure), the
-deformation to the weakly coupled system that the degree argument
-uses: every constant state is a root of every member of the family.
-A stage sets ``t * alpha`` on its grid's one :class:`DiscreteSystem`;
-it builds no model and no system.
+``HOMOTOPY_STEPS = 8`` steps; the first stage that fails ends the
+attempt), the deformation to the weakly coupled system that the degree
+argument uses: every constant state is a root of every member of the
+family.  A stage sets ``t * alpha`` on its attempt's own
+:class:`DiscreteSystem`; it builds no model.
 Both return a :class:`SolveResult`; a solve that stops short has
 ``converged=False`` and the reason in ``warnings``.  Inside, each Newton
 run yields one ``_Run`` record (last iterate, residual history,
@@ -78,15 +78,13 @@ from .steady_states import TOL_DEGENERATE, TOL_SIGN
 TOL_NEWTON = 1e-10
 TOL_ZERO = 1e-8
 TOL_CONST = 1e-6
-MIN_STEP = 1e-4
 MIN_CELLS = 8
 # A chord step from a stale LU is kept when it cuts the residual norm by
 # at least this factor; otherwise the Jacobian is refactored.
 CHORD_CONTRACTION = 0.5
 # Each Newton run may factor its Jacobian at most this many times.
 MAX_FACTORIZATIONS = 100
-# A continuation's stages: t over linspace(0, 1, HOMOTOPY_STEPS + 1),
-# before any bisection.
+# A continuation's stages: t over linspace(0, 1, HOMOTOPY_STEPS + 1).
 HOMOTOPY_STEPS = 8
 
 
@@ -476,8 +474,8 @@ class SolveResult:
     - ``iterations``: the accepted steps, chord and Newton, of every run
       that converged, plus those of the answer's own run;
     - ``factorizations``: the LU factorizations of every run, failed
-      and bisected stages included (LAPACK's banded LU on an interval,
-      SuperLU under ``MMD_AT_PLUS_A`` on a rectangle);
+      stages included (LAPACK's banded LU on an interval, SuperLU under
+      ``MMD_AT_PLUS_A`` on a rectangle);
     - ``t_path``: ``(1.0,)`` for a direct solve, else the ``t`` of each
       converged stage of the attempt that gave the answer;
     - ``tolerance``: when converged, the answer's run's target
@@ -567,15 +565,13 @@ def _finalize(
     last_t, last = runs[-1]
     converged = last.failure is None
     values, history = (seed, []) if answer is None else (answer.values, answer.history)
-    # A failed stage loop leaves the system at its last t * alpha.
-    system.alpha = model.alpha
     residual_norm = history[-1] if converged else float(np.linalg.norm(system.residual(values)))
     if converged:
         warns = []
     elif last_t is None:  # the direct run: a failed fine run is never the last
         warns = [last.failure]
     else:
-        warns = [f"homotopy step underflow below {MIN_STEP} near t = {last_t:.6g}: {last.failure}"]
+        warns = [f"homotopy stage t = {last_t:.6g} failed: {last.failure}"]
     classification = classify_field(model, values)
     refinement = None
     if stages and target is not None:
@@ -812,26 +808,18 @@ def _stage_loop(
     """Homotopy stages at ``t`` in ``linspace(0, 1, HOMOTOPY_STEPS + 1)``
     on one grid's one system: each stage sets its ``alpha`` to
     ``t * system.model.alpha`` and is warm-started from the previous
-    one; a failed step is bisected down to ``MIN_STEP``.
+    one.  The first stage that fails ends the loop.
 
-    Appends every stage, failed and bisected ones included, to ``runs``
+    Appends every stage it runs, the failed one included, to ``runs``
     as ``(t, run)``, and says whether the stages reached ``t = 1``.
     """
-    t_prev = 0.0
-    queue = [float(t) for t in np.linspace(0.0, 1.0, HOMOTOPY_STEPS + 1)]
-    while queue:
-        t = queue[0]
+    for t in np.linspace(0.0, 1.0, HOMOTOPY_STEPS + 1).tolist():
         system.alpha = t * system.model.alpha
         run = _newton_core(system, values, tol)
         runs.append((t, run))
         if run.failure is not None:
-            mid = 0.5 * (t_prev + t)
-            if t - mid < MIN_STEP:
-                return False
-            queue.insert(0, mid)
-            continue
-        values, t_prev = run.values, t
-        queue.pop(0)
+            return False
+        values = run.values
     return True
 
 
@@ -845,8 +833,8 @@ def continuation_solve(
 
     Solves the family with cross-diffusion ``t * alpha`` for ``t`` over
     ``linspace(0, 1, HOMOTOPY_STEPS + 1)``, warm-starting each stage from
-    the previous solution and bisecting a failed step down to
-    ``MIN_STEP``.  Every constant state is a root of every member, so the
+    the previous solution; the first stage that fails ends the attempt.
+    Every constant state is a root of every member, so the
     path keeps the branch of a seed near one.  The ``t = 0`` member is
     the semilinear system ``-Div(d Du) = f(u)``, whose Newton matrix at a
     generic seed is nonsingular; the ``t = 1`` member is the target.
@@ -856,8 +844,10 @@ def continuation_solve(
     on the full grid polishes the :func:`prolong`-ed answer (mesh
     sequencing).  The coarse answer is kept as ``refinement``.  If the
     coarse stages or the fine run fail, the stages run again on the full
-    grid from the original seed.  The result is read from every run of
-    both attempts, by the rules of :class:`SolveResult`.
+    grid from the original seed, on a system of their own, so the target
+    system the result is read against keeps ``model.alpha``.  The result
+    is read from every run of both attempts, by the rules of
+    :class:`SolveResult`.
     """
     system = discretize(model, grid)
     start = _seed_values(seed, system)
@@ -868,7 +858,7 @@ def continuation_solve(
         runs.append((None, fine))
         if fine.failure is None:
             return _finalize(system, start, tol, runs)
-    _stage_loop(system, start, tol, runs)
+    _stage_loop(DiscreteSystem(model, grid), start, tol, runs)
     return _finalize(system, start, tol, runs)
 
 

@@ -860,7 +860,7 @@ def test_solve_byte_stability(tmp_path):
     [
         (["--no-homotopy"], "linear solve failed", 1),
         # The stages fail on the 16-cell grid, then on the full grid.
-        ([], "homotopy step underflow", 2),
+        ([], "homotopy stage t = 0 failed", 2),
     ],
     ids=["newton", "continuation"],
 )

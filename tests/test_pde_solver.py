@@ -545,25 +545,35 @@ def followed_turing_pattern(n_cells):
     return model, grid, pattern
 
 
-def test_continuation_bisects_on_stage_failure(monkeypatch):
+def test_continuation_ends_its_attempt_at_the_first_failed_stage(monkeypatch):
     # Follow a Turing pattern as cross-diffusion is switched on.  One
-    # factorization per stage cannot cross half the path in one step, so
-    # the solver must insert midpoints that are not on the requested
-    # grid.  The factorizations of the failed stages are counted too.
-    # An odd cell count keeps the stages on this grid.
+    # factorization per stage crosses from t = 0 to t = 0.5 but not on
+    # to t = 1: that stage fails, and no stage runs between the requested
+    # ones.  The answer is the t = 0.5 stage's field, and the failed
+    # stage's factorization is counted too.  An odd cell count keeps the
+    # stages on this grid.
     model, grid, pattern = followed_turing_pattern(63)
     calls = factor_calls(monkeypatch)
     monkeypatch.setattr(pde_solver, "HOMOTOPY_STEPS", 2)
     monkeypatch.setattr(pde_solver, "MAX_FACTORIZATIONS", 1)
+    runs = []
+    finalize = pde_solver._finalize
+
+    def recording(system, seed, tol, solve_runs):
+        runs.extend(solve_runs)
+        return finalize(system, seed, tol, solve_runs)
+
+    monkeypatch.setattr(pde_solver, "_finalize", recording)
     result = continuation_solve(model, grid, pattern.field)
-    assert result.converged
-    assert result.factorizations == len(calls)
+    failed = [k for k, (_, run) in enumerate(runs) if run.failure is not None]
+    assert failed == [len(runs) - 1]
+    assert [t for t, _ in runs] == [0.0, 0.5, 1.0]
+    assert not result.converged
+    assert result.factorizations == len(calls) == 3
+    assert result.t_path == (0.0, 0.5)
+    assert result.warnings[0].startswith("homotopy stage t = 1 failed: no convergence")
+    np.testing.assert_array_equal(result.field.values, runs[1][1].values)
     assert result.classification == "nonconstant"
-    assert result.t_path[0] == 0.0 and result.t_path[-1] == 1.0
-    assert all(b > a for a, b in zip(result.t_path, result.t_path[1:]))
-    assert any(t not in (0.0, 0.5, 1.0) for t in result.t_path)
-    residual = discretize(model, grid).residual(result.field.values)
-    assert np.linalg.norm(residual) <= result.tolerance
 
 
 def skt_2d():
@@ -719,10 +729,10 @@ def test_continuation_stages_run_no_model_checks(monkeypatch):
     assert calls == []
 
 
-def test_continuation_underflow_reports_partial_result(monkeypatch):
+def test_continuation_failed_first_stage_reports_partial_result(monkeypatch):
     # One factorization can never reach tolerance from this seed, so the
-    # t = 0 stage fails and the homotopy step underflows.  The failed
-    # stage's factorization is counted.  An odd cell count keeps the
+    # t = 0 stage fails and ends the attempt.  The failed stage's
+    # factorization is counted.  An odd cell count keeps the
     # stages on this grid.  With no stage converged the result is the
     # seed, with its residual norm at t = 1.
     model = weak_lv()
@@ -733,7 +743,7 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
     soft = continuation_solve(model, grid, seed)
     assert not soft.converged
     assert soft.factorizations == len(calls) == 1
-    assert any("underflow" in w for w in soft.warnings)
+    assert any(w.startswith("homotopy stage t = 0 failed") for w in soft.warnings)
     assert soft.t_path == () and soft.iterations == 0
     np.testing.assert_array_equal(soft.field.values, seed.values)
     assert soft.residual_norm == float(np.linalg.norm(discretize(model, grid).residual(seed.values)))
@@ -741,8 +751,8 @@ def test_continuation_underflow_reports_partial_result(monkeypatch):
 
 def test_failed_continuation_reports_the_target_residual_of_its_answer(monkeypatch):
     # Every stage with cross-diffusion fails, so only the t = 0 stage
-    # converges and the step after it underflows: the result is the
-    # t = 0 stage's field.  Its residual norm is the target's, at t = 1,
+    # converges and the stage after it ends the attempt: the result is
+    # the t = 0 stage's field.  Its residual norm is the target's, at t = 1,
     # not the t = 0 stage's.
     model, grid, pattern = followed_turing_pattern(63)
     core = pde_solver._newton_core
@@ -763,8 +773,8 @@ def test_failed_continuation_reports_the_target_residual_of_its_answer(monkeypat
 @pytest.mark.parametrize("steps, budget, stages, factorizations", [(2, 3, 3, 4), (1, 2, 2, 3)])
 def test_iteration_budget_counts_factorizations_only(monkeypatch, steps, budget, stages, factorizations):
     # Chord steps that halve the residual are free.  Counted against the
-    # budget they made these schedules bisect: (2, 3) took 408 stages and
-    # 814 factorizations, (1, 2) took 2,724 stages and 5,448.
+    # budget they made a stage of these schedules fail, and the solve
+    # with it.
     model, grid, pattern = followed_turing_pattern(63)
     calls = factor_calls(monkeypatch)
     monkeypatch.setattr(pde_solver, "HOMOTOPY_STEPS", steps)
@@ -922,8 +932,9 @@ def test_failed_fine_newton_falls_back_to_the_single_grid_stages(monkeypatch):
 
 
 def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
-    # As in the underflow test, on a grid that can be halved: the coarse
-    # stages fail first, then the full-grid ones; both factorizations count.
+    # As in the failed-first-stage test, on a grid that can be halved: the
+    # coarse stages fail first, then the full-grid ones; both
+    # factorizations count.
     model = weak_lv()
     grid = make_grid(model.domain, 16)
     calls = factor_calls(monkeypatch)
@@ -932,7 +943,7 @@ def test_failed_coarse_stages_fall_back_to_the_single_grid_stages(monkeypatch):
     assert not soft.converged
     assert soft.factorizations == len(calls) == 2
     assert soft.refinement is None
-    assert any("underflow" in w for w in soft.warnings)
+    assert any(w.startswith("homotopy stage t = 0 failed") for w in soft.warnings)
 
 
 # -- mode seeding -----------------------------------------------------------
