@@ -92,22 +92,24 @@ SOLVES = {
         cli.EXIT_SOLVER,
         "29e4dbf8ef6cb4f8f80710327235d0eb51b3848b667d242a066691a499d630ba",
     ),
-    # Coarse and full-grid stages both fail: the path is bisected until
-    # its step underflows near t = 0.977, after 375 steps and 517
-    # factorizations.  The residual norm is the answer's at t = 1.
+    # Coarse and full-grid stages both fail: the full-grid attempt ends
+    # at its t = 1 stage, after 170 steps and 88 factorizations in all,
+    # and the answer is its t = 0.875 stage.  The residual norm is the
+    # answer's at t = 1.
     "one-sided-seed3": (
         "one-sided.model.json", ["--grid", "128", "--seed-random", "3"], cli.EXIT_SOLVER,
-        "b9e6a72fe111fe48100445fa1f74d3345c654511ce1cdd1589dfb736408b7ea2",
+        "c01b7b435b96d7df7da49d985d6dbea068688ee272cee8bd916f25109de9fffa",
     ),
     # The coarse stages fail and the full-grid ones converge: no
-    # refinement, and the factorizations of both attempts are counted.
+    # refinement, and the factorizations of both attempts are counted
+    # (48).
     "one-sided-seed5": (
         "one-sided.model.json", ["--grid", "128", "--seed-random", "5"], cli.EXIT_OK,
         "c8528a375530f7467c1c31d5104eddf98b2b4d80100fa61ce5c0f6c88008ee9e",
     ),
     # Logistic growth at u = 1/2, where the Jacobian is the bare Neumann
-    # operator: no stage converges on either grid, and the answer is the
-    # seed with an empty t_path.
+    # operator: the t = 0 stage fails on both grids, and the answer is
+    # the seed with an empty t_path.
     "logistic-half": (
         _LOGISTIC, ["--grid", "32", "--seed-constant", "0.5"], cli.EXIT_SOLVER,
         "d85227bf4596bae6231c0922de79deae23b75bdaecc3622823e89d23e8801f01",
