@@ -414,7 +414,6 @@ def _parse_param(spec: str) -> tuple[str, list[float]]:
     return path, [float(v) for v in values]
 
 
-_POINT_ERRORS = (ModelError, KeyError, IndexError, TypeError)
 
 # All but ``error`` are columns of the verdict table.
 _ROW_COLUMNS = (
@@ -436,7 +435,7 @@ def _verdict_rows(models: ModelBatch | list[Model]) -> list[tuple | Exception]:
     model is decided alone, so the exception lands on its own point."""
     try:
         table = verdict_table(models)
-    except _POINT_ERRORS as exc:
+    except ModelError as exc:
         if isinstance(models, list):
             return [exc]
         return [
@@ -473,7 +472,7 @@ def _sweep_rows(
             point = _with_value(point, point_keys, value)
         try:
             base = build_model(point)
-        except _POINT_ERRORS as exc:
+        except ModelError as exc:
             rows.append(exc)
             continue
         batch = replace_entries(base, keys, combos[i:])

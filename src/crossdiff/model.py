@@ -282,7 +282,7 @@ def build_model(config: Mapping[str, Any]) -> Model:
         raise ConfigError(f"unknown domain keys: {sorted(unknown_dom)}")
     if _DOMAIN_KEYS - set(dom_raw):
         raise ConfigError(f"missing domain keys: {sorted(_DOMAIN_KEYS - set(dom_raw))}")
-    domain = Domain(kind=dom_raw["kind"], lengths=tuple(dom_raw["lengths"]))
+    domain = Domain(kind=dom_raw["kind"], lengths=_lengths(dom_raw["lengths"]))
 
     bc = BoundaryCondition(kind=config.get("bc", "neumann"))
 
@@ -308,11 +308,23 @@ def build_model(config: Mapping[str, Any]) -> Model:
     )
 
 
+def _lengths(value: Any) -> tuple[float, ...]:
+    if isinstance(value, (list, tuple)):
+        try:
+            return tuple(float(L) for L in value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"domain.lengths must be a list of numbers, got {value!r}")
+
+
 def _species_count(value: Any) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"m must be an integer, got {value!r}") from exc
+        m = int(value)
+        if m == float(value):
+            return m
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"m must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,32 @@ def test_input_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lengths", [5, ["x"]], ids=["number", "string"])
+def test_malformed_domain_lengths_is_an_input_error(tmp_path, capsys, lengths):
+    # Every command names the entry; none raises from inside Domain.
+    cfg = write_config(tmp_path, dict(WEAK_LV, domain={"kind": "interval", "lengths": lengths}))
+    message = f"domain.lengths must be a list of numbers, got {lengths!r}"
+    for command in ("analyze", "solve"):
+        out = str(tmp_path / f"{command}.json")
+        assert cli.main([command, "--config", cfg, "--output", out]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+    rows = sweep_rows(tmp_path, cfg, ["d.0=0.5:1:2"], "s.csv")
+    assert [row["error"] for row in rows] == [message, message]
+
+
+def test_non_integral_m_is_an_input_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(WEAK_LV, m=2.7))
+    assert cli.main(["analyze", "--config", cfg, "--output", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: m must be an integer, got 2.7\n"
+    # Each point is decided with the m its row is labelled with, or not at all.
+    rows = sweep_rows(tmp_path, write_config(tmp_path, WEAK_LV, "two.json"), ["m=1.5:2.5:3"], "m.csv")
+    assert [(row["m"], row["error"]) for row in rows] == [
+        ("1.5", "m must be an integer, got 1.5"),
+        ("2.0", ""),
+        ("2.5", "m must be an integer, got 2.5"),
+    ]
+
+
 def test_solve_grid_too_coarse(tmp_path):
     cfg = write_config(tmp_path, WEAK_LV)
     out = str(tmp_path / "s.json")
