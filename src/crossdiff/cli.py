@@ -414,7 +414,6 @@ def _parse_param(spec: str) -> tuple[str, list[float]]:
     return path, [float(v) for v in values]
 
 
-
 # All but ``error`` are columns of the verdict table.
 _ROW_COLUMNS = (
     "n_states",
