@@ -71,6 +71,12 @@ SOLVES = {
         "readme.model.json", ["--grid", "512", "--seed-mode", "1", "--amp", "1.5"], cli.EXIT_OK,
         "efe21c17ebb8cf77c84c6aabc3e84f76ba889b48ee0089c8dc758cd74ba09623",
     ),
+    # The same on the pi x pi square at 64 x 64: a nonconstant 2D field,
+    # whose oscillation scan runs over annular shells, in 3 factorizations.
+    "square-mode1-64": (
+        "square.model.json", ["--grid", "64", "--seed-mode", "1", "--amp", "1.5"], cli.EXIT_OK,
+        "8c951046b79a10ac2cab05555fc9b19bc7a4a679e582ec9bf1de952f502ba567",
+    ),
     # Grid-sequenced continuation: stages on 24x24, one Newton run on 48x48.
     "skt-2d-seed0": (
         "skt-2d.model.json", ["--grid", "48", "--seed-random", "0"], cli.EXIT_OK,
