@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from crossdiff import diagnostics
 from crossdiff.diagnostics import _ball_bound, ball_radii
 
 PI = np.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def scalar_logistic(d=1.0, length=PI):
@@ -318,11 +321,11 @@ def _shifted(n_cells, offset):
     return centers, nodes
 
 
-def stencil_scan_bmo(field, radius):
+def stencil_scan_oscillations(field, radius):
     """The scan over every ball that ``bmo_seminorm`` prunes: loop over
     the offsets of the largest ball, each vectorised over all centers,
     first for the ball sums and counts, then for the distances from the
-    ball means."""
+    ball means.  Every ball's oscillation, as ``(radius,) + grid shape``."""
     grid = field.grid
     radii = ball_radii(grid, radius)
     shape = grid.shape
@@ -358,7 +361,11 @@ def stencil_scan_bmo(field, radius):
         dist = np.square(diff, out=diff).sum(axis=0)
         dev[at] += np.sqrt(dist, out=dist)
     dev /= counts
-    return float(dev.max())
+    return dev
+
+
+def stencil_scan_bmo(field, radius):
+    return float(stencil_scan_oscillations(field, radius).max())
 
 
 def turing_pattern_512():
@@ -449,9 +456,34 @@ def test_bmo_equals_the_full_stencil_scan(case):
     assert bmo_seminorm(field, radius) == stencil_scan_bmo(field, radius)
 
 
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_piece_bound_is_never_below_a_balls_oscillation(monkeypatch, case):
+    # The second bound of every ball, from the scan's own sums, against
+    # every ball's oscillation from the full stencil scan.  On
+    # "turning-wide" Cauchy-Schwarz holds with equality, so only the
+    # rounding slack keeps the bound above.
+    make_field, radius = EXACT_CASES[case]
+    field = make_field()
+    scans = []
+    evaluate = diagnostics._max_oscillation
+
+    def capture(*args):
+        scans.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(diagnostics, "_max_oscillation", capture)
+    bmo_seminorm(field, radius)
+    vals, homes, shifts, _, sums, balls = scans[0]
+    slack = diagnostics._slack(len(shifts), len(vals))
+    bound = diagnostics._piece_bounds(sums, homes, np.ones_like(balls), slack)
+    oscillation = stencil_scan_oscillations(field, radius)
+    assert (bound.reshape(oscillation.shape) >= oscillation).all()
+
+
 def test_bmo_evaluates_few_balls_on_the_turing_pattern(monkeypatch):
-    # The README's "849 of 32,768": only the balls whose bound beats the
-    # supremum are evaluated exactly, not every ball.
+    # The README's count: only the balls whose bounds beat the supremum
+    # are evaluated exactly, not every ball.
+    (stated,) = re.findall(r"([\d,]+) of 32,768 balls", README.read_text())
     evaluated = []
     evaluate = diagnostics._max_oscillation
 
@@ -462,7 +494,7 @@ def test_bmo_evaluates_few_balls_on_the_turing_pattern(monkeypatch):
     monkeypatch.setattr(diagnostics, "_max_oscillation", counting)
     make_field, radius = EXACT_CASES["turing-512"]
     bmo_seminorm(make_field(), radius)
-    assert 0 < sum(evaluated) <= 849
+    assert sum(evaluated) == int(stated.replace(",", ""))
 
 
 @pytest.mark.parametrize("k", [450, -450, 600, -600, 1000, -1000])
