@@ -289,10 +289,13 @@ def build_model(config: Mapping[str, Any]) -> Model:
     m = _species_count(config["m"])
 
     def _arr(key: str, shape: tuple[int, ...]) -> NDArray[np.float64]:
+        message = f"{key} is not numeric: {config[key]!r}"
+        if _holds_bool(config[key]):
+            raise ConfigError(message)
         try:
             arr = np.asarray(config[key], dtype=float)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} is not numeric: {config[key]!r}") from exc
+            raise ConfigError(message) from exc
         if arr.shape != shape:
             raise ConfigError(f"{key} must have shape {shape}, got {arr.shape}")
         return arr
@@ -308,8 +311,17 @@ def build_model(config: Mapping[str, Any]) -> Model:
     )
 
 
-def _lengths(value: Any) -> tuple[float, ...]:
+def _holds_bool(value: Any) -> bool:
+    """Whether ``value`` is a boolean, or a list or tuple holding one at
+    any depth: JSON ``true`` and ``false`` are not numbers, although
+    ``int``, ``float`` and ``np.asarray`` read them as 1 and 0."""
     if isinstance(value, (list, tuple)):
+        return any(_holds_bool(item) for item in value)
+    return isinstance(value, (bool, np.bool_))
+
+
+def _lengths(value: Any) -> tuple[float, ...]:
+    if isinstance(value, (list, tuple)) and not _holds_bool(value):
         try:
             return tuple(float(L) for L in value)
         except (TypeError, ValueError):
@@ -320,7 +332,7 @@ def _lengths(value: Any) -> tuple[float, ...]:
 def _species_count(value: Any) -> int:
     try:
         m = int(value)
-        if m == float(value):
+        if m == float(value) and not _holds_bool(value):
             return m
     except (TypeError, ValueError, OverflowError):
         pass

@@ -250,6 +250,38 @@ def test_non_integral_m_is_an_input_error(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "key, value, path, message",
+    [
+        ("m", True, "m", "m must be an integer, got True"),
+        ("d", [True, 7.0], "d.0", "d is not numeric: [True, 7.0]"),
+        ("alpha", [[0.0, False], [0.0, 0.0]], "alpha.0.1",
+         "alpha is not numeric: [[0.0, False], [0.0, 0.0]]"),
+        ("r", [1.0, True], "r.1", "r is not numeric: [1.0, True]"),
+        ("c", [[1.0, 0.5], [True, 1.0]], "c.1.0", "c is not numeric: [[1.0, 0.5], [True, 1.0]]"),
+        ("domain", {"kind": "interval", "lengths": [True]}, "domain.lengths.0",
+         "domain.lengths must be a list of numbers, got [True]"),
+    ],
+    ids=["m", "d", "alpha", "r", "c", "lengths"],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, key, value, path, message):
+    # int, float and np.asarray all read true as 1; a boolean in a numeric
+    # entry is an input error that names the entry.
+    cfg = write_config(tmp_path, dict(WEAK_LV, **{key: value}))
+    assert cli.main(["analyze", "--config", cfg, "--output", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # A sweep over another entry writes the error on every row, and one
+    # over the boolean itself is refused before any point runs.
+    other = "r.0" if key == "d" else "d.0"
+    rows = sweep_rows(tmp_path, cfg, [f"{other}=0.5:1:2"], "s.csv")
+    assert [row["error"] for row in rows] == [message, message]
+    out = str(tmp_path / "b.csv")
+    assert cli.main(["sweep", "--config", cfg, "--output", out, "--param", f"{path}=0:1:2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --param path {path!r} does not name a numeric config entry\n"
+    )
+
+
 def test_solve_grid_too_coarse(tmp_path):
     cfg = write_config(tmp_path, WEAK_LV)
     out = str(tmp_path / "s.json")
