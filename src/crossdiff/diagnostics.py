@@ -149,22 +149,24 @@ def _piece_bounds(
     node)`` mask, in the mask's row-major order, never below the
     oscillation that ``_max_oscillation`` computes for it.
 
-    Piece ``g = 1 .. PIECES`` of a ball of radius index ``r`` is its
-    shells ``(b_{g-1}, b_g]``, with ``b_0 = -1`` and ``b_g = max(floor(g
-    (r + 1) / PIECES) - 1, 0)``, so that a ball of fewer than ``PIECES``
-    shells has its shells, or shell 0 and the rest, as pieces.  With
-    ``mu`` the ball's mean, ``Q_g = S2_g - 2 mu.S1_g + n_g |mu|^2`` is the
-    piece's sum of ``|v_j - mu|^2`` over its ``n_g`` nodes, and
-    Cauchy-Schwarz on each piece bounds the oscillation by ``(1/|B|)
-    sum_g sqrt(n_g Q_g)``.  The piece sums ``S1_g``, ``S2_g`` and ``n_g``
-    are differences of the running ``_ball_sums`` ``sums`` at the shell
-    ends, so no offset is visited again.
+    Shell ``k`` of a ball holds the offsets whose first radius index is
+    ``k``.  Piece ``g = 1 .. PIECES`` of a ball of radius index ``r`` is
+    its shells ``(b_{g-1}, b_g]``, ``b_g = floor(g (r + 1) / PIECES) -
+    1``, so that each shell is a piece of its own in a ball of at most
+    ``PIECES`` shells.  With ``mu`` the ball's mean, ``Q_g = S2_g - 2
+    mu.S1_g + n_g |mu|^2`` is the piece's sum of ``|v_j - mu|^2`` over
+    its ``n_g`` nodes, and Cauchy-Schwarz on each piece bounds the
+    oscillation by ``(1/|B|) sum_g sqrt(n_g Q_g)``.  The piece sums
+    ``S1_g``, ``S2_g`` and ``n_g`` are differences of the running
+    ``_ball_sums`` ``sums`` at the shell ends, so no offset is visited
+    again.
     """
     m = sums.shape[-1] - 2
     n_radii, span = sums.shape[:2]
-    radius, node = np.nonzero(balls)
+    radius, node = np.divmod(np.flatnonzero(balls), balls.shape[1])
     # The sums' rows at b_1 .. b_PIECES for every ball; b_PIECES = r is
-    # the ball itself.
+    # the ball itself.  An end of -1 is read at shell 0, which gives the
+    # same pieces: the empty ones come after shell 0 instead of before.
     ends = np.arange(1, PIECES + 1)[:, None] * np.arange(1, n_radii + 1) // PIECES - 1
     rows = (np.maximum(ends, 0) * span)[:, radius]
     rows += homes[node] - homes[0]
@@ -175,13 +177,12 @@ def _piece_bounds(
     # the sum of |v_j - mu|^2 over the ball up to that end, and Q_g the
     # difference of W at consecutive ends.
     mean = ball[:, :m] / ball[:, m + 1 :]
-    weights = np.empty_like(ball)
-    np.multiply(mean, -2.0, out=weights[:, :m])
-    weights[:, m] = 1.0
-    np.square(mean).sum(axis=1, out=weights[:, m + 1])
-    q = np.einsum("pkc,kc->pk", part, weights)
+    q = part[..., m] + part[..., m + 1] * np.square(mean).sum(axis=1)
+    for j in range(m):
+        q -= part[..., j] * (2.0 * mean[:, j])
     q[1:] -= q[:-1]
-    counts = np.diff(part[..., m + 1], axis=0, prepend=0.0)
+    counts = part[..., m + 1].copy()
+    counts[1:] -= counts[:-1]
     # Rounding.  The running sums at an end are off by at most about |B|
     # 2^-53 times S2, the ball's sum of |v|^2, in the |v|^2 channel, and
     # times sum_j |v_j| in a v channel, where |mu| sum_j |v_j| <= |mu|
