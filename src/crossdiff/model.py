@@ -290,7 +290,7 @@ def build_model(config: Mapping[str, Any]) -> Model:
 
     def _arr(key: str, shape: tuple[int, ...]) -> NDArray[np.float64]:
         message = f"{key} is not numeric: {config[key]!r}"
-        if _holds_bool(config[key]):
+        if _holds_non_number(config[key]):
             raise ConfigError(message)
         try:
             arr = np.asarray(config[key], dtype=float)
@@ -311,17 +311,17 @@ def build_model(config: Mapping[str, Any]) -> Model:
     )
 
 
-def _holds_bool(value: Any) -> bool:
-    """Whether ``value`` is a boolean, or a list or tuple holding one at
-    any depth: JSON ``true`` and ``false`` are not numbers, although
-    ``int``, ``float`` and ``np.asarray`` read them as 1 and 0."""
+def _holds_non_number(value: Any) -> bool:
+    """Whether ``value`` is a boolean or a string, or a list or tuple
+    holding one at any depth: JSON ``true``, ``false`` and ``"2"`` are
+    not numbers, although ``int``, ``float`` and ``np.asarray`` read them."""
     if isinstance(value, (list, tuple)):
-        return any(_holds_bool(item) for item in value)
-    return isinstance(value, (bool, np.bool_))
+        return any(_holds_non_number(item) for item in value)
+    return isinstance(value, (bool, np.bool_, str))
 
 
 def _lengths(value: Any) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)) and not _holds_bool(value):
+    if isinstance(value, (list, tuple)) and not _holds_non_number(value):
         try:
             return tuple(float(L) for L in value)
         except (TypeError, ValueError):
@@ -332,7 +332,7 @@ def _lengths(value: Any) -> tuple[float, ...]:
 def _species_count(value: Any) -> int:
     try:
         m = int(value)
-        if m == float(value) and not _holds_bool(value):
+        if m == float(value) and not _holds_non_number(value):
             return m
     except (TypeError, ValueError, OverflowError):
         pass

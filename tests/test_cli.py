@@ -267,11 +267,37 @@ def test_non_integral_m_is_an_input_error(tmp_path, capsys):
 def test_json_booleans_are_not_numbers(tmp_path, capsys, key, value, path, message):
     # int, float and np.asarray all read true as 1; a boolean in a numeric
     # entry is an input error that names the entry.
+    assert_not_a_number(tmp_path, capsys, key, value, path, message)
+
+
+@pytest.mark.parametrize(
+    "key, value, path, message",
+    [
+        ("m", "2", "m", "m must be an integer, got '2'"),
+        ("d", ["0.4", 7.0], "d.0", "d is not numeric: ['0.4', 7.0]"),
+        ("alpha", [[0.0, "0"], [0.0, 0.0]], "alpha.0.1",
+         "alpha is not numeric: [[0.0, '0'], [0.0, 0.0]]"),
+        ("r", [1.0, "1"], "r.1", "r is not numeric: [1.0, '1']"),
+        ("c", [[1.0, 0.5], ["0.3", 1.0]], "c.1.0", "c is not numeric: [[1.0, 0.5], ['0.3', 1.0]]"),
+        ("domain", {"kind": "interval", "lengths": ["3.141592653589793"]}, "domain.lengths.0",
+         "domain.lengths must be a list of numbers, got ['3.141592653589793']"),
+    ],
+    ids=["m", "d", "alpha", "r", "c", "lengths"],
+)
+def test_json_strings_are_not_numbers(tmp_path, capsys, key, value, path, message):
+    # int, float and np.asarray all read "2" as 2; a string in a numeric
+    # entry is an input error that names the entry, as --param already
+    # refuses to sweep it.
+    assert_not_a_number(tmp_path, capsys, key, value, path, message)
+
+
+def assert_not_a_number(tmp_path, capsys, key, value, path, message):
+    """WEAK_LV with ``value`` at ``key`` is refused with ``message``."""
     cfg = write_config(tmp_path, dict(WEAK_LV, **{key: value}))
     assert cli.main(["analyze", "--config", cfg, "--output", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     # A sweep over another entry writes the error on every row, and one
-    # over the boolean itself is refused before any point runs.
+    # over the entry itself is refused before any point runs.
     other = "r.0" if key == "d" else "d.0"
     rows = sweep_rows(tmp_path, cfg, [f"{other}=0.5:1:2"], "s.csv")
     assert [row["error"] for row in rows] == [message, message]
