@@ -36,7 +36,6 @@ from .index_theory import (
     StabilityVerdict,
     constant_state_index,
     existence_verdict,
-    existence_verdicts,
     semitrivial_stability,
 )
 from .pde_solver import (
@@ -92,7 +91,6 @@ __all__ = [
     "discretize",
     "eigenfunction",
     "existence_verdict",
-    "existence_verdicts",
     "find_constant_states",
     "identity_residuals",
     "make_grid",

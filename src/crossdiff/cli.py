@@ -428,18 +428,19 @@ _ROW_COLUMNS = (
 _ERROR_ROW = ("",) * (len(_ROW_COLUMNS) - 1)
 
 
-def _verdict_rows(models: ModelBatch | list[Model]) -> list[tuple | Exception]:
-    """The verdict columns of every model, or every batch point not in
-    error, from one :func:`verdict_table`; if building it raises, each
-    model is decided alone, so the exception lands on its own point."""
+def _verdict_rows(batch: ModelBatch) -> list[tuple | Exception]:
+    """The verdict columns of every batch point not in error, from one
+    :func:`verdict_table`; if building it raises, each point is decided
+    alone, as a one-point batch, so the exception lands on its own point."""
     try:
-        table = verdict_table(models)
+        table = verdict_table(batch)
     except ModelError as exc:
-        if isinstance(models, list):
+        points = [k for k, error in enumerate(batch.errors) if error is None]
+        if len(points) == 1:
             return [exc]
         return [
-            row for k, error in enumerate(models.errors) if error is None
-            for row in _verdict_rows([models.model(k)])
+            row for k in points
+            for row in _verdict_rows(replace_entries(batch.model(k), (), [()]))
         ]
     return list(zip(*(getattr(table, name).tolist() for name in _ROW_COLUMNS[:-1])))
 

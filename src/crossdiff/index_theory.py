@@ -27,19 +27,20 @@ states are handled by sign criteria on the per-capita growth of the
 vanishing components, and the verdict compares the total degree
 against 1.
 
-:func:`verdict_table` decides a batch of models in one pass.  The work
-that depends only on the kinetics ``(m, r, c)`` -- constant states,
-boundary growth signs, the case label and ``J(u*)`` -- is done once per
-distinct kinetics.  Every (model, positive state) row of one species
-count is then decided by one stacked kernel, :func:`_decide_run`: one
+:func:`verdict_table` decides the points of one :class:`ModelBatch` in
+one pass; a single model is a one-point batch.  The work that depends
+only on the kinetics ``(m, r, c)`` -- constant states, boundary growth
+signs, the case label and ``J(u*)`` -- is done once per distinct
+kinetics.  Every (point, positive state) row of one species count is
+then decided by one stacked kernel, :func:`_decide_run`: one
 ``eigvals`` of ``d_A^{-1} A(u*)`` (ellipticity), one ``eigvals`` of
 ``solve(A(u*), J(u*))`` (the roots), the counts and gaps of all roots in
 closed form.  The kernel writes a table: each row's index ``(-1)^sigma``
-and its root and interval records.  The verdicts, one row per model,
+and its root and interval records.  The verdicts, one row per point,
 are sums over its ``index`` column, with causes only where inconclusive.
 :class:`ExistenceVerdict` and :class:`IndexReport` objects are views of
 the table, built only on request.  A failure stays with its row and
-becomes the cause of that model's verdict.
+becomes the cause of that point's verdict.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import Model, ModelBatch, ModelError
+from .model import Model, ModelBatch, ModelError, replace_entries
 from .spectral import MAX_COUNT, _weyl
 from .steady_states import (
     ConstantState,
@@ -319,16 +320,14 @@ class _Run:
         )
 
 
-def _decide_run(
-    u: NDArray, J: NDArray, d: NDArray, alpha: NDArray, lengths: NDArray, dims: NDArray
-) -> _Run:
+def _decide_run(u: NDArray, J: NDArray, d: NDArray, alpha: NDArray, lengths: NDArray) -> _Run:
     """Decide every row of one species count ``m`` in one stacked pass.
 
     Row ``k`` is the state ``u[k]`` with ``J(u*) = J[k]`` of the model
-    with ``d[k]`` and ``alpha[k]`` on a domain of dimension ``dims[k]``
-    with sides ``lengths[k, :dims[k]]``.  A row that fails a check gets
-    an error and identity or zero matrices in its place, so the stacked
-    calls never see a non-finite entry.
+    with ``d[k]`` and ``alpha[k]`` on the domain with sides
+    ``lengths[k]``, every row's domain of one dimension.  A row that
+    fails a check gets an error and identity or zero matrices in its
+    place, so the stacked calls never see a non-finite entry.
     """
     n, m = u.shape
     live = np.ones(n, dtype=bool)
@@ -372,25 +371,18 @@ def _decide_run(
     x, y = mu.real, mu.imag
     real = y == 0.0
 
-    count, dist = np.zeros((n, m), dtype=np.int64), np.zeros((n, m))
-    for dim in np.unique(dims).tolist():
-        rows = np.flatnonzero(dims == dim)
-        L = lengths[rows, :dim]
-        xs = x[rows]
-        # N(x) is at least the volume of the lattice region below x, so
-        # MAX_COUNT is decided before any lattice column is listed.
-        volume = (np.sqrt(np.maximum(xs, 0.0)) / np.pi) ** dim * L.prod(axis=1)[:, None]
-        too_many = volume * (np.pi / 4.0 if dim == 2 else 1.0) > MAX_COUNT
-        if too_many.any():
-            bad = np.zeros(n, dtype=bool)
-            bad[rows] = too_many.any(axis=1)
-            root = dict(zip(rows, xs[np.arange(len(rows)), too_many.argmax(axis=1)].tolist()))
-            fail(bad, lambda k: ModelError(
-                f"root mu={root[k]:.6g} requires too many modes: more than "
-                f"{MAX_COUNT:.0e} Neumann eigenvalues lie below it"
-            ))
-            xs = np.where(too_many, 0.0, xs)
-        count[rows], dist[rows] = _weyl(xs, L)
+    # N(x) is at least the volume of the lattice region below x, so
+    # MAX_COUNT is decided before any lattice column is listed.
+    dim = lengths.shape[1]
+    volume = (np.sqrt(np.maximum(x, 0.0)) / np.pi) ** dim * lengths.prod(axis=1)[:, None]
+    too_many = volume * (np.pi / 4.0 if dim == 2 else 1.0) > MAX_COUNT
+    if too_many.any():
+        root = x[np.arange(n), too_many.argmax(axis=1)].tolist()
+        fail(too_many.any(axis=1), lambda k: ModelError(
+            f"root mu={root[k]:.6g} requires too many modes: more than "
+            f"{MAX_COUNT:.0e} Neumann eigenvalues lie below it"
+        ))
+    count, dist = _weyl(np.where(too_many, 0.0, x), lengths)
     count *= real
     scale = np.abs(mu).max(axis=-1, keepdims=True)
     gap = np.hypot(dist, y) / np.maximum(scale, np.finfo(float).tiny)
@@ -432,32 +424,19 @@ def _decide_run(
     return _Run(errors, index, roots, negative, bounds, det_J)
 
 
-def _stack(models: Sequence[Model]) -> tuple[NDArray, ...]:
-    """The ``d``, ``alpha``, ``lengths`` and ``dims`` stacks of models of
-    one species count.  An interval's length fills both columns of
-    ``lengths``; ``dims`` tells them apart."""
-    sides = [model.domain.lengths for model in models]
-    return (
-        np.array([model.d for model in models]),
-        np.array([model.alpha for model in models]),
-        np.array([s[:1] + s[-1:] for s in sides]),
-        np.array([len(s) for s in sides]),
-    )
-
-
 def _decide(groups: Sequence[tuple[tuple[NDArray, ...], Sequence[_State]]]) -> None:
     """Decide every model of each group at each of the group's states
     that can carry an index: one :func:`_decide_run` per species count
     over all of those rows, and each state placed at its rows.  A group's
-    models are the rows of its stacks, as :func:`_stack` makes them."""
+    models are the rows of its ``d``, ``alpha`` and ``lengths`` stacks."""
     runs: dict[int, list[tuple]] = {}
-    for (d, alpha, lengths, dims), states in groups:
+    for (d, alpha, lengths), states in groups:
         for pos in states:
             if pos.error is None:
                 n, m, idx = len(d), len(pos.u), np.asarray(pos.support)
                 runs.setdefault(m, []).append((
                     pos, np.broadcast_to(pos.u, (n, m)), np.broadcast_to(pos.J, (n, m, m)),
-                    d[:, idx], alpha[:, idx[:, None], idx], lengths, dims,
+                    d[:, idx], alpha[:, idx[:, None], idx], lengths,
                 ))
     for blocks in runs.values():
         run = _decide_run(*(np.concatenate(column) for column in list(zip(*blocks))[1:]))
@@ -481,7 +460,7 @@ def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexRepo
     """
     u_star = np.asarray(u_star, dtype=float)
     pos = _State(model, u_star, tuple(range(model.m)), _index_precondition(model, u_star))
-    _decide([(_stack([model]), [pos])])
+    _decide([((model.d[None], model.alpha[None], np.array([model.domain.lengths])), [pos])])
     report = pos.outcome(0)
     if isinstance(report, ModelError):
         raise report
@@ -563,8 +542,8 @@ class _Kinetics:
 
 @dataclass(frozen=True)
 class VerdictTable:
-    """Existence verdicts of a batch of models as columns, row ``k`` for
-    model ``k``: ``n_states`` counts its constant states, and the other
+    """Existence verdicts of a batch as columns, row ``k`` for its ``k``-th
+    point not in error: ``n_states`` counts its constant states, and the other
     columns hold the :class:`ExistenceVerdict` fields of their names.
     :meth:`verdict` builds row ``k``'s verdict on request.
     """
@@ -616,37 +595,28 @@ class VerdictTable:
 
 
 def verdict_table(
-    models: Sequence[Model] | ModelBatch, states: Sequence[StateEnumeration] | None = None
+    batch: ModelBatch, states: Sequence[StateEnumeration] | None = None
 ) -> VerdictTable:
-    """Existence verdicts of a batch of models, decided in one pass.
+    """Existence verdicts of the points of a batch, decided in one pass.
 
-    ``models`` is a list of models, or a :class:`ModelBatch` whose points
-    not in error are the rows, with one :class:`Model` built per distinct
-    kinetics ``(m, r, c)`` and none per point.  ``states`` gives each
-    row's constant states; without it they are enumerated once per
-    distinct kinetics.  Every (model, state) pair whose index needs the
-    kernel is decided by one :func:`_decide_run` per species count, and
-    the verdicts are summed from its ``index`` column.  A failure at one
-    state of one model becomes that row's cause.  A model the verdict
-    does not apply to (a Dirichlet problem) or whose states cannot be
-    enumerated raises for the whole batch.
+    The rows are the points of ``batch`` not in error, with one
+    :class:`Model` built per distinct kinetics ``(m, r, c)`` and none per
+    point; a single model is the one-point batch
+    ``replace_entries(model, (), [()])``.  ``states`` gives each row's
+    constant states; without it they are enumerated once per distinct
+    kinetics.  Every (point, state) pair whose index needs the kernel is
+    decided by one :func:`_decide_run` per species count, and the
+    verdicts are summed from its ``index`` column.  A failure at one
+    state of one point becomes that row's cause.  A batch the verdict
+    does not apply to (a Dirichlet problem), or with a kinetics whose
+    states cannot be enumerated, raises as a whole.
     """
-    if isinstance(models, ModelBatch):
-        batch, points = models, np.flatnonzero([error is None for error in models.errors])
-        # A row's kinetics: the bytes of its r and c, side by side.
-        c = batch.c[points].reshape(len(points), batch.c.shape[1] * batch.c.shape[2])
-        rc = np.concatenate([batch.r[points], c], axis=1)
-        keys = rc.view(np.dtype((np.void, 8 * rc.shape[1]))).ravel().tolist()
-        lengths = batch.lengths[points]
-        dims = np.full(len(points), lengths.shape[1])
-        columns = (batch.d[points], batch.alpha[points], lengths[:, [0, -1]], dims)
-        kinetics_model = lambda k: batch.model(points[k])
-        stacks = lambda ks: tuple(column[ks] for column in columns)
-    else:
-        models = list(models)
-        keys = [(model.m, model.bc.kind, model.r.tobytes(), model.c.tobytes()) for model in models]
-        kinetics_model = models.__getitem__
-        stacks = lambda ks: _stack([models[k] for k in ks])
+    points = np.flatnonzero([error is None for error in batch.errors])
+    # A row's kinetics: the bytes of its r and c, side by side.
+    c = batch.c[points].reshape(len(points), batch.c.shape[1] * batch.c.shape[2])
+    rc = np.concatenate([batch.r[points], c], axis=1)
+    keys = rc.view(np.dtype((np.void, 8 * rc.shape[1]))).ravel().tolist()
+    columns = (batch.d[points], batch.alpha[points], batch.lengths[points])
     n = len(keys)
     enums: list[StateEnumeration | None] = [None] * n if states is None else list(states)
     if len(enums) != n:
@@ -658,10 +628,11 @@ def verdict_table(
     for k, key in enumerate(zip(keys, map(id, enums))):
         kinetics = shared.get(key)
         if kinetics is None:
-            kinetics = shared[key] = _Kinetics(kinetics_model(k), enums[k])
+            kinetics = shared[key] = _Kinetics(batch.model(points[k]), enums[k])
         members.append((kinetics, len(kinetics.members)))
         kinetics.members.append(k)
-    _decide([(stacks(kinetics.members), kinetics.positive) for kinetics in shared.values()])
+    _decide([(tuple(column[kinetics.members] for column in columns), kinetics.positive)
+             for kinetics in shared.values()])
     n_states = np.zeros(n, dtype=np.int64)
     inconclusive = np.zeros(n, dtype=bool)
     case_label, total, predicts, cause = (np.full(n, None, dtype=object) for _ in range(4))
@@ -695,20 +666,10 @@ def verdict_table(
     return VerdictTable(n_states, case_label, total, predicts, inconclusive, cause, members)
 
 
-def existence_verdicts(
-    models: Sequence[Model], states: Sequence[StateEnumeration] | None = None
-) -> tuple[ExistenceVerdict, ...]:
-    """Existence verdicts of a batch of models, decided in one pass.
-
-    Verdict ``k`` is row ``k`` of :func:`verdict_table` and equals
-    ``existence_verdict(models[k], states[k])`` field by field.
-    """
-    table = verdict_table(models, states)
-    return tuple(table.verdict(k) for k in range(len(table.members)))
-
-
 def existence_verdict(
     model: Model, states: StateEnumeration | None = None
 ) -> ExistenceVerdict:
-    """Sum local indices over all constant states and compare against 1."""
-    return existence_verdicts([model], None if states is None else [states])[0]
+    """Sum local indices over all constant states and compare against 1:
+    row 0 of the table of the one-point batch of ``model``."""
+    table = verdict_table(replace_entries(model, (), [()]), None if states is None else [states])
+    return table.verdict(0)

@@ -15,7 +15,6 @@ from crossdiff import (
     build_model,
     constant_state_index,
     existence_verdict,
-    existence_verdicts,
     find_constant_states,
     nonexistence_threshold,
     semitrivial_stability,
@@ -396,7 +395,7 @@ def test_index_never_forces_what_the_nonexistence_threshold_forbids():
         )
     ]
     assert proven[0] is models[0]
-    verdicts = existence_verdicts(proven)
+    verdicts = [existence_verdict(model) for model in proven]
     for model, verdict in zip(proven, verdicts):
         assert verdict.predicts_nonconstant is not True, (model.d, model.r, model.c)
     # Not vacuous: most proven models get a verdict, and among them are
@@ -555,20 +554,55 @@ def counted_eigvals(monkeypatch):
     return shapes
 
 
+def counted_enumerations(monkeypatch):
+    """The models whose constant states the verdicts enumerate, in call order."""
+    from crossdiff import index_theory
+
+    models = []
+    enumerate_ = index_theory.find_constant_states
+
+    def counted(model):
+        models.append(model)
+        return enumerate_(model)
+
+    monkeypatch.setattr(index_theory, "find_constant_states", counted)
+    return models
+
+
+def d0_batch(model):
+    """``model`` at three values of ``d.0``: its own, half and twice."""
+    return replace_entries(model, [("d", 0)], [(s * model.d[0],) for s in (1.0, 0.5, 2.0)])
+
+
 def test_kernel_calls_one_eigvals_pair_per_species_count(monkeypatch):
-    # One model: one eigvals for ellipticity and one for the roots.  A
-    # batch mixing one, two and three species: one pair per species count,
-    # each over the stack of every state of that count.
+    # One model: one eigvals for ellipticity and one for the roots.  Each
+    # batch_models() case at three d.0 points, one kinetics: one
+    # enumeration, and one eigvals pair per species count among the states
+    # that need the kernel, restricted subsystems included, each over the
+    # stack of every such state of that count at all three points.
     shapes = counted_eigvals(monkeypatch)
+    enumerated = counted_enumerations(monkeypatch)
     verdict = existence_verdict(sweep_point(0.5))
     assert not verdict.inconclusive
     assert shapes == [(1, 2, 2), (1, 2, 2)]
-    shapes.clear()
-    models = batch_models()
-    with np.errstate(over="ignore", invalid="ignore"):
-        existence_verdicts(list(models.values()))
-    assert [shape[1:] for shape in shapes] == [(1, 1), (1, 1), (2, 2), (2, 2), (3, 3), (3, 3)]
-    assert all(a == b for a, b in zip(shapes[::2], shapes[1::2]))
+    species = set()
+    for name, model in batch_models().items():
+        shapes.clear()
+        enumerated.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = verdict_table(d0_batch(model))
+        assert len(enumerated) == 1, name
+        assert shapes[::2] == shapes[1::2], name
+        rows: dict[int, int] = {}
+        for pos in table.members[0][0].positive:
+            if pos.error is None:
+                rows[len(pos.u)] = rows.get(len(pos.u), 0) + 3
+        assert [shape[:2] for shape in shapes[::2]] == [(n, m) for m, n in rows.items()], name
+        species |= set(rows)
+        if name == "bistable saddle, v-stable boundary":
+            # The two v-stable boundary states' restricted rows come first.
+            assert shapes == [(6, 1, 1), (6, 1, 1), (3, 2, 2), (3, 2, 2)]
+    assert species == {1, 2, 3}
 
 
 def assert_identical(a, b, where="verdict"):
@@ -668,17 +702,25 @@ def batch_models():
 
 
 def test_batch_verdicts_equal_one_model_verdicts():
+    # Each batch_models() case at three d.0 points: every row of the
+    # batch's table equals the verdict of the model its point builds,
+    # decided alone.
     models = batch_models()
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = existence_verdicts(list(models.values()))
-    assert len(batch) == len(models)
-    for (name, model), verdict in zip(models.items(), batch):
+    rows = []
+    for name, model in models.items():
+        batch = d0_batch(model)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert_identical(verdict, existence_verdict(model), name)
-    # The batch covers the kernel's outcomes: claimed indices, restricted
-    # boundary indices and per-model causes.  Its three-species stack
-    # mixes a real and a complex d_A^{-1} A(u*) spectrum, and the square
+            table = verdict_table(batch)
+            for k in range(3):
+                verdict = table.verdict(k)
+                assert_identical(verdict, existence_verdict(batch.model(k)), f"{name}[{k}]")
+                rows.append((batch.model(k), verdict))
+            assert_identical(table.verdict(0), existence_verdict(model), name)
+    # The cases cover the kernel's outcomes: claimed indices, restricted
+    # boundary indices and per-model causes.  The three-species cases
+    # have a real and a complex d_A^{-1} A(u*) spectrum, and the square
     # puts a double mode first.
+    batch = [verdict for _, verdict in rows[::3]]
     verdicts = dict(zip(models, batch))
     causes = {name: v.cause or "" for name, v in verdicts.items()}
     assert "degenerate-subset" in causes["degenerate subset"]
@@ -704,7 +746,7 @@ def test_batch_verdicts_equal_one_model_verdicts():
     large = verdicts["large square"].index_reports[0]
     assert large.negative["first_mode"].tolist() == [large.roots["count"][0]] == [40022]
     # The stacked roots are those of each state's own matrices, to the bit.
-    for model, verdict in zip(models.values(), batch):
+    for model, verdict in rows:
         for rep in verdict.index_reports:
             u = rep.u_star
             mu = np.linalg.eigvals(np.linalg.solve(model.A(u), model.jacobian_f(u)))
@@ -715,80 +757,90 @@ def test_batch_verdicts_equal_one_model_verdicts():
 
 def test_nonfinite_matrices_fail_only_their_own_model():
     # One non-finite matrix would make a stacked eigvals raise for the
-    # whole batch, so its model alone becomes inconclusive and the others
+    # whole batch, so its point alone becomes inconclusive and the others
     # keep their verdicts.  alpha_11 = 1e308 overflows A(u*); in the
-    # scalar model A(u*) = 1e-300 and J(u*) = -1e10 are finite, but
-    # A(u*)^{-1} J(u*) overflows.
-    bad_flux = interval_model(
-        2, (0.3, 7.0), (1.0, 1.0), ((-1.0, 2.0), (-3.0, 4.0)),
-        alpha=((1e308, 0.5), (0.1, 0.0)),
-    )
-    bad_roots = interval_model(1, (1e-300,), (1e10,), ((1e10,),))
-    good = [sweep_point(0.5), interval_model(1, (1.0,), (1.0,), ((1.0,),))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        verdicts = existence_verdicts([bad_flux, good[0], bad_roots, good[1]])
-    assert [v.cause for v in verdicts[::2]] == [
-        "state (1.0, 1.0): index undefined: d_A^{-1}A(u*) is not finite",
-        "state (1.0,): index undefined: A(u*)^{-1}J(u*) is not finite",
+    # scalar model at d = 1e-300, r = c = 1e10, A(u*) = 1e-300 and
+    # J(u*) = -1e10 are finite, but A(u*)^{-1} J(u*) overflows.
+    cases = [
+        (
+            sweep_point(0.5), [("alpha", 0, 0)], [(1e308,), (0.0,), (1e308,), (0.0,)],
+            "state (1.0, 1.0): index undefined: d_A^{-1}A(u*) is not finite",
+        ),
+        (
+            interval_model(1, (1.0,), (1.0,), ((1.0,),)), [("d", 0), ("r", 0), ("c", 0, 0)],
+            [(1e-300, 1e10, 1e10), (1.0, 1.0, 1.0), (1e-300, 1e10, 1e10), (1.0, 1.0, 1.0)],
+            "state (1.0,): index undefined: A(u*)^{-1}J(u*) is not finite",
+        ),
     ]
-    for verdict, model in zip(verdicts[1::2], good):
-        assert_identical(verdict, existence_verdict(model))
+    for model, keys, points, cause in cases:
+        batch = replace_entries(model, keys, points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = verdict_table(batch)
+        assert table.cause.tolist()[::2] == [cause, cause]
+        for k in (1, 3):
+            assert_identical(table.verdict(k), existence_verdict(batch.model(k)))
+            assert_identical(table.verdict(k), existence_verdict(model))
 
 
 def test_batch_shares_kinetics_and_stacks_items(monkeypatch):
-    # Twelve models with one kinetics: one enumeration, and one stacked
-    # pair of eigvals over every model's positive state.
-    from crossdiff import index_theory
-
-    calls = {"find_constant_states": 0}
-    enumerate_ = index_theory.find_constant_states
-
-    def counted_enumeration(model):
-        calls["find_constant_states"] += 1
-        return enumerate_(model)
-
-    monkeypatch.setattr(index_theory, "find_constant_states", counted_enumeration)
+    # Twelve points with one kinetics: one enumeration, and one stacked
+    # pair of eigvals over every point's positive state.
+    enumerated = counted_enumerations(monkeypatch)
     shapes = counted_eigvals(monkeypatch)
-    models = [sweep_point(a) for a in np.linspace(0.25, 2.0, 12)]
-    verdicts = existence_verdicts(models)
-    assert calls["find_constant_states"] == 1
-    assert sum(len(v.index_reports) for v in verdicts) == 12
+    points = [(a,) for a in np.linspace(0.25, 2.0, 12)]
+    table = verdict_table(replace_entries(sweep_point(0.0), [("alpha", 0, 1)], points))
+    assert len(enumerated) == 1
+    assert sum(len(table.verdict(k).index_reports) for k in range(12)) == 12
     assert shapes == [(12, 2, 2), (12, 2, 2)]
+
+
+TABLE_COLUMNS = ("n_states", "case_label", "total", "predicts_nonconstant", "inconclusive", "cause")
+
+
+def verdict_row(verdict):
+    """A verdict's fields in the order of :data:`TABLE_COLUMNS`."""
+    return (
+        len(verdict.boundary) + len(verdict.nontrivial_constant_indices),
+        verdict.case_label, verdict.total, verdict.predicts_nonconstant,
+        verdict.inconclusive, verdict.cause,
+    )
+
+
+def assert_rows_equal_the_verdicts(table, batch, where):
+    """Each row of ``table``, the table of ``batch``, equals the row of
+    the verdict of the model its point builds, by value and by type."""
+    for k in range(len(table.members)):
+        row = tuple(getattr(table, column).tolist()[k] for column in TABLE_COLUMNS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = verdict_row(existence_verdict(batch.model(k)))
+        assert [type(v) for v in row] == [type(v) for v in expected], f"{where}[{k}]"
+        assert row == expected, f"{where}[{k}]"
 
 
 def test_table_columns_equal_the_verdicts():
     # Every model of batch_models() and one with causes at a boundary and
-    # at the nontrivial state, each at three d.0 values, interleaved: each
-    # kinetics is shared by three rows that are not adjacent.  Every table
-    # row equals the row of its model's own verdict, cause byte for byte,
-    # and the causes come in order: the kinetics', then the boundary
-    # states', then the nontrivial states'.
+    # at the nontrivial state, each at three d.0 values and, interleaved
+    # with them, two r.0 values: each of two kinetics is shared by three
+    # rows that are not adjacent.  Every table row equals the row of its
+    # model's own verdict, cause byte for byte, and the causes come in
+    # order: the kinetics', then the boundary states', then the
+    # nontrivial states'.
     named = {
         **batch_models(),
         "boundary and nontrivial causes": interval_model(
             2, (1e-300, 1.0), (1e10, 1.0), ((1e10, 2e10), (2.0, 1.0))
         ),
     }
-    names, models = [], []
-    for scale in (1.0, 0.5, 2.0):
-        for name, model in named.items():
-            d = [scale * model.d[0], *model.d[1:].tolist()]
-            names.append(name)
-            models.append(build_model({**model.to_config(), "d": d}))
-    columns = ("n_states", "case_label", "total", "predicts_nonconstant", "inconclusive", "cause")
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = verdict_table(models)
-        verdicts = [existence_verdict(model) for model in models]
-    for k, (name, verdict) in enumerate(zip(names, verdicts)):
-        row = tuple(getattr(table, column).tolist()[k] for column in columns)
-        expected = (
-            len(verdict.boundary) + len(verdict.nontrivial_constant_indices),
-            verdict.case_label, verdict.total, verdict.predicts_nonconstant,
-            verdict.inconclusive, verdict.cause,
-        )
-        assert [type(v) for v in row] == [type(v) for v in expected], name
-        assert row == expected, name
-    causes = dict(zip(names, table.cause.tolist()))
+    causes = {}
+    for name, model in named.items():
+        d, r = model.d[0], model.r[0]
+        points = [(s * d, t * r) for s in (1.0, 0.5, 2.0) for t in (1.0, 0.5)]
+        batch = replace_entries(model, [("d", 0), ("r", 0)], points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = verdict_table(batch)
+        assert len(table.members) == 6 and len({id(k) for k, _ in table.members}) == 2, name
+        assert_rows_equal_the_verdicts(table, batch, name)
+        causes[name] = table.cause.tolist()[0]
     assert causes["degenerate subset"] == (
         "degenerate-subset: singular interaction matrix on supports [(0, 1)]; "
         "enumeration may be incomplete; state (1.0, 0.0): growth sign vanishes within "
@@ -805,8 +857,9 @@ def test_table_columns_equal_the_verdicts():
 def test_batch_table_equals_the_table_of_its_models():
     # A ModelBatch is decided from its stacks, with no model per point:
     # its rows are its points not in error, and each must equal the row
-    # of the model that point builds.  The points share four kinetics and
-    # two rectangles, one of them the square; d.0 = -0.1 is in error.
+    # of the verdict of the model that point builds.  The points share two
+    # kinetics and two rectangles, one of them the square; d.0 = -0.1 is
+    # in error.
     base = batch_models()["square, double mode"]
     keys = [("d", 0), ("r", 0), ("domain", "lengths", 1)]
     points = [(d, r, L) for d in (-0.1, 0.4, 0.2) for r in (1.0, 0.5) for L in (PI, 2.0)]
@@ -814,14 +867,13 @@ def test_batch_table_equals_the_table_of_its_models():
     valid = [k for k, error in enumerate(batch.errors) if error is None]
     assert len(valid) == 8
     models = [batch.model(k) for k in valid]
-    columns = ("n_states", "case_label", "total", "predicts_nonconstant", "inconclusive", "cause")
-    expected = verdict_table(models)
+    valid_batch = replace_entries(base, keys, [points[k] for k in valid])
+    verdicts = [existence_verdict(model) for model in models]
     states = [find_constant_states(model) for model in models]
     for table in (verdict_table(batch), verdict_table(batch, states)):
-        for column in columns:
-            assert getattr(table, column).tolist() == getattr(expected, column).tolist()
-        assert [table.verdict(i).total for i in range(8)] == expected.total.tolist()
-    assert len(set(expected.total.tolist())) > 1
+        assert_rows_equal_the_verdicts(table, valid_batch, "square batch")
+        assert [table.verdict(i).total for i in range(8)] == [v.total for v in verdicts]
+    assert len({v.total for v in verdicts}) > 1
     # A batch with no point, or none that builds, has no rows.
     for points in ([], [(-0.1, 1.0, PI)]):
         assert verdict_table(replace_entries(base, keys, points)).n_states.tolist() == []

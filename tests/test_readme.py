@@ -14,4 +14,10 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, str(README), "exec"), namespace)
     assert namespace["verdict"].predicts_nonconstant is True
     assert namespace["result"].classification == "nonconstant"
+    # Each row of the scan's table totals as its point's own verdict.
+    batch, table = namespace["batch"], namespace["table"]
+    existence_verdict = namespace["existence_verdict"]
+    assert len(table.total) == 10 and len(set(table.total.tolist())) > 1
+    for k, total in enumerate(table.total.tolist()):
+        assert total == existence_verdict(batch.model(k)).total
     assert "grad_l2" in capsys.readouterr().out
