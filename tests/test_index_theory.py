@@ -806,13 +806,14 @@ def verdict_row(verdict):
     )
 
 
-def assert_rows_equal_the_verdicts(table, batch, where):
-    """Each row of ``table``, the table of ``batch``, equals the row of
-    the verdict of the model its point builds, by value and by type."""
-    for k in range(len(table.members)):
+def assert_rows_equal_the_verdicts(table, models, where):
+    """Row ``k`` of ``table`` equals the row of the verdict of
+    ``models[k]``, by value and by type."""
+    assert len(table.members) == len(models), where
+    for k, model in enumerate(models):
         row = tuple(getattr(table, column).tolist()[k] for column in TABLE_COLUMNS)
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = verdict_row(existence_verdict(batch.model(k)))
+            expected = verdict_row(existence_verdict(model))
         assert [type(v) for v in row] == [type(v) for v in expected], f"{where}[{k}]"
         assert row == expected, f"{where}[{k}]"
 
@@ -838,8 +839,8 @@ def test_table_columns_equal_the_verdicts():
         batch = replace_entries(model, [("d", 0), ("r", 0)], points)
         with np.errstate(over="ignore", invalid="ignore"):
             table = verdict_table(batch)
-        assert len(table.members) == 6 and len({id(k) for k, _ in table.members}) == 2, name
-        assert_rows_equal_the_verdicts(table, batch, name)
+        assert len({id(kinetics) for kinetics, _ in table.members}) == 2, name
+        assert_rows_equal_the_verdicts(table, [batch.model(k) for k in range(6)], name)
         causes[name] = table.cause.tolist()[0]
     assert causes["degenerate subset"] == (
         "degenerate-subset: singular interaction matrix on supports [(0, 1)]; "
@@ -867,13 +868,11 @@ def test_batch_table_equals_the_table_of_its_models():
     valid = [k for k, error in enumerate(batch.errors) if error is None]
     assert len(valid) == 8
     models = [batch.model(k) for k in valid]
-    valid_batch = replace_entries(base, keys, [points[k] for k in valid])
-    verdicts = [existence_verdict(model) for model in models]
     states = [find_constant_states(model) for model in models]
     for table in (verdict_table(batch), verdict_table(batch, states)):
-        assert_rows_equal_the_verdicts(table, valid_batch, "square batch")
-        assert [table.verdict(i).total for i in range(8)] == [v.total for v in verdicts]
-    assert len({v.total for v in verdicts}) > 1
+        assert_rows_equal_the_verdicts(table, models, "square batch")
+        assert [table.verdict(i).total for i in range(8)] == table.total.tolist()
+        assert len(set(table.total.tolist())) > 1
     # A batch with no point, or none that builds, has no rows.
     for points in ([], [(-0.1, 1.0, PI)]):
         assert verdict_table(replace_entries(base, keys, points)).n_states.tolist() == []
