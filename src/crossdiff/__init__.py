@@ -27,7 +27,6 @@ from .steady_states import (
     EnumerationError,
     StateEnumeration,
     find_constant_states,
-    refine_root,
 )
 from .spectral import eigenfunction
 from .index_theory import (
@@ -98,7 +97,6 @@ __all__ = [
     "nonexistence_threshold",
     "norms",
     "random_field",
-    "refine_root",
     "seed_from_mode",
     "semitrivial_stability",
     "validate_structure",

@@ -82,11 +82,6 @@ def _jsonify(obj: Any) -> Any:
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, StateEnumeration):
-        return {
-            "states": [_jsonify(s) for s in obj.states],
-            "degenerate_subsets": [list(s) for s in obj.degenerate_subsets],
-        }
     return str(obj)
 
 

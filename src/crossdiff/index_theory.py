@@ -498,7 +498,7 @@ class _Kinetics:
         if enum.degenerate_subsets:
             self.causes.append(
                 "degenerate-subset: singular interaction matrix on supports "
-                f"{enum.degenerate_subsets}; enumeration may be incomplete"
+                f"{list(enum.degenerate_subsets)}; enumeration may be incomplete"
             )
         # Per state that can leave a verdict inconclusive, in the order of
         # its cause: its label, the _State whose index the kernel decides

@@ -288,24 +288,21 @@ def build_model(config: Mapping[str, Any]) -> Model:
 
     m = _species_count(config["m"])
 
-    def _arr(key: str, shape: tuple[int, ...]) -> NDArray[np.float64]:
+    def _arr(key: str) -> NDArray[np.float64]:
         message = f"{key} is not numeric: {config[key]!r}"
         if _holds_non_number(config[key]):
             raise ConfigError(message)
         try:
-            arr = np.asarray(config[key], dtype=float)
+            return np.asarray(config[key], dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigError(message) from exc
-        if arr.shape != shape:
-            raise ConfigError(f"{key} must have shape {shape}, got {arr.shape}")
-        return arr
 
     return Model(
         m=m,
-        d=_arr("d", (m,)),
-        alpha=_arr("alpha", (m, m)),
-        r=_arr("r", (m,)),
-        c=_arr("c", (m, m)),
+        d=_arr("d"),
+        alpha=_arr("alpha"),
+        r=_arr("r"),
+        c=_arr("c"),
         domain=domain,
         bc=bc,
     )

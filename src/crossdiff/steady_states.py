@@ -3,7 +3,11 @@
 A constant state solves ``f(u) = 0``, i.e. ``g_i(u) = 0`` on its support
 and ``u_j = 0`` elsewhere.  For the affine Lotka-Volterra reactions each
 support subset gives one linear solve, so enumeration over all ``2^m``
-subsets is exhaustive.
+subsets is exhaustive.  That solve's root is the state (``g`` is affine,
+so a Newton step would only repeat the solve).  Each state records its
+residual ``max |f(u*)|``, and the index bookkeeping
+(``index_theory._index_precondition``) judges whether it is accurate
+enough to carry an index.
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ from numpy.typing import NDArray
 
 from .model import MAX_SPECIES, Model, ModelError
 
-TOL_ROOT = 1e-12
 TOL_DEDUP = 1e-9
 TOL_SIGN = 1e-10
 TOL_DEGENERATE = 1e-8
-MAX_REFINE = 50
 
 
 class EnumerationError(ModelError):
@@ -76,6 +78,7 @@ def _make_state(model: Model, support: Sequence[bool], u: NDArray[np.float64]) -
     )
 
 
+@dataclass(frozen=True)
 class StateEnumeration:
     """Result of exhaustive constant-state enumeration.
 
@@ -86,13 +89,14 @@ class StateEnumeration:
     inconclusive.
     """
 
-    def __init__(
-        self,
-        states: Sequence[ConstantState],
-        degenerate_subsets: Sequence[tuple[int, ...]] = (),
-    ) -> None:
-        self.states = sorted(states, key=lambda s: s.mask)
-        self.degenerate_subsets = [tuple(s) for s in degenerate_subsets]
+    states: Sequence[ConstantState]
+    degenerate_subsets: Sequence[tuple[int, ...]] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "states", tuple(sorted(self.states, key=lambda s: s.mask)))
+        object.__setattr__(
+            self, "degenerate_subsets", tuple(tuple(s) for s in self.degenerate_subsets)
+        )
 
     def __iter__(self) -> Iterator[ConstantState]:
         return iter(self.states)
@@ -110,10 +114,12 @@ class StateEnumeration:
 def find_constant_states(model: Model) -> StateEnumeration:
     """Enumerate all constant steady states with positive support.
 
-    Solves ``c|_S u_S = r|_S`` for every support subset ``S`` and keeps
-    solutions that are strictly positive on ``S``.  Roots that fall on
-    the boundary of the orthant are rejected here and re-attributed to
-    the smaller support that finds them exactly.
+    Solves ``c|_S u_S = r|_S`` once for every support subset ``S`` and
+    keeps solutions that are strictly positive on ``S``; the solve's root
+    is the state's ``u_star``.  Roots that fall on the boundary of the
+    orthant are rejected here and re-attributed to the smaller support
+    that finds them exactly.  Raises :class:`EnumerationError` only when
+    ``m`` exceeds ``MAX_SPECIES``.
     """
     if model.m > MAX_SPECIES:
         raise EnumerationError(
@@ -147,73 +153,7 @@ def find_constant_states(model: Model) -> StateEnumeration:
             ):
                 continue
             seen.append(u)
-            state = _make_state(model, [i in subset for i in range(model.m)], u)
-            if state.residual > TOL_ROOT * (1.0 + float(np.abs(model.r).max())):
-                state = refine_root(model, state.support, u)
-            states.append(state)
+            states.append(_make_state(model, [i in subset for i in range(model.m)], u))
 
     return StateEnumeration(states, degenerate)
 
-
-def refine_root(
-    model: Model,
-    support: Sequence[bool],
-    u0: NDArray[np.float64],
-) -> ConstantState:
-    """Polish a constant-state candidate by damped Newton on ``g|_S``.
-
-    The iterate stays inside the positive orthant on its support; leaving
-    it by more than the sign tolerance aborts.
-    """
-    support = tuple(bool(b) for b in support)
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (model.m,):
-        raise ModelError(f"u0 must have shape ({model.m},), got {u0.shape}")
-    off = [i for i, b in enumerate(support) if not b]
-    if off and np.abs(u0[off]).max() > TOL_SIGN:
-        raise ModelError("u0 must vanish off the claimed support")
-
-    idx = np.array([i for i, b in enumerate(support) if b], dtype=int)
-    u = np.zeros(model.m)
-    if idx.size == 0:
-        return _make_state(model, support, u)
-
-    x = u0[idx].copy()
-    c_sub = model.c[np.ix_(idx, idx)]
-    r_sub = model.r[idx]
-    scale = 1.0 + float(np.abs(r_sub).max())
-
-    for _ in range(MAX_REFINE):
-        g = r_sub - c_sub @ x
-        if np.abs(g).max() <= TOL_ROOT * scale:
-            u[idx] = x
-            if np.any(x <= 0):
-                raise EnumerationError(
-                    f"refined root leaves the positive orthant on support {support}"
-                )
-            return _make_state(model, support, u)
-        try:
-            # g is affine: dg/dx = -c_sub, so the undamped step is exact.
-            step = np.linalg.solve(c_sub, g)
-        except np.linalg.LinAlgError as exc:
-            raise EnumerationError(
-                f"no convergence: singular Jacobian on support {support}"
-            ) from exc
-        alpha = 1.0
-        base = np.abs(g).max()
-        while alpha > 1e-12:
-            x_new = x + alpha * step
-            if np.abs(r_sub - c_sub @ x_new).max() <= (1.0 - 1e-4 * alpha) * base:
-                break
-            alpha *= 0.5
-        else:
-            raise EnumerationError(
-                f"no convergence: line search stagnates on support {support}"
-            )
-        x = x + alpha * step
-        if np.any(x < -TOL_SIGN):
-            raise EnumerationError(
-                f"iterate leaves the positive orthant on support {support}"
-            )
-
-    raise EnumerationError(f"no convergence within {MAX_REFINE} iterations")

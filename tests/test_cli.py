@@ -54,6 +54,20 @@ LOGISTIC = {
 }
 
 
+# Mutualism with c_12 c_21 = 0.999995: the positive state, about
+# (3e4, 6e4), is large against r, and the support's one solve leaves
+# max |g| at its rounding floor.
+MUTUALISM = {
+    "m": 2,
+    "d": [1.0, 1.0],
+    "alpha": [[0.0, 0.0], [0.0, 0.0]],
+    "r": [0.1, 0.1],
+    "c": [[1.0, -0.5], [-1.99999, 1.0]],
+    "domain": {"kind": "interval", "lengths": [3.0]},
+    "bc": "neumann",
+}
+
+
 SKT = {
     "m": 2,
     "d": [0.05, 1.0],
@@ -180,6 +194,15 @@ def test_analyze_degenerate_states_exit_inconclusive(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdict"]["inconclusive"] is True
     assert "degenerate-subset" in report["verdict"]["cause"]
+
+
+def test_analyze_near_singular_mutualism_is_decided(tmp_path):
+    cfg = write_config(tmp_path, MUTUALISM)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == cli.EXIT_OK
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict["total"] == 1
+    assert verdict["inconclusive"] is False
 
 
 def test_analyze_dirichlet_notice(tmp_path, capsys):
@@ -1039,6 +1062,13 @@ def test_sweep_batch_with_error_rows_matches_points_swept_alone(tmp_path):
     errors = [row["error"] != "" for row in rows]
     assert len(errors) == 64 and 0 < sum(errors) < 64
     assert_rows_equal_points_swept_alone(tmp_path, cfg, ["d.0"], rows)
+
+
+def test_sweep_near_singular_mutualism_writes_no_error_rows(tmp_path):
+    cfg = write_config(tmp_path, MUTUALISM)
+    rows = sweep_rows(tmp_path, cfg, ["r.0=0.05:0.2:4", "d.0=0.5:1.5:3"], "sweep.csv")
+    assert len(rows) == 12
+    assert all(row["error"] == "" and row["total"] == "1" for row in rows)
 
 
 def test_sweep_runs_in_the_calling_process(tmp_path, monkeypatch):

@@ -40,6 +40,10 @@ ANALYZE = {
     # (1.5, 6), which holds modes 3 to 7 (lambda_hat = 2, 4, 4, 5, 5)
     # counted with multiplicity; modes 0 to 2 lie below it.
     "square-band": cli.EXIT_OK,
+    # Mutualism with c_12 c_21 = 0.999995: the positive state, about
+    # (3e4, 6e4), is its support's one linear solve, with max |g| at the
+    # rounding floor eps |c| |u|; index +1 and total 1.
+    "mutualism": cli.EXIT_OK,
 }
 
 SWEEPS = {

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from crossdiff import (
     ConfigError,
     Domain,
+    Model,
     ModelError,
     build_model,
     validate_structure,
@@ -66,6 +67,20 @@ def test_negative_alpha_rejected():
 def test_shape_mismatch_rejected():
     with pytest.raises(ModelError):
         build_model(lv_config(r=[1.0]))
+
+
+def test_shape_message_is_the_same_from_both_entry_points():
+    # alpha and r both have the wrong shape: build_model and Model name
+    # the same one, in the order Model checks its fields.
+    config = lv_config(alpha=[[0.0] * 3] * 2, r=[1.0] * 3)
+    message = build_model_message(config)
+    with pytest.raises(ConfigError) as raised:
+        Model(
+            m=2, d=np.array(config["d"]), alpha=np.array(config["alpha"]),
+            r=np.array(config["r"]), c=np.array(config["c"]),
+            domain=Domain(kind="interval", lengths=(np.pi,)),
+        )
+    assert str(raised.value) == message == "r must have shape (2,), got (3,)"
 
 
 def test_unknown_config_keys_rejected():

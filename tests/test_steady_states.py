@@ -1,7 +1,8 @@
-"""Exhaustive constant-state enumeration and root polishing."""
+"""Exhaustive constant-state enumeration."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,10 +13,9 @@ from hypothesis import strategies as st
 
 from crossdiff import (
     EnumerationError,
-    ModelError,
     build_model,
+    existence_verdict,
     find_constant_states,
-    refine_root,
 )
 
 
@@ -58,6 +58,17 @@ def test_singular_subset_flagged_not_fatal():
     assert (0, 1) in [tuple(s) for s in states.degenerate_subsets]
     assert states.by_classification("nontrivial") == []
     assert len(states) == 3  # trivial + two semitrivial
+
+
+def test_enumeration_is_a_frozen_record():
+    model = lv_model(c=((1.0, 1.0), (1.0, 1.0)))
+    states = find_constant_states(model)
+    assert [s.mask for s in states.states] == [0, 1, 2]
+    assert states.degenerate_subsets == ((0, 1),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        states.states = ()
+    # The cause names the supports as a list, as analyze reports write it.
+    assert "on supports [(0, 1)];" in existence_verdict(model, states).cause
 
 
 def test_trivial_state_always_present_and_first():
@@ -128,33 +139,52 @@ def test_enumeration_matches_brute_force(m, seed):
         assert len(states.degenerate_subsets) > 0
 
 
-def test_refine_root_reaches_coexistence():
-    model = lv_model()
-    state = refine_root(model, (True, True), np.array([0.6, 0.8]))
-    np.testing.assert_allclose(
-        state.u_star, [10.0 / 17.0, 14.0 / 17.0], atol=1e-12
-    )
-    assert state.residual <= 1e-12
+def assert_roots_are_the_support_solves(model, states):
+    for state in states:
+        idx = np.array(state.support_indices, dtype=int)
+        if idx.size:
+            solve = np.linalg.solve(model.c[np.ix_(idx, idx)], model.r[idx])
+            np.testing.assert_array_equal(state.u_star[idx], solve, strict=True)
 
 
-def test_refine_root_fixed_point_unchanged():
-    model = lv_model()
-    state = refine_root(model, (True, False), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(state.u_star, [1.0, 0.0], atol=1e-14)
+def test_large_root_against_growth_is_the_solve():
+    # Mutualism with c_12 c_21 = 0.999995: the positive state, about
+    # (3e4, 6e4), is large against r = 0.1.  The solve leaves max |g|
+    # near 3e-12, inside its rounding floor eps |c| |u| (about 3e-11), so
+    # no Newton step brings it below 1e-12 (1 + max |r|).
+    model = lv_model(r=(0.1, 0.1), c=((1.0, -0.5), (-1.99999, 1.0)))
+    states = find_constant_states(model)
+    assert len(states) == 4
+    (positive,) = states.by_classification("nontrivial")
+    np.testing.assert_array_equal(positive.u_star, np.linalg.solve(model.c, model.r), strict=True)
+    assert_roots_are_the_support_solves(model, states)
 
 
-def test_refine_root_singular_jacobian_errors():
-    # g = 1 - u1 - u2 for both species: the restricted Jacobian -c is
-    # singular everywhere, and (0.2, 0.2) is not a root.
-    model = lv_model(c=((1.0, 1.0), (1.0, 1.0)))
-    with pytest.raises(EnumerationError, match="no convergence"):
-        refine_root(model, (True, True), np.array([0.2, 0.2]))
+def near_singular_model(rng):
+    """LV kinetics with c v = delta M v for a positive v, and r = c (U v):
+    the positive root U v is large and its support nearly singular."""
+    m = int(rng.integers(2, 4))
+    M = rng.uniform(-1.0, 2.0, (m, m)) + m * np.eye(m)
+    v = rng.uniform(0.5, 2.0, m)
+    w = rng.uniform(0.5, 2.0, m)
+    delta = 10.0 ** rng.uniform(-10, -4)
+    U = 10.0 ** rng.uniform(0, 10)
+    c = M - (1.0 - delta) * np.outer(M @ v, w) / (w @ v)
+    return lv_model(r=c @ (U * v), c=c, m=m)
 
 
-def test_refine_root_rejects_support_violating_start():
-    model = lv_model()
-    with pytest.raises(ModelError, match="support"):
-        refine_root(model, (True, False), np.array([0.5, 0.5]))
+def test_near_singular_roots_are_the_support_solves():
+    # Each state is its support's one solve, bit for bit, and nothing
+    # raises: whether a root is accurate enough for an index is the
+    # verdict's question, answered or left inconclusive with a cause.
+    rng = np.random.default_rng(7)
+    for _ in range(240):
+        model = near_singular_model(rng)
+        states = find_constant_states(model)
+        assert_roots_are_the_support_solves(model, states)
+        verdict = existence_verdict(model, states)
+        assert verdict.inconclusive == (verdict.total is None)
+        assert verdict.inconclusive == bool(verdict.cause)
 
 
 def test_species_count_cap():
