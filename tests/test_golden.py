@@ -1,14 +1,18 @@
 """Report, sweep and solve bytes against recorded files: ``analyze``,
 ``sweep`` and ``solve`` output must not move by a bit.
 
-Each ``<name>.model.json`` under ``tests/golden/`` is analyzed into
-``<name>.report.json``; each sweep CSV comes from its command in
-:data:`SWEEPS`, and each ``<name>.solve.json`` from the solve in
-:data:`SOLVES`, whose exit code is stated and whose field CSV is pinned
-by its SHA-256.  To re-record
-a file after a deliberate change of bytes, run the same command with
-``--output`` pointing into ``tests/golden/``; a solve report is written
-as ``<dir>/solve.json``, so that its ``field_csv`` reads
+Each ``<name>.model.json`` under ``tests/golden/`` has an :data:`ANALYZE`
+entry and is analyzed into ``<name>.report.json``; each sweep CSV comes
+from its command in :data:`SWEEPS`, and each ``<name>.solve.json`` from
+the solve in :data:`SOLVES`, whose exit code is stated and whose field
+CSV is pinned by its SHA-256.  A solve's reported residual norm is
+recomputed from its field CSV, and a converged one must lie within the
+reported tolerance.
+
+To re-record a file after a deliberate change of bytes, run the same
+command with the ``crossdiff`` console script and ``--output`` pointing
+into ``tests/golden/``; a solve report is written as
+``<dir>/solve.json``, so that its ``field_csv`` reads
 ``solve_field.csv``, and copied to ``<name>.solve.json``.
 """
 
@@ -18,9 +22,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossdiff import cli
+from crossdiff.model import build_model
+from crossdiff.pde_solver import discretize, make_grid
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -64,6 +71,16 @@ SWEEPS = {
     # 23 total -1.
     "sweep-square-d-length.csv": (
         "square", ["d.0=1e-9:0.6:12", "domain.lengths.1=0:5:6"],
+    ),
+    # The README model over the benchmark's grid, decided from the
+    # checked batch's stacks: 576 rows, 557 total 1 and 19 total -1.
+    "sweep-readme-d-alpha.csv": (
+        "readme", ["d.0=0.05:1.0:12", "alpha.0.1=0:2:48"],
+    ),
+    # The near-singular mutualism model over r.0 x d.0: each positive
+    # state is its support's one linear solve, and all 12 rows total 1.
+    "sweep-mutualism-r-d.csv": (
+        "mutualism", ["r.0=0.05:0.2:4", "d.0=0.5:1.5:3"],
     ),
 }
 
@@ -131,6 +148,12 @@ SOLVES = {
         _LOGISTIC, ["--grid", "32", "--seed-constant", "0.5"], cli.EXIT_SOLVER,
         "d85227bf4596bae6231c0922de79deae23b75bdaecc3622823e89d23e8801f01",
     ),
+    # The same by direct Newton: the first linear solve fails on the
+    # singular Jacobian, and the answer is the seed, t_path [1.0].
+    "logistic-half-newton": (
+        _LOGISTIC, ["--grid", "32", "--seed-constant", "0.5", "--no-homotopy"], cli.EXIT_SOLVER,
+        "d85227bf4596bae6231c0922de79deae23b75bdaecc3622823e89d23e8801f01",
+    ),
 }
 
 
@@ -166,8 +189,21 @@ def test_solve_report_and_field_match_golden(tmp_path, name):
     code = cli.main(["solve", "--config", str(path), "--output", str(out), *args])
     assert code == exit_code
     assert out.read_bytes() == (GOLDEN / f"{name}.solve.json").read_bytes()
-    field = (tmp_path / "solve_field.csv").read_bytes()
-    assert hashlib.sha256(field).hexdigest() == field_sha256
+    field = tmp_path / "solve_field.csv"
+    assert hashlib.sha256(field.read_bytes()).hexdigest() == field_sha256
+    # The reported residual norm is that of the written field, for the
+    # target problem on the report's grid, and a converged one is within
+    # the reported tolerance.
+    report = json.loads(out.read_text())
+    model = build_model(report["model"])
+    grid = make_grid(model.domain, report["grid"])
+    table = np.loadtxt(field, delimiter=",", skiprows=1, ndmin=2)
+    values = table[:, grid.ndim :].reshape(grid.shape + (model.m,))
+    residual = float(np.linalg.norm(discretize(model, grid).residual(values)))
+    result = report["result"]
+    assert result["residual_norm"] == pytest.approx(residual, rel=1e-12, abs=0.0)
+    if result["converged"]:
+        assert residual <= result["tolerance"]
 
 
 def test_golden_reports_are_strict_json():
@@ -177,6 +213,8 @@ def test_golden_reports_are_strict_json():
     def refuse(token):
         raise ValueError(f"non-standard JSON token {token}")
 
+    models = sorted(GOLDEN.glob("*.model.json"))
+    assert [p.name for p in models] == sorted(f"{name}.model.json" for name in ANALYZE)
     reports = sorted(GOLDEN.glob("*.report.json"))
     assert [p.name for p in reports] == sorted(f"{name}.report.json" for name in ANALYZE)
     solves = sorted(GOLDEN.glob("*.solve.json"))
