@@ -425,18 +425,13 @@ _ERROR_ROW = ("",) * (len(_ROW_COLUMNS) - 1)
 
 def _verdict_rows(batch: ModelBatch) -> list[tuple | Exception]:
     """The verdict columns of every batch point not in error, from one
-    :func:`verdict_table`; if building it raises, each point is decided
-    alone, as a one-point batch, so the exception lands on its own point."""
+    :func:`verdict_table`.  The table raises only for what all its points
+    share, the boundary condition or the species count, so its exception
+    is every point's."""
     try:
         table = verdict_table(batch)
     except ModelError as exc:
-        points = [k for k, error in enumerate(batch.errors) if error is None]
-        if len(points) == 1:
-            return [exc]
-        return [
-            row for k in points
-            for row in _verdict_rows(replace_entries(batch.model(k), (), [()]))
-        ]
+        return [exc] * sum(error is None for error in batch.errors)
     return list(zip(*(getattr(table, name).tolist() for name in _ROW_COLUMNS[:-1])))
 
 

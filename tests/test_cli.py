@@ -1257,26 +1257,17 @@ def test_sweep_checks_its_points_in_one_batch(tmp_path, monkeypatch):
         assert len(calls) <= 1 + kinetics
 
 
-def test_sweep_batch_that_raises_decides_each_point_alone(tmp_path, monkeypatch):
-    # The constant states of one kinetics cannot be enumerated, so the
-    # batch's table raises: each point not in error is then built from the
-    # batch and decided alone, and only that kinetics' points get the error.
-    from crossdiff import index_theory
-
-    find = index_theory.find_constant_states
-
-    def failing(model):
-        if model.r[0] == 0.5:
-            raise ModelError("no constant states at r.0 = 0.5")
-        return find(model)
-
-    monkeypatch.setattr(index_theory, "find_constant_states", failing)
-    cfg = write_config(tmp_path, dict(TURING, alpha=[[0.0, 0.0], [0.1, 0.0]]))
-    paths = ["r.0", "d.0"]
-    rows = sweep_rows(tmp_path, cfg, ["r.0=0.5:1.5:3", "d.0=-0.2:0.6:3"], "s.csv")
-    failed = [row for row in rows if row["error"] == "no constant states at r.0 = 0.5"]
-    assert [row["r.0"] for row in failed] == ["0.5", "0.5"]
-    assert sum(row["error"] == "" for row in rows) == 4
+def test_sweep_of_a_dirichlet_batch_gives_every_point_the_tables_error(tmp_path):
+    # The verdict table of a Dirichlet batch raises as a whole: every
+    # point that builds gets its error, and the points whose model cannot
+    # be built keep their own.
+    cfg = write_config(tmp_path, dict(SKT, bc="dirichlet"))
+    paths = ["d.0", "alpha.0.1"]
+    rows = sweep_rows(tmp_path, cfg, ["d.0=-0.1:0.2:4", "alpha.0.1=0:1:2"], "s.csv")
+    errors = [row["error"] for row in rows]
+    assert errors[:2] == ["diffusion rates d must be strictly positive, got [-0.1  1. ]"] * 2
+    assert errors[2:] == ["the existence verdict is built on the Neumann problem"] * 6
+    assert not any(row["total"] or row["cause"] for row in rows)
     assert_rows_equal_points_swept_alone(tmp_path, cfg, paths, rows)
 
 
