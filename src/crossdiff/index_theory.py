@@ -473,12 +473,15 @@ def constant_state_index(model: Model, u_star: NDArray[np.float64]) -> IndexRepo
 class _Kinetics:
     """What existence verdicts need from the kinetics ``(m, r, c)`` alone.
 
-    Built once per distinct kinetics of a batch: the constant states, the
-    case label, every boundary index that the growth signs settle, and a
-    :class:`_State` for every state whose index needs the kernel -- the
-    positive states and the v-stable semitrivial ones, whose index is
-    that of the restricted subsystem at its positive state.  ``members``
-    lists the batch positions of the models with these kinetics.
+    Built once per distinct kinetics of a batch: the case label and one
+    entry per constant state, in enumeration order, so the positive
+    state, with the full support, comes last.  An entry holds the state,
+    its growth-sign :class:`StabilityVerdict` (``None`` for the positive
+    state) and its :class:`BoundaryIndex` when the growth signs settle it,
+    or else the :class:`_State` whose index the kernel decides: the
+    positive state, or a v-stable semitrivial one, whose index is that of
+    the restricted subsystem at its positive state.  ``members`` lists
+    the batch positions of the models with these kinetics.
     """
 
     def __init__(self, model: Model, states: StateEnumeration | None) -> None:
@@ -500,24 +503,20 @@ class _Kinetics:
                 "degenerate-subset: singular interaction matrix on supports "
                 f"{list(enum.degenerate_subsets)}; enumeration may be incomplete"
             )
-        # Per state that can leave a verdict inconclusive, in the order of
-        # its cause: its label, the _State whose index the kernel decides
-        # (None: a vanishing growth sign) and the cause when it has no index.
-        self.sources: list[tuple[str, _State | None, str]] = []
-        # Per boundary state, in order: its index when the growth signs
-        # settle it, or else the _State of its restricted index.
-        self.boundary: list[tuple[ConstantState, StabilityVerdict, BoundaryIndex | _State]] = []
+        self.entries: list[
+            tuple[ConstantState, StabilityVerdict | None, BoundaryIndex | _State]
+        ] = []
         for state in enum:
-            if state.classification == "nontrivial":
-                continue
-            sv = semitrivial_stability(model, state)
-            if sv.v_class == "degenerate":
-                entry: BoundaryIndex | _State = BoundaryIndex(
-                    state, sv, None, "degenerate growth sign"
+            sv = None
+            if state.classification != "nontrivial":
+                sv = semitrivial_stability(model, state)
+            if sv is None:
+                error = _index_precondition(model, state.u_star)
+                entry: BoundaryIndex | _State = _State(
+                    model, state.u_star, state.support_indices, error
                 )
-                self.sources.append((_state_label(state), None, (
-                    "growth sign vanishes within tolerance (degenerate boundary state)"
-                )))
+            elif sv.v_class == "degenerate":
+                entry = BoundaryIndex(state, sv, None, "degenerate growth sign")
             elif sv.v_class == "v-unstable":
                 entry = BoundaryIndex(state, sv, 0, "invadable: index 0")
             elif state.classification == "trivial":
@@ -525,18 +524,10 @@ class _Kinetics:
             else:
                 sub = model.restrict(state.support_indices)
                 u_sub = state.u_star[list(state.support_indices)]
-                error = _index_precondition(sub, u_sub)
-                entry = _State(sub, u_sub, state.support_indices, error)
-                self.sources.append((_state_label(state), entry, "restricted index degenerate"))
-            self.boundary.append((state, sv, entry))
-        self.nontrivial: list[tuple[ConstantState, _State]] = []
-        for state in enum.by_classification("nontrivial"):
-            error = _index_precondition(model, state.u_star)
-            pos = _State(model, state.u_star, state.support_indices, error)
-            self.nontrivial.append((state, pos))
-            self.sources.append((_state_label(state), pos, "degenerate mode, no index"))
-        self.positive = [pos for _, pos, _ in self.sources if pos is not None]
-        settled = [b.index for _, _, b in self.boundary if isinstance(b, BoundaryIndex)]
+                entry = _State(sub, u_sub, state.support_indices, _index_precondition(sub, u_sub))
+            self.entries.append((state, sv, entry))
+        self.positive = [entry for *_, entry in self.entries if isinstance(entry, _State)]
+        settled = [entry.index for *_, entry in self.entries if isinstance(entry, BoundaryIndex)]
         self.settled = None if None in settled else sum(settled)
 
 
@@ -560,25 +551,26 @@ class VerdictTable:
         """Row ``k`` as an :class:`ExistenceVerdict`."""
         kinetics, i = self.members[k]
         boundary: list[BoundaryIndex] = []
-        for state, sv, entry in kinetics.boundary:
-            if isinstance(entry, _State):
-                rep = entry.outcome(i)
-                if isinstance(rep, ModelError):
-                    entry = BoundaryIndex(state, sv, None, str(rep))
-                elif rep.index is None:
-                    entry = BoundaryIndex(state, sv, None, "restricted index degenerate", rep)
-                else:
-                    entry = BoundaryIndex(state, sv, rep.index, "v-stable: restricted index", rep)
-            boundary.append(entry)
         nontrivial: list[tuple[tuple[float, ...], int | None]] = []
         reports: list[IndexReport] = []
-        for state, pos in kinetics.nontrivial:
-            rep = pos.outcome(i)
-            if isinstance(rep, ModelError):
-                nontrivial.append((tuple(state.u_star), None))
+        for state, sv, entry in kinetics.entries:
+            if isinstance(entry, BoundaryIndex):
+                boundary.append(entry)
+                continue
+            rep = entry.outcome(i)
+            if sv is None:
+                failed = isinstance(rep, ModelError)
+                nontrivial.append((tuple(state.u_star), None if failed else rep.index))
+                if not failed:
+                    reports.append(rep)
+            elif isinstance(rep, ModelError):
+                boundary.append(BoundaryIndex(state, sv, None, str(rep)))
+            elif rep.index is None:
+                boundary.append(BoundaryIndex(state, sv, None, "restricted index degenerate", rep))
             else:
-                reports.append(rep)
-                nontrivial.append((tuple(state.u_star), rep.index))
+                boundary.append(
+                    BoundaryIndex(state, sv, rep.index, "v-stable: restricted index", rep)
+                )
         inconclusive = bool(self.inconclusive[k])
         return ExistenceVerdict(
             case_label=self.case_label[k],
@@ -647,21 +639,26 @@ def verdict_table(
             index = pos.run.index[pos.start : pos.start + len(rows)]
             sums += index
             bad |= index == 0
-        n_states[rows] = len(kinetics.boundary) + len(kinetics.nontrivial)
+        n_states[rows] = len(kinetics.entries)
         case_label[rows] = kinetics.case_label
         total[rows] = np.where(bad, None, sums)
         predicts[rows] = np.where(bad, None, sums != 1)
         inconclusive[rows] = bad
-        # Causes, for inconclusive rows only: the kinetics', then the
-        # boundary states' in order, then the nontrivial states'.
+        # Causes, for inconclusive rows only: the kinetics', then each
+        # state's, in order.
         for i in np.flatnonzero(bad).tolist():
             causes = list(kinetics.causes)
-            for label, pos, text in kinetics.sources:
-                failure = None if pos is None else pos.failure(i)
-                if failure is not None:
-                    causes.append(f"{label}: {failure}")
-                elif pos is None or not pos.run.index[pos.start + i]:
-                    causes.append(f"{label}: {text}")
+            for state, sv, entry in kinetics.entries:
+                text = None
+                if isinstance(entry, BoundaryIndex):
+                    if entry.index is None:
+                        text = "growth sign vanishes within tolerance (degenerate boundary state)"
+                elif (failure := entry.failure(i)) is not None:
+                    text = str(failure)
+                elif not entry.run.index[entry.start + i]:
+                    text = "restricted index degenerate" if sv else "degenerate mode, no index"
+                if text is not None:
+                    causes.append(f"{_state_label(state)}: {text}")
             cause[rows[i]] = "; ".join(causes)
     return VerdictTable(n_states, case_label, total, predicts, inconclusive, cause, members)
 
