@@ -230,9 +230,12 @@ def _index_precondition(model: Model, u_star: NDArray[np.float64]) -> ModelError
         return ModelError(
             f"constant_state_index needs a strictly positive state, got {u_star}"
         )
+    # g = r - c u* is evaluated in floating point: at a large root its
+    # rounding floor, eps ||c||_inf max |u*|, outgrows the absolute bound.
     g_res = float(np.abs(model.g(u_star)).max())
-    g_scale = 1.0 + float(np.abs(model.r).max())
-    if g_res > 1e-8 * g_scale:
+    bound = 1e-8 * (1.0 + float(np.abs(model.r).max()))
+    floor = np.finfo(float).eps * float(np.abs(model.c).sum(axis=1).max() * u_star.max())
+    if g_res > bound + 4.0 * floor:
         return ModelError(
             f"u_star is not a constant steady state: max |g(u_star)| = {g_res:.3e}"
         )

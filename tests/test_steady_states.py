@@ -185,6 +185,27 @@ def test_near_singular_roots_are_the_support_solves():
         verdict = existence_verdict(model, states)
         assert verdict.inconclusive == (verdict.total is None)
         assert verdict.inconclusive == bool(verdict.cause)
+        # A root is never refused for max |g| within its rounding floor.
+        assert "not a constant steady state" not in (verdict.cause or "")
+
+
+def test_root_within_its_rounding_floor_carries_an_index():
+    # The positive root, about (2.42e9, 2.15e9), leaves max |g| = 3.84e-7:
+    # above the absolute bound 1e-8 (1 + max |r|) = 3.12e-7, below the
+    # rounding floor eps |c| |u| = 1.37e-6 of evaluating g = r - c u there.
+    model = build_model({
+        "m": 2, "d": [1.0, 1.0], "alpha": [[0.0, 0.0], [0.0, 0.0]],
+        "r": [14.89770399764403, 30.221546744310924],
+        "c": [[1.1924174829780863, -1.345294887118098],
+              [0.017197346286152104, -0.019402168869787628]],
+        "domain": {"kind": "interval", "lengths": [3.0]}, "bc": "neumann",
+    })
+    (positive,) = find_constant_states(model).by_classification("nontrivial")
+    g_res = np.abs(model.g(positive.u_star)).max()
+    assert 1e-8 * (1.0 + np.abs(model.r).max()) < g_res
+    assert g_res < np.finfo(float).eps * np.abs(model.c).sum(axis=1).max() * positive.u_star.max()
+    verdict = existence_verdict(model)
+    assert (verdict.total, verdict.inconclusive, verdict.cause) == (1, False, None)
 
 
 def test_species_count_cap():
