@@ -33,6 +33,7 @@ from .index_theory import (
     ExistenceVerdict,
     IndexReport,
     StabilityVerdict,
+    StateIndex,
     constant_state_index,
     existence_verdict,
     semitrivial_stability,
@@ -79,6 +80,7 @@ __all__ = [
     "SolveResult",
     "StabilityVerdict",
     "StateEnumeration",
+    "StateIndex",
     "StructureReport",
     "bmo_seminorm",
     "build_model",

@@ -263,10 +263,8 @@ def criterion_5() -> CriterionResult:
     """Mode-seeded solve of a Turing-configured model finds a pattern."""
     model = build_model(_turing_config())
     verdict = existence_verdict(model)
-    report = next(
-        r for r in verdict.index_reports
-        if np.allclose(r.u_star, [1.0, 1.0])
-    )
+    positive = next(s for s in verdict.states if s.stability is None)
+    u_star, report = positive.state.u_star, positive.report
     # The first nonconstant mode where p(lambda_hat) < 0.
     unstable = [
         int(r["first_mode"]) for r in report.negative if r["first_mode"] >= 1 and r["modes"]
@@ -278,7 +276,7 @@ def criterion_5() -> CriterionResult:
             f"{len(unstable)} unstable modes",
         )
     grid = make_grid(model.domain, 128)
-    seed = seed_from_mode(model, report.u_star, unstable[0], 1.5, grid)
+    seed = seed_from_mode(model, u_star, unstable[0], 1.5, grid)
     result = newton_solve(model, grid, seed)
     grad_l2 = norms(result.field)[1]
     passed = (
@@ -327,15 +325,12 @@ def criterion_7() -> CriterionResult:
     target = np.array([10.0 / 17.0, 14.0 / 17.0])
     err = float(np.abs(coexist.u_star - target).max())
     verdict = existence_verdict(model, states)
-    passed = (
-        err < 1e-10
-        and verdict.case_label == "a"
-        and verdict.sum_of_boundary_indices == 0
-    )
+    boundary = sum(s.index for s in verdict.states if s.stability is not None)
+    passed = err < 1e-10 and verdict.case_label == "a" and boundary == 0
     return CriterionResult(
         7, "coexistence-exactness", passed,
         f"|u* - (10/17, 14/17)| = {err:.2e}, case {verdict.case_label!r}, "
-        f"boundary sum {verdict.sum_of_boundary_indices}",
+        f"boundary sum {boundary}",
     )
 
 

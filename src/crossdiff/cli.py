@@ -48,7 +48,7 @@ from .pde_solver import (
 )
 from .steady_states import StateEnumeration, find_constant_states
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -136,13 +136,12 @@ def _verdict_summary(verdict: ExistenceVerdict) -> list[str]:
             return "yes" if v else "no"
         return str(v)
 
+    boundary = [s.index for s in verdict.states if s.stability is not None]
+    positive = [s.index for s in verdict.states if s.stability is None]
     rows = [
         ("case label", verdict.case_label),
-        ("boundary index sum", verdict.sum_of_boundary_indices),
-        (
-            "nontrivial indices",
-            ", ".join(fmt(ix) for _, ix in verdict.nontrivial_constant_indices) or "-",
-        ),
+        ("boundary index sum", None if verdict.inconclusive else sum(boundary)),
+        ("nontrivial indices", ", ".join(map(fmt, positive)) or "-"),
         ("total", verdict.total),
         ("predicts nonconstant", verdict.predicts_nonconstant),
         ("inconclusive", verdict.inconclusive),
@@ -178,8 +177,16 @@ def _analysis_report(config: dict) -> tuple[dict, ExistenceVerdict | None]:
         report["verdict"] = None
         return report, None
 
+    # One flat record per state, null where a key does not apply; the
+    # verdict keeps the rest.
     verdict = existence_verdict(model, states)
-    report["verdict"] = verdict
+    report["states"] = {"degenerate_subsets": states.degenerate_subsets, "states": [
+        {**_jsonify(s.state), "index": s.index, "note": s.note, "report": s.report,
+         "v_class": s.stability and s.stability.v_class,
+         "complement_signs": s.stability and s.stability.complement_signs}
+        for s in verdict.states
+    ]}
+    report["verdict"] = {k: v for k, v in vars(verdict).items() if k != "states"}
     return report, verdict
 
 

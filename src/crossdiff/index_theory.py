@@ -74,7 +74,7 @@ NEGATIVE = np.dtype(
 
 @dataclass(frozen=True, slots=True)
 class IndexReport:
-    """Local fixed-point index of a positive constant state.
+    """Local fixed-point index of a positive constant state the caller holds.
 
     ``roots`` holds one :data:`ROOT` record per root ``mu_j`` of ``p``,
     ascending by real part, then imaginary part: ``mu`` and ``imag`` are
@@ -98,7 +98,6 @@ class IndexReport:
     negative gets a warning naming the constant mode's factor.
     """
 
-    u_star: NDArray[np.float64]
     roots: NDArray
     sigma: int
     negative: NDArray
@@ -117,7 +116,6 @@ class StabilityVerdict:
     means v-stable; a vanishing sign is degenerate.
     """
 
-    state: ConstantState
     complement_signs: tuple[tuple[int, float], ...]
     v_class: str
 
@@ -139,15 +137,19 @@ def semitrivial_stability(model: Model, state: ConstantState) -> StabilityVerdic
         v_class = "v-unstable"
     else:
         v_class = "v-stable"
-    return StabilityVerdict(state=state, complement_signs=signs, v_class=v_class)
+    return StabilityVerdict(complement_signs=signs, v_class=v_class)
 
 
 @dataclass(frozen=True)
-class BoundaryIndex:
-    """Local index attribution for one trivial/semitrivial state."""
+class StateIndex:
+    """One constant state in an existence verdict: its growth signs
+    (``None`` for the positive state), its local index (``None`` where
+    none is claimed), a note on how it was settled or why it was not, and
+    the :class:`IndexReport` behind the index, the restricted one of a
+    v-stable semitrivial state, where the kernel made one."""
 
     state: ConstantState
-    stability: StabilityVerdict
+    stability: StabilityVerdict | None
     index: int | None
     note: str
     report: IndexReport | None = None
@@ -160,19 +162,19 @@ class ExistenceVerdict:
     The total degree over the positive cone is 1; when the local indices
     of all constant states sum to anything else, a nonconstant positive
     solution must exist.  ``case_label`` names the two-species sign
-    pattern (``a``/``b``/``c``) when one applies.
+    pattern (``a``/``b``/``c``) when one applies.  ``states`` holds one
+    :class:`StateIndex` per enumerated constant state, in enumeration
+    order; ``total`` is the sum of their indices, ``None`` when the
+    verdict is ``inconclusive``, and ``cause`` then says why.
     """
 
     case_label: str
-    sum_of_boundary_indices: int | None
-    nontrivial_constant_indices: tuple[tuple[tuple[float, ...], int | None], ...]
     total: int | None
     predicts_nonconstant: bool | None
     assumptions: tuple[str, ...]
     inconclusive: bool
     cause: str | None
-    boundary: tuple[BoundaryIndex, ...] = ()
-    index_reports: tuple[IndexReport, ...] = ()
+    states: tuple[StateIndex, ...]
 
 
 _ASSUMPTIONS = (
@@ -267,14 +269,11 @@ class _State:
         self.run: _Run | None = None
         self.start = 0
 
-    def failure(self, i: int) -> ModelError | None:
-        """Why member ``i`` of the kinetics has no index report here, if it has none."""
-        return self.error if self.error is not None else self.run.errors.get(self.start + i)
-
     def outcome(self, i: int) -> IndexReport | ModelError:
         """Member ``i``'s index report at this state, or why it has none."""
-        failure = self.failure(i)
-        return failure if failure is not None else self.run.report(self.start + i, self.u)
+        if self.error is not None:
+            return self.error
+        return self.run.errors.get(self.start + i) or self.run.report(self.start + i)
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,7 +294,7 @@ class _Run:
     bounds: NDArray[np.int64]
     det_J: NDArray[np.float64]
 
-    def report(self, k: int, u_star: NDArray[np.float64]) -> IndexReport:
+    def report(self, k: int) -> IndexReport:
         """The index report of row ``k``, a row without an error: it warns of
         the constant mode's factor when ``det(-J(u*))`` is not positive, and
         of the roots at a Neumann eigenvalue."""
@@ -313,7 +312,6 @@ class _Run:
                 + " lies at a Neumann eigenvalue; no index claimed"
             )
         return IndexReport(
-            u_star=u_star,
             roots=root,
             sigma=int(root["count"].sum()),
             negative=self.negative[self.bounds[k] : self.bounds[k + 1]],
@@ -480,7 +478,7 @@ class _Kinetics:
     entry per constant state, in enumeration order, so the positive
     state, with the full support, comes last.  An entry holds the state,
     its growth-sign :class:`StabilityVerdict` (``None`` for the positive
-    state) and its :class:`BoundaryIndex` when the growth signs settle it,
+    state) and its :class:`StateIndex` when the growth signs settle it,
     or else the :class:`_State` whose index the kernel decides: the
     positive state, or a v-stable semitrivial one, whose index is that of
     the restricted subsystem at its positive state.  ``members`` lists
@@ -507,7 +505,7 @@ class _Kinetics:
                 f"{list(enum.degenerate_subsets)}; enumeration may be incomplete"
             )
         self.entries: list[
-            tuple[ConstantState, StabilityVerdict | None, BoundaryIndex | _State]
+            tuple[ConstantState, StabilityVerdict | None, StateIndex | _State]
         ] = []
         for state in enum:
             sv = None
@@ -515,23 +513,42 @@ class _Kinetics:
                 sv = semitrivial_stability(model, state)
             if sv is None:
                 error = _index_precondition(model, state.u_star)
-                entry: BoundaryIndex | _State = _State(
+                entry: StateIndex | _State = _State(
                     model, state.u_star, state.support_indices, error
                 )
             elif sv.v_class == "degenerate":
-                entry = BoundaryIndex(state, sv, None, "degenerate growth sign")
+                note = "growth sign vanishes within tolerance (degenerate boundary state)"
+                entry = StateIndex(state, sv, None, note)
             elif sv.v_class == "v-unstable":
-                entry = BoundaryIndex(state, sv, 0, "invadable: index 0")
+                entry = StateIndex(state, sv, 0, "invadable: index 0")
             elif state.classification == "trivial":
-                entry = BoundaryIndex(state, sv, 1, "attracting trivial state: index 1")
+                entry = StateIndex(state, sv, 1, "attracting trivial state: index 1")
             else:
                 sub = model.restrict(state.support_indices)
                 u_sub = state.u_star[list(state.support_indices)]
                 entry = _State(sub, u_sub, state.support_indices, _index_precondition(sub, u_sub))
             self.entries.append((state, sv, entry))
         self.positive = [entry for *_, entry in self.entries if isinstance(entry, _State)]
-        settled = [entry.index for *_, entry in self.entries if isinstance(entry, BoundaryIndex)]
+        settled = [entry.index for *_, entry in self.entries if isinstance(entry, StateIndex)]
         self.settled = None if None in settled else sum(settled)
+
+    def records(self, i: int) -> tuple[StateIndex, ...]:
+        """Member ``i``'s record of each constant state, in enumeration order."""
+        records = []
+        for state, sv, entry in self.entries:
+            if isinstance(entry, StateIndex):
+                records.append(entry)
+                continue
+            rep = entry.outcome(i)
+            if isinstance(rep, ModelError):
+                records.append(StateIndex(state, sv, None, str(rep)))
+            elif rep.index is None:
+                note = "restricted index degenerate" if sv else "degenerate mode, no index"
+                records.append(StateIndex(state, sv, None, note, rep))
+            else:
+                note = "v-stable: restricted index" if sv else "positive state: root-count index"
+                records.append(StateIndex(state, sv, rep.index, note, rep))
+        return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -553,39 +570,14 @@ class VerdictTable:
     def verdict(self, k: int) -> ExistenceVerdict:
         """Row ``k`` as an :class:`ExistenceVerdict`."""
         kinetics, i = self.members[k]
-        boundary: list[BoundaryIndex] = []
-        nontrivial: list[tuple[tuple[float, ...], int | None]] = []
-        reports: list[IndexReport] = []
-        for state, sv, entry in kinetics.entries:
-            if isinstance(entry, BoundaryIndex):
-                boundary.append(entry)
-                continue
-            rep = entry.outcome(i)
-            if sv is None:
-                failed = isinstance(rep, ModelError)
-                nontrivial.append((tuple(state.u_star), None if failed else rep.index))
-                if not failed:
-                    reports.append(rep)
-            elif isinstance(rep, ModelError):
-                boundary.append(BoundaryIndex(state, sv, None, str(rep)))
-            elif rep.index is None:
-                boundary.append(BoundaryIndex(state, sv, None, "restricted index degenerate", rep))
-            else:
-                boundary.append(
-                    BoundaryIndex(state, sv, rep.index, "v-stable: restricted index", rep)
-                )
-        inconclusive = bool(self.inconclusive[k])
         return ExistenceVerdict(
             case_label=self.case_label[k],
-            sum_of_boundary_indices=None if inconclusive else sum(b.index for b in boundary),
-            nontrivial_constant_indices=tuple(nontrivial),
             total=self.total[k],
             predicts_nonconstant=self.predicts_nonconstant[k],
             assumptions=kinetics.assumptions,
-            inconclusive=inconclusive,
+            inconclusive=bool(self.inconclusive[k]),
             cause=self.cause[k],
-            boundary=tuple(boundary),
-            index_reports=tuple(reports),
+            states=kinetics.records(i),
         )
 
 
@@ -647,22 +639,13 @@ def verdict_table(
         total[rows] = np.where(bad, None, sums)
         predicts[rows] = np.where(bad, None, sums != 1)
         inconclusive[rows] = bad
-        # Causes, for inconclusive rows only: the kinetics', then each
-        # state's, in order.
+        # Causes, for inconclusive rows only: the kinetics', then the note
+        # of each state that claims no index, in order.
         for i in np.flatnonzero(bad).tolist():
-            causes = list(kinetics.causes)
-            for state, sv, entry in kinetics.entries:
-                text = None
-                if isinstance(entry, BoundaryIndex):
-                    if entry.index is None:
-                        text = "growth sign vanishes within tolerance (degenerate boundary state)"
-                elif (failure := entry.failure(i)) is not None:
-                    text = str(failure)
-                elif not entry.run.index[entry.start + i]:
-                    text = "restricted index degenerate" if sv else "degenerate mode, no index"
-                if text is not None:
-                    causes.append(f"{_state_label(state)}: {text}")
-            cause[rows[i]] = "; ".join(causes)
+            cause[rows[i]] = "; ".join(kinetics.causes + [
+                f"{_state_label(record.state)}: {record.note}"
+                for record in kinetics.records(i) if record.index is None
+            ])
     return VerdictTable(n_states, case_label, total, predicts, inconclusive, cause, members)
 
 

@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_analyze_weak_competition(tmp_path, capsys):
     assert "case" in captured.out
     assert "timing" in captured.out
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["command"] == "analyze"
     assert report["verdict"]["case_label"] == "a"
     assert report["verdict"]["total"] == 1
@@ -122,8 +123,8 @@ def test_analyze_bistable_saddle_counts_the_constant_mode(tmp_path, capsys):
     summary = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ["total", "1"] in summary
     assert ["predicts", "nonconstant", "no"] in summary
-    verdict = json.loads(out.read_text())["verdict"]
-    assert [index for _, index in verdict["nontrivial_constant_indices"]] == [-1]
+    records = json.loads(out.read_text())["states"]["states"]
+    assert [s["index"] for s in records if s["v_class"] is None] == [-1]
 
 
 ROOT_KEYS = {"mu", "imag", "real", "count", "gap"}
@@ -152,7 +153,9 @@ def test_analyze_mode_records(tmp_path, payload, counts, negative, kinds):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == 0
-    (rep,) = json.loads(out.read_text())["verdict"]["index_reports"]
+    records = json.loads(out.read_text())["states"]["states"]
+    (state,) = [s for s in records if s["v_class"] is None]
+    rep = state["report"]
     assert all(set(r) == ROOT_KEYS for r in rep["roots"])
     assert all(set(r) == NEGATIVE_KEYS for r in rep["negative"])
     assert [r["count"] for r in rep["roots"]] == counts
@@ -160,7 +163,7 @@ def test_analyze_mode_records(tmp_path, payload, counts, negative, kinds):
     assert [[r["first_mode"], r["modes"]] for r in rep["negative"]] == negative
     assert "".join("R" if r["real"] else "C" for r in rep["roots"]) == kinds
     model = build_model(payload)
-    u = np.array(rep["u_star"])
+    u = np.array(state["u_star"])
     A, J = model.A(u), model.jacobian_f(u)
     mu = np.linalg.eigvals(np.linalg.solve(A, J)).astype(complex)
     mu = mu[np.lexsort((mu.imag, mu.real))]
@@ -887,6 +890,11 @@ def test_solve_reports_its_refinement(tmp_path):
 
 
 ANALYZE_KEYS = {"schema_version", "version", "command", "model", "structure", "states", "verdict"}
+STATE_KEYS = {"u_star", "support", "classification", "residual"}
+RECORD_KEYS = STATE_KEYS | {"v_class", "complement_signs", "index", "note", "report"}
+VERDICT_KEYS = {
+    "case_label", "total", "predicts_nonconstant", "inconclusive", "cause", "assumptions",
+}
 SOLVE_RESULT_KEYS = {
     "converged", "residual_norm", "iterations", "factorizations", "t_path",
     "classification", "tolerance", "warnings", "refinement",
@@ -894,15 +902,31 @@ SOLVE_RESULT_KEYS = {
 
 
 def test_reports_write_each_fact_once(tmp_path):
-    # The boundary stabilities, indices and index reports live under
-    # verdict only; grad_l2 lives under diagnostics only; every solve
-    # has a refinement key, null on the direct route.
+    # Each constant state is one record under states, with the verdict's
+    # stability, index and index report of it, so its u_star is written
+    # once; the verdict keeps the scalars.  A Dirichlet report has no
+    # verdict and bare states.  grad_l2 lives under diagnostics only;
+    # every solve has a refinement key, null on the direct route.
     cfg = write_config(tmp_path, TURING)
     out = tmp_path / "analyze.json"
     assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == 0
+    golden = Path(__file__).resolve().parent / "golden"
+    paths = sorted(golden.glob("*.report.json"))
+    assert len(paths) == 9
+    for path in [out, *paths]:
+        text = path.read_text()
+        report = json.loads(text)
+        assert set(report) == ANALYZE_KEYS, path.name
+        assert report["schema_version"] == 2, path.name
+        records = report["states"]["states"]
+        assert text.count('"u_star"') == len(records) >= 3, path.name
+        assert all(set(record) == RECORD_KEYS for record in records), path.name
+        assert set(report["verdict"]) == VERDICT_KEYS, path.name
+    dirichlet = write_config(tmp_path, dict(TURING, bc="dirichlet"))
+    assert cli.main(["analyze", "--config", dirichlet, "--output", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert set(report) == ANALYZE_KEYS
-    assert {"boundary", "index_reports"} <= set(report["verdict"])
+    assert report["verdict"] is None
+    assert all(set(record) == STATE_KEYS for record in report["states"]["states"])
     for name, route in (("direct", ["--no-homotopy"]), ("sequenced", [])):
         out = tmp_path / f"{name}.json"
         argv = ["solve", "--config", cfg, "--output", str(out), "--grid", "16"]
@@ -1398,3 +1422,26 @@ def test_version_flag_exits_zero():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--version"])
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("failing, code, last", [
+    (set(), cli.EXIT_OK, "9/9 criteria passed"),
+    ({4}, cli.EXIT_INCONCLUSIVE, "8/9 criteria passed"),
+])
+def test_selftest_prints_one_line_per_criterion(monkeypatch, capsys, failing, code, last):
+    # The command reports the suite's results and exits 2 when any
+    # criterion fails; the criteria themselves run in test_acceptance.
+    from crossdiff import acceptance
+
+    results = [
+        acceptance.CriterionResult(k, f"name-{k}", k not in failing, f"detail {k}")
+        for k in range(1, 10)
+    ]
+    monkeypatch.setattr(acceptance, "run_all", lambda: results)
+    assert cli.main(["selftest"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [
+        f"{'FAIL' if k in failing else 'PASS'} criterion {k}: name-{k} (detail {k})"
+        for k in range(1, 10)
+    ]
+    assert lines[-1] == last

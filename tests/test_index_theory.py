@@ -352,7 +352,7 @@ def test_weak_competition_verdict():
     )
     verdict = existence_verdict(model)
     assert verdict.case_label == "a"
-    assert verdict.sum_of_boundary_indices == 0
+    assert [s.index for s in verdict.states if s.stability is not None] == [0, 0, 0]
     assert verdict.total == 1
     assert verdict.predicts_nonconstant is False
     assert not verdict.inconclusive
@@ -402,7 +402,7 @@ def test_index_never_forces_what_the_nonexistence_threshold_forbids():
     # saddles, whose constant-mode factor keeps the total at 1.
     decided = [v for v in verdicts if not v.inconclusive]
     assert len(proven) >= 300 and len(decided) >= 0.9 * len(proven)
-    saddles = [v for v in decided if -1 in (i for _, i in v.nontrivial_constant_indices)]
+    saddles = [v for v in decided if -1 in (s.index for s in v.states if s.stability is None)]
     assert len(saddles) >= 50
     assert all(v.total == 1 for v in decided)
 
@@ -522,7 +522,7 @@ def test_long_interval_is_decided_without_a_spectrum(monkeypatch):
     monkeypatch.setattr(spectral, "mode", no_mode)
     verdict = existence_verdict(long_interval_model())
     assert not verdict.inconclusive and verdict.total == 1
-    (report,) = verdict.index_reports
+    report = verdict.states[-1].report
     assert report.roots["count"].tolist() == [22508, 38046]
     assert report.sigma == 60554 and report.index == 1
     assert negative_intervals(report) == [(22508, 38046 - 22508)]
@@ -537,8 +537,8 @@ def test_one_sided_point_is_conclusive_and_matches_index_oracle():
     model = sweep_point(0.0)
     verdict = existence_verdict(model)
     assert not verdict.inconclusive
-    (report,) = verdict.index_reports
-    assert index_oracle(model, report.u_star) == report.index
+    positive = verdict.states[-1]
+    assert index_oracle(model, positive.state.u_star) == positive.report.index
 
 
 def counted_eigvals(monkeypatch):
@@ -733,22 +733,23 @@ def test_batch_verdicts_equal_one_model_verdicts():
     )
     for name in ("tiny interval", "m = 1, spectrum overflows a float", "long interval"):
         assert not verdicts[name].inconclusive, name
-    assert any(b.report is not None for v in batch for b in v.boundary)
+    assert any(s.report is not None for v in batch for s in v.states if s.stability is not None)
     kinds = []
     for model, verdict in zip(models.values(), batch):
         if model.m == 3:
-            (rep,) = verdict.index_reports
-            u = rep.u_star
+            u = verdict.states[-1].state.u_star
             _, V = np.linalg.eig(model.A(u) / model.d_A(u)[:, None])
             kinds.append(V.dtype.kind)
     assert kinds == ["f", "c"]
-    assert negative_intervals(verdicts["square, double mode"].index_reports[0]) == [(1, 2)]
-    large = verdicts["large square"].index_reports[0]
+    assert negative_intervals(verdicts["square, double mode"].states[-1].report) == [(1, 2)]
+    large = verdicts["large square"].states[-1].report
     assert large.negative["first_mode"].tolist() == [large.roots["count"][0]] == [40022]
     # The stacked roots are those of each state's own matrices, to the bit.
     for model, verdict in rows:
-        for rep in verdict.index_reports:
-            u = rep.u_star
+        for s in verdict.states:
+            if s.stability is not None or s.report is None:
+                continue
+            u, rep = s.state.u_star, s.report
             mu = np.linalg.eigvals(np.linalg.solve(model.A(u), model.jacobian_f(u)))
             mu = mu.astype(complex)[np.lexsort((mu.imag, mu.real))]
             assert rep.roots["mu"].tobytes() == mu.real.tobytes()
@@ -790,7 +791,7 @@ def test_batch_shares_kinetics_and_stacks_items(monkeypatch):
     points = [(a,) for a in np.linspace(0.25, 2.0, 12)]
     table = verdict_table(replace_entries(sweep_point(0.0), [("alpha", 0, 1)], points))
     assert len(enumerated) == 1
-    assert sum(len(table.verdict(k).index_reports) for k in range(12)) == 12
+    assert all(table.verdict(k).states[-1].report is not None for k in range(12))
     assert shapes == [(12, 2, 2), (12, 2, 2)]
 
 
@@ -800,7 +801,7 @@ TABLE_COLUMNS = ("n_states", "case_label", "total", "predicts_nonconstant", "inc
 def verdict_row(verdict):
     """A verdict's fields in the order of :data:`TABLE_COLUMNS`."""
     return (
-        len(verdict.boundary) + len(verdict.nontrivial_constant_indices),
+        len(verdict.states),
         verdict.case_label, verdict.total, verdict.predicts_nonconstant,
         verdict.inconclusive, verdict.cause,
     )
