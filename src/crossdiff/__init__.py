@@ -33,7 +33,6 @@ from .index_theory import (
     ExistenceVerdict,
     IndexReport,
     StabilityVerdict,
-    StateIndex,
     constant_state_index,
     existence_verdict,
     semitrivial_stability,
@@ -80,7 +79,6 @@ __all__ = [
     "SolveResult",
     "StabilityVerdict",
     "StateEnumeration",
-    "StateIndex",
     "StructureReport",
     "bmo_seminorm",
     "build_model",
