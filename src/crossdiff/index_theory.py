@@ -269,11 +269,21 @@ class _State:
         self.run: _Run | None = None
         self.start = 0
 
+    def failure(self, i: int) -> ModelError | None:
+        """Why member ``i`` of the kinetics has no index report here, if it has none."""
+        return self.error if self.error is not None else self.run.errors.get(self.start + i)
+
     def outcome(self, i: int) -> IndexReport | ModelError:
         """Member ``i``'s index report at this state, or why it has none."""
-        if self.error is not None:
-            return self.error
-        return self.run.errors.get(self.start + i) or self.run.report(self.start + i)
+        failure = self.failure(i)
+        return failure if failure is not None else self.run.report(self.start + i)
+
+
+def _kernel_note(sv: StabilityVerdict | None, index: int | None) -> str:
+    """The note on the positive state (no ``sv``) or a v-stable semitrivial one."""
+    if index is None:
+        return "restricted index degenerate" if sv else "degenerate mode, no index"
+    return "v-stable: restricted index" if sv else "positive state: root-count index"
 
 
 @dataclass(frozen=True, slots=True)
@@ -542,12 +552,8 @@ class _Kinetics:
             rep = entry.outcome(i)
             if isinstance(rep, ModelError):
                 records.append(StateIndex(state, sv, None, str(rep)))
-            elif rep.index is None:
-                note = "restricted index degenerate" if sv else "degenerate mode, no index"
-                records.append(StateIndex(state, sv, None, note, rep))
             else:
-                note = "v-stable: restricted index" if sv else "positive state: root-count index"
-                records.append(StateIndex(state, sv, rep.index, note, rep))
+                records.append(StateIndex(state, sv, rep.index, _kernel_note(sv, rep.index), rep))
         return tuple(records)
 
 
@@ -640,12 +646,19 @@ def verdict_table(
         predicts[rows] = np.where(bad, None, sums != 1)
         inconclusive[rows] = bad
         # Causes, for inconclusive rows only: the kinetics', then the note
-        # of each state that claims no index, in order.
+        # of each state that claims no index, without building its report.
         for i in np.flatnonzero(bad).tolist():
-            cause[rows[i]] = "; ".join(kinetics.causes + [
-                f"{_state_label(record.state)}: {record.note}"
-                for record in kinetics.records(i) if record.index is None
-            ])
+            causes = list(kinetics.causes)
+            for state, sv, entry in kinetics.entries:
+                if isinstance(entry, StateIndex):
+                    text = entry.note if entry.index is None else None
+                elif (failure := entry.failure(i)) is not None:
+                    text = str(failure)
+                else:
+                    text = None if entry.run.index[entry.start + i] else _kernel_note(sv, None)
+                if text is not None:
+                    causes.append(f"{_state_label(state)}: {text}")
+            cause[rows[i]] = "; ".join(causes)
     return VerdictTable(n_states, case_label, total, predicts, inconclusive, cause, members)
 
 
