@@ -136,8 +136,8 @@ def _verdict_summary(verdict: ExistenceVerdict) -> list[str]:
             return "yes" if v else "no"
         return str(v)
 
-    boundary = [s.index for s in verdict.states if s.stability is not None]
-    positive = [s.index for s in verdict.states if s.stability is None]
+    boundary = [s.index for s in verdict.states if not s.positive]
+    positive = [s.index for s in verdict.states if s.positive]
     rows = [
         ("case label", verdict.case_label),
         ("boundary index sum", None if verdict.inconclusive else sum(boundary)),
@@ -177,15 +177,9 @@ def _analysis_report(config: dict) -> tuple[dict, ExistenceVerdict | None]:
         report["verdict"] = None
         return report, None
 
-    # One flat record per state, null where a key does not apply; the
-    # verdict keeps the rest.
+    # One flat record per state; the verdict keeps the rest.
     verdict = existence_verdict(model, states)
-    report["states"] = {"degenerate_subsets": states.degenerate_subsets, "states": [
-        {**_jsonify(s.state), "index": s.index, "note": s.note, "report": s.report,
-         "v_class": s.stability and s.stability.v_class,
-         "complement_signs": s.stability and s.stability.complement_signs}
-        for s in verdict.states
-    ]}
+    report["states"] = {**_jsonify(states), "states": [s.record() for s in verdict.states]}
     report["verdict"] = {k: v for k, v in vars(verdict).items() if k != "states"}
     return report, verdict
 

@@ -142,17 +142,31 @@ def semitrivial_stability(model: Model, state: ConstantState) -> StabilityVerdic
 
 @dataclass(frozen=True)
 class StateIndex:
-    """One constant state in an existence verdict: its growth signs
-    (``None`` for the positive state), its local index (``None`` where
-    none is claimed), a note on how it was settled or why it was not, and
-    the :class:`IndexReport` behind the index, the restricted one of a
-    v-stable semitrivial state, where the kernel made one."""
+    """One constant state in an existence verdict: its growth signs (``None``
+    for the positive state), its local index (``None`` where none is claimed),
+    a note on how it was settled or why not, and the :class:`IndexReport` the
+    kernel made for it (the restricted one of a v-stable semitrivial state)."""
 
     state: ConstantState
     stability: StabilityVerdict | None
     index: int | None
     note: str
     report: IndexReport | None = None
+
+    @property
+    def positive(self) -> bool:
+        """Whether this is the positive state, the one without growth signs."""
+        return self.state.classification == "nontrivial"
+
+    def record(self) -> dict:
+        """The analyze report's flat record: the state's fields, then the
+        verdict's, ``None`` where one does not apply."""
+        sv = self.stability
+        return {
+            **vars(self.state), "v_class": sv and sv.v_class,
+            "complement_signs": sv and sv.complement_signs,
+            "index": self.index, "note": self.note, "report": self.report,
+        }
 
 
 @dataclass(frozen=True)
@@ -184,10 +198,7 @@ _ASSUMPTIONS = (
 )
 
 
-def _case_label(
-    model: Model,
-    enum: StateEnumeration,
-) -> str:
+def _case_label(model: Model, enum: StateEnumeration) -> str:
     """Two-species sign-pattern label; 'none' when no pattern applies."""
     if model.m != 2:
         return "none"
@@ -514,13 +525,10 @@ class _Kinetics:
                 "degenerate-subset: singular interaction matrix on supports "
                 f"{list(enum.degenerate_subsets)}; enumeration may be incomplete"
             )
-        self.entries: list[
-            tuple[ConstantState, StabilityVerdict | None, StateIndex | _State]
-        ] = []
+        self.entries: list[tuple[ConstantState, StabilityVerdict | None, StateIndex | _State]] = []
         for state in enum:
-            sv = None
-            if state.classification != "nontrivial":
-                sv = semitrivial_stability(model, state)
+            nontrivial = state.classification == "nontrivial"
+            sv = None if nontrivial else semitrivial_stability(model, state)
             if sv is None:
                 error = _index_precondition(model, state.u_star)
                 entry: StateIndex | _State = _State(
@@ -546,14 +554,12 @@ class _Kinetics:
         """Member ``i``'s record of each constant state, in enumeration order."""
         records = []
         for state, sv, entry in self.entries:
-            if isinstance(entry, StateIndex):
-                records.append(entry)
-                continue
-            rep = entry.outcome(i)
-            if isinstance(rep, ModelError):
-                records.append(StateIndex(state, sv, None, str(rep)))
-            else:
-                records.append(StateIndex(state, sv, rep.index, _kernel_note(sv, rep.index), rep))
+            got = entry if isinstance(entry, StateIndex) else entry.outcome(i)
+            if isinstance(got, ModelError):
+                got = StateIndex(state, sv, None, str(got))
+            elif isinstance(got, IndexReport):
+                got = StateIndex(state, sv, got.index, _kernel_note(sv, got.index), got)
+            records.append(got)
         return tuple(records)
 
 

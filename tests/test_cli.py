@@ -124,7 +124,7 @@ def test_analyze_bistable_saddle_counts_the_constant_mode(tmp_path, capsys):
     assert ["total", "1"] in summary
     assert ["predicts", "nonconstant", "no"] in summary
     records = json.loads(out.read_text())["states"]["states"]
-    assert [s["index"] for s in records if s["v_class"] is None] == [-1]
+    assert [s["index"] for s in records if s["classification"] == "nontrivial"] == [-1]
 
 
 ROOT_KEYS = {"mu", "imag", "real", "count", "gap"}
@@ -154,7 +154,7 @@ def test_analyze_mode_records(tmp_path, payload, counts, negative, kinds):
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--config", cfg, "--output", str(out)]) == 0
     records = json.loads(out.read_text())["states"]["states"]
-    (state,) = [s for s in records if s["v_class"] is None]
+    (state,) = [s for s in records if s["classification"] == "nontrivial"]
     rep = state["report"]
     assert all(set(r) == ROOT_KEYS for r in rep["roots"])
     assert all(set(r) == NEGATIVE_KEYS for r in rep["negative"])

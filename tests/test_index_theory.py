@@ -68,6 +68,12 @@ def negative_intervals(report):
     return [(int(r["first_mode"]), int(r["modes"])) for r in report.negative]
 
 
+def positive_record(verdict):
+    """The verdict's one record of a positive state."""
+    (record,) = [s for s in verdict.states if s.positive]
+    return record
+
+
 def reference_count(d_A, Ai):
     """``(N, degenerate)`` of ``diag(d_A)^{-1} Ai``: its real eigenvalues
     below ``-1e-8`` times its 2-norm, and whether an eigenvalue's real
@@ -352,7 +358,7 @@ def test_weak_competition_verdict():
     )
     verdict = existence_verdict(model)
     assert verdict.case_label == "a"
-    assert [s.index for s in verdict.states if s.stability is not None] == [0, 0, 0]
+    assert [s.index for s in verdict.states if not s.positive] == [0, 0, 0]
     assert verdict.total == 1
     assert verdict.predicts_nonconstant is False
     assert not verdict.inconclusive
@@ -402,7 +408,7 @@ def test_index_never_forces_what_the_nonexistence_threshold_forbids():
     # saddles, whose constant-mode factor keeps the total at 1.
     decided = [v for v in verdicts if not v.inconclusive]
     assert len(proven) >= 300 and len(decided) >= 0.9 * len(proven)
-    saddles = [v for v in decided if -1 in (s.index for s in v.states if s.stability is None)]
+    saddles = [v for v in decided if -1 in (s.index for s in v.states if s.positive)]
     assert len(saddles) >= 50
     assert all(v.total == 1 for v in decided)
 
@@ -522,7 +528,7 @@ def test_long_interval_is_decided_without_a_spectrum(monkeypatch):
     monkeypatch.setattr(spectral, "mode", no_mode)
     verdict = existence_verdict(long_interval_model())
     assert not verdict.inconclusive and verdict.total == 1
-    report = verdict.states[-1].report
+    report = positive_record(verdict).report
     assert report.roots["count"].tolist() == [22508, 38046]
     assert report.sigma == 60554 and report.index == 1
     assert negative_intervals(report) == [(22508, 38046 - 22508)]
@@ -537,7 +543,7 @@ def test_one_sided_point_is_conclusive_and_matches_index_oracle():
     model = sweep_point(0.0)
     verdict = existence_verdict(model)
     assert not verdict.inconclusive
-    positive = verdict.states[-1]
+    positive = positive_record(verdict)
     assert index_oracle(model, positive.state.u_star) == positive.report.index
 
 
@@ -733,21 +739,21 @@ def test_batch_verdicts_equal_one_model_verdicts():
     )
     for name in ("tiny interval", "m = 1, spectrum overflows a float", "long interval"):
         assert not verdicts[name].inconclusive, name
-    assert any(s.report is not None for v in batch for s in v.states if s.stability is not None)
+    assert any(s.report is not None for v in batch for s in v.states if not s.positive)
     kinds = []
     for model, verdict in zip(models.values(), batch):
         if model.m == 3:
-            u = verdict.states[-1].state.u_star
+            u = positive_record(verdict).state.u_star
             _, V = np.linalg.eig(model.A(u) / model.d_A(u)[:, None])
             kinds.append(V.dtype.kind)
     assert kinds == ["f", "c"]
-    assert negative_intervals(verdicts["square, double mode"].states[-1].report) == [(1, 2)]
-    large = verdicts["large square"].states[-1].report
+    assert negative_intervals(positive_record(verdicts["square, double mode"]).report) == [(1, 2)]
+    large = positive_record(verdicts["large square"]).report
     assert large.negative["first_mode"].tolist() == [large.roots["count"][0]] == [40022]
     # The stacked roots are those of each state's own matrices, to the bit.
     for model, verdict in rows:
         for s in verdict.states:
-            if s.stability is not None or s.report is None:
+            if not s.positive or s.report is None:
                 continue
             u, rep = s.state.u_star, s.report
             mu = np.linalg.eigvals(np.linalg.solve(model.A(u), model.jacobian_f(u)))
@@ -791,7 +797,7 @@ def test_batch_shares_kinetics_and_stacks_items(monkeypatch):
     points = [(a,) for a in np.linspace(0.25, 2.0, 12)]
     table = verdict_table(replace_entries(sweep_point(0.0), [("alpha", 0, 1)], points))
     assert len(enumerated) == 1
-    assert all(table.verdict(k).states[-1].report is not None for k in range(12))
+    assert all(positive_record(table.verdict(k)).report is not None for k in range(12))
     assert shapes == [(12, 2, 2), (12, 2, 2)]
 
 
