@@ -263,7 +263,7 @@ def criterion_5() -> CriterionResult:
     """Mode-seeded solve of a Turing-configured model finds a pattern."""
     model = build_model(_turing_config())
     verdict = existence_verdict(model)
-    (positive,) = [s for s in verdict.states if s.positive]
+    (positive,) = [s for s in verdict.states if s.state.classification == "nontrivial"]
     u_star, report = positive.state.u_star, positive.report
     # The first nonconstant mode where p(lambda_hat) < 0.
     unstable = [
@@ -325,7 +325,7 @@ def criterion_7() -> CriterionResult:
     target = np.array([10.0 / 17.0, 14.0 / 17.0])
     err = float(np.abs(coexist.u_star - target).max())
     verdict = existence_verdict(model, states)
-    boundary = [s.index for s in verdict.states if not s.positive]
+    boundary = [s.index for s in verdict.states if s.state.classification != "nontrivial"]
     boundary = None if verdict.inconclusive else sum(boundary)
     passed = err < 1e-10 and verdict.case_label == "a" and boundary == 0
     return CriterionResult(

@@ -136,8 +136,8 @@ def _verdict_summary(verdict: ExistenceVerdict) -> list[str]:
             return "yes" if v else "no"
         return str(v)
 
-    boundary = [s.index for s in verdict.states if not s.positive]
-    positive = [s.index for s in verdict.states if s.positive]
+    boundary = [s.index for s in verdict.states if s.state.classification != "nontrivial"]
+    positive = [s.index for s in verdict.states if s.state.classification == "nontrivial"]
     rows = [
         ("case label", verdict.case_label),
         ("boundary index sum", None if verdict.inconclusive else sum(boundary)),

@@ -153,11 +153,6 @@ class StateIndex:
     note: str
     report: IndexReport | None = None
 
-    @property
-    def positive(self) -> bool:
-        """Whether this is the positive state, the one without growth signs."""
-        return self.state.classification == "nontrivial"
-
     def record(self) -> dict:
         """The analyze report's flat record: the state's fields, then the
         verdict's, ``None`` where one does not apply."""
@@ -198,7 +193,10 @@ _ASSUMPTIONS = (
 )
 
 
-def _case_label(model: Model, enum: StateEnumeration) -> str:
+def _case_label(
+    model: Model,
+    enum: StateEnumeration,
+) -> str:
     """Two-species sign-pattern label; 'none' when no pattern applies."""
     if model.m != 2:
         return "none"

@@ -373,7 +373,8 @@ def turing_pattern_512():
     # large balls, a few percent of all balls.
     model = turing_model()
     grid = make_grid(model.domain, 512)
-    (positive,) = [s for s in existence_verdict(model).states if s.positive]
+    states = existence_verdict(model).states
+    (positive,) = [s for s in states if s.state.classification == "nontrivial"]
     report = positive.report
     k = next(int(r["first_mode"]) for r in report.negative if r["first_mode"] >= 1)
     seed = seed_from_mode(model, np.ones(2), k, amplitude=1.5, grid=grid)

@@ -70,7 +70,7 @@ def negative_intervals(report):
 
 def positive_record(verdict):
     """The verdict's one record of a positive state."""
-    (record,) = [s for s in verdict.states if s.positive]
+    (record,) = [s for s in verdict.states if s.state.classification == "nontrivial"]
     return record
 
 
@@ -358,7 +358,8 @@ def test_weak_competition_verdict():
     )
     verdict = existence_verdict(model)
     assert verdict.case_label == "a"
-    assert [s.index for s in verdict.states if not s.positive] == [0, 0, 0]
+    boundary = [s for s in verdict.states if s.state.classification != "nontrivial"]
+    assert [s.index for s in boundary] == [0, 0, 0]
     assert verdict.total == 1
     assert verdict.predicts_nonconstant is False
     assert not verdict.inconclusive
@@ -408,7 +409,10 @@ def test_index_never_forces_what_the_nonexistence_threshold_forbids():
     # saddles, whose constant-mode factor keeps the total at 1.
     decided = [v for v in verdicts if not v.inconclusive]
     assert len(proven) >= 300 and len(decided) >= 0.9 * len(proven)
-    saddles = [v for v in decided if -1 in (s.index for s in v.states if s.positive)]
+    saddles = [
+        v for v in decided
+        if -1 in (s.index for s in v.states if s.state.classification == "nontrivial")
+    ]
     assert len(saddles) >= 50
     assert all(v.total == 1 for v in decided)
 
@@ -739,7 +743,10 @@ def test_batch_verdicts_equal_one_model_verdicts():
     )
     for name in ("tiny interval", "m = 1, spectrum overflows a float", "long interval"):
         assert not verdicts[name].inconclusive, name
-    assert any(s.report is not None for v in batch for s in v.states if not s.positive)
+    assert any(
+        s.report is not None
+        for v in batch for s in v.states if s.state.classification != "nontrivial"
+    )
     kinds = []
     for model, verdict in zip(models.values(), batch):
         if model.m == 3:
@@ -753,7 +760,7 @@ def test_batch_verdicts_equal_one_model_verdicts():
     # The stacked roots are those of each state's own matrices, to the bit.
     for model, verdict in rows:
         for s in verdict.states:
-            if not s.positive or s.report is None:
+            if s.state.classification != "nontrivial" or s.report is None:
                 continue
             u, rep = s.state.u_star, s.report
             mu = np.linalg.eigvals(np.linalg.solve(model.A(u), model.jacobian_f(u)))
