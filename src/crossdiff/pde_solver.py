@@ -8,13 +8,14 @@ kind)`` and shared by every system on that grid: each call computes
 only the block values and sums them into their slots with
 ``np.bincount``, in assembly order (faces axis by axis, Dirichlet
 walls after each axis's faces, reaction blocks last).  Newton factors
-it through one seam, :func:`_factor`, chosen by the grid's dimension.
-On an interval the node-major Jacobian is banded, ``kl = ku = 2m - 1``,
-and LAPACK's partial-pivoting banded LU (``dgbtrf``/``dgbtrs``) factors
-it from a band array filled through a slot map the pattern holds.  On a
-rectangle SuperLU factors it under the minimum-degree ordering on the
-pattern of ``J + J^T`` (``permc_spec="MMD_AT_PLUS_A"``), which suits
-this structurally symmetric stencil matrix.  The residual and the
+it through one seam, :func:`_factor`, chosen by the pattern's bandwidth.
+The node-major Jacobian is banded, ``kl = ku = m (n_2 ... n_d) + m - 1``
+(``2m - 1`` on an interval).  Up to ``kl = MAX_BAND`` LAPACK's
+partial-pivoting banded LU (``dgbtrf``/``dgbtrs``) factors it from a
+band array filled through a slot map the pattern holds.  A wider band
+goes to SuperLU under the minimum-degree ordering on the pattern of
+``J + J^T`` (``permc_spec="MMD_AT_PLUS_A"``), which suits this
+structurally symmetric stencil matrix.  The residual and the
 Jacobian read their face states from one face loop.  Solvers:
 damped Newton, and homotopy continuation in the cross-diffusion
 strength (``alpha -> t * alpha`` for ``t`` from 0 to 1 in
@@ -86,6 +87,10 @@ CHORD_CONTRACTION = 0.5
 MAX_FACTORIZATIONS = 100
 # A continuation's stages: t over linspace(0, 1, HOMOTOPY_STEPS + 1).
 HOMOTOPY_STEPS = 8
+# The widest node-major band (kl = ku) given to the banded LU; a wider one
+# goes to SuperLU.  A banded factor and five solves beat SuperLU's up to
+# kl = 64 with m = 1 (not at 72), and up to 80 with m = 2 and 3.
+MAX_BAND = 64
 
 
 @dataclass(frozen=True)
@@ -312,16 +317,17 @@ class _JacobianPattern:
     """CSC structure of the Jacobian on one grid.
 
     ``slots[k]`` is the position in ``data`` of the k-th entry that
-    :meth:`DiscreteSystem.jacobian` assembles, in its order.  On an
-    interval ``band[k]`` is the position of ``data[k]`` in the flattened
-    ``(n, 3 kl + 1)`` array whose transpose is the LAPACK band storage
-    that ``dgbtrf`` factors, ``kl = ku = 2m - 1``; on a rectangle
-    ``band`` is ``None``.
+    :meth:`DiscreteSystem.jacobian` assembles, in its order.  ``kl`` is
+    the node-major bandwidth, ``kl = ku = m (n_2 ... n_d) + m - 1``.  When
+    ``kl <= MAX_BAND``, ``band[k]`` is the position of ``data[k]`` in the
+    flattened ``(n, 3 kl + 1)`` array whose transpose is the LAPACK band
+    storage that ``dgbtrf`` factors; on a wider band it is ``None``.
     """
 
     indptr: NDArray[np.int32]
     indices: NDArray[np.int32]
     slots: NDArray[np.intp]
+    kl: int
     band: NDArray[np.intp] | None
 
 
@@ -383,14 +389,14 @@ def _jacobian_pattern(
     # An unfilled slot would hand uninitialised row indices to the LU.
     if np.bincount(slots, minlength=indices.size).min() == 0:
         raise RuntimeError(f"Jacobian pattern on {shape} leaves a slot empty")
+    kl = m * (ids.size // shape[0]) + m - 1
     band = None
-    if ndim == 1:
+    if kl <= MAX_BAND:
         # Entry (i, j) sits in row kl + ku + i - j of band column j; the
         # top kl rows are room for the pivoting's fill.
-        kl = 2 * m - 1
         cols = np.repeat(np.arange(ids.size * m), np.diff(indptr))
         band = cols * (3 * kl + 1) + 2 * kl + indices - cols
-    pattern = _JacobianPattern(indptr.astype(np.int32), indices, slots, band)
+    pattern = _JacobianPattern(indptr.astype(np.int32), indices, slots, kl, band)
     for arr in (pattern.indptr, pattern.indices, pattern.slots, pattern.band):
         if arr is not None:
             arr.flags.writeable = False
@@ -422,16 +428,15 @@ def _factor(system: DiscreteSystem, J: sp.csc_matrix):
     """LU factor, with ``solve(b)``, of ``J`` as ``system.jacobian``
     returns it, on the grid's shared pattern.
 
-    The grid's dimension chooses: on an interval a :class:`_BandLU`
-    (LAPACK's banded LU, ``kl = ku = 2m - 1``), on a rectangle SuperLU
-    under ``permc_spec="MMD_AT_PLUS_A"``.  A singular factor raises
+    The pattern's bandwidth chooses: up to ``kl = MAX_BAND`` a
+    :class:`_BandLU` (LAPACK's banded LU), past it SuperLU under
+    ``permc_spec="MMD_AT_PLUS_A"``.  A singular factor raises
     ``RuntimeError("Factor is exactly singular")`` on both.
     """
-    m = system.model.m
-    band = _jacobian_pattern(system.grid.shape, m, system.dirichlet).band
-    if band is None:
+    pattern = _jacobian_pattern(system.grid.shape, system.model.m, system.dirichlet)
+    if pattern.band is None:
         return splu(J, permc_spec="MMD_AT_PLUS_A")
-    return _BandLU(J, band, 2 * m - 1)
+    return _BandLU(J, pattern.band, pattern.kl)
 
 
 def discretize(
@@ -474,8 +479,8 @@ class SolveResult:
     - ``iterations``: the accepted steps, chord and Newton, of every run
       that converged, plus those of the answer's own run;
     - ``factorizations``: the LU factorizations of every run, failed
-      stages included (LAPACK's banded LU on an interval, SuperLU under
-      ``MMD_AT_PLUS_A`` on a rectangle);
+      stages included (LAPACK's banded LU up to ``kl = MAX_BAND``,
+      SuperLU under ``MMD_AT_PLUS_A`` on a wider band);
     - ``t_path``: ``(1.0,)`` for a direct solve, else the ``t`` of each
       converged stage of the attempt that gave the answer;
     - ``tolerance``: when converged, the answer's run's target
@@ -650,8 +655,8 @@ def _newton_core(
 
     A Newton step assembles the Jacobian on the grid's shared CSC
     pattern (duplicates summed in assembly order), factors it through
-    :func:`_factor` (LAPACK's banded LU on an interval, SuperLU under
-    the ``MMD_AT_PLUS_A`` column ordering on a rectangle) and takes a
+    :func:`_factor` (LAPACK's banded LU up to ``kl = MAX_BAND``, SuperLU
+    under the ``MMD_AT_PLUS_A`` column ordering on a wider band) and takes a
     damped step.  Once the run holds a factorization, each
     iteration first tries the full chord step ``lu.solve(-R)`` from that
     stale factor and keeps it when ``||R(u + delta)|| <= CHORD_CONTRACTION

@@ -347,17 +347,28 @@ def test_stage_alpha_on_a_system_matches_a_model_with_that_alpha(kind, bc, m, t)
         np.testing.assert_array_equal(getattr(J, name), getattr(J_built, name))
 
 
-def cross_diffusing_interval_model(bc, m):
+def cross_diffusing_model(kind, bc, m):
     if m == 1:
-        return interval_model(1, (0.7,), (1.0,), ((1.0,),), alpha=((0.4,),), bc=bc)
-    return (coupled_model if m == 2 else three_species_model)("interval", bc, 1.0)
+        return build_model(
+            {
+                "m": 1, "d": [0.7], "alpha": [[0.4]], "r": [1.0], "c": [[1.0]],
+                "domain": {"kind": kind, "lengths": [PI] if kind == "interval" else [PI, 2.0]},
+                "bc": bc,
+            }
+        )
+    return (coupled_model if m == 2 else three_species_model)(kind, bc, 1.0)
 
 
+NARROW_GRIDS = [24, (9, 8), (8, 9), (16, 16)]
+
+
+@pytest.mark.parametrize("cells", NARROW_GRIDS, ids=str)
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-def test_banded_factor_solves_as_superlu_on_an_interval(bc, m):
-    model = cross_diffusing_interval_model(bc, m)
-    grid = make_grid(model.domain, 24)
+def test_banded_factor_solves_as_superlu_on_a_narrow_band(bc, m, cells):
+    # Intervals and narrow rectangles: kl = m n_2 + m - 1 is at most 50.
+    model = cross_diffusing_model("interval" if cells == 24 else "rectangle", bc, m)
+    grid = make_grid(model.domain, cells)
     system = discretize(model, grid)
     J = system.jacobian(random_field(grid, [0.3] * m, [1.7] * m, seed=4).values)
     lu = pde_solver._factor(system, J)
@@ -368,24 +379,81 @@ def test_banded_factor_solves_as_superlu_on_an_interval(bc, m):
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def test_banded_factor_of_a_singular_jacobian_raises_superlus_error():
-    # The logistic Jacobian at u = 1/2 is the bare Neumann operator.
-    model = interval_model(1, (1.0,), (1.0,), ((1.0,),))
-    grid = make_grid(model.domain, 32)
+@pytest.mark.parametrize("cells", NARROW_GRIDS + [(10, 13), "widest"], ids=str)
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_band_map_places_every_slot_in_the_lapack_band(bc, m, cells):
+    if cells == "widest":
+        cells = (8, (pde_solver.MAX_BAND + 1 - m) // m)
+    model = cross_diffusing_model("interval" if cells == 24 else "rectangle", bc, m)
+    grid = make_grid(model.domain, cells)
+    J = discretize(model, grid).jacobian(random_field(grid, [0.3] * m, [1.7] * m, seed=6).values)
+    pattern = pde_solver._jacobian_pattern(grid.shape, m, model.bc.kind == "dirichlet")
+    kl, n = pattern.kl, J.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(J.indptr))
+    assert kl == np.max(np.abs(J.indices - cols)) <= pde_solver.MAX_BAND
+    # Distinct cells in rows kl ... 3 kl of the (3 kl + 1) x n band array;
+    # the top kl rows are the pivoting's fill room.
+    assert np.unique(pattern.band).size == pattern.band.size
+    rows, band_cols = np.divmod(pattern.band, 3 * kl + 1)[::-1]
+    assert np.all((kl <= rows) & (rows <= 3 * kl))
+    ab = np.zeros(n * (3 * kl + 1))
+    ab[pattern.band] = J.data
+    ab = ab.reshape(n, 3 * kl + 1).T
+    dense = np.zeros((n, n))
+    for j in range(n):
+        i = np.arange(max(0, j - kl), min(n, j + kl + 1))
+        dense[i, j] = ab[2 * kl + i - j, j]
+    np.testing.assert_array_equal(dense, J.toarray())
+    np.testing.assert_array_equal(band_cols, cols)
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_banded_factor_of_a_singular_jacobian_raises_superlus_error(kind):
+    # The logistic Jacobian at u = 1/2 is the bare Neumann operator.  On an
+    # interval its banded elimination ends in an exact zero pivot; on a
+    # rectangle both factors end in a rounding-sized one, so one node's
+    # column is zeroed to make the matrix exactly singular.
+    model = build_model(
+        {
+            "m": 1, "d": [1.0], "alpha": [[0.0]], "r": [1.0], "c": [[1.0]],
+            "domain": {"kind": kind, "lengths": [PI] if kind == "interval" else [PI, 2.0]},
+            "bc": "neumann",
+        }
+    )
+    grid = make_grid(model.domain, 32 if kind == "interval" else (9, 8))
     system = discretize(model, grid)
     J = system.jacobian(constant_field(grid, [0.5]).values)
+    if kind == "rectangle":
+        J.data[J.indptr[40] : J.indptr[41]] = 0.0
     with pytest.raises(RuntimeError, match="^Factor is exactly singular$"):
         splu(J, permc_spec="MMD_AT_PLUS_A")
     with pytest.raises(RuntimeError, match="^Factor is exactly singular$"):
         pde_solver._factor(system, J)
 
 
-def test_rectangle_jacobian_is_factored_by_superlu():
-    model = coupled_model("rectangle", "neumann", 1.0)
-    grid = make_grid(model.domain, (9, 8))
-    system = discretize(model, grid)
-    J = system.jacobian(random_field(grid, [0.3, 0.3], [1.7, 1.7], seed=4).values)
-    assert isinstance(pde_solver._factor(system, J), SuperLU)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_factor_is_chosen_by_bandwidth(m):
+    # The widest fast axis whose kl = m n_2 + m - 1 is within MAX_BAND is
+    # banded (for m = 1, kl equals the limit); one more cell on that axis
+    # goes to SuperLU, and so does 64 x 64 with m = 2 (kl = 129).
+    model = cross_diffusing_model("rectangle", "neumann", m)
+    widest = (pde_solver.MAX_BAND + 1 - m) // m
+    for cells, kind in (((8, widest), pde_solver._BandLU), ((8, widest + 1), SuperLU)):
+        grid = make_grid(model.domain, cells)
+        system = discretize(model, grid)
+        pattern = pde_solver._jacobian_pattern(grid.shape, m, False)
+        assert pattern.kl == m * cells[1] + m - 1
+        assert (pattern.band is None) == (pattern.kl > pde_solver.MAX_BAND)
+        J = system.jacobian(random_field(grid, [0.3] * m, [1.7] * m, seed=4).values)
+        assert isinstance(pde_solver._factor(system, J), kind)
+    if m == 1:
+        assert widest == pde_solver.MAX_BAND
+    if m == 2:
+        grid = make_grid(model.domain, 64)
+        system = discretize(model, grid)
+        J = system.jacobian(random_field(grid, [0.3] * m, [1.7] * m, seed=4).values)
+        assert isinstance(pde_solver._factor(system, J), SuperLU)
 
 
 # -- Newton -----------------------------------------------------------------
@@ -850,18 +918,18 @@ def test_skt_sequenced_continuation_factors_only_the_half_grid(monkeypatch):
     # coexistence state already meets the tolerance.
     model = skt_2d()
     grid = make_grid(model.domain, 48)
-    rows = []
-    factor = pde_solver.splu
+    shapes = []
+    factor = pde_solver._factor
 
-    def recording(J, **kwargs):
-        rows.append(J.shape[0])
-        return factor(J, **kwargs)
+    def recording(system, J):
+        shapes.append(system.grid.shape)
+        return factor(system, J)
 
-    monkeypatch.setattr(pde_solver, "splu", recording)
+    monkeypatch.setattr(pde_solver, "_factor", recording)
     result = continuation_solve(model, grid, random_field(grid, 0.5 * COEX, 1.5 * COEX, seed=0))
     assert result.converged
-    assert 1 <= len(rows) <= 2 and set(rows) == {2 * 24 * 24}
-    assert result.factorizations == len(rows)
+    assert 1 <= len(shapes) <= 2 and set(shapes) == {(24, 24)}
+    assert result.factorizations == len(shapes)
     assert result.t_path == tuple(np.linspace(0.0, 1.0, 9))
     assert result.refinement.coarse_grid == (24, 24)
     assert result.refinement.coarse_classification == "nontrivial-constant"
