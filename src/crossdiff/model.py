@@ -403,7 +403,8 @@ def replace_entries(
     if m_values is not None:
         ms = [_message_or(_species_count, value) for value in m_values.tolist()]
         m_column = np.array([model.m if isinstance(m, str) else m for m in ms])
-    errors = _field_errors(m_column, *stacks.values())
+    # With no key every point is ``model``, which Model.__post_init__ checked.
+    errors = _field_errors(m_column, *stacks.values()) if keys else [None] * count
     if m_values is not None:
         errors = [m if isinstance(m, str) else error for m, error in zip(ms, errors)]
     # A point with the model's own lengths has its valid domain.
