@@ -395,7 +395,7 @@ def test_band_map_places_every_slot_in_the_lapack_band(bc, m, cells):
     # Distinct cells in rows kl ... 3 kl of the (3 kl + 1) x n band array;
     # the top kl rows are the pivoting's fill room.
     assert np.unique(pattern.band).size == pattern.band.size
-    rows, band_cols = np.divmod(pattern.band, 3 * kl + 1)[::-1]
+    rows = pattern.band % (3 * kl + 1)
     assert np.all((kl <= rows) & (rows <= 3 * kl))
     ab = np.zeros(n * (3 * kl + 1))
     ab[pattern.band] = J.data
@@ -405,7 +405,6 @@ def test_band_map_places_every_slot_in_the_lapack_band(bc, m, cells):
         i = np.arange(max(0, j - kl), min(n, j + kl + 1))
         dense[i, j] = ab[2 * kl + i - j, j]
     np.testing.assert_array_equal(dense, J.toarray())
-    np.testing.assert_array_equal(band_cols, cols)
 
 
 @pytest.mark.parametrize("kind", ["interval", "rectangle"])
